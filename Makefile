@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-fix test race bench chaos verify
+.PHONY: build vet lint lint-fix test race bench chaos fuzz verify
 
 build:
 	$(GO) build ./...
@@ -47,7 +47,10 @@ race:
 # ComposeDoc baseline likewise holds the pre-pooling numbers with a ≤0.10
 # cap, Extract guards its packed-key/arena rewrite at ≤0.50 of the
 # string-keyed baseline, and FrameworkStemmer pins StemDoc's pooled
-# stem-memo path at ≤0.20 of the fresh-map-per-call baseline. The parallel sweep benches are floored on parEff-8 (speedup at 8
+# stem-memo path at ≤0.20 of the fresh-map-per-call baseline, and Annotate's
+# B/op is capped at 0.50 of its measurement from before the one-pass
+# document analysis (its allocs/op baseline is the value measured after
+# it, under the usual +20%). The parallel sweep benches are floored on parEff-8 (speedup at 8
 # workers divided by usable cores), the machine-independent form of the
 # ≥2.8×-on-8-cores scaling contract. The ClickGraphScale guards compare
 # against contract values rather than measurements: total-ms 2000 is the
@@ -72,6 +75,7 @@ bench:
 	$(GO) test -run=NONE -bench='^BenchmarkFrameworkStemmer$$' -benchtime=20x . >> bench.out
 	$(GO) run ./cmd/benchjson -o BENCH.json -baseline BENCH.baseline.json \
 		-guard 'BenchmarkAnnotate:allocs/op:1.20' \
+		-guard 'BenchmarkAnnotate:B/op:0.50' \
 		-guard 'BenchmarkDetect:allocs/op:1.20' \
 		-guard 'BenchmarkBuildFeatures:allocs/op:1.20' \
 		-guard 'BenchmarkPhraseEval:allocs/op:1.50' \
@@ -107,5 +111,16 @@ chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestChaos|TestOverload|TestShed|TestDeadline|TestQueued|TestGracefulDrain|TestProbe' ./internal/serve/ ./internal/resilience/ ./cmd/serve/
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestRing|TestRouter|TestBreaker|TestHedge|TestQuota|TestCluster|TestFlap|TestRetry|TestCache' ./internal/cluster/ ./internal/resilience/ ./internal/serve/ ./cmd/router/
 
+# The differential fuzz targets of the one-pass document analysis — gated
+# pattern scan vs the whole-text regexes, token-range relevance window vs
+# tokenizing the window's text — for a fixed budget each (go test -fuzz
+# takes one target and one package per run). Their seed corpora also run
+# under plain `go test`.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzPatternGate$$' -fuzztime $(FUZZTIME) ./internal/detect
+	$(GO) test -run '^$$' -fuzz '^FuzzWindowTIDs$$' -fuzztime $(FUZZTIME) ./internal/framework
+
 # verify is the full CI gate, runnable locally with one command.
-verify: build vet lint race bench chaos
+verify: build vet lint race bench chaos fuzz
+	cd bench && $(GO) vet . && $(GO) test .

@@ -52,6 +52,8 @@ var liveAnnotations = map[string][]string{
 	},
 	"internal/detect/detect.go": {
 		"Pipeline.Detect //kw:hotpath",
+		"Pipeline.DetectTokens //kw:hotpath",
+		"Pipeline.DetectTokens //kw:fresh",
 		"allStopwords //kw:coldpath",
 		"resolveCollisions //kw:fresh",
 	},

@@ -6,14 +6,16 @@
 // between overlapping entities, disambiguation and filtering.
 //
 // The detection hot path is allocation-disciplined (DESIGN.md §10): a
-// document is tokenized into pooled scratch buffers, interned once against
-// each matcher's vocabulary, and scanned by the token-trie matchers of
-// internal/match with zero per-probe allocations. Only the returned
+// document's tokens are interned once against each matcher's vocabulary and
+// scanned by the token-trie matchers of internal/match with zero per-probe
+// allocations, the pattern regexes run only on the trigger sites one byte
+// scan finds, and every working buffer is pooled. Only the returned
 // detection slice is freshly allocated — it never aliases pooled state.
 package detect
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"contextrank/internal/taxonomy"
@@ -110,10 +112,12 @@ func (p *Pipeline) DetectHTML(html string) (string, []Detection) {
 	return text, p.Detect(text)
 }
 
-// scratch holds the per-document working set of Detect: the token slice,
-// the word-token views (norm/tokIdx), one interned id buffer per matcher
-// vocabulary, match buffers and the detection accumulator. Pooled so a
-// steady-state serving process performs no per-document buffer allocations.
+// scratch holds the per-document working set of DetectTokens: the
+// word-token views (norm/tokIdx), one interned id buffer per matcher
+// vocabulary, match buffers, the pattern trigger sites, the detection
+// accumulator and the collision pass's keys — plus the token slice of
+// callers that come in through Detect. Pooled so a steady-state serving
+// process performs no per-document buffer allocations.
 type scratch struct {
 	tokens  []textproc.Token
 	norm    []string
@@ -122,41 +126,59 @@ type scratch struct {
 	unitIDs []uint32
 	dms     []taxonomy.Match
 	ums     []units.Match
+	sites   []patternSite
 	all     []Detection
+	order   []spanKey
+	kept    []spanKey
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// Detect runs the full pipeline over plain text. The returned slice is
-// freshly allocated and owned by the caller; it never aliases the pooled
-// scratch buffers.
+// Detect runs the full pipeline over plain text: it tokenizes into pooled
+// scratch and hands the tokens to DetectTokens.
 //
 //kw:hotpath
 func (p *Pipeline) Detect(text string) []Detection {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-
 	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0]) //kwlint:ignore hotpath — token normalization (ToLower of mixed-case tokens) is the documented per-document budget
+	return p.DetectTokens(nil, text, sc.tokens)
+}
+
+// DetectTokens is Detect for a caller that has already tokenized text
+// (tokens must be textproc.TokenizeInto's output for exactly this text);
+// the annotation runtime shares one tokenization between the stemmer and
+// the detectors this way. tokens is only read. The detections are appended
+// to dst: nil gets a fresh slice of exactly their number, a caller that
+// copies out what it keeps passes a buffer it reuses. Beyond dst the result
+// aliases nothing the caller does not own — never the pooled scratch.
+//
+//kw:hotpath
+//kw:fresh
+func (p *Pipeline) DetectTokens(dst []Detection, text string, tokens []textproc.Token) []Detection {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 
 	// Word-token view for the phrase scanners, with a mapping back to the
 	// token slice so byte offsets survive.
 	sc.norm, sc.tokIdx = sc.norm[:0], sc.tokIdx[:0]
-	for i := range sc.tokens {
-		t := &sc.tokens[i]
+	for i := range tokens {
+		t := &tokens[i]
 		if t.Kind != textproc.Punct && t.Norm != "" {
 			sc.norm = append(sc.norm, t.Norm)
 			sc.tokIdx = append(sc.tokIdx, i)
 		}
 	}
 
-	all := appendPatternDetections(sc.all[:0], text) //kwlint:ignore hotpath — regex pattern detection is budgeted in BenchmarkDetect; see DESIGN.md §10
+	sc.sites = appendPatternSites(sc.sites[:0], text)
+	all := appendPatternDetections(sc.all[:0], text, sc.sites) //kwlint:ignore hotpath — regex pattern detection is budgeted in BenchmarkDetect; see DESIGN.md §10
 
 	if p.dict != nil {
 		sc.dictIDs = p.dict.Vocab().AppendIDs(sc.dictIDs[:0], sc.norm)
 		sc.dms = p.dict.FindInIDs(sc.dictIDs, sc.dms[:0])
 		for _, m := range sc.dms {
 			entry := p.dict.DisambiguateIDs(m, idWindow(sc.dictIDs, m.Start, m.End, disambigRadius))
-			first, last := sc.tokens[sc.tokIdx[m.Start]], sc.tokens[sc.tokIdx[m.End-1]]
+			first, last := &tokens[sc.tokIdx[m.Start]], &tokens[sc.tokIdx[m.End-1]]
 			all = append(all, Detection{
 				Text:     text[first.Start:last.End],
 				Norm:     m.Phrase,
@@ -176,7 +198,7 @@ func (p *Pipeline) Detect(text string) []Detection {
 			if m.Unit.Score < p.minUnitScore {
 				continue
 			}
-			first, last := sc.tokens[sc.tokIdx[m.Start]], sc.tokens[sc.tokIdx[m.End-1]]
+			first, last := &tokens[sc.tokIdx[m.Start]], &tokens[sc.tokIdx[m.End-1]]
 			all = append(all, Detection{
 				Text:     text[first.Start:last.End],
 				Norm:     m.Unit.Text,
@@ -190,8 +212,8 @@ func (p *Pipeline) Detect(text string) []Detection {
 	}
 
 	all = filter(all)
-	sc.all = all[:0]              // return the (possibly grown) accumulator to the pool
-	return resolveCollisions(all) //kwlint:ignore hotpath — the result slice is deliberately fresh so it never aliases pooled scratch
+	sc.all = all[:0] // return the (possibly grown) accumulator to the pool
+	return resolveCollisions(sc, dst, all)
 }
 
 // idWindow returns the interned ids within radius tokens of [start,end).
@@ -257,60 +279,63 @@ func allStopwords(phrase string) bool {
 	return any
 }
 
-// resolveCollisions drops detections whose spans overlap a higher-priority
-// detection. Priority: pattern entities first (always annotated), then
-// longer spans, then named entities over concepts, then earlier start.
+// spanKey is the part of a Detection the collision pass orders and compares
+// by, precomputed so the sort moves small keys instead of Detections.
+type spanKey struct {
+	start, end int
+	kind       Kind
+	idx        int // the Detection's position in the input
+}
+
+// comparePriority orders keys by collision priority: pattern entities first
+// (always annotated), then longer spans, then named entities over concepts,
+// then earlier start. Only an email and a URL matched over one span tie.
+func comparePriority(a, b spanKey) int {
+	return cmp.Or(
+		cmp.Compare(min(a.kind, KindNamed), min(b.kind, KindNamed)), // KindPattern, the least Kind, or not
+		cmp.Compare(b.end-b.start, a.end-a.start),
+		cmp.Compare(a.kind, b.kind),
+		cmp.Compare(a.start, b.start))
+}
+
+// resolveCollisions appends to dst the detections of ds whose spans overlap
+// no higher-priority detection (comparePriority), sorted by start.
 //
 // The kept set is maintained sorted by span start; because kept spans never
 // overlap, one binary search decides each candidate — a sorted interval
-// sweep replacing the quadratic kept-list scan. The returned slice is
-// always freshly allocated (never an alias of ds), sorted by start.
+// sweep replacing the quadratic kept-list scan. The keys being sorted and
+// kept live in sc. The result is dst extended, grown once to its final
+// size, and holds copies: it never aliases ds or sc.
 //
 //kw:fresh
-func resolveCollisions(ds []Detection) []Detection {
-	if len(ds) == 0 {
-		return nil
+func resolveCollisions(sc *scratch, dst, ds []Detection) []Detection {
+	order := sc.order[:0]
+	for i := range ds {
+		order = append(order, spanKey{start: ds[i].Start, end: ds[i].End, kind: ds[i].Kind, idx: i})
 	}
-	if len(ds) == 1 {
-		return []Detection{ds[0]}
-	}
-	order := make([]int, len(ds))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		x, y := ds[order[a]], ds[order[b]]
-		if (x.Kind == KindPattern) != (y.Kind == KindPattern) {
-			return x.Kind == KindPattern
-		}
-		if lx, ly := x.End-x.Start, y.End-y.Start; lx != ly {
-			return lx > ly
-		}
-		if x.Kind != y.Kind {
-			return x.Kind < y.Kind
-		}
-		return x.Start < y.Start
-	})
-	kept := make([]Detection, 0, len(ds))
-	for _, idx := range order {
-		d := ds[idx]
-		// First kept span ending after d starts: the only possible overlap
+	slices.SortFunc(order, comparePriority)
+	kept := sc.kept[:0]
+	for _, k := range order {
+		// First kept span ending after k starts: the only possible overlap
 		// candidate, since kept spans are disjoint and sorted.
 		lo, hi := 0, len(kept)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if kept[mid].End > d.Start {
+			if kept[mid].end > k.start {
 				hi = mid
 			} else {
 				lo = mid + 1
 			}
 		}
-		if lo < len(kept) && kept[lo].Start < d.End {
+		if lo < len(kept) && kept[lo].start < k.end {
 			continue // overlaps a higher-priority detection
 		}
-		kept = append(kept, Detection{})
-		copy(kept[lo+1:], kept[lo:])
-		kept[lo] = d
+		kept = slices.Insert(kept, lo, k)
 	}
-	return kept
+	sc.order, sc.kept = order, kept
+	dst = slices.Grow(dst, len(kept))
+	for _, k := range kept {
+		dst = append(dst, ds[k.idx])
+	}
+	return dst
 }

@@ -134,7 +134,7 @@ func TestCollisionResolutionNoOverlaps(t *testing.T) {
 }
 
 func TestPatternBeatsOverlappingConcept(t *testing.T) {
-	ds := resolveCollisions([]Detection{
+	ds := resolveCollisions(new(scratch), nil, []Detection{
 		{Norm: "example com", Kind: KindConcept, Start: 10, End: 21},
 		{Norm: "www.example.com", Kind: KindPattern, PatternType: "url", Start: 6, End: 21},
 	})
@@ -144,7 +144,7 @@ func TestPatternBeatsOverlappingConcept(t *testing.T) {
 }
 
 func TestLongerSpanBeatsShorter(t *testing.T) {
-	ds := resolveCollisions([]Detection{
+	ds := resolveCollisions(new(scratch), nil, []Detection{
 		{Norm: "york", Kind: KindNamed, Start: 4, End: 8},
 		{Norm: "new york city", Kind: KindConcept, Start: 0, End: 13},
 	})
@@ -154,7 +154,7 @@ func TestLongerSpanBeatsShorter(t *testing.T) {
 }
 
 func TestNamedBeatsConceptOnTie(t *testing.T) {
-	ds := resolveCollisions([]Detection{
+	ds := resolveCollisions(new(scratch), nil, []Detection{
 		{Norm: "jaguar", Kind: KindConcept, Start: 0, End: 6},
 		{Norm: "jaguar", Kind: KindNamed, Start: 0, End: 6},
 	})
@@ -227,22 +227,50 @@ func TestDetectDeterministic(t *testing.T) {
 	}
 }
 
-func BenchmarkDetect(b *testing.B) {
-	w, dict, us := testResources(b)
-	p := New(dict, us)
+// benchText is 40 sentences naming concepts. With extra, each sentence is
+// followed by one more; BenchmarkDetectPatternRich uses that for a sentence
+// with an email, a URL, a phone number and a year, or the same words
+// without the punctuation that makes them patterns.
+func benchText(w *world.World, extra string) string {
 	var sb strings.Builder
 	for i := 0; i < 40; i++ {
 		sb.WriteString("The story discussed ")
 		sb.WriteString(w.Concepts[i%len(w.Concepts)].Name)
-		sb.WriteString(" in detail. ")
+		sb.WriteString(" in detail.")
+		sb.WriteString(extra)
+		sb.WriteByte(' ')
 	}
-	text := sb.String()
+	return sb.String()
+}
+
+func benchmarkDetect(b *testing.B, p *Pipeline, text string) {
 	b.SetBytes(int64(len(text)))
 	b.ReportAllocs()
 	b.ResetTimer() // exclude resource building from ns/op and allocs/op
 	for i := 0; i < b.N; i++ {
 		p.Detect(text)
 	}
+}
+
+func BenchmarkDetect(b *testing.B) {
+	w, dict, us := testResources(b)
+	benchmarkDetect(b, New(dict, us), benchText(w, ""))
+}
+
+// BenchmarkDetectPatternRich is BenchmarkDetect on a document that does
+// carry patterns — 120 matches and a year in 40 sentences — beside the same
+// text with one byte of each pattern changed so that it is none: the
+// difference is what 120 trigger sites cost, whatever the document's length.
+func BenchmarkDetectPatternRich(b *testing.B) {
+	w, dict, us := testResources(b)
+	p := New(dict, us)
+	rich := benchText(w, " Mail desk@example.org or see http://news.example.org/a1 or call 408-555-1234 about 2008.")
+	plain := benchText(w, " Mail desk#example.org or see http:/news.example.org/a1. or call 408-555-12a4 about 2008.")
+	if n := len(appendPatternSites(nil, plain)); n != 0 || len(detectPatterns(rich)) != 120 || len(plain) != len(rich) {
+		b.Fatalf("plain text: %d bytes, %d pattern sites; rich text: %d bytes, %d patterns", len(plain), n, len(rich), len(detectPatterns(rich)))
+	}
+	b.Run("patterns", func(b *testing.B) { benchmarkDetect(b, p, rich) })
+	b.Run("plain", func(b *testing.B) { benchmarkDetect(b, p, plain) })
 }
 
 func TestNewWithFloorZeroAnnotatesEverything(t *testing.T) {

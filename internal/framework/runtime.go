@@ -1,8 +1,10 @@
 package framework
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,16 +48,22 @@ func NewRuntime(p *detect.Pipeline, it *InterestTable, kp *KeywordPacks, model *
 	return &Runtime{Pipeline: p, Interest: it, Packs: kp, Model: model}
 }
 
-// StemDoc runs the stemmer component: the stemmed version of the document
-// "is created first and stored for later usage". The pass runs on a pooled
-// scratch — tokenizer buffer reused, Porter stems memoized across documents
-// — and only the returned set is allocated, since the caller owns it. The
-// token filter here is ContentWords' filter exactly (non-punct, non-empty
-// norm, non-stopword), so the returned contents are unchanged.
+// StemDoc runs the stemmer component on its own: the stemmed version of the
+// document "is created first and stored for later usage". The pass runs on
+// a pooled scratch — tokenizer buffer reused, Porter stems memoized across
+// documents — and only the returned set is allocated, since the caller owns
+// it. It records nothing in the throughput accumulators: those belong to
+// completed AnnotateCtx calls.
 func (rt *Runtime) StemDoc(text string) map[string]bool {
 	sc := annPool.Get().(*annScratch)
 	defer annPool.Put(sc)
-	rt.stemPass(sc, text)
+	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0])
+	clear(sc.stems)
+	for i := range sc.tokens {
+		if s, ok := sc.contentStem(&sc.tokens[i]); ok {
+			sc.stems[s] = true
+		}
+	}
 	stems := make(map[string]bool, len(sc.stems))
 	for s := range sc.stems {
 		stems[s] = true
@@ -63,24 +71,33 @@ func (rt *Runtime) StemDoc(text string) map[string]bool {
 	return stems
 }
 
-// annScratch is the pooled per-request working set of AnnotateCtx: a token
-// buffer for window tokenization, the stem/TID sets (cleared, not
-// reallocated, between uses), a reusable feature vector, and a memo of
-// word → Porter stem. The memo survives across pooled requests — document
-// windows overlap and vocabularies repeat heavily, so most Stem calls become
-// map hits — and is dropped wholesale past stemCacheMax entries to bound its
-// footprint.
+// annScratch is the pooled per-request working set of AnnotateCtx: the
+// document analysis every stage reads — the token slice and, beside it,
+// each token's stem as a Global TID — the window TID set and top-N dedup
+// set (cleared, not reallocated, between uses), the annotation
+// accumulators, a reusable feature vector, and a memo of word → Porter
+// stem. The memo survives across pooled requests — vocabularies repeat
+// heavily, so most Stem calls become map hits — and is dropped wholesale
+// past stemCacheMax entries to bound its footprint.
 type annScratch struct {
 	tokens    []textproc.Token
+	tokTID    []uint32 // tokTID[i] is tokens[i]'s stem in the Global TID Table, or noTID
+	dets      []detect.Detection
 	stems     map[string]bool
 	tids      map[uint32]bool
 	kept      map[string]bool
+	patterns  []Annotation
+	ranked    []Annotation
 	fv        []float64
 	std       []float64
 	stemCache map[string]string
 }
 
 const stemCacheMax = 1 << 14
+
+// noTID marks a token that is no content word, or whose stem no keyword
+// pack uses. Real TIDs fit in TIDBits.
+const noTID = ^uint32(0)
 
 var annPool = sync.Pool{New: func() any {
 	return &annScratch{
@@ -103,22 +120,31 @@ func (sc *annScratch) stemOf(w string) string {
 	return s
 }
 
-// stemPass is the timed stemmer stage of AnnotateCtx: identical work to
-// StemDoc (the stemmed document is only a timing stage in Figure 4 — the
-// ranker consumes per-detection windows), but tokenizing into the pooled
-// buffer and writing into the cleared pooled set.
-func (rt *Runtime) stemPass(sc *annScratch, text string) {
-	start := time.Now()
-	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0])
-	clear(sc.stems)
-	for i := range sc.tokens {
-		t := &sc.tokens[i]
-		if t.Kind == textproc.Punct || t.Norm == "" || textproc.IsStopword(t.Norm) {
-			continue
-		}
-		sc.stems[sc.stemOf(t.Norm)] = true
+// contentStem returns the memoized stem of a content token. The filter is
+// ContentWords' exactly: non-punct, non-empty norm, non-stopword.
+func (sc *annScratch) contentStem(t *textproc.Token) (string, bool) {
+	if t.Kind == textproc.Punct || t.Norm == "" || textproc.IsStopword(t.Norm) {
+		return "", false
 	}
-	rt.stemNanos.Add(time.Since(start).Nanoseconds())
+	return sc.stemOf(t.Norm), true
+}
+
+// stemTokens is the stemmer stage of AnnotateCtx, Figure 4's "the stemmed
+// version of the document is created first and stored for later usage":
+// the document's one tokenization, into sc.tokens, and beside it every
+// token's stem looked up in the Global TID Table, into sc.tokTID.
+func (rt *Runtime) stemTokens(sc *annScratch, text string) {
+	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0])
+	sc.tokTID = sc.tokTID[:0]
+	for i := range sc.tokens {
+		tid := noTID
+		if s, ok := sc.contentStem(&sc.tokens[i]); ok {
+			if id, ok := rt.Packs.TIDs.ID(s); ok {
+				tid = id
+			}
+		}
+		sc.tokTID = append(sc.tokTID, tid)
+	}
 }
 
 // LocalRadius is the byte radius of the context used to score each
@@ -152,9 +178,15 @@ const cancelCheckEvery = 64
 // deadline set by the serving layer is checked between pipeline stages and
 // every cancelCheckEvery detections inside the ranking loop. On expiry it
 // returns ctx.Err() and a nil slice — the caller (internal/serve) decides
-// whether to degrade to the cheap ranking or fail the request. Timing
-// accumulators only record completed documents, so an abandoned request
-// cannot skew the throughput experiment.
+// whether to degrade to the cheap ranking or fail the request.
+//
+// The document is analysed once: stemTokens tokenizes it and stems every
+// token, the detectors read those tokens, and each ranked detection's
+// relevance context is a range of them. The two timed stages of the §VI
+// experiment follow Figure 4: tokenize + stem is the stemmer, everything
+// after it (detection, table lookups, scoring, sorting) the ranker. Both
+// clocks and the byte count are recorded together and only for completed
+// documents, so an abandoned request cannot skew the throughput figures.
 //
 //kw:hotpath
 func (rt *Runtime) AnnotateCtx(ctx context.Context, text string, topN int) ([]Annotation, error) {
@@ -163,24 +195,23 @@ func (rt *Runtime) AnnotateCtx(ctx context.Context, text string, topN int) ([]An
 	}
 	sc := annPool.Get().(*annScratch)
 	defer annPool.Put(sc)
-	rt.stemPass(sc, text) //kwlint:ignore hotpath — stemmer stage: token normalization and memoized Porter stems are the documented per-document budget
+	start := time.Now()
+	rt.stemTokens(sc, text) //kwlint:ignore hotpath — stemmer stage: token normalization and memoized Porter stems are the documented per-document budget
+	stemmed := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	start := time.Now()
-	detections := rt.Pipeline.Detect(text)
-
-	patterns := make([]Annotation, 0, 4)
-	ranked := make([]Annotation, 0, len(detections))
-	for i, d := range detections {
+	sc.dets = rt.Pipeline.DetectTokens(sc.dets[:0], text, sc.tokens)
+	sc.patterns, sc.ranked = sc.patterns[:0], sc.ranked[:0]
+	for i, d := range sc.dets {
 		if i%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
 		if d.Kind == detect.KindPattern {
-			patterns = append(patterns, Annotation{Detection: d})
+			sc.patterns = append(sc.patterns, Annotation{Detection: d})
 			continue
 		}
 		fields, ok := rt.Interest.Fields(d.Norm)
@@ -191,30 +222,32 @@ func (rt *Runtime) AnnotateCtx(ctx context.Context, text string, topN int) ([]An
 			// large, but finite set of entities").
 			continue
 		}
-		rel := rt.Packs.Score(d.Norm, rt.localTIDsInto(sc, text, d.Start, d.End)) //kwlint:ignore hotpath — window re-tokenization shares the tokenizer's documented normalization budget
+		rel := rt.Packs.Score(d.Norm, sc.windowTIDs(text, d.Start, d.End))
 		sc.fv = fields.AppendExpand(sc.fv[:0], allGroups)
 		sc.fv = append(sc.fv, log1p(rel))
 		if cap(sc.std) < len(sc.fv) {
 			sc.std = make([]float64, 0, cap(sc.fv))
 		}
-		ranked = append(ranked, Annotation{
+		sc.ranked = append(sc.ranked, Annotation{
 			Detection: d,
 			Score:     rt.Model.ScoreBuf(sc.fv, sc.std),
 			Relevance: rel,
 		})
 	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].Score != ranked[j].Score {
-			return ranked[i].Score > ranked[j].Score
-		}
+	slices.SortStableFunc(sc.ranked, func(a, b Annotation) int {
 		// The paper's tie-break: favor the higher relevance score.
-		return ranked[i].Relevance > ranked[j].Relevance
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(b.Relevance, a.Relevance))
 	})
 	clear(sc.kept)
-	ranked = keepTopConcepts(sc.kept, ranked, topN)
-	rt.rankNanos.Add(time.Since(start).Nanoseconds())
+	ranked := keepTopConcepts(sc.kept, sc.ranked, topN)
+	// The result is the only per-document allocation of this function: the
+	// accumulators stay with the scratch.
+	out := make([]Annotation, 0, len(sc.patterns)+len(ranked))
+	out = append(append(out, sc.patterns...), ranked...)
+	rt.stemNanos.Add(stemmed.Sub(start).Nanoseconds())
+	rt.rankNanos.Add(time.Since(stemmed).Nanoseconds())
 	rt.bytesProcessed.Add(int64(len(text)))
-	return append(patterns, ranked...), nil
+	return out, nil
 }
 
 // keepTopConcepts keeps the top-N *distinct* concepts of a ranked slice;
@@ -251,9 +284,12 @@ func keepTopConcepts(kept map[string]bool, ranked []Annotation, topN int) []Anno
 // asc on ties). Not recorded in the throughput accumulators — it is not
 // the Figure 4 pipeline.
 func (rt *Runtime) AnnotateDegraded(text string, topN int) []Annotation {
-	detections := rt.Pipeline.Detect(text)
+	sc := annPool.Get().(*annScratch)
+	defer annPool.Put(sc)
+	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0])
+	sc.dets = rt.Pipeline.DetectTokens(sc.dets[:0], text, sc.tokens)
 	var patterns, ranked []Annotation
-	for _, d := range detections {
+	for _, d := range sc.dets {
 		if d.Kind == detect.KindPattern {
 			patterns = append(patterns, Annotation{Detection: d})
 			continue
@@ -276,43 +312,33 @@ func (rt *Runtime) AnnotateDegraded(text string, topN int) []Annotation {
 	return append(patterns, keepTopConcepts(make(map[string]bool), ranked, topN)...)
 }
 
-// localTIDs maps the stemmed content words near [start,end) to the Global
-// TID Table.
-func (rt *Runtime) localTIDs(text string, start, end int) map[uint32]bool {
-	stems := make(map[string]bool)
-	for _, w := range textproc.ContentWords(localWindow(text, start, end)) {
-		stems[stem.Stem(w)] = true
-	}
-	return rt.Packs.DocTIDs(stems)
-}
-
-// localTIDsInto is localTIDs writing into the pooled scratch: the window is
-// tokenized into sc.tokens and the TID set accumulates in sc.tids (cleared
-// first). The set is identical to localTIDs' — interning a stem twice is
-// idempotent — and valid until the next localTIDsInto call on sc.
-func (rt *Runtime) localTIDsInto(sc *annScratch, text string, start, end int) map[uint32]bool {
-	sc.tokens = textproc.TokenizeInto(localWindow(text, start, end), sc.tokens[:0])
+// windowTIDs returns the TIDs of the stemmed content words in the context
+// of [start,end) — localWindow — as a set valid until the next call on sc.
+// The window's words are a range of the document's tokens: localWindow ends
+// on ' ', '\n' or an edge of the text, no token holds either byte, so no
+// token straddles an edge and the tokens that start inside the window are
+// exactly the tokens of the window's text (FuzzWindowTIDs checks it).
+func (sc *annScratch) windowTIDs(text string, start, end int) map[uint32]bool {
+	lo, hi := localWindow(text, start, end)
+	first := sort.Search(len(sc.tokens), func(i int) bool { return sc.tokens[i].Start >= lo })
 	clear(sc.tids)
-	for i := range sc.tokens {
-		t := &sc.tokens[i]
-		if t.Kind == textproc.Punct || t.Norm == "" || textproc.IsStopword(t.Norm) {
-			continue
-		}
-		if id, ok := rt.Packs.TIDs.ID(sc.stemOf(t.Norm)); ok {
-			sc.tids[id] = true
+	for i := first; i < len(sc.tokens) && sc.tokens[i].Start < hi; i++ {
+		if tid := sc.tokTID[i]; tid != noTID {
+			sc.tids[tid] = true
 		}
 	}
 	return sc.tids
 }
 
 // localWindow widens [start,end) by LocalRadius bytes on each side, then
-// extends to whitespace so no word is cut in half.
-func localWindow(text string, start, end int) string {
-	lo := start - LocalRadius
+// extends to whitespace so no word is cut in half; the window is
+// text[lo:hi].
+func localWindow(text string, start, end int) (lo, hi int) {
+	lo = start - LocalRadius
 	if lo < 0 {
 		lo = 0
 	}
-	hi := end + LocalRadius
+	hi = end + LocalRadius
 	if hi > len(text) {
 		hi = len(text)
 	}
@@ -322,7 +348,7 @@ func localWindow(text string, start, end int) string {
 	for hi < len(text) && text[hi] != ' ' && text[hi] != '\n' {
 		hi++
 	}
-	return text[lo:hi]
+	return lo, hi
 }
 
 func log1p(x float64) float64 {
@@ -334,7 +360,8 @@ func log1p(x float64) float64 {
 
 // Throughput reports the stemmer and ranker processing rates in MB/s since
 // the runtime was created — the paper's §VI experiment ("processing rates
-// of 7.9MB/sec and 2.4MB/sec").
+// of 7.9MB/sec and 2.4MB/sec"). Both are over the same bytes: the documents
+// AnnotateCtx completed.
 func (rt *Runtime) Throughput() (stemMBps, rankMBps float64) {
 	mb := float64(rt.bytesProcessed.Load()) / (1 << 20)
 	if n := rt.stemNanos.Load(); n > 0 {

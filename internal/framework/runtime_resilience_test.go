@@ -18,7 +18,7 @@ import (
 // resilienceRuntime builds a runtime whose unit detector knows two
 // concepts with very different dictionary priors, so both the full and
 // the degraded ranking have a determinate winner.
-func resilienceRuntime(t *testing.T) *Runtime {
+func resilienceRuntime(t testing.TB) *Runtime {
 	t.Helper()
 	store := relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
 		"alphaword": {{Term: "ctx", Weight: 5}},

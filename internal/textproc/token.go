@@ -59,49 +59,71 @@ func Tokenize(text string) []Token {
 // TokenizeInto is Tokenize appending into buf (pass buf[:0] to reuse a
 // scratch buffer across documents; the detection hot path pools these).
 // The returned slice aliases buf's backing array when capacity suffices.
+//
+// ASCII bytes are classified through a 128-entry table; only bytes ≥ 0x80
+// pay for rune decoding and the unicode tables. Normalization allocates
+// once per document, not once per capitalized word: the lower-cased forms
+// of the ASCII tokens that need one are collected in one buffer and the
+// tokens' Norms are cut from its string.
 func TokenizeInto(text string, buf []Token) []Token {
 	tokens := buf
 	if cap(tokens) == 0 {
 		tokens = make([]Token, 0, len(text)/6+4)
 	}
+	first := len(tokens)
+	lowered := make([]byte, 0, 256) // on the stack until a document outgrows it
 	i := 0
 	for i < len(text) {
-		r, size := decodeRune(text[i:])
+		class, size := classAt(text, i)
 		switch {
-		case unicode.IsSpace(r):
+		case class&cSpace != 0:
 			i += size
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
+		case class&cAlnum != 0:
 			start := i
 			i += size
 			for i < len(text) {
-				r2, s2 := decodeRune(text[i:])
-				if unicode.IsLetter(r2) || unicode.IsDigit(r2) || r2 == '\'' || r2 == '-' {
+				c2, s2 := classAt(text, i)
+				if c2&cInner != 0 {
+					class |= c2
 					i += s2
 					continue
 				}
 				// A decimal point inside a number ("3.5") stays in the token.
-				if r2 == '.' && i+s2 < len(text) && isASCIIDigit(text[i-1]) && isASCIIDigit(text[i+s2]) {
-					i += s2
+				if text[i] == '.' && i+1 < len(text) && isASCIIDigit(text[i-1]) && isASCIIDigit(text[i+1]) {
+					i++
 					continue
 				}
 				break
 			}
 			raw := text[start:i]
-			// Trim trailing hyphens/apostrophes so "co-" tokenizes as "co".
-			trimmed := strings.TrimRight(raw, "'-")
-			if trimmed == "" {
-				trimmed = raw
-			}
+			trimmed := trimWord(raw)
 			kind := Word
 			if isNumeric(trimmed) {
 				kind = Number
 			}
+			// trimmed starts and ends with a letter or digit, so Normalize's
+			// punctuation trim is a no-op on it: lower-casing is all that is
+			// left, and an ASCII token without capitals is its own Norm.
+			norm := trimmed
+			switch {
+			case class&cWide != 0:
+				norm = strings.ToLower(trimmed)
+			case class&cUpper != 0:
+				norm = "" // cut from lowered below
+				for j := 0; j < len(trimmed); j++ {
+					c := trimmed[j]
+					if 'A' <= c && c <= 'Z' {
+						c += 'a' - 'A'
+					}
+					lowered = append(lowered, c)
+				}
+			}
 			tokens = append(tokens, Token{
 				Text:  raw,
-				Norm:  Normalize(trimmed),
+				Norm:  norm,
 				Kind:  kind,
 				Start: start,
-				End:   start + len(raw),
+				End:   i,
 			})
 		default:
 			tokens = append(tokens, Token{
@@ -113,21 +135,77 @@ func TokenizeInto(text string, buf []Token) []Token {
 			i += size
 		}
 	}
+	if len(lowered) > 0 {
+		// The word tokens left without a Norm are, in order, the ones whose
+		// lower-cased bytes were appended to lowered.
+		norms := string(lowered)
+		for j := first; j < len(tokens); j++ {
+			if t := &tokens[j]; t.Kind != Punct && t.Norm == "" {
+				n := len(trimWord(t.Text))
+				t.Norm, norms = norms[:n], norms[n:]
+			}
+		}
+	}
 	AssignBoundaries(text, tokens)
 	return tokens
 }
 
-// decodeRune decodes the first rune of s with a fast ASCII path. Invalid
-// UTF-8 advances one byte (utf8.RuneError with size 1), so the tokenizer
-// always makes progress.
-func decodeRune(s string) (rune, int) {
-	if len(s) == 0 {
-		return 0, 0
+// trimWord trims the trailing hyphens and apostrophes of a word token's raw
+// text, so "co-" tokenizes as "co". The token starts with a letter or
+// digit, so this never empties it.
+func trimWord(raw string) string {
+	end := len(raw)
+	for raw[end-1] == '\'' || raw[end-1] == '-' {
+		end--
 	}
-	if s[0] < 0x80 {
-		return rune(s[0]), 1
+	return raw[:end]
+}
+
+// Rune classes of the tokenizer. cInner is what may continue a word token:
+// letters, digits, apostrophe and hyphen. cUpper and cWide say how a token
+// holding such a rune is lower-cased: an ASCII capital bytewise, a rune
+// beyond ASCII by strings.ToLower.
+const (
+	cSpace = 1 << iota
+	cAlnum
+	cInner
+	cUpper
+	cWide
+)
+
+// asciiClass classifies the bytes below utf8.RuneSelf exactly as
+// unicode.IsSpace / IsLetter / IsDigit do.
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for _, c := range "\t\n\v\f\r " {
+		t[c] = cSpace
 	}
-	return utf8.DecodeRuneInString(s)
+	for c := 0; c < utf8.RuneSelf; c++ {
+		switch {
+		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
+			t[c] = cAlnum | cInner
+		case c >= 'A' && c <= 'Z':
+			t[c] = cAlnum | cInner | cUpper
+		}
+	}
+	t['\''], t['-'] = cInner, cInner
+	return t
+}()
+
+// classAt returns the class and byte length of the rune at text[i:].
+// Invalid UTF-8 is one byte of no class (utf8.RuneError with size 1), so
+// the tokenizer always makes progress.
+func classAt(text string, i int) (class uint8, size int) {
+	if c := text[i]; c < utf8.RuneSelf {
+		return asciiClass[c], 1
+	}
+	r, size := utf8.DecodeRuneInString(text[i:])
+	switch {
+	case unicode.IsSpace(r):
+		return cSpace, size
+	case unicode.IsLetter(r) || unicode.IsDigit(r):
+		return cAlnum | cInner | cWide, size
+	}
+	return 0, size
 }
 
 func isASCIIDigit(b byte) bool { return b >= '0' && b <= '9' }

@@ -163,3 +163,15 @@ func BenchmarkTokenize(b *testing.B) {
 		Tokenize(text)
 	}
 }
+
+// BenchmarkTokenizeInto is the tokenizer as the serving path runs it: into
+// a reused buffer, so only token normalization allocates.
+func BenchmarkTokenizeInto(b *testing.B) {
+	text := strings.Repeat("President Bush's position was similar to that of New York Sen. Clinton, who argued at a debate with Obama last week in Texas. ", 20)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	var buf []Token
+	for i := 0; i < b.N; i++ {
+		buf = TokenizeInto(text, buf[:0])
+	}
+}
