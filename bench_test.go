@@ -281,7 +281,7 @@ func BenchmarkAblationWeightedVsPlain(b *testing.B) {
 	groups := s.Dataset(nil)
 	m := &core.ConceptVectorMethod{Scorer: s.Baseline}
 	for i := 0; i < b.N; i++ {
-		res, err := core.CrossValidate(groups, m, 5, 42)
+		res, err := core.CrossValidate(groups, m, 5, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,11 +299,11 @@ func BenchmarkAblationBubbleUp(b *testing.B) {
 	without := &core.ConceptVectorMethod{Scorer: conceptvec.New(
 		s.Engine.Dictionary(), s.Units, conceptvec.Options{DisableBubbleUp: true})}
 	for i := 0; i < b.N; i++ {
-		rw, err := core.CrossValidate(groups, with, 5, 42)
+		rw, err := core.CrossValidate(groups, with, 5, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ro, err := core.CrossValidate(groups, without, 5, 42)
+		ro, err := core.CrossValidate(groups, without, 5, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -335,11 +335,11 @@ func BenchmarkAblationWindowing(b *testing.B) {
 	}
 
 	for i := 0; i < b.N; i++ {
-		rw, err := core.CrossValidate(windowed, m, 5, 42)
+		rw, err := core.CrossValidate(windowed, m, 5, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ro, err := core.CrossValidate(wholeGroups, m, 5, 42)
+		ro, err := core.CrossValidate(wholeGroups, m, 5, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func main() {
 		&core.LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: opts},
 	}
 	for _, m := range methods {
-		res, err := core.CrossValidate(groups, m, *folds, *seed)
+		res, err := core.CrossValidate(groups, m, *folds, *seed, 1)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)

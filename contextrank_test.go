@@ -2,6 +2,7 @@ package contextrank
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -169,5 +170,19 @@ func TestSaveLoadBundle(t *testing.T) {
 		if a1[i].Detection.Norm != a2[i].Detection.Norm || a1[i].Score != a2[i].Score {
 			t.Fatal("bundle-restored ranker disagrees")
 		}
+	}
+}
+
+// TestSenseExperimentPinned pins the §IV-C experiment to the values it
+// returned while MineSenses mined its clusters through the string miners and
+// the global pack was scored through the map-based Store.Score: moving both
+// onto the interned path must not move a bit.
+func TestSenseExperimentPinned(t *testing.T) {
+	global, sense, n := Build(SmallConfig(42)).Internal().SenseExperiment(2)
+	const wantGlobal, wantSense, wantN = 0.035324966085768454, 0.04169668573784284, 15
+	if math.Float64bits(global) != math.Float64bits(wantGlobal) ||
+		math.Float64bits(sense) != math.Float64bits(wantSense) || n != wantN {
+		t.Fatalf("SenseExperiment(2) = (%v, %v, %d), want (%v, %v, %d)",
+			global, sense, n, wantGlobal, wantSense, wantN)
 	}
 }

@@ -19,7 +19,7 @@ import (
 	"os"
 	"time"
 
-	"contextrank/internal/clickgraph"
+	"contextrank/examples/clickgraph/clickgraph"
 )
 
 func main() {

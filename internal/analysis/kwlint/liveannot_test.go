@@ -23,26 +23,6 @@ import (
 // Keys are repo-root-relative files; entries are "decl directive",
 // with methods and fields qualified by their receiver/struct type.
 var liveAnnotations = map[string][]string{
-	"internal/clickgraph/csr.go": {
-		"side.openRow //kw:hotpath",
-		"side.skipRowsFrom //kw:hotpath",
-		"side.iterInto //kw:hotpath",
-		"side.cursorInto //kw:hotpath",
-		"side.startRow //kw:hotpath",
-		"rowIter.next //kw:hotpath",
-	},
-	"internal/clickgraph/graph.go": {
-		"Graph //kw:frozen-after(Freeze)",
-		"Graph.InternConcept //kw:builder",
-		"Graph.InternStory //kw:builder",
-		"Graph.AddClicksID //kw:builder",
-		"Graph.AddClicks //kw:builder",
-		"Graph.AddReport //kw:builder",
-		"Graph.FreezeWorkers //kw:builder",
-	},
-	"internal/clickgraph/query.go": {
-		"Graph.topConcepts //kw:fresh",
-	},
 	"internal/cluster/router.go": {
 		"Router.flights //kw:guardedby(fmu)",
 	},

@@ -89,15 +89,15 @@ func TestMethodOrdering(t *testing.T) {
 	s := testSystem(t)
 	groups := s.Dataset([]relevance.Resource{relevance.Snippets})
 
-	random, err := CrossValidate(groups, &RandomMethod{Seed: 1}, 5, 2)
+	random, err := CrossValidate(groups, &RandomMethod{Seed: 1}, 5, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := CrossValidate(groups, &ConceptVectorMethod{Scorer: s.Baseline}, 5, 2)
+	baseline, err := CrossValidate(groups, &ConceptVectorMethod{Scorer: s.Baseline}, 5, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	interest, err := CrossValidate(groups, &LearnedMethod{Options: ranksvm.Options{Seed: 3}}, 5, 2)
+	interest, err := CrossValidate(groups, &LearnedMethod{Options: ranksvm.Options{Seed: 3}}, 5, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMethodOrdering(t *testing.T) {
 		UseRelevance: true,
 		Resource:     relevance.Snippets,
 		Options:      ranksvm.Options{Seed: 3},
-	}, 5, 2)
+	}, 5, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,8 @@ func TestRelevanceMethodBeatsRandom(t *testing.T) {
 	}
 	s := testSystem(t)
 	groups := s.Dataset([]relevance.Resource{relevance.Snippets})
-	random, _ := CrossValidate(groups, &RandomMethod{Seed: 1}, 5, 2)
-	rel, err := CrossValidate(groups, &RelevanceMethod{Resource: relevance.Snippets}, 5, 2)
+	random, _ := CrossValidate(groups, &RandomMethod{Seed: 1}, 5, 2, 1)
+	rel, err := CrossValidate(groups, &RelevanceMethod{Resource: relevance.Snippets}, 5, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +167,8 @@ func TestAblationChangesDim(t *testing.T) {
 func TestRandomMethodDeterministic(t *testing.T) {
 	s := testSystem(t)
 	groups := s.Dataset(nil)
-	r1, _ := CrossValidate(groups[:20], &RandomMethod{Seed: 9}, 5, 1)
-	r2, _ := CrossValidate(groups[:20], &RandomMethod{Seed: 9}, 5, 1)
+	r1, _ := CrossValidate(groups[:20], &RandomMethod{Seed: 9}, 5, 1, 1)
+	r2, _ := CrossValidate(groups[:20], &RandomMethod{Seed: 9}, 5, 1, 1)
 	if r1.WeightedErrorRate != r2.WeightedErrorRate { //kwlint:ignore floatcompare — determinism test asserts bit-exact replay under a fixed seed
 		t.Fatal("random method not deterministic under fixed seed")
 	}

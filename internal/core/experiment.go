@@ -29,18 +29,6 @@ func (r Result) String() string {
 // NDCGKs are the cutoffs reported in Figures 1-3.
 var NDCGKs = []int{1, 2, 3}
 
-// CrossValidate evaluates a method with k-fold cross-validation over
-// groups, the paper's protocol ("we randomly partitioned our document set
-// into five subsets, used four subsets for training and the remaining
-// subset for testing ... repeated five times"). Static methods are fitted
-// once per fold too (a no-op) so the same code path measures everything.
-// The NDCG bucketizer is built from all CTRs in the dataset.
-//
-// Folds run serially; CrossValidateWorkers fans them out.
-func CrossValidate(groups []Group, m Method, folds int, seed int64) (Result, error) {
-	return CrossValidateWorkers(groups, m, folds, seed, 1)
-}
-
 // foldEval is one fold's evaluation partials, merged in fold order.
 type foldEval struct {
 	acc     eval.Accumulator
@@ -48,13 +36,20 @@ type foldEval struct {
 	ndcgN   int
 }
 
-// CrossValidateWorkers is CrossValidate with the folds fanned out across
-// workers (par.Workers semantics: 1 = serial, 0 = all cores). Each fold
-// fits its own clone of the method (see Cloneable) and evaluates its test
-// groups in index order; the per-fold partials are merged in fold order,
-// so the result is bit-identical for every worker count. Methods that do
-// not implement Cloneable fall back to serial folds.
-func CrossValidateWorkers(groups []Group, m Method, folds int, seed int64, workers int) (Result, error) {
+// CrossValidate evaluates a method with k-fold cross-validation over
+// groups, the paper's protocol ("we randomly partitioned our document set
+// into five subsets, used four subsets for training and the remaining
+// subset for testing ... repeated five times"). Static methods are fitted
+// once per fold too (a no-op) so the same code path measures everything.
+// The NDCG bucketizer is built from all CTRs in the dataset.
+//
+// The folds fan out across workers (par.Workers semantics: 1 = serial,
+// 0 = all cores). Each fold fits its own clone of the method (see
+// Cloneable) and evaluates its test groups in index order; the per-fold
+// partials are merged in fold order, so the result is bit-identical for
+// every worker count. Methods that do not implement Cloneable fall back to
+// serial folds.
+func CrossValidate(groups []Group, m Method, folds int, seed int64, workers int) (Result, error) {
 	if folds <= 0 {
 		folds = 5
 	}

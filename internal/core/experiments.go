@@ -69,13 +69,13 @@ func (s *System) Table3(folds int, seed int64) (Table3, error) {
 	groups := s.Dataset(nil)
 	var out Table3
 	var err error
-	if out.Random, err = CrossValidateWorkers(groups, &RandomMethod{Seed: seed}, folds, seed, s.Config.Workers); err != nil {
+	if out.Random, err = CrossValidate(groups, &RandomMethod{Seed: seed}, folds, seed, s.Config.Workers); err != nil {
 		return out, err
 	}
-	if out.ConceptVector, err = CrossValidateWorkers(groups, &ConceptVectorMethod{Scorer: s.Baseline}, folds, seed, s.Config.Workers); err != nil {
+	if out.ConceptVector, err = CrossValidate(groups, &ConceptVectorMethod{Scorer: s.Baseline}, folds, seed, s.Config.Workers); err != nil {
 		return out, err
 	}
-	if out.AllFeatures, err = CrossValidateWorkers(groups, &LearnedMethod{Options: ranksvm.Options{Seed: seed}}, folds, seed, s.Config.Workers); err != nil {
+	if out.AllFeatures, err = CrossValidate(groups, &LearnedMethod{Options: ranksvm.Options{Seed: seed}}, folds, seed, s.Config.Workers); err != nil {
 		return out, err
 	}
 	out.Ablations = make(map[features.Group]Result, features.NumGroups)
@@ -85,7 +85,7 @@ func (s *System) Table3(folds int, seed int64) (Table3, error) {
 			FeatureGroups: features.Without(g),
 			Options:       ranksvm.Options{Seed: seed},
 		}
-		r, err := CrossValidateWorkers(groups, m, folds, seed, s.Config.Workers)
+		r, err := CrossValidate(groups, m, folds, seed, s.Config.Workers)
 		if err != nil {
 			return out, err
 		}
@@ -108,15 +108,15 @@ func (s *System) Table4(folds int, seed int64) (Table4, error) {
 	groups := s.Dataset(resources)
 	var out Table4
 	var err error
-	if out.Random, err = CrossValidateWorkers(groups, &RandomMethod{Seed: seed}, folds, seed, s.Config.Workers); err != nil {
+	if out.Random, err = CrossValidate(groups, &RandomMethod{Seed: seed}, folds, seed, s.Config.Workers); err != nil {
 		return out, err
 	}
-	if out.ConceptVector, err = CrossValidateWorkers(groups, &ConceptVectorMethod{Scorer: s.Baseline}, folds, seed, s.Config.Workers); err != nil {
+	if out.ConceptVector, err = CrossValidate(groups, &ConceptVectorMethod{Scorer: s.Baseline}, folds, seed, s.Config.Workers); err != nil {
 		return out, err
 	}
 	out.ByResource = make(map[relevance.Resource]Result, len(resources))
 	for _, r := range resources {
-		res, err := CrossValidateWorkers(groups, &RelevanceMethod{Resource: r}, folds, seed, s.Config.Workers)
+		res, err := CrossValidate(groups, &RelevanceMethod{Resource: r}, folds, seed, s.Config.Workers)
 		if err != nil {
 			return out, err
 		}
@@ -142,25 +142,25 @@ func (s *System) Table5(folds int, seed int64) (Table5, error) {
 	groups := s.Dataset([]relevance.Resource{relevance.Snippets})
 	var out Table5
 	var err error
-	if out.Random, err = CrossValidateWorkers(groups, &RandomMethod{Seed: seed}, folds, seed, s.Config.Workers); err != nil {
+	if out.Random, err = CrossValidate(groups, &RandomMethod{Seed: seed}, folds, seed, s.Config.Workers); err != nil {
 		return out, err
 	}
-	if out.ConceptVector, err = CrossValidateWorkers(groups, &ConceptVectorMethod{Scorer: s.Baseline}, folds, seed, s.Config.Workers); err != nil {
+	if out.ConceptVector, err = CrossValidate(groups, &ConceptVectorMethod{Scorer: s.Baseline}, folds, seed, s.Config.Workers); err != nil {
 		return out, err
 	}
-	if out.BestInterest, err = CrossValidateWorkers(groups, &LearnedMethod{Options: ranksvm.Options{Seed: seed}}, folds, seed, s.Config.Workers); err != nil {
+	if out.BestInterest, err = CrossValidate(groups, &LearnedMethod{Options: ranksvm.Options{Seed: seed}}, folds, seed, s.Config.Workers); err != nil {
 		return out, err
 	}
-	if out.BestRelevance, err = CrossValidateWorkers(groups, &RelevanceMethod{Resource: relevance.Snippets}, folds, seed, s.Config.Workers); err != nil {
+	if out.BestRelevance, err = CrossValidate(groups, &RelevanceMethod{Resource: relevance.Snippets}, folds, seed, s.Config.Workers); err != nil {
 		return out, err
 	}
-	if out.Combined, err = CrossValidateWorkers(groups, &LearnedMethod{
+	if out.Combined, err = CrossValidate(groups, &LearnedMethod{
 		UseRelevance: true, Resource: relevance.Snippets,
 		Options: ranksvm.Options{Seed: seed},
 	}, folds, seed, s.Config.Workers); err != nil {
 		return out, err
 	}
-	if out.CombinedRBF, err = CrossValidateWorkers(groups, &LearnedMethod{
+	if out.CombinedRBF, err = CrossValidate(groups, &LearnedMethod{
 		Label: "Interestingness + Relevance (RBF)", UseRelevance: true, Resource: relevance.Snippets,
 		Options: ranksvm.Options{Seed: seed, Kernel: ranksvm.RBF, MaxPairsPerGroup: 10},
 	}, folds, seed, s.Config.Workers); err != nil {

@@ -22,14 +22,14 @@ func (s *System) FeatureSelection(folds int, seed int64) (selected, withEliminat
 	groups := s.Dataset(nil)
 	if selected, err = CrossValidate(groups, &LearnedMethod{
 		Options: ranksvm.Options{Seed: seed},
-	}, folds, seed); err != nil {
+	}, folds, seed, 1); err != nil {
 		return
 	}
 	withEliminated, err = CrossValidate(groups, &LearnedMethod{
 		Label:         "All Features + Eliminated Candidates",
 		UseEliminated: true,
 		Options:       ranksvm.Options{Seed: seed},
-	}, folds, seed)
+	}, folds, seed, 1)
 	return
 }
 
@@ -58,16 +58,17 @@ func (s *System) SenseExperiment(maxSenses int) (globalCoverage, senseCoverage f
 	}
 	senses := relevance.BuildSenseStore(s.Miner, names, maxSenses)
 
+	ctx := store.AcquireCtx()
+	defer store.ReleaseCtx(ctx)
 	var globalSum, senseSum float64
 	for _, wg := range s.Groups {
 		for _, e := range wg.Entities {
 			if !ambiguous[e.Concept.Name] || !e.Relevant {
 				continue
 			}
+			ctx.SetAround(wg.Text, e.Position, 0)
+			globalSum += store.NormalizedScoreCtx(e.Concept.Name, ctx)
 			stems := relevance.ContextStemsAround(wg.Text, e.Position, 0)
-			if total := store.RelevantTerms(e.Concept.Name).Sum(); total > 0 {
-				globalSum += store.Score(e.Concept.Name, stems) / total
-			}
 			bestTotal := 0.0
 			for _, sense := range senses.Senses(e.Concept.Name) {
 				if t := sense.Keywords.Sum(); t > bestTotal {

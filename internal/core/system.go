@@ -241,7 +241,7 @@ func (s *System) RelevanceStore(r relevance.Resource) *relevance.Store {
 		for i := range s.World.Concepts {
 			names[i] = s.World.Concepts[i].Name
 		}
-		s.relStores[r] = relevance.BuildStoreWorkers(s.Miner, names, r, s.Config.Workers)
+		s.relStores[r] = relevance.BuildStore(s.Miner, names, r, s.Config.Workers)
 	})
 	return s.relStores[r]
 }

@@ -289,13 +289,16 @@ type spanKey struct {
 
 // comparePriority orders keys by collision priority: pattern entities first
 // (always annotated), then longer spans, then named entities over concepts,
-// then earlier start. Only an email and a URL matched over one span tie.
+// then earlier start. Only an email and a URL matched over one span tie on
+// all of those; the input position, where emails precede URLs, decides
+// between them, so the order is total and the unstable sort has no say.
 func comparePriority(a, b spanKey) int {
 	return cmp.Or(
 		cmp.Compare(min(a.kind, KindNamed), min(b.kind, KindNamed)), // KindPattern, the least Kind, or not
 		cmp.Compare(b.end-b.start, a.end-a.start),
 		cmp.Compare(a.kind, b.kind),
-		cmp.Compare(a.start, b.start))
+		cmp.Compare(a.start, b.start),
+		cmp.Compare(a.idx, b.idx))
 }
 
 // resolveCollisions appends to dst the detections of ds whose spans overlap

@@ -143,6 +143,31 @@ func TestPatternBeatsOverlappingConcept(t *testing.T) {
 	}
 }
 
+// TestEmailBeatsURLOverOneSpan pins the last key of the collision order: an
+// email and a URL matched over one span ("www.a@b.com") tie on type, length,
+// kind and start, and the email — emitted first — wins wherever the pair
+// sits among the document's detections. While the order stopped at start the
+// unstable sort chose, and one string came back as either type.
+func TestEmailBeatsURLOverOneSpan(t *testing.T) {
+	p := New(nil, nil)
+	for _, n := range []int{1, 7, 40} {
+		text := strings.Repeat("see www.a@b.com or http://x.y/z and ", n)
+		found := 0
+		for _, d := range p.Detect(text) {
+			if d.Text != "www.a@b.com" {
+				continue
+			}
+			found++
+			if d.PatternType != "email" {
+				t.Fatalf("%d repeats: occurrence %d at %d came back as %q", n, found, d.Start, d.PatternType)
+			}
+		}
+		if found != n {
+			t.Fatalf("%d repeats: %d occurrences detected", n, found)
+		}
+	}
+}
+
 func TestLongerSpanBeatsShorter(t *testing.T) {
 	ds := resolveCollisions(new(scratch), nil, []Detection{
 		{Norm: "york", Kind: KindNamed, Start: 4, End: 8},

@@ -53,6 +53,7 @@ var patternGateCases = []string{
 	"a@b.com\tc@d.org\rhttp://t.co\vwww.v.w\fwww.f.g\n408-555-1234\t408-555-1234",
 	"mail:a@b.com,c@d.org;http://x.y/z,http://u.v. (www.p.q) <www.r.s> \"www.t.u\"",
 	"\xffa@b.com\xff \xe2\x82www.x.y 408\xff-555-1234",
+	strings.Repeat("www.a@b.com http://x.y ", 20), // same-span email/URL ties, too many for an insertion sort
 }
 
 func checkPatternGate(t *testing.T, text string) {
@@ -60,6 +61,18 @@ func checkPatternGate(t *testing.T, text string) {
 	got, want := gatedPatterns(text), detectPatterns(text)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("gated pattern scan differs from the whole-text scan on %q:\n got %+v\nwant %+v", text, got, want)
+	}
+	// The collision order is total: of the patterns matched over one span
+	// the survivor is the first emitted (the email of an email/URL pair).
+	for _, kept := range resolveCollisions(new(scratch), nil, got) {
+		for _, d := range got {
+			if d.Start == kept.Start && d.End == kept.End {
+				if d.PatternType != kept.PatternType {
+					t.Fatalf("on %q the %s at [%d,%d) survived the %s emitted before it", text, kept.PatternType, kept.Start, kept.End, d.PatternType)
+				}
+				break
+			}
+		}
 	}
 }
 

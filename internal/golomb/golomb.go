@@ -80,16 +80,9 @@ type BitReader struct {
 // NewBitReader wraps data.
 func NewBitReader(data []byte) *BitReader { return &BitReader{buf: data} }
 
-// NewBitReaderAt wraps data positioned at an arbitrary bit offset. Offsets
-// come from BitWriter.BitLen() snapshots taken while encoding — the skip
-// pointers of the compressed positional index.
-func NewBitReaderAt(data []byte, bitOffset int) *BitReader {
-	return &BitReader{buf: data, pos: bitOffset}
-}
-
-// BitReaderAt is the value form of NewBitReaderAt for embedding in reused
-// scratch (the click graph's row iterators): no heap allocation on the
-// decode hot path.
+// BitReaderAt returns, by value, a reader over data positioned at an
+// arbitrary bit offset (a BitWriter.BitLen() snapshot taken while encoding),
+// for embedding in reused scratch: no heap allocation on the decode hot path.
 func BitReaderAt(data []byte, bitOffset int) BitReader {
 	return BitReader{buf: data, pos: bitOffset}
 }

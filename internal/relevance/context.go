@@ -6,15 +6,11 @@ import (
 	"contextrank/internal/textproc"
 )
 
-// This file is the id-keyed context-scoring path. The map API
-// (ContextStems + Store.Score) builds a fresh map[string]bool per context
-// and stems every context word from scratch; the dataset join in
-// internal/core scores thousands of example windows that way. Ctx replaces
-// the map with a generation-marked dense array over the store's stem
-// vocabulary, reused across contexts, with a token->stem-id memo so each
-// distinct surface form is stemmed once per Ctx lifetime. Scores are
-// bit-identical to the map path: ScoreCtx walks the stored vector in the
-// same order Score does.
+// This file is the context-scoring path. The dataset join in internal/core
+// scores thousands of example windows, so a context is a generation-marked
+// dense array over the store's stem vocabulary (Ctx), reused across contexts,
+// with a token->stem-id memo so each distinct surface form is stemmed once
+// per Ctx lifetime. oracle_test.go pins it to the map-based scorer it replaced.
 
 // buildIndex interns every stored vector's terms into a store-local stem
 // vocabulary and records each concept's term ids, aligned with its vector.
@@ -57,8 +53,7 @@ func (s *Store) NewCtx() *Ctx {
 }
 
 // AcquireCtx returns a pooled Ctx for this store; pair with ReleaseCtx. The
-// pool keeps each Ctx's stem memo warm across users, so repeated surface
-// forms are stemmed once per pool lifetime rather than once per context.
+// pool keeps each Ctx's stem memo warm across users.
 func (s *Store) AcquireCtx() *Ctx {
 	if c, ok := s.ctxPool.Get().(*Ctx); ok {
 		return c
@@ -70,8 +65,7 @@ func (s *Store) AcquireCtx() *Ctx {
 func (s *Store) ReleaseCtx(c *Ctx) { s.ctxPool.Put(c) }
 
 // SetText loads text as the current context: every stemmed content word the
-// store knows is marked. Equivalent to ContextStems(text) for scoring
-// purposes (stems the store does not know cannot contribute to any score).
+// store knows is marked (a stem it does not know cannot contribute a score).
 func (c *Ctx) SetText(text string) {
 	c.gen++
 	if c.gen == 0 { // generation wrapped: reset the mark table
@@ -97,17 +91,20 @@ func (c *Ctx) SetText(text string) {
 	}
 }
 
-// SetAround loads the local context around position as SetText of the
-// ContextStemsAround window.
+// SetAround loads the local context within radius bytes of position — the
+// ContextStemsAround window — as SetText does.
 func (c *Ctx) SetAround(text string, position, radius int) {
 	lo, hi := contextBounds(text, position, radius)
 	c.SetText(text[lo:hi])
 }
 
-// ScoreCtx is Score over an id-keyed context: the summed confidence of the
-// concept's pre-mined keywords marked in the current context. The vector is
-// walked in the same order as Score, so sums are bit-identical to the map
-// path. The Ctx must have been created by this store.
+// ScoreCtx estimates the relevance of concept in the current context: the
+// summed confidence of the concept's pre-mined keywords marked in it ("a
+// reasonable approximation for the relevance of that concept can be computed
+// based on the co-occurrences of the pre-mined keywords and the given concept
+// in the context"). Raw scores are used, so low-quality concepts "almost
+// never get a high relevance score in any context" (the safety net). The Ctx
+// must have been created by this store.
 func (s *Store) ScoreCtx(concept string, c *Ctx) float64 {
 	score := 0.0
 	v := s.terms[concept]
@@ -119,7 +116,10 @@ func (s *Store) ScoreCtx(concept string, c *Ctx) float64 {
 	return score
 }
 
-// NormalizedScoreCtx is NormalizedScore over an id-keyed context.
+// NormalizedScoreCtx is ScoreCtx over the concept's keyword summation: the
+// fraction, in [0,1], of its keyword confidence present in the context. The
+// raw score carries the pack scale (Table II), a quality signal; this one
+// isolates contextual coverage. The combined ranker uses both.
 func (s *Store) NormalizedScoreCtx(concept string, c *Ctx) float64 {
 	sum := s.terms[concept].Sum()
 	if sum <= 0 {

@@ -11,16 +11,15 @@ import (
 	"contextrank/internal/textproc"
 )
 
-// This file is the miner's interned-ID fast path, active whenever the engine
-// is frozen. The string path in relevance.go rebuilds a string-keyed map per
-// concept and re-derives idf, document frequency, stopword status and stem
-// for every term sighting; here those per-term facts are computed once per
-// vocabulary id (termTable) and each concept accumulates raw scores into
-// pooled id-keyed scratch (mineScratch). The outputs are bit-identical to
-// the string path — both accumulate floats in ascending-vocabulary-id order
-// — which the differential tests pin.
+// This file is the miner. Per-term facts — idf, document frequency, stopword
+// status, stem — are computed once per vocabulary id (termTable), and each
+// concept accumulates raw scores into pooled id-keyed scratch (mineScratch)
+// instead of a string-keyed map per concept. Floats accumulate in
+// ascending-vocabulary-id order, the order the string oracles in
+// oracle_test.go sort into, so the differential tests can demand bit
+// equality.
 
-// termFacts caches, per vocabulary id, everything finalize needs to know
+// termFacts caches, per vocabulary id, everything finalizeIDs needs to know
 // about a term: its stem (as an id in termTable.stems), its engine-corpus
 // idf and document frequency, and whether it is a stopword.
 type termFacts struct {
@@ -33,7 +32,7 @@ type termFacts struct {
 // termTable holds the miner's per-id fact tables: one for the engine
 // vocabulary (snippets and Prisma terms) and one for the query-log
 // vocabulary (suggestion terms), plus the shared stem vocabulary both
-// fact tables intern into. Built once per miner, on first frozen Mine.
+// fact tables intern into. Built once per miner, on first Mine.
 type termTable struct {
 	stems *match.Vocab
 	eng   termFacts
@@ -49,8 +48,8 @@ type tokenSource interface {
 }
 
 // buildFacts derives the fact table for one vocabulary. Idf and document
-// frequency always come from the engine dictionary — the string path scores
-// suggestion terms with engine idf too.
+// frequency always come from the engine dictionary — suggestion terms are
+// scored with engine idf too.
 func buildFacts(voc tokenSource, dict *corpus.Dictionary, stems *match.Vocab) termFacts {
 	n := voc.Len()
 	f := termFacts{
@@ -72,8 +71,8 @@ func buildFacts(voc tokenSource, dict *corpus.Dictionary, stems *match.Vocab) te
 	return f
 }
 
-// table lazily builds the termTable. Callers have already checked that the
-// engine is frozen, so both vocabularies are final.
+// table lazily builds the termTable. NewMiner has checked that the engine is
+// frozen, so both vocabularies are final.
 func (mn *Miner) table() *termTable {
 	mn.tableOnce.Do(func() {
 		tab := &termTable{stems: match.NewVocab()}
@@ -124,12 +123,12 @@ func (mn *Miner) getScratch(tab *termTable) *mineScratch {
 	return sc
 }
 
-// finalizeIDs is finalize over id-keyed scratch: multiply raw scores by idf,
-// drop stopwords, corpus-wide common terms and the concept's own stems, and
-// aggregate same-stem scores — walking touched ids in ascending order, the
-// same canonical order the string finalize sorts its terms into, so the
-// float sums are bit-identical. Consumed score entries are zeroed; the
-// returned Vector is freshly allocated and shares nothing with the scratch.
+// finalizeIDs turns raw id-keyed scores into the concept's keyword vector:
+// multiply by idf, drop stopwords, corpus-wide common terms and the concept's
+// own stems, aggregate same-stem scores — walking touched ids in ascending
+// order, never map order, so float sums are reproducible — sort, and
+// truncate to m. Consumed score entries are zeroed; the returned Vector is
+// freshly allocated and shares nothing with the scratch.
 //
 //kw:fresh
 func (mn *Miner) finalizeIDs(sc *mineScratch, f *termFacts, concept string, score []float64, touched []uint32) corpus.Vector {
@@ -185,35 +184,46 @@ func containsID(ids []uint32, x uint32) bool {
 	return false
 }
 
-// mineSnippetsIDs is mineSnippets without strings: snippet tokens arrive as
-// engine vocabulary ids and are counted straight into the dense score array.
+// countIDs adds one sighting of every id to the dense score array, extending
+// touched with the ids seen for the first time.
+func countIDs(score []float64, touched, ids []uint32) []uint32 {
+	for _, id := range ids {
+		if int(id) >= len(score) {
+			// A term interned after this miner's fact table was built
+			// (live ingest ran since): no idf/stem facts exist for it,
+			// so it cannot contribute — skip instead of faulting.
+			continue
+		}
+		if score[id] == 0 {
+			touched = append(touched, id)
+		}
+		score[id]++
+	}
+	return touched
+}
+
+// mineSnippetsIDs: "we pretend that the returned snippets constitute a single
+// document and then use a bag-of-words model. For each unique term that
+// appears in this document, we compute its tf·idf score." Snippet tokens
+// arrive as engine vocabulary ids and are counted straight into the dense
+// score array.
 func (mn *Miner) mineSnippetsIDs(concept string) corpus.Vector {
 	tab := mn.table()
 	sc := mn.getScratch(tab)
-	score := sc.score
 	touched := sc.touched[:0]
 	mn.engine.VisitSnippetTokens(concept, SnippetDepth, func(tokens []uint32, lo, hi int) {
-		for _, id := range tokens[lo:hi] {
-			if int(id) >= len(score) {
-				// A term interned after this miner's fact table was built
-				// (live ingest ran since): no idf/stem facts exist for it,
-				// so it cannot contribute — skip instead of faulting.
-				continue
-			}
-			if score[id] == 0 {
-				touched = append(touched, id)
-			}
-			score[id]++
-		}
+		touched = countIDs(sc.score, touched, tokens[lo:hi])
 	})
-	v := mn.finalizeIDs(sc, &tab.eng, concept, score, touched)
+	v := mn.finalizeIDs(sc, &tab.eng, concept, sc.score, touched)
 	sc.touched = touched[:0]
 	mn.scratch.Put(sc)
 	return v
 }
 
-// minePrismaIDs is minePrisma without strings: feedback entries arrive as
-// engine vocabulary ids with their weights.
+// minePrismaIDs: "We construct a single document from the concepts returned by
+// Prisma for concept c_i, and compute scores s_ij based on the tf·idf
+// values." Feedback entries arrive as engine vocabulary ids; an entry's
+// weight acts as the term's count mass in the pseudo-document.
 func (mn *Miner) minePrismaIDs(concept string) corpus.Vector {
 	tab := mn.table()
 	sc := mn.getScratch(tab)
@@ -221,7 +231,7 @@ func (mn *Miner) minePrismaIDs(concept string) corpus.Vector {
 	touched := sc.touched[:0]
 	mn.prisma.VisitFeedback(concept, func(term uint32, weight float64) {
 		if int(term) >= len(score) {
-			return // interned after the fact table was built; see mineSnippetsIDs
+			return // interned after the fact table was built; see countIDs
 		}
 		if score[term] == 0 {
 			touched = append(touched, term)
@@ -234,11 +244,10 @@ func (mn *Miner) minePrismaIDs(concept string) corpus.Vector {
 	return v
 }
 
-// mineSuggestionsIDs is mineSuggestions without strings: suggestions arrive
-// as query-log indexes, their terms as log vocabulary ids. The per-suggestion
-// unique-term rule ("each unique term across the suggestions is scored over
-// the k suggestions containing it") uses a generation-marked table instead of
-// a per-suggestion map.
+// mineSuggestionsIDs: each unique term across the suggestions is scored
+// Σ_{i=1..k} ln(query_freq_i) · idf(term), over the k suggestions containing
+// it. Suggestions arrive as query-log indexes, their terms as log vocabulary
+// ids; a generation-marked table counts a term once per suggestion.
 func (mn *Miner) mineSuggestionsIDs(concept string) corpus.Vector {
 	tab := mn.table()
 	sc := mn.getScratch(tab)

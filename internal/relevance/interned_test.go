@@ -8,8 +8,8 @@ import (
 	"contextrank/internal/world"
 )
 
-// refMine is the string reference path, bypassing the frozen-engine dispatch
-// in Mine. The interned path must reproduce it bit for bit.
+// refMine is the string reference path (oracle_test.go). Mine must reproduce
+// it bit for bit.
 func refMine(mn *Miner, concept string, r Resource) corpus.Vector {
 	switch r {
 	case Snippets:
@@ -49,7 +49,7 @@ func TestDifferentialInternedMine(t *testing.T) {
 }
 
 // TestDifferentialInternedMineParallel pins the interned path under
-// BuildStoreWorkers at several worker counts against a serial string-path
+// BuildStore at several worker counts against a serial string-path
 // store: pooled scratch must not leak state across workers or concepts.
 func TestDifferentialInternedMineParallel(t *testing.T) {
 	f := newFixture(t)
@@ -63,7 +63,7 @@ func TestDifferentialInternedMineParallel(t *testing.T) {
 			want[c] = refMine(f.miner, c, r)
 		}
 		for _, workers := range []int{1, 4, 0} {
-			st := BuildStoreWorkers(f.miner, concepts, r, workers)
+			st := BuildStore(f.miner, concepts, r, workers)
 			for _, c := range concepts {
 				if !reflect.DeepEqual(st.RelevantTerms(c), want[c]) {
 					t.Fatalf("%s workers=%d %q: parallel interned store diverged", r, workers, c)
@@ -82,7 +82,7 @@ func TestDifferentialCtxScore(t *testing.T) {
 	for i := 0; i < len(f.w.Concepts); i += 13 {
 		concepts = append(concepts, f.w.Concepts[i].Name)
 	}
-	st := BuildStore(f.miner, concepts, Snippets)
+	st := BuildStore(f.miner, concepts, Snippets, 0)
 	ctx := st.NewCtx()
 
 	docs := []string{}
@@ -117,7 +117,7 @@ func TestDifferentialCtxScore(t *testing.T) {
 func TestCtxFreshMatchesNothing(t *testing.T) {
 	f := newFixture(t)
 	c := pick(f.w, func(c *world.Concept) bool { return c.Specificity > 0.6 })
-	st := BuildStore(f.miner, []string{c.Name}, Snippets)
+	st := BuildStore(f.miner, []string{c.Name}, Snippets, 0)
 	if got := st.ScoreCtx(c.Name, st.NewCtx()); got != 0 {
 		t.Fatalf("fresh Ctx scored %v, want 0", got)
 	}

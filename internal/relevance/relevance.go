@@ -13,7 +13,6 @@
 package relevance
 
 import (
-	"math"
 	"sort"
 	"sync"
 
@@ -62,12 +61,11 @@ const TopM = 100
 // retrieved for the first hundred results").
 const SnippetDepth = 100
 
-// Miner mines relevant keywords for concepts. On a frozen engine, mining
-// runs on the interned-ID fast path (interned.go): term facts and stems are
-// precomputed per vocabulary id once, and per-concept mining accumulates
-// into pooled id-keyed scratch instead of per-concept string maps. The
-// string path below is retained both as the unfrozen fallback and as the
-// reference the differential tests pin the interned path to, bit for bit.
+// Miner mines relevant keywords for concepts on interned ids (interned.go):
+// term facts and stems are precomputed per vocabulary id once, and
+// per-concept mining accumulates into pooled id-keyed scratch. The string
+// miners this path replaced live in oracle_test.go, where the differential
+// tests pin it to them bit for bit.
 type Miner struct {
 	engine    *searchsim.Engine
 	prisma    *searchsim.Prisma
@@ -79,9 +77,14 @@ type Miner struct {
 	scratch   sync.Pool // *mineScratch
 }
 
-// NewMiner builds a miner over the three resources. Any resource may be nil
-// if only specific Resource values will be mined.
+// NewMiner builds a miner over the three resources; p or s may be nil if
+// that Resource will not be mined. The engine must be frozen — every engine
+// searchsim.BuildCorpus returns is — because the per-id fact tables are
+// built once, over a vocabulary that has to be final.
 func NewMiner(e *searchsim.Engine, p *searchsim.Prisma, s *searchsim.Suggestor) *Miner {
+	if !e.Stats().Frozen {
+		panic("relevance: NewMiner requires a frozen engine")
+	}
 	return &Miner{engine: e, prisma: p, suggestor: s, m: TopM}
 }
 
@@ -89,33 +92,14 @@ func NewMiner(e *searchsim.Engine, p *searchsim.Prisma, s *searchsim.Suggestor) 
 // up to TopM stemmed terms with confidence scores, sorted decreasing.
 // The concept's own terms are excluded (they trivially co-occur).
 func (mn *Miner) Mine(concept string, r Resource) corpus.Vector {
-	if mn.engine != nil && mn.engine.Frozen() {
-		switch r {
-		case Snippets:
-			return mn.mineSnippetsIDs(concept)
-		case Prisma:
-			return mn.minePrismaIDs(concept)
-		default:
-			return mn.mineSuggestionsIDs(concept)
-		}
-	}
 	switch r {
 	case Snippets:
-		return mn.mineSnippets(concept)
+		return mn.mineSnippetsIDs(concept)
 	case Prisma:
-		return mn.minePrisma(concept)
+		return mn.minePrismaIDs(concept)
 	default:
-		return mn.mineSuggestions(concept)
+		return mn.mineSuggestionsIDs(concept)
 	}
-}
-
-// ownStems returns the stemmed terms of the concept itself.
-func ownStems(concept string) map[string]bool {
-	out := make(map[string]bool)
-	for _, t := range textproc.Words(concept) {
-		out[stem.Stem(t)] = true
-	}
-	return out
 }
 
 // MaxDocFrac drops candidate keywords that occur in more than this fraction
@@ -124,130 +108,11 @@ func ownStems(concept string) map[string]bool {
 // stop-words).
 const MaxDocFrac = 0.15
 
-// finalize stems raw term scores (accumulating same-stem scores), drops the
-// concept's own terms, stop-words and corpus-wide common terms, sorts, and
-// truncates to m.
-//
-// Same-stem scores accumulate in canonical order — ascending rank(term),
-// where rank is the term's vocabulary id — never map-iteration order, so
-// float sums are reproducible and bit-identical to the interned path's
-// finalizeIDs (which walks touched ids ascending).
-func (mn *Miner) finalize(concept string, scores map[string]float64, rank func(string) uint32) corpus.Vector {
-	own := ownStems(concept)
-	dict := mn.engine.Dictionary()
-	maxDF := int(MaxDocFrac * float64(dict.NumDocs()))
-	terms := make([]string, 0, len(scores))
-	for term := range scores {
-		terms = append(terms, term)
-	}
-	sort.Slice(terms, func(i, j int) bool {
-		ri, rj := rank(terms[i]), rank(terms[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return terms[i] < terms[j] // NoID terms: stable fallback on text
-	})
-	agg := make(map[string]float64, len(scores))
-	for _, term := range terms {
-		s := scores[term]
-		if textproc.IsStopword(term) {
-			continue
-		}
-		if dict.DocFreq(term) > maxDF {
-			continue
-		}
-		st := stem.Stem(term)
-		if st == "" || own[st] {
-			continue
-		}
-		agg[st] += s
-	}
-	v := make(corpus.Vector, 0, len(agg))
-	for t, s := range agg {
-		v = append(v, corpus.Entry{Term: t, Weight: s})
-	}
-	corpus.SortVector(v)
-	if len(v) > mn.m {
-		v = v[:mn.m]
-	}
-	return v
-}
-
-// engineRank orders terms by engine-vocabulary id (snippet and Prisma terms
-// always come from indexed documents, so they are always in-vocabulary).
-func (mn *Miner) engineRank(t string) uint32 { return mn.engine.Vocab().ID(t) }
-
-// logRank orders terms by query-log-vocabulary id (suggestion terms come
-// from log queries).
-func (mn *Miner) logRank(t string) uint32 { return mn.suggestor.Log().Vocab().ID(t) }
-
-// mineSnippets: "we pretend that the returned snippets constitute a single
-// document and then use a bag-of-words model. For each unique term that
-// appears in this document, we compute its tf·idf score."
-func (mn *Miner) mineSnippets(concept string) corpus.Vector {
-	snippets := mn.engine.Snippets(concept, SnippetDepth)
-	counts := make(map[string]int)
-	for _, s := range snippets {
-		for _, t := range textproc.Words(s) {
-			counts[t]++
-		}
-	}
-	dict := mn.engine.Dictionary()
-	scores := make(map[string]float64, len(counts))
-	for t, c := range counts {
-		scores[t] = float64(c) * dict.IDF(t)
-	}
-	return mn.finalize(concept, scores, mn.engineRank)
-}
-
-// minePrisma: "We construct a single document from the concepts returned by
-// Prisma for concept c_i, and compute scores s_ij based on the tf·idf
-// values."
-func (mn *Miner) minePrisma(concept string) corpus.Vector {
-	feedback := mn.prisma.Feedback(concept)
-	counts := make(map[string]float64)
-	for _, e := range feedback {
-		// The feedback entry weight acts as the term's count mass in the
-		// pseudo-document.
-		counts[e.Term] += e.Weight
-	}
-	dict := mn.engine.Dictionary()
-	scores := make(map[string]float64, len(counts))
-	for t, c := range counts {
-		scores[t] = c * dict.IDF(t)
-	}
-	return mn.finalize(concept, scores, mn.engineRank)
-}
-
-// mineSuggestions: each unique term across the suggestions is scored
-// Σ_{i=1..k} ln(query_freq_i) · idf(term), over the k suggestions
-// containing it.
-func (mn *Miner) mineSuggestions(concept string) corpus.Vector {
-	suggestions := mn.suggestor.Suggest(concept, searchsim.SuggestionLimit)
-	lnSum := make(map[string]float64)
-	for _, s := range suggestions {
-		seen := make(map[string]bool)
-		for _, t := range textproc.Words(s.Text) {
-			if !seen[t] {
-				seen[t] = true
-				lnSum[t] += math.Log(float64(s.Freq) + 1)
-			}
-		}
-	}
-	dict := mn.engine.Dictionary()
-	scores := make(map[string]float64, len(lnSum))
-	for t, ls := range lnSum {
-		scores[t] = ls * dict.IDF(t)
-	}
-	return mn.finalize(concept, scores, mn.logRank)
-}
-
 // Store holds pre-mined relevant keywords for a concept inventory — the
 // offline product that the production framework packs into memory (§VI).
 // Alongside the term vectors it keeps a store-local stem vocabulary and the
 // interned stem ids of every vector (built once at construction), so
-// context scoring can run over a pooled id-keyed context (Ctx, context.go)
-// instead of a per-context string map.
+// context scoring runs over a pooled id-keyed context (Ctx, context.go).
 type Store struct {
 	resource Resource
 	terms    map[string]corpus.Vector
@@ -256,19 +121,13 @@ type Store struct {
 	ctxPool  sync.Pool           // *Ctx (see AcquireCtx)
 }
 
-// BuildStore mines all concepts with the given resource on all cores; see
-// BuildStoreWorkers for the knob.
-func BuildStore(mn *Miner, concepts []string, r Resource) *Store {
-	return BuildStoreWorkers(mn, concepts, r, 0)
-}
-
-// BuildStoreWorkers mines all concepts with the given resource, fanning the
+// BuildStore mines all concepts with the given resource, fanning the
 // per-concept mining across workers (par.Workers semantics: 1 = serial,
 // 0 = all cores): it is the slowest offline step (one search + snippet pass
 // per concept) and each concept is independent. Results are collected in
 // concept order, so the store is bit-identical regardless of worker count
 // or scheduling.
-func BuildStoreWorkers(mn *Miner, concepts []string, r Resource, workers int) *Store {
+func BuildStore(mn *Miner, concepts []string, r Resource, workers int) *Store {
 	vecs := par.Map(workers, len(concepts), func(i int) corpus.Vector {
 		return mn.Mine(concepts[i], r)
 	})
@@ -313,8 +172,8 @@ func (s *Store) Summation(concept string) float64 {
 }
 
 // ContextStems computes the stemmed content-word set of a context, the form
-// Score expects. Documents are stemmed once and scored against many
-// concepts.
+// SenseStore.Score expects. Documents are stemmed once and scored against
+// many concepts.
 func ContextStems(text string) map[string]bool {
 	out := make(map[string]bool)
 	for _, t := range textproc.ContentWords(text) {
@@ -360,35 +219,4 @@ func contextBounds(text string, position, radius int) (int, int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// Score estimates the relevance of concept in the context: the summed
-// confidence of the concept's pre-mined keywords that co-occur with it in
-// the context ("a reasonable approximation for the relevance of that
-// concept can be computed based on the co-occurrences of the pre-mined
-// keywords and the given concept in the context"). Raw scores are used, so
-// low-quality concepts — whose mined keywords carry small confidences —
-// "almost never get a high relevance score in any context" (the safety
-// net).
-func (s *Store) Score(concept string, contextStems map[string]bool) float64 {
-	score := 0.0
-	for _, e := range s.terms[concept] {
-		if contextStems[e.Term] {
-			score += e.Weight
-		}
-	}
-	return score
-}
-
-// NormalizedScore is Score divided by the concept's keyword summation: the
-// *fraction* of the concept's keyword confidence present in the context,
-// in [0,1]. The raw score carries the concept's pack scale (Table II), which
-// is a quality signal; the normalized score isolates the contextual-coverage
-// signal. The combined ranker uses both.
-func (s *Store) NormalizedScore(concept string, contextStems map[string]bool) float64 {
-	sum := s.terms[concept].Sum()
-	if sum <= 0 {
-		return 0
-	}
-	return s.Score(concept, contextStems) / sum
 }

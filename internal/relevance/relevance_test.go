@@ -34,6 +34,19 @@ func pick(w *world.World, pred func(*world.Concept) bool) *world.Concept {
 	return nil
 }
 
+// Mining has one path and it needs final vocabularies: a miner over an engine
+// still in its build phase is a wiring bug, reported at construction.
+func TestNewMinerRequiresFrozenEngine(t *testing.T) {
+	e := searchsim.NewEngine()
+	e.Add("an unfrozen engine", 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewMiner accepted an unfrozen engine")
+		}
+	}()
+	NewMiner(e, nil, nil)
+}
+
 func TestMineSnippetsBasics(t *testing.T) {
 	f := newFixture(t)
 	c := pick(f.w, func(c *world.Concept) bool { return c.Specificity > 0.6 && c.Quality > 0.6 })
@@ -79,7 +92,7 @@ func TestMineExcludesOwnTerms(t *testing.T) {
 // keyword-score summations than low-quality general phrases.
 func TestSummationSeparatesQuality(t *testing.T) {
 	f := newFixture(t)
-	store := BuildStore(f.miner, conceptNames(f.w), Snippets)
+	store := BuildStore(f.miner, conceptNames(f.w), Snippets, 0)
 	var specSum, specN, lowSum, lowN float64
 	for i := range f.w.Concepts {
 		c := &f.w.Concepts[i]
@@ -113,7 +126,7 @@ func TestScoreRelevantVsIrrelevantContext(t *testing.T) {
 	if c == nil {
 		t.Skip("no specific concept")
 	}
-	store := BuildStore(f.miner, []string{c.Name}, Snippets)
+	store := BuildStore(f.miner, []string{c.Name}, Snippets, 0)
 	rng := rand.New(rand.NewSource(99))
 
 	relevantDoc, _ := f.w.ComposeDoc(world.ComposeOptions{Topic: c.Topic},
@@ -122,8 +135,11 @@ func TestScoreRelevantVsIrrelevantContext(t *testing.T) {
 	irrelevantDoc, _ := f.w.ComposeDoc(world.ComposeOptions{Topic: otherTopic},
 		[]world.Mention{{Concept: c, Relevant: false}}, rng)
 
-	relScore := store.Score(c.Name, ContextStems(relevantDoc))
-	irrScore := store.Score(c.Name, ContextStems(irrelevantDoc))
+	ctx := store.NewCtx()
+	ctx.SetText(relevantDoc)
+	relScore := store.ScoreCtx(c.Name, ctx)
+	ctx.SetText(irrelevantDoc)
+	irrScore := store.ScoreCtx(c.Name, ctx)
 	if relScore <= irrScore {
 		t.Fatalf("relevant context score %.2f not above irrelevant %.2f", relScore, irrScore)
 	}
@@ -131,7 +147,9 @@ func TestScoreRelevantVsIrrelevantContext(t *testing.T) {
 
 func TestScoreUnknownConcept(t *testing.T) {
 	store := NewStore(Snippets, map[string]corpus.Vector{})
-	if got := store.Score("unknown", map[string]bool{"x": true}); got != 0 {
+	ctx := store.NewCtx()
+	ctx.SetText("x")
+	if got := store.ScoreCtx("unknown", ctx); got != 0 {
 		t.Fatalf("unknown concept score = %v", got)
 	}
 	if got := store.Summation("unknown"); got != 0 {
@@ -143,11 +161,13 @@ func TestScoreHandStore(t *testing.T) {
 	store := NewStore(Snippets, map[string]corpus.Vector{
 		"iraq war": {{Term: "troop", Weight: 5}, {Term: "baghdad", Weight: 3}, {Term: "soldier", Weight: 1}},
 	})
-	ctx := map[string]bool{"troop": true, "soldier": true, "banana": true}
-	if got := store.Score("iraq war", ctx); got != 6 {
-		t.Fatalf("Score = %v, want 6", got)
+	ctx := store.NewCtx()
+	ctx.SetText("Troops, soldiers and a banana.")
+	if got := store.ScoreCtx("iraq war", ctx); got != 6 {
+		t.Fatalf("ScoreCtx = %v, want 6", got)
 	}
-	if got := store.Score("iraq war", map[string]bool{}); got != 0 {
+	ctx.SetText("")
+	if got := store.ScoreCtx("iraq war", ctx); got != 0 {
 		t.Fatalf("empty context score = %v", got)
 	}
 }
@@ -235,14 +255,15 @@ func BenchmarkMineSnippets(b *testing.B) {
 func BenchmarkRelevanceScore(b *testing.B) {
 	f := newFixture(b)
 	names := conceptNames(f.w)[:50]
-	store := BuildStore(f.miner, names, Snippets)
+	store := BuildStore(f.miner, names, Snippets, 0)
 	rng := rand.New(rand.NewSource(5))
 	doc, _ := f.w.ComposeDoc(world.ComposeOptions{Topic: 0, Sentences: 20}, nil, rng)
-	stems := ContextStems(doc)
+	ctx := store.NewCtx()
+	ctx.SetText(doc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		store.Score(names[i%len(names)], stems)
+		store.ScoreCtx(names[i%len(names)], ctx)
 	}
 }
 
@@ -251,8 +272,8 @@ func BenchmarkRelevanceScore(b *testing.B) {
 func TestBuildStoreParallelDeterministic(t *testing.T) {
 	f := newFixture(t)
 	names := conceptNames(f.w)[:40]
-	s1 := BuildStore(f.miner, names, Snippets)
-	s2 := BuildStore(f.miner, names, Snippets)
+	s1 := BuildStore(f.miner, names, Snippets, 0)
+	s2 := BuildStore(f.miner, names, Snippets, 0)
 	for _, n := range names {
 		a, b := s1.RelevantTerms(n), s2.RelevantTerms(n)
 		if len(a) != len(b) {

@@ -44,6 +44,13 @@ func (mn *Miner) MineSenses(concept string, maxSenses int, minShare float64) []S
 	if len(snippets) == 0 {
 		return nil
 	}
+	assign, k := mn.clusterSnippets(snippets, maxSenses, minShare)
+	return mn.mineClusters(concept, assign, k)
+}
+
+// clusterSnippets assigns every snippet to one of k ≤ maxSenses clusters,
+// some of them emptied by merging sub-threshold clusters into the largest.
+func (mn *Miner) clusterSnippets(snippets []string, k int, minShare float64) ([]int, int) {
 	dict := mn.engine.Dictionary()
 
 	// tf·idf unit vectors per snippet.
@@ -59,7 +66,6 @@ func (mn *Miner) MineSenses(concept string, maxSenses int, minShare float64) []S
 		vecs[i] = counts
 	}
 
-	k := maxSenses
 	if k > len(snippets) {
 		k = len(snippets)
 	}
@@ -82,36 +88,51 @@ func (mn *Miner) MineSenses(concept string, maxSenses int, minShare float64) []S
 			assign[i] = largest
 		}
 	}
+	return assign, k
+}
 
-	// Mine keywords per surviving cluster.
-	byCluster := make(map[int][]string)
-	for i, c := range assign {
-		byCluster[c] = append(byCluster[c], snippets[i])
-	}
-	clusterIDs := make([]int, 0, len(byCluster))
-	for c := range byCluster {
-		clusterIDs = append(clusterIDs, c)
-	}
-	sort.Ints(clusterIDs)
+// mineClusters mines one Sense per non-empty cluster of 0..k-1, where
+// assign[i] is the cluster of the concept's i-th result snippet: the snippet
+// mining of mineSnippetsIDs, restricted to the cluster's snippets.
+func (mn *Miner) mineClusters(concept string, assign []int, k int) []Sense {
+	// Copy every snippet's token-id window out of engine-owned storage once
+	// (window i is win[off[i]:off[i+1]]); each cluster's windows are then
+	// counted into the pooled scratch in turn.
+	var win []uint32
+	off := []int{0}
+	mn.engine.VisitSnippetTokens(concept, SnippetDepth, func(tokens []uint32, lo, hi int) {
+		win = append(win, tokens[lo:hi]...)
+		off = append(off, len(win))
+	})
 
-	senses := make([]Sense, 0, len(byCluster))
-	for _, c := range clusterIDs {
-		group := byCluster[c]
-		counts := make(map[string]int)
-		for _, s := range group {
-			for _, t := range textproc.Words(s) {
-				counts[t]++
+	tab := mn.table()
+	sc := mn.getScratch(tab)
+	senses := make([]Sense, 0, k)
+	for c := 0; c < k; c++ {
+		size := 0
+		touched := sc.touched[:0]
+		for i, a := range assign {
+			if a != c {
+				continue
+			}
+			size++
+			// A commit between the caller's Snippets query and the visit
+			// above can shorten the result list; a missing window counts
+			// nothing.
+			if i+1 < len(off) {
+				touched = countIDs(sc.score, touched, win[off[i]:off[i+1]])
 			}
 		}
-		scores := make(map[string]float64, len(counts))
-		for t, n := range counts {
-			scores[t] = float64(n) * dict.IDF(t)
+		if size == 0 {
+			continue
 		}
 		senses = append(senses, Sense{
-			Keywords: mn.finalize(concept, scores, mn.engineRank),
-			Share:    float64(len(group)) / float64(len(snippets)),
+			Keywords: mn.finalizeIDs(sc, &tab.eng, concept, sc.score, touched),
+			Share:    float64(size) / float64(len(assign)),
 		})
+		sc.touched = touched[:0]
 	}
+	mn.scratch.Put(sc)
 	sort.Slice(senses, func(i, j int) bool { return senses[i].Share > senses[j].Share })
 	return senses
 }

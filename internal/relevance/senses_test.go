@@ -2,6 +2,7 @@ package relevance
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"contextrank/internal/searchsim"
@@ -90,7 +91,8 @@ func TestSenseScoreBoostsSecondarySense(t *testing.T) {
 		t.Skip("no ambiguous concept")
 	}
 	senseStore := BuildSenseStore(f.miner, []string{amb.Name}, 2)
-	globalStore := BuildStore(f.miner, []string{amb.Name}, Snippets)
+	globalStore := BuildStore(f.miner, []string{amb.Name}, Snippets, 0)
+	globalCtx := globalStore.NewCtx()
 
 	rng := rand.New(rand.NewSource(9))
 	// Compose documents in the secondary sense's topic.
@@ -101,7 +103,8 @@ func TestSenseScoreBoostsSecondarySense(t *testing.T) {
 			[]world.Mention{{Concept: amb, Relevant: true, Repeat: 2}}, rng)
 		stems := ContextStems(doc)
 		senseScore := senseStore.Score(amb.Name, stems)
-		globalScore := globalStore.Score(amb.Name, stems)
+		globalCtx.SetText(doc)
+		globalScore := globalStore.ScoreCtx(amb.Name, globalCtx)
 		// Normalize by each pack's own total to compare coverage fairly.
 		senseTotal, globalTotal := 0.0, 0.0
 		for _, s := range senseStore.Senses(amb.Name) {
@@ -117,6 +120,42 @@ func TestSenseScoreBoostsSecondarySense(t *testing.T) {
 	}
 	if better < trials/2 {
 		t.Fatalf("sense-aware coverage better in only %d/%d secondary-sense contexts", better, trials)
+	}
+}
+
+// TestDifferentialMineClusters pins MineSenses' interned per-cluster mining
+// to the string reference it replaced, bit for bit, given the same cluster
+// assignment. The assignment is computed once and handed to both sides:
+// sphericalKMeans sums floats in map order, so two independent clusterings
+// of one snippet list need not agree to the last bit.
+func TestDifferentialMineClusters(t *testing.T) {
+	w := world.New(world.Config{Seed: 171, VocabSize: 2000, NumTopics: 8, NumConcepts: 200, AmbiguousFraction: 0.3})
+	f := fixtureFromWorld(t, w)
+	checked, split := 0, 0
+	for i := range w.Concepts {
+		c := &w.Concepts[i]
+		if !c.Ambiguous() && i%17 != 0 {
+			continue
+		}
+		snippets := f.eng.Snippets(c.Name, SnippetDepth)
+		if len(snippets) == 0 {
+			continue
+		}
+		for _, k := range []int{1, 2, 3} {
+			assign, k := f.miner.clusterSnippets(snippets, k, 0.1)
+			want := f.miner.mineClustersRef(c.Name, snippets, assign)
+			got := f.miner.mineClusters(c.Name, assign, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("mineClusters(%q, k=%d) diverged from the string reference\n got %v\nwant %v", c.Name, k, got, want)
+			}
+			if len(got) > 1 {
+				split++
+			}
+		}
+		checked++
+	}
+	if checked == 0 || split == 0 {
+		t.Fatalf("fixture too thin: %d concepts checked, %d multi-sense results", checked, split)
 	}
 }
 

@@ -95,7 +95,7 @@ func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 	docs := randomRawDocs(3, 40)
 	e := NewEngine()
 	e.indexTokenized(docs[:25], 2)
-	e.Freeze()
+	e.Freeze(1)
 	e.indexTokenized(docs[25:], 3)
 	if n := e.NumDocs(); n != 25 {
 		t.Fatalf("pre-commit visible docs = %d, want 25 (memtable must stay private)", n)
@@ -108,7 +108,7 @@ func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 	for _, d := range docs {
 		want.addTokenized(d.text, d.tokens, d.topic)
 	}
-	want.Freeze()
+	want.Freeze(1)
 	for _, q := range []string{"w00", "w01 w02", "w10 w11 w12", "w59"} {
 		if g, w := e.ResultCount(q), want.ResultCount(q); g != w {
 			t.Fatalf("ResultCount(%q) = %d, want %d", q, g, w)
@@ -116,22 +116,22 @@ func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 	}
 }
 
-// FreezeWorkers must produce the identical frozen index at every worker
+// Freeze must produce the identical frozen index at every worker
 // count (freezeList is pure per term).
 func TestFreezeWorkersDeterministic(t *testing.T) {
 	docs := randomRawDocs(13, 150)
 	want := NewEngine()
 	want.indexTokenized(docs, 1)
-	want.Freeze()
+	want.Freeze(1)
 	for _, w := range []int{2, 5, 0} {
 		e := NewEngine()
 		e.indexTokenized(docs, 1)
-		e.FreezeWorkers(w)
+		e.Freeze(w)
 		if !reflect.DeepEqual(e.segs[0].frozen, want.segs[0].frozen) {
-			t.Fatalf("FreezeWorkers(%d) frozen lists diverged", w)
+			t.Fatalf("Freeze(%d) frozen lists diverged", w)
 		}
 		if e.stats != want.stats {
-			t.Fatalf("FreezeWorkers(%d) stats = %+v, want %+v", w, e.stats, want.stats)
+			t.Fatalf("Freeze(%d) stats = %+v, want %+v", w, e.stats, want.stats)
 		}
 	}
 }

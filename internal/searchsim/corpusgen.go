@@ -104,7 +104,7 @@ func BuildCorpus(w *world.World, cfg CorpusConfig) *Engine {
 	// Generated corpora are never mutated after construction: freeze into the
 	// compressed immutable index so every downstream miner queries compressed
 	// posting lists and the memoized ResultCount.
-	e.FreezeWorkers(cfg.Workers)
+	e.Freeze(cfg.Workers)
 	return e
 }
 

@@ -349,8 +349,8 @@ func TestFrozenStatsAndCompression(t *testing.T) {
 func TestAddAfterFreezeAppends(t *testing.T) {
 	e := NewEngine()
 	e.Add("one two three", 0)
-	e.Freeze()
-	e.Freeze() // idempotent
+	e.Freeze(1)
+	e.Freeze(1) // idempotent
 	ep0 := e.Epoch()
 	if ep0 == 0 {
 		t.Fatal("frozen engine must publish a nonzero epoch")

@@ -262,14 +262,11 @@ func (e *Engine) Epoch() uint64 {
 // bitmap for dense terms) into the base frozen segment and switches the
 // engine to the live two-tier mode: queries run against published snapshots
 // and ResultCount becomes memoized per visibility epoch. Freeze is
-// idempotent.
-func (e *Engine) Freeze() { e.FreezeWorkers(1) }
-
-// FreezeWorkers is Freeze with the per-term compression fanned out across
-// workers (internal/par semantics: 0 means NumCPU). freezeList is a pure
+// idempotent. The per-term compression fans out across workers
+// (internal/par semantics: 1 = serial, 0 = NumCPU); freezeList is a pure
 // function of one raw list, so the frozen segment is bit-identical at every
-// worker count; the stats pass stays serial.
-func (e *Engine) FreezeWorkers(workers int) {
+// worker count. The stats pass stays serial.
+func (e *Engine) Freeze(workers int) {
 	if e.cur.Load() != nil {
 		return
 	}

@@ -21,7 +21,7 @@ func TestIngestDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			e := NewEngine()
 			e.indexTokenized(docs[:80], workers)
-			e.FreezeWorkers(workers)
+			e.Freeze(workers)
 
 			// Live phase: uneven batches, compaction interleaved with appends.
 			next := 80

@@ -16,7 +16,7 @@ func buildLiveSegmented(docs []rawDoc, base, batch int) *Engine {
 	for _, d := range docs[:base] {
 		e.addTokenized(d.text, d.tokens, d.topic)
 	}
-	e.Freeze()
+	e.Freeze(1)
 	for i := base; i < len(docs); i++ {
 		e.addTokenized(docs[i].text, docs[i].tokens, docs[i].topic)
 		if (i-base+1)%batch == 0 {
@@ -34,7 +34,7 @@ func fromScratch(docs []rawDoc) *Engine {
 	for _, d := range docs {
 		e.addTokenized(d.text, d.tokens, d.topic)
 	}
-	e.Freeze()
+	e.Freeze(1)
 	return e
 }
 
@@ -108,7 +108,7 @@ func TestLiveEmptyCommitNoOp(t *testing.T) {
 func TestLiveAutoFlush(t *testing.T) {
 	e := NewEngine()
 	e.Add("base doc", 0)
-	e.Freeze()
+	e.Freeze(1)
 	ep0 := e.Epoch()
 	for i := 0; i < memFlushDocs-1; i++ {
 		e.Add(fmt.Sprintf("filler f%03d", i), 0)
@@ -197,7 +197,7 @@ func TestLiveQueryDuringSwapRace(t *testing.T) {
 	for _, d := range docs[:50] {
 		e.addTokenized(d.text, d.tokens, d.topic)
 	}
-	e.Freeze()
+	e.Freeze(1)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup

@@ -20,15 +20,15 @@ func snippetEngines(t *testing.T) []*Engine {
 	}
 	build := func() *Engine {
 		e := NewEngine()
-		e.Add(strings.Join(long, " "), 0)                   // doc 0: long neutral doc
-		e.Add("edge start "+strings.Join(long[:40], " "), 0) // doc 1: phrase at position 0
+		e.Add(strings.Join(long, " "), 0)                     // doc 0: long neutral doc
+		e.Add("edge start "+strings.Join(long[:40], " "), 0)  // doc 1: phrase at position 0
 		e.Add(strings.Join(long[:40], " ")+" edge finish", 0) // doc 2: phrase at the last positions
-		e.Add("tiny doc", 0)                                 // doc 3: shorter than the window
+		e.Add("tiny doc", 0)                                  // doc 3: shorter than the window
 		return e
 	}
 	raw := build()
 	frozen := build()
-	frozen.Freeze()
+	frozen.Freeze(1)
 	return []*Engine{raw, frozen}
 }
 

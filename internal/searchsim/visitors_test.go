@@ -5,12 +5,59 @@ import (
 	"strings"
 	"testing"
 
+	"contextrank/internal/corpus"
 	"contextrank/internal/querylog"
+	"contextrank/internal/textproc"
 )
 
-// Differential tests pinning the string-free visitor APIs — the interned
-// relevance miner's inputs — to their string counterparts: identical
-// selection, order, and (for Prisma) bit-identical float weights.
+// Differential tests pinning the string-free visitor APIs — the relevance
+// miner's inputs — to their string counterparts: identical selection, order,
+// and (for Prisma) bit-identical float weights.
+
+// Feedback is the map-based reference of VisitFeedback — the Prisma body the
+// product ran before the relevance miner moved onto interned ids: up to
+// PrismaFeedbackLimit feedback terms for query, scored and sorted decreasing.
+func (p *Prisma) Feedback(query string) []corpus.Entry {
+	queryTerms := make(map[string]bool)
+	for _, t := range textproc.Words(query) {
+		queryTerms[t] = true
+	}
+	// Feedback is generated over broad OR-retrieval at fixed depth — the
+	// classic pseudo-relevance-feedback setup ("considering the top 50
+	// documents in a large collection"). Unlike the phrase-result snippets,
+	// this retrieval drifts onto documents that merely share a term with
+	// the query, which is one reason Prisma's packs are noisier.
+	results := p.engine.SearchAnyTerm(query, PrismaDocDepth)
+	scores := make(map[string]float64)
+	for rank, r := range results {
+		doc := p.engine.Doc(r.DocID)
+		// Document-rank discount: earlier results contribute more.
+		rankWeight := 1.0 / (1.0 + float64(rank)/10.0)
+		for pos, tid := range doc.Tokens {
+			term := p.engine.vocab.Token(tid)
+			if queryTerms[term] || textproc.IsStopword(term) {
+				continue
+			}
+			// Position factor: terms earlier in the document weigh more.
+			posWeight := 1.0 / (1.0 + float64(pos)/100.0)
+			scores[term] += rankWeight * posWeight
+		}
+	}
+	// Note: Prisma's selection is driven by count, position and document
+	// rank only — unlike the snippet miner it applies no global idf, so
+	// common terms compete for the twenty slots. This, together with the
+	// output cap, is why Prisma's keywords cover contexts worse than
+	// snippet-mined ones (paper Table IV).
+	entries := make(corpus.Vector, 0, len(scores))
+	for t, s := range scores {
+		entries = append(entries, corpus.Entry{Term: t, Weight: s})
+	}
+	corpus.SortVector(entries)
+	if len(entries) > PrismaFeedbackLimit {
+		entries = entries[:PrismaFeedbackLimit]
+	}
+	return entries
+}
 
 // TestVisitSnippetTokensMatchesSnippets: the token windows streamed by
 // VisitSnippetTokens, rendered through the vocabulary, must equal the

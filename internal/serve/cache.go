@@ -202,13 +202,15 @@ func (c *Cache) Do(ctx context.Context, text string, top int, epoch uint64, fn f
 	go func() {
 		defer cancel()
 		fl.body, fl.ok = fn(fctx)
+		// Store before retiring the flight: a request that arrives once the
+		// flight is gone must find the entry, or it would recompute.
+		if fl.ok {
+			c.put(k, text, fl.body)
+		}
 		sh.mu.Lock()
 		delete(sh.flights, k)
 		sh.mu.Unlock()
 		close(fl.done)
-		if fl.ok {
-			c.put(k, text, fl.body)
-		}
 	}()
 	select {
 	case <-fl.done:

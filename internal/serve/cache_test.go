@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -197,6 +198,63 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 	}
 	if st := c.Stats(); st.Coalesced != followers {
 		t.Fatalf("coalesced = %d, want %d", st.Coalesced, followers)
+	}
+}
+
+// TestCacheStoresBeforeRetiringFlight is the regression for the fill's
+// store/retire order. The fill used to retire the flight and close its done
+// channel before storing the entry, so a request arriving in between found
+// neither and ran the pipeline again. Each round parks a crowd of followers
+// on one flight and has every caller ask again the moment it is answered:
+// close wakes the followers one by one, so the early ones re-ask while the
+// fill goroutine is still inside close — squarely in the old window, where
+// (given a second core to run them) they recomputed. With the entry stored
+// first every second request is a hit and the counters are exact.
+func TestCacheStoresBeforeRetiringFlight(t *testing.T) {
+	c := NewCache(64)
+	const rounds, followers = 8, 512
+	for r := 0; r < rounds; r++ {
+		doc := fmt.Sprintf("doc %d", r)
+		var computed atomic.Int64
+		started := make(chan struct{})
+		proceed := make(chan struct{})
+		fill := func(context.Context) ([]byte, bool) {
+			if computed.Add(1) == 1 {
+				close(started)
+				<-proceed
+			}
+			return []byte(doc), true
+		}
+		var wg sync.WaitGroup
+		askTwice := func() {
+			defer wg.Done()
+			for i := 0; i < 2; i++ {
+				if body, err := c.Do(context.Background(), doc, 3, 0, fill); err != nil || string(body) != doc {
+					t.Errorf("Do(%q) = %q, %v", doc, body, err)
+				}
+			}
+		}
+		wg.Add(followers + 1)
+		go askTwice() // the leader
+		<-started
+		for i := 0; i < followers; i++ {
+			go askTwice()
+		}
+		joined := int64((r + 1) * followers)
+		for deadline := time.Now().Add(10 * time.Second); c.Stats().Coalesced < joined; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: followers never joined the flight: %+v", r, c.Stats())
+			}
+		}
+		close(proceed)
+		wg.Wait()
+		if n := computed.Load(); n != 1 {
+			t.Fatalf("round %d: pipeline ran %d times for one key", r, n)
+		}
+	}
+	const asks = rounds * (followers + 1)
+	if st := c.Stats(); st.Misses != asks || st.Coalesced != rounds*followers || st.Hits != asks {
+		t.Fatalf("counters %+v, want misses=%d coalesced=%d hits=%d", st, asks, rounds*followers, asks)
 	}
 }
 

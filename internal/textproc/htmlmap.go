@@ -1,7 +1,5 @@
 package textproc
 
-import "strings"
-
 // StripResult is the offset-preserving form of StripHTML: production
 // annotation must wrap spans in the *original* markup, so every byte of the
 // stripped text remembers where it came from.
@@ -47,96 +45,7 @@ func (r *StripResult) SourceSpan(start, end int) (int, int) {
 // StripHTMLMapped strips tags like StripHTML while recording, for every
 // output byte, the input offset it came from.
 func StripHTMLMapped(html string) *StripResult {
-	res := &StripResult{srcOffsets: make([]int, 0, len(html))}
-	var b strings.Builder
-	b.Grow(len(html))
-	emit := func(s string, src int) {
-		b.WriteString(s)
-		for k := 0; k < len(s); k++ {
-			res.srcOffsets = append(res.srcOffsets, src)
-		}
-	}
-	i := 0
-	for i < len(html) {
-		c := html[i]
-		if c != '<' {
-			next, decoded, raw := decodeEntityAt(html, i)
-			if decoded != "" {
-				emit(decoded, i)
-				i = next
-			} else {
-				emit(raw, i)
-				i = next
-			}
-			continue
-		}
-		if strings.HasPrefix(html[i:], "<!--") {
-			end := strings.Index(html[i+4:], "-->")
-			if end < 0 {
-				break
-			}
-			i += 4 + end + 3
-			continue
-		}
-		end := strings.IndexByte(html[i:], '>')
-		if end < 0 {
-			break
-		}
-		tag := html[i+1 : i+end]
-		tagStart := i
-		i += end + 1
-		name := tagName(tag)
-		switch name {
-		case "script", "style":
-			closer := "</" + name
-			rest := strings.Index(strings.ToLower(html[i:]), closer)
-			if rest < 0 {
-				i = len(html)
-				continue
-			}
-			i += rest
-			gt := strings.IndexByte(html[i:], '>')
-			if gt < 0 {
-				i = len(html)
-				continue
-			}
-			i += gt + 1
-		case "p", "div", "br", "li", "tr", "h1", "h2", "h3", "h4", "h5", "h6", "blockquote", "section", "article":
-			emit("\n\n", tagStart)
-		default:
-			emit(" ", tagStart)
-		}
-	}
-	res.Text = b.String()
-	return res
-}
-
-// decodeEntityAt decodes the entity starting at i if any, returning the next
-// index, the decoded string (empty when no entity matched) and the raw
-// single byte fallback.
-func decodeEntityAt(s string, i int) (next int, decoded, raw string) {
-	if s[i] == '&' {
-		semi := strings.IndexByte(s[i:], ';')
-		if semi > 1 && semi <= 8 {
-			name := s[i+1 : i+semi]
-			if rep, ok := entities[name]; ok {
-				return i + semi + 1, rep, ""
-			}
-			if len(name) > 1 && name[0] == '#' {
-				n := 0
-				ok := true
-				for _, d := range name[1:] {
-					if d < '0' || d > '9' {
-						ok = false
-						break
-					}
-					n = n*10 + int(d-'0')
-				}
-				if ok && n > 0 && n < 0x10000 {
-					return i + semi + 1, string(rune(n)), ""
-				}
-			}
-		}
-	}
-	return i + 1, "", s[i : i+1]
+	offs := make([]int, 0, len(html))
+	text := stripHTML(html, &offs)
+	return &StripResult{Text: text, srcOffsets: offs}
 }

@@ -5,23 +5,72 @@ import (
 	"testing"
 )
 
-func TestStripHTMLMappedMatchesStripHTML(t *testing.T) {
-	inputs := []string{
-		`<html><body><p>Hello <b>world</b>!</p></body></html>`,
-		`<p>visible</p><script>var x = 1;</script><p>more</p>`,
-		`before<!-- comment -->after`,
-		`Bush &amp; Clinton &lt;debate&gt; &#65;`,
-		`plain text no markup`,
-		``,
-		`<p unclosed`,
-		`text <!-- unterminated`,
+// stripCases are the inputs of the table test and the seeds of FuzzStripHTML:
+// ordinary markup, then tags, comments, entities and script blocks cut off at
+// every stage, and script bodies whose lower-casing changes their length.
+var stripCases = []string{
+	`<html><body><p>Hello <b>world</b>!</p></body></html>`,
+	`<p>visible</p><script>var x = 1;</script><p>more</p>`,
+	`before<!-- comment -->after`,
+	`Bush &amp; Clinton &lt;debate&gt; &#65;`,
+	`plain text no markup`,
+	``,
+	`<p unclosed`,
+	`text <!-- unterminated`,
+	`<`, `a<`, `<!-`, `<!--`, `<!-- --`, `&`, `a&`, `&#`, `&#6`, `&amp`, `&;`, `&#;`, `&#0;`, `&#65536;`, `&#55296;`, `&bogus;&`,
+	`<script`, `<script>`, `<script>x</scr`, `<script>x</script`, `<SCRIPT>x</ScRiPt >y`, `<style>a</script>b</style>c`,
+	"<script>\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff</script>after",
+	"<style>ȺȺȺȺȺȺȺȺȺȺȺȺ</style>after",
+	"<p>caf\u00e9 &mdash; na\xefve</p>",
+}
+
+// checkStrip holds the two entry points of the one walker to each other and
+// the offset map to its source: same text, one offset per text byte, offsets
+// nondecreasing and inside the input.
+func checkStrip(t *testing.T, html string) {
+	t.Helper()
+	res := StripHTMLMapped(html)
+	if want := StripHTML(html); res.Text != want {
+		t.Fatalf("StripHTMLMapped text differs from StripHTML for %q:\n got %q\nwant %q", html, res.Text, want)
 	}
-	for _, in := range inputs {
-		want := StripHTML(in)
-		got := StripHTMLMapped(in)
-		if got.Text != want {
-			t.Errorf("StripHTMLMapped text differs from StripHTML for %q:\n got %q\nwant %q", in, got.Text, want)
+	if len(res.srcOffsets) != len(res.Text) {
+		t.Fatalf("%d offsets for %d text bytes on %q", len(res.srcOffsets), len(res.Text), html)
+	}
+	prev := 0
+	for i, off := range res.srcOffsets {
+		if off < prev || off >= len(html) {
+			t.Fatalf("offset %d of text byte %d follows %d in a %d-byte input %q", off, i, prev, len(html), html)
 		}
+		prev = off
+	}
+}
+
+func TestStripHTMLMappedMatchesStripHTML(t *testing.T) {
+	for _, in := range stripCases {
+		checkStrip(t, in)
+	}
+	if got := StripHTML("<script>\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff</script>after"); got != "after" {
+		t.Fatalf("script body that is not UTF-8 stripped to %q", got)
+	}
+}
+
+// FuzzStripHTML feeds the walker what the network can: /v1/annotate and
+// /v1/render take html:true bodies. No input may panic it, however its
+// tags, entities and comments are truncated.
+func FuzzStripHTML(f *testing.F) {
+	for _, in := range stripCases {
+		f.Add(in)
+	}
+	f.Fuzz(checkStrip)
+}
+
+// StripHTML shares StripHTMLMapped's walker but not its offset map.
+func TestStripHTMLAllocatesNoOffsets(t *testing.T) {
+	html := strings.Repeat(`<p>Bush &amp; Clinton <b>debate</b></p>`, 64)
+	plain := testing.AllocsPerRun(20, func() { StripHTML(html) })
+	mapped := testing.AllocsPerRun(20, func() { StripHTMLMapped(html) })
+	if plain != 1 || mapped <= plain {
+		t.Fatalf("StripHTML allocates %v times (want 1: the text), StripHTMLMapped %v", plain, mapped)
 	}
 }
 
