@@ -56,7 +56,11 @@ race:
 # contract: docs-per-sec floored at the 2,000 docs/sec streaming-ingest
 # bar, and read-p99-ratio (p99 read latency during a major merge over
 # frozen-only p99, same corpus) capped at the ≤1.3× bound via a neutral
-# 1.0 baseline.
+# 1.0 baseline. The two request-path benchmarks carry the wire codec's
+# pre-named counts against baselines recorded at the commit before it (one
+# reflective JSON decode per hop): a cache hit through the handler at
+# ≤ 256 B/op and ≤ 4 allocs/op (of 23,856 B and 15), the router's key at
+# 0 allocs/op (of 7).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./... > bench.out
 	$(GO) test -run=NONE -bench='^BenchmarkAnnotate$$' -benchtime=50x . >> bench.out
@@ -69,6 +73,8 @@ bench:
 	$(GO) test -run=NONE -bench='^BenchmarkComposeDoc$$' -benchtime=200x ./internal/world >> bench.out
 	$(GO) test -run=NONE -bench='^BenchmarkIngest$$' -benchtime=6000x ./internal/searchsim >> bench.out
 	$(GO) test -run=NONE -bench='^BenchmarkFrameworkStemmer$$' -benchtime=20x . >> bench.out
+	$(GO) test -run=NONE -bench='^BenchmarkHandleAnnotateHit$$' -benchtime=20000x ./internal/serve >> bench.out
+	$(GO) test -run=NONE -bench='^BenchmarkRouteKey$$' -benchtime=20000x ./internal/wire >> bench.out
 	$(GO) run ./cmd/benchjson -o BENCH.json -baseline BENCH.baseline.json \
 		-guard 'BenchmarkAnnotate:allocs/op:1.20' \
 		-guard 'BenchmarkAnnotate:B/op:0.50' \
@@ -87,6 +93,9 @@ bench:
 		-guard 'BenchmarkComposeDoc:allocs/op:0.10' \
 		-guard 'BenchmarkComposeDoc:B/op:0.10' \
 		-guard 'BenchmarkIngest:read-p99-ratio:1.30' \
+		-guard 'BenchmarkHandleAnnotateHit:B/op:0.0107' \
+		-guard 'BenchmarkHandleAnnotateHit:allocs/op:0.267' \
+		-guard 'BenchmarkRouteKey:allocs/op:0.10' \
 		-floor 'BenchmarkIngest:docs-per-sec:2000' \
 		-floor 'BenchmarkParallelBuild:parEff-8:0.35' \
 		-floor 'BenchmarkParallelCrossValidate:parEff-8:0.35' < bench.out
@@ -108,19 +117,25 @@ chaos:
 # analysis — gated pattern scan vs the whole-text regexes (and the collision
 # order over its matches), token-range relevance window vs tokenizing the
 # window's text — and the HTML walker that /v1/annotate and /v1/render run on
-# html:true bodies from the network. Their seed corpora also run under plain
-# `go test`.
+# html:true bodies from the network — and the request scanner both hops read
+# every body with, against encoding/json. Their seed corpora also run under
+# plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPatternGate$$' -fuzztime $(FUZZTIME) ./internal/detect
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowTIDs$$' -fuzztime $(FUZZTIME) ./internal/framework
 	$(GO) test -run '^$$' -fuzz '^FuzzStripHTML$$' -fuzztime $(FUZZTIME) ./internal/textproc
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 # examples/ may import the product; the product may not import examples/.
 # The click graph left internal/ because nothing served reaches it, and this
-# keeps it from coming back as a dependency.
+# keeps it from coming back as a dependency. A binary's import closure is its
+# architecture: the router speaks the wire contract and links none of the
+# runtime, so of internal/ it may reach only the packages listed here.
+ROUTER_INTERNAL := cluster resilience par wire
 island:
 	@deps="$$($(GO) list -deps . ./internal/... ./cmd/...)" && ! echo "$$deps" | grep '^contextrank/examples/'
+	@deps="$$($(GO) list -deps ./cmd/router)" && ! echo "$$deps" | grep '^contextrank/internal/' | grep -v -x $(foreach p,$(ROUTER_INTERNAL),-e contextrank/internal/$(p))
 
 # Line counts by the definition the simplicity work is measured against:
 # product is every non-test .go file under internal/ (less testdata) and

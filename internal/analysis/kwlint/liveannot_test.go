@@ -88,6 +88,10 @@ var liveAnnotations = map[string][]string{
 	"internal/units/units.go": {
 		"Set.FindInIDs //kw:hotpath",
 	},
+	"internal/wire/request.go": {
+		"RouteKey //kw:hotpath",
+		"scan //kw:hotpath",
+	},
 	"internal/world/compose.go": {
 		"World.ComposeDoc //kw:fresh",
 	},

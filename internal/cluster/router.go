@@ -8,12 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"contextrank/internal/resilience"
-	"contextrank/internal/serve"
+	"contextrank/internal/wire"
 )
 
 // Shard is one serving replica the router can route to: a name (the
@@ -158,8 +159,7 @@ type routedResponse struct {
 // flight is one in-progress routed request; coalesced followers block on
 // done and then replay res.
 type flight struct {
-	text string // full key text: collision check, like the serve cache
-	top  int
+	body []byte // the leader's raw request: collision check, like the serve cache's text
 	done chan struct{}
 	res  routedResponse
 }
@@ -365,27 +365,20 @@ func (rt *Router) handleProbe(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleAnnotate(w http.ResponseWriter, r *http.Request) {
+	tenant := r.Header.Get(wire.TenantHeader)
 	if rt.cfg.Quota != nil {
-		ok, retryAfter := rt.cfg.Quota.Allow(r.Header.Get(serve.TenantHeader))
+		ok, retryAfter := rt.cfg.Quota.Allow(tenant)
 		if !ok {
 			rt.rz.QuotaDenied.Add(1)
-			secs := int((retryAfter + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", fmt.Sprint(secs))
+			w.Header().Set("Retry-After", wire.RetryAfter(retryAfter))
 			http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
 			return
 		}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxDocumentBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, "request body exceeds document limit", http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	// The body is not pooled: a losing hedge attempt may still be sending it
+	// after this handler returns.
+	body, ok := wire.ReadBody(w, r, nil)
+	if !ok {
 		return
 	}
 	rt.counters.Requests.Add(1)
@@ -397,91 +390,57 @@ func (rt *Router) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	// Coalesce on the same key the shard-side cache uses; requests whose
-	// body does not decode still route (the shard owns the 400), keyed by
-	// the raw bytes so identical malformed requests coalesce too.
-	text, top, decodable := requestKeyFields(body)
-	key := requestKey(text, top, decodable, body)
+	// Route and coalesce on the key the owning shard's cache will compute.
+	key := wire.RouteKey(body)
 
-	res, coalesced := rt.coalesce(ctx, key, text, top)
-	if coalesced {
-		if res == nil { // waiter's own budget expired
-			rt.counters.Timeouts.Add(1)
-			http.Error(w, "router budget exhausted", http.StatusGatewayTimeout)
-			return
-		}
-		writeRouted(w, *res)
-		return
-	}
-
-	out := rt.forward(ctx, key, body, r.Header.Get(serve.TenantHeader))
-	rt.finishFlight(key, out)
-	writeRouted(w, out)
-}
-
-// requestKeyFields decodes just enough of the body to key coalescing the
-// way the shard's cache will: the (possibly HTML) text and the raw top.
-func requestKeyFields(body []byte) (text string, top int, ok bool) {
-	var req serve.AnnotateRequest
-	if err := json.Unmarshal(body, &req); err != nil || req.Text == "" {
-		return "", 0, false
-	}
-	// The HTML flag changes what the shard strips, so fold it into the
-	// text identity rather than modelling the strip here.
-	if req.HTML {
-		return "html\x00" + req.Text, req.Top, true
-	}
-	return req.Text, req.Top, true
-}
-
-// requestKey is the coalescing key: the shard cache's key function over
-// the decoded fields, or a hash of the raw bytes for undecodable bodies.
-func requestKey(text string, top int, decodable bool, raw []byte) uint64 {
-	if decodable {
-		return serve.CacheKey(text, top)
-	}
-	return serve.CacheKey(string(raw), -1)
-}
-
-// coalesce joins an existing flight for key, or registers a new one.
-// Returns (result, true) for a follower — res is nil if the follower's
-// ctx expired first — and (nil, false) for the leader, which must route
-// and then call finishFlight.
-func (rt *Router) coalesce(ctx context.Context, key uint64, text string, top int) (*routedResponse, bool) {
-	rt.fmu.Lock()
-	if fl, ok := rt.flights[key]; ok && fl.text == text && fl.top == top {
-		rt.fmu.Unlock()
+	fl, leader := rt.joinFlight(key, body)
+	if !leader {
 		rt.counters.Coalesced.Add(1)
 		select {
 		case <-fl.done:
-			return &fl.res, true
-		case <-ctx.Done():
-			return nil, true
+			writeRouted(w, fl.res)
+		case <-ctx.Done(): // waiter's own budget expired
+			rt.counters.Timeouts.Add(1)
+			http.Error(w, "router budget exhausted", http.StatusGatewayTimeout)
 		}
-	} else if ok {
-		// Hash collision with a different request: route independently
-		// without registering (the colliding flight keeps the slot).
-		rt.fmu.Unlock()
-		return nil, false
+		return
 	}
-	rt.flights[key] = &flight{text: text, top: top, done: make(chan struct{})}
-	rt.fmu.Unlock()
-	return nil, false
+
+	out := rt.forward(ctx, key, body, tenant)
+	if fl != nil {
+		rt.finishFlight(key, fl, out)
+	}
+	writeRouted(w, out)
 }
 
-// finishFlight publishes the leader's result to followers, if a flight
-// was registered for key (collision bypasses register a nil flight).
-func (rt *Router) finishFlight(key uint64, res routedResponse) {
+// joinFlight returns the in-progress flight for this exact request, to wait
+// on, or makes the caller a leader, which must route and then call
+// finishFlight with the flight it was given. A leader is given none when
+// key is taken by a different body — a hash collision, or another encoding
+// of the same request: it routes on its own and the registered flight keeps
+// the slot (the shard's cache coalesces what is the same document).
+func (rt *Router) joinFlight(key uint64, body []byte) (fl *flight, leader bool) {
 	rt.fmu.Lock()
-	fl, ok := rt.flights[key]
-	if ok {
-		delete(rt.flights, key)
+	defer rt.fmu.Unlock()
+	if cur, ok := rt.flights[key]; ok {
+		if bytes.Equal(cur.body, body) {
+			return cur, false
+		}
+		return nil, true
 	}
+	fl = &flight{body: body, done: make(chan struct{})}
+	rt.flights[key] = fl
+	return fl, true
+}
+
+// finishFlight retires the leader's flight and publishes its result to the
+// followers.
+func (rt *Router) finishFlight(key uint64, fl *flight, res routedResponse) {
+	rt.fmu.Lock()
+	delete(rt.flights, key)
 	rt.fmu.Unlock()
-	if ok {
-		fl.res = res
-		close(fl.done)
-	}
+	fl.res = res
+	close(fl.done)
 }
 
 // candidates returns the replica set for key in failover order, dropping
@@ -665,11 +624,11 @@ func (rt *Router) attempt(ctx context.Context, s *shardState, plan resilience.Cl
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if tenant != "" {
-		req.Header.Set(serve.TenantHeader, tenant)
+		req.Header.Set(wire.TenantHeader, tenant)
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			req.Header.Set(serve.DeadlineHeader, fmt.Sprint(ms))
+			req.Header.Set(wire.DeadlineHeader, strconv.FormatInt(ms, 10))
 		}
 	}
 	resp, err := rt.client().Do(req)

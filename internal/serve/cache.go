@@ -3,11 +3,11 @@ package serve
 import (
 	"container/list"
 	"context"
-	"hash/fnv"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"contextrank/internal/wire"
 )
 
 // Cache is the annotation response cache: a sharded LRU over serialized
@@ -18,8 +18,9 @@ import (
 //   - Keyed by the FNV-64a hash of the stripped document text plus topN. A
 //     hit returns the exact bytes the cold path produced, so cached and
 //     fresh responses are byte-identical. Hash collisions are detected by
-//     comparing the stored text and demoted to misses — a collision can
-//     waste a slot, never serve the wrong document's annotations.
+//     comparing the stored text — an entry's on a lookup, a flight's before
+//     a miss joins it — and demoted to misses: a collision can waste a slot
+//     or a computation, never serve the wrong document's annotations.
 //   - Degraded responses (shed or deadline-expired requests) are never
 //     stored: they reflect transient pressure, not the document.
 //   - Hits bypass the admission gate — serving memory must stay cheap under
@@ -69,6 +70,7 @@ type cacheEntry struct {
 
 // flight is one in-progress computation; followers block on done.
 type flight struct {
+	text string // full key text: collision check before a miss joins
 	done chan struct{}
 	body []byte
 	ok   bool // false: leader produced an uncacheable (degraded) response
@@ -101,19 +103,14 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
-func cacheHash(text string, top int) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(text)) // fnv never errors
-	_, _ = h.Write([]byte(strconv.Itoa(top)))
-	return h.Sum64()
-}
-
 func (c *Cache) shard(k cacheKey) *cacheShard {
 	return &c.shards[k.hash&(numCacheShards-1)]
 }
 
-// get returns the cached body for (text, top) and bumps its recency.
-func (c *Cache) get(k cacheKey, text string) ([]byte, bool) {
+// lookup returns the cached body under k if it was stored for text, counts
+// the hit and bumps the entry's recency. text may be a view into a request
+// buffer: it is compared, never kept.
+func lookup[T string | []byte](c *Cache, k cacheKey, text T) ([]byte, bool) {
 	sh := c.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -122,10 +119,11 @@ func (c *Cache) get(k cacheKey, text string) ([]byte, bool) {
 		return nil, false
 	}
 	ent := el.Value.(*cacheEntry)
-	if ent.text != text {
+	if ent.text != string(text) {
 		return nil, false // hash collision: treat as miss
 	}
 	sh.lru.MoveToFront(el)
+	c.hits.Add(1)
 	return ent.body, true
 }
 
@@ -171,16 +169,22 @@ func (c *Cache) put(k cacheKey, text string, body []byte) {
 // the result. An error is returned only to a caller — leader or follower
 // alike — whose ctx expires while waiting.
 func (c *Cache) Do(ctx context.Context, text string, top int, epoch uint64, fn func(context.Context) ([]byte, bool)) ([]byte, error) {
-	k := cacheKey{hash: cacheHash(text, top), top: top, epoch: epoch}
-	if body, ok := c.get(k, text); ok {
-		c.hits.Add(1)
+	k := cacheKey{hash: wire.Key(text, top), top: top, epoch: epoch}
+	if body, ok := lookup(c, k, text); ok {
 		return body, nil
 	}
+	return c.fill(ctx, k, text, fn)
+}
+
+// fill is the miss half of Do, for a caller whose lookup under k has just
+// missed: join the flight for (k, text) or start it.
+func (c *Cache) fill(ctx context.Context, k cacheKey, text string, fn func(context.Context) ([]byte, bool)) ([]byte, error) {
 	c.misses.Add(1)
 
 	sh := c.shard(k)
 	sh.mu.Lock()
-	if fl, ok := sh.flights[k]; ok {
+	fl, taken := sh.flights[k]
+	if taken && fl.text == text {
 		sh.mu.Unlock()
 		c.coalesced.Add(1)
 		select {
@@ -190,8 +194,12 @@ func (c *Cache) Do(ctx context.Context, text string, top int, epoch uint64, fn f
 			return nil, ctx.Err()
 		}
 	}
-	fl := &flight{done: make(chan struct{})}
-	sh.flights[k] = fl
+	// k taken by a flight for another text is a hash collision: that flight
+	// keeps the slot and this request computes on its own, unregistered.
+	fl = &flight{text: text, done: make(chan struct{})}
+	if !taken {
+		sh.flights[k] = fl
+	}
 	sh.mu.Unlock()
 
 	fillTimeout := c.FillTimeout
@@ -207,9 +215,11 @@ func (c *Cache) Do(ctx context.Context, text string, top int, epoch uint64, fn f
 		if fl.ok {
 			c.put(k, text, fl.body)
 		}
-		sh.mu.Lock()
-		delete(sh.flights, k)
-		sh.mu.Unlock()
+		if !taken {
+			sh.mu.Lock()
+			delete(sh.flights, k)
+			sh.mu.Unlock()
+		}
 		close(fl.done)
 	}()
 	select {
@@ -220,11 +230,11 @@ func (c *Cache) Do(ctx context.Context, text string, top int, epoch uint64, fn f
 	}
 }
 
-// CacheKey is the singleflight/cache key of an annotate request: the
-// FNV-64a hash over the document text and top-N. Exported so the cluster
-// router coalesces identical requests across the router→shard hop on the
-// same key the shard-side cache uses (DESIGN.md §8).
-func CacheKey(text string, top int) uint64 { return cacheHash(text, top) }
+// CacheKey is the cache key of an annotate request, wire.Key: the FNV-64a
+// hash over the document text and top-N, which the cluster router computes
+// from the raw body (wire.RouteKey) to place a request on the shard whose
+// cache holds it (DESIGN.md §8).
+func CacheKey(text string, top int) uint64 { return wire.Key(text, top) }
 
 // CacheStats is the /statz view of the cache counters.
 type CacheStats struct {

@@ -27,10 +27,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,28 +40,25 @@ import (
 	"contextrank/internal/resilience"
 	"contextrank/internal/searchsim"
 	"contextrank/internal/textproc"
+	"contextrank/internal/wire"
 )
 
-// MaxDocumentBytes bounds request bodies: the production system processes
-// web pages, not bulk corpora, per request.
-const MaxDocumentBytes = 1 << 20
+// The request side of the contract lives in internal/wire, where the router
+// reaches it without linking the runtime; these are its names as the
+// server's callers know them.
+const (
+	MaxDocumentBytes = wire.MaxDocumentBytes
+	TenantHeader     = wire.TenantHeader
+	DeadlineHeader   = wire.DeadlineHeader
+)
+
+// AnnotateRequest is the JSON request body of /v1/annotate and /v1/render.
+type AnnotateRequest = wire.AnnotateRequest
 
 // retryAfterSeconds is the backoff hint sent with every 429/503: shed
 // load should come back after the short wait queue has had a chance to
 // drain, not immediately and not never.
 const retryAfterSeconds = "1"
-
-// TenantHeader names the header identifying the calling tenant for
-// per-tenant quota accounting. Requests without it share the anonymous
-// tenant's bucket.
-const TenantHeader = "X-Tenant"
-
-// DeadlineHeader carries the router's remaining per-request budget, in
-// integer milliseconds. A shard-mode server (TrustForwardedDeadline)
-// clamps its own deadline to it so a request that already burned most of
-// its budget at the router does not get a fresh full deadline at the
-// shard.
-const DeadlineHeader = "X-Deadline-Ms"
 
 // Server wires the runtime and renderer behind an http.Handler.
 type Server struct {
@@ -159,16 +156,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	s.writeBody(w, "ready\n")
 }
 
-// AnnotateRequest is the JSON request body of /v1/annotate and /v1/render.
-type AnnotateRequest struct {
-	// Text is the document (plain text, or HTML when HTML is true).
-	Text string `json:"text"`
-	// HTML strips markup before detection.
-	HTML bool `json:"html,omitempty"`
-	// Top keeps the top-N distinct concepts (0 = server default, -1 = all).
-	Top int `json:"top,omitempty"`
-}
-
 // AnnotationJSON is one annotation in the response.
 type AnnotationJSON struct {
 	Text      string  `json:"text"`
@@ -194,45 +181,48 @@ type AnnotateResponse struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// decode parses and validates the request body.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request) (AnnotateRequest, string, bool) {
-	var req AnnotateRequest
-	body := http.MaxBytesReader(w, r.Body, MaxDocumentBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, "request body exceeds document limit", http.StatusRequestEntityTooLarge)
-			return req, "", false
-		}
+// bodyPool recycles request-body buffers. A decoded request's Text is a view
+// into one, so it must be copied before anything — a cache entry, a flight —
+// outlives the handler that rented the buffer.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// decode reads the request body into buf's storage (kept there, regrown or
+// not, for the pool), parses it and validates it. On failure the error
+// response has been written.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, buf *[]byte) (wire.Request, bool) {
+	body, ok := wire.ReadBody(w, r, *buf)
+	*buf = body
+	if !ok {
+		return wire.Request{}, false
+	}
+	req, err := wire.ParseRequest(body)
+	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return req, "", false
+		return req, false
 	}
-	if req.Text == "" {
+	if len(req.Text) == 0 {
 		http.Error(w, "bad request: empty text", http.StatusBadRequest)
-		return req, "", false
+		return req, false
 	}
-	text := req.Text
-	if req.HTML {
-		text = textproc.StripHTML(text)
-	}
-	return req, text, true
+	return req, true
 }
 
-func (s *Server) top(req AnnotateRequest) int {
+// top resolves a request's "top" to the runtime's topN.
+func (s *Server) top(requested int) int {
 	switch {
-	case req.Top < 0:
+	case requested < 0:
 		return 0 // all
-	case req.Top == 0:
+	case requested == 0:
 		return s.DefaultTop
 	default:
-		return req.Top
+		return requested
 	}
 }
 
 // account records one admitted document in the request counters.
-func (s *Server) account(text string) {
+func (s *Server) account(textBytes int) {
 	s.requests.Add(1)
-	s.docBytes.Add(int64(len(text)))
+	s.docBytes.Add(int64(textBytes))
 }
 
 // requestCtx derives the per-request deadline context: the configured
@@ -263,19 +253,9 @@ func (s *Server) checkQuota(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	s.rz.QuotaDenied.Add(1)
-	w.Header().Set("Retry-After", retryAfterHint(retryAfter))
+	w.Header().Set("Retry-After", wire.RetryAfter(retryAfter))
 	http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
 	return false
-}
-
-// retryAfterHint renders a Retry-After duration as whole seconds, rounded
-// up with a floor of one — the only form RetryClient parses.
-func retryAfterHint(d time.Duration) string {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }
 
 // admit asks the gate for a slot. With no gate every request is admitted.
@@ -296,21 +276,37 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	if !s.checkQuota(w, r) {
 		return
 	}
-	req, text, ok := s.decode(w, r)
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
+	req, ok := s.decode(w, r, buf)
 	if !ok {
 		return
 	}
-	s.account(text)
-	top := s.top(req)
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
+	view := req.Text
+	if req.HTML {
+		view = []byte(textproc.StripHTML(string(view)))
+	}
+	s.account(len(view))
+	top := s.top(req.Top)
 
 	if s.Cache == nil {
-		body, _ := s.annotateBody(ctx, text, top)
+		ctx, cancel := s.requestCtx(r)
+		defer cancel()
+		body, _ := s.annotateBody(ctx, string(view), top)
 		s.writeRawJSON(w, body)
 		return
 	}
-	body, err := s.Cache.Do(ctx, text, top, s.epoch(), func(fctx context.Context) ([]byte, bool) {
+	// A hit is served off the view: the document as a string, the deadline
+	// and the fill closure exist only once it is a miss.
+	k := cacheKey{hash: wire.Key(view, top), top: top, epoch: s.epoch()}
+	if body, ok := lookup(s.Cache, k, view); ok {
+		s.writeRawJSON(w, body)
+		return
+	}
+	text := string(view)
+	ctx, cancel := s.requestCtx(r)
+	defer cancel()
+	body, err := s.Cache.fill(ctx, k, text, func(fctx context.Context) ([]byte, bool) {
 		// fctx is the detached fill context: the leader's values without
 		// its cancellation, bounded by the fill deadline — a cancelled
 		// leader cannot poison the coalesced waiters (DESIGN.md §8).
@@ -412,11 +408,19 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	if !s.checkQuota(w, r) {
 		return
 	}
-	req, text, ok := s.decode(w, r)
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
+	req, ok := s.decode(w, r, buf)
 	if !ok {
 		return
 	}
-	s.account(text)
+	source := string(req.Text)
+	text := source
+	if req.HTML {
+		text = textproc.StripHTML(source)
+	}
+	s.account(len(text))
+	top := s.top(req.Top)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
@@ -436,17 +440,17 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		// Annotate the original markup in place: strip with an offset map,
 		// detect on the plain text, splice shortcut spans back into the
 		// publisher's HTML.
-		res := textproc.StripHTMLMapped(req.Text)
-		anns, err := s.annotate(ctx, res.Text, s.top(req))
+		res := textproc.StripHTMLMapped(source)
+		anns, err := s.annotate(ctx, res.Text, top)
 		if err != nil {
 			s.renderDeadline(w)
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		s.writeBody(w, s.Renderer.RenderSource(req.Text, res, anns))
+		s.writeBody(w, s.Renderer.RenderSource(source, res, anns))
 		return
 	}
-	anns, err := s.annotate(ctx, text, s.top(req))
+	anns, err := s.annotate(ctx, text, top)
 	if err != nil {
 		s.renderDeadline(w)
 		return

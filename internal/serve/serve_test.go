@@ -22,7 +22,7 @@ import (
 
 // testServer builds a tiny self-contained server: two supported concepts,
 // a pattern detector, and a trained model.
-func testServer(t *testing.T) *Server {
+func testServer(t testing.TB) *Server {
 	t.Helper()
 	store := relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
 		"alphaword": {{Term: "ctx", Weight: 5}},
@@ -250,6 +250,43 @@ func TestRequestSizeLimit(t *testing.T) {
 	rec := postJSON(t, h, "/v1/annotate", AnnotateRequest{Text: huge})
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized request status = %d, want 413", rec.Code)
+	}
+}
+
+// TestRequestSizeLimitCoversTheWholeBody: the limit is on the body, not on
+// its first JSON value — padding after a small, complete request is still
+// over the limit (the old streaming decode answered by how far it happened
+// to read ahead).
+func TestRequestSizeLimitCoversTheWholeBody(t *testing.T) {
+	h := testServer(t).Handler()
+	body := `{"text":"the alphaword appeared"}` + strings.Repeat(" ", MaxDocumentBytes)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/annotate", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded oversized request status = %d, want 413", rec.Code)
+	}
+}
+
+// TestBadRequestBodies pins the 400 texts on both decode paths: the empty
+// text the scanner itself accepts and the handler refuses, and the errors
+// encoding/json words for the bodies the scanner declines.
+func TestBadRequestBodies(t *testing.T) {
+	h := testServer(t).Handler()
+	for body, want := range map[string]string{
+		`{"text":"","top":3}`:            "bad request: empty text\n",
+		` { "top" : 3 } `:                "bad request: empty text\n",
+		`{"text":null}`:                  "bad request: empty text\n",
+		`{"text":"alphaword","top":1.5}`: "bad request: json: cannot unmarshal number 1.5 into Go struct field AnnotateRequest.top of type int\n",
+		`{"text":"alphaword"`:            "bad request: unexpected EOF\n",
+		``:                               "bad request: EOF\n",
+	} {
+		for _, path := range []string{"/v1/annotate", "/v1/render"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+				t.Errorf("POST %s %q = %d %q, want 400 %q", path, body, rec.Code, rec.Body, want)
+			}
+		}
 	}
 }
 
