@@ -128,14 +128,25 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 # examples/ may import the product; the product may not import examples/.
-# The click graph left internal/ because nothing served reaches it, and this
-# keeps it from coming back as a dependency. A binary's import closure is its
-# architecture: the router speaks the wire contract and links none of the
-# runtime, so of internal/ it may reach only the packages listed here.
-ROUTER_INTERNAL := cluster resilience par wire
+# The click graph and the personalization library left internal/ because
+# nothing served reaches them, and this keeps them from coming back as
+# dependencies. A binary's import closure is its architecture, so of
+# internal/ a binary in this table (cmd/<binary>:<packages>) may reach only
+# the packages of its row: the router speaks the wire contract and links none
+# of the runtime; ingest drives the live index and links no serving,
+# detection or ranking code.
+CLOSURES := \
+	router:cluster,resilience,par,wire \
+	ingest:par,world,newsgen,textproc,corpus,golomb,match,querylog,searchsim
 island:
 	@deps="$$($(GO) list -deps . ./internal/... ./cmd/...)" && ! echo "$$deps" | grep '^contextrank/examples/'
-	@deps="$$($(GO) list -deps ./cmd/router)" && ! echo "$$deps" | grep '^contextrank/internal/' | grep -v -x $(foreach p,$(ROUTER_INTERNAL),-e contextrank/internal/$(p))
+	@for row in $(CLOSURES); do \
+		bin=$${row%%:*}; \
+		allowed=$$(echo "$${row#*:}" | tr ',' '\n' | sed 's#^#contextrank/internal/#'); \
+		deps=$$($(GO) list -deps ./cmd/$$bin) || exit 1; \
+		extra=$$(echo "$$deps" | grep '^contextrank/internal/' | grep -v -x -F "$$allowed"); \
+		if [ -n "$$extra" ]; then echo "cmd/$$bin links outside its allowlist:"; echo "$$extra"; exit 1; fi; \
+	done
 
 # Line counts by the definition the simplicity work is measured against:
 # product is every non-test .go file under internal/ (less testdata) and

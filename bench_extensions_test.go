@@ -11,7 +11,6 @@ import (
 	"contextrank/internal/core"
 	"contextrank/internal/framework"
 	"contextrank/internal/online"
-	"contextrank/internal/personal"
 	"contextrank/internal/querylog"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
@@ -60,21 +59,6 @@ func BenchmarkExtensionOnlineTracker(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Tick(events)
-	}
-}
-
-// BenchmarkExtensionPersonalAffinity measures profile affinity lookups (the
-// per-impression cost of personalization).
-func BenchmarkExtensionPersonalAffinity(b *testing.B) {
-	s := benchSystem(b)
-	p := personal.NewProfile(s.World.Config.NumTopics)
-	for i := range s.World.Concepts {
-		p.Observe(&s.World.Concepts[i], i%13 == 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Affinity(&s.World.Concepts[i%len(s.World.Concepts)])
 	}
 }
 

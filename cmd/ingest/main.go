@@ -1,10 +1,10 @@
-// Command ingest runs the live-index streaming pipeline: it builds and
-// freezes a base corpus, then tails an endless world-generated news feed
-// into the engine's mutable tier — batching appends, committing per batch,
-// and folding segments back into compressed form with background size-tiered
+// Command ingest runs the live-index streaming pipeline: it bulk-builds a
+// base corpus, then tails an endless world-generated news feed into the
+// engine's mutable tier — batching appends, committing per batch, and
+// folding segments back into compressed form with background size-tiered
 // compaction — while serving concurrent read probes the whole time. This is
-// the operational proof of the two-tier engine: the Freeze() wall is gone,
-// readers never block, and /statz exposes the ingest and compaction
+// the operational proof of the two-tier engine: the index is never closed to
+// writes, readers never block, and /statz exposes the ingest and compaction
 // counters live.
 //
 // Usage:
@@ -131,8 +131,8 @@ func newPipeline(cfg pipelineConfig) (*pipeline, error) {
 		VocabSize:   cfg.Vocab,
 		NumConcepts: cfg.Concepts,
 	})
-	// BuildCorpus freezes the base corpus into the frozen base segment; the
-	// engine comes back already in live mode, ready for streamed appends.
+	// BuildCorpus compresses the base corpus into the frozen base segment;
+	// the engine it returns takes streamed appends like any other.
 	e := searchsim.BuildCorpus(w, searchsim.CorpusConfig{Seed: cfg.Seed + 1, Workers: cfg.Workers})
 	p := &pipeline{
 		engine: e,

@@ -102,7 +102,9 @@ func main() {
 		if err := ranker.SaveBundle(f); err != nil {
 			fatal(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "bundle written to %s\n", *savePath)
 	}
 

@@ -186,3 +186,24 @@ func TestSenseExperimentPinned(t *testing.T) {
 			global, sense, n, wantGlobal, wantSense, wantN)
 	}
 }
+
+// The built engine's size accounting is what bench reports as
+// index_frozen_ratio (FrozenBytes / RawBytes): pinned per seed, so a change to
+// the corpus generator, the bulk index build or the posting coder cannot move
+// it unseen.
+func TestBuildCorpusStatsPinned(t *testing.T) {
+	type sizes struct {
+		Docs, Terms, Postings, Positions, RawBytes, FrozenBytes, BitmapTerms, Segments int
+		Epoch                                                                          uint64
+	}
+	for seed, want := range map[int64]sizes{
+		42: {4389, 13217, 361513, 485913, 4835756, 1104539, 10, 1, 1},
+		7:  {4380, 13255, 359680, 483936, 4813184, 1100882, 10, 1, 1},
+	} {
+		st := Build(SmallConfig(seed)).Internal().Engine.Stats()
+		got := sizes{st.Docs, st.Terms, st.Postings, st.Positions, st.RawBytes, st.FrozenBytes, st.BitmapTerms, st.Segments, st.Epoch}
+		if got != want {
+			t.Errorf("seed %d: engine stats %+v, want %+v", seed, got, want)
+		}
+	}
+}

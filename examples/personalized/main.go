@@ -11,7 +11,7 @@ import (
 	"math/rand"
 
 	"contextrank"
-	"contextrank/internal/personal"
+	"contextrank/examples/personalized/personal"
 	"contextrank/internal/world"
 )
 

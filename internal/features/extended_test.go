@@ -20,6 +20,7 @@ func extendedFixture() *Extractor {
 	eng.Add("warming of the global economy continued", 0)
 	eng.Add("climate change and warming trends", 0)
 	eng.Add("sports scores from the weekend", 1)
+	eng.Commit()
 	return NewExtractor(log, nil, eng, nil, nil)
 }
 

@@ -71,8 +71,9 @@ func buildFacts(voc tokenSource, dict *corpus.Dictionary, stems *match.Vocab) te
 	return f
 }
 
-// table lazily builds the termTable. NewMiner has checked that the engine is
-// frozen, so both vocabularies are final.
+// table lazily builds the termTable over the vocabularies as they stand at
+// the first Mine. The engine's keeps growing under live ingest; ids past the
+// table's end are skipped where they are counted (countIDs, minePrismaIDs).
 func (mn *Miner) table() *termTable {
 	mn.tableOnce.Do(func() {
 		tab := &termTable{stems: match.NewVocab()}
@@ -102,8 +103,8 @@ type mineScratch struct {
 	own     []uint32  // the concept's own stem ids
 }
 
-// getScratch takes a scratch from the pool and sizes its arrays to the
-// (frozen, hence fixed) vocabularies.
+// getScratch takes a scratch from the pool and sizes its arrays to the fact
+// tables.
 func (mn *Miner) getScratch(tab *termTable) *mineScratch {
 	sc, _ := mn.scratch.Get().(*mineScratch)
 	if sc == nil {

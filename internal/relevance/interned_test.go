@@ -27,9 +27,6 @@ func refMine(mn *Miner, concept string, r Resource) corpus.Vector {
 // mining of the same concept, which exercises pooled-scratch reuse.
 func TestDifferentialInternedMine(t *testing.T) {
 	f := newFixture(t)
-	if !f.eng.Frozen() {
-		t.Fatal("fixture engine must be frozen for the interned path")
-	}
 	concepts := []string{}
 	for i := range f.w.Concepts {
 		if i%11 == 0 {

@@ -78,13 +78,10 @@ type Miner struct {
 }
 
 // NewMiner builds a miner over the three resources; p or s may be nil if
-// that Resource will not be mined. The engine must be frozen — every engine
-// searchsim.BuildCorpus returns is — because the per-id fact tables are
-// built once, over a vocabulary that has to be final.
+// that Resource will not be mined. The per-id fact tables are built once, on
+// first Mine, over the vocabulary as it stands then: terms the engine
+// ingests later are skipped by the miners (countIDs), not scored.
 func NewMiner(e *searchsim.Engine, p *searchsim.Prisma, s *searchsim.Suggestor) *Miner {
-	if !e.Stats().Frozen {
-		panic("relevance: NewMiner requires a frozen engine")
-	}
 	return &Miner{engine: e, prisma: p, suggestor: s, m: TopM}
 }
 

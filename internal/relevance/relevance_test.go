@@ -2,6 +2,7 @@ package relevance
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"contextrank/internal/corpus"
@@ -34,17 +35,56 @@ func pick(w *world.World, pred func(*world.Concept) bool) *world.Concept {
 	return nil
 }
 
-// Mining has one path and it needs final vocabularies: a miner over an engine
-// still in its build phase is a wiring bug, reported at construction.
-func TestNewMinerRequiresFrozenEngine(t *testing.T) {
-	e := searchsim.NewEngine()
-	e.Add("an unfrozen engine", 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewMiner accepted an unfrozen engine")
+// The miner's fact tables are built at the first Mine; the engine keeps
+// ingesting. Words interned after that have no idf or stem facts, so every
+// resource must skip them — not fault on an id past the tables' end, and not
+// let them into a keyword vector.
+func TestMineAfterIngestSkipsLateTerms(t *testing.T) {
+	f := newFixture(t)
+	c := pick(f.w, func(c *world.Concept) bool { return c.Specificity > 0.6 && c.Quality > 0.6 })
+	if c == nil {
+		t.Skip("no specific concept")
+	}
+	if len(f.miner.Mine(c.Name, Snippets)) == 0 { // also builds the fact tables
+		t.Fatal("no keywords mined before ingest")
+	}
+	tableLen := uint32(f.eng.Vocab().Len())
+
+	// Short documents dense in the concept rank high for both retrievals
+	// (phrase count and term frequency over a tiny length), so the late
+	// words sit inside the mined snippet windows and the feedback docs.
+	for i := 0; i < 30; i++ {
+		f.eng.Add("zzqlatealpha "+c.Name+" zzqlatealpha "+c.Name+" zzqlatealpha "+c.Name+" zzqlatebeta", c.Topic)
+	}
+	f.eng.Commit()
+	if id := f.eng.Vocab().ID("zzqlatealpha"); id < tableLen {
+		t.Fatalf("late word got id %d inside the fact table (%d terms)", id, tableLen)
+	}
+	if top := f.eng.Snippets(c.Name, SnippetDepth); !strings.Contains(strings.Join(top, " "), "zzqlate") {
+		t.Fatalf("ingested docs did not reach the mined snippet windows: %q", top)
+	}
+	lateFeedback := false
+	searchsim.NewPrisma(f.eng).VisitFeedback(c.Name, func(term uint32, _ float64) {
+		lateFeedback = lateFeedback || term >= tableLen
+	})
+	if !lateFeedback {
+		t.Fatal("no late word among the Prisma feedback terms; the test does not reach minePrismaIDs' guard")
+	}
+
+	for _, r := range []Resource{Snippets, Prisma, Suggestions} {
+		for _, e := range f.miner.Mine(c.Name, r) {
+			if strings.HasPrefix(e.Term, "zzqlate") {
+				t.Fatalf("%s: late word %q scored without facts", r, e.Term)
+			}
 		}
-	}()
-	NewMiner(e, nil, nil)
+	}
+	for _, s := range f.miner.MineSenses(c.Name, 2, 0) {
+		for _, e := range s.Keywords {
+			if strings.HasPrefix(e.Term, "zzqlate") {
+				t.Fatalf("senses: late word %q scored without facts", e.Term)
+			}
+		}
+	}
 }
 
 func TestMineSnippetsBasics(t *testing.T) {

@@ -35,7 +35,7 @@ func BenchmarkIngest(b *testing.B) {
 	}
 	readOnce := func(name string, sc *evalScratch) time.Duration {
 		t0 := time.Now() //kwlint:ignore determinism — latency benchmark measures real elapsed time on purpose
-		v := e.queryView()
+		v := e.cur.Load()
 		v.phraseHits(e.internIDs(textproc.Words(name), sc), sc)
 		return time.Since(t0) //kwlint:ignore determinism — latency benchmark measures real elapsed time on purpose
 	}

@@ -1,10 +1,11 @@
 package searchsim
 
-// Bulk parallel indexing (DESIGN.md §10). BuildCorpus used to funnel every
-// generated document through addTokenized on one goroutine — a serial
-// intern-and-append pass that dominated the build wall-clock and flattened
-// the internal/par speedup curve. indexTokenized replaces it with a
-// five-phase pipeline whose only serial work is O(distinct terms + docs):
+// Bulk parallel indexing (DESIGN.md §10). BuildCorpus has the whole corpus in
+// hand, so instead of funnelling every document through Add on one goroutine
+// — a serial intern-and-append pass that dominates the build wall-clock and
+// flattens the internal/par speedup curve — newBulkEngine builds the
+// compressed base segment directly, in a pipeline whose only serial work is
+// O(distinct terms + docs):
 //
 //  1. (parallel) chunk-local interning: each worker interns its contiguous
 //     chunk of documents against a private vocabulary, recording the chunk's
@@ -12,23 +13,28 @@ package searchsim
 //  2. (serial) vocabulary merge: every chunk's distinct tokens are interned
 //     into the engine vocabulary in chunk order. Because chunks are
 //     contiguous document ranges and each chunk's token list is in
-//     first-occurrence order, the assigned ids equal the ids the serial
-//     addTokenized loop would have produced, bit for bit;
+//     first-occurrence order, the assigned ids equal the ids a serial Add
+//     loop would have produced, bit for bit;
 //  3. (parallel) id rewrite: per-doc local ids become engine ids in place;
 //  4. (parallel) posting build: each worker builds chunk-local posting lists
 //     over engine ids, then a second fan-out concatenates every term's
 //     chunk lists in chunk (= ascending doc) order with exact-capacity
 //     allocation, fixing up the per-doc position-offset bases;
-//  5. (serial) document append plus dictionary fill — a term's document
-//     frequency is simply the length of its merged posting list.
+//  5. (serial) documents, dictionary and stopword table — a term's document
+//     frequency is simply the length of its merged posting list;
+//  6. (parallel) per-term compression with the Golomb delta coder (or a doc
+//     bitmap for dense terms), then the serial size accounting, and the
+//     base frozen segment is published.
 //
 // Every phase is deterministic in content (worker scheduling only changes
-// who computes what, never the result), so the engine is bit-identical to
-// the serial Add path at any worker count. The differential test
-// TestBulkIndexMatchesSerial pins that.
+// who computes what, never the result; freezeList is a pure function of one
+// raw list), so the engine is bit-identical at any worker count, and its
+// frozen lists equal those of Add + Commit + CompactAll over the same
+// documents. TestBulkIndexMatchesSerial pins both.
 
 import (
 	"contextrank/internal/par"
+	"contextrank/internal/textproc"
 )
 
 // indexChunk is the contiguous doc range [lo, hi) owned by one worker during
@@ -40,28 +46,19 @@ type indexChunk struct {
 	lists  []postingList // engine id -> chunk-local postings
 }
 
-// indexTokenized bulk-indexes pre-tokenized documents with the given worker
-// fan-out (internal/par semantics: 0 means NumCPU). On an unfrozen engine
-// documents are appended after the existing ones, visible immediately. On a
-// live (frozen) engine the bulk path degenerates to serial memtable appends
-// — the parallel phases below assume exclusive ownership of e.raw, which
-// only the build phase has.
-func (e *Engine) indexTokenized(docs []rawDoc, workers int) {
-	if e.cur.Load() != nil {
-		for i := range docs {
-			e.addLive(docs[i].text, docs[i].tokens, docs[i].topic)
-		}
-		return
-	}
+// newBulkEngine builds a live engine whose published view is one frozen
+// segment over the pre-tokenized documents, with the given worker fan-out
+// (internal/par semantics: 1 = serial, 0 = NumCPU).
+func newBulkEngine(docs []rawDoc, workers int) *Engine {
+	e := NewEngine()
 	nd := len(docs)
 	if nd == 0 {
-		return
+		return e
 	}
 	w := par.Workers(workers)
 	if w > nd {
 		w = nd
 	}
-	base := len(e.Docs)
 
 	chunks := make([]indexChunk, w)
 	for i := range chunks {
@@ -118,7 +115,7 @@ func (e *Engine) indexTokenized(docs []rawDoc, workers int) {
 		ck.lists = make([]postingList, nTerms)
 		for di := ck.lo; di < ck.hi; di++ {
 			for pos, tid := range tokenIDs[di] {
-				ck.lists[tid].add(int32(base+di), int32(pos))
+				ck.lists[tid].add(int32(di), int32(pos))
 			}
 		}
 	})
@@ -126,29 +123,19 @@ func (e *Engine) indexTokenized(docs []rawDoc, workers int) {
 	// Phase 4b: per-term concatenation in chunk order. Chunks hold ascending
 	// disjoint doc ranges, so appending chunk lists in chunk order keeps doc
 	// ids ascending; starts are rebased onto the merged position stream.
-	merged := make([]postingList, nTerms)
-	copy(merged, e.raw)
-	df := make([]int32, nTerms) // docs added per term, for the dictionary fill
+	raw := make([]postingList, nTerms)
 	par.For(workers, nTerms, func(t int) {
-		addDocs, addPos := 0, 0
+		nDocs, nPos := 0, 0
 		for ci := range chunks {
 			l := &chunks[ci].lists[t]
-			addDocs += len(l.docs)
-			addPos += len(l.positions)
+			nDocs += len(l.docs)
+			nPos += len(l.positions)
 		}
-		if addDocs == 0 {
-			return
-		}
-		df[t] = int32(addDocs)
-		old := merged[t]
 		out := postingList{
-			docs:      make([]int32, 0, len(old.docs)+addDocs),
-			starts:    make([]int32, 0, len(old.starts)+addDocs),
-			positions: make([]int32, 0, len(old.positions)+addPos),
+			docs:      make([]int32, 0, nDocs),
+			starts:    make([]int32, 0, nDocs),
+			positions: make([]int32, 0, nPos),
 		}
-		out.docs = append(out.docs, old.docs...)
-		out.starts = append(out.starts, old.starts...)
-		out.positions = append(out.positions, old.positions...)
 		for ci := range chunks {
 			l := &chunks[ci].lists[t]
 			off := int32(len(out.positions))
@@ -158,21 +145,40 @@ func (e *Engine) indexTokenized(docs []rawDoc, workers int) {
 			}
 			out.positions = append(out.positions, l.positions...)
 		}
-		merged[t] = out
+		raw[t] = out
 	})
-	e.raw = merged
 
-	// Phase 5: documents and dictionary.
-	newDocs := make([]Doc, base+nd)
-	copy(newDocs, e.Docs)
+	// Phase 5: documents, dictionary, stopword table.
+	e.Docs = make([]Doc, nd)
 	for di := range docs {
-		newDocs[base+di] = Doc{ID: base + di, Text: docs[di].text, Tokens: tokenIDs[di], Topic: docs[di].topic}
+		e.Docs[di] = Doc{ID: di, Text: docs[di].text, Tokens: tokenIDs[di], Topic: docs[di].topic}
 	}
-	e.Docs = newDocs
-	for t := 0; t < nTerms; t++ {
-		if df[t] > 0 {
-			e.dict.AddTermDocs(e.vocab.Token(uint32(t)), int(df[t]))
-		}
+	e.stopID = make([]bool, nTerms)
+	for t := range raw {
+		term := e.vocab.Token(uint32(t))
+		e.dict.AddTermDocs(term, len(raw[t].docs))
+		e.stopID[t] = textproc.IsStopword(term)
 	}
 	e.dict.AddDocs(nd)
+
+	// Phase 6: compress, account, publish.
+	fr := make([]frozenList, nTerms)
+	par.For(workers, nTerms, func(t int) {
+		fr[t] = freezeList(&raw[t])
+	})
+	for t := range raw {
+		e.stats.Postings += len(raw[t].docs)
+		e.stats.Positions += len(raw[t].positions)
+		e.stats.RawBytes += raw[t].rawBytes()
+		e.stats.FrozenBytes += fr[t].frozenBytes()
+		if fr[t].docBits != nil {
+			e.stats.BitmapTerms++
+		}
+	}
+	e.mu.Lock()
+	e.segs = []*segment{newFrozenSegment(0, int32(nd), fr)}
+	e.memBase = int32(nd)
+	e.publishLocked()
+	e.mu.Unlock()
+	return e
 }

@@ -27,6 +27,19 @@ func randomRawDocs(seed int64, n int) []rawDoc {
 	return docs
 }
 
+// liveFrozen indexes docs the way a document stream arrives — Add one at a
+// time, auto-sealing at memFlushDocs, a final Commit — and folds the raw
+// segment stack into one frozen segment.
+func liveFrozen(docs []rawDoc) *Engine {
+	e := NewEngine()
+	for _, d := range docs {
+		e.Add(d.text, d.topic)
+	}
+	e.Commit()
+	e.CompactAll(1)
+	return e
+}
+
 func engineEqual(t *testing.T, label string, got, want *Engine) {
 	t.Helper()
 	if got.vocab.Len() != want.vocab.Len() {
@@ -40,8 +53,11 @@ func engineEqual(t *testing.T, label string, got, want *Engine) {
 	if !reflect.DeepEqual(got.Docs, want.Docs) {
 		t.Fatalf("%s: documents diverged", label)
 	}
-	if !reflect.DeepEqual(got.raw, want.raw) {
-		t.Fatalf("%s: raw postings diverged", label)
+	if len(got.segs) != 1 || len(want.segs) != 1 || !reflect.DeepEqual(got.segs[0].frozen, want.segs[0].frozen) {
+		t.Fatalf("%s: frozen postings diverged", label)
+	}
+	if !reflect.DeepEqual(got.stopID, want.stopID) {
+		t.Fatalf("%s: stopword table diverged", label)
 	}
 	if g, w := got.dict.NumDocs(), want.dict.NumDocs(); g != w {
 		t.Fatalf("%s: dict docs %d, want %d", label, g, w)
@@ -57,46 +73,36 @@ func engineEqual(t *testing.T, label string, got, want *Engine) {
 	}
 }
 
-// The bulk parallel indexer must reproduce the serial addTokenized loop bit
-// for bit — vocabulary intern order, documents, postings, dictionary — at
-// every worker count.
+// The bulk parallel constructor must reproduce the live path — Add, Commit,
+// CompactAll — bit for bit: vocabulary intern order, documents, frozen
+// postings, stopword table, dictionary — at every worker count, with the
+// same size accounting at each.
 func TestBulkIndexMatchesSerial(t *testing.T) {
 	docs := randomRawDocs(7, 120)
-	serial := NewEngine()
-	for _, d := range docs {
-		serial.addTokenized(d.text, d.tokens, d.topic)
+	live := liveFrozen(docs)
+	var stats IndexStats
+	for i, w := range []int{1, 2, 3, 5, 16, 0} {
+		bulk := newBulkEngine(docs, w)
+		engineEqual(t, fmt.Sprintf("workers=%d", w), bulk, live)
+		if i == 0 {
+			stats = bulk.Stats()
+		} else if st := bulk.Stats(); st != stats {
+			t.Fatalf("workers=%d: stats = %+v, want %+v", w, st, stats)
+		}
 	}
-	for _, w := range []int{1, 2, 3, 5, 16, 0} {
-		bulk := NewEngine()
-		bulk.indexTokenized(docs, w)
-		engineEqual(t, fmt.Sprintf("workers=%d", w), bulk, serial)
+	if stats.Postings == 0 || stats.FrozenBytes == 0 || stats.Segments != 1 || stats.Epoch != 1 {
+		t.Fatalf("bulk build left no size accounting: %+v", stats)
 	}
 }
 
-// Bulk indexing into a non-empty engine must equal one serial pass over the
-// concatenated stream (the incremental path used when batches arrive).
-func TestBulkIndexIncremental(t *testing.T) {
-	docs := randomRawDocs(11, 90)
-	serial := NewEngine()
-	for _, d := range docs {
-		serial.addTokenized(d.text, d.tokens, d.topic)
-	}
-	bulk := NewEngine()
-	bulk.indexTokenized(docs[:31], 3)
-	bulk.indexTokenized(docs[31:], 4)
-	engineEqual(t, "incremental", bulk, serial)
-}
-
-// Bulk indexing after Freeze no longer panics: it lands in the live
-// memtable (the old panic contract retired with the two-tier rework) and a
-// Commit makes the docs visible with answers equal to a from-scratch build
-// over the concatenated stream.
+// Add on a bulk-built engine lands in the memtable: invisible until Commit,
+// then answering as a from-scratch build over the concatenated stream.
 func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 	docs := randomRawDocs(3, 40)
-	e := NewEngine()
-	e.indexTokenized(docs[:25], 2)
-	e.Freeze(1)
-	e.indexTokenized(docs[25:], 3)
+	e := newBulkEngine(docs[:25], 2)
+	for _, d := range docs[25:] {
+		e.Add(d.text, d.topic)
+	}
 	if n := e.NumDocs(); n != 25 {
 		t.Fatalf("pre-commit visible docs = %d, want 25 (memtable must stay private)", n)
 	}
@@ -104,11 +110,7 @@ func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 	if n := e.NumDocs(); n != len(docs) {
 		t.Fatalf("post-commit visible docs = %d, want %d", n, len(docs))
 	}
-	want := NewEngine()
-	for _, d := range docs {
-		want.addTokenized(d.text, d.tokens, d.topic)
-	}
-	want.Freeze(1)
+	want := fromScratch(docs)
 	for _, q := range []string{"w00", "w01 w02", "w10 w11 w12", "w59"} {
 		if g, w := e.ResultCount(q), want.ResultCount(q); g != w {
 			t.Fatalf("ResultCount(%q) = %d, want %d", q, g, w)
@@ -116,22 +118,19 @@ func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 	}
 }
 
-// Freeze must produce the identical frozen index at every worker
-// count (freezeList is pure per term).
+// The bulk build's compression pass must produce the identical frozen
+// segment and size accounting at every worker count (freezeList is pure per
+// term).
 func TestFreezeWorkersDeterministic(t *testing.T) {
 	docs := randomRawDocs(13, 150)
-	want := NewEngine()
-	want.indexTokenized(docs, 1)
-	want.Freeze(1)
+	want := newBulkEngine(docs, 1)
 	for _, w := range []int{2, 5, 0} {
-		e := NewEngine()
-		e.indexTokenized(docs, 1)
-		e.Freeze(w)
+		e := newBulkEngine(docs, w)
 		if !reflect.DeepEqual(e.segs[0].frozen, want.segs[0].frozen) {
-			t.Fatalf("Freeze(%d) frozen lists diverged", w)
+			t.Fatalf("workers=%d: frozen lists diverged", w)
 		}
 		if e.stats != want.stats {
-			t.Fatalf("Freeze(%d) stats = %+v, want %+v", w, e.stats, want.stats)
+			t.Fatalf("workers=%d: stats = %+v, want %+v", w, e.stats, want.stats)
 		}
 	}
 }

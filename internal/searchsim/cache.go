@@ -11,9 +11,9 @@ import (
 // cross-shard coordination.
 const countCacheShards = 16
 
-// countCache memoizes ResultCount by phrase. It is only attached to
-// published views: a view's visible index never changes, which is what makes
-// the memo sound — the engine installs a fresh cache exactly when the
+// countCache memoizes ResultCount by phrase. It belongs to a published
+// view: a view's visible index never changes, which is what makes the memo
+// sound — the engine installs a fresh cache exactly when the
 // visibility horizon moves (and carries the cache across pure compaction
 // republishes, which change no answer). Values are plain ints computed
 // deterministically from the index, so concurrent fills of the same key are

@@ -21,9 +21,10 @@ type CorpusConfig struct {
 	BackgroundDocs int
 	// DocSentences is the approximate length of corpus documents. Default 10.
 	DocSentences int
-	// Workers bounds the generation fan-out: 1 forces serial generation,
-	// 0 selects all cores. Output is bit-identical for every value (each
-	// shard owns a seed derived from Seed and the shard index).
+	// Workers bounds the fan-out of generation, indexing and compression: 1
+	// forces a serial build, 0 selects all cores. Output is bit-identical
+	// for every value (each shard owns a seed derived from Seed and the
+	// shard index).
 	Workers int
 }
 
@@ -41,7 +42,7 @@ func (c CorpusConfig) withDefaults(w *world.World) CorpusConfig {
 }
 
 // rawDoc is one generated-but-not-yet-indexed document: text composed and
-// tokenized in a worker, merged into the engine serially.
+// tokenized in a generation worker, indexed by newBulkEngine.
 type rawDoc struct {
 	text   string
 	tokens []string
@@ -68,10 +69,11 @@ const backgroundShardSize = 64
 // The whole build fans out across cfg.Workers: generation shard i covers
 // concept i (the last shards cover background documents), each shard draws
 // from rand.NewSource(par.Seed(cfg.Seed, i)); the generated documents are
-// then indexed by the bulk parallel pipeline (bulkindex.go) and frozen with
-// per-term parallel compression. Every stage is deterministic in content, so
-// the corpus and index are bit-identical regardless of worker count or
-// scheduling.
+// then indexed and compressed into the engine's base segment by the bulk
+// parallel pipeline (bulkindex.go), so every downstream miner queries
+// compressed posting lists. Every stage is deterministic in content, so the
+// corpus and index are bit-identical regardless of worker count or
+// scheduling. The engine is live: Add, Commit and Compact keep working on it.
 func BuildCorpus(w *world.World, cfg CorpusConfig) *Engine {
 	cfg = cfg.withDefaults(w)
 
@@ -99,13 +101,7 @@ func BuildCorpus(w *world.World, cfg CorpusConfig) *Engine {
 		docs = append(docs, shard...)
 	}
 
-	e := NewEngine()
-	e.indexTokenized(docs, cfg.Workers)
-	// Generated corpora are never mutated after construction: freeze into the
-	// compressed immutable index so every downstream miner queries compressed
-	// posting lists and the memoized ResultCount.
-	e.Freeze(cfg.Workers)
-	return e
+	return newBulkEngine(docs, cfg.Workers)
 }
 
 // conceptDocs generates every corpus document mentioning one concept.

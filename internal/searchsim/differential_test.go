@@ -1,7 +1,8 @@
 package searchsim
 
-// Differential suite pinning the interned+frozen engine to the seed
-// engine's observable behavior byte for byte: result counts (exact and
+// Differential suite pinning the interned engine — over a raw segment stack
+// and over the frozen base segment — to the seed engine's observable behavior
+// byte for byte: result counts (exact and
 // any-order), ranked top-k ordering including score ties, and snippet text.
 // refEngine below is a faithful transcription of the pre-interning
 // implementation (map[string][]posting, string-rescanning matchAt) kept as
@@ -224,33 +225,35 @@ func differentialPhrases(names []string) []string {
 	return append(phrases, "", "qqqunseen", "qqqunseen zzzunseen", "the")
 }
 
-// buildDifferentialEngines returns the seed-reference engine, an unfrozen
-// interned engine, and a frozen interned engine over the same corpus.
+// buildDifferentialEngines returns the seed-reference engine, an interned
+// engine grown by Add (a stack of raw segments, never compacted), and the
+// bulk-built interned engine (one frozen segment) over the same corpus.
 func buildDifferentialEngines(t testing.TB) (*refEngine, *Engine, *Engine, []string) {
 	t.Helper()
-	w, built := testWorldCorpus(t) // frozen by BuildCorpus
+	w, built := testWorldCorpus(t)
 	ref := newRefEngine()
-	unfrozen := NewEngine()
+	raw := NewEngine()
 	for i := range built.Docs {
 		ref.add(built.Docs[i].Text)
-		unfrozen.Add(built.Docs[i].Text, built.Docs[i].Topic)
+		raw.Add(built.Docs[i].Text, built.Docs[i].Topic)
 	}
+	raw.Commit()
 	names := make([]string, len(w.Concepts))
 	for i := range w.Concepts {
 		names[i] = w.Concepts[i].Name
 	}
-	return ref, unfrozen, built, names
+	return ref, raw, built, names
 }
 
 func TestDifferentialResultCounts(t *testing.T) {
-	ref, unfrozen, frozen, names := buildDifferentialEngines(t)
-	if !frozen.Frozen() || unfrozen.Frozen() {
-		t.Fatal("engine freeze states wrong")
+	ref, raw, frozen, names := buildDifferentialEngines(t)
+	if len(frozen.segs) != 1 || frozen.segs[0].frozen == nil || len(raw.segs) < 2 || !allRaw(raw.segs) {
+		t.Fatal("engine segment stacks wrong: want one frozen segment against several raw ones")
 	}
 	for _, phrase := range differentialPhrases(names) {
 		want := ref.resultCount(phrase)
-		if got := unfrozen.ResultCount(phrase); got != want {
-			t.Fatalf("unfrozen ResultCount(%q) = %d, want %d", phrase, got, want)
+		if got := raw.ResultCount(phrase); got != want {
+			t.Fatalf("raw ResultCount(%q) = %d, want %d", phrase, got, want)
 		}
 		if got := frozen.ResultCount(phrase); got != want {
 			t.Fatalf("frozen ResultCount(%q) = %d, want %d", phrase, got, want)
@@ -260,8 +263,8 @@ func TestDifferentialResultCounts(t *testing.T) {
 			t.Fatalf("frozen memoized ResultCount(%q) = %d, want %d", phrase, got, want)
 		}
 		wantAny := ref.resultCountAnyOrder(phrase)
-		if got := unfrozen.ResultCountAnyOrder(phrase); got != wantAny {
-			t.Fatalf("unfrozen ResultCountAnyOrder(%q) = %d, want %d", phrase, got, wantAny)
+		if got := raw.ResultCountAnyOrder(phrase); got != wantAny {
+			t.Fatalf("raw ResultCountAnyOrder(%q) = %d, want %d", phrase, got, wantAny)
 		}
 		if got := frozen.ResultCountAnyOrder(phrase); got != wantAny {
 			t.Fatalf("frozen ResultCountAnyOrder(%q) = %d, want %d", phrase, got, wantAny)
@@ -273,12 +276,12 @@ func TestDifferentialResultCounts(t *testing.T) {
 }
 
 func TestDifferentialSearchOrdering(t *testing.T) {
-	ref, unfrozen, frozen, names := buildDifferentialEngines(t)
+	ref, raw, frozen, names := buildDifferentialEngines(t)
 	for _, phrase := range differentialPhrases(names) {
 		for _, k := range []int{3, 100} {
 			want := ref.search(phrase, k)
-			if got := unfrozen.Search(phrase, k); !reflect.DeepEqual(got, want) {
-				t.Fatalf("unfrozen Search(%q, %d) diverged:\n got %v\nwant %v", phrase, k, got, want)
+			if got := raw.Search(phrase, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("raw Search(%q, %d) diverged:\n got %v\nwant %v", phrase, k, got, want)
 			}
 			if got := frozen.Search(phrase, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("frozen Search(%q, %d) diverged:\n got %v\nwant %v", phrase, k, got, want)
@@ -288,11 +291,11 @@ func TestDifferentialSearchOrdering(t *testing.T) {
 }
 
 func TestDifferentialSnippets(t *testing.T) {
-	ref, unfrozen, frozen, names := buildDifferentialEngines(t)
+	ref, raw, frozen, names := buildDifferentialEngines(t)
 	for _, phrase := range differentialPhrases(names) {
 		want := ref.snippets(phrase, 100)
-		if got := unfrozen.Snippets(phrase, 100); !reflect.DeepEqual(got, want) {
-			t.Fatalf("unfrozen Snippets(%q) diverged", phrase)
+		if got := raw.Snippets(phrase, 100); !reflect.DeepEqual(got, want) {
+			t.Fatalf("raw Snippets(%q) diverged", phrase)
 		}
 		if got := frozen.Snippets(phrase, 100); !reflect.DeepEqual(got, want) {
 			t.Fatalf("frozen Snippets(%q) diverged", phrase)
@@ -311,12 +314,12 @@ func TestDifferentialSnippets(t *testing.T) {
 }
 
 func TestDifferentialSearchAnyTerm(t *testing.T) {
-	_, unfrozen, frozen, names := buildDifferentialEngines(t)
+	_, raw, frozen, names := buildDifferentialEngines(t)
 	// SearchAnyTerm's seed implementation is retained in the engine modulo
-	// the postings representation; pin frozen to unfrozen (raw slices are
+	// the postings representation; pin frozen to raw (raw slices are
 	// the seed layout under interning).
 	for _, phrase := range names {
-		want := unfrozen.SearchAnyTerm(phrase, PrismaDocDepth)
+		want := raw.SearchAnyTerm(phrase, PrismaDocDepth)
 		if got := frozen.SearchAnyTerm(phrase, PrismaDocDepth); !reflect.DeepEqual(got, want) {
 			t.Fatalf("SearchAnyTerm(%q) diverged between raw and frozen", phrase)
 		}
@@ -326,9 +329,6 @@ func TestDifferentialSearchAnyTerm(t *testing.T) {
 func TestFrozenStatsAndCompression(t *testing.T) {
 	_, _, frozen, _ := buildDifferentialEngines(t)
 	st := frozen.Stats()
-	if !st.Frozen {
-		t.Fatal("stats say unfrozen")
-	}
 	if st.FrozenBytes <= 0 || st.RawBytes <= 0 {
 		t.Fatalf("size accounting missing: %+v", st)
 	}
@@ -343,17 +343,14 @@ func TestFrozenStatsAndCompression(t *testing.T) {
 		100*float64(st.FrozenBytes)/float64(st.RawBytes))
 }
 
-// Add after Freeze appends to the live memtable (the pre-LSM panic contract
-// is deliberately retired): invisible until Commit, then queryable, with the
-// epoch advancing exactly once per visibility change.
+// Add over the frozen base segment appends to the memtable: invisible until
+// Commit, then queryable, with the epoch advancing exactly once per
+// visibility change.
 func TestAddAfterFreezeAppends(t *testing.T) {
-	e := NewEngine()
-	e.Add("one two three", 0)
-	e.Freeze(1)
-	e.Freeze(1) // idempotent
+	e := newBulkEngine([]rawDoc{{text: "one two three", tokens: []string{"one", "two", "three"}}}, 1)
 	ep0 := e.Epoch()
 	if ep0 == 0 {
-		t.Fatal("frozen engine must publish a nonzero epoch")
+		t.Fatal("the bulk build must publish a nonzero epoch")
 	}
 	id := e.Add("four five", 0)
 	if id != 1 {

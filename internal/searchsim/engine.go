@@ -7,13 +7,14 @@
 // The index interns every corpus term to a dense uint32 id, evaluates phrase
 // queries by positional intersection — rarest term drives, the others gallop
 // — and serves frozen postings from Golomb-compressed lists with skip blocks
-// (index.go). Since the live-segmented rework the engine is an LSM-style
-// two-tier store (segment.go): Freeze seals the bulk corpus into the base
-// frozen segment, later Adds append to a mutable memtable that seals into
-// raw segments, and background compaction folds segment runs back into
-// compressed form. Readers always query an atomically-published immutable
-// view — no lock on the query path — and results are bit-identical to a
-// from-scratch build over the same docs; the differential tests pin that.
+// (index.go). The engine is an LSM-style two-tier store (segment.go) with one
+// lifecycle: it is live from NewEngine on. Add appends to a mutable memtable
+// that seals into raw segments, and compaction folds segment runs into
+// compressed form; BuildCorpus, which has a whole corpus in hand, builds the
+// compressed base segment directly (bulkindex.go). Readers always query an
+// atomically-published immutable view — no lock on the query path — and
+// results are bit-identical however the same docs arrived; the differential
+// tests pin that.
 package searchsim
 
 import (
@@ -25,7 +26,6 @@ import (
 
 	"contextrank/internal/corpus"
 	"contextrank/internal/match"
-	"contextrank/internal/par"
 	"contextrank/internal/textproc"
 )
 
@@ -50,36 +50,30 @@ type Doc struct {
 	Topic int
 }
 
-// Engine is the simulated search engine. It has two phases:
+// Engine is the simulated search engine. Queries run lock-free against the
+// published view. Add appends to a writer-private memtable that seals into
+// immutable raw segments (at memFlushDocs, or on Commit), and Compact folds
+// segment runs into compressed form in the background. One writer at a time;
+// any number of concurrent readers.
 //
-//   - Building: Add/addTokenized append to raw (uncompressed) posting lists,
-//     visible immediately; single-goroutine.
-//   - Live (after Freeze): the bulk corpus is sealed into the base frozen
-//     segment and queries run lock-free against published views. Add keeps
-//     working — it appends to a writer-private memtable that seals into
-//     immutable raw segments (at memFlushDocs, or on Commit), and Compact
-//     folds segment runs into compressed form in the background. One writer
-//     at a time; any number of concurrent readers.
-//
-// ResultCount is memoized per view once frozen — the memo is sound because
-// a view's visible index never changes; a new memo is installed exactly when
-// the visibility horizon moves (Epoch tracks that for external caches).
+// ResultCount is memoized per view — the memo is sound because a view's
+// visible index never changes; a new memo is installed exactly when the
+// visibility horizon moves (Epoch tracks that for external caches).
 type Engine struct {
 	// Docs is the writer's document store. It is append-only; published
-	// views expose the visible prefix. With live ingest running, read
-	// through Doc/NumDocs (or a view) rather than this field.
+	// views expose the visible prefix. With ingest running, read through
+	// Doc/NumDocs (or a view) rather than this field.
 	Docs []Doc
 
 	vocab *Vocab
 	dict  *corpus.Dictionary
-	raw   []postingList // build-phase postings; nil once frozen
 
-	// cur is the published snapshot readers query. nil until Freeze; after
-	// that, swapped atomically and never mutated in place.
+	// cur is the published snapshot readers query: never nil, swapped
+	// atomically and never mutated in place.
 	cur atomic.Pointer[view]
 
-	// mu serializes writers (Add/Commit/compaction install) in the live
-	// phase. Never taken on the query path.
+	// mu serializes writers (Add/Commit/compaction install). Never taken on
+	// the query path.
 	mu   sync.Mutex
 	segs []*segment // published segment stack (writer's master copy)
 	// mem is the memtable's dense term-id-indexed scratch, reused across
@@ -92,8 +86,8 @@ type Engine struct {
 	memDocs    int
 	epoch      uint64
 
-	stopID []bool     // term id -> is a stopword; built by Freeze, grown by Add
-	stats  IndexStats // size accounting captured by Freeze
+	stopID []bool     // term id -> is a stopword; grown as terms are interned
+	stats  IndexStats // size accounting of the bulk-built base segment
 
 	// Live counters (atomics: read by Stats concurrently with the writer).
 	memDocsLive atomic.Int32
@@ -107,46 +101,22 @@ type Engine struct {
 	compactMu sync.Mutex
 }
 
-// NewEngine creates an empty engine.
+// NewEngine creates an empty live engine: every query answers (with nothing)
+// from the start, and documents become visible as Add seals them.
 func NewEngine() *Engine {
-	return &Engine{
+	e := &Engine{
 		vocab: NewVocab(),
 		dict:  corpus.NewDictionary(),
 	}
+	e.cur.Store(&view{vocab: e.vocab, cache: newCountCache(&e.cacheHits, &e.cacheMisses)})
+	return e
 }
 
-// Add indexes a document and returns its ID. Before Freeze the doc is
-// visible immediately; after Freeze it lands in the mutable memtable and
-// becomes visible at the next seal (memFlushDocs) or Commit.
+// Add indexes a document and returns its ID. The id is assigned immediately;
+// the doc lands in the mutable memtable and becomes visible at the next seal
+// (memFlushDocs) or Commit.
 func (e *Engine) Add(text string, topic int) int {
-	return e.addTokenized(text, textproc.Words(text), topic)
-}
-
-// addTokenized indexes a document whose tokens were computed by the caller
-// (the parallel corpus builder tokenizes in its workers and merges here, in
-// input order, on one goroutine).
-func (e *Engine) addTokenized(text string, tokens []string, topic int) int {
-	if e.cur.Load() != nil {
-		return e.addLive(text, tokens, topic)
-	}
-	id := len(e.Docs)
-	ids := make([]uint32, len(tokens))
-	for pos, term := range tokens {
-		tid := e.vocab.Intern(term)
-		ids[pos] = tid
-		if int(tid) >= len(e.raw) {
-			e.raw = append(e.raw, postingList{})
-		}
-		e.raw[tid].add(int32(id), int32(pos))
-	}
-	e.Docs = append(e.Docs, Doc{ID: id, Text: text, Tokens: ids, Topic: topic})
-	e.dict.AddDocument(tokens)
-	return id
-}
-
-// addLive appends one document to the mutable memtable under the writer
-// lock. The doc id is assigned immediately; visibility waits for the seal.
-func (e *Engine) addLive(text string, tokens []string, topic int) int {
+	tokens := textproc.Words(text)
 	e.mu.Lock()
 	id := len(e.Docs)
 	local := int32(id) - e.memBase
@@ -211,34 +181,24 @@ func (e *Engine) sealLocked() {
 func (e *Engine) publishLocked() {
 	old := e.cur.Load()
 	horizon := int(e.memBase)
-	epoch := e.epoch
-	var cache *countCache
-	if old != nil {
-		cache = old.cache
-	}
-	if old == nil || len(old.docs) != horizon {
+	cache := old.cache
+	if len(old.docs) != horizon {
 		e.epoch++
-		epoch = e.epoch
 		cache = newCountCache(&e.cacheHits, &e.cacheMisses)
 	}
-	v := &view{
+	e.cur.Store(&view{
 		segs:   append([]*segment(nil), e.segs...),
 		docs:   e.Docs[:horizon:horizon],
 		stopID: e.stopID[:len(e.stopID):len(e.stopID)],
 		vocab:  e.vocab,
-		epoch:  epoch,
+		epoch:  e.epoch,
 		cache:  cache,
-	}
-	e.cur.Store(v)
+	})
 }
 
 // Commit seals any pending memtable docs and publishes them, returning the
-// resulting epoch. On an unfrozen engine it is a no-op (the build phase is
-// always visible).
+// resulting epoch.
 func (e *Engine) Commit() uint64 {
-	if e.cur.Load() == nil {
-		return 0
-	}
 	e.mu.Lock()
 	e.sealLocked()
 	e.publishLocked()
@@ -247,58 +207,11 @@ func (e *Engine) Commit() uint64 {
 	return ep
 }
 
-// Epoch returns the published visibility epoch: 0 until Freeze, then a
+// Epoch returns the published visibility epoch: 0 on an empty engine, then a
 // counter that increments exactly when new documents become visible.
 // External caches keyed by (query, epoch) are invalidated precisely when
 // answers can change.
-func (e *Engine) Epoch() uint64 {
-	if v := e.cur.Load(); v != nil {
-		return v.epoch
-	}
-	return 0
-}
-
-// Freeze compresses every posting list with the Golomb delta coder (or a doc
-// bitmap for dense terms) into the base frozen segment and switches the
-// engine to the live two-tier mode: queries run against published snapshots
-// and ResultCount becomes memoized per visibility epoch. Freeze is
-// idempotent. The per-term compression fans out across workers
-// (internal/par semantics: 1 = serial, 0 = NumCPU); freezeList is a pure
-// function of one raw list, so the frozen segment is bit-identical at every
-// worker count. The stats pass stays serial.
-func (e *Engine) Freeze(workers int) {
-	if e.cur.Load() != nil {
-		return
-	}
-	raw := e.raw
-	fr := make([]frozenList, len(raw))
-	par.For(workers, len(raw), func(i int) {
-		fr[i] = freezeList(&raw[i])
-	})
-	st := IndexStats{Frozen: true}
-	for i := range raw {
-		st.Postings += len(raw[i].docs)
-		st.Positions += len(raw[i].positions)
-		st.RawBytes += raw[i].rawBytes()
-		st.FrozenBytes += fr[i].frozenBytes()
-		if fr[i].docBits != nil {
-			st.BitmapTerms++
-		}
-	}
-	stop := make([]bool, e.vocab.Len())
-	for id := range stop {
-		stop[id] = textproc.IsStopword(e.vocab.Token(uint32(id)))
-	}
-	seg := newFrozenSegment(0, int32(len(e.Docs)), fr)
-	e.mu.Lock()
-	e.raw = nil // release the raw postings; the frozen segment answers everything
-	e.stats = st
-	e.stopID = stop
-	e.segs = []*segment{seg}
-	e.memBase = int32(len(e.Docs))
-	e.publishLocked()
-	e.mu.Unlock()
-}
+func (e *Engine) Epoch() uint64 { return e.cur.Load().epoch }
 
 // Compact runs one size-tiered compaction round: if the newest segments form
 // a mergeable run (compactRange), they are merged off-lock into one frozen
@@ -327,8 +240,8 @@ func (e *Engine) Compact(workers int) bool {
 }
 
 // CompactAll merges the whole published segment stack into one frozen
-// segment — the full-merge used by the differential suite to compare the
-// live engine's frozen image against a from-scratch build. Pending memtable
+// segment — the full-merge used by the differential suite to compare an
+// Add-grown engine's frozen image against the bulk-built one. Pending memtable
 // docs are not included; Commit first to publish them. Returns whether a
 // merge ran (false when the stack is already a single frozen segment).
 func (e *Engine) CompactAll(workers int) bool {
@@ -366,31 +279,8 @@ func (e *Engine) installMerged(snapshot []*segment, lo, hi int, merged *segment)
 	e.compactions.Add(1)
 }
 
-// Frozen reports whether Freeze has run (the engine is in live mode).
-func (e *Engine) Frozen() bool { return e.cur.Load() != nil }
-
-// queryView returns the snapshot a query evaluates against: the published
-// view in live mode (one atomic load, no locks), or a transient view over
-// the build-phase raw lists before Freeze.
-func (e *Engine) queryView() *view {
-	if v := e.cur.Load(); v != nil {
-		return v
-	}
-	return &view{
-		segs:   []*segment{newRawSegment(0, int32(len(e.Docs)), e.raw)},
-		docs:   e.Docs,
-		stopID: e.stopID,
-		vocab:  e.vocab,
-	}
-}
-
 // NumDocs returns the number of visible documents.
-func (e *Engine) NumDocs() int {
-	if v := e.cur.Load(); v != nil {
-		return len(v.docs)
-	}
-	return len(e.Docs)
-}
+func (e *Engine) NumDocs() int { return len(e.cur.Load().docs) }
 
 // Vocab returns the corpus term vocabulary (term string ↔ dense id). Safe
 // for concurrent lookups while ingest runs.
@@ -406,10 +296,7 @@ func (e *Engine) Dictionary() *corpus.Dictionary { return e.dict }
 
 // Doc returns the visible document with the given ID, or nil.
 func (e *Engine) Doc(id int) *Doc {
-	docs := e.Docs
-	if v := e.cur.Load(); v != nil {
-		docs = v.docs
-	}
+	docs := e.cur.Load().docs
 	if id < 0 || id >= len(docs) {
 		return nil
 	}
@@ -425,14 +312,14 @@ type IndexStats struct {
 
 	// RawBytes is the int32 payload of the uncompressed posting lists;
 	// FrozenBytes is the resident footprint of the Golomb streams plus skip
-	// tables. Captured at Freeze time over the base segment (live segments
-	// are excluded so the compression accounting stays comparable across
-	// runs). BitmapTerms counts the dense terms whose frozen doc stream is a
-	// bitmap rather than a Golomb gap list.
-	RawBytes    int  `json:"raw_bytes"`
-	FrozenBytes int  `json:"frozen_bytes"`
-	BitmapTerms int  `json:"bitmap_terms"`
-	Frozen      bool `json:"frozen"`
+	// tables. Both are captured by BuildCorpus over the base segment, as are
+	// Postings and Positions (segments sealed by Add are excluded so the
+	// compression accounting stays comparable across runs; all are zero on
+	// an engine grown by Add alone). BitmapTerms counts the dense terms
+	// whose frozen doc stream is a bitmap rather than a Golomb gap list.
+	RawBytes    int `json:"raw_bytes"`
+	FrozenBytes int `json:"frozen_bytes"`
+	BitmapTerms int `json:"bitmap_terms"`
 
 	// Live two-tier accounting: the published segment stack, pending
 	// (not yet visible) memtable docs, the visibility epoch, and the
@@ -447,28 +334,17 @@ type IndexStats struct {
 	CacheMisses int64 `json:"result_count_cache_misses"`
 }
 
-// Stats returns current index statistics. Size accounting is captured by
-// Freeze; on an unfrozen engine it is computed on the fly. Safe to call
-// concurrently with ingest and queries.
+// Stats returns current index statistics. Safe to call concurrently with
+// ingest and queries.
 func (e *Engine) Stats() IndexStats {
 	v := e.cur.Load()
 	st := e.stats
-	if v == nil {
-		st = IndexStats{}
-		for i := range e.raw {
-			st.Postings += len(e.raw[i].docs)
-			st.Positions += len(e.raw[i].positions)
-			st.RawBytes += e.raw[i].rawBytes()
-		}
-		st.Docs = len(e.Docs)
-	} else {
-		st.Docs = len(v.docs)
-		st.Segments = len(v.segs)
-		st.Epoch = v.epoch
-		st.MemDocs = int(e.memDocsLive.Load())
-		st.Ingested = e.ingested.Load()
-		st.Compactions = e.compactions.Load()
-	}
+	st.Docs = len(v.docs)
+	st.Segments = len(v.segs)
+	st.Epoch = v.epoch
+	st.MemDocs = int(e.memDocsLive.Load())
+	st.Ingested = e.ingested.Load()
+	st.Compactions = e.compactions.Load()
 	st.Terms = e.vocab.Len()
 	st.CacheHits = e.cacheHits.Load()
 	st.CacheMisses = e.cacheMisses.Load()
@@ -489,22 +365,18 @@ func (e *Engine) internIDs(terms []string, sc *evalScratch) []uint32 {
 // ResultCount returns the number of documents matching phrase as an exact
 // phrase query — the paper's interestingness feature (4)
 // searchengine_phrase ("very specific concepts would return fewer results
-// than the more general concepts"). In live mode the count is memoized in
-// the view's sharded cache: the batch feature extractor queries many
-// repeated sub-phrases, and the memo is sound because a view never changes.
+// than the more general concepts"). The count is memoized in the view's
+// sharded cache: the batch feature extractor queries many repeated
+// sub-phrases, and the memo is sound because a view never changes.
 func (e *Engine) ResultCount(phrase string) int {
-	v := e.queryView()
-	if v.cache != nil {
-		if n, ok := v.cache.get(phrase); ok {
-			return n
-		}
+	v := e.cur.Load()
+	if n, ok := v.cache.get(phrase); ok {
+		return n
 	}
 	sc := getScratch()
 	n := v.countPhraseDocs(e.internIDs(textproc.Words(phrase), sc), sc)
 	putScratch(sc)
-	if v.cache != nil {
-		v.cache.put(phrase, n)
-	}
+	v.cache.put(phrase, n)
 	return n
 }
 
@@ -517,7 +389,7 @@ func (e *Engine) ResultCountAnyOrder(phrase string) int {
 	if len(terms) == 0 {
 		return 0
 	}
-	v := e.queryView()
+	v := e.cur.Load()
 	sc := getScratch()
 	defer putScratch(sc)
 	// Dedup while interning; one absent term empties the conjunction.
@@ -593,7 +465,7 @@ func (v *view) rankHits(terms []string, hits []phraseHit, k int) []Result {
 // tf·idf-flavoured score.
 func (e *Engine) Search(phrase string, k int) []Result {
 	terms := textproc.Words(phrase)
-	v := e.queryView()
+	v := e.cur.Load()
 	sc := getScratch()
 	defer putScratch(sc)
 	hits := v.phraseHits(e.internIDs(terms, sc), sc)
@@ -610,7 +482,7 @@ func (e *Engine) SearchAnyTerm(query string, k int) []Result {
 	if len(terms) == 0 {
 		return nil
 	}
-	v := e.queryView()
+	v := e.cur.Load()
 	sc := getScratch()
 	defer putScratch(sc)
 	scores := make(map[int]float64)
@@ -732,7 +604,7 @@ func (v *view) snippetAt(docID, at, termLen int) string {
 // SnippetWidth). A nonexistent doc id or an empty document yields "".
 func (e *Engine) Snippet(docID int, phrase string) string {
 	terms := textproc.Words(phrase)
-	v := e.queryView()
+	v := e.cur.Load()
 	if docID < 0 || docID >= len(v.docs) || len(v.docs[docID].Tokens) == 0 {
 		return ""
 	}
@@ -769,7 +641,7 @@ func (v *view) visitHits(e *Engine, terms []string, k int, fn func(docID, at int
 // relevant-keyword mining.
 func (e *Engine) Snippets(phrase string, k int) []string {
 	terms := textproc.Words(phrase)
-	v := e.queryView()
+	v := e.cur.Load()
 	out := make([]string, 0, k)
 	v.visitHits(e, terms, k, func(docID, at int) {
 		out = append(out, v.snippetAt(docID, at, len(terms)))
@@ -784,7 +656,7 @@ func (e *Engine) Snippets(phrase string, k int) []string {
 // storage and must not be modified or retained.
 func (e *Engine) VisitSnippetTokens(phrase string, k int, visit func(tokens []uint32, lo, hi int)) {
 	terms := textproc.Words(phrase)
-	v := e.queryView()
+	v := e.cur.Load()
 	v.visitHits(e, terms, k, func(docID, at int) {
 		d := &v.docs[docID]
 		lo := at - SnippetWidth

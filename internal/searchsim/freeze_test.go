@@ -20,7 +20,11 @@ func listView(raw []postingList, frozen []frozenList) *view {
 	if frozen != nil {
 		return &view{segs: []*segment{newFrozenSegment(0, width, frozen)}}
 	}
-	return &view{segs: []*segment{newRawSegment(0, width, raw)}}
+	terms := make([]uint32, len(raw))
+	for i := range terms {
+		terms[i] = uint32(i)
+	}
+	return &view{segs: []*segment{newSparseRawSegment(0, width, terms, raw)}}
 }
 
 // cursorDump decodes an entire frozen list through the termCursor, the only

@@ -2,12 +2,14 @@ package searchsim
 
 // The positional index behind the engine, in two representations:
 //
-//   - postingList: the raw build-time form. One flat triple of slices per
+//   - postingList: the raw form the memtable and its sealed segments hold
+//     (and the bulk build's intermediate). One flat triple of slices per
 //     interned term — ascending doc ids, per-doc start offsets, and the
 //     concatenated ascending token positions. Appending during indexing is
 //     O(1) amortized and the layout is cache-friendly for intersection.
 //
-//   - frozenList: the compressed read-only form produced by Engine.Freeze.
+//   - frozenList: the compressed read-only form freezeList produces, for the
+//     bulk-built base segment and for every compaction's merged segment.
 //     Three Golomb-coded gap streams (doc gaps, frequency-minus-one,
 //     within-doc position gaps) plus skip blocks every skipInterval docs.
 //     Each skip block records the block's first doc id uncompressed and the

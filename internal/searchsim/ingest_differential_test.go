@@ -8,9 +8,9 @@ import (
 
 // TestIngestDifferential is the end-to-end equivalence pin for the live
 // two-tier engine (wired into the CI parallel-equivalence matrix): after N
-// live appends, K commits, interleaved size-tiered compactions and a final
-// full merge — all at several worker counts — every observable answer and the
-// frozen image itself must be byte-identical to a from-scratch build+Freeze
+// appends, K commits, interleaved size-tiered compactions and a final full
+// merge — all at several worker counts — every observable answer and the
+// frozen image itself must be byte-identical to a from-scratch bulk build
 // over the concatenated doc stream.
 func TestIngestDifferential(t *testing.T) {
 	docs := randomRawDocs(37, 300)
@@ -19,11 +19,9 @@ func TestIngestDifferential(t *testing.T) {
 
 	for _, workers := range []int{1, 4, 0} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			e := NewEngine()
-			e.indexTokenized(docs[:80], workers)
-			e.Freeze(workers)
+			e := newBulkEngine(docs[:80], workers)
 
-			// Live phase: uneven batches, compaction interleaved with appends.
+			// Uneven batches, compaction interleaved with appends.
 			next := 80
 			for _, batch := range []int{3, 17, 1, 29, 8, 40, 2, 60, 25, 35} {
 				hi := next + batch
@@ -31,13 +29,13 @@ func TestIngestDifferential(t *testing.T) {
 					hi = len(docs)
 				}
 				for ; next < hi; next++ {
-					e.addTokenized(docs[next].text, docs[next].tokens, docs[next].topic)
+					e.Add(docs[next].text, docs[next].topic)
 				}
 				e.Commit()
 				e.Compact(workers)
 			}
 			for ; next < len(docs); next++ {
-				e.addTokenized(docs[next].text, docs[next].tokens, docs[next].topic)
+				e.Add(docs[next].text, docs[next].topic)
 			}
 			e.Commit()
 
@@ -60,14 +58,14 @@ func TestIngestDifferential(t *testing.T) {
 				}
 			}
 
-			// Full merge: the compacted image equals the from-scratch freeze.
+			// Full merge: the compacted image equals the from-scratch build.
 			e.CompactAll(workers)
 			st := e.Stats()
 			if st.Segments != 1 {
 				t.Fatalf("CompactAll left %d segments", st.Segments)
 			}
 			if !reflect.DeepEqual(e.segs[0].frozen, want.segs[0].frozen) {
-				t.Fatal("compacted frozen image differs from from-scratch freeze")
+				t.Fatal("compacted frozen image differs from the from-scratch build")
 			}
 			checkAnswers(t, "compacted", e, want)
 		})

@@ -8,17 +8,13 @@ import (
 	"testing"
 )
 
-// buildLiveSegmented freezes the first base docs and appends the rest through
-// the live path in commits of batch docs, so the published stack holds many
+// buildLiveSegmented bulk-builds the first base docs and appends the rest
+// through Add in commits of batch docs, so the published stack holds many
 // small raw segments and every multi-doc query crosses segment boundaries.
 func buildLiveSegmented(docs []rawDoc, base, batch int) *Engine {
-	e := NewEngine()
-	for _, d := range docs[:base] {
-		e.addTokenized(d.text, d.tokens, d.topic)
-	}
-	e.Freeze(1)
+	e := newBulkEngine(docs[:base], 1)
 	for i := base; i < len(docs); i++ {
-		e.addTokenized(docs[i].text, docs[i].tokens, docs[i].topic)
+		e.Add(docs[i].text, docs[i].topic)
 		if (i-base+1)%batch == 0 {
 			e.Commit()
 		}
@@ -27,16 +23,9 @@ func buildLiveSegmented(docs []rawDoc, base, batch int) *Engine {
 	return e
 }
 
-// fromScratch builds and freezes an engine over the full doc set in one pass —
-// the reference every live-segmented answer must match byte for byte.
-func fromScratch(docs []rawDoc) *Engine {
-	e := NewEngine()
-	for _, d := range docs {
-		e.addTokenized(d.text, d.tokens, d.topic)
-	}
-	e.Freeze(1)
-	return e
-}
+// fromScratch bulk-builds an engine over the full doc set in one pass — the
+// reference every live-segmented answer must match byte for byte.
+func fromScratch(docs []rawDoc) *Engine { return newBulkEngine(docs, 1) }
 
 // boundaryQueries is the query mix the live/from-scratch comparisons sweep:
 // every single term, plus phrases of increasing length so the leapfrog
@@ -108,7 +97,7 @@ func TestLiveEmptyCommitNoOp(t *testing.T) {
 func TestLiveAutoFlush(t *testing.T) {
 	e := NewEngine()
 	e.Add("base doc", 0)
-	e.Freeze(1)
+	e.Commit()
 	ep0 := e.Epoch()
 	for i := 0; i < memFlushDocs-1; i++ {
 		e.Add(fmt.Sprintf("filler f%03d", i), 0)
@@ -132,7 +121,7 @@ func TestLiveAutoFlush(t *testing.T) {
 }
 
 // Compaction is deterministic: CompactAll at every worker count produces a
-// frozen segment bit-identical to a from-scratch freeze over the same docs,
+// frozen segment bit-identical to a from-scratch build over the same docs,
 // and answers are unchanged across the merge.
 func TestCompactionWorkerEquivalence(t *testing.T) {
 	docs := randomRawDocs(23, 180)
@@ -152,7 +141,7 @@ func TestCompactionWorkerEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: compaction moved the epoch (no visibility change)", w)
 		}
 		if !reflect.DeepEqual(live.segs[0].frozen, want.segs[0].frozen) {
-			t.Fatalf("workers=%d: merged frozen image differs from from-scratch freeze", w)
+			t.Fatalf("workers=%d: merged frozen image differs from the from-scratch build", w)
 		}
 		if got := live.ResultCount("w05 w06"); got != countBefore {
 			t.Fatalf("workers=%d: compaction changed an answer: %d -> %d", w, countBefore, got)
@@ -193,11 +182,7 @@ func TestCompactSizeTiered(t *testing.T) {
 // rolled-back horizon.
 func TestLiveQueryDuringSwapRace(t *testing.T) {
 	docs := randomRawDocs(31, 400)
-	e := NewEngine()
-	for _, d := range docs[:50] {
-		e.addTokenized(d.text, d.tokens, d.topic)
-	}
-	e.Freeze(1)
+	e := newBulkEngine(docs[:50], 1)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -206,7 +191,7 @@ func TestLiveQueryDuringSwapRace(t *testing.T) {
 	go func() { // writer
 		defer wg.Done()
 		for i := 50; i < len(docs); i++ {
-			e.addTokenized(docs[i].text, docs[i].tokens, docs[i].topic)
+			e.Add(docs[i].text, docs[i].topic)
 			if i%11 == 0 {
 				e.Commit()
 			}
@@ -260,5 +245,77 @@ func TestLiveQueryDuringSwapRace(t *testing.T) {
 		if g, w := e.ResultCount(q), want.ResultCount(q); g != w {
 			t.Fatalf("post-race ResultCount(%q) = %d, want %d", q, g, w)
 		}
+	}
+}
+
+// There is one lifecycle: a fresh engine is already live. Every query method
+// answers — with nothing — before the first document, and an Add stays
+// invisible until it is sealed, here by Commit.
+func TestNewEngineIsLive(t *testing.T) {
+	e := NewEngine()
+	empty := func(stage string) {
+		t.Helper()
+		if n := e.NumDocs(); n != 0 {
+			t.Fatalf("%s: NumDocs = %d", stage, n)
+		}
+		if d := e.Doc(0); d != nil {
+			t.Fatalf("%s: Doc(0) = %+v", stage, d)
+		}
+		if n := e.ResultCount("one two"); n != 0 {
+			t.Fatalf("%s: ResultCount = %d", stage, n)
+		}
+		if n := e.ResultCountAnyOrder("two one"); n != 0 {
+			t.Fatalf("%s: ResultCountAnyOrder = %d", stage, n)
+		}
+		if r := e.Search("one two", 10); len(r) != 0 {
+			t.Fatalf("%s: Search = %v", stage, r)
+		}
+		if r := e.SearchAnyTerm("one two", 10); len(r) != 0 {
+			t.Fatalf("%s: SearchAnyTerm = %v", stage, r)
+		}
+		if s := e.Snippet(0, "one"); s != "" {
+			t.Fatalf("%s: Snippet = %q", stage, s)
+		}
+		if s := e.Snippets("one two", 10); len(s) != 0 {
+			t.Fatalf("%s: Snippets = %q", stage, s)
+		}
+		e.VisitSnippetTokens("one two", 10, func([]uint32, int, int) {
+			t.Fatalf("%s: VisitSnippetTokens visited a result", stage)
+		})
+		NewPrisma(e).VisitFeedback("one two", func(uint32, float64) {
+			t.Fatalf("%s: VisitFeedback produced a term", stage)
+		})
+		if e.Compact(1) || e.CompactAll(1) {
+			t.Fatalf("%s: compaction ran over an empty stack", stage)
+		}
+		if st := e.Stats(); st.Docs != 0 || st.Segments != 0 || st.Epoch != 0 || e.Epoch() != 0 {
+			t.Fatalf("%s: Stats = %+v", stage, st)
+		}
+	}
+	empty("fresh")
+	if ep := e.Commit(); ep != 0 {
+		t.Fatalf("Commit on an empty engine moved the epoch to %d", ep)
+	}
+	empty("after an empty Commit")
+
+	if id := e.Add("zero one two three", 0); id != 0 {
+		t.Fatalf("first Add assigned id %d", id)
+	}
+	empty("uncommitted Add")
+	if st := e.Stats(); st.MemDocs != 1 || st.Ingested != 1 {
+		t.Fatalf("pending Add accounting: %+v", st)
+	}
+
+	if ep := e.Commit(); ep != 1 || e.Epoch() != 1 {
+		t.Fatalf("first visible document: epoch %d / %d, want 1", ep, e.Epoch())
+	}
+	if n, d := e.NumDocs(), e.Doc(0); n != 1 || d == nil || d.Text != "zero one two three" {
+		t.Fatalf("committed doc not visible: NumDocs %d, Doc(0) %+v", n, d)
+	}
+	if n := e.ResultCount("one two"); n != 1 {
+		t.Fatalf("ResultCount after Commit = %d, want 1 (the empty view's memo must not survive)", n)
+	}
+	if s := e.Snippets("one two", 10); len(s) != 1 || s[0] != "zero one two three" {
+		t.Fatalf("Snippets after Commit = %q", s)
 	}
 }

@@ -15,6 +15,7 @@ func smallEngine() *Engine {
 	e.Add("The election debate covered policy and the economy.", 1)
 	e.Add("War movies about the Iraq war were released.", 0)
 	e.Add("Cuba policy under the embargo remained unchanged.", 1)
+	e.Commit()
 	return e
 }
 

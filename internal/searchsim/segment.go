@@ -1,7 +1,7 @@
 package searchsim
 
-// The LSM two-tier engine's unit of immutability. Post-freeze writes land in
-// a writer-private memtable (plain postingLists, segment-local doc ids); when
+// The LSM two-tier engine's unit of immutability. Writes land in a
+// writer-private memtable (plain postingLists, segment-local doc ids); when
 // the memtable seals — at the flush threshold or an explicit Commit — its
 // lists transfer wholesale into a raw *segment and become visible. Background
 // compaction folds runs of small segments into one Golomb/bitmap-compressed
@@ -37,12 +37,12 @@ type segment struct {
 	base  int32 // global doc id of the segment's first document
 	nDocs int32 // docs covered: global ids [base, base+nDocs)
 
-	// terms, when non-nil, makes raw sparse: raw[i] is the posting list of
-	// term id terms[i] (ascending). A sealed memtable touches only a small
-	// slice of the vocabulary, so storing just the touched terms keeps each
-	// seal O(touched) instead of O(vocabulary) — the dense form would
-	// allocate and zero a vocabulary-sized list table per commit, which
-	// dominated the ingest profile.
+	// raw is sparse: raw[i] is the posting list of term id terms[i]
+	// (ascending). A sealed memtable touches only a small slice of the
+	// vocabulary, so storing just the touched terms keeps each seal
+	// O(touched) instead of O(vocabulary) — a dense table would allocate and
+	// zero a vocabulary-sized list table per commit, which dominated the
+	// ingest profile.
 	terms  []uint32
 	raw    []postingList // sealed memtable postings, segment-local doc ids
 	frozen []frozenList  // compressed postings, segment-local doc ids
@@ -67,14 +67,6 @@ func (s *segment) seal() {
 	}
 }
 
-// newRawSegment wraps dense (term-id-indexed) raw lists. Ownership of lists
-// transfers to the segment: the caller must not append to them again.
-func newRawSegment(base, nDocs int32, lists []postingList) *segment {
-	s := &segment{base: base, nDocs: nDocs, raw: lists}
-	s.seal()
-	return s
-}
-
 // newSparseRawSegment wraps a sealed memtable as a sparse raw segment:
 // lists[i] holds the postings of term terms[i], with terms sorted ascending.
 // Ownership of both slices transfers to the segment.
@@ -85,14 +77,8 @@ func newSparseRawSegment(base, nDocs int32, terms []uint32, lists []postingList)
 }
 
 // rawList returns the segment's raw posting list for id, or nil when the
-// term has no postings here. Sparse segments binary-search their term table.
+// term has no postings here, by binary search of the term table.
 func (s *segment) rawList(id uint32) *postingList {
-	if s.terms == nil {
-		if int(id) < len(s.raw) {
-			return &s.raw[id]
-		}
-		return nil
-	}
 	lo, hi := 0, len(s.terms)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -108,7 +94,7 @@ func (s *segment) rawList(id uint32) *postingList {
 	return nil
 }
 
-// newFrozenSegment wraps compressed lists (from Freeze or a merge).
+// newFrozenSegment wraps compressed lists (from the bulk build or a merge).
 func newFrozenSegment(base, nDocs int32, lists []frozenList) *segment {
 	s := &segment{base: base, nDocs: nDocs, frozen: lists}
 	s.seal()
@@ -121,13 +107,10 @@ func (s *segment) numTerms() int {
 	if s.frozen != nil {
 		return len(s.frozen)
 	}
-	if s.terms != nil {
-		if len(s.terms) == 0 {
-			return 0
-		}
-		return int(s.terms[len(s.terms)-1]) + 1
+	if len(s.terms) == 0 {
+		return 0
 	}
-	return len(s.raw)
+	return int(s.terms[len(s.terms)-1]) + 1
 }
 
 // df returns the term's document frequency within this segment.
@@ -303,7 +286,7 @@ func mergeRawSegments(segs []*segment, workers int) *segment {
 // allRaw reports whether every segment in the run is raw (minor-mergeable).
 func allRaw(segs []*segment) bool {
 	for _, s := range segs {
-		if s.frozen != nil || s.terms == nil {
+		if s.frozen != nil {
 			return false
 		}
 	}
@@ -357,8 +340,8 @@ type view struct {
 	docs   []Doc  // visible docs: global ids [0, len(docs))
 	stopID []bool // term id -> stopword, covers every visible term
 	vocab  *Vocab
-	epoch  uint64      // bumped exactly when the visibility horizon moves
-	cache  *countCache // nil on transient build-phase views
+	epoch  uint64 // bumped exactly when the visibility horizon moves
+	cache  *countCache
 }
 
 // df returns the term's document frequency across the whole view.

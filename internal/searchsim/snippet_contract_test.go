@@ -11,7 +11,7 @@ import (
 )
 
 // snippetEngine builds a corpus with one long document whose tokens are
-// w0..w99 plus boundary-phrase docs, in both raw and frozen form.
+// w0..w99 plus boundary-phrase docs, as a raw segment and as a frozen one.
 func snippetEngines(t *testing.T) []*Engine {
 	t.Helper()
 	long := make([]string, 100)
@@ -24,11 +24,12 @@ func snippetEngines(t *testing.T) []*Engine {
 		e.Add("edge start "+strings.Join(long[:40], " "), 0)  // doc 1: phrase at position 0
 		e.Add(strings.Join(long[:40], " ")+" edge finish", 0) // doc 2: phrase at the last positions
 		e.Add("tiny doc", 0)                                  // doc 3: shorter than the window
+		e.Commit()
 		return e
 	}
 	raw := build()
 	frozen := build()
-	frozen.Freeze(1)
+	frozen.CompactAll(1)
 	return []*Engine{raw, frozen}
 }
 

@@ -54,7 +54,7 @@ type Vocab struct {
 
 	// len is the writer's private count; n trails it by at most the entry
 	// being published. All mutation happens on one goroutine at a time
-	// (build phase, or the engine writer lock).
+	// (the bulk build before it publishes, or the engine writer lock).
 	len int
 }
 
@@ -69,8 +69,8 @@ func NewVocab() *Vocab {
 }
 
 // Intern returns the id of tok, assigning the next dense id on first sight.
-// Single writer only: callers serialize Intern (the engine's build phase is
-// single-goroutine; the live path holds the engine writer mutex).
+// Single writer only: callers serialize Intern (the bulk build merges
+// vocabularies on one goroutine; Add holds the engine writer mutex).
 func (v *Vocab) Intern(tok string) uint32 {
 	t := v.table.Load()
 	i := uint32(fnv64a(tok)) & t.mask

@@ -416,8 +416,13 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	}
 	source := string(req.Text)
 	text := source
+	var stripped *textproc.StripResult
 	if req.HTML {
-		text = textproc.StripHTML(source)
+		// One strip, with an offset map: the plain text is what is
+		// accounted, admitted and annotated, and the map splices the
+		// shortcut spans back into the publisher's markup.
+		stripped = textproc.StripHTMLMapped(source)
+		text = stripped.Text
 	}
 	s.account(len(text))
 	top := s.top(req.Top)
@@ -436,26 +441,16 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	resilience.ChaosDelay(ctx)
 
-	if req.HTML {
-		// Annotate the original markup in place: strip with an offset map,
-		// detect on the plain text, splice shortcut spans back into the
-		// publisher's HTML.
-		res := textproc.StripHTMLMapped(source)
-		anns, err := s.annotate(ctx, res.Text, top)
-		if err != nil {
-			s.renderDeadline(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		s.writeBody(w, s.Renderer.RenderSource(source, res, anns))
-		return
-	}
 	anns, err := s.annotate(ctx, text, top)
 	if err != nil {
 		s.renderDeadline(w)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	if req.HTML {
+		s.writeBody(w, s.Renderer.RenderSource(source, stripped, anns))
+		return
+	}
 	s.writeBody(w, s.Renderer.Render(text, anns))
 }
 
@@ -517,7 +512,7 @@ type Stats struct {
 	// Cache reports the annotation-cache counters (absent when disabled).
 	Cache *CacheStats `json:"cache,omitempty"`
 
-	// Index reports the frozen search-index size and the ResultCount
+	// Index reports the search index's size accounting and the ResultCount
 	// memo-cache counters (absent when the server has no index wired).
 	Index *searchsim.IndexStats `json:"index,omitempty"`
 }

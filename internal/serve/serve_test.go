@@ -17,6 +17,7 @@ import (
 	"contextrank/internal/querylog"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
+	"contextrank/internal/textproc"
 	"contextrank/internal/units"
 )
 
@@ -316,13 +317,16 @@ func TestReadyz(t *testing.T) {
 }
 
 func TestRenderEndpointOriginalHTML(t *testing.T) {
-	h := testServer(t).Handler()
-	rec := postJSON(t, h, "/v1/render", AnnotateRequest{
-		Text: `<p>the <em>story</em> of the alphaword began</p>`,
-		HTML: true,
-	})
+	s := testServer(t)
+	h := s.Handler()
+	const source = `<p>the <em>story</em> of the alphaword began</p>`
+	rec := postJSON(t, h, "/v1/render", AnnotateRequest{Text: source, HTML: true})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
+	}
+	// document_bytes counts the stripped text, the bytes the runtime saw.
+	if got, want := s.docBytes.Load(), int64(len(textproc.StripHTML(source))); got != want {
+		t.Fatalf("document_bytes = %d, want %d (the stripped body)", got, want)
 	}
 	body := rec.Body.String()
 	// Original markup preserved, shortcut span spliced in.

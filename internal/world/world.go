@@ -553,9 +553,6 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// Clamp01 exposes clamp01 for sibling packages working with latent values.
-func Clamp01(x float64) float64 { return clamp01(x) }
-
 // TitleCase renders a concept name with initial capitals, used when
 // embedding named entities in generated prose.
 func TitleCase(name string) string {

@@ -182,8 +182,8 @@ func TestComposeDocDeterministic(t *testing.T) {
 }
 
 func TestClamp01(t *testing.T) {
-	if Clamp01(-1) != 0 || Clamp01(2) != 1 || Clamp01(0.5) != 0.5 {
-		t.Fatal("Clamp01 broken")
+	if clamp01(-1) != 0 || clamp01(2) != 1 || clamp01(0.5) != 0.5 {
+		t.Fatal("clamp01 broken")
 	}
 }
 
