@@ -9,9 +9,9 @@ import (
 	"testing"
 
 	"contextrank/internal/core"
+	"contextrank/internal/experiments"
 	"contextrank/internal/framework"
 	"contextrank/internal/online"
-	"contextrank/internal/querylog"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
 )
@@ -21,7 +21,7 @@ import (
 func BenchmarkExtensionFeatureSelection(b *testing.B) {
 	s := benchSystem(b)
 	for i := 0; i < b.N; i++ {
-		selected, withEliminated, err := s.FeatureSelection(3, 42)
+		selected, withEliminated, err := experiments.FeatureSelection(s, 3, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func BenchmarkExtensionFeatureSelection(b *testing.B) {
 func BenchmarkExtensionSenses(b *testing.B) {
 	s := benchSystem(b)
 	for i := 0; i < b.N; i++ {
-		global, sense, n := s.SenseExperiment(2)
+		global, sense, n := experiments.SenseExperiment(s, 2)
 		if n == 0 {
 			b.Skip("no ambiguous mentions")
 		}
@@ -59,20 +59,6 @@ func BenchmarkExtensionOnlineTracker(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Tick(events)
-	}
-}
-
-// BenchmarkExtensionTrendSeries measures multi-week trend mining.
-func BenchmarkExtensionTrendSeries(b *testing.B) {
-	s := benchSystem(b)
-	names := make([]string, len(s.World.Concepts))
-	for i := range s.World.Concepts {
-		names[i] = s.World.Concepts[i].Name
-	}
-	series, _ := querylog.GenerateSeries(s.World, querylog.SeriesConfig{Seed: 9, Weeks: 4})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		series.Spiking(names, 10)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"contextrank/internal/core"
+	"contextrank/internal/experiments"
 	"contextrank/internal/ranksvm"
 )
 
@@ -77,7 +78,7 @@ func BenchmarkParallelCrossValidate(b *testing.B) {
 		for wi, w := range benchWorkerCounts {
 			m := &core.LearnedMethod{Options: ranksvm.Options{Seed: 42}}
 			t0 := time.Now()
-			if _, err := core.CrossValidate(groups, m, 5, 42, w); err != nil {
+			if _, err := experiments.CrossValidate(groups, m, 5, 42, w); err != nil {
 				b.Fatal(err)
 			}
 			elapsed[wi] = time.Since(t0)

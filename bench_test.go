@@ -17,6 +17,7 @@ import (
 	"contextrank/internal/conceptvec"
 	"contextrank/internal/core"
 	"contextrank/internal/eval"
+	"contextrank/internal/experiments"
 	"contextrank/internal/features"
 	"contextrank/internal/framework"
 	"contextrank/internal/newsgen"
@@ -37,7 +38,7 @@ func benchSystem(b *testing.B) *core.System {
 	return benchSys.Internal()
 }
 
-func reportResult(b *testing.B, r core.Result) {
+func reportResult(b *testing.B, r experiments.Result) {
 	b.ReportMetric(100*r.WeightedErrorRate, "wErr%")
 	b.ReportMetric(100*r.ErrorRate, "plainErr%")
 	b.ReportMetric(1000*r.NDCG[1], "ndcg@1e-3")
@@ -50,7 +51,7 @@ func reportResult(b *testing.B, r core.Result) {
 func BenchmarkTable2_KeywordSummations(b *testing.B) {
 	s := benchSystem(b)
 	for i := 0; i < b.N; i++ {
-		top, bottom := s.Table2(3)
+		top, bottom := experiments.Table2(s, 3)
 		b.ReportMetric(top[0].Summation, "topSum")
 		b.ReportMetric(bottom[len(bottom)-1].Summation, "bottomSum")
 		b.ReportMetric(top[0].Summation/bottom[len(bottom)-1].Summation, "ratio")
@@ -63,7 +64,7 @@ func BenchmarkTable2_KeywordSummations(b *testing.B) {
 func BenchmarkTable3_InterestingnessErrorRates(b *testing.B) {
 	s := benchSystem(b)
 	for i := 0; i < b.N; i++ {
-		t3, err := s.Table3(5, 42)
+		t3, err := experiments.Table3(s, 5, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func BenchmarkTable3_InterestingnessErrorRates(b *testing.B) {
 func BenchmarkTable4_RelevanceErrorRates(b *testing.B) {
 	s := benchSystem(b)
 	for i := 0; i < b.N; i++ {
-		t4, err := s.Table4(5, 42)
+		t4, err := experiments.Table4(s, 5, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func BenchmarkTable4_RelevanceErrorRates(b *testing.B) {
 func BenchmarkTable5_CombinedErrorRates(b *testing.B) {
 	s := benchSystem(b)
 	for i := 0; i < b.N; i++ {
-		t5, err := s.Table5(5, 42)
+		t5, err := experiments.Table5(s, 5, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func BenchmarkTable5_CombinedErrorRates(b *testing.B) {
 func BenchmarkFigure1_NDCGInterestingness(b *testing.B) {
 	s := benchSystem(b)
 	for i := 0; i < b.N; i++ {
-		t3, err := s.Table3(5, 42)
+		t3, err := experiments.Table3(s, 5, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func BenchmarkFigure1_NDCGInterestingness(b *testing.B) {
 func BenchmarkFigure2_NDCGRelevance(b *testing.B) {
 	s := benchSystem(b)
 	for i := 0; i < b.N; i++ {
-		t4, err := s.Table4(5, 42)
+		t4, err := experiments.Table4(s, 5, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func BenchmarkFigure2_NDCGRelevance(b *testing.B) {
 func BenchmarkFigure3_NDCGCombined(b *testing.B) {
 	s := benchSystem(b)
 	for i := 0; i < b.N; i++ {
-		t5, err := s.Table5(5, 42)
+		t5, err := experiments.Table5(s, 5, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func BenchmarkFigure3_NDCGCombined(b *testing.B) {
 func BenchmarkTable6_EditorialStudy(b *testing.B) {
 	s := benchSystem(b)
 	for i := 0; i < b.N; i++ {
-		t6, err := s.Table6(core.EditorialConfig{Seed: 42, NewsDocs: 100, AnswersDocs: 200})
+		t6, err := experiments.Table6(s, experiments.EditorialConfig{Seed: 42, NewsDocs: 100, AnswersDocs: 200})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func BenchmarkTable6_EditorialStudy(b *testing.B) {
 func BenchmarkRealWorld_ProductionCTR(b *testing.B) {
 	s := benchSystem(b)
 	for i := 0; i < b.N; i++ {
-		p, err := s.ProductionExperiment(3, 200, 42)
+		p, err := experiments.ProductionExperiment(s, 3, 200, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -279,9 +280,9 @@ func BenchmarkFrameworkGolomb(b *testing.B) {
 func BenchmarkAblationWeightedVsPlain(b *testing.B) {
 	s := benchSystem(b)
 	groups := s.Dataset(nil)
-	m := &core.ConceptVectorMethod{Scorer: s.Baseline}
+	m := &experiments.ConceptVectorMethod{Scorer: experiments.Baseline(s)}
 	for i := 0; i < b.N; i++ {
-		res, err := core.CrossValidate(groups, m, 5, 42, 1)
+		res, err := experiments.CrossValidate(groups, m, 5, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -295,15 +296,15 @@ func BenchmarkAblationWeightedVsPlain(b *testing.B) {
 func BenchmarkAblationBubbleUp(b *testing.B) {
 	s := benchSystem(b)
 	groups := s.Dataset(nil)
-	with := &core.ConceptVectorMethod{Scorer: s.Baseline}
-	without := &core.ConceptVectorMethod{Scorer: conceptvec.New(
+	with := &experiments.ConceptVectorMethod{Scorer: experiments.Baseline(s)}
+	without := &experiments.ConceptVectorMethod{Scorer: conceptvec.New(
 		s.Engine.Dictionary(), s.Units, conceptvec.Options{DisableBubbleUp: true})}
 	for i := 0; i < b.N; i++ {
-		rw, err := core.CrossValidate(groups, with, 5, 42, 1)
+		rw, err := experiments.CrossValidate(groups, with, 5, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ro, err := core.CrossValidate(groups, without, 5, 42, 1)
+		ro, err := experiments.CrossValidate(groups, without, 5, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -335,11 +336,11 @@ func BenchmarkAblationWindowing(b *testing.B) {
 	}
 
 	for i := 0; i < b.N; i++ {
-		rw, err := core.CrossValidate(windowed, m, 5, 42, 1)
+		rw, err := experiments.CrossValidate(windowed, m, 5, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ro, err := core.CrossValidate(wholeGroups, m, 5, 42, 1)
+		ro, err := experiments.CrossValidate(wholeGroups, m, 5, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,54 +2,52 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 
+	"contextrank"
 	"contextrank/internal/core"
-	"contextrank/internal/features"
-	"contextrank/internal/framework"
+	"contextrank/internal/experiments"
 	"contextrank/internal/online"
-	"contextrank/internal/ranksvm"
-	"contextrank/internal/relevance"
 	"contextrank/internal/world"
 )
 
 // runFeatureSelection reproduces the §IV-A negative result: the candidate
 // features the paper evaluated and eliminated do not improve the model.
-func runFeatureSelection(s *core.System, seed int64) {
-	fmt.Println("== §IV-A feature selection (paper: eliminated candidates 'prove not to improve upon' the selected features)")
-	selected, withEliminated, err := s.FeatureSelection(5, seed)
-	check(err)
-	fmt.Printf("  %v\n  %v\n", selected, withEliminated)
+func runFeatureSelection(w io.Writer, s *core.System, seed int64) error {
+	fmt.Fprintln(w, "== §IV-A feature selection (paper: eliminated candidates 'prove not to improve upon' the selected features)")
+	selected, withEliminated, err := experiments.FeatureSelection(s, 5, seed)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  %v\n  %v\n", selected, withEliminated)
 	delta := 100 * (selected.WeightedErrorRate - withEliminated.WeightedErrorRate)
-	fmt.Printf("  adding the eliminated candidates changes the error by %+.2f points\n\n", -delta)
+	fmt.Fprintf(w, "  adding the eliminated candidates changes the error by %+.2f points\n\n", -delta)
+	return nil
 }
 
 // runSenses reproduces the §IV-C ambiguity discussion: sense-clustered
 // keyword packs recover contexts the diluted global pack misses.
-func runSenses(s *core.System) {
-	fmt.Println("== §IV-C ambiguous concepts (paper: 'there would be some good local clusters ... the scores can be boosted')")
-	global, sense, n := s.SenseExperiment(2)
+func runSenses(w io.Writer, s *core.System) {
+	fmt.Fprintln(w, "== §IV-C ambiguous concepts (paper: 'there would be some good local clusters ... the scores can be boosted')")
+	global, sense, n := experiments.SenseExperiment(s, 2)
 	if n == 0 {
-		fmt.Println("  no ambiguous mentions in the click corpus")
+		fmt.Fprintln(w, "  no ambiguous mentions in the click corpus")
 		return
 	}
-	fmt.Printf("  %d ambiguous relevant mentions: global-pack coverage %.3f, best-sense coverage %.3f (%+.0f%%)\n\n",
+	fmt.Fprintf(w, "  %d ambiguous relevant mentions: global-pack coverage %.3f, best-sense coverage %.3f (%+.0f%%)\n\n",
 		n, global, sense, 100*(sense-global)/global)
 }
 
 // runOnline reproduces the §VIII future-work scenario: live CTR spikes
 // re-rank a breaking-news concept in real time.
-func runOnline(s *core.System, seed int64) {
-	fmt.Println("== §VIII online adaptation (paper future work: 'react intelligently to world events in real time')")
-	learned := &core.LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: ranksvm.Options{Seed: seed}}
-	check(learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})))
-	names := make([]string, len(s.World.Concepts))
-	for i := range s.World.Concepts {
-		names[i] = s.World.Concepts[i].Name
+func runOnline(w io.Writer, sys *contextrank.System, seed int64) error {
+	fmt.Fprintln(w, "== §VIII online adaptation (paper future work: 'react intelligently to world events in real time')")
+	ranker, err := sys.TrainRanker()
+	if err != nil {
+		return err
 	}
-	table := framework.BuildInterestTable(names, func(n string) features.Fields { return s.Fields(n) })
-	packs := framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets))
-	rt := framework.NewRuntime(s.Pipeline, table, packs, learned.Model())
+	rt, s := ranker.Runtime(), sys.Internal()
 
 	var cold, hot *world.Concept
 	for i := range s.World.Concepts {
@@ -65,8 +63,8 @@ func runOnline(s *core.System, seed int64) {
 		}
 	}
 	if cold == nil || hot == nil || cold == hot {
-		fmt.Println("  no suitable concept pair")
-		return
+		fmt.Fprintln(w, "  no suitable concept pair")
+		return nil
 	}
 	rng := rand.New(rand.NewSource(seed + 31))
 	doc, _ := s.World.ComposeDoc(world.ComposeOptions{Topic: cold.Topic, Sentences: 12},
@@ -78,7 +76,8 @@ func runOnline(s *core.System, seed int64) {
 	tracker := online.NewTracker(online.Config{HalfLifeTicks: 4, MinViews: 50, MaxBoost: 6})
 	tracker.SetBaseline(cold.Name, 0.005)
 	adj := online.NewAdjuster(rt, tracker, 3)
-	result := core.RunBreakingNews(adj, tracker, cold.Name, doc, seed+32)
-	fmt.Printf("  concept %q (interest %.2f): rank %d before the spike -> %d during -> %d after decay\n\n",
+	result := experiments.RunBreakingNews(adj, tracker, cold.Name, doc, seed+32)
+	fmt.Fprintf(w, "  concept %q (interest %.2f): rank %d before the spike -> %d during -> %d after decay\n\n",
 		result.Concept, cold.Interest, result.StaticRank, result.BoostedRank, result.DecayedRank)
+	return nil
 }

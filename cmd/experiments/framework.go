@@ -2,14 +2,10 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
+	"io"
 
-	"contextrank/internal/core"
-	"contextrank/internal/features"
-	"contextrank/internal/framework"
+	"contextrank"
 	"contextrank/internal/newsgen"
-	"contextrank/internal/ranksvm"
-	"contextrank/internal/relevance"
 )
 
 // runFramework reproduces the §VI experiments: memory footprints of the
@@ -17,51 +13,42 @@ import (
 // Golomb savings) and the stemmer/ranker throughput over randomly chosen
 // documents (the paper used 1445 documents averaging 2.5 KB with 6.45
 // detections; their 2007 Opteron measured 7.9 and 2.4 MB/s).
-func runFramework(s *core.System, seed int64) {
-	fmt.Println("== §VI framework: memory layout and throughput")
+func runFramework(w io.Writer, sys *contextrank.System, seed int64) error {
+	fmt.Fprintln(w, "== §VI framework: memory layout and throughput")
 
-	names := make([]string, len(s.World.Concepts))
-	for i := range s.World.Concepts {
-		names[i] = s.World.Concepts[i].Name
+	// The runtime as the offline build assembles it: the packed tables
+	// around the model trained on the click data.
+	ranker, err := sys.TrainRanker()
+	if err != nil {
+		return err
 	}
-	table := framework.BuildInterestTable(names, func(n string) features.Fields { return s.Fields(n) })
-	perConcept := float64(table.MemoryBytes()) / float64(table.Len())
-	fmt.Printf("  interestingness table: %d concepts, %d bytes (%.0f B/concept; paper: 18 B -> 18 MB per 1M concepts)\n",
-		table.Len(), table.MemoryBytes(), perConcept)
+	rt := ranker.Runtime()
+	table, packs := rt.Interest, rt.Packs
+	fmt.Fprintf(w, "  interestingness table: %d concepts, %d bytes (%.0f B/concept; paper: 18 B -> 18 MB per 1M concepts)\n",
+		table.Len(), table.MemoryBytes(), float64(table.MemoryBytes())/float64(table.Len()))
 
-	packs := framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets))
-	perPack := float64(packs.TotalBytes()) / float64(packs.Len())
-	fmt.Printf("  keyword packs: %d concepts, %d bytes raw (%.0f B/concept; paper: 400 B -> 400 MB per 1M concepts), %d TIDs interned\n",
-		packs.Len(), packs.TotalBytes(), perPack, packs.TIDs.Len())
+	fmt.Fprintf(w, "  keyword packs: %d concepts, %d bytes raw (%.0f B/concept; paper: 400 B -> 400 MB per 1M concepts), %d TIDs interned\n",
+		packs.Len(), packs.TotalBytes(), float64(packs.TotalBytes())/float64(packs.Len()), packs.TIDs.Len())
 
 	compressed := 0
-	for _, n := range names {
-		compressed += packs.Compress(n).Bytes()
+	for _, c := range sys.Concepts() {
+		compressed += packs.Compress(c.Name).Bytes()
 	}
-	fmt.Printf("  golomb-compressed packs: %d bytes (%.1f%% of raw; paper suggests Golomb coding as a further reduction)\n",
+	fmt.Fprintf(w, "  golomb-compressed packs: %d bytes (%.1f%% of raw; paper suggests Golomb coding as a further reduction)\n",
 		compressed, 100*float64(compressed)/float64(packs.TotalBytes()))
 
-	// Train the production model and measure throughput on fresh documents.
-	learned := &core.LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: ranksvm.Options{Seed: seed}}
-	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
-		fmt.Println("  model training failed:", err)
-		return
-	}
-	model := learned.Model()
-	rt := framework.NewRuntime(s.Pipeline, table, packs, model)
-
-	rng := rand.New(rand.NewSource(seed + 9))
-	docs := newsgen.Generate(s.World, newsgen.Config{Seed: seed + 9, NumStories: 400, MinSentences: 12, MaxSentences: 24})
+	// Throughput on fresh documents.
+	docs := newsgen.Generate(sys.Internal().World, newsgen.Config{Seed: seed + 9, NumStories: 400, MinSentences: 12, MaxSentences: 24})
 	totalBytes, totalDetections := 0, 0
 	for i := range docs {
 		anns := rt.Annotate(docs[i].Text, 0)
 		totalBytes += len(docs[i].Text)
 		totalDetections += len(anns)
 	}
-	_ = rng
 	stemMBps, rankMBps := rt.Throughput()
-	fmt.Printf("  %d docs, avg %.1f KB, avg %.2f detections/doc (paper: 1445 docs, 2.5 KB, 6.45 detections)\n",
+	fmt.Fprintf(w, "  %d docs, avg %.1f KB, avg %.2f detections/doc (paper: 1445 docs, 2.5 KB, 6.45 detections)\n",
 		len(docs), float64(totalBytes)/float64(len(docs))/1024, float64(totalDetections)/float64(len(docs)))
-	fmt.Printf("  throughput: stemmer %.1f MB/s, ranker %.1f MB/s (paper on 2007 hardware: 7.9 and 2.4 MB/s)\n\n",
+	fmt.Fprintf(w, "  throughput: stemmer %.1f MB/s, ranker %.1f MB/s (paper on 2007 hardware: 7.9 and 2.4 MB/s)\n\n",
 		stemMBps, rankMBps)
+	return nil
 }

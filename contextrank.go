@@ -13,9 +13,10 @@
 //	ranker, err := sys.TrainRanker()                      // offline: mine features, train ranking SVM, pack tables
 //	anns := ranker.Annotate(doc, 3)                       // online: detect + rank + annotate top-3
 //
-// Experiments from the paper's evaluation section are exposed as methods on
-// System (Table2 ... Table6, ProductionExperiment); cmd/experiments prints
-// them next to the published numbers.
+// The paper's evaluation section (Tables II–VI, the production experiment,
+// the extensions) is not part of this API: it is internal/experiments, a set
+// of functions over System.Internal(), and cmd/experiments prints them next
+// to the published numbers.
 package contextrank
 
 import (
@@ -24,7 +25,6 @@ import (
 
 	"contextrank/internal/core"
 	"contextrank/internal/detect"
-	"contextrank/internal/features"
 	"contextrank/internal/framework"
 	"contextrank/internal/newsgen"
 	"contextrank/internal/ranksvm"
@@ -50,10 +50,6 @@ type Annotation = framework.Annotation
 
 // Detection is one detected entity occurrence.
 type Detection = detect.Detection
-
-// Result bundles the evaluation metrics of one ranking method (weighted and
-// plain pairwise error rates, NDCG@k).
-type Result = core.Result
 
 // SmallConfig returns a fast configuration (~300 concepts) suitable for
 // tests and the quickstart example; it finishes in seconds.
@@ -111,11 +107,8 @@ func (s *System) TrainRanker() (*Ranker, error) {
 	if err := method.Fit(s.sys.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		return nil, fmt.Errorf("contextrank: train: %w", err)
 	}
-	return s.assembleRanker(method.Model())
-}
 
-// assembleRanker packs the offline tables around a trained model.
-func (s *System) assembleRanker(model *ranksvm.Model) (*Ranker, error) {
+	// Pack the offline tables around the trained model.
 	names := make([]string, len(s.sys.World.Concepts))
 	for i := range s.sys.World.Concepts {
 		names[i] = s.sys.World.Concepts[i].Name
@@ -123,21 +116,10 @@ func (s *System) assembleRanker(model *ranksvm.Model) (*Ranker, error) {
 	// Extract every concept's features across workers before the serial
 	// table pack (the cached lookups below then hit the warm cache).
 	s.sys.WarmFields(names)
-	table := framework.BuildInterestTable(names, func(n string) features.Fields { return s.sys.Fields(n) })
+	table := framework.BuildInterestTable(names, s.sys.Fields)
 	packs := framework.BuildKeywordPacks(s.sys.RelevanceStore(relevance.Snippets))
-	rt := framework.NewRuntime(s.sys.Pipeline, table, packs, model)
-	return &Ranker{runtime: rt, model: model}, nil
-}
-
-// LoadRanker assembles the production runtime around a previously saved
-// model (see Ranker.SaveModel). The packed tables are rebuilt from the
-// system's resources; to restore everything from disk use LoadBundle.
-func (s *System) LoadRanker(r io.Reader) (*Ranker, error) {
-	model, err := ranksvm.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return s.assembleRanker(model)
+	rt := framework.NewRuntime(s.sys.Pipeline, table, packs, method.Model())
+	return &Ranker{runtime: rt}, nil
 }
 
 // LoadBundle restores a complete offline artifact (interestingness table,
@@ -149,14 +131,13 @@ func (s *System) LoadBundle(r io.Reader) (*Ranker, error) {
 		return nil, err
 	}
 	rt := framework.NewRuntime(s.sys.Pipeline, b.Interest, b.Packs, b.Model)
-	return &Ranker{runtime: rt, model: b.Model}, nil
+	return &Ranker{runtime: rt}, nil
 }
 
 // Ranker is the online system: detection, feature lookup, relevance scoring
 // and model ranking over in-memory packed tables.
 type Ranker struct {
 	runtime *framework.Runtime
-	model   *ranksvm.Model
 }
 
 // Annotate detects entities in a document and returns them ranked by the
@@ -185,16 +166,13 @@ func (r *Ranker) Keywords(text string, k int) []string {
 	return out
 }
 
-// SaveModel serializes the trained ranking model.
-func (r *Ranker) SaveModel(w io.Writer) error { return r.model.Save(w) }
-
 // SaveBundle serializes the complete offline artifact: quantized
 // interestingness table, packed keyword store and model, with a checksum.
 func (r *Ranker) SaveBundle(w io.Writer) error {
 	b := &framework.Bundle{
 		Interest: r.runtime.Interest,
 		Packs:    r.runtime.Packs,
-		Model:    r.model,
+		Model:    r.runtime.Model,
 	}
 	return b.Save(w)
 }

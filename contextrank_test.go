@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"contextrank/internal/detect"
+	"contextrank/internal/experiments"
 	"contextrank/internal/world"
 )
 
@@ -108,28 +109,6 @@ func TestKeywords(t *testing.T) {
 	}
 }
 
-func TestSaveLoadModel(t *testing.T) {
-	s, r := testSystem(t)
-	var buf bytes.Buffer
-	if err := r.SaveModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := s.LoadRanker(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := composeTestDoc(s, 7)
-	a1, a2 := r.Annotate(doc, 5), r2.Annotate(doc, 5)
-	if len(a1) != len(a2) {
-		t.Fatal("loaded ranker disagrees on annotation count")
-	}
-	for i := range a1 {
-		if a1[i].Detection.Norm != a2[i].Detection.Norm {
-			t.Fatal("loaded ranker produces different ranking")
-		}
-	}
-}
-
 func TestMemoryFootprint(t *testing.T) {
 	s, r := testSystem(t)
 	interest, keywords := r.MemoryFootprint()
@@ -178,7 +157,7 @@ func TestSaveLoadBundle(t *testing.T) {
 // the global pack was scored through the map-based Store.Score: moving both
 // onto the interned path must not move a bit.
 func TestSenseExperimentPinned(t *testing.T) {
-	global, sense, n := Build(SmallConfig(42)).Internal().SenseExperiment(2)
+	global, sense, n := experiments.SenseExperiment(Build(SmallConfig(42)).Internal(), 2)
 	const wantGlobal, wantSense, wantN = 0.035324966085768454, 0.04169668573784284, 15
 	if math.Float64bits(global) != math.Float64bits(wantGlobal) ||
 		math.Float64bits(sense) != math.Float64bits(wantSense) || n != wantN {

@@ -14,6 +14,7 @@ import (
 
 	"contextrank"
 	"contextrank/internal/core"
+	"contextrank/internal/experiments"
 	"contextrank/internal/newsgen"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
@@ -32,7 +33,7 @@ func main() {
 	if err := learned.Fit(inner.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		log.Fatal(err)
 	}
-	baseline := &core.ConceptVectorMethod{Scorer: inner.Baseline}
+	baseline := &experiments.ConceptVectorMethod{Scorer: experiments.Baseline(inner)}
 
 	// Fresh stories the model has never seen.
 	stories := newsgen.Generate(inner.World, newsgen.Config{Seed: 4242, NumStories: 5})
@@ -48,7 +49,7 @@ func main() {
 
 	// Simulated production A/B over a week of traffic (paper §V-C:
 	// views −52.5%, clicks −2.0%, CTR +100.1%).
-	prod, err := inner.ProductionExperiment(3, 300, 99)
+	prod, err := experiments.ProductionExperiment(inner, 3, 300, 99)
 	if err != nil {
 		log.Fatal(err)
 	}

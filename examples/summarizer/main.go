@@ -18,6 +18,7 @@ import (
 	"contextrank"
 	"contextrank/internal/core"
 	"contextrank/internal/detect"
+	"contextrank/internal/experiments"
 	"contextrank/internal/newsgen"
 )
 
@@ -71,7 +72,7 @@ func main() {
 // baselineSummary ranks the document's detected concepts by concept-vector
 // score (the production baseline) and returns the top k.
 func baselineSummary(inner *core.System, text string, k int) []string {
-	vec := inner.Baseline.ConceptVector(text).Map()
+	vec := experiments.Baseline(inner).ConceptVector(text).Map()
 	seen := make(map[string]bool)
 	type scored struct {
 		name string

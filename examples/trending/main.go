@@ -12,9 +12,9 @@ import (
 	"math/rand"
 
 	"contextrank"
-	"contextrank/internal/core"
+	"contextrank/examples/trending/weekly"
+	"contextrank/internal/experiments"
 	"contextrank/internal/online"
-	"contextrank/internal/querylog"
 	"contextrank/internal/world"
 )
 
@@ -30,7 +30,7 @@ func main() {
 	}
 
 	// Part 1: trend mining over a six-week query-log series.
-	series, trueSpikes := querylog.GenerateSeries(inner.World, querylog.SeriesConfig{
+	series, trueSpikes := weekly.GenerateSeries(inner.World, weekly.SeriesConfig{
 		Seed: *seed * 101, Weeks: 6, SpikeProb: 0.02,
 	})
 	names := make([]string, len(inner.World.Concepts))
@@ -77,7 +77,7 @@ func main() {
 	tracker.SetBaseline(spiker.Name, 0.005)
 	adj := online.NewAdjuster(ranker.Runtime(), tracker, 3)
 
-	result := core.RunBreakingNews(adj, tracker, spiker.Name, doc, 99)
+	result := experiments.RunBreakingNews(adj, tracker, spiker.Name, doc, 99)
 	fmt.Printf("\nbreaking-news re-ranking for %q (latent interest %.2f):\n", spiker.Name, spiker.Interest)
 	fmt.Printf("  rank before the click spike: %d\n", result.StaticRank)
 	fmt.Printf("  rank during the spike:       %d\n", result.BoostedRank)

@@ -1,9 +1,13 @@
-package querylog
+// Package weekly is the multi-week query-log series behind the trending
+// example, built on querylog's exported API. Nothing served or trained reads
+// it, so it lives outside the product, which may not import it (make island).
+package weekly
 
 import (
 	"math"
 	"math/rand"
 
+	"contextrank/internal/querylog"
 	"contextrank/internal/world"
 )
 
@@ -17,7 +21,7 @@ import (
 
 // Series is a sequence of weekly logs, most recent last.
 type Series struct {
-	Weeks []*Log
+	Weeks []*querylog.Log
 }
 
 // SeriesConfig parameterizes multi-week generation.
@@ -33,7 +37,7 @@ type SeriesConfig struct {
 	// SpikeFactor multiplies a spiking concept's query volume. Default 8.
 	SpikeFactor float64
 	// Log configures each week's base generation.
-	Log Config
+	Log querylog.Config
 }
 
 func (c SeriesConfig) withDefaults() SeriesConfig {
@@ -84,7 +88,7 @@ func GenerateSeries(w *world.World, cfg SeriesConfig) (*Series, []string) {
 		}
 		logCfg := cfg.Log
 		logCfg.Seed = cfg.Seed + int64(week)*101 + 1
-		base := Generate(w, logCfg)
+		base := querylog.Generate(w, logCfg)
 		weekLog := scaleLog(base, w, mult)
 		if len(spikes) > 0 {
 			// Breaking news *creates* query volume: even a previously
@@ -96,7 +100,7 @@ func GenerateSeries(w *world.World, cfg SeriesConfig) (*Series, []string) {
 			for _, name := range spikes {
 				counts[name] += 150 + int(50*cfg.SpikeFactor*rng.Float64())
 			}
-			weekLog = FromCounts(counts)
+			weekLog = querylog.FromCounts(counts)
 		}
 		s.Weeks = append(s.Weeks, weekLog)
 		lastSpikes = spikes
@@ -113,7 +117,7 @@ func GenerateSeries(w *world.World, cfg SeriesConfig) (*Series, []string) {
 // scaleLog rescales the frequencies of a week's queries according to each
 // concept's popularity multiplier (queries not tied to a concept keep their
 // frequency).
-func scaleLog(base *Log, w *world.World, mult []float64) *Log {
+func scaleLog(base *querylog.Log, w *world.World, mult []float64) *querylog.Log {
 	counts := make(map[string]int, base.NumDistinct())
 	for _, q := range base.Queries {
 		f := q.Freq
@@ -126,7 +130,7 @@ func scaleLog(base *Log, w *world.World, mult []float64) *Log {
 		}
 		counts[q.Text] += f
 	}
-	return FromCounts(counts)
+	return querylog.FromCounts(counts)
 }
 
 // conceptOf returns the world concept contained in the query's terms, if
@@ -158,7 +162,7 @@ func join(terms []string) string {
 }
 
 // Current returns the most recent week's log.
-func (s *Series) Current() *Log { return s.Weeks[len(s.Weeks)-1] }
+func (s *Series) Current() *querylog.Log { return s.Weeks[len(s.Weeks)-1] }
 
 // TrendFeature returns the spike signal for a concept: the log-ratio of the
 // current week's exact-query frequency to the trailing mean of the previous

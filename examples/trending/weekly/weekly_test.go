@@ -1,8 +1,9 @@
-package querylog
+package weekly
 
 import (
 	"testing"
 
+	"contextrank/internal/querylog"
 	"contextrank/internal/world"
 )
 
@@ -87,7 +88,7 @@ func TestTrendFeatureStableConcept(t *testing.T) {
 }
 
 func TestTrendFeatureDegenerate(t *testing.T) {
-	s := &Series{Weeks: []*Log{FromCounts(map[string]int{"x": 5})}}
+	s := &Series{Weeks: []*querylog.Log{querylog.FromCounts(map[string]int{"x": 5})}}
 	if got := s.TrendFeature("x"); got != 0 {
 		t.Fatalf("single-week trend = %v", got)
 	}

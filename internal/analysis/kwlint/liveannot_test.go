@@ -27,7 +27,6 @@ var liveAnnotations = map[string][]string{
 		"Router.flights //kw:guardedby(fmu)",
 	},
 	"internal/core/system.go": {
-		"System.extendedCache //kw:guardedby(cacheMu)",
 		"System.fieldsCache //kw:guardedby(cacheMu)",
 	},
 	"internal/detect/detect.go": {
@@ -60,6 +59,7 @@ var liveAnnotations = map[string][]string{
 	},
 	"internal/resilience/quota.go": {
 		"Quota.buckets //kw:guardedby(mu)",
+		"Quota.swept //kw:guardedby(mu)",
 	},
 	"internal/relevance/interned.go": {
 		"Miner.finalizeIDs //kw:fresh",

@@ -79,77 +79,6 @@ func TestFieldsCached(t *testing.T) {
 	}
 }
 
-// The headline reproduction property (Tables III-V shape): random ≈ 50%,
-// baseline well below random, learned interestingness below baseline, and
-// interestingness+relevance best of all.
-func TestMethodOrdering(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	s := testSystem(t)
-	groups := s.Dataset([]relevance.Resource{relevance.Snippets})
-
-	random, err := CrossValidate(groups, &RandomMethod{Seed: 1}, 5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := CrossValidate(groups, &ConceptVectorMethod{Scorer: s.Baseline}, 5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interest, err := CrossValidate(groups, &LearnedMethod{Options: ranksvm.Options{Seed: 3}}, 5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined, err := CrossValidate(groups, &LearnedMethod{
-		UseRelevance: true,
-		Resource:     relevance.Snippets,
-		Options:      ranksvm.Options{Seed: 3},
-	}, 5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Logf("random:   %v", random)
-	t.Logf("baseline: %v", baseline)
-	t.Logf("interest: %v", interest)
-	t.Logf("combined: %v", combined)
-
-	if random.WeightedErrorRate < 0.45 || random.WeightedErrorRate > 0.55 {
-		t.Errorf("random weighted error = %.3f, want ~0.5", random.WeightedErrorRate)
-	}
-	if baseline.WeightedErrorRate >= random.WeightedErrorRate {
-		t.Errorf("baseline (%.3f) should beat random (%.3f)", baseline.WeightedErrorRate, random.WeightedErrorRate)
-	}
-	if interest.WeightedErrorRate >= baseline.WeightedErrorRate {
-		t.Errorf("interestingness model (%.3f) should beat baseline (%.3f)", interest.WeightedErrorRate, baseline.WeightedErrorRate)
-	}
-	if combined.WeightedErrorRate >= interest.WeightedErrorRate {
-		t.Errorf("combined (%.3f) should beat interestingness-only (%.3f)", combined.WeightedErrorRate, interest.WeightedErrorRate)
-	}
-	// NDCG trends the same way.
-	if combined.NDCG[1] <= random.NDCG[1] {
-		t.Errorf("combined ndcg@1 (%.3f) should beat random (%.3f)", combined.NDCG[1], random.NDCG[1])
-	}
-}
-
-func TestRelevanceMethodBeatsRandom(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	s := testSystem(t)
-	groups := s.Dataset([]relevance.Resource{relevance.Snippets})
-	random, _ := CrossValidate(groups, &RandomMethod{Seed: 1}, 5, 2, 1)
-	rel, err := CrossValidate(groups, &RelevanceMethod{Resource: relevance.Snippets}, 5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("relevance-only: %v", rel)
-	if rel.WeightedErrorRate >= random.WeightedErrorRate {
-		t.Errorf("relevance-only (%.3f) should beat random (%.3f)", rel.WeightedErrorRate, random.WeightedErrorRate)
-	}
-}
-
 func TestAblationChangesDim(t *testing.T) {
 	s := testSystem(t)
 	groups := s.Dataset(nil)
@@ -164,16 +93,6 @@ func TestAblationChangesDim(t *testing.T) {
 	}
 }
 
-func TestRandomMethodDeterministic(t *testing.T) {
-	s := testSystem(t)
-	groups := s.Dataset(nil)
-	r1, _ := CrossValidate(groups[:20], &RandomMethod{Seed: 9}, 5, 1, 1)
-	r2, _ := CrossValidate(groups[:20], &RandomMethod{Seed: 9}, 5, 1, 1)
-	if r1.WeightedErrorRate != r2.WeightedErrorRate { //kwlint:ignore floatcompare — determinism test asserts bit-exact replay under a fixed seed
-		t.Fatal("random method not deterministic under fixed seed")
-	}
-}
-
 func TestAllCTRs(t *testing.T) {
 	s := testSystem(t)
 	groups := s.Dataset(nil)
@@ -184,5 +103,36 @@ func TestAllCTRs(t *testing.T) {
 	}
 	if len(ctrs) != n {
 		t.Fatalf("AllCTRs = %d, want %d", len(ctrs), n)
+	}
+}
+
+func TestGroupFromStory(t *testing.T) {
+	s := testSystem(t)
+	story := &s.Stories[0]
+	g := s.GroupFromStory(story, []relevance.Resource{relevance.Snippets})
+	if len(g.Examples) != len(story.Mentions) {
+		t.Fatalf("examples %d != mentions %d", len(g.Examples), len(story.Mentions))
+	}
+	for _, ex := range g.Examples {
+		if ex.RelScore == nil || ex.RelNorm == nil {
+			t.Fatal("relevance scores missing")
+		}
+		if ex.RelNorm[relevance.Snippets] < 0 || ex.RelNorm[relevance.Snippets] > 1 {
+			t.Fatalf("normalized relevance out of [0,1]: %v", ex.RelNorm[relevance.Snippets])
+		}
+	}
+}
+
+func TestDataStats(t *testing.T) {
+	s := testSystem(t)
+	st := s.DataStats()
+	if st.CleanStories == 0 || st.CleanStories > st.RawStories {
+		t.Fatalf("story counts: %+v", st)
+	}
+	if st.Windows < st.CleanStories {
+		t.Fatalf("windows %d < stories %d", st.Windows, st.CleanStories)
+	}
+	if st.Concepts == 0 || st.Clicks == 0 {
+		t.Fatalf("stats: %+v", st)
 	}
 }

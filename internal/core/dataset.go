@@ -2,6 +2,7 @@ package core
 
 import (
 	"contextrank/internal/features"
+	"contextrank/internal/newsgen"
 	"contextrank/internal/relevance"
 	"contextrank/internal/world"
 )
@@ -24,8 +25,9 @@ type Example struct {
 	Degree float64
 	// Fields is the interestingness feature record.
 	Fields features.Fields
-	// Extended carries the paper's eliminated candidate features, used only
-	// by the feature-selection experiment.
+	// Extended carries the paper's eliminated candidate features. Dataset
+	// leaves it zero; the feature-selection experiment fills it for its
+	// own groups.
 	Extended features.ExtendedFields
 	// RelScore holds the context relevance score per mining resource.
 	RelScore map[relevance.Resource]float64
@@ -93,6 +95,23 @@ func releaseStores(stores []boundStore) {
 	}
 }
 
+// scoreRelevance fills the example's relevance scores, one per bound store
+// (none leaves the maps nil). Relevance is scored against the mention's
+// surrounding context ("co-occurrences of the pre-mined keywords and the
+// given concept in the context"), not the whole text.
+func (ex *Example) scoreRelevance(stores []boundStore, text string) {
+	if len(stores) == 0 {
+		return
+	}
+	ex.RelScore = make(map[relevance.Resource]float64, len(stores))
+	ex.RelNorm = make(map[relevance.Resource]float64, len(stores))
+	for _, b := range stores {
+		b.ctx.SetAround(text, ex.Position, 0)
+		ex.RelScore[b.r] = b.st.ScoreCtx(ex.Concept.Name, b.ctx)
+		ex.RelNorm[b.r] = b.st.NormalizedScoreCtx(ex.Concept.Name, b.ctx)
+	}
+}
+
 // Dataset materializes the ranking dataset from the system's window groups,
 // attaching interestingness features and the relevance scores for the given
 // resources (pass nil for interestingness-only experiments). This is the
@@ -109,7 +128,6 @@ func (s *System) Dataset(resources []relevance.Resource) []Group {
 		}
 	}
 	s.WarmFields(names)
-	s.WarmExtendedFields(names)
 	groups := make([]Group, 0, len(s.Groups))
 	for gi, wg := range s.Groups {
 		g := Group{
@@ -129,25 +147,33 @@ func (s *System) Dataset(resources []relevance.Resource) []Group {
 				Relevant: e.Relevant,
 				Degree:   e.Degree,
 				Fields:   s.Fields(e.Concept.Name),
-				Extended: s.ExtendedFields(e.Concept.Name),
 			}
-			if len(stores) > 0 {
-				// Relevance is scored against the mention's surrounding
-				// context ("co-occurrences of the pre-mined keywords and
-				// the given concept in the context"), not the whole window.
-				ex.RelScore = make(map[relevance.Resource]float64, len(stores))
-				ex.RelNorm = make(map[relevance.Resource]float64, len(stores))
-				for _, b := range stores {
-					b.ctx.SetAround(wg.Text, e.Position, 0)
-					ex.RelScore[b.r] = b.st.ScoreCtx(e.Concept.Name, b.ctx)
-					ex.RelNorm[b.r] = b.st.NormalizedScoreCtx(e.Concept.Name, b.ctx)
-				}
-			}
+			ex.scoreRelevance(stores, wg.Text)
 			g.Examples = append(g.Examples, ex)
 		}
 		groups = append(groups, g)
 	}
 	return groups
+}
+
+// GroupFromStory builds an unlabeled ranking group from any document, so
+// trained methods can rank entities outside the click corpus.
+func (s *System) GroupFromStory(story *newsgen.Story, resources []relevance.Resource) Group {
+	g := Group{StoryID: story.ID, Text: story.Text}
+	stores := s.bindStores(resources)
+	defer releaseStores(stores)
+	for _, m := range story.Mentions {
+		ex := Example{
+			Concept:  m.Concept,
+			Position: m.Position,
+			Relevant: m.Relevant,
+			Degree:   m.Degree,
+			Fields:   s.Fields(m.Concept.Name),
+		}
+		ex.scoreRelevance(stores, story.Text)
+		g.Examples = append(g.Examples, ex)
+	}
+	return g
 }
 
 // AllCTRs collects every CTR label across groups (for the NDCG bucketizer,

@@ -1,17 +1,16 @@
-// Package core assembles the full Contextual Shortcuts reproduction: it
-// builds the synthetic world and every mined resource on top of it, turns
-// the simulated click reports into labeled ranking datasets, implements the
-// ranking methods the paper compares (random, concept-vector baseline,
-// relevance-only, learned interestingness, learned combined), and drives the
-// cross-validated evaluation that regenerates the paper's tables and
-// figures.
+// Package core assembles the Contextual Shortcuts system and nothing else:
+// it builds the synthetic world and every mined resource on top of it,
+// turns the simulated click reports into labeled ranking datasets, and
+// holds the one learned method the offline build fits (LearnedMethod). The
+// paper's evaluation — baselines, cross-validation, Tables II–VI and the
+// extension experiments — lives in internal/experiments as functions over a
+// *System, so no serving or offline binary links it.
 package core
 
 import (
 	"sync"
 
 	"contextrank/internal/clicksim"
-	"contextrank/internal/conceptvec"
 	"contextrank/internal/detect"
 	"contextrank/internal/features"
 	"contextrank/internal/newsgen"
@@ -88,7 +87,6 @@ type System struct {
 	Dict      *taxonomy.Dictionary
 	Extractor *features.Extractor
 	Miner     *relevance.Miner
-	Baseline  *conceptvec.Scorer
 	Pipeline  *detect.Pipeline
 
 	Stories []newsgen.Story
@@ -96,14 +94,12 @@ type System struct {
 	Cleaned []clicksim.Report
 	Groups  []clicksim.WindowGroup
 
-	// cacheMu guards the lazily-filled feature caches, which are hit by
+	// cacheMu guards the lazily-filled feature cache, which is hit by
 	// concurrent experiment workers, so every access goes through the
 	// accessors below.
 	cacheMu sync.RWMutex
 	//kw:guardedby(cacheMu)
 	fieldsCache map[string]features.Fields
-	//kw:guardedby(cacheMu)
-	extendedCache map[string]features.ExtendedFields
 
 	// relStores are the lazily-mined relevance stores, one slot per
 	// Resource with its own once-guard: concurrent requests for the same
@@ -128,7 +124,6 @@ func Build(cfg Config) *System {
 	s.Dict = taxonomy.Build(s.World, cfg.Seed+7)
 	s.Extractor = features.NewExtractor(s.Log, s.Units, s.Engine, s.Wiki, s.Dict)
 	s.Miner = relevance.NewMiner(s.Engine, searchsim.NewPrisma(s.Engine), searchsim.NewSuggestor(s.Log))
-	s.Baseline = conceptvec.New(s.Engine.Dictionary(), s.Units, conceptvec.Options{})
 	s.Pipeline = detect.New(s.Dict, s.Units)
 
 	s.Stories = newsgen.Generate(s.World, cfg.News)
@@ -137,7 +132,6 @@ func Build(cfg Config) *System {
 	s.Groups = clicksim.Windows(s.Cleaned, 0, 0) // paper defaults 2500/500
 
 	s.fieldsCache = make(map[string]features.Fields)
-	s.extendedCache = make(map[string]features.ExtendedFields)
 	return s
 }
 
@@ -159,31 +153,23 @@ func (s *System) Fields(concept string) features.Fields {
 	return f
 }
 
-// ExtendedFields returns the (cached) eliminated candidate features for a
-// concept (see features.ExtendedFields). Safe for concurrent callers.
-func (s *System) ExtendedFields(concept string) features.ExtendedFields {
-	s.cacheMu.RLock()
-	x, ok := s.extendedCache[concept]
-	s.cacheMu.RUnlock()
-	if ok {
-		return x
-	}
-	x = s.Extractor.Extended(concept)
-	s.cacheMu.Lock()
-	s.extendedCache[concept] = x
-	s.cacheMu.Unlock()
-	return x
-}
-
 // WarmFields batch-extracts the feature records of every listed concept
 // not already cached, fanning the extraction across Config.Workers. The
 // cache ends up in the same state as serial lazy filling — warming is a
 // pure wall-clock optimization.
 func (s *System) WarmFields(concepts []string) {
-	missing := s.missingFrom(concepts, func(c string) bool {
-		_, ok := s.fieldsCache[c]
-		return ok
-	})
+	// The deduplicated concepts not yet cached, in first-seen order.
+	s.cacheMu.RLock()
+	seen := make(map[string]bool, len(concepts))
+	var missing []string
+	for _, c := range concepts {
+		if _, cached := s.fieldsCache[c]; seen[c] || cached {
+			continue
+		}
+		seen[c] = true
+		missing = append(missing, c)
+	}
+	s.cacheMu.RUnlock()
 	if len(missing) == 0 {
 		return
 	}
@@ -193,40 +179,6 @@ func (s *System) WarmFields(concepts []string) {
 		s.fieldsCache[c] = fields[i]
 	}
 	s.cacheMu.Unlock()
-}
-
-// WarmExtendedFields is WarmFields for the eliminated candidate features.
-func (s *System) WarmExtendedFields(concepts []string) {
-	missing := s.missingFrom(concepts, func(c string) bool {
-		_, ok := s.extendedCache[c]
-		return ok
-	})
-	if len(missing) == 0 {
-		return
-	}
-	ext := s.Extractor.BatchExtended(missing, s.Config.Workers)
-	s.cacheMu.Lock()
-	for i, c := range missing {
-		s.extendedCache[c] = ext[i]
-	}
-	s.cacheMu.Unlock()
-}
-
-// missingFrom returns the deduplicated concepts not yet cached, in
-// first-seen order.
-func (s *System) missingFrom(concepts []string, cached func(string) bool) []string {
-	s.cacheMu.RLock()
-	defer s.cacheMu.RUnlock()
-	seen := make(map[string]bool, len(concepts))
-	var missing []string
-	for _, c := range concepts {
-		if seen[c] || cached(c) {
-			continue
-		}
-		seen[c] = true
-		missing = append(missing, c)
-	}
-	return missing
 }
 
 // RelevanceStore returns the (lazily-built) relevant-keyword store for a
@@ -244,4 +196,26 @@ func (s *System) RelevanceStore(r relevance.Resource) *relevance.Store {
 		s.relStores[r] = relevance.BuildStore(s.Miner, names, r, s.Config.Workers)
 	})
 	return s.relStores[r]
+}
+
+// DataStats reproduces the §V-A.1 data description: stories, concepts,
+// clicks after cleaning, and window count.
+type DataStats struct {
+	RawStories   int
+	CleanStories int
+	Concepts     int
+	Clicks       int
+	Windows      int
+}
+
+// DataStats summarizes the system's click corpus.
+func (s *System) DataStats() DataStats {
+	sum := clicksim.Summarize(s.Cleaned)
+	return DataStats{
+		RawStories:   len(s.Reports),
+		CleanStories: sum.Stories,
+		Concepts:     sum.Concepts,
+		Clicks:       sum.Clicks,
+		Windows:      len(s.Groups),
+	}
 }

@@ -144,8 +144,8 @@ func NDCG(pred, truth []float64, k int, judge func(float64) float64) float64 {
 	if k <= 0 || k > n {
 		k = n
 	}
-	order := argsortDesc(pred)
-	ideal := argsortDesc(truth)
+	order := ArgsortDesc(pred)
+	ideal := ArgsortDesc(truth)
 	dcg, idcg := 0.0, 0.0
 	for j := 0; j < k; j++ {
 		discount := math.Log(float64(j) + 2) // ln(j+1) with 1-based j
@@ -158,8 +158,8 @@ func NDCG(pred, truth []float64, k int, judge func(float64) float64) float64 {
 	return dcg / idcg
 }
 
-// argsortDesc returns indexes sorted by decreasing value, stable.
-func argsortDesc(v []float64) []int {
+// ArgsortDesc returns indexes sorted by decreasing value, stable.
+func ArgsortDesc(v []float64) []int {
 	idx := make([]int, len(v))
 	for i := range idx {
 		idx[i] = i

@@ -1,8 +1,15 @@
-package core
+// Package experiments is the paper's evaluation apparatus (§V, §VI and the
+// discussion sections): the static baselines, five-fold cross-validation
+// over click preference pairs, Tables II–VI, the production A/B simulation
+// and the extension experiments, each a function over a built *core.System.
+// It measures the system and is no part of it: only cmd/experiments, tests
+// and examples import it (make island keeps it out of every other binary).
+package experiments
 
 import (
 	"fmt"
 
+	"contextrank/internal/core"
 	"contextrank/internal/eval"
 	"contextrank/internal/par"
 )
@@ -45,19 +52,19 @@ type foldEval struct {
 //
 // The folds fan out across workers (par.Workers semantics: 1 = serial,
 // 0 = all cores). Each fold fits its own clone of the method (see
-// Cloneable) and evaluates its test groups in index order; the per-fold
+// core.Cloneable) and evaluates its test groups in index order; the per-fold
 // partials are merged in fold order, so the result is bit-identical for
 // every worker count. Methods that do not implement Cloneable fall back to
 // serial folds.
-func CrossValidate(groups []Group, m Method, folds int, seed int64, workers int) (Result, error) {
+func CrossValidate(groups []core.Group, m core.Method, folds int, seed int64, workers int) (Result, error) {
 	if folds <= 0 {
 		folds = 5
 	}
-	bucketizer := eval.NewBucketizer(AllCTRs(groups))
+	bucketizer := eval.NewBucketizer(core.AllCTRs(groups))
 	judge := bucketizer.Judgement
 	foldIdx := eval.KFold(len(groups), folds, seed)
 
-	cloner, cloneable := m.(Cloneable)
+	cloner, cloneable := m.(core.Cloneable)
 	if !cloneable {
 		workers = 1
 	}
@@ -68,16 +75,7 @@ func CrossValidate(groups []Group, m Method, folds int, seed int64, workers int)
 			method = cloner.CloneMethod()
 		}
 		test := foldIdx[f]
-		inTest := make(map[int]bool, len(test))
-		for _, i := range test {
-			inTest[i] = true
-		}
-		var train []Group
-		for i := range groups {
-			if !inTest[i] {
-				train = append(train, groups[i])
-			}
-		}
+		train := without(groups, test)
 		fe := foldEval{ndcgSum: make(map[int]float64, len(NDCGKs))}
 		if err := method.Fit(train); err != nil {
 			return fe, fmt.Errorf("fold %d: %w", f, err)
@@ -123,11 +121,27 @@ func CrossValidate(groups []Group, m Method, folds int, seed int64, workers int)
 	return res, nil
 }
 
+// without returns the groups whose index is not in test: a fold's training
+// set, in dataset order.
+func without(groups []core.Group, test []int) []core.Group {
+	inTest := make(map[int]bool, len(test))
+	for _, i := range test {
+		inTest[i] = true
+	}
+	train := make([]core.Group, 0, len(groups)-len(test))
+	for i := range groups {
+		if !inTest[i] {
+			train = append(train, groups[i])
+		}
+	}
+	return train
+}
+
 // CompareMethods cross-validates two methods on identical folds and runs a
 // paired bootstrap over the test documents to decide whether the weighted
 // error difference is statistically significant. Negative DeltaObserved
 // means method a is better.
-func CompareMethods(groups []Group, a, b Method, folds int, seed int64) (eval.BootstrapResult, error) {
+func CompareMethods(groups []core.Group, a, b core.Method, folds int, seed int64) (eval.BootstrapResult, error) {
 	if folds <= 0 {
 		folds = 5
 	}
@@ -135,16 +149,7 @@ func CompareMethods(groups []Group, a, b Method, folds int, seed int64) (eval.Bo
 	foldIdx := eval.KFold(len(groups), folds, seed)
 	for f := 0; f < len(foldIdx); f++ {
 		test := foldIdx[f]
-		inTest := make(map[int]bool, len(test))
-		for _, i := range test {
-			inTest[i] = true
-		}
-		var train []Group
-		for i := range groups {
-			if !inTest[i] {
-				train = append(train, groups[i])
-			}
-		}
+		train := without(groups, test)
 		if err := a.Fit(train); err != nil {
 			return eval.BootstrapResult{}, fmt.Errorf("fold %d (%s): %w", f, a.Name(), err)
 		}

@@ -1,8 +1,9 @@
-package core
+package experiments
 
 import (
 	"math/rand"
 
+	"contextrank/internal/core"
 	"contextrank/internal/online"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
@@ -18,19 +19,35 @@ import (
 // frequency, any-order result count, per-term idf) "prove not to improve
 // upon the features mentioned above". Returns the cross-validated results
 // with and without the eliminated candidates.
-func (s *System) FeatureSelection(folds int, seed int64) (selected, withEliminated Result, err error) {
+func FeatureSelection(s *core.System, folds int, seed int64) (selected, withEliminated Result, err error) {
 	groups := s.Dataset(nil)
-	if selected, err = CrossValidate(groups, &LearnedMethod{
-		Options: ranksvm.Options{Seed: seed},
-	}, folds, seed, 1); err != nil {
-		return
+	// Dataset extracts only the selected features; the eliminated candidates
+	// are this experiment's alone, extracted once per distinct concept.
+	var names []string
+	index := make(map[string]int)
+	for gi := range groups {
+		for _, ex := range groups[gi].Examples {
+			if _, ok := index[ex.Concept.Name]; !ok {
+				index[ex.Concept.Name] = len(names)
+				names = append(names, ex.Concept.Name)
+			}
+		}
 	}
-	withEliminated, err = CrossValidate(groups, &LearnedMethod{
+	extended := s.Extractor.BatchExtended(names, s.Config.Workers)
+	for gi := range groups {
+		for ei := range groups[gi].Examples {
+			ex := &groups[gi].Examples[ei]
+			ex.Extended = extended[index[ex.Concept.Name]]
+		}
+	}
+	c := cv{groups: groups, folds: folds, seed: seed, workers: 1}
+	selected = c.run(&core.LearnedMethod{Options: ranksvm.Options{Seed: seed}})
+	withEliminated = c.run(&core.LearnedMethod{
 		Label:         "All Features + Eliminated Candidates",
 		UseEliminated: true,
 		Options:       ranksvm.Options{Seed: seed},
-	}, folds, seed, 1)
-	return
+	})
+	return selected, withEliminated, c.err
 }
 
 // SenseExperiment measures the §IV-C ambiguity extension: relevance scoring
@@ -38,7 +55,7 @@ func (s *System) FeatureSelection(folds int, seed int64) (selected, withEliminat
 // ambiguous concepts' mentions. Returns the mean coverage-normalized
 // relevance of ambiguous relevant mentions under each scorer — the sense
 // packs should recover contexts the diluted global pack misses.
-func (s *System) SenseExperiment(maxSenses int) (globalCoverage, senseCoverage float64, mentions int) {
+func SenseExperiment(s *core.System, maxSenses int) (globalCoverage, senseCoverage float64, mentions int) {
 	store := s.RelevanceStore(relevance.Snippets)
 
 	// Collect ambiguous concepts that appear in the click corpus.

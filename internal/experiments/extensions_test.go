@@ -1,10 +1,11 @@
-package core
+package experiments
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"contextrank/internal/core"
 	"contextrank/internal/features"
 	"contextrank/internal/framework"
 	"contextrank/internal/newsgen"
@@ -22,7 +23,7 @@ func TestFeatureSelectionEliminatedCandidates(t *testing.T) {
 		t.Skip("slow")
 	}
 	s := testSystem(t)
-	selected, withEliminated, err := s.FeatureSelection(3, 7)
+	selected, withEliminated, err := FeatureSelection(s, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestSenseExperimentRuns(t *testing.T) {
 		t.Skip("slow")
 	}
 	s := testSystem(t)
-	global, sense, n := s.SenseExperiment(2)
+	global, sense, n := SenseExperiment(s, 2)
 	if n == 0 {
 		t.Skip("no ambiguous mentions in click corpus")
 	}
@@ -58,7 +59,7 @@ func TestRunBreakingNews(t *testing.T) {
 	}
 	s := testSystem(t)
 
-	learned := &LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: ranksvm.Options{Seed: 3}}
+	learned := &core.LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: ranksvm.Options{Seed: 3}}
 	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
-package core
+package experiments
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
 
-	"contextrank/internal/clicksim"
+	"contextrank/internal/core"
 	"contextrank/internal/editorial"
+	"contextrank/internal/eval"
 	"contextrank/internal/features"
 	"contextrank/internal/newsgen"
 	"contextrank/internal/par"
@@ -15,9 +16,10 @@ import (
 	"contextrank/internal/world"
 )
 
-// This file drives the paper's experiments (§V). Each TableN/FigureN
-// function regenerates the corresponding result; cmd/experiments and
-// bench_test.go print them side by side with the paper's numbers.
+// This file drives the paper's experiments (§V). Each TableN function
+// regenerates the corresponding result (the figures are the NDCG fields of
+// the same results); cmd/experiments and bench_test.go print them side by
+// side with the paper's numbers.
 
 // Table2Row is one line of Table II: a concept and the summation of its
 // top-100 relevant-keyword scores.
@@ -30,7 +32,7 @@ type Table2Row struct {
 // keyword summations, which separate specific concepts from low-quality
 // phrases. Returns the top and bottom k rows over all concepts (excluding
 // concepts with no keywords at all).
-func (s *System) Table2(k int) (top, bottom []Table2Row) {
+func Table2(s *core.System, k int) (top, bottom []Table2Row) {
 	store := s.RelevanceStore(relevance.Snippets)
 	rows := make([]Table2Row, 0, len(s.World.Concepts))
 	for i := range s.World.Concepts {
@@ -54,9 +56,29 @@ func (s *System) Table2(k int) (top, bottom []Table2Row) {
 	return top, bottom
 }
 
-// Table3 holds the weighted error rates of Table III: the baselines, the
+// cv cross-validates methods over one dataset with one protocol — the
+// tables' folds and seed, the system's workers — and keeps the first error:
+// once a run has failed the later ones are skipped and return a zero Result.
+type cv struct {
+	groups  []core.Group
+	folds   int
+	seed    int64
+	workers int
+	err     error
+}
+
+func (c *cv) run(m core.Method) Result {
+	if c.err != nil {
+		return Result{}
+	}
+	var r Result
+	r, c.err = CrossValidate(c.groups, m, c.folds, c.seed, c.workers)
+	return r
+}
+
+// Table3Rows holds the weighted error rates of Table III: the baselines, the
 // full interestingness model, and the leave-one-group-out ablations.
-type Table3 struct {
+type Table3Rows struct {
 	Random        Result
 	ConceptVector Result
 	AllFeatures   Result
@@ -65,37 +87,26 @@ type Table3 struct {
 
 // Table3 reproduces Table III (and Figure 1, via the NDCG fields of the
 // results): 5-fold CV of the ranking SVM over interestingness features.
-func (s *System) Table3(folds int, seed int64) (Table3, error) {
-	groups := s.Dataset(nil)
-	var out Table3
-	var err error
-	if out.Random, err = CrossValidate(groups, &RandomMethod{Seed: seed}, folds, seed, s.Config.Workers); err != nil {
-		return out, err
+func Table3(s *core.System, folds int, seed int64) (Table3Rows, error) {
+	c := cv{groups: s.Dataset(nil), folds: folds, seed: seed, workers: s.Config.Workers}
+	out := Table3Rows{
+		Random:        c.run(&RandomMethod{Seed: seed}),
+		ConceptVector: c.run(&ConceptVectorMethod{Scorer: Baseline(s)}),
+		AllFeatures:   c.run(&core.LearnedMethod{Options: ranksvm.Options{Seed: seed}}),
+		Ablations:     make(map[features.Group]Result, features.NumGroups),
 	}
-	if out.ConceptVector, err = CrossValidate(groups, &ConceptVectorMethod{Scorer: s.Baseline}, folds, seed, s.Config.Workers); err != nil {
-		return out, err
-	}
-	if out.AllFeatures, err = CrossValidate(groups, &LearnedMethod{Options: ranksvm.Options{Seed: seed}}, folds, seed, s.Config.Workers); err != nil {
-		return out, err
-	}
-	out.Ablations = make(map[features.Group]Result, features.NumGroups)
 	for g := features.Group(0); g < features.NumGroups; g++ {
-		m := &LearnedMethod{
+		out.Ablations[g] = c.run(&core.LearnedMethod{
 			Label:         fmt.Sprintf("All Features - %s", g),
 			FeatureGroups: features.Without(g),
 			Options:       ranksvm.Options{Seed: seed},
-		}
-		r, err := CrossValidate(groups, m, folds, seed, s.Config.Workers)
-		if err != nil {
-			return out, err
-		}
-		out.Ablations[g] = r
+		})
 	}
-	return out, nil
+	return out, c.err
 }
 
-// Table4 holds the relevance-score-only results of Table IV (and Figure 2).
-type Table4 struct {
+// Table4Rows holds the relevance-score-only results of Table IV (and Figure 2).
+type Table4Rows struct {
 	Random        Result
 	ConceptVector Result
 	ByResource    map[relevance.Resource]Result
@@ -103,70 +114,49 @@ type Table4 struct {
 
 // Table4 reproduces Table IV: ranking purely by the pre-mined relevance
 // score, one run per mining resource; no model is trained.
-func (s *System) Table4(folds int, seed int64) (Table4, error) {
+func Table4(s *core.System, folds int, seed int64) (Table4Rows, error) {
 	resources := []relevance.Resource{relevance.Snippets, relevance.Prisma, relevance.Suggestions}
-	groups := s.Dataset(resources)
-	var out Table4
-	var err error
-	if out.Random, err = CrossValidate(groups, &RandomMethod{Seed: seed}, folds, seed, s.Config.Workers); err != nil {
-		return out, err
+	c := cv{groups: s.Dataset(resources), folds: folds, seed: seed, workers: s.Config.Workers}
+	out := Table4Rows{
+		Random:        c.run(&RandomMethod{Seed: seed}),
+		ConceptVector: c.run(&ConceptVectorMethod{Scorer: Baseline(s)}),
+		ByResource:    make(map[relevance.Resource]Result, len(resources)),
 	}
-	if out.ConceptVector, err = CrossValidate(groups, &ConceptVectorMethod{Scorer: s.Baseline}, folds, seed, s.Config.Workers); err != nil {
-		return out, err
-	}
-	out.ByResource = make(map[relevance.Resource]Result, len(resources))
 	for _, r := range resources {
-		res, err := CrossValidate(groups, &RelevanceMethod{Resource: r}, folds, seed, s.Config.Workers)
-		if err != nil {
-			return out, err
-		}
-		out.ByResource[r] = res
+		out.ByResource[r] = c.run(&RelevanceMethod{Resource: r})
 	}
-	return out, nil
+	return out, c.err
 }
 
-// Table5 holds the combined-model results of Table V (and Figure 3).
-type Table5 struct {
-	Random           Result
-	ConceptVector    Result
-	BestInterest     Result
-	BestRelevance    Result
-	Combined         Result
-	CombinedRBF      Result // kernel ablation (§V-A.3 tests both kernels)
-	CombinedNoTiebrk Result // design-choice ablation
+// Table5Rows holds the combined-model results of Table V (and Figure 3).
+type Table5Rows struct {
+	Random        Result
+	ConceptVector Result
+	BestInterest  Result
+	BestRelevance Result
+	Combined      Result
+	CombinedRBF   Result // kernel ablation (§V-A.3 tests both kernels)
 }
 
 // Table5 reproduces Table V: all interestingness features plus the
 // snippet-based relevance score, with relevance tie-breaking.
-func (s *System) Table5(folds int, seed int64) (Table5, error) {
-	groups := s.Dataset([]relevance.Resource{relevance.Snippets})
-	var out Table5
-	var err error
-	if out.Random, err = CrossValidate(groups, &RandomMethod{Seed: seed}, folds, seed, s.Config.Workers); err != nil {
-		return out, err
+func Table5(s *core.System, folds int, seed int64) (Table5Rows, error) {
+	c := cv{groups: s.Dataset([]relevance.Resource{relevance.Snippets}), folds: folds, seed: seed, workers: s.Config.Workers}
+	out := Table5Rows{
+		Random:        c.run(&RandomMethod{Seed: seed}),
+		ConceptVector: c.run(&ConceptVectorMethod{Scorer: Baseline(s)}),
+		BestInterest:  c.run(&core.LearnedMethod{Options: ranksvm.Options{Seed: seed}}),
+		BestRelevance: c.run(&RelevanceMethod{Resource: relevance.Snippets}),
+		Combined: c.run(&core.LearnedMethod{
+			UseRelevance: true, Resource: relevance.Snippets,
+			Options: ranksvm.Options{Seed: seed},
+		}),
+		CombinedRBF: c.run(&core.LearnedMethod{
+			Label: "Interestingness + Relevance (RBF)", UseRelevance: true, Resource: relevance.Snippets,
+			Options: ranksvm.Options{Seed: seed, Kernel: ranksvm.RBF, MaxPairsPerGroup: 10},
+		}),
 	}
-	if out.ConceptVector, err = CrossValidate(groups, &ConceptVectorMethod{Scorer: s.Baseline}, folds, seed, s.Config.Workers); err != nil {
-		return out, err
-	}
-	if out.BestInterest, err = CrossValidate(groups, &LearnedMethod{Options: ranksvm.Options{Seed: seed}}, folds, seed, s.Config.Workers); err != nil {
-		return out, err
-	}
-	if out.BestRelevance, err = CrossValidate(groups, &RelevanceMethod{Resource: relevance.Snippets}, folds, seed, s.Config.Workers); err != nil {
-		return out, err
-	}
-	if out.Combined, err = CrossValidate(groups, &LearnedMethod{
-		UseRelevance: true, Resource: relevance.Snippets,
-		Options: ranksvm.Options{Seed: seed},
-	}, folds, seed, s.Config.Workers); err != nil {
-		return out, err
-	}
-	if out.CombinedRBF, err = CrossValidate(groups, &LearnedMethod{
-		Label: "Interestingness + Relevance (RBF)", UseRelevance: true, Resource: relevance.Snippets,
-		Options: ranksvm.Options{Seed: seed, Kernel: ranksvm.RBF, MaxPairsPerGroup: 10},
-	}, folds, seed, s.Config.Workers); err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, c.err
 }
 
 // EditorialConfig parameterizes the Table VI study.
@@ -174,11 +164,10 @@ type EditorialConfig struct {
 	Seed        int64
 	NewsDocs    int // default 400, top-3 judged
 	AnswersDocs int // default 800, top-2 judged
-	Folds       int // training folds for the ranking model (default: train on all click data)
 }
 
-// Table6 holds the editorial study outcome per content type and method.
-type Table6 struct {
+// Table6Rows holds the editorial study outcome per content type and method.
+type Table6Rows struct {
 	// NewsCV / NewsRanked: concept-vector vs. learned ranking on news.
 	NewsCV, NewsRanked editorial.Tally
 	// AnswersCV / AnswersRanked: same on answers snippets.
@@ -193,7 +182,7 @@ type Table6 struct {
 // stories + 800 answers snippets), top-3/top-2 entities identified with the
 // learned ranking and with the concept-vector score, each judged for
 // interestingness and relevance.
-func (s *System) Table6(cfg EditorialConfig) (Table6, error) {
+func Table6(s *core.System, cfg EditorialConfig) (Table6Rows, error) {
 	if cfg.NewsDocs == 0 {
 		cfg.NewsDocs = 400
 	}
@@ -202,12 +191,12 @@ func (s *System) Table6(cfg EditorialConfig) (Table6, error) {
 	}
 
 	// Train the full model on the click data.
-	learned := &LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: ranksvm.Options{Seed: cfg.Seed}}
+	learned := &core.LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: ranksvm.Options{Seed: cfg.Seed}}
 	trainGroups := s.Dataset([]relevance.Resource{relevance.Snippets})
 	if err := learned.Fit(trainGroups); err != nil {
-		return Table6{}, err
+		return Table6Rows{}, err
 	}
-	baseline := &ConceptVectorMethod{Scorer: s.Baseline}
+	baseline := &ConceptVectorMethod{Scorer: Baseline(s)}
 
 	news := newsgen.Generate(s.World, newsgen.Config{
 		Seed: cfg.Seed + 101, NumStories: cfg.NewsDocs,
@@ -220,11 +209,11 @@ func (s *System) Table6(cfg EditorialConfig) (Table6, error) {
 	// "A team of expert judges": every story gets its own three-judge panel
 	// (seeds derived per story inside judgeTopK), so stories are judged
 	// concurrently without the rating streams depending on judging order.
-	var out Table6
-	out.NewsRanked = s.judgeTopK(news, learned, 3, cfg.Seed+110)
-	out.NewsCV = s.judgeTopK(news, baseline, 3, cfg.Seed+111)
-	out.AnswersRanked = s.judgeTopK(answers, learned, 2, cfg.Seed+112)
-	out.AnswersCV = s.judgeTopK(answers, baseline, 2, cfg.Seed+113)
+	var out Table6Rows
+	out.NewsRanked = judgeTopK(s, news, learned, 3, cfg.Seed+110)
+	out.NewsCV = judgeTopK(s, news, baseline, 3, cfg.Seed+111)
+	out.AnswersRanked = judgeTopK(s, answers, learned, 2, cfg.Seed+112)
+	out.AnswersCV = judgeTopK(s, answers, baseline, 2, cfg.Seed+113)
 
 	// Inter-judge agreement over a shared sample of mentions.
 	var concepts []*world.Concept
@@ -243,46 +232,18 @@ func (s *System) Table6(cfg EditorialConfig) (Table6, error) {
 	return out, nil
 }
 
-// GroupFromStory builds an unlabeled ranking group from any document, so
-// trained methods can rank entities outside the click corpus.
-func (s *System) GroupFromStory(story *newsgen.Story, resources []relevance.Resource) Group {
-	g := Group{StoryID: story.ID, Text: story.Text}
-	stores := s.bindStores(resources)
-	defer releaseStores(stores)
-	for _, m := range story.Mentions {
-		ex := Example{
-			Concept:  m.Concept,
-			Position: m.Position,
-			Relevant: m.Relevant,
-			Degree:   m.Degree,
-			Fields:   s.Fields(m.Concept.Name),
-		}
-		if len(stores) > 0 {
-			ex.RelScore = make(map[relevance.Resource]float64, len(stores))
-			ex.RelNorm = make(map[relevance.Resource]float64, len(stores))
-			for _, b := range stores {
-				b.ctx.SetAround(story.Text, m.Position, 0)
-				ex.RelScore[b.r] = b.st.ScoreCtx(m.Concept.Name, b.ctx)
-				ex.RelNorm[b.r] = b.st.NormalizedScoreCtx(m.Concept.Name, b.ctx)
-			}
-		}
-		g.Examples = append(g.Examples, ex)
-	}
-	return g
-}
-
 // judgeTopK ranks each story's entities with the method and has a
 // three-judge panel rate the top k (majority-pooled). Stories fan out
 // across Config.Workers; each story's panel draws its seed from
 // (panelSeed, story index), so the tally is bit-identical at any worker
 // count. The method is only read (Score), never fitted, inside the loop.
-func (s *System) judgeTopK(stories []newsgen.Story, m Method, k int, panelSeed int64) editorial.Tally {
+func judgeTopK(s *core.System, stories []newsgen.Story, m core.Method, k int, panelSeed int64) editorial.Tally {
 	tallies := par.Map(s.Config.Workers, len(stories), func(i int) editorial.Tally {
 		panel := editorial.NewPanel(3, par.Seed(panelSeed, i))
 		var t editorial.Tally
 		g := s.GroupFromStory(&stories[i], []relevance.Resource{relevance.Snippets})
 		scores := m.Score(&g)
-		order := argsortDesc(scores)
+		order := eval.ArgsortDesc(scores)
 		for j := 0; j < k && j < len(order); j++ {
 			ex := &g.Examples[order[j]]
 			t.Add(panel.MajorityRate(ex.Concept, ex.Degree))
@@ -294,15 +255,6 @@ func (s *System) judgeTopK(stories []newsgen.Story, m Method, k int, panelSeed i
 		tally.Merge(t)
 	}
 	return tally
-}
-
-func argsortDesc(v []float64) []int {
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return v[idx[a]] > v[idx[b]] })
-	return idx
 }
 
 // Production holds the §V-C real-world experiment outcome: annotating fewer,
@@ -333,14 +285,14 @@ func (p Production) CTRChangePct() float64 {
 // detected entity; the treatment period annotates only the top-N ranked by
 // the learned model. Fresh traffic is simulated for both periods with the
 // same stories and view counts; clicks are drawn from the latent CTR model.
-func (s *System) ProductionExperiment(topN int, numStories int, seed int64) (Production, error) {
+func ProductionExperiment(s *core.System, topN int, numStories int, seed int64) (Production, error) {
 	if topN == 0 {
 		topN = 3
 	}
 	if numStories == 0 {
 		numStories = 300
 	}
-	learned := &LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: ranksvm.Options{Seed: seed}}
+	learned := &core.LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: ranksvm.Options{Seed: seed}}
 	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		return Production{}, err
 	}
@@ -366,7 +318,7 @@ func (s *System) ProductionExperiment(topN int, numStories int, seed int64) (Pro
 		}
 		// Treatment period: only the model's top-N annotated.
 		scores := learned.Score(&g)
-		order := argsortDesc(scores)
+		order := eval.ArgsortDesc(scores)
 		for j := 0; j < topN && j < len(order); j++ {
 			m := story.Mentions[order[j]]
 			ctr := clickCfg.TrueCTR(m.Concept, m.Degree, m.Position)
@@ -394,26 +346,4 @@ func sampleBinomial(rng *rand.Rand, n int, pr float64) int {
 		}
 	}
 	return k
-}
-
-// DataStats reproduces the §V-A.1 data description: stories, concepts,
-// clicks after cleaning, and window count.
-type DataStats struct {
-	RawStories   int
-	CleanStories int
-	Concepts     int
-	Clicks       int
-	Windows      int
-}
-
-// DataStats summarizes the system's click corpus.
-func (s *System) DataStats() DataStats {
-	sum := clicksim.Summarize(s.Cleaned)
-	return DataStats{
-		RawStories:   len(s.Reports),
-		CleanStories: sum.Stories,
-		Concepts:     sum.Concepts,
-		Clicks:       sum.Clicks,
-		Windows:      len(s.Groups),
-	}
 }

@@ -1,8 +1,9 @@
-package core
+package experiments
 
 import (
 	"testing"
 
+	"contextrank/internal/core"
 	"contextrank/internal/features"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
@@ -10,7 +11,7 @@ import (
 
 func TestTable2Shape(t *testing.T) {
 	s := testSystem(t)
-	top, bottom := s.Table2(3)
+	top, bottom := Table2(s, 3)
 	if len(top) != 3 || len(bottom) != 3 {
 		t.Fatalf("Table2 sizes: %d/%d", len(top), len(bottom))
 	}
@@ -43,7 +44,7 @@ func TestTable3AblationsComplete(t *testing.T) {
 		t.Skip("slow")
 	}
 	s := testSystem(t)
-	t3, err := s.Table3(3, 7)
+	t3, err := Table3(s, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestTable4AllResourcesBeatRandom(t *testing.T) {
 		t.Skip("slow")
 	}
 	s := testSystem(t)
-	t4, err := s.Table4(3, 7)
+	t4, err := Table4(s, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestTable5CombinedBest(t *testing.T) {
 		t.Skip("slow")
 	}
 	s := testSystem(t)
-	t5, err := s.Table5(3, 7)
+	t5, err := Table5(s, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestTable6RankedBeatsBaseline(t *testing.T) {
 		t.Skip("slow")
 	}
 	s := testSystem(t)
-	t6, err := s.Table6(EditorialConfig{Seed: 7, NewsDocs: 80, AnswersDocs: 120})
+	t6, err := Table6(s, EditorialConfig{Seed: 7, NewsDocs: 80, AnswersDocs: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestProductionExperimentShape(t *testing.T) {
 		t.Skip("slow")
 	}
 	s := testSystem(t)
-	p, err := s.ProductionExperiment(3, 150, 7)
+	p, err := ProductionExperiment(s, 3, 150, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,37 +159,6 @@ func TestProductionExperimentShape(t *testing.T) {
 	}
 }
 
-func TestGroupFromStory(t *testing.T) {
-	s := testSystem(t)
-	story := &s.Stories[0]
-	g := s.GroupFromStory(story, []relevance.Resource{relevance.Snippets})
-	if len(g.Examples) != len(story.Mentions) {
-		t.Fatalf("examples %d != mentions %d", len(g.Examples), len(story.Mentions))
-	}
-	for _, ex := range g.Examples {
-		if ex.RelScore == nil || ex.RelNorm == nil {
-			t.Fatal("relevance scores missing")
-		}
-		if ex.RelNorm[relevance.Snippets] < 0 || ex.RelNorm[relevance.Snippets] > 1 {
-			t.Fatalf("normalized relevance out of [0,1]: %v", ex.RelNorm[relevance.Snippets])
-		}
-	}
-}
-
-func TestDataStats(t *testing.T) {
-	s := testSystem(t)
-	st := s.DataStats()
-	if st.CleanStories == 0 || st.CleanStories > st.RawStories {
-		t.Fatalf("story counts: %+v", st)
-	}
-	if st.Windows < st.CleanStories {
-		t.Fatalf("windows %d < stories %d", st.Windows, st.CleanStories)
-	}
-	if st.Concepts == 0 || st.Clicks == 0 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
 func TestCompareMethodsSignificance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -197,7 +167,7 @@ func TestCompareMethodsSignificance(t *testing.T) {
 	groups := s.Dataset([]relevance.Resource{relevance.Snippets})
 	// A real difference: learned combined model vs random ordering.
 	sig, err := CompareMethods(groups,
-		&LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: ranksvm.Options{Seed: 3}},
+		&core.LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: ranksvm.Options{Seed: 3}},
 		&RandomMethod{Seed: 3},
 		3, 11)
 	if err != nil {

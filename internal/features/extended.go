@@ -20,7 +20,7 @@ import (
 //
 // They are kept in the library so the feature-selection experiment can
 // reproduce the paper's negative result: adding them does not reduce the
-// error (see core.FeatureSelection).
+// error (see experiments.FeatureSelection).
 type ExtendedFields struct {
 	// FreqCosineSimilar is log1p of the summed frequency of queries whose
 	// bag-of-words cosine similarity with the concept is ≥ CosineThreshold

@@ -19,6 +19,14 @@ type QuotaConfig struct {
 	Now func() time.Time
 }
 
+// The tenant name is a client header, so the table it keys is bounded in
+// both directions: a name counts up to its first maxTenantKey bytes, and at
+// most maxTenants buckets are tracked.
+const (
+	maxTenantKey = 128
+	maxTenants   = 4096
+)
+
 // Quota is a per-tenant token-bucket admission check, sitting in front of
 // the concurrency gate: the gate bounds how much work runs at once, the
 // quota bounds how much work each tenant may submit over time. A nil
@@ -29,6 +37,9 @@ type Quota struct {
 	mu sync.Mutex
 	//kw:guardedby(mu)
 	buckets map[string]*bucket
+	// swept is when the full table was last scanned for droppable buckets.
+	//kw:guardedby(mu)
+	swept time.Time
 }
 
 type bucket struct {
@@ -51,29 +62,56 @@ func (q *Quota) now() time.Time {
 	return time.Now()
 }
 
+// refilled is the bucket's balance at now: what it held plus the refill
+// since it was last touched, capped at Burst.
+func (q *Quota) refilled(b *bucket, now time.Time) float64 {
+	tokens := b.tokens
+	if elapsed := now.Sub(b.last).Seconds(); q.cfg.RatePerSec > 0 && elapsed > 0 {
+		tokens += elapsed * q.cfg.RatePerSec
+	}
+	if max := float64(q.cfg.Burst); tokens > max {
+		tokens = max
+	}
+	return tokens
+}
+
 // Allow spends one token from tenant's bucket. On refusal it returns the
 // Retry-After hint: the time until one token refills, or one second when
-// the bucket never refills (rate 0).
+// the bucket never refills (rate 0) or the table is full of tenants with
+// spent budget and this one is new.
 func (q *Quota) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 	if q == nil {
 		return true, 0
+	}
+	if len(tenant) > maxTenantKey {
+		tenant = tenant[:maxTenantKey]
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.now()
 	b, found := q.buckets[tenant]
 	if !found {
-		b = &bucket{tokens: float64(q.cfg.Burst), last: now}
-		q.buckets[tenant] = b
-	} else if q.cfg.RatePerSec > 0 {
-		if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {
-			b.tokens += elapsed * q.cfg.RatePerSec
-			if max := float64(q.cfg.Burst); b.tokens > max {
-				b.tokens = max
+		if len(q.buckets) >= maxTenants {
+			// A bucket refilled to Burst is indistinguishable from an
+			// absent one (none is, without a refill rate): drop those, at
+			// most once per refusal hint so a flood of names costs a probe
+			// each. If every tenant still has budget out, refuse, not grow.
+			if q.cfg.RatePerSec > 0 && now.Sub(q.swept) >= time.Second {
+				q.swept = now
+				for name, old := range q.buckets {
+					if q.refilled(old, now) >= float64(q.cfg.Burst) {
+						delete(q.buckets, name)
+					}
+				}
+			}
+			if len(q.buckets) >= maxTenants {
+				return false, time.Second
 			}
 		}
+		b = &bucket{tokens: float64(q.cfg.Burst), last: now}
+		q.buckets[tenant] = b
 	}
-	b.last = now
+	b.tokens, b.last = q.refilled(b, now), now
 	if b.tokens >= 1 {
 		b.tokens--
 		return true, 0

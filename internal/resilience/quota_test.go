@@ -1,6 +1,8 @@
 package resilience
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -80,5 +82,86 @@ func TestQuotaNilSafe(t *testing.T) {
 	}
 	if q.Tenants() != 0 {
 		t.Fatal("nil quota tracks tenants")
+	}
+}
+
+// TestQuotaBoundedTenants: the tenant name is a client header, so the table
+// must not grow with the names an attacker invents. A flood of distinct
+// names stops at the cap — with no refill nothing can be dropped, so unseen
+// tenants are refused with the usual hint — and a tenant already tracked
+// keeps its exact budget through it.
+func TestQuotaBoundedTenants(t *testing.T) {
+	q := NewQuota(QuotaConfig{Burst: 3})
+	for i := 0; i < 2; i++ {
+		if ok, _ := q.Allow("acme"); !ok {
+			t.Fatalf("acme request %d refused within burst", i)
+		}
+	}
+	refused := 0
+	for i := 0; i < 10*maxTenants; i++ {
+		ok, retryAfter := q.Allow("flood-" + strconv.Itoa(i))
+		if !ok {
+			refused++
+			if retryAfter != time.Second {
+				t.Fatalf("full-table refusal hint %v, want 1s", retryAfter)
+			}
+		}
+	}
+	if q.Tenants() > maxTenants {
+		t.Fatalf("tenants = %d after the flood, want <= %d", q.Tenants(), maxTenants)
+	}
+	if want := 9*maxTenants + 1; refused != want {
+		t.Fatalf("refused %d unseen tenants, want %d (all past the cap)", refused, want)
+	}
+	if ok, _ := q.Allow("acme"); !ok {
+		t.Fatal("acme lost its third token to the flood")
+	}
+	if ok, _ := q.Allow("acme"); ok {
+		t.Fatal("acme admitted past its burst after the flood")
+	}
+}
+
+// TestQuotaDropsRefilledTenants: with a refill rate, a bucket back at Burst
+// is the same as no bucket, so at the cap those are dropped to make room —
+// and only those: a tenant still in debt keeps its bucket and its refusal.
+func TestQuotaDropsRefilledTenants(t *testing.T) {
+	now := time.Unix(1000, 0)
+	q := NewQuota(QuotaConfig{Burst: 2, RatePerSec: 1, Now: func() time.Time { return now }})
+	for i := 0; i < maxTenants-1; i++ {
+		q.Allow("idle-" + strconv.Itoa(i)) // 1 of 2 tokens left
+	}
+	now = now.Add(10 * time.Second) // every idle bucket is full again
+	q.Allow("busy")
+	q.Allow("busy")
+	if ok, _ := q.Allow("busy"); ok {
+		t.Fatal("busy admitted past its burst")
+	}
+	if q.Tenants() != maxTenants {
+		t.Fatalf("tenants = %d, want the table at its cap %d", q.Tenants(), maxTenants)
+	}
+	if ok, _ := q.Allow("newcomer"); !ok {
+		t.Fatal("newcomer refused although refilled buckets could be dropped")
+	}
+	if q.Tenants() != 2 {
+		t.Fatalf("tenants = %d after the sweep, want 2 (busy + newcomer)", q.Tenants())
+	}
+	if ok, _ := q.Allow("busy"); ok {
+		t.Fatal("the sweep forgave busy's debt")
+	}
+}
+
+// TestQuotaKeyTruncated: names are keyed on their first maxTenantKey bytes,
+// so an attacker cannot make the table's keys arbitrarily long either.
+func TestQuotaKeyTruncated(t *testing.T) {
+	q := NewQuota(QuotaConfig{Burst: 1})
+	prefix := strings.Repeat("x", maxTenantKey)
+	if ok, _ := q.Allow(prefix + "-a"); !ok {
+		t.Fatal("first refused")
+	}
+	if ok, _ := q.Allow(prefix + "-b"); ok {
+		t.Fatal("names sharing their first 128 bytes got separate buckets")
+	}
+	if q.Tenants() != 1 {
+		t.Fatalf("tenants = %d, want 1", q.Tenants())
 	}
 }

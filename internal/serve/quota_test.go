@@ -123,6 +123,18 @@ func TestForwardedDeadlineClamp(t *testing.T) {
 		}
 	}
 
+	// A value whose conversion to a time.Duration would wrap negative does
+	// not shorten the budget, so the configured timeout stays in force (it
+	// used to win the comparison and remove the deadline altogether).
+	for _, huge := range []string{"9223372036855", "9223372036854775807"} {
+		ctx, cancel = srv.requestCtx(newReq(huge))
+		dl, ok = ctx.Deadline()
+		cancel()
+		if !ok || time.Until(dl) > 25*time.Millisecond {
+			t.Fatalf("header %q: deadline %v (set %v), want the configured 20ms", huge, time.Until(dl), ok)
+		}
+	}
+
 	// With no configured timeout, shard mode still honors the router's
 	// budget (the only deadline the request has).
 	srv.Timeout = 0

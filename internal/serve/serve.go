@@ -28,6 +28,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -226,11 +227,13 @@ func (s *Server) account(textBytes int) {
 }
 
 // requestCtx derives the per-request deadline context: the configured
-// Timeout, clamped to the router's forwarded budget in shard mode.
+// Timeout, clamped to the router's forwarded budget in shard mode. A header
+// can only shorten the budget: one too large for a time.Duration is longer
+// than any Timeout and is ignored before the conversion could wrap negative.
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	timeout := s.Timeout
 	if s.TrustForwardedDeadline {
-		if ms, err := strconv.Atoi(r.Header.Get(DeadlineHeader)); err == nil && ms > 0 {
+		if ms, err := strconv.Atoi(r.Header.Get(DeadlineHeader)); err == nil && ms > 0 && ms <= int(math.MaxInt64/time.Millisecond) {
 			if fwd := time.Duration(ms) * time.Millisecond; timeout <= 0 || fwd < timeout {
 				timeout = fwd
 			}

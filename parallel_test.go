@@ -11,6 +11,8 @@ package contextrank
 import (
 	"reflect"
 	"testing"
+
+	"contextrank/internal/experiments"
 )
 
 func TestParallelEqualsSerial(t *testing.T) {
@@ -36,8 +38,8 @@ func TestParallelEqualsSerial(t *testing.T) {
 	}
 
 	// Mined relevance stores (parallel BuildStore) via Table II.
-	sTop, sBottom := ss.Table2(3)
-	pTop, pBottom := ps.Table2(3)
+	sTop, sBottom := experiments.Table2(ss, 3)
+	pTop, pBottom := experiments.Table2(ps, 3)
 	if !reflect.DeepEqual(pTop, sTop) || !reflect.DeepEqual(pBottom, sBottom) {
 		t.Errorf("Table2 differs:\nworkers=8 top=%v bottom=%v\nworkers=1 top=%v bottom=%v",
 			pTop, pBottom, sTop, sBottom)
@@ -45,11 +47,11 @@ func TestParallelEqualsSerial(t *testing.T) {
 
 	// A full experiment: feature extraction, k-fold CV with fold fan-out,
 	// SVM training, error rates and NDCG — every float must match.
-	sT3, err := ss.Table3(5, 42)
+	sT3, err := experiments.Table3(ss, 5, 42)
 	if err != nil {
 		t.Fatalf("Table3 (workers=1): %v", err)
 	}
-	pT3, err := ps.Table3(5, 42)
+	pT3, err := experiments.Table3(ps, 5, 42)
 	if err != nil {
 		t.Fatalf("Table3 (workers=8): %v", err)
 	}
