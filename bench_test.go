@@ -298,7 +298,7 @@ func BenchmarkAblationBubbleUp(b *testing.B) {
 	groups := s.Dataset(nil)
 	with := &experiments.ConceptVectorMethod{Scorer: experiments.Baseline(s)}
 	without := &experiments.ConceptVectorMethod{Scorer: conceptvec.New(
-		s.Engine.Dictionary(), s.Units, conceptvec.Options{DisableBubbleUp: true})}
+		s.Engine.IDF, s.Units, conceptvec.Options{DisableBubbleUp: true})}
 	for i := 0; i < b.N; i++ {
 		rw, err := experiments.CrossValidate(groups, with, 5, 42, 1)
 		if err != nil {

@@ -7,8 +7,7 @@
 // Usage:
 //
 //	serve -addr :8080                 # build a small world, train, serve
-//	serve -bundle bundle.bin          # load a previously saved bundle
-//	serve -save bundle.bin            # train, save the bundle, then serve
+//	serve -bundle bundle.bin          # load a bundle written by offline train -o
 //	serve -selftest 200               # serve, probe itself under chaos, exit
 //
 // Try it:
@@ -52,7 +51,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 42, "world seed")
 	bundlePath := flag.String("bundle", "", "load the offline bundle from this file instead of training")
-	savePath := flag.String("save", "", "after training, save the bundle here")
 
 	requestTimeout := flag.Duration("request-timeout", 2*time.Second, "per-request annotation deadline (0 = none)")
 	maxInflight := flag.Int("max-inflight", 64, "admission gate: max concurrent annotation requests")
@@ -93,19 +91,6 @@ func main() {
 	}
 	if err != nil {
 		fatal(err)
-	}
-	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := ranker.SaveBundle(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "bundle written to %s\n", *savePath)
 	}
 
 	inner := sys.Internal()

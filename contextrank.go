@@ -124,11 +124,21 @@ func (s *System) TrainRanker() (*Ranker, error) {
 
 // LoadBundle restores a complete offline artifact (interestingness table,
 // keyword packs and model) saved with Ranker.SaveBundle, skipping all
-// mining and training.
+// mining and training. The bundle must have been built for this world: its
+// interestingness table holds exactly the world's concepts.
 func (s *System) LoadBundle(r io.Reader) (*Ranker, error) {
 	b, err := framework.LoadBundle(r)
 	if err != nil {
 		return nil, err
+	}
+	concepts := s.sys.World.Concepts
+	if n := b.Interest.Len(); n != len(concepts) {
+		return nil, fmt.Errorf("contextrank: bundle holds %d concepts, this world %d", n, len(concepts))
+	}
+	for i := range concepts {
+		if _, ok := b.Interest.Fields(concepts[i].Name); !ok {
+			return nil, fmt.Errorf("contextrank: bundle lacks this world's concept %q", concepts[i].Name)
+		}
 	}
 	rt := framework.NewRuntime(s.sys.Pipeline, b.Interest, b.Packs, b.Model)
 	return &Ranker{runtime: rt}, nil

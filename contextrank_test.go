@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"contextrank/internal/detect"
 	"contextrank/internal/experiments"
+	"contextrank/internal/features"
+	"contextrank/internal/framework"
 	"contextrank/internal/world"
 )
 
@@ -148,6 +151,36 @@ func TestSaveLoadBundle(t *testing.T) {
 	for i := range a1 {
 		if a1[i].Detection.Norm != a2[i].Detection.Norm || a1[i].Score != a2[i].Score {
 			t.Fatal("bundle-restored ranker disagrees")
+		}
+	}
+}
+
+// A bundle's tables are keyed by concept name, so tables built for another
+// world would load and then annotate that world's inventory. LoadBundle
+// rejects a table with a concept too many, and one whose concepts differ
+// while the count matches.
+func TestLoadBundleRejectsOtherWorld(t *testing.T) {
+	s, r := testSystem(t)
+	rt := r.Runtime()
+	names := make([]string, len(s.Concepts()))
+	for i, c := range s.Concepts() {
+		names[i] = c.Name
+	}
+	fields := func(name string) features.Fields {
+		f, _ := rt.Interest.Fields(name)
+		return f
+	}
+	for label, inventory := range map[string][]string{
+		"extra concept":   append(slices.Clone(names), "qqforeign concept"),
+		"foreign concept": append(slices.Clone(names[1:]), "qqforeign concept"),
+	} {
+		b := &framework.Bundle{Interest: framework.BuildInterestTable(inventory, fields), Packs: rt.Packs, Model: rt.Model}
+		var buf bytes.Buffer
+		if err := b.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.LoadBundle(&buf); err == nil {
+			t.Fatalf("%s: a bundle built for another world loaded", label)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package conceptvec implements concept-vector generation (paper §II-B),
 // the production baseline that the learned ranker is evaluated against:
 //
-//  1. a term vector with tf·idf scores against the web-corpus dictionary,
+//  1. a term vector with tf·idf scores against the web corpus's idf,
 //     stop-words removed, weights normalized to [0,1], sub-threshold weights
 //     punished and low scores removed;
 //  2. a unit vector of all query-log units found in the document, scores
@@ -56,14 +56,15 @@ func (o Options) withDefaults() Options {
 
 // Scorer computes concept vectors for documents.
 type Scorer struct {
-	dict  *corpus.Dictionary
+	idf   func(string) float64
 	units *units.Set
 	opts  Options
 }
 
-// New builds a scorer over the web-corpus dictionary and the unit set.
-func New(dict *corpus.Dictionary, unitSet *units.Set, opts Options) *Scorer {
-	return &Scorer{dict: dict, units: unitSet, opts: opts.withDefaults()}
+// New builds a scorer over the web corpus's idf (searchsim.Engine.IDF) and
+// the unit set.
+func New(idf func(string) float64, unitSet *units.Set, opts Options) *Scorer {
+	return &Scorer{idf: idf, units: unitSet, opts: opts.withDefaults()}
 }
 
 // ConceptVector computes the merged concept vector of a document. Entries
@@ -78,7 +79,7 @@ func (s *Scorer) ConceptVector(text string) corpus.Vector {
 	}
 
 	// Step 1: term vector.
-	termVec := corpus.NormalizeMax(corpus.TFIDF(s.dict, content))
+	termVec := corpus.NormalizeMax(corpus.TFIDF(s.idf, content))
 	termVec = corpus.PunishBelow(termVec, s.opts.PunishThreshold, s.opts.PunishFactor, s.opts.RemoveThreshold)
 	termW := termVec.Map()
 

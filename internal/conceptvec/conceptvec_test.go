@@ -4,15 +4,15 @@ import (
 	"strings"
 	"testing"
 
-	"contextrank/internal/corpus"
 	"contextrank/internal/querylog"
+	"contextrank/internal/searchsim"
 	"contextrank/internal/units"
 )
 
-// fixture builds a dictionary over a small corpus and a unit set where
-// "global warming" is a validated unit.
-func fixture() (*corpus.Dictionary, *units.Set) {
-	dict := corpus.NewDictionary()
+// fixture indexes a small corpus, whose IDF the scorer weighs terms with,
+// and builds a unit set where "global warming" is a validated unit.
+func fixture() (func(string) float64, *units.Set) {
+	eng := searchsim.NewEngine()
 	docs := []string{
 		"global warming threatens polar climate patterns",
 		"the economy grew despite policy concerns",
@@ -22,8 +22,9 @@ func fixture() (*corpus.Dictionary, *units.Set) {
 		"polar bears depend on sea ice",
 	}
 	for _, d := range docs {
-		dict.AddDocumentText(d)
+		eng.Add(d, 0)
 	}
+	eng.Commit()
 	counts := map[string]int{
 		"global warming":         500,
 		"global warming effects": 120,
@@ -36,12 +37,12 @@ func fixture() (*corpus.Dictionary, *units.Set) {
 	for i := 0; i < 60; i++ {
 		counts["filler"+string(rune('a'+i%26))+string(rune('0'+i/26))] = 100
 	}
-	return dict, units.Extract(querylog.FromCounts(counts), units.Config{MinMI: 0.5})
+	return eng.IDF, units.Extract(querylog.FromCounts(counts), units.Config{MinMI: 0.5})
 }
 
 func TestConceptVectorContainsUnitsAndTerms(t *testing.T) {
-	dict, us := fixture()
-	s := New(dict, us, Options{})
+	idf, us := fixture()
+	s := New(idf, us, Options{})
 	v := s.ConceptVector("Scientists say global warming is accelerating and climate policy lags.")
 	m := v.Map()
 	if _, ok := m["global warming"]; !ok {
@@ -56,24 +57,24 @@ func TestConceptVectorContainsUnitsAndTerms(t *testing.T) {
 }
 
 func TestMultiTermBubbleUp(t *testing.T) {
-	dict, us := fixture()
+	idf, us := fixture()
 	text := "Scientists say global warming is accelerating; warming trends and global patterns persist."
-	with := New(dict, us, Options{}).ConceptVector(text).Map()
-	without := New(dict, us, Options{DisableBubbleUp: true}).ConceptVector(text).Map()
+	with := New(idf, us, Options{}).ConceptVector(text).Map()
+	without := New(idf, us, Options{DisableBubbleUp: true}).ConceptVector(text).Map()
 	if with["global warming"] <= without["global warming"] {
 		t.Fatalf("bubble-up should raise multi-term score: with=%v without=%v",
 			with["global warming"], without["global warming"])
 	}
 	// Bubble-up puts the specific multi-term concept at or near the top.
-	v := New(dict, us, Options{}).ConceptVector(text)
+	v := New(idf, us, Options{}).ConceptVector(text)
 	if v[0].Term != "global warming" {
 		t.Logf("top concept is %q (global warming at %.3f)", v[0].Term, with["global warming"])
 	}
 }
 
 func TestMaxWeightBound(t *testing.T) {
-	dict, us := fixture()
-	s := New(dict, us, Options{})
+	idf, us := fixture()
+	s := New(idf, us, Options{})
 	v := s.ConceptVector("global warming global warming climate warming global")
 	for _, e := range v {
 		bound := 2.0 * float64(1+strings.Count(e.Term, " ")+1)
@@ -86,8 +87,8 @@ func TestMaxWeightBound(t *testing.T) {
 }
 
 func TestScoreSinglePhrase(t *testing.T) {
-	dict, us := fixture()
-	s := New(dict, us, Options{})
+	idf, us := fixture()
+	s := New(idf, us, Options{})
 	text := "The global warming debate continued."
 	if got := s.Score(text, "Global Warming"); got <= 0 {
 		t.Fatalf("Score = %v", got)
@@ -98,8 +99,8 @@ func TestScoreSinglePhrase(t *testing.T) {
 }
 
 func TestNilUnits(t *testing.T) {
-	dict, _ := fixture()
-	s := New(dict, nil, Options{})
+	idf, _ := fixture()
+	s := New(idf, nil, Options{})
 	v := s.ConceptVector("climate policy debate")
 	if len(v) == 0 {
 		t.Fatal("term-only vector empty")
@@ -112,8 +113,8 @@ func TestNilUnits(t *testing.T) {
 }
 
 func TestVectorSorted(t *testing.T) {
-	dict, us := fixture()
-	s := New(dict, us, Options{})
+	idf, us := fixture()
+	s := New(idf, us, Options{})
 	v := s.ConceptVector("global warming and climate and policy and economy debates")
 	for i := 1; i < len(v); i++ {
 		if v[i-1].Weight < v[i].Weight {
@@ -123,8 +124,8 @@ func TestVectorSorted(t *testing.T) {
 }
 
 func TestEmptyDocument(t *testing.T) {
-	dict, us := fixture()
-	s := New(dict, us, Options{})
+	idf, us := fixture()
+	s := New(idf, us, Options{})
 	if v := s.ConceptVector(""); len(v) != 0 {
 		t.Fatalf("empty doc vector = %v", v)
 	}
@@ -134,8 +135,8 @@ func TestEmptyDocument(t *testing.T) {
 }
 
 func BenchmarkConceptVector(b *testing.B) {
-	dict, us := fixture()
-	s := New(dict, us, Options{})
+	idf, us := fixture()
+	s := New(idf, us, Options{})
 	text := strings.Repeat("Scientists say global warming is accelerating and climate policy lags behind economic debates. ", 25)
 	b.SetBytes(int64(len(text)))
 	b.ReportAllocs()
@@ -145,10 +146,10 @@ func BenchmarkConceptVector(b *testing.B) {
 }
 
 func TestTermOnlyPunishOption(t *testing.T) {
-	dict, us := fixture()
+	idf, us := fixture()
 	text := "polar bears depend on sea ice patterns"
-	strict := New(dict, us, Options{TermOnlyPunish: 0.1}).ConceptVector(text).Map()
-	lax := New(dict, us, Options{TermOnlyPunish: 0.99}).ConceptVector(text).Map()
+	strict := New(idf, us, Options{TermOnlyPunish: 0.1}).ConceptVector(text).Map()
+	lax := New(idf, us, Options{TermOnlyPunish: 0.99}).ConceptVector(text).Map()
 	// "polar" is a term-only entry (no unit); stricter punishment must
 	// lower its weight.
 	if strict["polar"] >= lax["polar"] {
@@ -157,11 +158,11 @@ func TestTermOnlyPunishOption(t *testing.T) {
 }
 
 func TestThresholdOptions(t *testing.T) {
-	dict, us := fixture()
+	idf, us := fixture()
 	text := "global warming and climate policy economy debates in congress"
 	// An aggressive removal threshold must shrink the vector.
-	loose := New(dict, us, Options{RemoveThreshold: 0.01}).ConceptVector(text)
-	tight := New(dict, us, Options{RemoveThreshold: 0.95}).ConceptVector(text)
+	loose := New(idf, us, Options{RemoveThreshold: 0.01}).ConceptVector(text)
+	tight := New(idf, us, Options{RemoveThreshold: 0.95}).ConceptVector(text)
 	if len(tight) >= len(loose) {
 		t.Fatalf("RemoveThreshold had no effect: %d vs %d entries", len(tight), len(loose))
 	}

@@ -1,7 +1,8 @@
-// Package corpus provides document-corpus statistics: the term dictionary
-// with term-document frequencies and tf·idf weighting (Salton & Buckley,
-// paper reference [6]) used by the concept-vector generator and the
-// relevant-keyword miners.
+// Package corpus provides the term-weight vectors and tf·idf weighting
+// (Salton & Buckley, paper reference [6]) used by the concept-vector
+// generator and the relevant-keyword miners. The term-document frequencies
+// behind idf are the search index's (searchsim.Engine.IDF): the paper's
+// "term dictionary" is the length of each posting list.
 package corpus
 
 import (
@@ -10,72 +11,6 @@ import (
 
 	"contextrank/internal/textproc"
 )
-
-// Dictionary holds term→document-frequency counts over a corpus. It stands
-// in for the paper's "term dictionary which contains the term-document
-// frequencies (i.e. the number of documents of a large web corpus containing
-// the dictionary term)".
-type Dictionary struct {
-	docFreq map[string]int
-	numDocs int
-}
-
-// NewDictionary returns an empty dictionary.
-func NewDictionary() *Dictionary {
-	return &Dictionary{docFreq: make(map[string]int)}
-}
-
-// AddDocument updates document frequencies with the distinct terms of one
-// document. Terms are expected to be normalized already.
-func (d *Dictionary) AddDocument(terms []string) {
-	seen := make(map[string]bool, len(terms))
-	for _, t := range terms {
-		if t == "" || seen[t] {
-			continue
-		}
-		seen[t] = true
-		d.docFreq[t]++
-	}
-	d.numDocs++
-}
-
-// AddDocumentText tokenizes text and updates document frequencies.
-func (d *Dictionary) AddDocumentText(text string) {
-	d.AddDocument(textproc.Words(text))
-}
-
-// AddTermDocs adds df to term's document frequency without touching the
-// document count. Bulk indexers that already know each term's exact document
-// frequency (the length of its merged posting list) record it directly
-// instead of replaying per-document distinct-term scans; pairing it with one
-// AddDocs call yields counts identical to AddDocument per document.
-func (d *Dictionary) AddTermDocs(term string, df int) {
-	if term == "" || df == 0 {
-		return
-	}
-	d.docFreq[term] += df
-}
-
-// AddDocs records n additional documents — the document-count companion of
-// AddTermDocs.
-func (d *Dictionary) AddDocs(n int) { d.numDocs += n }
-
-// NumDocs returns the number of documents the dictionary has seen.
-func (d *Dictionary) NumDocs() int { return d.numDocs }
-
-// DocFreq returns the number of documents containing term.
-func (d *Dictionary) DocFreq(term string) int { return d.docFreq[term] }
-
-// NumTerms returns the number of distinct terms in the dictionary.
-func (d *Dictionary) NumTerms() int { return len(d.docFreq) }
-
-// IDF returns the smoothed inverse document frequency of term:
-// ln((N+1)/(df+1)) + 1, which is strictly positive and defined for unseen
-// terms.
-func (d *Dictionary) IDF(term string) float64 {
-	df := d.docFreq[term]
-	return math.Log(float64(d.numDocs+1)/float64(df+1)) + 1
-}
 
 // Entry is a term with a weight, the unit of all vectors in this package.
 type Entry struct {
@@ -136,10 +71,10 @@ func SortVector(v Vector) {
 	})
 }
 
-// TFIDF computes the tf·idf vector of the given terms against the
-// dictionary: tf(t) * idf(t), where tf is the raw count in terms. Stop-words
-// are removed. The result is sorted by decreasing weight.
-func TFIDF(d *Dictionary, terms []string) Vector {
+// TFIDF computes the tf·idf vector of the given terms: tf(t) * idf(t), where
+// tf is the raw count in terms. Stop-words are removed. The result is sorted
+// by decreasing weight.
+func TFIDF(idf func(string) float64, terms []string) Vector {
 	counts := make(map[string]int)
 	for _, t := range terms {
 		if t == "" || textproc.IsStopword(t) {
@@ -149,7 +84,7 @@ func TFIDF(d *Dictionary, terms []string) Vector {
 	}
 	v := make(Vector, 0, len(counts))
 	for t, c := range counts {
-		v = append(v, Entry{Term: t, Weight: float64(c) * d.IDF(t)})
+		v = append(v, Entry{Term: t, Weight: float64(c) * idf(t)})
 	}
 	SortVector(v)
 	return v

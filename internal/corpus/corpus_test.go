@@ -7,50 +7,20 @@ import (
 	"testing/quick"
 )
 
-func buildDict() *Dictionary {
-	d := NewDictionary()
-	d.AddDocument([]string{"iraq", "war", "troops"})
-	d.AddDocument([]string{"iraq", "election", "vote"})
-	d.AddDocument([]string{"cuba", "embargo", "policy"})
-	d.AddDocument([]string{"war", "policy", "debate"})
-	return d
-}
-
-func TestDictionaryCounts(t *testing.T) {
-	d := buildDict()
-	if d.NumDocs() != 4 {
-		t.Fatalf("NumDocs = %d", d.NumDocs())
+// idf stands in for the search index's IDF (searchsim.Engine.IDF, where
+// the smoothed formula and its tests live): terms in many documents weigh
+// less than the rest.
+func idf(t string) float64 {
+	switch t {
+	case "iraq", "war", "policy":
+		return 1.5
 	}
-	if d.DocFreq("iraq") != 2 || d.DocFreq("cuba") != 1 || d.DocFreq("missing") != 0 {
-		t.Fatalf("doc freqs wrong: iraq=%d cuba=%d", d.DocFreq("iraq"), d.DocFreq("cuba"))
-	}
-}
-
-func TestDictionaryDistinctTermsPerDoc(t *testing.T) {
-	d := NewDictionary()
-	d.AddDocument([]string{"war", "war", "war"})
-	if d.DocFreq("war") != 1 {
-		t.Fatalf("repeated term in one doc should count once, got %d", d.DocFreq("war"))
-	}
-}
-
-func TestIDFMonotone(t *testing.T) {
-	d := buildDict()
-	if d.IDF("cuba") <= d.IDF("iraq") {
-		t.Fatal("rarer terms must have higher idf")
-	}
-	if d.IDF("unseen") <= d.IDF("cuba") {
-		t.Fatal("unseen terms must have the highest idf")
-	}
-	if d.IDF("unseen") <= 0 {
-		t.Fatal("idf must be positive")
-	}
+	return 1.9
 }
 
 func TestTFIDFOrdering(t *testing.T) {
-	d := buildDict()
 	// "cuba" is rarer than "war", and appears twice here.
-	v := TFIDF(d, []string{"cuba", "cuba", "war", "the", "of"})
+	v := TFIDF(idf, []string{"cuba", "cuba", "war", "the", "of"})
 	if len(v) != 2 {
 		t.Fatalf("stopwords should be removed: %v", v)
 	}
@@ -157,14 +127,13 @@ func TestNormalizeMaxProperty(t *testing.T) {
 
 // Property: tf·idf vector is sorted decreasing.
 func TestTFIDFSortedProperty(t *testing.T) {
-	d := buildDict()
 	f := func(idx []uint8) bool {
 		pool := []string{"iraq", "war", "cuba", "policy", "debate", "vote", "new", "term"}
 		terms := make([]string, len(idx))
 		for i, x := range idx {
 			terms[i] = pool[int(x)%len(pool)]
 		}
-		v := TFIDF(d, terms)
+		v := TFIDF(idf, terms)
 		return sort.SliceIsSorted(v, func(i, j int) bool {
 			if v[i].Weight != v[j].Weight {
 				return v[i].Weight > v[j].Weight

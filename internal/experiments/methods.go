@@ -95,9 +95,9 @@ func (m *RelevanceMethod) Score(g *core.Group) []float64 {
 	return out
 }
 
-// Baseline builds the concept-vector scorer over the system's corpus
-// dictionary and unit set: the production ranking the paper measures
+// Baseline builds the concept-vector scorer over the system's corpus idf
+// and unit set: the production ranking the paper measures
 // against (§II-B). It is stateless, so every table builds its own.
 func Baseline(s *core.System) *conceptvec.Scorer {
-	return conceptvec.New(s.Engine.Dictionary(), s.Units, conceptvec.Options{})
+	return conceptvec.New(s.Engine.IDF, s.Units, conceptvec.Options{})
 }

@@ -79,10 +79,9 @@ func (e *Extractor) Extended(concept string) ExtendedFields {
 	}
 	if e.engine != nil {
 		x.SearchEngineAnyOrder = math.Log1p(float64(e.engine.ResultCountAnyOrder(concept)))
-		dict := e.engine.Dictionary()
 		sum := 0.0
 		for t := range termSet {
-			sum += dict.IDF(t)
+			sum += e.engine.IDF(t)
 		}
 		x.MeanTermIDF = sum / float64(len(termSet))
 	}

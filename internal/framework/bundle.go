@@ -84,23 +84,33 @@ func readF64(r io.Reader) (float64, error) {
 	return math.Float64frombits(v), err
 }
 
-// maxStringLen bounds decoded strings so corrupt length prefixes cannot
-// trigger huge allocations.
-const maxStringLen = 1 << 20
+// readBlock reads an n-byte payload whose length came from the input.
+// Blocks up to blockChunk are read into an exact buffer; a longer one grows
+// with the bytes actually present, never with what a corrupt length prefix
+// claims, so a short input fails before it costs memory.
+func readBlock(r io.Reader, n uint64) ([]byte, error) {
+	if n <= blockChunk {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && uint64(len(buf)) != n {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf, err
+}
+
+// blockChunk bounds what readBlock allocates ahead of the bytes it reads.
+const blockChunk = 64 << 10
 
 func readString(r io.Reader) (string, error) {
 	n, err := readU32(r)
 	if err != nil {
 		return "", err
 	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("%w: string length %d", ErrCorrupt, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	buf, err := readBlock(r, uint64(n))
+	return string(buf), err
 }
 
 // Save writes the bundle.
@@ -227,15 +237,20 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 		return nil, err
 	}
 	modelLen, err := readU32(cr)
-	if err != nil || modelLen > 1<<28 {
+	if err != nil {
 		return nil, fmt.Errorf("%w: model length", ErrCorrupt)
 	}
-	modelBytes := make([]byte, modelLen)
-	if _, err := io.ReadFull(cr, modelBytes); err != nil {
+	modelBytes, err := readBlock(cr, uint64(modelLen))
+	if err != nil {
 		return nil, fmt.Errorf("%w: model data: %v", ErrCorrupt, err)
 	}
 	if b.Model, err = ranksvm.Load(bytes.NewReader(modelBytes)); err != nil {
 		return nil, fmt.Errorf("%w: model: %v", ErrCorrupt, err)
+	}
+	// A model fitted to another layout would index past its weights on the
+	// first ranked concept, or score with the wrong ones.
+	if d := len(b.Model.Mean); d != modelDim {
+		return nil, fmt.Errorf("%w: model has %d features, the runtime's layout %d", ErrCorrupt, d, modelDim)
 	}
 	want := cr.crc
 	var got uint32
@@ -266,14 +281,17 @@ func loadInterest(r io.Reader) (*InterestTable, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: interest name: %v", ErrCorrupt, err)
 		}
+		if _, dup := t.index[name]; dup {
+			return nil, fmt.Errorf("%w: duplicate interest name %q", ErrCorrupt, name)
+		}
 		t.index[name] = int(i) * NumFields
 	}
 	dlen, err := readU32(r)
 	if err != nil || dlen != n*NumFields {
 		return nil, fmt.Errorf("%w: interest data length", ErrCorrupt)
 	}
-	buf := make([]byte, 2*dlen)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readBlock(r, 2*uint64(dlen))
+	if err != nil {
 		return nil, fmt.Errorf("%w: interest data: %v", ErrCorrupt, err)
 	}
 	t.data = make([]uint16, dlen)
@@ -311,12 +329,15 @@ func loadPacks(r io.Reader) (*KeywordPacks, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: pack name: %v", ErrCorrupt, err)
 		}
+		if _, dup := kp.packs[name]; dup {
+			return nil, fmt.Errorf("%w: duplicate pack name %q", ErrCorrupt, name)
+		}
 		plen, err := readU32(r)
 		if err != nil || plen > 1<<20 {
 			return nil, fmt.Errorf("%w: pack length", ErrCorrupt)
 		}
-		buf := make([]byte, 4*plen)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		buf, err := readBlock(r, 4*uint64(plen))
+		if err != nil {
 			return nil, fmt.Errorf("%w: pack data: %v", ErrCorrupt, err)
 		}
 		pack := make([]uint32, plen)

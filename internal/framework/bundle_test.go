@@ -2,15 +2,20 @@ package framework
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"runtime"
 	"testing"
 
+	"contextrank/internal/corpus"
 	"contextrank/internal/features"
 	"contextrank/internal/ranksvm"
+	"contextrank/internal/relevance"
 	"contextrank/internal/world"
 )
 
-func sampleBundle(t *testing.T) *Bundle {
+func sampleBundle(t testing.TB) *Bundle {
 	t.Helper()
 	names := []string{"alpha beta", "gamma", "delta epsilon zeta"}
 	table := BuildInterestTable(names, func(n string) features.Fields {
@@ -23,14 +28,56 @@ func sampleBundle(t *testing.T) *Bundle {
 		}
 	})
 	kp := BuildKeywordPacks(buildStore())
+	return &Bundle{Interest: table, Packs: kp, Model: sampleModel(t, modelDim)}
+}
+
+// sampleModel trains a ranking model over dim features.
+func sampleModel(t testing.TB, dim int) *ranksvm.Model {
+	t.Helper()
 	model, err := ranksvm.Train([]ranksvm.Instance{
-		{Features: []float64{1, 0}, Label: 1, Group: 0},
-		{Features: []float64{0, 1}, Label: 0, Group: 0},
+		{Features: onesVector(dim), Label: 1, Group: 0},
+		{Features: make([]float64, dim), Label: 0, Group: 0},
 	}, ranksvm.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Bundle{Interest: table, Packs: kp, Model: model}
+	return model
+}
+
+// saveBytes serializes b.
+func saveBytes(t testing.TB, b *Bundle) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := b.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// resealed returns data with its trailing checksum recomputed, so an edit
+// reaches the structural checks instead of stopping at the CRC.
+func resealed(data []byte) []byte {
+	out := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
+
+// headerOnly is the smallest well-formed prefix of a bundle — magic,
+// calibration, empty interest table, empty packs — followed by a model
+// length and no model bytes: 108 bytes.
+func headerOnly(modelLen uint32) []byte {
+	var buf bytes.Buffer
+	buf.Write(bundleMagic[:])
+	for range NumFields {
+		writeF64(&buf, 0)
+	}
+	writeU32(&buf, 0) // interest names
+	writeU32(&buf, 0) // interest data
+	writeF64(&buf, 0) // pack scale
+	writeU32(&buf, 0) // TIDs
+	writeU32(&buf, 0) // packs
+	writeU32(&buf, modelLen)
+	return buf.Bytes()
 }
 
 func TestBundleRoundtrip(t *testing.T) {
@@ -70,9 +117,67 @@ func TestBundleRoundtrip(t *testing.T) {
 		}
 	}
 	// Model equality via scoring.
-	for _, x := range [][]float64{{1, 0}, {0, 1}, {0.3, 0.7}} {
+	mixed := make([]float64, modelDim)
+	for i := range mixed {
+		mixed[i] = 0.3 + 0.1*float64(i%5)
+	}
+	for _, x := range [][]float64{onesVector(modelDim), make([]float64, modelDim), mixed} {
 		if got.Model.Score(x) != b.Model.Score(x) {
 			t.Fatal("model scores differ after roundtrip")
+		}
+	}
+}
+
+// A length prefix is a claim, not a size: the header with an empty table,
+// no packs and a 256 MiB model length, and no model bytes behind it, must
+// fail before it allocates for the claim.
+func TestLoadBundleAllocatesOnlyPresentBytes(t *testing.T) {
+	data := headerOnly(1 << 28)
+	if len(data) != 108 {
+		t.Fatalf("header is %d bytes, want 108", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadBundle(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("header without a model loaded: %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting 108 bytes allocated %d bytes", alloc)
+	}
+}
+
+// A name that appears twice would overwrite its first row and leave Len out
+// of step with the data: corrupt, even under a valid checksum.
+func TestLoadBundleRejectsDuplicateNames(t *testing.T) {
+	b := sampleBundle(t)
+	b.Interest = BuildInterestTable([]string{"qqalpha", "qqbravo"}, func(n string) features.Fields {
+		return features.Fields{FreqExact: float64(len(n))}
+	})
+	dup := resealed(bytes.Replace(saveBytes(t, b), []byte("qqbravo"), []byte("qqalpha"), 1))
+	if _, err := LoadBundle(bytes.NewReader(dup)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("duplicate interest name loaded: %v", err)
+	}
+
+	b.Packs = BuildKeywordPacks(relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
+		"qqcharl": {{Term: "troop", Weight: 2}},
+		"qqdelta": {{Term: "market", Weight: 3}},
+	}))
+	dup = resealed(bytes.Replace(saveBytes(t, b), []byte("qqdelta"), []byte("qqcharl"), 1))
+	if _, err := LoadBundle(bytes.NewReader(dup)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("duplicate pack name loaded: %v", err)
+	}
+}
+
+// A model fitted to any width but the runtime's layout does not fit it and
+// must not load: narrower ones would index past their weights.
+func TestLoadBundleRejectsModelWidth(t *testing.T) {
+	for _, dim := range []int{2, modelDim - 1, modelDim + 1} {
+		b := sampleBundle(t)
+		b.Model = sampleModel(t, dim)
+		if _, err := LoadBundle(bytes.NewReader(saveBytes(t, b))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%d-feature model loaded into a %d-feature runtime: %v", dim, modelDim, err)
 		}
 	}
 }

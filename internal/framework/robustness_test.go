@@ -64,6 +64,33 @@ func TestBundleLoadNeverPanicsOnRandomBytes(t *testing.T) {
 	}
 }
 
+// FuzzLoadBundle: every input either fails to load or loads a bundle that
+// survives Save → LoadBundle unchanged, and no input panics. The seeds are a
+// real bundle, its truncations and the bare 108-byte header claiming a
+// 256 MiB model.
+func FuzzLoadBundle(f *testing.F) {
+	clean := saveBytes(f, sampleBundle(f))
+	f.Add(clean)
+	for _, n := range []int{0, 8, 50, 108, len(clean) / 2, len(clean) - 5, len(clean) - 1} {
+		f.Add(clean[:n])
+	}
+	f.Add(headerOnly(1 << 28))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := LoadBundle(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		saved := saveBytes(t, b)
+		again, err := LoadBundle(bytes.NewReader(saved))
+		if err != nil {
+			t.Fatalf("a loaded bundle's own bytes do not load: %v", err)
+		}
+		if !bytes.Equal(saveBytes(t, again), saved) {
+			t.Fatal("Save → LoadBundle changed the bundle")
+		}
+	})
+}
+
 func TestGolombDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 500; trial++ {

@@ -168,6 +168,14 @@ func (rt *Runtime) Annotate(text string, topN int) []Annotation {
 // not rebuild the map per detection. Read-only after init.
 var allGroups = features.AllGroups()
 
+// modelDim is the model width LoadBundle accepts: the layout TrainRanker
+// fits (core.LearnedMethod with relevance) — every interestingness feature,
+// then log1p of the relevance score and its coverage-normalized form. The
+// ranking loop scores the first modelDim-1 of them, so a narrower model
+// would index past its weights, and a wider one was fitted to another
+// layout.
+var modelDim = features.Dim(allGroups) + 2
+
 // cancelCheckEvery is how many ranking iterations run between cooperative
 // ctx checks: frequent enough that a deadline interrupts a pathological
 // document in well under a millisecond, rare enough that the atomic load

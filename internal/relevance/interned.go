@@ -24,8 +24,8 @@ import (
 // idf and document frequency, and whether it is a stopword.
 type termFacts struct {
 	stemOf []uint32  // term id -> stem id in termTable.stems; match.NoID if the stem is empty
-	idf    []float64 // engine-dictionary smoothed IDF
-	df     []int32   // engine-dictionary document frequency
+	idf    []float64 // engine smoothed IDF
+	df     []int32   // engine document frequency
 	stop   []bool    // textproc.IsStopword
 }
 
@@ -48,9 +48,9 @@ type tokenSource interface {
 }
 
 // buildFacts derives the fact table for one vocabulary. Idf and document
-// frequency always come from the engine dictionary — suggestion terms are
-// scored with engine idf too.
-func buildFacts(voc tokenSource, dict *corpus.Dictionary, stems *match.Vocab) termFacts {
+// frequency always come from the engine — suggestion terms are scored with
+// engine idf too.
+func buildFacts(voc tokenSource, eng *searchsim.Engine, stems *match.Vocab) termFacts {
 	n := voc.Len()
 	f := termFacts{
 		stemOf: make([]uint32, n),
@@ -60,8 +60,8 @@ func buildFacts(voc tokenSource, dict *corpus.Dictionary, stems *match.Vocab) te
 	}
 	for id := 0; id < n; id++ {
 		t := voc.Token(uint32(id))
-		f.idf[id] = dict.IDF(t)
-		f.df[id] = int32(dict.DocFreq(t))
+		f.idf[id] = eng.IDF(t)
+		f.df[id] = int32(eng.DocFreq(t))
 		f.stop[id] = textproc.IsStopword(t)
 		f.stemOf[id] = match.NoID
 		if st := stem.Stem(t); st != "" {
@@ -77,9 +77,9 @@ func buildFacts(voc tokenSource, dict *corpus.Dictionary, stems *match.Vocab) te
 func (mn *Miner) table() *termTable {
 	mn.tableOnce.Do(func() {
 		tab := &termTable{stems: match.NewVocab()}
-		tab.eng = buildFacts(mn.engine.Vocab(), mn.engine.Dictionary(), tab.stems)
+		tab.eng = buildFacts(mn.engine.Vocab(), mn.engine, tab.stems)
 		if mn.suggestor != nil {
-			tab.sug = buildFacts(mn.suggestor.Log().Vocab(), mn.engine.Dictionary(), tab.stems)
+			tab.sug = buildFacts(mn.suggestor.Log().Vocab(), mn.engine, tab.stems)
 		}
 		mn.tbl = tab
 	})
@@ -142,8 +142,7 @@ func (mn *Miner) finalizeIDs(sc *mineScratch, f *termFacts, concept string, scor
 		}
 	}
 	sc.own = own
-	dict := mn.engine.Dictionary()
-	maxDF := int(MaxDocFrac * float64(dict.NumDocs()))
+	maxDF := int(MaxDocFrac * float64(mn.engine.NumDocs()))
 
 	slices.Sort(touched)
 	aggT := sc.aggT[:0]

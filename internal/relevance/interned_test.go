@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"contextrank/internal/corpus"
+	"contextrank/internal/newsgen"
 	"contextrank/internal/world"
 )
 
@@ -82,11 +83,8 @@ func TestDifferentialCtxScore(t *testing.T) {
 	st := BuildStore(f.miner, concepts, Snippets, 0)
 	ctx := st.NewCtx()
 
-	docs := []string{}
-	for d := 0; d < f.eng.NumDocs() && len(docs) < 12; d += 97 {
-		docs = append(docs, f.eng.Doc(d).Text)
-	}
-	for _, text := range docs {
+	for _, story := range newsgen.Generate(f.w, newsgen.Config{Seed: 74, NumStories: 12}) {
+		text := story.Text
 		stems := ContextStems(text)
 		ctx.SetText(text)
 		for _, c := range concepts {

@@ -38,8 +38,7 @@ func ownStems(concept string) map[string]bool {
 // touched ids ascending).
 func (mn *Miner) finalize(concept string, scores map[string]float64, rank func(string) uint32) corpus.Vector {
 	own := ownStems(concept)
-	dict := mn.engine.Dictionary()
-	maxDF := int(MaxDocFrac * float64(dict.NumDocs()))
+	maxDF := int(MaxDocFrac * float64(mn.engine.NumDocs()))
 	terms := make([]string, 0, len(scores))
 	for term := range scores {
 		terms = append(terms, term)
@@ -57,7 +56,7 @@ func (mn *Miner) finalize(concept string, scores map[string]float64, rank func(s
 		if textproc.IsStopword(term) {
 			continue
 		}
-		if dict.DocFreq(term) > maxDF {
+		if mn.engine.DocFreq(term) > maxDF {
 			continue
 		}
 		st := stem.Stem(term)
@@ -94,10 +93,9 @@ func (mn *Miner) snippetScores(snippets []string) map[string]float64 {
 			counts[t]++
 		}
 	}
-	dict := mn.engine.Dictionary()
 	scores := make(map[string]float64, len(counts))
 	for t, c := range counts {
-		scores[t] = float64(c) * dict.IDF(t)
+		scores[t] = float64(c) * mn.engine.IDF(t)
 	}
 	return scores
 }
@@ -117,10 +115,9 @@ func (mn *Miner) minePrisma(concept string) corpus.Vector {
 	mn.prisma.VisitFeedback(concept, func(term uint32, weight float64) {
 		counts[voc.Token(term)] += weight
 	})
-	dict := mn.engine.Dictionary()
 	scores := make(map[string]float64, len(counts))
 	for t, c := range counts {
-		scores[t] = c * dict.IDF(t)
+		scores[t] = c * mn.engine.IDF(t)
 	}
 	return mn.finalize(concept, scores, mn.engineRank)
 }
@@ -138,10 +135,9 @@ func (mn *Miner) mineSuggestions(concept string) corpus.Vector {
 			}
 		}
 	}
-	dict := mn.engine.Dictionary()
 	scores := make(map[string]float64, len(lnSum))
 	for t, ls := range lnSum {
-		scores[t] = ls * dict.IDF(t)
+		scores[t] = ls * mn.engine.IDF(t)
 	}
 	return mn.finalize(concept, scores, mn.logRank)
 }

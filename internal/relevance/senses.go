@@ -51,15 +51,13 @@ func (mn *Miner) MineSenses(concept string, maxSenses int, minShare float64) []S
 // clusterSnippets assigns every snippet to one of k ≤ maxSenses clusters,
 // some of them emptied by merging sub-threshold clusters into the largest.
 func (mn *Miner) clusterSnippets(snippets []string, k int, minShare float64) ([]int, int) {
-	dict := mn.engine.Dictionary()
-
 	// tf·idf unit vectors per snippet.
 	vecs := make([]map[string]float64, len(snippets))
 	for i, s := range snippets {
 		counts := make(map[string]float64)
 		for _, t := range textproc.Words(s) {
 			if !textproc.IsStopword(t) {
-				counts[t] += dict.IDF(t)
+				counts[t] += mn.engine.IDF(t)
 			}
 		}
 		normalize(counts)

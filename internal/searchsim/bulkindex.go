@@ -20,8 +20,8 @@ package searchsim
 //     over engine ids, then a second fan-out concatenates every term's
 //     chunk lists in chunk (= ascending doc) order with exact-capacity
 //     allocation, fixing up the per-doc position-offset bases;
-//  5. (serial) documents, dictionary and stopword table — a term's document
-//     frequency is simply the length of its merged posting list;
+//  5. (serial) documents and stopword table — a term's document frequency
+//     needs no table of its own: it is the length of its merged posting list;
 //  6. (parallel) per-term compression with the Golomb delta coder (or a doc
 //     bitmap for dense terms), then the serial size accounting, and the
 //     base frozen segment is published.
@@ -148,18 +148,15 @@ func newBulkEngine(docs []rawDoc, workers int) *Engine {
 		raw[t] = out
 	})
 
-	// Phase 5: documents, dictionary, stopword table.
+	// Phase 5: documents, stopword table.
 	e.Docs = make([]Doc, nd)
 	for di := range docs {
-		e.Docs[di] = Doc{ID: di, Text: docs[di].text, Tokens: tokenIDs[di], Topic: docs[di].topic}
+		e.Docs[di] = Doc{ID: di, Tokens: tokenIDs[di], Topic: docs[di].topic}
 	}
 	e.stopID = make([]bool, nTerms)
-	for t := range raw {
-		term := e.vocab.Token(uint32(t))
-		e.dict.AddTermDocs(term, len(raw[t].docs))
-		e.stopID[t] = textproc.IsStopword(term)
+	for t := range e.stopID {
+		e.stopID[t] = textproc.IsStopword(e.vocab.Token(uint32(t)))
 	}
-	e.dict.AddDocs(nd)
 
 	// Phase 6: compress, account, publish.
 	fr := make([]frozenList, nTerms)

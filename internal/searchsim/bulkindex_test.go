@@ -22,10 +22,14 @@ func randomRawDocs(seed int64, n int) []rawDoc {
 		for j := range toks {
 			toks[j] = vocab[rng.Intn(len(vocab))]
 		}
-		docs[i] = rawDoc{text: strings.Join(toks, " "), tokens: toks, topic: rng.Intn(4)}
+		docs[i] = rawDoc{tokens: toks, topic: rng.Intn(4)}
 	}
 	return docs
 }
+
+// text is the document as Add takes it: its tokens joined by spaces, which
+// textproc.Words splits back into the same tokens.
+func (d rawDoc) text() string { return strings.Join(d.tokens, " ") }
 
 // liveFrozen indexes docs the way a document stream arrives — Add one at a
 // time, auto-sealing at memFlushDocs, a final Commit — and folds the raw
@@ -33,7 +37,7 @@ func randomRawDocs(seed int64, n int) []rawDoc {
 func liveFrozen(docs []rawDoc) *Engine {
 	e := NewEngine()
 	for _, d := range docs {
-		e.Add(d.text, d.topic)
+		e.Add(d.text(), d.topic)
 	}
 	e.Commit()
 	e.CompactAll(1)
@@ -59,15 +63,12 @@ func engineEqual(t *testing.T, label string, got, want *Engine) {
 	if !reflect.DeepEqual(got.stopID, want.stopID) {
 		t.Fatalf("%s: stopword table diverged", label)
 	}
-	if g, w := got.dict.NumDocs(), want.dict.NumDocs(); g != w {
-		t.Fatalf("%s: dict docs %d, want %d", label, g, w)
-	}
-	if g, w := got.dict.NumTerms(), want.dict.NumTerms(); g != w {
-		t.Fatalf("%s: dict terms %d, want %d", label, g, w)
+	if g, w := got.NumDocs(), want.NumDocs(); g != w {
+		t.Fatalf("%s: %d docs, want %d", label, g, w)
 	}
 	for id := uint32(0); int(id) < want.vocab.Len(); id++ {
 		term := want.vocab.Token(id)
-		if g, w := got.dict.DocFreq(term), want.dict.DocFreq(term); g != w {
+		if g, w := got.DocFreq(term), want.DocFreq(term); g != w {
 			t.Fatalf("%s: df(%q) = %d, want %d", label, term, g, w)
 		}
 	}
@@ -75,8 +76,8 @@ func engineEqual(t *testing.T, label string, got, want *Engine) {
 
 // The bulk parallel constructor must reproduce the live path — Add, Commit,
 // CompactAll — bit for bit: vocabulary intern order, documents, frozen
-// postings, stopword table, dictionary — at every worker count, with the
-// same size accounting at each.
+// postings, stopword table, document frequencies — at every worker count,
+// with the same size accounting at each.
 func TestBulkIndexMatchesSerial(t *testing.T) {
 	docs := randomRawDocs(7, 120)
 	live := liveFrozen(docs)
@@ -101,7 +102,7 @@ func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 	docs := randomRawDocs(3, 40)
 	e := newBulkEngine(docs[:25], 2)
 	for _, d := range docs[25:] {
-		e.Add(d.text, d.topic)
+		e.Add(d.text(), d.topic)
 	}
 	if n := e.NumDocs(); n != 25 {
 		t.Fatalf("pre-commit visible docs = %d, want 25 (memtable must stay private)", n)

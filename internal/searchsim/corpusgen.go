@@ -16,7 +16,7 @@ type CorpusConfig struct {
 	// concept. Default 30.
 	MaxDocsPerConcept int
 	// BackgroundDocs is the number of documents mentioning no concept at
-	// all (they give the dictionary realistic document frequencies).
+	// all (they give the index realistic document frequencies).
 	// Default 2 per concept.
 	BackgroundDocs int
 	// DocSentences is the approximate length of corpus documents. Default 10.
@@ -41,10 +41,10 @@ func (c CorpusConfig) withDefaults(w *world.World) CorpusConfig {
 	return c
 }
 
-// rawDoc is one generated-but-not-yet-indexed document: text composed and
-// tokenized in a generation worker, indexed by newBulkEngine.
+// rawDoc is one generated-but-not-yet-indexed document, tokenized in a
+// generation worker and indexed by newBulkEngine. The composed text is not
+// kept: it lives only until it is tokenized.
 type rawDoc struct {
-	text   string
 	tokens []string
 	topic  int
 }
@@ -76,20 +76,12 @@ const backgroundShardSize = 64
 // scheduling. The engine is live: Add, Commit and Compact keep working on it.
 func BuildCorpus(w *world.World, cfg CorpusConfig) *Engine {
 	cfg = cfg.withDefaults(w)
-
-	nConcepts := len(w.Concepts)
-	nBackground := (cfg.BackgroundDocs + backgroundShardSize - 1) / backgroundShardSize
-	shards := par.Map(cfg.Workers, nConcepts+nBackground, func(i int) []rawDoc {
-		rng := rand.New(rand.NewSource(par.Seed(cfg.Seed, i)))
-		if i < nConcepts {
-			return conceptDocs(w, &w.Concepts[i], cfg, rng)
-		}
-		lo := (i - nConcepts) * backgroundShardSize
-		hi := lo + backgroundShardSize
-		if hi > cfg.BackgroundDocs {
-			hi = cfg.BackgroundDocs
-		}
-		return backgroundDocs(w, cfg, hi-lo, rng)
+	shards := par.Map(cfg.Workers, cfg.numShards(w), func(i int) []rawDoc {
+		var docs []rawDoc
+		generateShard(w, cfg, i, func(text string, topic int) {
+			docs = append(docs, rawDoc{tokens: textproc.Words(text), topic: topic})
+		})
+		return docs
 	})
 
 	total := 0
@@ -104,8 +96,26 @@ func BuildCorpus(w *world.World, cfg CorpusConfig) *Engine {
 	return newBulkEngine(docs, cfg.Workers)
 }
 
+// numShards is the number of generation shards: one per concept, then the
+// background documents in runs of backgroundShardSize.
+func (c CorpusConfig) numShards(w *world.World) int {
+	return len(w.Concepts) + (c.BackgroundDocs+backgroundShardSize-1)/backgroundShardSize
+}
+
+// generateShard composes the documents of generation shard i, passing each
+// text and its topic to emit in document order.
+func generateShard(w *world.World, cfg CorpusConfig, i int, emit func(text string, topic int)) {
+	rng := rand.New(rand.NewSource(par.Seed(cfg.Seed, i)))
+	if i < len(w.Concepts) {
+		conceptDocs(w, &w.Concepts[i], cfg, rng, emit)
+		return
+	}
+	lo := (i - len(w.Concepts)) * backgroundShardSize
+	backgroundDocs(w, cfg, min(backgroundShardSize, cfg.BackgroundDocs-lo), rng, emit)
+}
+
 // conceptDocs generates every corpus document mentioning one concept.
-func conceptDocs(w *world.World, c *world.Concept, cfg CorpusConfig, rng *rand.Rand) []rawDoc {
+func conceptDocs(w *world.World, c *world.Concept, cfg CorpusConfig, rng *rand.Rand, emit func(text string, topic int)) {
 	// Document count: monotone in generality (feature 4 needs general
 	// concepts to return more results) but with a floor, so specific
 	// concepts still have a deep snippet pool — the Table II contrast
@@ -114,7 +124,6 @@ func conceptDocs(w *world.World, c *world.Concept, cfg CorpusConfig, rng *rand.R
 	n := 1 + int(float64(cfg.MaxDocsPerConcept)*frac)
 	// Fraction of mentions that are on-topic, coherent documents.
 	relevantFrac := 0.1 + 0.85*math.Sqrt(c.Quality*c.Specificity)
-	docs := make([]rawDoc, 0, n)
 	for d := 0; d < n; d++ {
 		relevant := c.Topic >= 0 && rng.Float64() < relevantFrac
 		topic := c.Topic
@@ -142,21 +151,18 @@ func conceptDocs(w *world.World, c *world.Concept, cfg CorpusConfig, rng *rand.R
 			Relevant: onTopic,
 			Repeat:   repeat,
 		}}, rng)
-		docs = append(docs, rawDoc{text: text, tokens: textproc.Words(text), topic: topic})
+		emit(text, topic)
 	}
-	return docs
 }
 
 // backgroundDocs generates n concept-free documents.
-func backgroundDocs(w *world.World, cfg CorpusConfig, n int, rng *rand.Rand) []rawDoc {
-	docs := make([]rawDoc, 0, n)
+func backgroundDocs(w *world.World, cfg CorpusConfig, n int, rng *rand.Rand, emit func(text string, topic int)) {
 	for d := 0; d < n; d++ {
 		topic := rng.Intn(len(w.Topics))
 		text, _ := w.ComposeDoc(world.ComposeOptions{
 			Topic:     topic,
 			Sentences: cfg.DocSentences/2 + rng.Intn(cfg.DocSentences),
 		}, nil, rng)
-		docs = append(docs, rawDoc{text: text, tokens: textproc.Words(text), topic: topic})
+		emit(text, topic)
 	}
-	return docs
 }

@@ -3,17 +3,20 @@ package searchsim
 // Differential suite pinning the interned engine — over a raw segment stack
 // and over the frozen base segment — to the seed engine's observable behavior
 // byte for byte: result counts (exact and
-// any-order), ranked top-k ordering including score ties, and snippet text.
+// any-order), ranked top-k ordering including score ties, snippet text, and
+// the corpus statistics (document frequency, IDF, document count).
 // refEngine below is a faithful transcription of the pre-interning
-// implementation (map[string][]posting, string-rescanning matchAt) kept as
-// the executable specification.
+// implementation (map[string][]posting, string-rescanning matchAt, a plain
+// df map) kept as the executable specification.
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"contextrank/internal/corpus"
 	"contextrank/internal/textproc"
 )
 
@@ -26,11 +29,11 @@ type refPosting struct {
 type refEngine struct {
 	docs     [][]string // tokens per doc
 	postings map[string][]refPosting
-	dict     *corpus.Dictionary
+	df       map[string]int // term -> number of docs containing it
 }
 
 func newRefEngine() *refEngine {
-	return &refEngine{postings: make(map[string][]refPosting), dict: corpus.NewDictionary()}
+	return &refEngine{postings: make(map[string][]refPosting), df: make(map[string]int)}
 }
 
 func (e *refEngine) add(text string) {
@@ -43,10 +46,15 @@ func (e *refEngine) add(text string) {
 			ps[len(ps)-1].positions = append(ps[len(ps)-1].positions, int32(pos))
 		} else {
 			ps = append(ps, refPosting{doc: id, positions: []int32{int32(pos)}})
+			e.df[term]++
 		}
 		e.postings[term] = ps
 	}
-	e.dict.AddDocument(tokens)
+}
+
+// idf is the smoothed inverse document frequency over the oracle's docs.
+func (e *refEngine) idf(term string) float64 {
+	return math.Log(float64(len(e.docs)+1)/float64(e.df[term]+1)) + 1
 }
 
 func (e *refEngine) matchAt(doc int, terms []string, pos int32) bool {
@@ -124,7 +132,7 @@ func (e *refEngine) search(phrase string, k int) []Result {
 	}
 	idf := 0.0
 	for _, t := range terms {
-		idf += e.dict.IDF(t)
+		idf += e.idf(t)
 	}
 	results := make([]Result, 0, len(hits))
 	for _, h := range hits {
@@ -231,11 +239,15 @@ func differentialPhrases(names []string) []string {
 func buildDifferentialEngines(t testing.TB) (*refEngine, *Engine, *Engine, []string) {
 	t.Helper()
 	w, built := testWorldCorpus(t)
+	texts, topics := corpusTexts(w, testCorpusConfig)
+	if len(texts) != len(built.Docs) {
+		t.Fatalf("regenerated %d texts for %d indexed docs", len(texts), len(built.Docs))
+	}
 	ref := newRefEngine()
 	raw := NewEngine()
-	for i := range built.Docs {
-		ref.add(built.Docs[i].Text)
-		raw.Add(built.Docs[i].Text, built.Docs[i].Topic)
+	for i, text := range texts {
+		ref.add(text)
+		raw.Add(text, topics[i])
 	}
 	raw.Commit()
 	names := make([]string, len(w.Concepts))
@@ -313,6 +325,53 @@ func TestDifferentialSnippets(t *testing.T) {
 	}
 }
 
+// checkDocFreq demands that the engine's corpus statistics equal the
+// oracle's own df map bit for bit: the document count, and DocFreq and IDF
+// of every term the oracle has seen and of an unseen one.
+func checkDocFreq(t *testing.T, label string, e *Engine, ref *refEngine) {
+	t.Helper()
+	if g, w := e.NumDocs(), len(ref.docs); g != w {
+		t.Fatalf("%s: NumDocs = %d, want %d", label, g, w)
+	}
+	terms := []string{"qqqunseen"}
+	for term := range ref.df {
+		terms = append(terms, term)
+	}
+	slices.Sort(terms)
+	for _, term := range terms {
+		if g, w := e.DocFreq(term), ref.df[term]; g != w {
+			t.Fatalf("%s: DocFreq(%q) = %d, want %d", label, term, g, w)
+		}
+		if g, w := e.IDF(term), ref.idf(term); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: IDF(%q) = %v, want %v", label, term, g, w)
+		}
+	}
+}
+
+// The published view is the only source of corpus statistics: document
+// frequencies are posting-list lengths summed over the segment stack. They
+// must equal the oracle's after the bulk build, over a raw segment stack,
+// and after TestIngestDifferential's live script (bulk base, appends,
+// commits, size-tiered compactions, then a full merge) at every worker
+// count.
+func TestDifferentialDocFreq(t *testing.T) {
+	ref, raw, built, _ := buildDifferentialEngines(t)
+	checkDocFreq(t, "bulk", built, ref)
+	checkDocFreq(t, "raw stack", raw, ref)
+
+	docs := randomRawDocs(37, 300)
+	ref = newRefEngine()
+	for _, d := range docs {
+		ref.add(d.text())
+	}
+	for _, workers := range []int{1, 4, 0} {
+		e := ingestScript(docs, workers)
+		checkDocFreq(t, fmt.Sprintf("ingest workers=%d", workers), e, ref)
+		e.CompactAll(workers)
+		checkDocFreq(t, fmt.Sprintf("compacted workers=%d", workers), e, ref)
+	}
+}
+
 func TestDifferentialSearchAnyTerm(t *testing.T) {
 	_, raw, frozen, names := buildDifferentialEngines(t)
 	// SearchAnyTerm's seed implementation is retained in the engine modulo
@@ -347,7 +406,7 @@ func TestFrozenStatsAndCompression(t *testing.T) {
 // Commit, then queryable, with the epoch advancing exactly once per
 // visibility change.
 func TestAddAfterFreezeAppends(t *testing.T) {
-	e := newBulkEngine([]rawDoc{{text: "one two three", tokens: []string{"one", "two", "three"}}}, 1)
+	e := newBulkEngine([]rawDoc{{tokens: []string{"one", "two", "three"}}}, 1)
 	ep0 := e.Epoch()
 	if ep0 == 0 {
 		t.Fatal("the bulk build must publish a nonzero epoch")

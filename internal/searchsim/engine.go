@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"contextrank/internal/corpus"
 	"contextrank/internal/match"
 	"contextrank/internal/textproc"
 )
@@ -41,8 +40,6 @@ const memFlushDocs = 256
 type Doc struct {
 	// ID is the document's index in Engine.Docs.
 	ID int
-	// Text is the original text.
-	Text string
 	// Tokens are the normalized word tokens (punctuation removed), interned
 	// to vocabulary ids. Engine.Vocab().Token recovers the strings.
 	Tokens []uint32
@@ -66,7 +63,6 @@ type Engine struct {
 	Docs []Doc
 
 	vocab *Vocab
-	dict  *corpus.Dictionary
 
 	// cur is the published snapshot readers query: never nil, swapped
 	// atomically and never mutated in place.
@@ -104,10 +100,7 @@ type Engine struct {
 // NewEngine creates an empty live engine: every query answers (with nothing)
 // from the start, and documents become visible as Add seals them.
 func NewEngine() *Engine {
-	e := &Engine{
-		vocab: NewVocab(),
-		dict:  corpus.NewDictionary(),
-	}
+	e := &Engine{vocab: NewVocab()}
 	e.cur.Store(&view{vocab: e.vocab, cache: newCountCache(&e.cacheHits, &e.cacheMisses)})
 	return e
 }
@@ -136,8 +129,7 @@ func (e *Engine) Add(text string, topic int) int {
 	for len(e.stopID) < e.vocab.Len() {
 		e.stopID = append(e.stopID, textproc.IsStopword(e.vocab.Token(uint32(len(e.stopID)))))
 	}
-	e.Docs = append(e.Docs, Doc{ID: id, Text: text, Tokens: ids, Topic: topic})
-	e.dict.AddDocument(tokens)
+	e.Docs = append(e.Docs, Doc{ID: id, Tokens: ids, Topic: topic})
 	e.memDocs++
 	e.memDocsLive.Store(int32(e.memDocs))
 	e.ingested.Add(1)
@@ -286,13 +278,16 @@ func (e *Engine) NumDocs() int { return len(e.cur.Load().docs) }
 // for concurrent lookups while ingest runs.
 func (e *Engine) Vocab() *Vocab { return e.vocab }
 
-// Dictionary returns the term-document-frequency dictionary over the indexed
-// corpus — the stand-in for "all the web documents that are indexed by
-// Yahoo! Search" used by the concept-vector generator. The dictionary is the
-// writer's master copy: with live ingest running it is not safe for
-// concurrent use (quiesce the writer first); the query path itself never
-// touches it.
-func (e *Engine) Dictionary() *corpus.Dictionary { return e.dict }
+// DocFreq returns the number of visible documents containing term: the
+// length of its posting list, the paper's "term-document frequency" over
+// "all the web documents that are indexed". Lock-free, like every query.
+func (e *Engine) DocFreq(term string) int { return e.cur.Load().docFreq(term) }
+
+// IDF returns term's smoothed inverse document frequency over the visible
+// documents, ln((N+1)/(df+1)) + 1: strictly positive and defined for unseen
+// terms. Search ranking, the relevance miners and the concept-vector
+// baseline all weigh terms with it. Lock-free, like every query.
+func (e *Engine) IDF(term string) float64 { return e.cur.Load().idf(term) }
 
 // Doc returns the visible document with the given ID, or nil.
 func (e *Engine) Doc(id int) *Doc {

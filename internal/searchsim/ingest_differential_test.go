@@ -6,57 +6,48 @@ import (
 	"testing"
 )
 
+// ingestScript grows an engine the way a live deployment does: a bulk build
+// over the first 80 docs, then uneven batches of Add, each followed by a
+// Commit and a size-tiered Compact, and a final Commit that publishes the
+// rest.
+func ingestScript(docs []rawDoc, workers int) *Engine {
+	e := newBulkEngine(docs[:80], workers)
+	next := 80
+	for _, batch := range []int{3, 17, 1, 29, 8, 40, 2, 60, 25, 35} {
+		hi := min(next+batch, len(docs))
+		for ; next < hi; next++ {
+			e.Add(docs[next].text(), docs[next].topic)
+		}
+		e.Commit()
+		e.Compact(workers)
+	}
+	for ; next < len(docs); next++ {
+		e.Add(docs[next].text(), docs[next].topic)
+	}
+	e.Commit()
+	return e
+}
+
 // TestIngestDifferential is the end-to-end equivalence pin for the live
 // two-tier engine (wired into the CI parallel-equivalence matrix): after N
 // appends, K commits, interleaved size-tiered compactions and a final full
 // merge — all at several worker counts — every observable answer and the
 // frozen image itself must be byte-identical to a from-scratch bulk build
-// over the concatenated doc stream.
+// over the concatenated doc stream. TestDifferentialDocFreq runs the same
+// script against the oracle's document frequencies.
 func TestIngestDifferential(t *testing.T) {
 	docs := randomRawDocs(37, 300)
 	want := fromScratch(docs)
-	wantDict := want.Dictionary()
 
 	for _, workers := range []int{1, 4, 0} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			e := newBulkEngine(docs[:80], workers)
-
-			// Uneven batches, compaction interleaved with appends.
-			next := 80
-			for _, batch := range []int{3, 17, 1, 29, 8, 40, 2, 60, 25, 35} {
-				hi := next + batch
-				if hi > len(docs) {
-					hi = len(docs)
-				}
-				for ; next < hi; next++ {
-					e.Add(docs[next].text, docs[next].topic)
-				}
-				e.Commit()
-				e.Compact(workers)
-			}
-			for ; next < len(docs); next++ {
-				e.Add(docs[next].text, docs[next].topic)
-			}
-			e.Commit()
-
+			e := ingestScript(docs, workers)
 			if n := e.NumDocs(); n != len(docs) {
 				t.Fatalf("visible docs = %d, want %d", n, len(docs))
 			}
 
 			// Answers over the still-segmented stack.
 			checkAnswers(t, "segmented", e, want)
-
-			// Dictionary document frequencies track the live appends.
-			dict := e.Dictionary()
-			if g, w := dict.NumDocs(), wantDict.NumDocs(); g != w {
-				t.Fatalf("dict docs = %d, want %d", g, w)
-			}
-			for id := uint32(0); int(id) < want.Vocab().Len(); id++ {
-				term := want.Vocab().Token(id)
-				if g, w := dict.DocFreq(term), wantDict.DocFreq(term); g != w {
-					t.Fatalf("dict df(%q) = %d, want %d", term, g, w)
-				}
-			}
 
 			// Full merge: the compacted image equals the from-scratch build.
 			e.CompactAll(workers)

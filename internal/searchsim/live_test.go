@@ -14,7 +14,7 @@ import (
 func buildLiveSegmented(docs []rawDoc, base, batch int) *Engine {
 	e := newBulkEngine(docs[:base], 1)
 	for i := base; i < len(docs); i++ {
-		e.Add(docs[i].text, docs[i].topic)
+		e.Add(docs[i].text(), docs[i].topic)
 		if (i-base+1)%batch == 0 {
 			e.Commit()
 		}
@@ -191,7 +191,7 @@ func TestLiveQueryDuringSwapRace(t *testing.T) {
 	go func() { // writer
 		defer wg.Done()
 		for i := 50; i < len(docs); i++ {
-			e.Add(docs[i].text, docs[i].topic)
+			e.Add(docs[i].text(), docs[i].topic)
 			if i%11 == 0 {
 				e.Commit()
 			}
@@ -309,7 +309,7 @@ func TestNewEngineIsLive(t *testing.T) {
 	if ep := e.Commit(); ep != 1 || e.Epoch() != 1 {
 		t.Fatalf("first visible document: epoch %d / %d, want 1", ep, e.Epoch())
 	}
-	if n, d := e.NumDocs(), e.Doc(0); n != 1 || d == nil || d.Text != "zero one two three" {
+	if n, d := e.NumDocs(), e.Doc(0); n != 1 || d == nil || len(d.Tokens) != 4 {
 		t.Fatalf("committed doc not visible: NumDocs %d, Doc(0) %+v", n, d)
 	}
 	if n := e.ResultCount("one two"); n != 1 {

@@ -1,20 +1,29 @@
 package searchsim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"contextrank/internal/querylog"
+	"contextrank/internal/textproc"
 	"contextrank/internal/world"
 )
 
+// smallTexts is the five-document corpus of smallEngine.
+var smallTexts = []string{
+	"The Iraq war continued as troops advanced on the capital.",
+	"Iraq war veterans returned home after the long war.",
+	"The election debate covered policy and the economy.",
+	"War movies about the Iraq war were released.",
+	"Cuba policy under the embargo remained unchanged.",
+}
+
 func smallEngine() *Engine {
 	e := NewEngine()
-	e.Add("The Iraq war continued as troops advanced on the capital.", 0)
-	e.Add("Iraq war veterans returned home after the long war.", 0)
-	e.Add("The election debate covered policy and the economy.", 1)
-	e.Add("War movies about the Iraq war were released.", 0)
-	e.Add("Cuba policy under the embargo remained unchanged.", 1)
+	for i, topic := range []int{0, 0, 1, 0, 1} {
+		e.Add(smallTexts[i], topic)
+	}
 	e.Commit()
 	return e
 }
@@ -94,20 +103,102 @@ func TestSnippetBadDoc(t *testing.T) {
 	}
 }
 
-func TestDictionaryBuilt(t *testing.T) {
-	e := smallEngine()
-	if e.Dictionary().NumDocs() != 5 {
-		t.Fatalf("dictionary docs = %d", e.Dictionary().NumDocs())
+// The term dictionary the paper describes — term-document frequencies over
+// the indexed corpus — is read off the index itself.
+type labelledEngine struct {
+	label string
+	e     *Engine
+}
+
+// dictEngines returns the small corpus indexed both ways, by Add and by the
+// bulk build, so each counting rule below is checked on both.
+func dictEngines() []labelledEngine {
+	docs := make([]rawDoc, len(smallTexts))
+	for i, text := range smallTexts {
+		docs[i] = rawDoc{tokens: textproc.Words(text)}
 	}
-	if e.Dictionary().DocFreq("war") != 3 {
-		t.Fatalf("df(war) = %d", e.Dictionary().DocFreq("war"))
+	return []labelledEngine{{"Add", smallEngine()}, {"bulk", newBulkEngine(docs, 2)}}
+}
+
+func TestDictionaryBuilt(t *testing.T) {
+	for _, c := range dictEngines() {
+		label, e := c.label, c.e
+		if n := e.NumDocs(); n != 5 {
+			t.Fatalf("%s: NumDocs = %d", label, n)
+		}
+		if df := e.DocFreq("war"); df != 3 {
+			t.Fatalf("%s: df(war) = %d", label, df)
+		}
 	}
 }
 
+func TestDictionaryCounts(t *testing.T) {
+	for _, c := range dictEngines() {
+		label, e := c.label, c.e
+		if n := e.NumDocs(); n != 5 {
+			t.Fatalf("%s: NumDocs = %d", label, n)
+		}
+		if e.DocFreq("iraq") != 3 || e.DocFreq("cuba") != 1 || e.DocFreq("missing") != 0 {
+			t.Fatalf("%s: doc freqs wrong: iraq=%d cuba=%d missing=%d", label,
+				e.DocFreq("iraq"), e.DocFreq("cuba"), e.DocFreq("missing"))
+		}
+	}
+}
+
+// A term repeated within one document counts once: docs 1 and 3 say "war"
+// twice, and "war" is in three documents.
+func TestDictionaryDistinctTermsPerDoc(t *testing.T) {
+	e := NewEngine()
+	e.Add("war war war", 0)
+	e.Commit()
+	if df := e.DocFreq("war"); df != 1 {
+		t.Fatalf("repeated term in one doc should count once, got %d", df)
+	}
+	for _, c := range dictEngines() {
+		label, e := c.label, c.e
+		if df := e.DocFreq("war"); df != 3 {
+			t.Fatalf("%s: df(war) = %d, want 3 (docs 0, 1, 3)", label, df)
+		}
+	}
+}
+
+func TestIDFMonotone(t *testing.T) {
+	for _, c := range dictEngines() {
+		label, e := c.label, c.e
+		if e.IDF("cuba") <= e.IDF("iraq") {
+			t.Fatalf("%s: rarer terms must have higher idf", label)
+		}
+		if e.IDF("unseen") <= e.IDF("cuba") {
+			t.Fatalf("%s: unseen terms must have the highest idf", label)
+		}
+		if e.IDF("unseen") <= 0 {
+			t.Fatalf("%s: idf must be positive", label)
+		}
+		if got, want := e.IDF("war"), math.Log(6.0/4.0)+1; got != want {
+			t.Fatalf("%s: IDF(war) = %v, want ln((N+1)/(df+1))+1 = %v", label, got, want)
+		}
+	}
+}
+
+// testCorpusConfig is the corpus testWorldCorpus builds.
+var testCorpusConfig = CorpusConfig{Seed: 32, MaxDocsPerConcept: 20}
+
 func testWorldCorpus(t testing.TB) (*world.World, *Engine) {
 	w := world.New(world.Config{Seed: 31, VocabSize: 1500, NumTopics: 8, NumConcepts: 150})
-	e := BuildCorpus(w, CorpusConfig{Seed: 32, MaxDocsPerConcept: 20})
-	return w, e
+	return w, BuildCorpus(w, testCorpusConfig)
+}
+
+// corpusTexts regenerates, in document-id order, the texts and topics that
+// BuildCorpus(w, cfg) indexes: the engine keeps no text of its own.
+func corpusTexts(w *world.World, cfg CorpusConfig) (texts []string, topics []int) {
+	cfg = cfg.withDefaults(w)
+	for i := 0; i < cfg.numShards(w); i++ {
+		generateShard(w, cfg, i, func(text string, topic int) {
+			texts = append(texts, text)
+			topics = append(topics, topic)
+		})
+	}
+	return texts, topics
 }
 
 // Structural property for feature (4): more general concepts (low

@@ -353,15 +353,19 @@ func (v *view) df(id uint32) int {
 	return n
 }
 
-// idf is the dictionary's IDF formula computed from the view's own posting
-// lists: per-segment document frequencies sum to exactly the dictionary df
-// (both count each doc once per distinct term), so the result is
-// bit-identical to corpus.Dictionary.IDF while staying lock-free against a
-// concurrently-updated dictionary.
-func (v *view) idf(term string) float64 {
-	df := 0
+// docFreq returns the document frequency of a term string: 0 outside the
+// vocabulary, and for a term interned past this view's horizon (no visible
+// segment holds its postings).
+func (v *view) docFreq(term string) int {
 	if id := v.vocab.ID(term); id != noTermID {
-		df = v.df(id)
+		return v.df(id)
 	}
+	return 0
+}
+
+// idf is the smoothed inverse document frequency over the view's visible
+// documents (Engine.IDF). It is the one copy of the formula.
+func (v *view) idf(term string) float64 {
+	df := v.docFreq(term)
 	return math.Log(float64(len(v.docs)+1)/float64(df+1)) + 1
 }

@@ -26,7 +26,10 @@ package searchsim
 // snapshot can only occur in documents beyond that snapshot's visibility
 // horizon.
 
-import "sync/atomic"
+import (
+	"strings"
+	"sync/atomic"
+)
 
 // tokChunkBits sizes the token-store chunks (2^tokChunkBits tokens each).
 const tokChunkBits = 11
@@ -70,7 +73,9 @@ func NewVocab() *Vocab {
 
 // Intern returns the id of tok, assigning the next dense id on first sight.
 // Single writer only: callers serialize Intern (the bulk build merges
-// vocabularies on one goroutine; Add holds the engine writer mutex).
+// vocabularies on one goroutine; Add holds the engine writer mutex). A new
+// term is stored as a copy: tok is usually a substring of a document, and
+// keeping it would keep the whole document's text alive.
 func (v *Vocab) Intern(tok string) uint32 {
 	t := v.table.Load()
 	i := uint32(fnv64a(tok)) & t.mask
@@ -85,6 +90,7 @@ func (v *Vocab) Intern(tok string) uint32 {
 		i = (i + 1) & t.mask
 	}
 	id := uint32(v.len)
+	tok = strings.Clone(tok)
 	v.setToken(id, tok)
 	// Release-store after the token is reachable, so a reader that finds
 	// the entry can always resolve Token(id).
