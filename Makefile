@@ -106,8 +106,8 @@ bench:
 # faults).
 CHAOS_SEED ?= 42
 chaos:
-	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestChaos|TestOverload|TestShed|TestDeadline|TestQueued|TestGracefulDrain|TestProbe' ./internal/serve/ ./internal/resilience/ ./cmd/serve/
-	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestRing|TestRouter|TestBreaker|TestHedge|TestQuota|TestCluster|TestFlap|TestRetry|TestCache' ./internal/cluster/ ./internal/resilience/ ./internal/serve/ ./cmd/router/
+	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestChaos|TestOverload|TestShed|TestDeadline|TestQueued|TestGracefulDrain' ./internal/serve/ ./internal/resilience/ ./cmd/serve/
+	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestRing|TestRouter|TestBreaker|TestHedge|TestQuota|TestCluster|TestFlap|TestCache' ./internal/cluster/ ./internal/resilience/ ./internal/serve/ ./cmd/router/
 
 # The fuzz targets, for a fixed budget each (go test -fuzz takes one target
 # and one package per run): the differential pair of the one-pass document
@@ -156,10 +156,13 @@ island:
 
 # Line counts by the definition the simplicity work is measured against:
 # product is every non-test .go file under internal/ (less testdata) and
-# cmd/ plus contextrank.go; test is every _test.go file in the module;
-# examples is every non-test .go file under examples/.
+# cmd/ plus contextrank.go; kwlint is the part of product that is the lint
+# suite (internal/analysis and cmd/kwlint), tooling rather than system;
+# test is every _test.go file in the module; examples is every non-test .go
+# file under examples/.
 loc:
 	@printf 'product  %s\n' "$$( (find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'; echo contextrank.go) | xargs cat | wc -l)"
+	@printf 'kwlint   %s\n' "$$(find internal/analysis cmd/kwlint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'test     %s\n' "$$(find . -name '*_test.go' ! -path './vendor/*' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'examples %s\n' "$$(find examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 

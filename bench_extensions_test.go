@@ -92,15 +92,3 @@ func BenchmarkExtensionBundleSaveLoad(b *testing.B) {
 		b.ReportMetric(float64(buf.Len()), "bundleBytes")
 	}
 }
-
-// BenchmarkExtensionSharedPacks compares the §VI shared-TID-pool footprint
-// against raw and plain-Golomb packs on the real mined store.
-func BenchmarkExtensionSharedPacks(b *testing.B) {
-	s := benchSystem(b)
-	kp := framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets))
-	for i := 0; i < b.N; i++ {
-		sp := framework.BuildSharedPacks(kp, 32)
-		b.ReportMetric(float64(kp.TotalBytes()), "rawBytes")
-		b.ReportMetric(float64(sp.TotalBytes()), "sharedBytes")
-	}
-}

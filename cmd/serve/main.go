@@ -8,7 +8,6 @@
 //
 //	serve -addr :8080                 # build a small world, train, serve
 //	serve -bundle bundle.bin          # load a bundle written by offline train -o
-//	serve -selftest 200               # serve, probe itself under chaos, exit
 //
 // Try it:
 //
@@ -23,9 +22,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,13 +32,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"contextrank"
 	"contextrank/internal/annotate"
-	"contextrank/internal/par"
 	"contextrank/internal/resilience"
 	"contextrank/internal/searchsim"
 	"contextrank/internal/serve"
@@ -58,7 +53,6 @@ func main() {
 	queueWait := flag.Duration("queue-wait", 100*time.Millisecond, "admission gate: max time a request waits for a slot")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown deadline after SIGTERM")
 	cacheSize := flag.Int("cache-size", 1024, "annotation response cache capacity in entries (0 = disabled)")
-	fillTimeout := flag.Duration("fill-timeout", 0, "detached cache-fill bound (0 = 2x request-timeout, min 5s)")
 	shardMode := flag.Bool("shard", false, "run as a cluster shard behind cmd/router: trust the router's X-Deadline-Ms budget")
 	quotaBurst := flag.Int("quota-burst", 0, "per-tenant token-bucket burst (0 = quotas disabled)")
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant token refill rate per second (0 = pure burst budget)")
@@ -69,8 +63,6 @@ func main() {
 	chaosSpike := flag.Duration("chaos-spike", 250*time.Millisecond, "injected latency spike duration")
 	chaosPanicP := flag.Float64("chaos-panic-p", 0, "probability of an injected handler panic per request")
 	chaosWriteP := flag.Float64("chaos-writefail-p", 0, "probability of an injected response-write failure per request")
-
-	selftest := flag.Int("selftest", 0, "serve, fire this many probe requests at the service through the retrying client, report, and exit")
 	flag.Parse()
 
 	fmt.Fprintln(os.Stderr, "building world...")
@@ -112,7 +104,7 @@ func main() {
 	srv.Gate = resilience.NewGate(*maxInflight, *queueLen, *queueWait)
 	srv.Cache = serve.NewCache(*cacheSize)
 	if srv.Cache != nil {
-		srv.Cache.FillTimeout = cacheFillTimeout(*fillTimeout, *requestTimeout)
+		srv.Cache.FillTimeout = cacheFillTimeout(*requestTimeout)
 	}
 	srv.IndexStats = inner.Engine.Stats
 	srv.IndexEpoch = inner.Engine.Epoch
@@ -152,13 +144,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *selftest > 0 {
-		if err := runSelfTest(httpServer, srv, ln, *selftest, *seed, os.Stderr); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	fmt.Fprintf(os.Stderr, "serving on %s\n", ln.Addr())
@@ -192,14 +177,10 @@ func startPprof(addr string, logw io.Writer) (func(), error) {
 	return func() { server.Close() }, nil
 }
 
-// cacheFillTimeout sizes the detached cache-fill bound: explicit flag
-// wins; otherwise twice the request deadline (a fill that two full
-// request budgets cannot finish is not worth keeping alive) with the
-// package default as the floor.
-func cacheFillTimeout(flagValue, requestTimeout time.Duration) time.Duration {
-	if flagValue > 0 {
-		return flagValue
-	}
+// cacheFillTimeout sizes the detached cache-fill bound: twice the request
+// deadline (a fill that two full request budgets cannot finish is not
+// worth keeping alive) with the package default as the floor.
+func cacheFillTimeout(requestTimeout time.Duration) time.Duration {
 	if derived := 2 * requestTimeout; derived > serve.DefaultFillTimeout {
 		return derived
 	}
@@ -245,91 +226,6 @@ func serveUntilSignal(httpServer *http.Server, srv *serve.Server, ln net.Listene
 		fmt.Fprintln(logw, "drained cleanly")
 		return nil
 	}
-}
-
-// selfTestDoc is the document the -selftest probe annotates: it exercises
-// pattern detection plus whatever concepts the small world mined.
-const selfTestDoc = "Contact press@example.com about the market report and the latest trade figures from https://example.com/news today."
-
-// runSelfTest is the load probe: it serves on ln, fires n annotate
-// requests through the retrying client (concurrently, with seeded backoff
-// jitter), requires every probe to eventually produce a valid response,
-// then drains the server. It validates the full resilience loop end to
-// end — under -chaos-* flags the probes ride through injected panics and
-// write failures on retries alone.
-func runSelfTest(httpServer *http.Server, srv *serve.Server, ln net.Listener, n int, seed int64, logw io.Writer) error {
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpServer.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-	fmt.Fprintf(logw, "selftest: probing %s with %d requests\n", base, n)
-
-	client := resilience.NewRetryClient(http.DefaultClient, seed)
-	client.MaxAttempts = 6
-	client.BaseDelay = 20 * time.Millisecond
-	client.MaxDelay = 500 * time.Millisecond
-
-	var failed, degraded atomic.Int64
-	workers := 8
-	if n < workers {
-		workers = n
-	}
-	par.For(workers, n, func(i int) {
-		if ok, deg := probeOnce(client, base); !ok {
-			failed.Add(1)
-		} else if deg {
-			degraded.Add(1)
-		}
-	})
-
-	srv.SetReady(false)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpServer.Shutdown(ctx); err != nil {
-		return fmt.Errorf("selftest drain: %w", err)
-	}
-	if err := <-errCh; !errors.Is(err, http.ErrServerClosed) && err != nil {
-		return err
-	}
-
-	snap := srv.ResilienceSnapshot()
-	fmt.Fprintf(logw, "selftest: %d/%d ok (%d degraded) — recovered_panics=%d shed=%d deadline_expired=%d\n",
-		int64(n)-failed.Load(), n, degraded.Load(), snap.PanicsRecovered, snap.Shed, snap.DeadlineExpired)
-	if failed.Load() > 0 {
-		return fmt.Errorf("selftest: %d/%d probes never succeeded", failed.Load(), n)
-	}
-	return nil
-}
-
-// probeOnce sends one annotate request and validates the response shape.
-// Transport errors, retryable statuses, and truncated bodies are retried
-// by the client; a handful of empty-body responses (injected write
-// failures surface to the client as a 200 with no body) get app-level
-// retries here.
-func probeOnce(client *resilience.RetryClient, base string) (ok, degraded bool) {
-	payload, err := json.Marshal(serve.AnnotateRequest{Text: selfTestDoc, Top: 3})
-	if err != nil {
-		return false, false
-	}
-	for attempt := 0; attempt < 5; attempt++ {
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/annotate", bytes.NewReader(payload))
-		if err != nil {
-			return false, false
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, body, err := client.DoRead(req)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			continue
-		}
-		var ar serve.AnnotateResponse
-		if json.Unmarshal(body, &ar) != nil || ar.Text == "" {
-			continue // truncated/empty body: injected write failure
-		}
-		return true, ar.Degraded
-	}
-	return false, false
 }
 
 func fatal(err error) {

@@ -1,19 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
-	"contextrank/internal/resilience"
 	"contextrank/internal/serve"
 )
 
@@ -100,55 +97,6 @@ func TestServeUntilSignalListenerError(t *testing.T) {
 	sig := make(chan os.Signal)
 	if err := serveUntilSignal(httpServer, srv, ln, sig, time.Second, io.Discard); err == nil {
 		t.Fatal("expected an error from the dead listener")
-	}
-}
-
-// TestProbeOnceRidesThroughFaults: the selftest probe must succeed against
-// a server that sheds, panics (500s), and truncates bodies before finally
-// answering properly.
-func TestProbeOnceRidesThroughFaults(t *testing.T) {
-	var calls atomic.Int32
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch calls.Add(1) {
-		case 1:
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, "overloaded", http.StatusTooManyRequests)
-		case 2:
-			http.Error(w, "internal server error", http.StatusInternalServerError)
-		case 3:
-			w.WriteHeader(http.StatusOK) // empty body = injected write failure
-		default:
-			_ = json.NewEncoder(w).Encode(serve.AnnotateResponse{Text: "doc", Degraded: true})
-		}
-	})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	client := resilience.NewRetryClient(ts.Client(), 3)
-	client.BaseDelay = time.Millisecond
-	client.MaxDelay = 5 * time.Millisecond
-	ok, degraded := probeOnce(client, ts.URL)
-	if !ok {
-		t.Fatalf("probe failed after %d calls", calls.Load())
-	}
-	if !degraded {
-		t.Fatal("probe lost the degraded flag")
-	}
-	if calls.Load() != 4 {
-		t.Fatalf("server saw %d calls, want 4", calls.Load())
-	}
-}
-
-func TestProbeOnceGivesUp(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK) // forever-empty bodies never validate
-	}))
-	defer ts.Close()
-	client := resilience.NewRetryClient(ts.Client(), 3)
-	client.BaseDelay = time.Millisecond
-	client.MaxDelay = 2 * time.Millisecond
-	if ok, _ := probeOnce(client, ts.URL); ok {
-		t.Fatal("probe validated an empty response")
 	}
 }
 

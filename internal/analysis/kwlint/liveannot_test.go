@@ -65,7 +65,6 @@ var liveAnnotations = map[string][]string{
 		"Miner.finalizeIDs //kw:fresh",
 	},
 	"internal/searchsim/engine.go": {
-		"view.firstOccurrence //kw:hotpath",
 		"view.rankHits //kw:fresh",
 	},
 	"internal/searchsim/index.go": {

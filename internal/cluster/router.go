@@ -559,7 +559,7 @@ func (rt *Router) forward(ctx context.Context, key uint64, body []byte, tenant s
 	}
 }
 
-// retryableStatus mirrors the RetryClient policy: overload shedding and
+// retryableStatus is the failover policy: overload shedding and
 // server-side failures fail over; everything else is a final answer the
 // client must see (including the shard's own 4xx semantics).
 func retryableStatus(code int) bool {

@@ -135,32 +135,38 @@ func TestRouterRoutesToPrimary(t *testing.T) {
 	}
 }
 
-// TestRouterFailover: the primary answers 500, so the router must fail
+// TestRouterFailover: the primary answers a retryable status — overload
+// shedding (429) or a server-side failure (5xx) — so the router must fail
 // over to the second replica and count exactly one failover.
 func TestRouterFailover(t *testing.T) {
 	names := []string{"shard0", "shard1", "shard2"}
 	text := textWithPrimary(t, names, 0, 0, 3)
-	shards := newFakeShards(t, 3, func(i int, w http.ResponseWriter, _ *http.Request) {
-		if i == 0 {
-			http.Error(w, "boom", http.StatusInternalServerError)
-			return
-		}
-		fmt.Fprintf(w, `{"from":%d}`, i)
-	})
-	rt, err := New(Config{Shards: shardConfigs(shards), Replication: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := postAnnotate(t, rt.Handler(), annotateBody(t, text, 3), nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
 	second := NewRing(names, 0).Replicas(serve.CacheKey(text, 3), 2)[1]
-	if got := rec.Body.String(); got != fmt.Sprintf(`{"from":%d}`, second) {
-		t.Fatalf("failover body %q, want replica %d", got, second)
-	}
-	if snap := rt.CountersSnapshot(); snap.Failovers != 1 {
-		t.Fatalf("failovers = %d, want 1: %+v", snap.Failovers, snap)
+	for _, status := range []int{
+		http.StatusTooManyRequests, http.StatusInternalServerError, http.StatusBadGateway,
+		http.StatusServiceUnavailable, http.StatusGatewayTimeout,
+	} {
+		shards := newFakeShards(t, 3, func(i int, w http.ResponseWriter, _ *http.Request) {
+			if i == 0 {
+				http.Error(w, "boom", status)
+				return
+			}
+			fmt.Fprintf(w, `{"from":%d}`, i)
+		})
+		rt, err := New(Config{Shards: shardConfigs(shards), Replication: 2, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := postAnnotate(t, rt.Handler(), annotateBody(t, text, 3), nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("primary %d: status %d: %s", status, rec.Code, rec.Body)
+		}
+		if got := rec.Body.String(); got != fmt.Sprintf(`{"from":%d}`, second) {
+			t.Fatalf("primary %d: failover body %q, want replica %d", status, got, second)
+		}
+		if snap := rt.CountersSnapshot(); snap.Failovers != 1 {
+			t.Fatalf("primary %d: failovers = %d, want 1: %+v", status, snap.Failovers, snap)
+		}
 	}
 }
 
@@ -504,29 +510,31 @@ func TestRouterForwardsDeadline(t *testing.T) {
 	}
 }
 
-// TestRouterPassesThroughShardErrors: a 400 from the shard (bad request
-// semantics) is final — no failover, body relayed verbatim.
+// TestRouterPassesThroughShardErrors: a 4xx from the shard (the request's
+// own fault: malformed, unknown route, too large) is final — no failover,
+// body relayed verbatim.
 func TestRouterPassesThroughShardErrors(t *testing.T) {
-	shards := newFakeShards(t, 2, func(i int, w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "bad request: empty text", http.StatusBadRequest)
-	})
-	rt, err := New(Config{Shards: shardConfigs(shards), Replication: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := postAnnotate(t, rt.Handler(), []byte(`{"text":""}`), nil)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 passthrough", rec.Code)
-	}
-	if rec.Body.String() != "bad request: empty text\n" {
-		t.Fatalf("400 body %q not relayed verbatim", rec.Body)
-	}
-	if snap := rt.CountersSnapshot(); snap.Failovers != 0 {
-		t.Fatalf("4xx triggered failover: %+v", snap)
-	}
-	total := shards[0].Hits() + shards[1].Hits()
-	if total != 1 {
-		t.Fatalf("4xx hit %d shards, want 1", total)
+	for _, status := range []int{http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge} {
+		shards := newFakeShards(t, 2, func(i int, w http.ResponseWriter, _ *http.Request) {
+			http.Error(w, "bad request: empty text", status)
+		})
+		rt, err := New(Config{Shards: shardConfigs(shards), Replication: 2, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := postAnnotate(t, rt.Handler(), []byte(`{"text":""}`), nil)
+		if rec.Code != status {
+			t.Fatalf("status %d, want %d passthrough", rec.Code, status)
+		}
+		if rec.Body.String() != "bad request: empty text\n" {
+			t.Fatalf("%d body %q not relayed verbatim", status, rec.Body)
+		}
+		if snap := rt.CountersSnapshot(); snap.Failovers != 0 {
+			t.Fatalf("%d triggered failover: %+v", status, snap)
+		}
+		if total := shards[0].Hits() + shards[1].Hits(); total != 1 {
+			t.Fatalf("%d hit %d shards, want 1", status, total)
+		}
 	}
 }
 

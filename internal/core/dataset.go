@@ -106,7 +106,7 @@ func (ex *Example) scoreRelevance(stores []boundStore, text string) {
 	ex.RelScore = make(map[relevance.Resource]float64, len(stores))
 	ex.RelNorm = make(map[relevance.Resource]float64, len(stores))
 	for _, b := range stores {
-		b.ctx.SetAround(text, ex.Position, 0)
+		b.ctx.SetAround(text, ex.Position)
 		ex.RelScore[b.r] = b.st.ScoreCtx(ex.Concept.Name, b.ctx)
 		ex.RelNorm[b.r] = b.st.NormalizedScoreCtx(ex.Concept.Name, b.ctx)
 	}

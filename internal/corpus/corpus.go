@@ -6,7 +6,6 @@
 package corpus
 
 import (
-	"math"
 	"sort"
 
 	"contextrank/internal/textproc"
@@ -132,24 +131,4 @@ func PunishBelow(v Vector, threshold, factor, removeBelow float64) Vector {
 	}
 	SortVector(out)
 	return out
-}
-
-// CosineSimilarity computes the cosine of the angle between two sparse
-// vectors; 0 if either is empty or zero.
-func CosineSimilarity(a, b Vector) float64 {
-	am := a.Map()
-	dot, na, nb := 0.0, 0.0, 0.0
-	for _, e := range a {
-		na += e.Weight * e.Weight
-	}
-	for _, e := range b {
-		nb += e.Weight * e.Weight
-		if w, ok := am[e.Term]; ok {
-			dot += w * e.Weight
-		}
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
 }

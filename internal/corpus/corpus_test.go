@@ -75,20 +75,6 @@ func TestVectorTopAndSum(t *testing.T) {
 	}
 }
 
-func TestCosineSimilarity(t *testing.T) {
-	a := Vector{{"x", 1}, {"y", 1}}
-	if got := CosineSimilarity(a, a); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("self-similarity = %v", got)
-	}
-	b := Vector{{"z", 1}}
-	if got := CosineSimilarity(a, b); got != 0 {
-		t.Fatalf("orthogonal similarity = %v", got)
-	}
-	if got := CosineSimilarity(a, nil); got != 0 {
-		t.Fatalf("nil similarity = %v", got)
-	}
-}
-
 func TestSortVectorDeterministic(t *testing.T) {
 	v := Vector{{"b", 1}, {"a", 1}, {"c", 2}}
 	SortVector(v)

@@ -105,13 +105,6 @@ func NewWithFloor(dict *taxonomy.Dictionary, unitSet *units.Set, minUnitScore fl
 	return &Pipeline{dict: dict, units: unitSet, minUnitScore: minUnitScore}
 }
 
-// DetectHTML strips HTML then runs detection; offsets refer to the stripped
-// plain text, which is also returned.
-func (p *Pipeline) DetectHTML(html string) (string, []Detection) {
-	text := textproc.StripHTML(html)
-	return text, p.Detect(text)
-}
-
 // scratch holds the per-document working set of DetectTokens: the
 // word-token views (norm/tokIdx), one interned id buffer per matcher
 // vocabulary, match buffers, the pattern trigger sites, the detection

@@ -6,6 +6,7 @@ import (
 
 	"contextrank/internal/querylog"
 	"contextrank/internal/taxonomy"
+	"contextrank/internal/textproc"
 	"contextrank/internal/units"
 	"contextrank/internal/world"
 )
@@ -210,7 +211,8 @@ func TestFilterDropsStopwordConcepts(t *testing.T) {
 func TestDetectHTML(t *testing.T) {
 	_, dict, us := testResources(t)
 	p := New(dict, us)
-	text, ds := p.DetectHTML(`<p>Email <a href="#">a@b.com</a> now</p>`)
+	text := textproc.StripHTML(`<p>Email <a href="#">a@b.com</a> now</p>`)
+	ds := p.Detect(text)
 	if !strings.Contains(text, "a@b.com") {
 		t.Fatalf("stripped text lost email: %q", text)
 	}

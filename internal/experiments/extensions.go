@@ -83,9 +83,9 @@ func SenseExperiment(s *core.System, maxSenses int) (globalCoverage, senseCovera
 			if !ambiguous[e.Concept.Name] || !e.Relevant {
 				continue
 			}
-			ctx.SetAround(wg.Text, e.Position, 0)
+			ctx.SetAround(wg.Text, e.Position)
 			globalSum += store.NormalizedScoreCtx(e.Concept.Name, ctx)
-			stems := relevance.ContextStemsAround(wg.Text, e.Position, 0)
+			stems := relevance.ContextStemsAround(wg.Text, e.Position)
 			bestTotal := 0.0
 			for _, sense := range senses.Senses(e.Concept.Name) {
 				if t := sense.Keywords.Sum(); t > bestTotal {

@@ -18,7 +18,7 @@ func refFields(e *Extractor, concept string) Fields {
 	}
 	if e.units != nil {
 		f.UnitScore = e.units.Score(concept)
-		f.Subconcepts = float64(e.units.SubconceptCount(concept, SubconceptMinScore))
+		f.Subconcepts = float64(e.units.SubconceptCountTerms(strings.Fields(concept), SubconceptMinScore))
 	}
 	if e.engine != nil {
 		f.SearchEnginePhrase = math.Log1p(float64(e.engine.ResultCount(concept)))

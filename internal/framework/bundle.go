@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 
+	"contextrank/internal/match"
 	"contextrank/internal/ranksvm"
 )
 
@@ -186,7 +187,7 @@ func (b *Bundle) savePacks(w io.Writer) error {
 		return err
 	}
 	for i := 0; i < kp.TIDs.Len(); i++ {
-		if err := writeString(w, kp.TIDs.Term(uint32(i))); err != nil {
+		if err := writeString(w, kp.TIDs.Token(uint32(i))); err != nil {
 			return err
 		}
 	}
@@ -235,6 +236,17 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	}
 	if b.Packs, err = loadPacks(cr); err != nil {
 		return nil, err
+	}
+	// Both tables are keyed by concept name: a concept with interest but no
+	// pack would be served with relevance 0, one with a pack but no interest
+	// row never.
+	if n, m := b.Interest.Len(), b.Packs.Len(); n != m {
+		return nil, fmt.Errorf("%w: %d interest rows, %d keyword packs", ErrCorrupt, n, m)
+	}
+	for name := range b.Packs.packs {
+		if _, ok := b.Interest.index[name]; !ok {
+			return nil, fmt.Errorf("%w: keyword pack %q has no interest row", ErrCorrupt, name)
+		}
 	}
 	modelLen, err := readU32(cr)
 	if err != nil {
@@ -302,7 +314,7 @@ func loadInterest(r io.Reader) (*InterestTable, error) {
 }
 
 func loadPacks(r io.Reader) (*KeywordPacks, error) {
-	kp := &KeywordPacks{TIDs: NewTIDTable(), packs: make(map[string][]uint32)}
+	kp := &KeywordPacks{TIDs: match.NewVocab(), packs: make(map[string][]uint32)}
 	var err error
 	if kp.maxScore, err = readF64(r); err != nil {
 		return nil, fmt.Errorf("%w: pack scale", ErrCorrupt)

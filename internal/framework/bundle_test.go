@@ -15,10 +15,17 @@ import (
 	"contextrank/internal/world"
 )
 
+// sampleBundle is a bundle whose interest table and keyword packs hold the
+// same concepts, buildStore's.
 func sampleBundle(t testing.TB) *Bundle {
 	t.Helper()
-	names := []string{"alpha beta", "gamma", "delta epsilon zeta"}
-	table := BuildInterestTable(names, func(n string) features.Fields {
+	store := buildStore()
+	return &Bundle{Interest: sampleInterest(store.Concepts()), Packs: BuildKeywordPacks(store), Model: sampleModel(t, modelDim)}
+}
+
+// sampleInterest is an interest table over names.
+func sampleInterest(names []string) *InterestTable {
+	return BuildInterestTable(names, func(n string) features.Fields {
 		return features.Fields{
 			FreqExact:     float64(len(n)),
 			ConceptSize:   float64(1 + len(n)%3),
@@ -27,8 +34,6 @@ func sampleBundle(t testing.TB) *Bundle {
 			WikiWordCount: float64(3 * len(n)),
 		}
 	})
-	kp := BuildKeywordPacks(buildStore())
-	return &Bundle{Interest: table, Packs: kp, Model: sampleModel(t, modelDim)}
 }
 
 // sampleModel trains a ranking model over dim features.
@@ -167,6 +172,23 @@ func TestLoadBundleRejectsDuplicateNames(t *testing.T) {
 	dup = resealed(bytes.Replace(saveBytes(t, b), []byte("qqdelta"), []byte("qqcharl"), 1))
 	if _, err := LoadBundle(bytes.NewReader(dup)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("duplicate pack name loaded: %v", err)
+	}
+}
+
+// Both tables are keyed by concept name, so a bundle whose interest table
+// and keyword packs name different concepts must not load: a concept with
+// no pack would be served with relevance 0.
+func TestLoadBundleRejectsMismatchedTables(t *testing.T) {
+	for label, names := range map[string][]string{
+		"extra interest row":   {"economy", "empty", "iraq war", "qqforeign"},
+		"missing interest row": {"economy", "iraq war"},
+		"different concept":    {"economy", "empty", "qqforeign"},
+	} {
+		b := sampleBundle(t)
+		b.Interest = sampleInterest(names)
+		if _, err := LoadBundle(bytes.NewReader(saveBytes(t, b))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: mismatched tables loaded: %v", label, err)
+		}
 	}
 }
 

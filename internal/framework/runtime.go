@@ -12,7 +12,9 @@ import (
 
 	"contextrank/internal/detect"
 	"contextrank/internal/features"
+	"contextrank/internal/match"
 	"contextrank/internal/ranksvm"
+	"contextrank/internal/relevance"
 	"contextrank/internal/stem"
 	"contextrank/internal/textproc"
 )
@@ -81,7 +83,7 @@ func (rt *Runtime) StemDoc(text string) map[string]bool {
 // past stemCacheMax entries to bound its footprint.
 type annScratch struct {
 	tokens    []textproc.Token
-	tokTID    []uint32 // tokTID[i] is tokens[i]'s stem in the Global TID Table, or noTID
+	tokTID    []uint32 // tokTID[i] is tokens[i]'s stem in the Global TID Table; match.NoID for a non-content word or a stem no pack uses
 	dets      []detect.Detection
 	stems     map[string]bool
 	tids      map[uint32]bool
@@ -94,10 +96,6 @@ type annScratch struct {
 }
 
 const stemCacheMax = 1 << 14
-
-// noTID marks a token that is no content word, or whose stem no keyword
-// pack uses. Real TIDs fit in TIDBits.
-const noTID = ^uint32(0)
 
 var annPool = sync.Pool{New: func() any {
 	return &annScratch{
@@ -137,20 +135,17 @@ func (rt *Runtime) stemTokens(sc *annScratch, text string) {
 	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0])
 	sc.tokTID = sc.tokTID[:0]
 	for i := range sc.tokens {
-		tid := noTID
+		tid := match.NoID
 		if s, ok := sc.contentStem(&sc.tokens[i]); ok {
-			if id, ok := rt.Packs.TIDs.ID(s); ok {
-				tid = id
-			}
+			tid = rt.Packs.TIDs.ID(s)
 		}
 		sc.tokTID = append(sc.tokTID, tid)
 	}
 }
 
 // LocalRadius is the byte radius of the context used to score each
-// detection's relevance (mirrors relevance.LocalRadius: the paper estimates
-// relevance from keyword co-occurrence "in the context" of the occurrence).
-const LocalRadius = 300
+// detection's relevance: relevance.LocalWindow's.
+const LocalRadius = relevance.LocalRadius
 
 // Annotate detects, scores and ranks the concepts of a document, returning
 // annotations in decreasing score order. topN ≤ 0 returns all; otherwise the
@@ -321,42 +316,22 @@ func (rt *Runtime) AnnotateDegraded(text string, topN int) []Annotation {
 }
 
 // windowTIDs returns the TIDs of the stemmed content words in the context
-// of [start,end) — localWindow — as a set valid until the next call on sc.
-// The window's words are a range of the document's tokens: localWindow ends
-// on ' ', '\n' or an edge of the text, no token holds either byte, so no
-// token straddles an edge and the tokens that start inside the window are
-// exactly the tokens of the window's text (FuzzWindowTIDs checks it).
+// of [start,end) — relevance.LocalWindow — as a set valid until the next
+// call on sc. The window's words are a range of the document's tokens: the
+// window ends on ' ', '\n' or an edge of the text, no token holds either
+// byte, so no token straddles an edge and the tokens that start inside the
+// window are exactly the tokens of the window's text (FuzzWindowTIDs checks
+// it).
 func (sc *annScratch) windowTIDs(text string, start, end int) map[uint32]bool {
-	lo, hi := localWindow(text, start, end)
+	lo, hi := relevance.LocalWindow(text, start, end)
 	first := sort.Search(len(sc.tokens), func(i int) bool { return sc.tokens[i].Start >= lo })
 	clear(sc.tids)
 	for i := first; i < len(sc.tokens) && sc.tokens[i].Start < hi; i++ {
-		if tid := sc.tokTID[i]; tid != noTID {
+		if tid := sc.tokTID[i]; tid != match.NoID {
 			sc.tids[tid] = true
 		}
 	}
 	return sc.tids
-}
-
-// localWindow widens [start,end) by LocalRadius bytes on each side, then
-// extends to whitespace so no word is cut in half; the window is
-// text[lo:hi].
-func localWindow(text string, start, end int) (lo, hi int) {
-	lo = start - LocalRadius
-	if lo < 0 {
-		lo = 0
-	}
-	hi = end + LocalRadius
-	if hi > len(text) {
-		hi = len(text)
-	}
-	for lo > 0 && text[lo-1] != ' ' && text[lo-1] != '\n' {
-		lo--
-	}
-	for hi < len(text) && text[hi] != ' ' && text[hi] != '\n' {
-		hi++
-	}
-	return lo, hi
 }
 
 func log1p(x float64) float64 {
@@ -380,13 +355,3 @@ func (rt *Runtime) Throughput() (stemMBps, rankMBps float64) {
 	}
 	return
 }
-
-// ResetTimers clears the throughput accumulators.
-func (rt *Runtime) ResetTimers() {
-	rt.stemNanos.Store(0)
-	rt.rankNanos.Store(0)
-	rt.bytesProcessed.Store(0)
-}
-
-// BytesProcessed returns the total document bytes annotated so far.
-func (rt *Runtime) BytesProcessed() int64 { return rt.bytesProcessed.Load() }

@@ -69,7 +69,7 @@ func TestAnnotateCtxCanceledBeforeStart(t *testing.T) {
 	rt := resilienceRuntime(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := rt.BytesProcessed()
+	before := rt.bytesProcessed.Load()
 	anns, err := rt.AnnotateCtx(ctx, resilienceDoc, 0)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -77,7 +77,7 @@ func TestAnnotateCtxCanceledBeforeStart(t *testing.T) {
 	if anns != nil {
 		t.Fatalf("canceled annotate returned annotations: %+v", anns)
 	}
-	if rt.BytesProcessed() != before {
+	if rt.bytesProcessed.Load() != before {
 		t.Fatal("abandoned request was recorded in the throughput accumulators")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"contextrank/internal/corpus"
 	"contextrank/internal/features"
 	"contextrank/internal/golomb"
+	"contextrank/internal/match"
 	"contextrank/internal/relevance"
 	"contextrank/internal/world"
 )
@@ -162,50 +163,12 @@ const (
 	MaxQScore = 1<<ScoreBits - 1
 )
 
-// TIDTable is the Global TID Table: a perfect-hash-style map from each term
-// used by at least one concept's keywords to a dense id.
-type TIDTable struct {
-	ids   map[string]uint32
-	terms []string
-}
-
-// NewTIDTable returns an empty table.
-func NewTIDTable() *TIDTable {
-	return &TIDTable{ids: make(map[string]uint32)}
-}
-
-// Intern returns the TID for term, assigning the next id if new. It panics
-// if the 22-bit space overflows (1M concepts × shared keywords stay far
-// below it, as the paper observes).
-func (t *TIDTable) Intern(term string) uint32 {
-	if id, ok := t.ids[term]; ok {
-		return id
-	}
-	id := uint32(len(t.terms))
-	if id > MaxTID {
-		panic("framework: TID space exhausted")
-	}
-	t.ids[term] = id
-	t.terms = append(t.terms, term)
-	return id
-}
-
-// ID returns the TID for term if present.
-func (t *TIDTable) ID(term string) (uint32, bool) {
-	id, ok := t.ids[term]
-	return id, ok
-}
-
-// Term returns the term for a TID.
-func (t *TIDTable) Term(id uint32) string { return t.terms[id] }
-
-// Len returns the number of interned terms.
-func (t *TIDTable) Len() int { return len(t.terms) }
-
 // KeywordPacks stores each concept's relevant keywords as packed 32-bit
 // (TID, score) entries sorted by TID.
 type KeywordPacks struct {
-	TIDs     *TIDTable
+	// TIDs is the Global TID Table: every term used by at least one
+	// concept's keywords, interned to a dense id below 2^TIDBits.
+	TIDs     *match.Vocab
 	packs    map[string][]uint32
 	maxScore float64 // dequantization scale
 }
@@ -234,12 +197,17 @@ func BuildKeywordPacks(store *relevance.Store) *KeywordPacks {
 	if maxScore <= 0 {
 		maxScore = 1
 	}
-	kp := &KeywordPacks{TIDs: NewTIDTable(), packs: make(map[string][]uint32, len(names)), maxScore: maxScore}
+	kp := &KeywordPacks{TIDs: match.NewVocab(), packs: make(map[string][]uint32, len(names)), maxScore: maxScore}
 	for _, n := range names {
 		terms := store.RelevantTerms(n)
 		entries := make([]uint32, 0, len(terms))
 		for _, e := range terms {
 			tid := kp.TIDs.Intern(e.Term)
+			if tid > MaxTID {
+				// 1M concepts × shared keywords stay far below it, as the
+				// paper observes.
+				panic("framework: TID space exhausted")
+			}
 			q := uint32(e.Weight / maxScore * MaxQScore)
 			if q > MaxQScore {
 				q = MaxQScore
@@ -276,7 +244,7 @@ func (k *KeywordPacks) Keywords(concept string) corpus.Vector {
 	for _, e := range pack {
 		tid, q := unpackEntry(e)
 		out = append(out, corpus.Entry{
-			Term:   k.TIDs.Term(tid),
+			Term:   k.TIDs.Token(tid),
 			Weight: float64(q) / MaxQScore * k.maxScore,
 		})
 	}
@@ -304,7 +272,7 @@ func (k *KeywordPacks) Score(concept string, docTIDs map[uint32]bool) float64 {
 func (k *KeywordPacks) DocTIDs(stems map[string]bool) map[uint32]bool {
 	out := make(map[uint32]bool, len(stems))
 	for s := range stems {
-		if id, ok := k.TIDs.ID(s); ok {
+		if id := k.TIDs.ID(s); id != match.NoID {
 			out[id] = true
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // runtime did before it kept the stemmed document: the window's text
 // tokenized and stemmed on its own. It is the oracle windowTIDs must equal.
 func (rt *Runtime) localTIDs(text string, start, end int) map[uint32]bool {
-	lo, hi := localWindow(text, start, end)
+	lo, hi := relevance.LocalWindow(text, start, end)
 	stems := make(map[string]bool)
 	for _, w := range textproc.ContentWords(text[lo:hi]) {
 		stems[stem.Stem(w)] = true
@@ -49,7 +49,7 @@ func checkWindows(t *testing.T, rt *Runtime, text string, start, end int) {
 	rt.stemTokens(sc, text)
 	check := func(start, end int) {
 		t.Helper()
-		lo, hi := localWindow(text, start, end)
+		lo, hi := relevance.LocalWindow(text, start, end)
 		var got []textproc.Token
 		for _, tok := range sc.tokens {
 			if tok.Start >= lo && tok.Start < hi {

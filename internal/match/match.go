@@ -136,24 +136,20 @@ func (b *Builder) Add(terms []string) int {
 
 // Build freezes the trie. The builder must not be reused afterwards.
 func (b *Builder) Build() *Matcher {
-	return &Matcher{vocab: b.vocab, pattern: b.pattern, edges: b.edges, patterns: b.patterns, maxLen: b.maxLen}
+	return &Matcher{vocab: b.vocab, pattern: b.pattern, edges: b.edges, maxLen: b.maxLen}
 }
 
 // Matcher is the compiled token-trie. It is immutable and safe for
 // concurrent use.
 type Matcher struct {
-	vocab    *Vocab
-	pattern  []int32
-	edges    map[uint64]int32
-	patterns int
-	maxLen   int
+	vocab   *Vocab
+	pattern []int32
+	edges   map[uint64]int32
+	maxLen  int
 }
 
 // Vocab returns the matcher's vocabulary.
 func (m *Matcher) Vocab() *Vocab { return m.vocab }
-
-// NumPatterns returns the number of distinct patterns compiled in.
-func (m *Matcher) NumPatterns() int { return m.patterns }
 
 // MaxLen returns the longest pattern length in tokens.
 func (m *Matcher) MaxLen() int { return m.maxLen }
@@ -207,12 +203,4 @@ func (m *Matcher) AppendMatches(dst []Match, ids []uint32) []Match {
 		}
 	}
 	return dst
-}
-
-// FindTokens interns tokens against the matcher's vocabulary and returns
-// all greedy-longest matches. Convenience path for tests and cold callers;
-// the hot path pre-interns and calls AppendMatches/LongestAt.
-func (m *Matcher) FindTokens(tokens []string) []Match {
-	ids := m.vocab.AppendIDs(make([]uint32, 0, len(tokens)), tokens)
-	return m.AppendMatches(nil, ids)
 }

@@ -8,6 +8,13 @@ import (
 	"testing"
 )
 
+// findTokens interns tokens against the matcher's vocabulary and returns
+// all greedy-longest matches.
+func findTokens(m *Matcher, tokens []string) []Match {
+	ids := m.vocab.AppendIDs(make([]uint32, 0, len(tokens)), tokens)
+	return m.AppendMatches(nil, ids)
+}
+
 func buildFrom(phrases ...string) *Matcher {
 	b := NewBuilder(nil)
 	for _, p := range phrases {
@@ -52,7 +59,7 @@ func reference(phrases []string, tokens []string) []Match {
 
 func TestLongestMatchWins(t *testing.T) {
 	m := buildFrom("new york", "new york city", "york")
-	got := m.FindTokens(strings.Fields("in new york city today"))
+	got := findTokens(m, strings.Fields("in new york city today"))
 	// "new york city" wins at position 1; "york" still matches at position 2
 	// (positions advance one token at a time, matching the legacy scanners —
 	// the downstream collision pass drops the nested span).
@@ -64,7 +71,7 @@ func TestLongestMatchWins(t *testing.T) {
 
 func TestNestedPhraseAtLaterPositionStillFound(t *testing.T) {
 	m := buildFrom("new york city", "york")
-	got := m.FindTokens(strings.Fields("new york city"))
+	got := findTokens(m, strings.Fields("new york city"))
 	// Greedy-longest at position 0, plus "york" at position 1: the scanner
 	// advances one token at a time, exactly like the byFirst loops did.
 	want := []Match{{Pattern: 0, Start: 0, End: 3}, {Pattern: 1, Start: 1, End: 2}}
@@ -75,10 +82,10 @@ func TestNestedPhraseAtLaterPositionStillFound(t *testing.T) {
 
 func TestUnknownTokenBreaksWalk(t *testing.T) {
 	m := buildFrom("alpha beta gamma")
-	if got := m.FindTokens(strings.Fields("alpha beta delta")); len(got) != 0 {
+	if got := findTokens(m, strings.Fields("alpha beta delta")); len(got) != 0 {
 		t.Fatalf("unexpected match through unknown token: %+v", got)
 	}
-	if got := m.FindTokens(strings.Fields("alpha beta gamma")); len(got) != 1 {
+	if got := findTokens(m, strings.Fields("alpha beta gamma")); len(got) != 1 {
 		t.Fatalf("full phrase should match: %+v", got)
 	}
 }
@@ -92,9 +99,8 @@ func TestDuplicateAddReturnsSameID(t *testing.T) {
 	if b.Add(nil) != -1 {
 		t.Fatal("empty pattern should be rejected")
 	}
-	m := b.Build()
-	if m.NumPatterns() != 1 || m.MaxLen() != 2 {
-		t.Fatalf("patterns=%d maxLen=%d", m.NumPatterns(), m.MaxLen())
+	if b.patterns != 1 || b.Build().MaxLen() != 2 {
+		t.Fatalf("patterns=%d maxLen=%d", b.patterns, b.maxLen)
 	}
 }
 
@@ -128,10 +134,10 @@ func TestVocabUnknownIsNoID(t *testing.T) {
 
 func TestEmptyAndShortInputs(t *testing.T) {
 	m := buildFrom("a b c")
-	if got := m.FindTokens(nil); len(got) != 0 {
+	if got := findTokens(m, nil); len(got) != 0 {
 		t.Fatalf("empty input matched: %+v", got)
 	}
-	if got := m.FindTokens([]string{"a", "b"}); len(got) != 0 {
+	if got := findTokens(m, []string{"a", "b"}); len(got) != 0 {
 		t.Fatalf("phrase longer than input matched: %+v", got)
 	}
 }
@@ -165,7 +171,7 @@ func TestDifferentialRandom(t *testing.T) {
 			doc[i] = vocabulary[rng.Intn(len(vocabulary))]
 		}
 		m := buildFrom(phrases...)
-		got := m.FindTokens(doc)
+		got := findTokens(m, doc)
 		want := reference(phrases, doc)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: phrases=%v doc=%v\ngot  %+v\nwant %+v", trial, phrases, doc, got, want)

@@ -30,12 +30,6 @@ func NewFeed(w *world.World, cfg Config, batchSize int) *Feed {
 	return &Feed{w: w, cfg: cfg, batch: batchSize}
 }
 
-// BatchSize returns the number of stories per batch.
-func (f *Feed) BatchSize() int { return f.batch }
-
-// Emitted returns the number of stories the feed has produced so far.
-func (f *Feed) Emitted() int { return f.base }
-
 // NextBatch generates and returns the next batch of stories. Story IDs are
 // globally sequential across batches. The feed never ends.
 func (f *Feed) NextBatch() []Story {

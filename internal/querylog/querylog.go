@@ -40,7 +40,6 @@ type Log struct {
 	vocab     *match.Vocab   // term string <-> dense id
 	termIDs   [][]uint32     // query index -> interned Terms
 	byTerm    [][]int32      // term id -> indexes of queries containing it
-	termFreq  []int64        // term id -> sum of freqs of queries containing it
 }
 
 // Config parameterizes log generation.
@@ -177,15 +176,13 @@ func FromCounts(counts map[string]int) *Log {
 			ids[i] = id
 			if int(id) >= len(l.byTerm) {
 				l.byTerm = append(l.byTerm, nil)
-				l.termFreq = append(l.termFreq, 0)
 			}
-			// Dedup within the query: a term contributes one posting and one
-			// frequency increment no matter how often it repeats.
+			// Dedup within the query: a term contributes one posting no
+			// matter how often it repeats.
 			if n := len(l.byTerm[id]); n > 0 && l.byTerm[id][n-1] == int32(idx) {
 				continue
 			}
 			l.byTerm[id] = append(l.byTerm[id], int32(idx))
-			l.termFreq[id] += int64(f)
 		}
 		l.termIDs = append(l.termIDs, ids)
 	}
@@ -264,16 +261,6 @@ func containsPhraseIDs(hay, needle []uint32) bool {
 	return false
 }
 
-// TermFreq returns the frequency-weighted number of query submissions
-// containing term.
-func (l *Log) TermFreq(term string) int64 {
-	id := l.vocab.ID(term)
-	if id == match.NoID {
-		return 0
-	}
-	return l.termFreq[id]
-}
-
 // QueriesContaining returns the indexes of queries whose term set includes
 // term, in deterministic (query-index) order. The returned slice aliases
 // internal storage and must not be modified.
@@ -297,19 +284,3 @@ func (l *Log) Vocab() *match.Vocab { return l.vocab }
 // (repeats preserved). The slice aliases internal storage and must not be
 // modified.
 func (l *Log) TermIDs(i int) []uint32 { return l.termIDs[i] }
-
-// TopQueries returns the n most frequent queries (ties broken by text).
-func (l *Log) TopQueries(n int) []Query {
-	qs := make([]Query, len(l.Queries))
-	copy(qs, l.Queries)
-	sort.Slice(qs, func(i, j int) bool {
-		if qs[i].Freq != qs[j].Freq {
-			return qs[i].Freq > qs[j].Freq
-		}
-		return qs[i].Text < qs[j].Text
-	})
-	if n > len(qs) {
-		n = len(qs)
-	}
-	return qs[:n]
-}

@@ -57,23 +57,6 @@ func TestFreqPhraseContained(t *testing.T) {
 	}
 }
 
-func TestTermFreq(t *testing.T) {
-	l := FromCounts(map[string]int{
-		"a b": 10,
-		"a c": 5,
-		"a a": 3, // duplicate term counted once per query
-	})
-	if got := l.TermFreq("a"); got != 18 {
-		t.Fatalf("TermFreq(a) = %d", got)
-	}
-	if got := l.TermFreq("b"); got != 10 {
-		t.Fatalf("TermFreq(b) = %d", got)
-	}
-	if got := l.TermFreq("zzz"); got != 0 {
-		t.Fatalf("TermFreq(zzz) = %d", got)
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	w := world.New(world.Config{Seed: 11, VocabSize: 800, NumTopics: 6, NumConcepts: 80})
 	l1 := Generate(w, Config{Seed: 5})
@@ -123,23 +106,6 @@ func TestPhraseContainedAtLeastExact(t *testing.T) {
 		if l.FreqPhraseContained(c.Name) < l.FreqExact(c.Name) {
 			t.Fatalf("phrase-contained < exact for %q", c.Name)
 		}
-	}
-}
-
-func TestTopQueries(t *testing.T) {
-	l := FromCounts(map[string]int{"a": 1, "b": 5, "c": 3})
-	top := l.TopQueries(2)
-	if len(top) != 2 || top[0].Text != "b" || top[1].Text != "c" {
-		t.Fatalf("TopQueries = %v", top)
-	}
-	if got := l.TopQueries(10); len(got) != 3 {
-		t.Fatalf("TopQueries(10) = %v", got)
-	}
-	// Sorted stability on ties.
-	l2 := FromCounts(map[string]int{"x": 2, "y": 2})
-	top2 := l2.TopQueries(2)
-	if top2[0].Text != "x" {
-		t.Fatalf("tie break should be lexicographic: %v", top2)
 	}
 }
 

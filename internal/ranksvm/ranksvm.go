@@ -335,18 +335,3 @@ func (m *Model) ScoreBuf(features, buf []float64) float64 {
 	}
 	return 0
 }
-
-// Rank returns the indexes of featureRows sorted by decreasing model score
-// (stable: ties keep input order).
-func (m *Model) Rank(featureRows [][]float64) []int {
-	scores := make([]float64, len(featureRows))
-	for i, f := range featureRows {
-		scores[i] = m.Score(f)
-	}
-	idx := make([]int, len(featureRows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	return idx
-}

@@ -154,27 +154,6 @@ func TestMaxPairsPerGroup(t *testing.T) {
 	}
 }
 
-func TestRankStableOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	train, _ := linearWorld(rng, 20, 6, 0.01)
-	m, err := Train(train, Options{Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := [][]float64{
-		{1, 0, 0, 0},
-		{1, 0, 0, 0}, // identical: stable order preserved
-		{5, 0, 0, 0},
-	}
-	idx := m.Rank(rows)
-	if idx[0] != 2 {
-		t.Fatalf("Rank = %v, best row should be 2", idx)
-	}
-	if !(idx[1] == 0 && idx[2] == 1) {
-		t.Fatalf("ties must preserve input order: %v", idx)
-	}
-}
-
 func TestStandardizationInvariance(t *testing.T) {
 	// Scaling a feature by 1000 must not change the learned ranking.
 	rng := rand.New(rand.NewSource(11))

@@ -91,10 +91,10 @@ func (c *Ctx) SetText(text string) {
 	}
 }
 
-// SetAround loads the local context within radius bytes of position — the
-// ContextStemsAround window — as SetText does.
-func (c *Ctx) SetAround(text string, position, radius int) {
-	lo, hi := contextBounds(text, position, radius)
+// SetAround loads the local context of position — the ContextStemsAround
+// window — as SetText does.
+func (c *Ctx) SetAround(text string, position int) {
+	lo, hi := LocalWindow(text, position, position)
 	c.SetText(text[lo:hi])
 }
 

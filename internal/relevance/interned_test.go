@@ -97,8 +97,8 @@ func TestDifferentialCtxScore(t *testing.T) {
 		}
 		// Windowed local context at a few positions.
 		for _, pos := range []int{0, len(text) / 2, len(text)} {
-			stems := ContextStemsAround(text, pos, 0)
-			ctx.SetAround(text, pos, 0)
+			stems := ContextStemsAround(text, pos)
+			ctx.SetAround(text, pos)
 			for _, c := range concepts {
 				if got, want := st.ScoreCtx(c, ctx), st.Score(c, stems); got != want { //kwlint:ignore floatcompare — differential test: both paths must be bit-identical
 					t.Fatalf("windowed ScoreCtx(%q, pos=%d) = %v, map path = %v", c, pos, got, want)

@@ -179,33 +179,29 @@ func ContextStems(text string) map[string]bool {
 	return out
 }
 
-// LocalRadius is the default byte radius of the local context used to score
-// a specific mention: the paper estimates relevance from "co-occurrences of
+// LocalRadius is the byte radius of the local context used to score a
+// specific mention: the paper estimates relevance from "co-occurrences of
 // the pre-mined keywords and the given concept in the context", i.e. the
 // text surrounding the occurrence, not the whole document.
 const LocalRadius = 300
 
-// ContextStemsAround computes the stemmed content-word set of the text
-// within radius bytes of position (clamped to the text bounds). radius <= 0
-// selects LocalRadius.
-func ContextStemsAround(text string, position, radius int) map[string]bool {
-	lo, hi := contextBounds(text, position, radius)
+// ContextStemsAround computes the stemmed content-word set of the local
+// context of position (LocalWindow).
+func ContextStemsAround(text string, position int) map[string]bool {
+	lo, hi := LocalWindow(text, position, position)
 	return ContextStems(text[lo:hi])
 }
 
-// contextBounds computes the byte window [lo, hi) of radius around position,
-// clamped to the text and expanded to whitespace so words are not cut.
-// radius <= 0 selects LocalRadius. Shared by ContextStemsAround and
-// Ctx.SetAround so both paths see the identical window.
-func contextBounds(text string, position, radius int) (int, int) {
-	if radius <= 0 {
-		radius = LocalRadius
-	}
-	lo := position - radius
+// LocalWindow is the local context of the span [start,end): LocalRadius
+// bytes on each side, clamped to the text and widened to whitespace so no
+// word is cut; the window is text[lo:hi]. The offline miners score a
+// mention at (position, position), the runtime a detection at its span.
+func LocalWindow(text string, start, end int) (lo, hi int) {
+	lo = start - LocalRadius
 	if lo < 0 {
 		lo = 0
 	}
-	hi := position + radius
+	hi = end + LocalRadius
 	if hi > len(text) {
 		hi = len(text)
 	}

@@ -16,15 +16,23 @@
 //     from an independent splitmix64-derived stream (par.Seed), so a fixed
 //     seed reproduces the exact same fault multiset — and therefore the
 //     exact same recovery counters — on every run, at any concurrency.
-//   - RetryClient: an HTTP client wrapper with capped exponential backoff
-//     and seeded jitter, used by the cmd/serve -selftest load probe.
 //
 // The package deliberately has no opinion about policy (what to do when a
 // request is shed or a deadline expires); internal/serve decides that —
 // degraded dictionary-only ranking for /v1/annotate, 429 for /v1/render.
+// Retrying a failed request is the router's failover (internal/cluster).
 package resilience
 
-import "sync/atomic"
+import (
+	"net/http"
+	"sync/atomic"
+)
+
+// Doer is the slice of http.Client the cluster router sends its shard
+// attempts through (cluster.Config.Client).
+type Doer interface {
+	Do(*http.Request) (*http.Response, error)
+}
 
 // Counters aggregates the resilience events of a server. All fields are
 // atomics: they are bumped from concurrent request goroutines.

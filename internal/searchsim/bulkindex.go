@@ -149,9 +149,9 @@ func newBulkEngine(docs []rawDoc, workers int) *Engine {
 	})
 
 	// Phase 5: documents, stopword table.
-	e.Docs = make([]Doc, nd)
+	e.docs = make([]Doc, nd)
 	for di := range docs {
-		e.Docs[di] = Doc{ID: di, Tokens: tokenIDs[di], Topic: docs[di].topic}
+		e.docs[di] = Doc{ID: di, Tokens: tokenIDs[di], Topic: docs[di].topic}
 	}
 	e.stopID = make([]bool, nTerms)
 	for t := range e.stopID {

@@ -54,7 +54,7 @@ func engineEqual(t *testing.T, label string, got, want *Engine) {
 			t.Fatalf("%s: term id %d = %q, want %q (intern order diverged)", label, id, g, w)
 		}
 	}
-	if !reflect.DeepEqual(got.Docs, want.Docs) {
+	if !reflect.DeepEqual(got.docs, want.docs) {
 		t.Fatalf("%s: documents diverged", label)
 	}
 	if len(got.segs) != 1 || len(want.segs) != 1 || !reflect.DeepEqual(got.segs[0].frozen, want.segs[0].frozen) {

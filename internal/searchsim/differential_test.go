@@ -240,8 +240,8 @@ func buildDifferentialEngines(t testing.TB) (*refEngine, *Engine, *Engine, []str
 	t.Helper()
 	w, built := testWorldCorpus(t)
 	texts, topics := corpusTexts(w, testCorpusConfig)
-	if len(texts) != len(built.Docs) {
-		t.Fatalf("regenerated %d texts for %d indexed docs", len(texts), len(built.Docs))
+	if len(texts) != built.NumDocs() {
+		t.Fatalf("regenerated %d texts for %d indexed docs", len(texts), built.NumDocs())
 	}
 	ref := newRefEngine()
 	raw := NewEngine()
@@ -305,21 +305,13 @@ func TestDifferentialSearchOrdering(t *testing.T) {
 func TestDifferentialSnippets(t *testing.T) {
 	ref, raw, frozen, names := buildDifferentialEngines(t)
 	for _, phrase := range differentialPhrases(names) {
-		want := ref.snippets(phrase, 100)
-		if got := raw.Snippets(phrase, 100); !reflect.DeepEqual(got, want) {
-			t.Fatalf("raw Snippets(%q) diverged", phrase)
-		}
-		if got := frozen.Snippets(phrase, 100); !reflect.DeepEqual(got, want) {
-			t.Fatalf("frozen Snippets(%q) diverged", phrase)
-		}
-	}
-	// Per-doc Snippet over arbitrary doc ids, including docs that do not
-	// contain the phrase (head-window contract).
-	for d := 0; d < len(frozen.Docs); d += 7 {
-		for _, phrase := range names[:10] {
-			want := ref.snippet(d, phrase)
-			if got := frozen.Snippet(d, phrase); got != want {
-				t.Fatalf("frozen Snippet(%d, %q) = %q, want %q", d, phrase, got, want)
+		for _, k := range []int{3, 100} {
+			want := ref.snippets(phrase, k)
+			if got := raw.Snippets(phrase, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("raw Snippets(%q, %d) diverged", phrase, k)
+			}
+			if got := frozen.Snippets(phrase, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("frozen Snippets(%q, %d) diverged", phrase, k)
 			}
 		}
 	}

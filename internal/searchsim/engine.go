@@ -38,7 +38,7 @@ const memFlushDocs = 256
 
 // Doc is one indexed document.
 type Doc struct {
-	// ID is the document's index in Engine.Docs.
+	// ID is the document's id, its index in the engine's document store.
 	ID int
 	// Tokens are the normalized word tokens (punctuation removed), interned
 	// to vocabulary ids. Engine.Vocab().Token recovers the strings.
@@ -57,10 +57,10 @@ type Doc struct {
 // visible index never changes; a new memo is installed exactly when the
 // visibility horizon moves (Epoch tracks that for external caches).
 type Engine struct {
-	// Docs is the writer's document store. It is append-only; published
-	// views expose the visible prefix. With ingest running, read through
-	// Doc/NumDocs (or a view) rather than this field.
-	Docs []Doc
+	// docs is the writer's document store. It is append-only; published
+	// views expose the visible prefix, which readers reach through Doc and
+	// NumDocs.
+	docs []Doc
 
 	vocab *Vocab
 
@@ -111,7 +111,7 @@ func NewEngine() *Engine {
 func (e *Engine) Add(text string, topic int) int {
 	tokens := textproc.Words(text)
 	e.mu.Lock()
-	id := len(e.Docs)
+	id := len(e.docs)
 	local := int32(id) - e.memBase
 	ids := make([]uint32, len(tokens))
 	for pos, term := range tokens {
@@ -129,7 +129,7 @@ func (e *Engine) Add(text string, topic int) int {
 	for len(e.stopID) < e.vocab.Len() {
 		e.stopID = append(e.stopID, textproc.IsStopword(e.vocab.Token(uint32(len(e.stopID)))))
 	}
-	e.Docs = append(e.Docs, Doc{ID: id, Tokens: ids, Topic: topic})
+	e.docs = append(e.docs, Doc{ID: id, Tokens: ids, Topic: topic})
 	e.memDocs++
 	e.memDocsLive.Store(int32(e.memDocs))
 	e.ingested.Add(1)
@@ -180,7 +180,7 @@ func (e *Engine) publishLocked() {
 	}
 	e.cur.Store(&view{
 		segs:   append([]*segment(nil), e.segs...),
-		docs:   e.Docs[:horizon:horizon],
+		docs:   e.docs[:horizon:horizon],
 		stopID: e.stopID[:len(e.stopID):len(e.stopID)],
 		vocab:  e.vocab,
 		epoch:  e.epoch,
@@ -522,51 +522,6 @@ func (e *Engine) SearchAnyTerm(query string, k int) []Result {
 // phrase occurrence included in a snippet.
 const SnippetWidth = 20
 
-// firstOccurrence returns the token position of the first occurrence of the
-// phrase (as interned ids) in docID, or -1 when the doc does not contain the
-// phrase. Cursor-based: never rescans document text.
-//
-//kw:hotpath
-func (v *view) firstOccurrence(docID int32, ids []uint32, sc *evalScratch) int32 {
-	k := len(ids)
-	if k == 0 {
-		return -1
-	}
-	if cap(sc.cursors) < k {
-		sc.cursors = append(sc.cursors[:cap(sc.cursors)], make([]termCursor, k-cap(sc.cursors))...)
-	}
-	cs := sc.cursors[:k]
-	for i, id := range ids {
-		if !cs[i].init(v, id) {
-			return -1
-		}
-		d, ok := cs[i].seekGEQ(docID)
-		if !ok || d != docID {
-			return -1
-		}
-	}
-	p0s := cs[0].positions()
-	if k == 1 {
-		return p0s[0]
-	}
-	for i := range cs {
-		cs[i].ppi = 0
-	}
-	for _, p := range p0s {
-		matchAll := true
-		for j := 1; j < k; j++ {
-			if !cs[j].probePosition(p + int32(j)) {
-				matchAll = false
-				break
-			}
-		}
-		if matchAll {
-			return p
-		}
-	}
-	return -1
-}
-
 // snippetAt renders the snippet window of doc around a phrase occurrence at
 // token position `at` spanning termLen tokens.
 func (v *view) snippetAt(docID, at, termLen int) string {
@@ -587,29 +542,6 @@ func (v *view) snippetAt(docID, at, termLen int) string {
 		b.WriteString(v.vocab.Token(d.Tokens[i]))
 	}
 	return b.String()
-}
-
-// Snippet builds the result snippet for doc: a window of tokens around the
-// first occurrence of the phrase ("short text strings ... constructed from
-// the result pages by the engine").
-//
-// Absent-phrase contract: when the document does not contain the phrase —
-// including an empty phrase, or phrase terms outside the corpus vocabulary —
-// the snippet is the document's head window: tokens [0, len(terms) +
-// SnippetWidth). A nonexistent doc id or an empty document yields "".
-func (e *Engine) Snippet(docID int, phrase string) string {
-	terms := textproc.Words(phrase)
-	v := e.cur.Load()
-	if docID < 0 || docID >= len(v.docs) || len(v.docs[docID].Tokens) == 0 {
-		return ""
-	}
-	sc := getScratch()
-	at := v.firstOccurrence(int32(docID), e.internIDs(terms, sc), sc)
-	putScratch(sc)
-	if at < 0 {
-		at = 0 // head window (see contract above)
-	}
-	return v.snippetAt(docID, int(at), len(terms))
 }
 
 // visitHits evaluates phrase once against one view, ranks the top-k results,

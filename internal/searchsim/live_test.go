@@ -273,9 +273,6 @@ func TestNewEngineIsLive(t *testing.T) {
 		if r := e.SearchAnyTerm("one two", 10); len(r) != 0 {
 			t.Fatalf("%s: SearchAnyTerm = %v", stage, r)
 		}
-		if s := e.Snippet(0, "one"); s != "" {
-			t.Fatalf("%s: Snippet = %q", stage, s)
-		}
 		if s := e.Snippets("one two", 10); len(s) != 0 {
 			t.Fatalf("%s: Snippets = %q", stage, s)
 		}

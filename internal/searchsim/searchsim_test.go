@@ -73,10 +73,10 @@ func TestSearchRanking(t *testing.T) {
 
 func TestSnippetContainsPhrase(t *testing.T) {
 	e := smallEngine()
-	results := e.Search("iraq war", 1)
-	snip := e.Snippet(results[0].DocID, "iraq war")
-	if !strings.Contains(snip, "iraq war") {
-		t.Fatalf("snippet %q missing phrase", snip)
+	for _, snip := range e.Snippets("iraq war", 100) {
+		if !strings.Contains(snip, "iraq war") {
+			t.Fatalf("snippet %q missing phrase", snip)
+		}
 	}
 }
 
@@ -90,16 +90,6 @@ func TestSnippetsCount(t *testing.T) {
 		if s == "" {
 			t.Fatal("empty snippet")
 		}
-	}
-}
-
-func TestSnippetBadDoc(t *testing.T) {
-	e := smallEngine()
-	if got := e.Snippet(-1, "x"); got != "" {
-		t.Fatalf("bad doc snippet = %q", got)
-	}
-	if got := e.Snippet(999, "x"); got != "" {
-		t.Fatalf("bad doc snippet = %q", got)
 	}
 }
 

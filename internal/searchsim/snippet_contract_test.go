@@ -1,9 +1,8 @@
 package searchsim
 
-// Pins the documented Snippet contract: a window around the first phrase
-// occurrence when present, the explicit head window when the phrase is
-// absent or empty, and correct clamping when the phrase sits at a document
-// boundary.
+// Pins the Snippets contract: one window per result around the first
+// phrase occurrence, no result for a document without the phrase, and
+// correct clamping when the phrase sits at a document boundary.
 
 import (
 	"strings"
@@ -33,32 +32,19 @@ func snippetEngines(t *testing.T) []*Engine {
 	return []*Engine{raw, frozen}
 }
 
+// TestSnippetAbsentPhraseHeadWindow: a document without the phrase yields
+// no snippet — no head window stands in for a missing occurrence — and an
+// empty or unknown-vocabulary phrase yields none at all.
 func TestSnippetAbsentPhraseHeadWindow(t *testing.T) {
 	for _, e := range snippetEngines(t) {
-		long := e.Snippet(0, "edge start") // phrase exists elsewhere, not in doc 0
-		head := e.Snippet(0, "")
-		d := e.Doc(0)
-		join := func(hi int) string {
-			var b strings.Builder
-			for i := 0; i < hi; i++ {
-				if i > 0 {
-					b.WriteByte(' ')
-				}
-				b.WriteString(e.Vocab().Token(d.Tokens[i]))
+		// "edge start" occurs in doc 1 only, not in the long doc 0.
+		if got := e.Snippets("edge start", 10); len(got) != 1 || !strings.HasPrefix(got[0], "edge start") {
+			t.Fatalf("snippets of a one-document phrase = %q", got)
+		}
+		for _, phrase := range []string{"", "zz yy"} {
+			if got := e.Snippets(phrase, 10); len(got) != 0 {
+				t.Fatalf("absent phrase %q has snippets %q", phrase, got)
 			}
-			return b.String()
-		}
-		// Absent 2-term phrase: head window of 2+SnippetWidth tokens.
-		if want := join(2 + SnippetWidth); long != want {
-			t.Fatalf("absent-phrase snippet = %q, want head window %q", long, want)
-		}
-		// Empty phrase: head window of SnippetWidth tokens.
-		if want := join(SnippetWidth); head != want {
-			t.Fatalf("empty-phrase snippet = %q, want %q", head, want)
-		}
-		// Unknown-vocabulary phrase behaves like any absent phrase.
-		if got, want := e.Snippet(0, "zz yy"), join(2+SnippetWidth); got != want {
-			t.Fatalf("unknown-term snippet = %q, want %q", got, want)
 		}
 	}
 }
@@ -66,7 +52,7 @@ func TestSnippetAbsentPhraseHeadWindow(t *testing.T) {
 func TestSnippetPhraseAtBoundary(t *testing.T) {
 	for _, e := range snippetEngines(t) {
 		// Phrase at position 0: window starts at the document head.
-		got := e.Snippet(1, "edge start")
+		got := e.Snippets("edge start", 1)[0]
 		if !strings.HasPrefix(got, "edge start") {
 			t.Fatalf("boundary-start snippet should begin with phrase: %q", got)
 		}
@@ -75,7 +61,7 @@ func TestSnippetPhraseAtBoundary(t *testing.T) {
 			t.Fatalf("boundary-start snippet has %d tokens, want %d", n, wantLen)
 		}
 		// Phrase ending at the last token: window clamps on the right.
-		got = e.Snippet(2, "edge finish")
+		got = e.Snippets("edge finish", 1)[0]
 		if !strings.HasSuffix(got, "edge finish") {
 			t.Fatalf("boundary-end snippet should end with phrase: %q", got)
 		}
@@ -87,13 +73,12 @@ func TestSnippetPhraseAtBoundary(t *testing.T) {
 
 func TestSnippetShortDocument(t *testing.T) {
 	for _, e := range snippetEngines(t) {
-		// A doc shorter than the window returns the whole doc whether the
-		// phrase matches or not.
-		if got := e.Snippet(3, "tiny doc"); got != "tiny doc" {
-			t.Fatalf("short-doc snippet = %q", got)
-		}
-		if got := e.Snippet(3, "absent words"); got != "tiny doc" {
-			t.Fatalf("short-doc absent snippet = %q", got)
+		// A doc shorter than the window returns the whole doc, whichever of
+		// its words the phrase is.
+		for _, phrase := range []string{"tiny doc", "tiny", "doc"} {
+			if got := e.Snippets(phrase, 10); len(got) != 1 || got[0] != "tiny doc" {
+				t.Fatalf("short-doc snippets of %q = %q", phrase, got)
+			}
 		}
 	}
 }

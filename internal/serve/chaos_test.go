@@ -74,7 +74,7 @@ func chaosRun(t *testing.T, cfg resilience.InjectorConfig, n int) ([]int, resili
 		rec := postJSON(t, h, "/v1/annotate", AnnotateRequest{Text: "the alphaword and betaword with ctx"})
 		codes[i] = rec.Code
 	}
-	return codes, s.ResilienceSnapshot(), s.writeErrors.Load()
+	return codes, s.rz.Snapshot(), s.writeErrors.Load()
 }
 
 // TestChaosCountersReproducible is the acceptance criterion: a fixed
@@ -152,7 +152,7 @@ func TestChaosCountersConcurrent(t *testing.T) {
 	wg.Wait()
 
 	wantPanics, wantWF, wantLat, wantCleanWF := expectedFaults(cfg, n)
-	snap := s.ResilienceSnapshot()
+	snap := s.rz.Snapshot()
 	if snap.PanicsRecovered != int64(wantPanics) {
 		t.Fatalf("PanicsRecovered=%d, want %d", snap.PanicsRecovered, wantPanics)
 	}

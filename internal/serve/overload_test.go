@@ -53,7 +53,7 @@ func TestShedDeterministic(t *testing.T) {
 		t.Fatal("429 missing Retry-After")
 	}
 
-	snap := s.ResilienceSnapshot()
+	snap := s.rz.Snapshot()
 	if snap.Shed != 2 || snap.Degraded != 1 {
 		t.Fatalf("counters = %+v, want Shed=2 Degraded=1", snap)
 	}
@@ -129,7 +129,7 @@ func TestOverloadStress(t *testing.T) {
 	if degraded < n-2*capacity {
 		t.Fatalf("degraded=%d, want ≥ %d under saturation", degraded, n-2*capacity)
 	}
-	snap := s.ResilienceSnapshot()
+	snap := s.rz.Snapshot()
 	if snap.Shed != int64(degraded) {
 		t.Fatalf("Shed counter %d != degraded responses %d", snap.Shed, degraded)
 	}
@@ -166,7 +166,7 @@ func TestDeadlineDegradesWithinGrace(t *testing.T) {
 	if elapsed > s.Timeout+time.Second {
 		t.Fatalf("response took %v, deadline %v + 1s grace exceeded", elapsed, s.Timeout)
 	}
-	snap := s.ResilienceSnapshot()
+	snap := s.rz.Snapshot()
 	if snap.DeadlineExpired != 1 || snap.Degraded != 1 {
 		t.Fatalf("counters = %+v, want DeadlineExpired=1 Degraded=1", snap)
 	}

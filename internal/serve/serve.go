@@ -123,9 +123,6 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // Ready reports the current readiness state.
 func (s *Server) Ready() bool { return s.ready.Load() }
 
-// ResilienceSnapshot exposes the resilience counters (also in /statz).
-func (s *Server) ResilienceSnapshot() resilience.Snapshot { return s.rz.Snapshot() }
-
 // Handler returns the routed handler wrapped in the resilience chain:
 // Recover outermost (a panic anywhere — injected or real — becomes a 500
 // and a counter), Chaos inside it (so injected panics are recovered like

@@ -60,8 +60,18 @@ func TestDifferentialTrieVsReference(t *testing.T) {
 	}
 }
 
+// disambiguate is DisambiguateIDs over normalized context tokens, the
+// string form the tests state their contexts in.
+func disambiguate(d *Dictionary, m Match, context []string) Entry {
+	if len(m.Entries) == 1 {
+		return m.Entries[0]
+	}
+	ids := d.vocab.AppendIDs(make([]uint32, 0, len(context)), context)
+	return *d.DisambiguateIDs(m, ids)
+}
+
 // TestDifferentialDisambiguation checks DisambiguateIDs against the
-// string-based Disambiguate on every ambiguous match of the corpus.
+// string-based disambiguate on every ambiguous match of the corpus.
 func TestDifferentialDisambiguation(t *testing.T) {
 	w := world.New(world.Config{Seed: 71, VocabSize: 1500, NumTopics: 8, NumConcepts: 250})
 	d := Build(w, 72)
@@ -78,7 +88,7 @@ func TestDifferentialDisambiguation(t *testing.T) {
 			if hi > len(tokens) {
 				hi = len(tokens)
 			}
-			want := d.Disambiguate(m, tokens[lo:hi])
+			want := disambiguate(d, m, tokens[lo:hi])
 			got := d.DisambiguateIDs(m, ids[lo:hi])
 			if got == nil || !reflect.DeepEqual(*got, want) {
 				t.Fatalf("disambiguation disagrees for %q: got %+v want %+v", m.Phrase, got, want)

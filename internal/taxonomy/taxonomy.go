@@ -146,9 +146,6 @@ func (d *Dictionary) buildIndex() {
 // can map a document's tokens to ids once per document.
 func (d *Dictionary) Vocab() *match.Vocab { return d.vocab }
 
-// NumPhrases returns the number of distinct dictionary phrases.
-func (d *Dictionary) NumPhrases() int { return len(d.entries) }
-
 // Lookup returns the entries for the exact phrase (nil if absent). Multiple
 // entries signal an ambiguous phrase.
 func (d *Dictionary) Lookup(phrase string) []Entry { return d.entries[phrase] }
@@ -205,23 +202,13 @@ func (d *Dictionary) FindInIDs(ids []uint32, dst []Match) []Match {
 // (EntityType values are a small closed enum; see world.EntityType).
 const entityTypeRange = int(world.TypeAnimal) + 1
 
-// Disambiguate selects the best entry for a match given the surrounding
-// normalized context tokens. The heuristic scores each entry's type by
+// DisambiguateIDs selects the best entry for a match given the surrounding
+// context, as interned ids. The heuristic scores each entry's type by
 // co-occurrence of type-indicative dictionary neighbours: entries whose type
 // appears more among unambiguous dictionary matches in the context win; on a
-// tie the first (editorially primary) entry is kept.
-func (d *Dictionary) Disambiguate(m Match, context []string) Entry {
-	if len(m.Entries) == 1 {
-		return m.Entries[0]
-	}
-	ids := d.vocab.AppendIDs(make([]uint32, 0, len(context)), context)
-	return *d.DisambiguateIDs(m, ids)
-}
-
-// DisambiguateIDs is Disambiguate over pre-interned context ids. It
-// allocates nothing and returns a pointer into the dictionary's entry
-// table, which is immutable after load — callers must treat it as
-// read-only.
+// tie the first (editorially primary) entry is kept. It allocates nothing
+// and returns a pointer into the dictionary's entry table, which is
+// immutable after load — callers must treat it as read-only.
 func (d *Dictionary) DisambiguateIDs(m Match, ctx []uint32) *Entry {
 	if len(m.Entries) == 1 {
 		return &m.Entries[0]

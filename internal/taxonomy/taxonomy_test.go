@@ -40,7 +40,7 @@ func TestBuildCoversTypedConcepts(t *testing.T) {
 	if typed == 0 {
 		t.Fatal("no typed concepts in world")
 	}
-	if d.NumPhrases() == 0 {
+	if len(d.entries) == 0 {
 		t.Fatal("empty dictionary")
 	}
 }
@@ -147,15 +147,15 @@ func TestDisambiguateByContext(t *testing.T) {
 
 	m := d.FindInTokens([]string{"jaguar"})[0]
 	animalCtx := []string{"the", "jaguar", "prowled", "the", "rainforest"}
-	if got := d.Disambiguate(m, animalCtx); got.Type != world.TypeAnimal {
+	if got := disambiguate(d, m, animalCtx); got.Type != world.TypeAnimal {
 		t.Fatalf("animal context chose %v", got.Type)
 	}
 	carCtx := []string{"the", "jaguar", "sedan", "accelerated"}
-	if got := d.Disambiguate(m, carCtx); got.Type != world.TypeProduct {
+	if got := disambiguate(d, m, carCtx); got.Type != world.TypeProduct {
 		t.Fatalf("car context chose %v", got.Type)
 	}
 	// No signal: first entry wins.
-	if got := d.Disambiguate(m, []string{"nothing", "useful"}); got.Type != m.Entries[0].Type {
+	if got := disambiguate(d, m, []string{"nothing", "useful"}); got.Type != m.Entries[0].Type {
 		t.Fatalf("tie should keep primary entry, got %v", got.Type)
 	}
 }
@@ -167,7 +167,7 @@ func TestDisambiguateUnambiguous(t *testing.T) {
 		_ = es
 	}
 	m := Match{Phrase: "x", Entries: []Entry{{Phrase: "x", Type: world.TypePerson}}}
-	if got := d.Disambiguate(m, nil); got.Type != world.TypePerson {
+	if got := disambiguate(d, m, nil); got.Type != world.TypePerson {
 		t.Fatal("single entry must pass through")
 	}
 }

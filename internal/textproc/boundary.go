@@ -101,22 +101,6 @@ func isWordByte(b byte) bool {
 	return b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b >= '0' && b <= '9' || b == '.'
 }
 
-// SentenceCount returns the number of sentences covered by tokens.
-func SentenceCount(tokens []Token) int {
-	if len(tokens) == 0 {
-		return 0
-	}
-	return tokens[len(tokens)-1].Sentence + 1
-}
-
-// ParagraphCount returns the number of paragraphs covered by tokens.
-func ParagraphCount(tokens []Token) int {
-	if len(tokens) == 0 {
-		return 0
-	}
-	return tokens[len(tokens)-1].Paragraph + 1
-}
-
 // Sentences splits text into sentence strings using the same boundary rules
 // as AssignBoundaries.
 func Sentences(text string) []string {

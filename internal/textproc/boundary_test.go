@@ -41,17 +41,12 @@ func TestSentenceInitials(t *testing.T) {
 func TestParagraphBoundaries(t *testing.T) {
 	text := "First paragraph here.\n\nSecond paragraph now. Another sentence.\n\nThird."
 	tokens := Tokenize(text)
-	if got := ParagraphCount(tokens); got != 3 {
-		t.Fatalf("ParagraphCount = %d, want 3", got)
+	last := tokens[len(tokens)-1]
+	if got := last.Paragraph + 1; got != 3 {
+		t.Fatalf("paragraphs = %d, want 3", got)
 	}
-	if got := SentenceCount(tokens); got != 4 {
-		t.Fatalf("SentenceCount = %d, want 4", got)
-	}
-}
-
-func TestBoundaryCountsEmpty(t *testing.T) {
-	if SentenceCount(nil) != 0 || ParagraphCount(nil) != 0 {
-		t.Fatal("empty token slice should have zero counts")
+	if got := last.Sentence + 1; got != 4 {
+		t.Fatalf("sentences = %d, want 4", got)
 	}
 }
 

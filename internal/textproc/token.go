@@ -44,9 +44,6 @@ type Token struct {
 	Paragraph int
 }
 
-// IsWord reports whether the token is a word token (not number or punctuation).
-func (t Token) IsWord() bool { return t.Kind == Word }
-
 // Tokenize splits text into tokens with byte offsets. Words are maximal runs
 // of letters, digits, apostrophes and hyphens that begin with a letter or
 // digit; everything else that is not whitespace becomes a punctuation token.

@@ -406,22 +406,17 @@ func (s *Set) FindInIDs(ids []uint32, dst []Match) []Match {
 	return dst
 }
 
-// SubconceptCount returns the number of multi-term sub-phrases of phrase
-// (contiguous, length ≥ 2, shorter than the phrase itself) that are
-// validated units with score above minScore. This powers the paper's
-// interestingness feature (7) "subconcepts".
-func (s *Set) SubconceptCount(phrase string, minScore float64) int {
-	return s.SubconceptCountTerms(strings.Fields(phrase), minScore)
-}
-
 // subKeyPool pools the sub-phrase key buffer of SubconceptCountTerms.
 var subKeyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// SubconceptCountTerms is SubconceptCount over a pre-split phrase — the
-// feature extractor splits each concept once and reuses the terms across
-// every per-term feature. Sub-phrase keys are assembled in a pooled buffer
-// and probed with the map's string-conversion elision, so counting performs
-// zero allocations.
+// SubconceptCountTerms returns the number of multi-term sub-phrases of the
+// phrase terms (contiguous, length ≥ 2, shorter than the phrase itself)
+// that are validated units with score above minScore. This powers the
+// paper's interestingness feature (7) "subconcepts". The phrase comes
+// pre-split — the feature extractor splits each concept once and reuses
+// the terms across every per-term feature. Sub-phrase keys are assembled in
+// a pooled buffer and probed with the map's string-conversion elision, so
+// counting performs zero allocations.
 func (s *Set) SubconceptCountTerms(terms []string, minScore float64) int {
 	if len(terms) <= 2 {
 		return 0

@@ -2,6 +2,7 @@ package units
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"contextrank/internal/querylog"
@@ -156,11 +157,11 @@ func TestSubconceptCount(t *testing.T) {
 	})
 	s := Extract(querylog.FromCounts(counts), handConfig)
 	// Subconcepts of "new york city" of length 2: "new york", "york city".
-	got := s.SubconceptCount("new york city", 0.0)
+	got := s.SubconceptCountTerms(strings.Fields("new york city"), 0.0)
 	if got != 2 {
 		t.Fatalf("SubconceptCount = %d, want 2", got)
 	}
-	if got := s.SubconceptCount("new york", 0.0); got != 0 {
+	if got := s.SubconceptCountTerms(strings.Fields("new york"), 0.0); got != 0 {
 		t.Fatalf("two-term phrase has no proper multi-term subconcepts, got %d", got)
 	}
 }

@@ -60,6 +60,3 @@ func Build(w *world.World, cfg Config) *Encyclopedia {
 // WordCount returns the article length for the concept, or 0 if no article
 // exists — exactly the paper's feature semantics.
 func (e *Encyclopedia) WordCount(concept string) int { return e.wordCount[concept] }
-
-// NumArticles returns how many concepts have articles.
-func (e *Encyclopedia) NumArticles() int { return len(e.wordCount) }

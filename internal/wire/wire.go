@@ -38,7 +38,8 @@ type AnnotateRequest struct {
 }
 
 // RetryAfter renders a Retry-After duration as whole seconds, rounded up
-// with a floor of one — the only form RetryClient parses.
+// with a floor of one: the delay-seconds form of RFC 9110, the one a client
+// can parse without a clock.
 func RetryAfter(d time.Duration) string {
 	secs := int((d + time.Second - 1) / time.Second)
 	if secs < 1 {
