@@ -117,8 +117,10 @@ chaos:
 # html:true bodies from the network — and the request scanner both hops read
 # every body with, against encoding/json — and the bundle loader, the trust
 # boundary of the offline artifact (every input errors or loads a bundle
-# that survives Save → LoadBundle unchanged). Their seed corpora also run
-# under plain `go test`.
+# that survives Save → LoadBundle unchanged) — and golomb.Codec.Read, the
+# one Golomb decoder, against the bit-at-a-time reference decoder (same
+# values, same failing call, never a panic, from any bit offset). Their
+# seed corpora also run under plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPatternGate$$' -fuzztime $(FUZZTIME) ./internal/detect
@@ -126,6 +128,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBundle$$' -fuzztime $(FUZZTIME) ./internal/framework
 	$(GO) test -run '^$$' -fuzz '^FuzzStripHTML$$' -fuzztime $(FUZZTIME) ./internal/textproc
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecRead$$' -fuzztime $(FUZZTIME) ./internal/golomb
 
 # examples/ may import the product; the product may not import examples/.
 # The click graph, the personalization library and the weekly query-log

@@ -22,6 +22,7 @@ import (
 	"contextrank/internal/cluster"
 	"contextrank/internal/resilience"
 	"contextrank/internal/serve"
+	"contextrank/internal/wire"
 )
 
 func TestParseShards(t *testing.T) {
@@ -586,7 +587,7 @@ func TestClusterDifferential(t *testing.T) {
 		var texts []string
 		for i := 0; len(texts) < 2+cool0+1; i++ {
 			text := phaseDoc("crash", i)
-			if ring.Replicas(serve.CacheKey(text, 3), 1)[0] == deadShard {
+			if ring.Replicas(wire.Key(text, 3), 1)[0] == deadShard {
 				texts = append(texts, text)
 			}
 		}

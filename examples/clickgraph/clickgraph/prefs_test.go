@@ -140,14 +140,15 @@ func TestEventsAggregation(t *testing.T) {
 		t.Fatalf("aggregation wrong: %+v", evs)
 	}
 
+	// With equal baselines, the boost orders concepts by moving CTR.
 	tr := online.NewTracker(online.Config{})
+	tr.SetBaseline("alpha", 0.05)
+	tr.SetBaseline("beta", 0.05)
 	for i := 0; i < 5; i++ {
 		tr.Tick(evs)
 	}
-	ctrA, _ := tr.MovingCTR("alpha")
-	ctrB, _ := tr.MovingCTR("beta")
-	if !(ctrA > ctrB) {
-		t.Fatalf("tracker CTRs not ordered: alpha=%.4f beta=%.4f", ctrA, ctrB)
+	if a, b := tr.Boost("alpha"), tr.Boost("beta"); !(a > b) {
+		t.Fatalf("tracker boosts not ordered by CTR: alpha=%.4f beta=%.4f", a, b)
 	}
 }
 

@@ -40,7 +40,7 @@ type SynthConfig struct {
 	// (i+1)^−ZipfS, so head concepts accumulate the high-degree rows that
 	// exercise the bitmap representation. Default 0.7.
 	ZipfS float64
-	// Click is the clicksim click model; zero fields take the clicksim
+	// Click is the clicksim click model; zero weights take the clicksim
 	// defaults.
 	Click clicksim.Config
 }
@@ -58,7 +58,6 @@ func (c SynthConfig) withDefaults() SynthConfig {
 	if c.ZipfS == 0 {
 		c.ZipfS = 0.7
 	}
-	c.Click = c.Click.WithDefaults()
 	return c
 }
 
@@ -106,7 +105,7 @@ func Synthesize(cfg SynthConfig, workers int) *Graph {
 		srng := rand.New(rand.NewSource(par.Seed(cfg.Seed, si+1)))
 		edges := make([]synthEdge, 0, int(float64(hi-lo)*cfg.MeanEntities/2))
 		for s := lo; s < hi; s++ {
-			views := 8 + int(float64(cfg.Click.MaxViews)*math.Pow(srng.Float64(), 2.5))
+			views := 8 + int(float64(clicksim.MaxViews)*math.Pow(srng.Float64(), 2.5))
 			nEnt := 1 + int(srng.ExpFloat64()*(cfg.MeanEntities-1))
 			if nEnt > 4*int(cfg.MeanEntities) {
 				nEnt = 4 * int(cfg.MeanEntities)
@@ -116,7 +115,7 @@ func Synthesize(cfg SynthConfig, workers int) *Graph {
 				degree := srng.Float64()
 				position := e*300 + srng.Intn(200)
 				ctr := cfg.Click.TrueCTR(&concepts[ci], degree, position)
-				ctr *= math.Exp(cfg.Click.CTRNoiseSigma * srng.NormFloat64())
+				ctr *= math.Exp(clicksim.CTRNoiseSigma * srng.NormFloat64())
 				if ctr > 0.95 {
 					ctr = 0.95
 				}

@@ -40,7 +40,6 @@ var liveAnnotations = map[string][]string{
 		"Runtime.AnnotateCtx //kw:hotpath",
 	},
 	"internal/match/match.go": {
-		"Matcher.AppendMatches //kw:hotpath",
 		"Matcher.LongestAt //kw:hotpath",
 		"Vocab.AppendIDs //kw:hotpath",
 	},
@@ -68,10 +67,13 @@ var liveAnnotations = map[string][]string{
 		"view.rankHits //kw:fresh",
 	},
 	"internal/searchsim/index.go": {
+		"align //kw:hotpath",
+		"frozenList.bitmapDocs //kw:hotpath",
+		"occurrences //kw:hotpath",
+		"view.bind //kw:hotpath",
 		"view.countPhraseDocs //kw:hotpath",
 		"view.intersectCount //kw:hotpath",
 		"view.phraseHits //kw:hotpath",
-		"termCursor.loadBlockBitmap //kw:hotpath",
 	},
 	"internal/searchsim/segment.go": {
 		"segment //kw:frozen-after(seal)",

@@ -63,90 +63,69 @@ type Report struct {
 // Config parameterizes the click model.
 type Config struct {
 	Seed int64
-	// MaxViews bounds story traffic; views follow a power law in
-	// [MinViews/4, MaxViews]. Default 1500.
-	MaxViews int
-	// BaseCTR is the floor click probability. Default 0.002.
-	BaseCTR float64
-	// MaxCTR scales the latent CTR. Default 0.12.
-	MaxCTR float64
 	// InterestWeight and RelevanceWeight mix the latent factors.
 	// Defaults 0.45 and 0.55: contextual relevance is the stronger click
 	// driver, which is what makes the relevance score such a useful
 	// feature in the paper.
 	InterestWeight, RelevanceWeight float64
-	// IrrelevantFactor is the relevance credit of an off-topic mention.
-	// Default 0.2.
-	IrrelevantFactor float64
-	// PositionBias controls the mild decay of CTR with byte position:
-	// bias = 1/(1+PositionBias·pos/2500). Default 0.35.
-	PositionBias float64
-	// CTRNoiseSigma is the σ of the per-mention log-normal CTR noise —
-	// the irreducible variance no feature explains, which floors the
-	// error rate the way real click data does. Default 0.3.
-	CTRNoiseSigma float64
 }
 
-// WithDefaults fills zero fields with the documented defaults. Exported so
-// callers that evaluate TrueCTR directly (e.g. the production A/B
-// experiment) share the simulation's parameters.
-func (c Config) WithDefaults() Config {
-	if c.MaxViews == 0 {
-		c.MaxViews = 1500
-	}
-	if c.BaseCTR == 0 {
-		c.BaseCTR = 0.002
-	}
-	if c.MaxCTR == 0 {
-		c.MaxCTR = 0.12
-	}
-	if c.InterestWeight == 0 {
-		c.InterestWeight = 0.45
-	}
-	if c.RelevanceWeight == 0 {
-		c.RelevanceWeight = 0.55
-	}
-	if c.IrrelevantFactor == 0 {
-		c.IrrelevantFactor = 0.2
-	}
-	if c.PositionBias == 0 {
-		c.PositionBias = 0.35
-	}
-	if c.CTRNoiseSigma == 0 {
-		c.CTRNoiseSigma = 0.3
-	}
-	return c
-}
+// The click model's fixed parameters. MaxViews and CTRNoiseSigma are
+// exported for simulators that draw traffic the way Simulate does.
+const (
+	// MaxViews bounds story traffic; views follow a power law in
+	// [8, 8+MaxViews].
+	MaxViews = 1500
+	// CTRNoiseSigma is the σ of the per-mention log-normal CTR noise —
+	// the irreducible variance no feature explains, which floors the
+	// error rate the way real click data does.
+	CTRNoiseSigma float64 = 0.3
+	// baseCTR is the floor click probability.
+	baseCTR float64 = 0.002
+	// maxCTR scales the latent CTR.
+	maxCTR float64 = 0.12
+	// irrelevantFactor is the relevance credit of an off-topic mention.
+	irrelevantFactor float64 = 0.2
+	// positionBias controls the mild decay of CTR with byte position:
+	// bias = 1/(1+positionBias·pos/2500).
+	positionBias float64 = 0.35
+)
 
 // TrueCTR computes the latent click probability for one mention. degree is
 // the graded contextual relevance in [0,1].
 func (c Config) TrueCTR(concept *world.Concept, degree float64, position int) float64 {
-	rel := c.IrrelevantFactor + (1-c.IrrelevantFactor)*degree
-	appeal := c.InterestWeight*concept.Interest + c.RelevanceWeight*rel
+	iw, rw := c.InterestWeight, c.RelevanceWeight
+	if iw == 0 {
+		iw = 0.45
+	}
+	if rw == 0 {
+		rw = 0.55
+	}
+	rel := irrelevantFactor + (1-irrelevantFactor)*degree
+	appeal := iw*concept.Interest + rw*rel
 	// Quadratic response concentrates clicks on the best few entities
 	// ("Few concepts on a document actually get most of the clicks").
-	ctr := c.BaseCTR + c.MaxCTR*appeal*appeal
+	ctr := baseCTR + maxCTR*appeal*appeal
 	// Low-quality phrases rarely earn clicks regardless of placement.
 	ctr *= 0.3 + 0.7*concept.Quality
 	// Mild position bias; the evaluation fights it with windowing.
-	ctr /= 1 + c.PositionBias*float64(position)/2500.0
+	ctr /= 1 + positionBias*float64(position)/2500.0
 	return ctr
 }
 
 // Simulate produces one weekly report per story.
 func Simulate(stories []newsgen.Story, cfg Config) []Report {
-	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	reports := make([]Report, 0, len(stories))
 	for i := range stories {
 		story := &stories[i]
-		views := 8 + int(float64(cfg.MaxViews)*math.Pow(rng.Float64(), 2.5))
+		views := 8 + int(float64(MaxViews)*math.Pow(rng.Float64(), 2.5))
 		r := Report{Story: story, Views: views}
 		for _, m := range story.Mentions {
 			ctr := cfg.TrueCTR(m.Concept, m.Degree, m.Position)
 			// Per-mention unexplained variance (headline placement, photo
 			// adjacency, time of day, ...).
-			ctr *= math.Exp(cfg.CTRNoiseSigma * rng.NormFloat64())
+			ctr *= math.Exp(CTRNoiseSigma * rng.NormFloat64())
 			if ctr > 0.95 {
 				ctr = 0.95
 			}

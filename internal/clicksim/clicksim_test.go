@@ -36,7 +36,7 @@ func TestSimulateBasics(t *testing.T) {
 }
 
 func TestTrueCTRProperties(t *testing.T) {
-	cfg := Config{}.WithDefaults()
+	var cfg Config
 	hot := &world.Concept{Interest: 0.9, Quality: 0.9}
 	cold := &world.Concept{Interest: 0.05, Quality: 0.9}
 	lowq := &world.Concept{Interest: 0.9, Quality: 0.05}

@@ -14,6 +14,7 @@ import (
 
 	"contextrank/internal/resilience"
 	"contextrank/internal/serve"
+	"contextrank/internal/wire"
 )
 
 // fakeShard is an httptest-backed stand-in for a cmd/serve -shard process.
@@ -86,7 +87,7 @@ func textWithPrimary(t *testing.T, names []string, vnodes, want, top int) string
 	ring := NewRing(names, vnodes)
 	for i := 0; i < 10_000; i++ {
 		text := fmt.Sprintf("probe document %d", i)
-		if ring.Replicas(serve.CacheKey(text, top), 1)[0] == want {
+		if ring.Replicas(wire.Key(text, top), 1)[0] == want {
 			return text
 		}
 	}
@@ -141,7 +142,7 @@ func TestRouterRoutesToPrimary(t *testing.T) {
 func TestRouterFailover(t *testing.T) {
 	names := []string{"shard0", "shard1", "shard2"}
 	text := textWithPrimary(t, names, 0, 0, 3)
-	second := NewRing(names, 0).Replicas(serve.CacheKey(text, 3), 2)[1]
+	second := NewRing(names, 0).Replicas(wire.Key(text, 3), 2)[1]
 	for _, status := range []int{
 		http.StatusTooManyRequests, http.StatusInternalServerError, http.StatusBadGateway,
 		http.StatusServiceUnavailable, http.StatusGatewayTimeout,
@@ -215,7 +216,7 @@ func TestRouterInjectedDownFailover(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("req %d: status %d: %s", i, rec.Code, rec.Body)
 		}
-		second := ring.Replicas(serve.CacheKey(text, 3), 2)[1]
+		second := ring.Replicas(wire.Key(text, 3), 2)[1]
 		if got := rec.Body.String(); got != fmt.Sprintf(`{"from":%d}`, second) {
 			t.Fatalf("req %d: body %q, want second replica %d", i, got, second)
 		}
@@ -258,7 +259,7 @@ func TestRouterHedgeWins(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	second := NewRing(names, 0).Replicas(serve.CacheKey(text, 3), 2)[1]
+	second := NewRing(names, 0).Replicas(wire.Key(text, 3), 2)[1]
 	if got := rec.Body.String(); got != fmt.Sprintf(`{"from":%d}`, second) {
 		t.Fatalf("hedge body %q, want replica %d", got, second)
 	}
@@ -348,7 +349,7 @@ func TestRouterProbeMarksDeadShardUnhealthy(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	second := NewRing(names, 0).Replicas(serve.CacheKey(text, 3), 2)[1]
+	second := NewRing(names, 0).Replicas(wire.Key(text, 3), 2)[1]
 	if got := rec.Body.String(); got != fmt.Sprintf(`{"from":%d}`, second) {
 		t.Fatalf("body %q, want healthy replica %d", got, second)
 	}

@@ -31,9 +31,6 @@ func testSystem(t testing.TB) *System {
 
 func TestBuildSystemShape(t *testing.T) {
 	s := testSystem(t)
-	if err := s.World.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if len(s.Cleaned) == 0 || len(s.Groups) == 0 {
 		t.Fatalf("no cleaned reports (%d) or groups (%d)", len(s.Cleaned), len(s.Groups))
 	}

@@ -67,10 +67,6 @@ func (c Config) withDerivedSeeds() Config {
 	if c.Click.Seed == 0 {
 		c.Click.Seed = c.Seed + 6
 	}
-	// Normalize the click model so code that evaluates TrueCTR directly
-	// (the production experiment) sees the same parameters the simulation
-	// used.
-	c.Click = c.Click.WithDefaults()
 	return c
 }
 

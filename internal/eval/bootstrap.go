@@ -32,10 +32,6 @@ type BootstrapResult struct {
 	Samples int
 }
 
-// Significant reports whether the observed difference is significant at
-// the 5% level.
-func (r BootstrapResult) Significant() bool { return r.PValue < 0.05 }
-
 // weightedDelta computes weightedErr(A) − weightedErr(B) over a multiset of
 // document indexes.
 func weightedDelta(docs []DocPair, idxs []int) float64 {

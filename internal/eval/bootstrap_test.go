@@ -38,7 +38,7 @@ func TestBootstrapDetectsRealDifference(t *testing.T) {
 	if res.DeltaObserved >= 0 {
 		t.Fatalf("A should have lower error: delta = %v", res.DeltaObserved)
 	}
-	if !res.Significant() {
+	if res.PValue >= 0.05 {
 		t.Fatalf("large real difference not significant: %+v", res)
 	}
 	if res.CIHigh >= 0 {
@@ -50,7 +50,7 @@ func TestBootstrapNullDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	docs := genDocs(rng, 200, 0.6, 0.6)
 	res := PairedBootstrap(docs, 500, 4)
-	if res.Significant() {
+	if res.PValue < 0.05 {
 		t.Fatalf("identical systems reported significant: %+v", res)
 	}
 	if res.CILow > 0 || res.CIHigh < 0 {
@@ -72,7 +72,7 @@ func TestBootstrapCIOrdering(t *testing.T) {
 
 func TestBootstrapEmpty(t *testing.T) {
 	res := PairedBootstrap(nil, 100, 1)
-	if res.DeltaObserved != 0 || res.Significant() {
+	if res.DeltaObserved != 0 || res.PValue < 0.05 {
 		t.Fatalf("empty input: %+v", res)
 	}
 }

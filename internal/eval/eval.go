@@ -55,9 +55,6 @@ func (a *Accumulator) Merge(b Accumulator) {
 	a.wTotal += b.wTotal
 }
 
-// Pairs returns the number of preference pairs seen.
-func (a *Accumulator) Pairs() float64 { return a.pairs }
-
 // ErrorRate returns |mistaken pairs| / |all pairs| (the unweighted metric
 // of references [22,23,24]).
 func (a *Accumulator) ErrorRate() float64 {
@@ -166,19 +163,6 @@ func ArgsortDesc(v []float64) []int {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return v[idx[a]] > v[idx[b]] })
 	return idx
-}
-
-// MeanNDCG averages NDCG@k over documents; docs is a list of (pred, truth)
-// pairs sharing one bucketizer.
-func MeanNDCG(docs [][2][]float64, k int, judge func(float64) float64) float64 {
-	if len(docs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, d := range docs {
-		sum += NDCG(d[0], d[1], k, judge)
-	}
-	return sum / float64(len(docs))
 }
 
 // KFold assigns n items to k folds uniformly at random (deterministic in

@@ -91,7 +91,7 @@ func TestRandomBaselineNearHalf(t *testing.T) {
 
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
-	if a.ErrorRate() != 0 || a.WeightedErrorRate() != 0 || a.Pairs() != 0 {
+	if a.ErrorRate() != 0 || a.WeightedErrorRate() != 0 || a.pairs != 0 {
 		t.Fatal("empty accumulator should report zeros")
 	}
 }
@@ -258,15 +258,10 @@ func TestKFoldEdge(t *testing.T) {
 
 func TestMeanNDCG(t *testing.T) {
 	judge := func(ctr float64) float64 { return ctr * 10 }
-	docs := [][2][]float64{
-		{{3, 2, 1}, {0.3, 0.2, 0.1}}, // perfect
-		{{1, 2, 3}, {0.3, 0.2, 0.1}}, // reversed
-	}
-	got := MeanNDCG(docs, 3, judge)
-	if got <= 0.5 || got >= 1 {
-		t.Fatalf("MeanNDCG = %v", got)
-	}
-	if MeanNDCG(nil, 1, judge) != 0 {
-		t.Fatal("empty MeanNDCG should be 0")
+	truth := []float64{0.3, 0.2, 0.1}
+	perfect := NDCG([]float64{3, 2, 1}, truth, 3, judge)
+	reversed := NDCG([]float64{1, 2, 3}, truth, 3, judge)
+	if got := (perfect + reversed) / 2; got <= 0.5 || got >= 1 {
+		t.Fatalf("mean NDCG of a perfect and a reversed ranking = %v", got)
 	}
 }

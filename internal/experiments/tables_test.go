@@ -176,7 +176,7 @@ func TestCompareMethodsSignificance(t *testing.T) {
 	if sig.DeltaObserved >= 0 {
 		t.Fatalf("learned model should have lower error than random: %+v", sig)
 	}
-	if !sig.Significant() {
+	if sig.PValue >= 0.05 {
 		t.Fatalf("huge difference not significant: %+v", sig)
 	}
 	// A null difference: the same method against itself.
@@ -188,7 +188,7 @@ func TestCompareMethodsSignificance(t *testing.T) {
 	if null.DeltaObserved != 0 {
 		t.Fatalf("identical methods differ: %+v", null)
 	}
-	if null.Significant() {
+	if null.PValue < 0.05 {
 		t.Fatalf("null difference reported significant: %+v", null)
 	}
 }

@@ -162,7 +162,7 @@ func TestCompressedPackRoundtrip(t *testing.T) {
 	kp := BuildKeywordPacks(buildStore())
 	for _, concept := range []string{"iraq war", "economy", "empty"} {
 		cp := kp.Compress(concept)
-		entries, err := cp.Decompress()
+		entries, err := decompress(cp)
 		if err != nil {
 			t.Fatalf("%s: %v", concept, err)
 		}

@@ -54,7 +54,7 @@ func TestKeywordPacksRoundtripProperty(t *testing.T) {
 			}
 			// Compressed form decodes byte-identically.
 			cp := kp.Compress(name)
-			entries, err := cp.Decompress()
+			entries, err := decompress(cp)
 			if err != nil {
 				return false
 			}

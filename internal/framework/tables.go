@@ -8,7 +8,6 @@
 package framework
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -304,21 +303,3 @@ func (k *KeywordPacks) Compress(concept string) CompressedPack {
 
 // Bytes returns the compressed size.
 func (p CompressedPack) Bytes() int { return len(p.TIDData) + len(p.ScoreBit) }
-
-// Decompress reverses Compress.
-func (p CompressedPack) Decompress() ([]uint32, error) {
-	tids, err := golomb.DecodeSorted(p.TIDData, p.N, p.M)
-	if err != nil {
-		return nil, fmt.Errorf("framework: decompress pack: %w", err)
-	}
-	r := golomb.NewBitReader(p.ScoreBit)
-	out := make([]uint32, p.N)
-	for i := 0; i < p.N; i++ {
-		q, err := r.ReadBits(ScoreBits)
-		if err != nil {
-			return nil, fmt.Errorf("framework: decompress scores: %w", err)
-		}
-		out[i] = packEntry(tids[i], uint32(q))
-	}
-	return out, nil
-}

@@ -2,7 +2,14 @@
 // Gigabytes" — the paper's reference [26]) with a bit-level writer/reader.
 // The production framework (paper §VI) cites Golomb coding as the way to
 // shrink the 400 MB of per-concept relevant-keyword packs; we use it to
-// compress sorted term-ID lists via delta coding.
+// compress sorted term-ID lists via delta coding (EncodeSorted), and the
+// search index and the click graph code their gap streams with it.
+//
+// Codec is the only code that writes or reads a Golomb value; Encode and
+// EncodeSorted are loops over it. Decoding is always a Codec.Read against a
+// BitReader the caller positions (BitReaderAt), so a stream can be entered
+// at any recorded bit offset. The bit-at-a-time reference coder that Codec
+// is checked against lives in the package's tests.
 package golomb
 
 import (
@@ -77,12 +84,10 @@ type BitReader struct {
 	pos int // bit position
 }
 
-// NewBitReader wraps data.
-func NewBitReader(data []byte) *BitReader { return &BitReader{buf: data} }
-
-// BitReaderAt returns, by value, a reader over data positioned at an
-// arbitrary bit offset (a BitWriter.BitLen() snapshot taken while encoding),
-// for embedding in reused scratch: no heap allocation on the decode hot path.
+// BitReaderAt returns, by value, a reader over data positioned at bit
+// offset bitOffset ≥ 0 (0, or a BitWriter.BitLen() snapshot taken while
+// encoding), for embedding in reused scratch: no heap allocation on the
+// decode hot path.
 func BitReaderAt(data []byte, bitOffset int) BitReader {
 	return BitReader{buf: data, pos: bitOffset}
 }
@@ -194,50 +199,6 @@ func OptimalM(mean float64) uint32 {
 	return m
 }
 
-// encodeValue writes one value with parameter m: quotient in unary,
-// remainder in truncated binary.
-func encodeValue(w *BitWriter, v, m uint32) {
-	q := v / m
-	rem := v % m
-	w.WriteUnary(q)
-	if m == 1 {
-		return
-	}
-	b := uint(bitlen(m))
-	cutoff := uint32(1<<b) - m
-	if rem < cutoff {
-		w.WriteBits(uint64(rem), b-1)
-	} else {
-		w.WriteBits(uint64(rem+cutoff), b)
-	}
-}
-
-// decodeValue reads one value with parameter m.
-func decodeValue(r *BitReader, m uint32) (uint32, error) {
-	q, err := r.ReadUnary()
-	if err != nil {
-		return 0, err
-	}
-	if m == 1 {
-		return q, nil
-	}
-	b := uint(bitlen(m))
-	cutoff := uint32(1<<b) - m
-	rem, err := r.ReadBits(b - 1)
-	if err != nil {
-		return 0, err
-	}
-	if uint32(rem) >= cutoff {
-		extra, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		rem = rem<<1 | uint64(extra)
-		rem -= uint64(cutoff)
-	}
-	return q*m + uint32(rem), nil
-}
-
 // bitlen returns ⌈log2(m)⌉ for m ≥ 2.
 func bitlen(m uint32) int {
 	n := 0
@@ -250,73 +211,13 @@ func bitlen(m uint32) int {
 	return n
 }
 
-// Decoder streams Golomb-coded values one at a time without allocating a
-// slice per read — the query-time decode path of the compressed positional
-// index. The zero value is not usable; construct with NewDecoderAt. Decoder
-// is a value type so callers can embed it in pooled scratch state.
-type Decoder struct {
-	r      BitReader
-	m      uint32
-	b      uint   // ⌈log2(m)⌉, cached so Next skips the per-value loop
-	cutoff uint32 // 1<<b − m, the truncated-binary threshold
-}
-
-// NewDecoderAt returns a Decoder over data with parameter m, starting at
-// bitOffset (0 reads from the beginning).
-func NewDecoderAt(data []byte, m uint32, bitOffset int) Decoder {
-	if m < 1 {
-		m = 1
-	}
-	d := Decoder{r: BitReader{buf: data, pos: bitOffset}, m: m}
-	if m > 1 {
-		d.b = uint(bitlen(m))
-		d.cutoff = uint32(1<<d.b) - m
-	}
-	return d
-}
-
-// Next decodes and returns the next value.
-func (d *Decoder) Next() (uint32, error) {
-	q, err := d.r.ReadUnary()
-	if err != nil {
-		return 0, err
-	}
-	if d.m == 1 {
-		return q, nil
-	}
-	rem, err := d.r.ReadBits(d.b - 1)
-	if err != nil {
-		return 0, err
-	}
-	if uint32(rem) >= d.cutoff {
-		extra, err := d.r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		rem = (rem<<1 | uint64(extra)) - uint64(d.cutoff)
-	}
-	return q*d.m + uint32(rem), nil
-}
-
-// BitPos returns the current bit position (useful when interleaving skip
-// pointers with sequential decoding).
-func (d *Decoder) BitPos() int { return d.r.pos }
-
-// EncodeValueTo writes a single value with parameter m to w — the streaming
-// counterpart of Encode, for callers that interleave several logical streams
-// while recording skip offsets via BitLen.
-func EncodeValueTo(w *BitWriter, v, m uint32) {
-	if m < 1 {
-		m = 1
-	}
-	encodeValue(w, v, m)
-}
-
-// Codec caches the derived constants of one Golomb parameter for use
-// against a caller-owned BitReader/BitWriter. Decoder owns its reader and
-// suits one homogeneous stream; Codec is for interleaved streams where
-// several parameters alternate over the same bit sequence (the click
-// graph's neighbor-gap/weight interleave). The zero value behaves as M=1.
+// Codec is the package's one Golomb value coder: it caches the derived
+// constants of one parameter and writes or reads values against a
+// caller-owned BitWriter/BitReader. One Codec per stream serves a
+// homogeneous stream (a frozen posting list's doc gaps, frequencies or
+// positions) and interleaved ones alike, where several parameters alternate
+// over the same bit sequence (the click graph's neighbor-gap/weight
+// interleave). The zero value behaves as M=1.
 type Codec struct {
 	m      uint32
 	b      uint   // ⌈log2(m)⌉, 0 when m <= 1
@@ -344,8 +245,9 @@ func (c Codec) M() uint32 {
 	return c.m
 }
 
-// Write encodes one value to w. The common case — quotient, terminator,
-// and remainder fitting 64 bits — goes out as a single WriteBits call.
+// Write encodes one value to w: the quotient in unary, the remainder in
+// truncated binary. The common case — quotient, terminator and remainder
+// fitting 64 bits — goes out as a single WriteBits call.
 func (c Codec) Write(w *BitWriter, v uint32) {
 	m := c.M()
 	q := v / m
@@ -365,7 +267,8 @@ func (c Codec) Write(w *BitWriter, v uint32) {
 		w.WriteBits(bits|uint64(rem), total)
 		return
 	}
-	encodeValue(w, v, m)
+	w.WriteUnary(q)
+	w.WriteBits(uint64(rem), nRem)
 }
 
 // Read decodes one value from r. When 8 bytes can be loaded at the cursor
@@ -434,31 +337,12 @@ func (c Codec) Cost(v uint32) int {
 
 // Encode compresses values with parameter m.
 func Encode(values []uint32, m uint32) []byte {
-	if m < 1 {
-		m = 1
-	}
+	c := NewCodec(m)
 	var w BitWriter
 	for _, v := range values {
-		encodeValue(&w, v, m)
+		c.Write(&w, v)
 	}
 	return w.Bytes()
-}
-
-// Decode decompresses n values with parameter m.
-func Decode(data []byte, n int, m uint32) ([]uint32, error) {
-	if m < 1 {
-		m = 1
-	}
-	r := NewBitReader(data)
-	out := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		v, err := decodeValue(r, m)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // EncodeSorted delta-codes a strictly-increasing sequence then Golomb-codes
@@ -468,38 +352,15 @@ func EncodeSorted(values []uint32) (data []byte, m uint32) {
 	if len(values) == 0 {
 		return nil, 1
 	}
-	gaps := make([]uint32, len(values))
-	prev := uint32(0)
-	first := true
+	m = OptimalM(float64(values[len(values)-1]) / float64(len(values)))
+	c := NewCodec(m)
+	var w BitWriter
 	for i, v := range values {
-		if first {
-			gaps[i] = v
-			first = false
-		} else {
-			gaps[i] = v - prev - 1
-		}
-		prev = v
-	}
-	mean := float64(values[len(values)-1]) / float64(len(values))
-	m = OptimalM(mean)
-	return Encode(gaps, m), m
-}
-
-// DecodeSorted reverses EncodeSorted.
-func DecodeSorted(data []byte, n int, m uint32) ([]uint32, error) {
-	gaps, err := Decode(data, n, m)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint32, n)
-	var prev uint32
-	for i, g := range gaps {
 		if i == 0 {
-			out[i] = g
+			c.Write(&w, v)
 		} else {
-			out[i] = prev + g + 1
+			c.Write(&w, v-values[i-1]-1)
 		}
-		prev = out[i]
 	}
-	return out, nil
+	return w.Bytes(), m
 }

@@ -13,7 +13,7 @@ func TestBitWriterReaderRoundtrip(t *testing.T) {
 	w.WriteBits(0b1011, 4)
 	w.WriteUnary(3)
 	w.WriteBit(1)
-	r := NewBitReader(w.Bytes())
+	r := BitReaderAt(w.Bytes(), 0)
 	if v, _ := r.ReadBits(4); v != 0b1011 {
 		t.Fatalf("ReadBits = %b", v)
 	}
@@ -41,7 +41,7 @@ func TestBitLen(t *testing.T) {
 }
 
 func TestReadPastEnd(t *testing.T) {
-	r := NewBitReader([]byte{0xFF})
+	r := BitReaderAt([]byte{0xFF}, 0)
 	if _, err := r.ReadBits(9); err != ErrOutOfBits {
 		t.Fatalf("expected ErrOutOfBits, got %v", err)
 	}
@@ -51,7 +51,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	for _, m := range []uint32{1, 2, 3, 4, 5, 7, 8, 10, 64, 100} {
 		values := []uint32{0, 1, 2, 3, 5, 10, 63, 64, 65, 100, 1000, 1 << 20}
 		data := Encode(values, m)
-		got, err := Decode(data, len(values), m)
+		got, err := decode(data, len(values), m)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -72,7 +72,7 @@ func TestEncodeDecodeRandomProperty(t *testing.T) {
 			values[i] = uint32(r.Intn(100000))
 		}
 		data := Encode(values, m)
-		got, err := Decode(data, n, m)
+		got, err := decode(data, n, m)
 		if err != nil {
 			return false
 		}
@@ -96,7 +96,7 @@ func TestEncodeSortedRoundtrip(t *testing.T) {
 	}
 	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
 	data, m := EncodeSorted(values)
-	got, err := DecodeSorted(data, len(values), m)
+	got, err := decodeSorted(data, len(values), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestEncodeSortedEmpty(t *testing.T) {
 	if data != nil {
 		t.Fatal("empty encode should be nil")
 	}
-	got, err := DecodeSorted(data, 0, m)
+	got, err := decodeSorted(data, 0, m)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty decode = %v, %v", got, err)
 	}
@@ -139,7 +139,8 @@ func TestOptimalM(t *testing.T) {
 
 func TestDecodeCorrupt(t *testing.T) {
 	// All-ones data: unary run exceeds data length.
-	if _, err := Decode([]byte{0xFF, 0xFF}, 1, 3); err == nil {
+	r := BitReaderAt([]byte{0xFF, 0xFF}, 0)
+	if _, err := NewCodec(3).Read(&r); err == nil {
 		t.Fatal("expected error on truncated unary")
 	}
 }
@@ -155,16 +156,28 @@ func BenchmarkEncodeSorted(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeSorted decodes an EncodeSorted list through Codec.Read,
+// the one decoder.
 func BenchmarkDecodeSorted(b *testing.B) {
 	values := make([]uint32, 100)
 	for i := range values {
 		values[i] = uint32(i * 37)
 	}
 	data, m := EncodeSorted(values)
+	c := NewCodec(m)
+	out := make([]uint32, len(values))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSorted(data, len(values), m); err != nil {
-			b.Fatal(err)
+		r := BitReaderAt(data, 0)
+		prev := ^uint32(0)
+		for j := range out {
+			g, err := c.Read(&r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prev += g + 1
+			out[j] = prev
 		}
 	}
 }

@@ -182,25 +182,3 @@ func (m *Matcher) LongestAt(ids []uint32, i int) (pattern, end int, ok bool) {
 	}
 	return int(best), end, true
 }
-
-// Match is one pattern occurrence in an id sequence.
-type Match struct {
-	// Pattern is the pattern id returned by Builder.Add.
-	Pattern int
-	// Start and End are token positions ([Start,End)).
-	Start, End int
-}
-
-// AppendMatches scans ids greedy-longest at every position and appends the
-// matches to dst, returning it. With a pre-sized dst the scan is
-// allocation-free.
-//
-//kw:hotpath
-func (m *Matcher) AppendMatches(dst []Match, ids []uint32) []Match {
-	for i := 0; i < len(ids); i++ {
-		if p, end, ok := m.LongestAt(ids, i); ok {
-			dst = append(dst, Match{Pattern: p, Start: i, End: end})
-		}
-	}
-	return dst
-}

@@ -8,11 +8,29 @@ import (
 	"testing"
 )
 
+// Match is one pattern occurrence in an id sequence: pattern id and token
+// range [Start, End).
+type Match struct {
+	Pattern    int
+	Start, End int
+}
+
+// appendMatches scans ids greedy-longest at every position with LongestAt
+// and appends the matches to dst.
+func appendMatches(m *Matcher, dst []Match, ids []uint32) []Match {
+	for i := range ids {
+		if p, end, ok := m.LongestAt(ids, i); ok {
+			dst = append(dst, Match{Pattern: p, Start: i, End: end})
+		}
+	}
+	return dst
+}
+
 // findTokens interns tokens against the matcher's vocabulary and returns
 // all greedy-longest matches.
 func findTokens(m *Matcher, tokens []string) []Match {
 	ids := m.vocab.AppendIDs(make([]uint32, 0, len(tokens)), tokens)
-	return m.AppendMatches(nil, ids)
+	return appendMatches(m, nil, ids)
 }
 
 func buildFrom(phrases ...string) *Matcher {
@@ -113,10 +131,10 @@ func TestSharedVocabAcrossBuilders(t *testing.T) {
 	m1, m2 := b1.Build(), b2.Build()
 	toks := []string{"jaguar", "cars"}
 	ids := v.AppendIDs(nil, toks)
-	if got := m1.AppendMatches(nil, ids); len(got) != 1 || got[0].End != 1 {
+	if got := appendMatches(m1, nil, ids); len(got) != 1 || got[0].End != 1 {
 		t.Fatalf("m1 matches = %+v", got)
 	}
-	if got := m2.AppendMatches(nil, ids); len(got) != 1 || got[0].End != 2 {
+	if got := appendMatches(m2, nil, ids); len(got) != 1 || got[0].End != 2 {
 		t.Fatalf("m2 matches = %+v", got)
 	}
 }
@@ -179,15 +197,20 @@ func TestDifferentialRandom(t *testing.T) {
 	}
 }
 
-func TestAppendMatchesZeroAlloc(t *testing.T) {
+func TestLongestAtZeroAlloc(t *testing.T) {
 	m := buildFrom("alpha beta", "gamma")
 	ids := m.Vocab().AppendIDs(nil, []string{"alpha", "beta", "gamma", "alpha", "beta"})
-	dst := make([]Match, 0, 8)
+	found := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		dst = m.AppendMatches(dst[:0], ids)
+		found = 0
+		for i := range ids {
+			if _, _, ok := m.LongestAt(ids, i); ok {
+				found++
+			}
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("AppendMatches allocated %.1f objects per run", allocs)
+	if allocs != 0 || found != 3 {
+		t.Fatalf("LongestAt scan allocated %.1f objects per run and found %d matches, want 0 and 3", allocs, found)
 	}
 	idBuf := make([]uint32, 0, 8)
 	toks := []string{"alpha", "beta", "zzz"}

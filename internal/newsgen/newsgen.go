@@ -49,16 +49,20 @@ type Config struct {
 	// MinConcepts/MaxConcepts bound the annotated concepts per story.
 	// Defaults 3 and 9 (the paper's cleaned set averages 6420/870 ≈ 7.4).
 	MinConcepts, MaxConcepts int
-	// IrrelevantFraction is the chance each non-low-quality slot is filled
-	// with an off-topic concept. Default 0.3.
-	IrrelevantFraction float64
-	// LowQualityFraction is the chance a slot is filled with a low-quality
-	// phrase. Default 0.12.
-	LowQualityFraction float64
 	// MinSentences/MaxSentences bound story length. Defaults 10 and 60
 	// (long stories span multiple 2500-char windows, as in the paper).
 	MinSentences, MaxSentences int
 }
+
+// The mention mix of a story's annotation slots.
+const (
+	// irrelevantFraction is the chance each non-low-quality slot is filled
+	// with an off-topic concept.
+	irrelevantFraction float64 = 0.3
+	// lowQualityFraction is the chance a slot is filled with a low-quality
+	// phrase.
+	lowQualityFraction float64 = 0.12
+)
 
 func (c Config) withDefaults() Config {
 	if c.NumStories == 0 {
@@ -69,12 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConcepts == 0 {
 		c.MaxConcepts = 9
-	}
-	if c.IrrelevantFraction == 0 {
-		c.IrrelevantFraction = 0.3
-	}
-	if c.LowQualityFraction == 0 {
-		c.LowQualityFraction = 0.12
 	}
 	if c.MinSentences == 0 {
 		c.MinSentences = 10
@@ -128,9 +126,9 @@ func Generate(w *world.World, cfg Config) []Story {
 			var c *world.Concept
 			relevant := false
 			switch r := rng.Float64(); {
-			case r < cfg.LowQualityFraction && len(lowQuality) > 0:
+			case r < lowQualityFraction && len(lowQuality) > 0:
 				c = lowQuality[rng.Intn(len(lowQuality))]
-			case r < cfg.LowQualityFraction+cfg.IrrelevantFraction:
+			case r < lowQualityFraction+irrelevantFraction:
 				// Off-topic mention, biased toward interesting concepts:
 				// "even though it may be interesting to some users" —
 				// irrelevant entities are often celebrity-grade.

@@ -38,10 +38,11 @@ type Config struct {
 	MinViews float64
 	// MaxBoost bounds the score adjustment in either direction. Default 1.
 	MaxBoost float64
-	// Smoothing is the additive (Laplace) smoothing applied to both the
-	// moving and baseline CTR when forming the ratio. Default 0.002.
-	Smoothing float64
 }
+
+// smoothing is the additive (Laplace) smoothing applied to both the moving
+// and baseline CTR when forming the ratio.
+const smoothing = 0.002
 
 func (c Config) withDefaults() Config {
 	if c.HalfLifeTicks == 0 {
@@ -52,9 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBoost == 0 {
 		c.MaxBoost = 1
-	}
-	if c.Smoothing == 0 {
-		c.Smoothing = 0.002
 	}
 	return c
 }
@@ -73,7 +71,6 @@ type Tracker struct {
 
 	mu     sync.RWMutex
 	states map[string]*state
-	tick   int64
 }
 
 // NewTracker creates a tracker.
@@ -104,7 +101,6 @@ func (t *Tracker) SetBaseline(concept string, ctr float64) {
 func (t *Tracker) Tick(events []Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.tick++
 	for _, s := range t.states {
 		s.views *= t.decay
 		s.clicks *= t.decay
@@ -120,24 +116,6 @@ func (t *Tracker) Tick(events []Event) {
 	}
 }
 
-// Ticks returns the number of Tick calls so far.
-func (t *Tracker) Ticks() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.tick
-}
-
-// MovingCTR returns the decayed CTR estimate and the decayed view mass.
-func (t *Tracker) MovingCTR(concept string) (ctr, viewMass float64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	s := t.states[concept]
-	if s == nil || s.views == 0 {
-		return 0, 0
-	}
-	return s.clicks / s.views, s.views
-}
-
 // Boost returns the bounded log-ratio adjustment for a concept:
 //
 //	boost = clamp( ln( (moving+ε) / (baseline+ε) ), ±MaxBoost )
@@ -151,10 +129,9 @@ func (t *Tracker) Boost(concept string) float64 {
 	if s == nil || s.views == 0 {
 		return 0
 	}
-	eps := t.cfg.Smoothing
 	moving := s.clicks / s.views
 	base := s.baseline
-	raw := math.Log((moving + eps) / (base + eps))
+	raw := math.Log((moving + smoothing) / (base + smoothing))
 	if raw > t.cfg.MaxBoost {
 		raw = t.cfg.MaxBoost
 	} else if raw < -t.cfg.MaxBoost {

@@ -71,8 +71,8 @@ func TestUnknownConceptZeroBoost(t *testing.T) {
 	if b := tr.Boost("never seen"); b != 0 {
 		t.Fatalf("unknown concept boost = %v", b)
 	}
-	if ctr, mass := tr.MovingCTR("never seen"); ctr != 0 || mass != 0 {
-		t.Fatalf("unknown concept CTR = %v/%v", ctr, mass)
+	if s := tr.states["never seen"]; s != nil {
+		t.Fatalf("unknown concept has state %+v", *s)
 	}
 }
 
@@ -84,8 +84,8 @@ func TestMovingCTRDecaysTowardRecent(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Tick([]Event{{Concept: "c", Views: 100, Clicks: 20}})
 	}
-	ctr, _ := tr.MovingCTR("c")
-	if ctr < 0.15 {
+	s := tr.states["c"]
+	if ctr := s.clicks / s.views; ctr < 0.15 {
 		t.Fatalf("moving CTR should approach the recent rate 0.2, got %v", ctr)
 	}
 }
@@ -119,13 +119,14 @@ func TestTrackerConcurrency(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				tr.Tick([]Event{{Concept: name, Views: 10, Clicks: 1}})
 				tr.Boost(name)
-				tr.MovingCTR(name)
 				tr.Hot(3)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if tr.Ticks() != 8*200 {
-		t.Fatalf("ticks = %d", tr.Ticks())
+	for g := 0; g < 8; g++ {
+		if s := tr.states[string(rune('a'+g))]; s == nil || s.views == 0 {
+			t.Fatalf("concept %c lost its events", 'a'+g)
+		}
 	}
 }

@@ -45,43 +45,29 @@ type Log struct {
 // Config parameterizes log generation.
 type Config struct {
 	Seed int64
-	// MaxExactFreq is the frequency of the hottest concept's exact query.
-	// Default 20000.
-	MaxExactFreq int
-	// PhraseVariants is how many distinct phrase-containing query variants
-	// are generated per concept. Default 12.
-	PhraseVariants int
-	// LongTail is the number of random tail queries. Default 4 * number of
-	// concepts.
-	LongTail int
 }
 
-func (c Config) withDefaults(w *world.World) Config {
-	if c.MaxExactFreq == 0 {
-		c.MaxExactFreq = 20000
-	}
-	if c.PhraseVariants == 0 {
-		c.PhraseVariants = 12
-	}
-	if c.LongTail == 0 {
-		c.LongTail = 4 * len(w.Concepts)
-	}
-	return c
-}
+// The log's fixed shape.
+const (
+	// maxExactFreq is the frequency of the hottest concept's exact query.
+	maxExactFreq = 20000
+	// phraseVariants is how many distinct phrase-containing query variants
+	// are generated per concept.
+	phraseVariants = 12
+)
 
 // Generate builds a query log from the world. Frequencies are driven by
-// concept interestingness: freq_exact ≈ MaxExactFreq · Interest² with
+// concept interestingness: freq_exact ≈ maxExactFreq · Interest² with
 // log-normal noise, so the feature the ranker mines is a noisy monotone
 // observation of the latent variable.
 func Generate(w *world.World, cfg Config) *Log {
-	cfg = cfg.withDefaults(w)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	agg := make(map[string]int)
 
 	for i := range w.Concepts {
 		c := &w.Concepts[i]
 		noise := math.Exp(0.5 * rng.NormFloat64())
-		exact := int(float64(cfg.MaxExactFreq) * math.Pow(c.Interest, 2) * noise)
+		exact := int(float64(maxExactFreq) * math.Pow(c.Interest, 2) * noise)
 		// Low-quality phrases still get queried a lot (that is exactly why
 		// they sneak into the candidate set via unit scores): give them a
 		// floor driven by generality rather than interest.
@@ -93,7 +79,7 @@ func Generate(w *world.World, cfg Config) *Log {
 		}
 		// Phrase-containing variants: concept plus one or two of its
 		// context terms (or generic refiners for topicless phrases).
-		for v := 0; v < cfg.PhraseVariants; v++ {
+		for v := 0; v < phraseVariants; v++ {
 			extra := pickRefiner(w, c, rng)
 			if extra == "" {
 				continue
@@ -112,8 +98,8 @@ func Generate(w *world.World, cfg Config) *Log {
 		}
 	}
 
-	// Long tail: 1-3 distinct random topical terms.
-	for i := 0; i < cfg.LongTail; i++ {
+	// Long tail, 4 queries per concept: 1-3 distinct random topical terms.
+	for i := 0; i < 4*len(w.Concepts); i++ {
 		topic := &w.Topics[rng.Intn(len(w.Topics))]
 		n := 1 + rng.Intn(3)
 		terms := make([]string, 0, n)
@@ -139,7 +125,7 @@ func Generate(w *world.World, cfg Config) *Log {
 
 // pickRefiner selects an extra query term for a phrase-containing variant.
 // Refiners come from the concept's query vocabulary, which overlaps its
-// document context only partially (see world.Config.RefinerOverlap).
+// document context only partially (the world's refiner overlap).
 func pickRefiner(w *world.World, c *world.Concept, rng *rand.Rand) string {
 	if c.Topic >= 0 && len(c.QueryRefiners) > 0 {
 		return c.QueryRefiners[rng.Intn(len(c.QueryRefiners))]

@@ -56,18 +56,22 @@ type Options struct {
 	// MaxIter is the maximum number of dual-coordinate-descent passes.
 	// Default 200 (linear), 60 (RBF).
 	MaxIter int
-	// Eps is the stopping tolerance on the maximal projected-gradient
-	// violation. Default 1e-3.
-	Eps float64
-	// MinLabelDiff: pairs whose label difference is below this are skipped.
-	// Default 1e-9 (strict inequality only).
-	MinLabelDiff float64
 	// MaxPairsPerGroup caps the number of preference pairs sampled per
 	// group (0 = all pairs).
 	MaxPairsPerGroup int
 	// Seed drives pair sampling and coordinate shuffling.
 	Seed int64
 }
+
+// The solver's fixed tolerances.
+const (
+	// eps is the stopping tolerance on the maximal projected-gradient
+	// violation.
+	eps = 1e-3
+	// minLabelDiff: pairs whose label difference is not above this are
+	// skipped (strict inequality only).
+	minLabelDiff = 1e-9
+)
 
 func (o Options) withDefaults(kernel Kernel) Options {
 	if o.C == 0 {
@@ -79,12 +83,6 @@ func (o Options) withDefaults(kernel Kernel) Options {
 		} else {
 			o.MaxIter = 200
 		}
-	}
-	if o.Eps == 0 {
-		o.Eps = 1e-3
-	}
-	if o.MinLabelDiff == 0 {
-		o.MinLabelDiff = 1e-9
 	}
 	return o
 }
@@ -195,7 +193,7 @@ func applyStandardize(x, mean, scale []float64) []float64 {
 }
 
 // buildPairs forms preference pairs within each group: (i,j) with
-// label_i − label_j > MinLabelDiff.
+// label_i − label_j > minLabelDiff.
 func buildPairs(instances []Instance, opts Options, rng *rand.Rand) []pair {
 	groups := make(map[int][]int)
 	for i := range instances {
@@ -216,7 +214,7 @@ func buildPairs(instances []Instance, opts Options, rng *rand.Rand) []pair {
 					continue
 				}
 				i, j := idxs[a], idxs[b]
-				if instances[i].Label-instances[j].Label > opts.MinLabelDiff {
+				if instances[i].Label-instances[j].Label > minLabelDiff {
 					groupPairs = append(groupPairs, pair{pos: i, neg: j})
 				}
 			}
@@ -296,7 +294,7 @@ func trainLinear(std [][]float64, pairs []pair, opts Options, rng *rand.Rand) []
 				}
 			}
 		}
-		if maxViolation < opts.Eps {
+		if maxViolation < eps {
 			break
 		}
 	}

@@ -91,7 +91,7 @@ func trainRBF(std [][]float64, pairs []pair, opts Options, rng *rand.Rand) []Sup
 				score[q] += delta * pairK(q, p)
 			}
 		}
-		if maxViolation < opts.Eps {
+		if maxViolation < eps {
 			break
 		}
 	}

@@ -137,8 +137,9 @@ func BuildStore(mn *Miner, concepts []string, r Resource, workers int) *Store {
 	return s
 }
 
-// NewStore wraps pre-computed vectors (used by the framework's packed
-// representation and by tests).
+// NewStore wraps pre-computed vectors. The product mines its stores with
+// BuildStore; NewStore is how the framework, serve and online tests build a
+// store with known keywords to pack.
 func NewStore(r Resource, terms map[string]corpus.Vector) *Store {
 	s := &Store{resource: r, terms: terms}
 	s.buildIndex()

@@ -23,6 +23,16 @@ func randomPostingList(rng *rand.Rand, maxDoc int, density float64) *postingList
 	return pl
 }
 
+// freezeAs freezes pl with a forced doc-id representation: the Golomb gap
+// stream, or the bitmap freezeList picks for dense terms.
+func freezeAs(pl *postingList, bitmap bool) frozenList {
+	fl := golombList(pl)
+	if bitmap {
+		fl.useBitmap(pl.docs)
+	}
+	return fl
+}
+
 // frozenCursor binds a cursor directly to one frozen list (the engine-level
 // init path is exercised by the differential suite; here we compare the two
 // doc-stream representations in isolation).
@@ -56,8 +66,8 @@ func TestBitmapGolombEquivalence(t *testing.T) {
 		if len(pl.docs) == 0 {
 			continue
 		}
-		fg := freezeListAs(pl, freezeGolombDocs)
-		fb := freezeListAs(pl, freezeBitmapDocs)
+		fg := freezeAs(pl, false)
+		fb := freezeAs(pl, true)
 		if fg.docBits != nil || fb.docBits == nil {
 			t.Fatal("forced representations not honored")
 		}
@@ -102,7 +112,7 @@ func TestBitmapAutoNeverGrows(t *testing.T) {
 			continue
 		}
 		auto := freezeList(pl)
-		gol := freezeListAs(pl, freezeGolombDocs)
+		gol := freezeAs(pl, false)
 		if auto.frozenBytes() > gol.frozenBytes() {
 			t.Fatalf("trial %d: auto representation larger than golomb: %d > %d",
 				trial, auto.frozenBytes(), gol.frozenBytes())

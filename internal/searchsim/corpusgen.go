@@ -15,12 +15,6 @@ type CorpusConfig struct {
 	// MaxDocsPerConcept bounds how many documents mention the most general
 	// concept. Default 30.
 	MaxDocsPerConcept int
-	// BackgroundDocs is the number of documents mentioning no concept at
-	// all (they give the index realistic document frequencies).
-	// Default 2 per concept.
-	BackgroundDocs int
-	// DocSentences is the approximate length of corpus documents. Default 10.
-	DocSentences int
 	// Workers bounds the fan-out of generation, indexing and compression: 1
 	// forces a serial build, 0 selects all cores. Output is bit-identical
 	// for every value (each shard owns a seed derived from Seed and the
@@ -28,15 +22,9 @@ type CorpusConfig struct {
 	Workers int
 }
 
-func (c CorpusConfig) withDefaults(w *world.World) CorpusConfig {
+func (c CorpusConfig) withDefaults() CorpusConfig {
 	if c.MaxDocsPerConcept == 0 {
 		c.MaxDocsPerConcept = 30
-	}
-	if c.BackgroundDocs == 0 {
-		c.BackgroundDocs = 2 * len(w.Concepts)
-	}
-	if c.DocSentences == 0 {
-		c.DocSentences = 10
 	}
 	return c
 }
@@ -48,6 +36,16 @@ type rawDoc struct {
 	tokens []string
 	topic  int
 }
+
+// The corpus's fixed shape.
+const (
+	// backgroundPerConcept is the number of documents mentioning no concept
+	// at all, per concept (they give the index realistic document
+	// frequencies).
+	backgroundPerConcept = 2
+	// docSentences is the approximate length of corpus documents.
+	docSentences = 10
+)
 
 // backgroundShardSize bounds how many background documents one shard
 // generates, so the background tail spreads across workers. Part of the
@@ -75,8 +73,8 @@ const backgroundShardSize = 64
 // corpus and index are bit-identical regardless of worker count or
 // scheduling. The engine is live: Add, Commit and Compact keep working on it.
 func BuildCorpus(w *world.World, cfg CorpusConfig) *Engine {
-	cfg = cfg.withDefaults(w)
-	shards := par.Map(cfg.Workers, cfg.numShards(w), func(i int) []rawDoc {
+	cfg = cfg.withDefaults()
+	shards := par.Map(cfg.Workers, numShards(w), func(i int) []rawDoc {
 		var docs []rawDoc
 		generateShard(w, cfg, i, func(text string, topic int) {
 			docs = append(docs, rawDoc{tokens: textproc.Words(text), topic: topic})
@@ -98,8 +96,8 @@ func BuildCorpus(w *world.World, cfg CorpusConfig) *Engine {
 
 // numShards is the number of generation shards: one per concept, then the
 // background documents in runs of backgroundShardSize.
-func (c CorpusConfig) numShards(w *world.World) int {
-	return len(w.Concepts) + (c.BackgroundDocs+backgroundShardSize-1)/backgroundShardSize
+func numShards(w *world.World) int {
+	return len(w.Concepts) + (backgroundPerConcept*len(w.Concepts)+backgroundShardSize-1)/backgroundShardSize
 }
 
 // generateShard composes the documents of generation shard i, passing each
@@ -111,7 +109,7 @@ func generateShard(w *world.World, cfg CorpusConfig, i int, emit func(text strin
 		return
 	}
 	lo := (i - len(w.Concepts)) * backgroundShardSize
-	backgroundDocs(w, cfg, min(backgroundShardSize, cfg.BackgroundDocs-lo), rng, emit)
+	backgroundDocs(w, min(backgroundShardSize, backgroundPerConcept*len(w.Concepts)-lo), rng, emit)
 }
 
 // conceptDocs generates every corpus document mentioning one concept.
@@ -144,7 +142,7 @@ func conceptDocs(w *world.World, c *world.Concept, cfg CorpusConfig, rng *rand.R
 		}
 		text, _ := w.ComposeDoc(world.ComposeOptions{
 			Topic:          topic,
-			Sentences:      cfg.DocSentences/2 + rng.Intn(cfg.DocSentences),
+			Sentences:      docSentences/2 + rng.Intn(docSentences),
 			ContextDensity: 0.9,
 		}, []world.Mention{{
 			Concept:  c,
@@ -156,12 +154,12 @@ func conceptDocs(w *world.World, c *world.Concept, cfg CorpusConfig, rng *rand.R
 }
 
 // backgroundDocs generates n concept-free documents.
-func backgroundDocs(w *world.World, cfg CorpusConfig, n int, rng *rand.Rand, emit func(text string, topic int)) {
+func backgroundDocs(w *world.World, n int, rng *rand.Rand, emit func(text string, topic int)) {
 	for d := 0; d < n; d++ {
 		topic := rng.Intn(len(w.Topics))
 		text, _ := w.ComposeDoc(world.ComposeOptions{
 			Topic:     topic,
-			Sentences: cfg.DocSentences/2 + rng.Intn(cfg.DocSentences),
+			Sentences: docSentences/2 + rng.Intn(docSentences),
 		}, nil, rng)
 		emit(text, topic)
 	}

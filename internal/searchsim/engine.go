@@ -361,8 +361,10 @@ func (e *Engine) internIDs(terms []string, sc *evalScratch) []uint32 {
 // phrase query — the paper's interestingness feature (4)
 // searchengine_phrase ("very specific concepts would return fewer results
 // than the more general concepts"). The count is memoized in the view's
-// sharded cache: the batch feature extractor queries many repeated
-// sub-phrases, and the memo is sound because a view never changes.
+// sharded cache, sound because a view never changes. The batch feature
+// extractor asks once per concept, behind core's Fields cache, so the memo
+// pays off only for a caller that repeats a phrase within one epoch, such
+// as BenchmarkResultCount.
 func (e *Engine) ResultCount(phrase string) int {
 	v := e.cur.Load()
 	if n, ok := v.cache.get(phrase); ok {
@@ -420,6 +422,21 @@ type Result struct {
 	Score float64
 }
 
+// sortTopK sorts results by (score desc, doc asc) — a total order, doc ids
+// being unique — and keeps the first k (all of them when k <= 0).
+func sortTopK(results []Result, k int) []Result {
+	sort.Slice(results, func(i, j int) bool {
+		if results[i].Score != results[j].Score {
+			return results[i].Score > results[j].Score
+		}
+		return results[i].DocID < results[j].DocID
+	})
+	if k > 0 && len(results) > k {
+		results = results[:k]
+	}
+	return results
+}
+
 // rankHits scores phrase hits with the tf·idf-flavoured formula (phrase
 // occurrences weighted by the rarity of the phrase's terms, normalized by
 // document length) and returns up to k results sorted by (score desc, doc
@@ -444,16 +461,7 @@ func (v *view) rankHits(terms []string, hits []phraseHit, k int) []Result {
 		score := float64(h.count) * idf / (1 + float64(docLen)/200)
 		results = append(results, Result{DocID: h.doc, Score: score})
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].DocID < results[j].DocID
-	})
-	if k > 0 && len(results) > k {
-		results = results[:k]
-	}
-	return results
+	return sortTopK(results, k)
 }
 
 // Search runs a phrase query and returns up to k results ranked by the
@@ -506,51 +514,21 @@ func (e *Engine) SearchAnyTerm(query string, k int) []Result {
 	for doc, s := range scores {
 		results = append(results, Result{DocID: doc, Score: s})
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].DocID < results[j].DocID
-	})
-	if k > 0 && len(results) > k {
-		results = results[:k]
-	}
-	return results
+	return sortTopK(results, k)
 }
 
 // SnippetWidth is the number of tokens of context on each side of the first
 // phrase occurrence included in a snippet.
 const SnippetWidth = 20
 
-// snippetAt renders the snippet window of doc around a phrase occurrence at
-// token position `at` spanning termLen tokens.
-func (v *view) snippetAt(docID, at, termLen int) string {
-	d := &v.docs[docID]
-	lo := at - SnippetWidth
-	if lo < 0 {
-		lo = 0
-	}
-	hi := at + termLen + SnippetWidth
-	if hi > len(d.Tokens) {
-		hi = len(d.Tokens)
-	}
-	var b strings.Builder
-	for i := lo; i < hi; i++ {
-		if i > lo {
-			b.WriteByte(' ')
-		}
-		b.WriteString(v.vocab.Token(d.Tokens[i]))
-	}
-	return b.String()
-}
-
 // visitHits evaluates phrase once against one view, ranks the top-k results,
-// and calls fn for each result in rank order with its doc id and the
-// position of the first phrase occurrence (recovered from the phrase hit —
-// the document is never rescanned). Shared kernel of Snippets and
-// VisitSnippetTokens; evaluating and rendering against the same view is what
-// keeps a mid-swap query internally consistent.
-func (v *view) visitHits(e *Engine, terms []string, k int, fn func(docID, at int)) {
+// and calls visit for each result in rank order with the document's interned
+// tokens and its snippet window [lo, hi): SnippetWidth tokens either side of
+// the first phrase occurrence, recovered from the phrase hit — the document
+// is never rescanned. Shared kernel of Snippets and VisitSnippetTokens;
+// evaluating and rendering against the same view is what keeps a mid-swap
+// query internally consistent.
+func (v *view) visitHits(e *Engine, terms []string, k int, visit func(tokens []uint32, lo, hi int)) {
 	sc := getScratch()
 	defer putScratch(sc)
 	hits := v.phraseHits(e.internIDs(terms, sc), sc)
@@ -559,7 +537,9 @@ func (v *view) visitHits(e *Engine, terms []string, k int, fn func(docID, at int
 		// hits are in ascending doc order; recover this result's hit to
 		// reuse its first-occurrence position.
 		i := sort.Search(len(hits), func(i int) bool { return hits[i].doc >= r.DocID })
-		fn(r.DocID, int(hits[i].first))
+		at := int(hits[i].first)
+		tokens := v.docs[r.DocID].Tokens
+		visit(tokens, max(at-SnippetWidth, 0), min(at+len(terms)+SnippetWidth, len(tokens)))
 	}
 }
 
@@ -570,8 +550,15 @@ func (e *Engine) Snippets(phrase string, k int) []string {
 	terms := textproc.Words(phrase)
 	v := e.cur.Load()
 	out := make([]string, 0, k)
-	v.visitHits(e, terms, k, func(docID, at int) {
-		out = append(out, v.snippetAt(docID, at, len(terms)))
+	v.visitHits(e, terms, k, func(tokens []uint32, lo, hi int) {
+		var b strings.Builder
+		for i := lo; i < hi; i++ {
+			if i > lo {
+				b.WriteByte(' ')
+			}
+			b.WriteString(v.vocab.Token(tokens[i]))
+		}
+		out = append(out, b.String())
 	})
 	return out
 }
@@ -579,21 +566,8 @@ func (e *Engine) Snippets(phrase string, k int) []string {
 // VisitSnippetTokens is the string-free twin of Snippets for the interned
 // relevance miner: visit is called once per top-k result in rank order with
 // the document's interned token slice and the snippet window bounds [lo, hi)
-// — the same window snippetAt renders. The token slice aliases engine-owned
+// — the window Snippets renders. The token slice aliases engine-owned
 // storage and must not be modified or retained.
 func (e *Engine) VisitSnippetTokens(phrase string, k int, visit func(tokens []uint32, lo, hi int)) {
-	terms := textproc.Words(phrase)
-	v := e.cur.Load()
-	v.visitHits(e, terms, k, func(docID, at int) {
-		d := &v.docs[docID]
-		lo := at - SnippetWidth
-		if lo < 0 {
-			lo = 0
-		}
-		hi := at + len(terms) + SnippetWidth
-		if hi > len(d.Tokens) {
-			hi = len(d.Tokens)
-		}
-		visit(d.Tokens, lo, hi)
-	})
+	e.cur.Load().visitHits(e, textproc.Words(phrase), k, visit)
 }

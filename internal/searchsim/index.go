@@ -103,20 +103,23 @@ func (fl *frozenList) frozenBytes() int {
 		4*(len(fl.skipFirstDoc)+len(fl.skipDocBits)+len(fl.skipFreqBits)+len(fl.skipPosBits))
 }
 
-// Representation override for freezeListAs, used by the equivalence property
-// tests; production code always passes freezeAuto.
-const (
-	freezeAuto = iota
-	freezeGolombDocs
-	freezeBitmapDocs
-)
-
 // freezeList compresses one raw posting list, choosing the smaller doc-id
-// representation (Golomb gap stream vs bitmap) per term.
-func freezeList(pl *postingList) frozenList { return freezeListAs(pl, freezeAuto) }
+// representation (Golomb gap stream vs bitmap) per term by exact byte count.
+func freezeList(pl *postingList) frozenList {
+	fl := golombList(pl)
+	// Dense terms: switch the doc stream to a bitmap when it is strictly
+	// smaller than the Golomb bytes plus the per-block bit offsets it
+	// replaces, so FrozenBytes can only shrink. Freq/pos streams and the
+	// uncompressed block-first docs are unaffected.
+	if n := len(pl.docs); n > 0 && 8*(int(pl.docs[n-1])/64+1) < len(fl.docData)+4*len(fl.skipDocBits) {
+		fl.useBitmap(pl.docs)
+	}
+	return fl
+}
 
-// freezeListAs is freezeList with a forced doc-id representation.
-func freezeListAs(pl *postingList, mode int) frozenList {
+// golombList codes all three streams of pl with Golomb gaps: one BitWriter
+// and one golomb.Codec per stream, and a skip entry every skipInterval docs.
+func golombList(pl *postingList) frozenList {
 	n := len(pl.docs)
 	fl := frozenList{nDocs: int32(n), nPos: int32(len(pl.positions))}
 	if n == 0 {
@@ -144,6 +147,7 @@ func freezeListAs(pl *postingList, mode int) frozenList {
 	}
 	fl.posM = golomb.OptimalM(float64(posSum) / float64(len(pl.positions)))
 
+	docC, freqC, posC := golomb.NewCodec(fl.docM), golomb.NewCodec(fl.freqM), golomb.NewCodec(fl.posM)
 	var docW, freqW, posW golomb.BitWriter
 	for i := 0; i < n; i++ {
 		if i%skipInterval == 0 {
@@ -153,40 +157,127 @@ func freezeListAs(pl *postingList, mode int) frozenList {
 			fl.skipFreqBits[k] = int32(freqW.BitLen())
 			fl.skipPosBits[k] = int32(posW.BitLen())
 		} else {
-			golomb.EncodeValueTo(&docW, uint32(pl.docs[i]-pl.docs[i-1]-1), fl.docM)
+			docC.Write(&docW, uint32(pl.docs[i]-pl.docs[i-1]-1))
 		}
 		lo, hi := pl.starts[i], pl.end(i)
-		golomb.EncodeValueTo(&freqW, uint32(hi-lo-1), fl.freqM)
+		freqC.Write(&freqW, uint32(hi-lo-1))
 		prev := int32(-1)
 		for _, p := range pl.positions[lo:hi] {
-			golomb.EncodeValueTo(&posW, uint32(p-prev-1), fl.posM)
+			posC.Write(&posW, uint32(p-prev-1))
 			prev = p
 		}
 	}
 	fl.docData = docW.Bytes()
 	fl.freqData = freqW.Bytes()
 	fl.posData = posW.Bytes()
-
-	// Dense terms: switch the doc stream to a bitmap when it is strictly
-	// smaller than the Golomb bytes plus the per-block bit offsets it
-	// replaces, so FrozenBytes can only shrink. Freq/pos streams and the
-	// uncompressed block-first docs are unaffected.
-	words := int(pl.docs[n-1])/64 + 1
-	bitmapSmaller := 8*words < len(fl.docData)+4*len(fl.skipDocBits)
-	if mode == freezeBitmapDocs || (mode == freezeAuto && bitmapSmaller) {
-		bitsArr := make([]uint64, words)
-		for _, d := range pl.docs {
-			bitsArr[d>>6] |= 1 << (uint(d) & 63)
-		}
-		fl.docBits = bitsArr
-		fl.docData = nil
-		fl.skipDocBits = nil
-	}
 	return fl
+}
+
+// useBitmap replaces the Golomb doc stream with a doc-id bitmap over docs.
+func (fl *frozenList) useBitmap(docs []int32) {
+	fl.docBits = make([]uint64, int(docs[len(docs)-1])/64+1)
+	for _, d := range docs {
+		fl.docBits[d>>6] |= 1 << (uint(d) & 63)
+	}
+	fl.docData = nil
+	fl.skipDocBits = nil
 }
 
 // nblocks returns the number of skip blocks.
 func (fl *frozenList) nblocks() int { return len(fl.skipFirstDoc) }
+
+// The frozen list's three decoders, one per stream. Each writes into a
+// destination its caller supplies — the cursor's block buffers on the query
+// path, the merge's output list on the compaction path — so both read the
+// layout through the same code.
+
+// blockLen returns the number of docs in skip block k.
+func (fl *frozenList) blockLen(k int) int {
+	return min(int(fl.nDocs)-k*skipInterval, skipInterval)
+}
+
+// blockDocs decodes the doc ids of skip block k into dst[:blockLen(k)], each
+// shifted by rebase, dispatching on the doc representation (Golomb gap
+// stream vs dense bitmap).
+func (fl *frozenList) blockDocs(k int, dst []int32, rebase int32) {
+	v := fl.skipFirstDoc[k]
+	dst[0] = v + rebase
+	if fl.docBits != nil {
+		fl.bitmapDocs(v, dst, rebase)
+		return
+	}
+	c := golomb.NewCodec(fl.docM)
+	r := golomb.BitReaderAt(fl.docData, int(fl.skipDocBits[k]))
+	for j := 1; j < len(dst); j++ {
+		g, err := c.Read(&r)
+		if err != nil {
+			panic("searchsim: frozen doc stream corrupt: " + err.Error())
+		}
+		v += int32(g) + 1
+		dst[j] = v + rebase
+	}
+}
+
+// bitmapDocs fills dst[1:] from the doc bitmap: after the block-first doc v
+// (from the skip table), the next len(dst)-1 set bits are extracted word by
+// word with trailing-zero counts — no per-gap decoder state, which is what
+// makes the bitmap path fast for dense terms.
+//
+//kw:hotpath
+func (fl *frozenList) bitmapDocs(v int32, dst []int32, rebase int32) {
+	bm := fl.docBits
+	w := int(v) >> 6
+	// Mask away bit v and everything below it; a shift of 64 (v at bit 63)
+	// yields 0 in Go, emptying the word as required.
+	word := bm[w] & (^uint64(0) << (uint(v)&63 + 1))
+	for j := 1; j < len(dst); j++ {
+		for word == 0 {
+			w++
+			word = bm[w]
+		}
+		dst[j] = int32(w<<6|bits.TrailingZeros64(word)) + rebase
+		word &= word - 1
+	}
+}
+
+// blockFreqs decodes the per-doc frequencies of skip block k into
+// dst[:blockLen(k)].
+func (fl *frozenList) blockFreqs(k int, dst []int32) {
+	c := golomb.NewCodec(fl.freqM)
+	r := golomb.BitReaderAt(fl.freqData, int(fl.skipFreqBits[k]))
+	for j := range dst {
+		f, err := c.Read(&r)
+		if err != nil {
+			panic("searchsim: frozen freq stream corrupt: " + err.Error())
+		}
+		dst[j] = int32(f) + 1
+	}
+}
+
+// posReader walks one skip block's position stream a doc at a time.
+type posReader struct {
+	r golomb.BitReader
+	c golomb.Codec
+}
+
+// blockPositions returns a reader at the first position of skip block k.
+func (fl *frozenList) blockPositions(k int) posReader {
+	return posReader{r: golomb.BitReaderAt(fl.posData, int(fl.skipPosBits[k])), c: golomb.NewCodec(fl.posM)}
+}
+
+// next decodes the next doc's freq positions and appends them to dst.
+func (pr *posReader) next(dst []int32, freq int32) []int32 {
+	p := int32(-1)
+	for ; freq > 0; freq-- {
+		g, err := pr.c.Read(&pr.r)
+		if err != nil {
+			panic("searchsim: frozen position stream corrupt: " + err.Error())
+		}
+		p += int32(g) + 1
+		dst = append(dst, p)
+	}
+	return dst
+}
 
 // termCursor iterates one term's postings in ascending global doc order
 // across the view's whole segment stack, with galloping forward seeks over
@@ -219,10 +310,10 @@ type termCursor struct {
 	freqs      [skipInterval]int32
 	posOff     [skipInterval + 1]int32
 	posBuf     []int32
-	posDec     golomb.Decoder // sequential position decoder within the block
-	posDocs    int            // docs of this block whose positions are in posBuf
+	pos        posReader // the block's position stream, after doc posDocs-1
+	posDocs    int       // docs of this block whose positions are in posBuf
 	freqLoaded bool
-	posLoaded  bool // posDec initialized for this block
+	posLoaded  bool // pos positioned for this block
 
 	// ppi is the per-doc position-probe cursor used by probePosition; reset
 	// whenever the cursor lands on a doc.
@@ -378,66 +469,16 @@ func (c *termCursor) seekFrozen(d int32) (int32, bool) {
 	return 0, false
 }
 
-// loadBlock decodes the doc ids of skip block k, dispatching per-term on the
-// frozen doc representation (Golomb gap stream vs dense bitmap).
+// loadBlock decodes the doc ids of skip block k into the block buffer.
 func (c *termCursor) loadBlock(k int) {
-	fl := c.fl
-	count := int(fl.nDocs) - k*skipInterval
-	if count > skipInterval {
-		count = skipInterval
-	}
-	c.blk, c.blockLen, c.bi = k, count, 0
+	c.blk, c.blockLen, c.bi = k, c.fl.blockLen(k), 0
 	c.freqLoaded, c.posLoaded = false, false
-	v := fl.skipFirstDoc[k]
-	c.docs[0] = v
-	if fl.docBits != nil {
-		c.loadBlockBitmap(v, count)
-		return
-	}
-	dec := golomb.NewDecoderAt(fl.docData, fl.docM, int(fl.skipDocBits[k]))
-	for j := 1; j < count; j++ {
-		g, err := dec.Next()
-		if err != nil {
-			panic("searchsim: frozen doc stream corrupt: " + err.Error())
-		}
-		v += int32(g) + 1
-		c.docs[j] = v
-	}
-}
-
-// loadBlockBitmap fills the block's remaining doc ids from the doc bitmap:
-// after the block-first doc v (from the skip table), the next count-1 set
-// bits are extracted word by word with trailing-zero counts — no per-gap
-// decoder state, which is what makes the bitmap path fast for dense terms.
-//
-//kw:hotpath
-func (c *termCursor) loadBlockBitmap(v int32, count int) {
-	bm := c.fl.docBits
-	w := int(v) >> 6
-	// Mask away bit v and everything below it; a shift of 64 (v at bit 63)
-	// yields 0 in Go, emptying the word as required.
-	word := bm[w] & (^uint64(0) << (uint(v)&63 + 1))
-	for j := 1; j < count; j++ {
-		for word == 0 {
-			w++
-			word = bm[w]
-		}
-		c.docs[j] = int32(w<<6 | bits.TrailingZeros64(word))
-		word &= word - 1
-	}
+	c.fl.blockDocs(k, c.docs[:c.blockLen], 0)
 }
 
 // loadFreqs decodes the per-doc frequencies of the current block.
 func (c *termCursor) loadFreqs() {
-	fl := c.fl
-	dec := golomb.NewDecoderAt(fl.freqData, fl.freqM, int(fl.skipFreqBits[c.blk]))
-	for j := 0; j < c.blockLen; j++ {
-		f, err := dec.Next()
-		if err != nil {
-			panic("searchsim: frozen freq stream corrupt: " + err.Error())
-		}
-		c.freqs[j] = int32(f) + 1
-	}
+	c.fl.blockFreqs(c.blk, c.freqs[:c.blockLen])
 	c.freqLoaded = true
 }
 
@@ -450,23 +491,14 @@ func (c *termCursor) loadPositionsThrough(bi int) {
 		if !c.freqLoaded {
 			c.loadFreqs()
 		}
-		fl := c.fl
-		c.posDec = golomb.NewDecoderAt(fl.posData, fl.posM, int(fl.skipPosBits[c.blk]))
+		c.pos = c.fl.blockPositions(c.blk)
 		c.posBuf = c.posBuf[:0]
 		c.posDocs = 0
 		c.posOff[0] = 0
 		c.posLoaded = true
 	}
 	for c.posDocs <= bi {
-		p := int32(-1)
-		for f := int32(0); f < c.freqs[c.posDocs]; f++ {
-			g, err := c.posDec.Next()
-			if err != nil {
-				panic("searchsim: frozen position stream corrupt: " + err.Error())
-			}
-			p += int32(g) + 1
-			c.posBuf = append(c.posBuf, p)
-		}
+		c.posBuf = c.pos.next(c.posBuf, c.freqs[c.posDocs])
 		c.posDocs++
 		c.posOff[c.posDocs] = int32(len(c.posBuf))
 	}
@@ -522,85 +554,109 @@ type evalScratch struct {
 	hits    []phraseHit
 }
 
-// phraseHits evaluates an exact-phrase query over interned term ids and
-// returns the matching docs in ascending order with occurrence counts and
-// first-occurrence positions — the replacement for the seed engine's
-// string-rescanning matchAt loop. The rarest term drives a leapfrog
-// intersection; every other term is galloped to the driver's doc, and
-// per-doc occurrence checks probe offset-shifted position lists.
-//
-// The returned slice aliases sc.hits.
+// The three query evaluators share one leapfrog: bind points a cursor at
+// each term and picks the rarest as the driver, align gallops every cursor
+// to the next document they all contain, and occurrences probes that
+// document's offset-shifted position lists.
+
+// bind points one pooled cursor at each term of ids and returns them with
+// the driver, the rarest term. ok is false when ids is empty or some term
+// has no visible postings, so no document contains them all.
 //
 //kw:hotpath
-func (v *view) phraseHits(ids []uint32, sc *evalScratch) []phraseHit {
+func (v *view) bind(ids []uint32, sc *evalScratch) (cs []termCursor, drv int, ok bool) {
 	k := len(ids)
 	if k == 0 {
-		return nil
+		return nil, 0, false
 	}
 	if cap(sc.cursors) < k {
 		sc.cursors = append(sc.cursors[:cap(sc.cursors)], make([]termCursor, k-cap(sc.cursors))...)
 	}
-	cs := sc.cursors[:k]
+	cs = sc.cursors[:k]
 	for i, id := range ids {
 		if !cs[i].init(v, id) {
-			return nil
+			return nil, 0, false
 		}
-	}
-	drv := 0
-	for i := 1; i < k; i++ {
 		if cs[i].n < cs[drv].n {
 			drv = i
 		}
 	}
-	hits := sc.hits[:0]
-	doc, ok := cs[drv].seekGEQ(0)
+	return cs, drv, true
+}
+
+// align returns the first document >= d that every cursor contains, with
+// every cursor landed on it: the driver proposes, each other cursor gallops
+// to the proposal, and an overshoot becomes the driver's next target.
+//
+//kw:hotpath
+func align(cs []termCursor, drv int, d int32) (int32, bool) {
+	doc, ok := cs[drv].seekGEQ(d)
 outer:
 	for ok {
-		for i := 0; i < k; i++ {
+		for i := range cs {
 			if i == drv {
 				continue
 			}
 			d2, ok2 := cs[i].seekGEQ(doc)
 			if !ok2 {
-				break outer
+				return 0, false
 			}
 			if d2 > doc {
 				doc, ok = cs[drv].seekGEQ(d2)
-				if !ok {
-					break outer
-				}
 				continue outer
 			}
 		}
-		count := 0
-		first := int32(-1)
-		p0s := cs[0].positions()
-		if k == 1 {
-			count, first = len(p0s), p0s[0]
-		} else {
-			for i := 0; i < k; i++ {
-				cs[i].ppi = 0
-			}
-			for _, p := range p0s {
-				match := true
-				for j := 1; j < k; j++ {
-					if !cs[j].probePosition(p + int32(j)) {
-						match = false
-						break
-					}
-				}
-				if match {
-					count++
-					if first < 0 {
-						first = p
-					}
-				}
-			}
+		return doc, true
+	}
+	return 0, false
+}
+
+// occurrences counts the phrase occurrences in the document every cursor is
+// on — positions p of the first term with term j at p+j — and returns the
+// position of the first. It stops once limit are found (0 counts them all).
+//
+//kw:hotpath
+func occurrences(cs []termCursor, limit int) (count int, first int32) {
+	first = -1
+	for i := range cs {
+		cs[i].ppi = 0
+	}
+	for _, p := range cs[0].positions() {
+		j := 1
+		for j < len(cs) && cs[j].probePosition(p+int32(j)) {
+			j++
 		}
-		if count > 0 {
+		if j < len(cs) {
+			continue
+		}
+		if count == 0 {
+			first = p
+		}
+		count++
+		if count == limit {
+			break
+		}
+	}
+	return count, first
+}
+
+// phraseHits evaluates an exact-phrase query over interned term ids and
+// returns the matching docs in ascending order with occurrence counts and
+// first-occurrence positions.
+//
+// The returned slice aliases sc.hits.
+//
+//kw:hotpath
+func (v *view) phraseHits(ids []uint32, sc *evalScratch) []phraseHit {
+	cs, drv, ok := v.bind(ids, sc)
+	if !ok {
+		return nil
+	}
+	hits := sc.hits[:0]
+	for doc, ok := align(cs, drv, 0); ok; doc, ok = align(cs, drv, doc+1) {
+		if count, first := occurrences(cs, 0); count > 0 {
 			hits = append(hits, phraseHit{doc: int(doc), count: count, first: first})
 		}
-		doc, ok = cs[drv].seekGEQ(doc + 1)
 	}
 	sc.hits = hits
 	return hits
@@ -609,119 +665,40 @@ outer:
 // countPhraseDocs returns the number of docs containing the phrase at least
 // once — the ResultCount kernel. Unlike phraseHits it never materializes
 // hits: a single term is answered from the document frequency alone (no
-// position decode), and multi-term candidates stop probing at the first
-// full occurrence.
+// position decode), and a candidate stops probing at its first occurrence.
 //
 //kw:hotpath
 func (v *view) countPhraseDocs(ids []uint32, sc *evalScratch) int {
-	k := len(ids)
-	if k == 0 {
+	cs, drv, ok := v.bind(ids, sc)
+	if !ok {
 		return 0
 	}
-	if cap(sc.cursors) < k {
-		sc.cursors = append(sc.cursors[:cap(sc.cursors)], make([]termCursor, k-cap(sc.cursors))...)
-	}
-	cs := sc.cursors[:k]
-	for i, id := range ids {
-		if !cs[i].init(v, id) {
-			return 0
-		}
-	}
-	if k == 1 {
+	if len(cs) == 1 {
 		// Every posting is an occurrence: the answer is the doc frequency.
 		return cs[0].n
 	}
-	drv := 0
-	for i := 1; i < k; i++ {
-		if cs[i].n < cs[drv].n {
-			drv = i
-		}
-	}
 	n := 0
-	doc, ok := cs[drv].seekGEQ(0)
-outer:
-	for ok {
-		for i := 0; i < k; i++ {
-			if i == drv {
-				continue
-			}
-			d2, ok2 := cs[i].seekGEQ(doc)
-			if !ok2 {
-				break outer
-			}
-			if d2 > doc {
-				doc, ok = cs[drv].seekGEQ(d2)
-				if !ok {
-					break outer
-				}
-				continue outer
-			}
+	for doc, ok := align(cs, drv, 0); ok; doc, ok = align(cs, drv, doc+1) {
+		if count, _ := occurrences(cs, 1); count > 0 {
+			n++
 		}
-		for i := 0; i < k; i++ {
-			cs[i].ppi = 0
-		}
-		for _, p := range cs[0].positions() {
-			matched := true
-			for j := 1; j < k; j++ {
-				if !cs[j].probePosition(p + int32(j)) {
-					matched = false
-					break
-				}
-			}
-			if matched {
-				n++ // one occurrence is enough for the count
-				break
-			}
-		}
-		doc, ok = cs[drv].seekGEQ(doc + 1)
 	}
 	return n
 }
 
 // intersectCount returns the number of docs containing every listed term
-// (any order, no position constraint) — the any-order query path. It runs
-// the same leapfrog as phraseHits but never touches position streams.
+// (any order, no position constraint) — the any-order query path. It never
+// touches position streams.
 //
 //kw:hotpath
 func (v *view) intersectCount(ids []uint32, sc *evalScratch) int {
-	k := len(ids)
-	if cap(sc.cursors) < k {
-		sc.cursors = append(sc.cursors[:cap(sc.cursors)], make([]termCursor, k-cap(sc.cursors))...)
-	}
-	cs := sc.cursors[:k]
-	for i, id := range ids {
-		if !cs[i].init(v, id) {
-			return 0
-		}
-	}
-	drv := 0
-	for i := 1; i < k; i++ {
-		if cs[i].n < cs[drv].n {
-			drv = i
-		}
+	cs, drv, ok := v.bind(ids, sc)
+	if !ok {
+		return 0
 	}
 	n := 0
-	doc, ok := cs[drv].seekGEQ(0)
-outer:
-	for ok {
-		for i := 0; i < k; i++ {
-			if i == drv {
-				continue
-			}
-			d2, ok2 := cs[i].seekGEQ(doc)
-			if !ok2 {
-				break outer
-			}
-			if d2 > doc {
-				doc, ok = cs[drv].seekGEQ(d2)
-				if !ok {
-					break outer
-				}
-				continue outer
-			}
-		}
+	for doc, ok := align(cs, drv, 0); ok; doc, ok = align(cs, drv, doc+1) {
 		n++
-		doc, ok = cs[drv].seekGEQ(doc + 1)
 	}
 	return n
 }

@@ -2,7 +2,10 @@ package searchsim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -314,5 +317,207 @@ func TestNewEngineIsLive(t *testing.T) {
 	}
 	if s := e.Snippets("one two", 10); len(s) != 1 || s[0] != "zero one two three" {
 		t.Fatalf("Snippets after Commit = %q", s)
+	}
+}
+
+// The live-index property test's script: each op is an Add, a Commit, a
+// Compact at 1 or 4 workers, a CompactAll or a query, and carries the
+// visible horizon (NumDocs) the engine must report after it.
+const (
+	opAdd = iota
+	opCommit
+	opCompact
+	opCompactAll
+	opQuery
+)
+
+type liveOp struct {
+	kind    int
+	workers int       // opCompact
+	q       liveQuery // opQuery
+	horizon int
+}
+
+// liveQuery is one read: ResultCount, ResultCountAnyOrder, Search,
+// Snippets or DocFreq (kind 0 to 4) of text.
+type liveQuery struct {
+	kind int
+	text string
+}
+
+func (q liveQuery) onEngine(e *Engine) any {
+	switch q.kind {
+	case 0:
+		return e.ResultCount(q.text)
+	case 1:
+		return e.ResultCountAnyOrder(q.text)
+	case 2:
+		return e.Search(q.text, 20)
+	case 3:
+		return e.Snippets(q.text, 20)
+	default:
+		return e.DocFreq(q.text)
+	}
+}
+
+func (q liveQuery) onModel(ref *refEngine) any {
+	switch q.kind {
+	case 0:
+		return ref.resultCount(q.text)
+	case 1:
+		return ref.resultCountAnyOrder(q.text)
+	case 2:
+		return ref.search(q.text, 20)
+	case 3:
+		return ref.snippets(q.text, 20)
+	default:
+		return ref.df[q.text]
+	}
+}
+
+// liveScript draws a seed's documents and op script, and the sorted list of
+// every horizon the engine publishes while running it (0 included).
+func liveScript(seed int64) (docs []rawDoc, ops []liveOp, horizons []int) {
+	rng := rand.New(rand.NewSource(seed))
+	docs = randomRawDocs(seed, 400)
+	query := func() liveQuery {
+		q := liveQuery{kind: rng.Intn(5)}
+		if q.kind == 4 || rng.Intn(4) == 0 {
+			q.text = fmt.Sprintf("w%02d", rng.Intn(62)) // w60, w61: vocabulary misses
+			return q
+		}
+		d := docs[rng.Intn(len(docs))].tokens
+		lo := rng.Intn(len(d))
+		q.text = strings.Join(d[lo:min(lo+1+rng.Intn(3), len(d))], " ")
+		return q
+	}
+	added, pending, horizon := 0, 0, 0
+	horizons = []int{0}
+	publish := func() {
+		horizon, pending = added, 0
+		horizons = append(horizons, horizon)
+	}
+	for added < len(docs) {
+		var op liveOp
+		switch r := rng.Intn(100); {
+		case r < 55:
+			op.kind = opAdd
+			added++
+			if pending++; pending == memFlushDocs {
+				publish()
+			}
+		case r < 63:
+			op.kind = opCommit
+			if pending > 0 {
+				publish()
+			}
+		case r < 71:
+			op.kind, op.workers = opCompact, []int{1, 4}[rng.Intn(2)]
+		case r < 74:
+			op.kind = opCompactAll
+		default:
+			op.kind, op.q = opQuery, query()
+		}
+		op.horizon = horizon
+		ops = append(ops, op)
+	}
+	return docs, ops, horizons
+}
+
+// horizonModels holds refEngine over the first h docs, built once per
+// horizon on demand; the script and the concurrent reader share it.
+type horizonModels struct {
+	docs []rawDoc
+	mu   sync.Mutex
+	at   map[int]*refEngine
+}
+
+func (m *horizonModels) model(h int) *refEngine {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ref, ok := m.at[h]
+	if !ok {
+		ref = newRefEngine()
+		for _, d := range m.docs[:h] {
+			ref.add(d.text())
+		}
+		m.at[h] = ref
+	}
+	return ref
+}
+
+// TestLiveProperty is the stateful property test of the live index. Per
+// seed, a random script of Add, Commit, Compact(1 or 4), CompactAll and
+// queries runs against one engine, and after every op the visible horizon
+// and every query answer must equal the seed-reference refEngine over the
+// committed prefix; a failure names the first op that diverged. Meanwhile a
+// reader queries the same engine and each of its answers must equal the
+// model at some published horizon between the NumDocs it saw before and
+// after the call. Subtests are named by seed, so `-run
+// 'TestLiveProperty/^7$'` replays one.
+func TestLiveProperty(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			docs, ops, horizons := liveScript(seed)
+			models := &horizonModels{docs: docs, at: map[int]*refEngine{}}
+			e := NewEngine()
+			var opIndex atomic.Int64
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() { // reader
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(-seed))
+				for calls := 0; !stop.Load(); calls++ {
+					op := ops[rng.Intn(len(ops))]
+					if op.kind != opQuery {
+						continue
+					}
+					before := e.NumDocs()
+					got := op.q.onEngine(e)
+					after := e.NumDocs()
+					i := sort.SearchInts(horizons, before)
+					for ; i < len(horizons) && horizons[i] <= after; i++ {
+						if reflect.DeepEqual(got, op.q.onModel(models.model(horizons[i]))) {
+							break
+						}
+					}
+					if i == len(horizons) || horizons[i] > after {
+						t.Errorf("reader call %d (script at op %d): query %+v = %v matches the model at no horizon in [%d, %d]",
+							calls, opIndex.Load(), op.q, got, before, after)
+						return
+					}
+				}
+			}()
+			defer func() {
+				stop.Store(true)
+				wg.Wait()
+			}()
+
+			added := 0
+			for i, op := range ops {
+				opIndex.Store(int64(i))
+				switch op.kind {
+				case opAdd:
+					e.Add(docs[added].text(), docs[added].topic)
+					added++
+				case opCommit:
+					e.Commit()
+				case opCompact:
+					e.Compact(op.workers)
+				case opCompactAll:
+					e.CompactAll(1)
+				}
+				if n := e.NumDocs(); n != op.horizon {
+					t.Fatalf("op %d %+v: NumDocs = %d, want %d", i, op, n, op.horizon)
+				}
+				if op.kind != opQuery {
+					continue
+				}
+				if got, want := op.q.onEngine(e), op.q.onModel(models.model(op.horizon)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d: query %+v at horizon %d = %v, model %v", i, op.q, op.horizon, got, want)
+				}
+			}
+		})
 	}
 }

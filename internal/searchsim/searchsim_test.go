@@ -181,8 +181,8 @@ func testWorldCorpus(t testing.TB) (*world.World, *Engine) {
 // corpusTexts regenerates, in document-id order, the texts and topics that
 // BuildCorpus(w, cfg) indexes: the engine keeps no text of its own.
 func corpusTexts(w *world.World, cfg CorpusConfig) (texts []string, topics []int) {
-	cfg = cfg.withDefaults(w)
-	for i := 0; i < cfg.numShards(w); i++ {
+	cfg = cfg.withDefaults()
+	for i := 0; i < numShards(w); i++ {
 		generateShard(w, cfg, i, func(text string, topic int) {
 			texts = append(texts, text)
 			topics = append(topics, topic)

@@ -19,11 +19,9 @@ package searchsim
 
 import (
 	"math"
-	"math/bits"
 	"runtime"
 	"slices"
 
-	"contextrank/internal/golomb"
 	"contextrank/internal/par"
 )
 
@@ -128,13 +126,28 @@ func (s *segment) df(id uint32) int {
 }
 
 // appendList appends the term's postings to out with doc ids shifted by
-// rebase, decompressing frozen lists through the sequential decoder. This is
-// the merge kernel: appending every input segment in stack order yields the
-// exact raw list a from-scratch build would have produced.
+// rebase. This is the merge kernel: appending every input segment in stack
+// order yields the exact raw list a from-scratch build would have produced.
+// A frozen list is decoded block by block with the cursor's own three
+// decoders, straight into out.
 func (s *segment) appendList(id uint32, rebase int32, out *postingList) {
 	if s.frozen != nil {
-		if int(id) < len(s.frozen) {
-			s.frozen[id].decodeInto(out, rebase)
+		if int(id) >= len(s.frozen) {
+			return
+		}
+		fl := &s.frozen[id]
+		var freqs [skipInterval]int32
+		for k := 0; k < fl.nblocks(); k++ {
+			n := fl.blockLen(k)
+			lo := len(out.docs)
+			out.docs = slices.Grow(out.docs, n)[:lo+n]
+			fl.blockDocs(k, out.docs[lo:], rebase)
+			fl.blockFreqs(k, freqs[:n])
+			pos := fl.blockPositions(k)
+			for _, f := range freqs[:n] {
+				out.starts = append(out.starts, int32(len(out.positions)))
+				out.positions = pos.next(out.positions, f)
+			}
 		}
 		return
 	}
@@ -146,67 +159,6 @@ func (s *segment) appendList(id uint32, rebase int32, out *postingList) {
 		out.docs = append(out.docs, d+rebase)
 		out.starts = append(out.starts, int32(len(out.positions)))
 		out.positions = append(out.positions, pl.positions[pl.starts[i]:pl.end(i)]...)
-	}
-}
-
-// decodeInto appends the full decompressed postings to out with doc ids
-// shifted by rebase. Unlike the cursor's skip-block partial decode this is a
-// straight sequential pass: doc gaps block by block (or bitmap bits), then
-// one freq+positions sweep — the compaction path touches every posting
-// anyway.
-func (fl *frozenList) decodeInto(out *postingList, rebase int32) {
-	n := int(fl.nDocs)
-	if n == 0 {
-		return
-	}
-	if fl.docBits != nil {
-		left := n
-		for w, word := range fl.docBits {
-			for word != 0 && left > 0 {
-				out.docs = append(out.docs, int32(w<<6|bits.TrailingZeros64(word))+rebase)
-				word &= word - 1
-				left--
-			}
-		}
-	} else {
-		for k := 0; k < fl.nblocks(); k++ {
-			count := n - k*skipInterval
-			if count > skipInterval {
-				count = skipInterval
-			}
-			v := fl.skipFirstDoc[k]
-			out.docs = append(out.docs, v+rebase)
-			if count == 1 {
-				continue
-			}
-			dec := golomb.NewDecoderAt(fl.docData, fl.docM, int(fl.skipDocBits[k]))
-			for j := 1; j < count; j++ {
-				g, err := dec.Next()
-				if err != nil {
-					panic("searchsim: frozen doc stream corrupt: " + err.Error())
-				}
-				v += int32(g) + 1
-				out.docs = append(out.docs, v+rebase)
-			}
-		}
-	}
-	fdec := golomb.NewDecoderAt(fl.freqData, fl.freqM, int(fl.skipFreqBits[0]))
-	pdec := golomb.NewDecoderAt(fl.posData, fl.posM, int(fl.skipPosBits[0]))
-	for i := 0; i < n; i++ {
-		out.starts = append(out.starts, int32(len(out.positions)))
-		fv, err := fdec.Next()
-		if err != nil {
-			panic("searchsim: frozen freq stream corrupt: " + err.Error())
-		}
-		p := int32(-1)
-		for f := int32(0); f <= int32(fv); f++ {
-			g, err := pdec.Next()
-			if err != nil {
-				panic("searchsim: frozen position stream corrupt: " + err.Error())
-			}
-			p += int32(g) + 1
-			out.positions = append(out.positions, p)
-		}
 	}
 }
 

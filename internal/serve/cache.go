@@ -230,12 +230,6 @@ func (c *Cache) fill(ctx context.Context, k cacheKey, text string, fn func(conte
 	}
 }
 
-// CacheKey is the cache key of an annotate request, wire.Key: the FNV-64a
-// hash over the document text and top-N, which the cluster router computes
-// from the raw body (wire.RouteKey) to place a request on the shard whose
-// cache holds it (DESIGN.md §8).
-func CacheKey(text string, top int) uint64 { return wire.Key(text, top) }
-
 // CacheStats is the /statz view of the cache counters.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"contextrank/internal/resilience"
+	"contextrank/internal/wire"
 )
 
 // TestCacheHitBytesIdenticalToCold is the cache differential: the same
@@ -310,7 +311,7 @@ func TestCacheCancelledLeaderDoesNotPoisonWaiters(t *testing.T) {
 	if body := <-followerBody; string(body) != "payload" {
 		t.Fatalf("follower got %q after leader cancellation", body)
 	}
-	if _, ok := lookup(c, cacheKey{hash: CacheKey("doc", 3), top: 3}, "doc"); !ok {
+	if _, ok := lookup(c, cacheKey{hash: wire.Key("doc", 3), top: 3}, "doc"); !ok {
 		t.Fatal("detached fill did not populate the cache")
 	}
 }

@@ -61,12 +61,13 @@ type AnnotateRequest = wire.AnnotateRequest
 // drain, not immediately and not never.
 const retryAfterSeconds = "1"
 
+// defaultTop is the number of concepts returned when a request omits "top".
+const defaultTop = 5
+
 // Server wires the runtime and renderer behind an http.Handler.
 type Server struct {
 	Runtime  *framework.Runtime
 	Renderer *annotate.Renderer
-	// DefaultTop is used when a request omits "top". Default 5.
-	DefaultTop int
 
 	// Timeout is the per-request deadline for the annotation pipeline
 	// (0 = none). On expiry /v1/annotate degrades and /v1/render 503s.
@@ -111,7 +112,7 @@ type Server struct {
 // disables /v1/render. The server starts ready; cmd/serve flips readiness
 // off when a drain begins.
 func NewServer(rt *framework.Runtime, renderer *annotate.Renderer) *Server {
-	s := &Server{Runtime: rt, Renderer: renderer, DefaultTop: 5}
+	s := &Server{Runtime: rt, Renderer: renderer}
 	s.ready.Store(true)
 	return s
 }
@@ -211,7 +212,7 @@ func (s *Server) top(requested int) int {
 	case requested < 0:
 		return 0 // all
 	case requested == 0:
-		return s.DefaultTop
+		return defaultTop
 	default:
 		return requested
 	}

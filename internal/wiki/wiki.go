@@ -24,18 +24,16 @@ type Encyclopedia struct {
 // Config parameterizes encyclopedia generation.
 type Config struct {
 	Seed int64
-	// MaxWords is the length of the longest article. Default 9000.
-	MaxWords int
 }
+
+// maxWords is the length of the longest article.
+const maxWords = 9000
 
 // Build generates the synthetic encyclopedia for the world. A concept gets
 // an article with probability rising in Interest (low-quality phrases almost
-// never have one); article length is MaxWords·Interest with log-normal
+// never have one); article length is maxWords·Interest with log-normal
 // noise.
 func Build(w *world.World, cfg Config) *Encyclopedia {
-	if cfg.MaxWords == 0 {
-		cfg.MaxWords = 9000
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	enc := &Encyclopedia{wordCount: make(map[string]int, len(w.Concepts))}
 	for i := range w.Concepts {
@@ -48,7 +46,7 @@ func Build(w *world.World, cfg Config) *Encyclopedia {
 			continue
 		}
 		noise := math.Exp(0.4 * rng.NormFloat64())
-		words := int(float64(cfg.MaxWords) * (0.1 + 0.9*c.Interest) * noise)
+		words := int(float64(maxWords) * (0.1 + 0.9*c.Interest) * noise)
 		if words < 30 {
 			words = 30
 		}

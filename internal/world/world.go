@@ -22,7 +22,6 @@
 package world
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -106,7 +105,7 @@ type Concept struct {
 	// of) these. Sorted for determinism.
 	ContextTerms []string
 	// QueryRefiners are the extra terms users type alongside the concept in
-	// queries. They overlap ContextTerms only partially (RefinerOverlap),
+	// queries. They overlap ContextTerms only partially (refinerOverlap),
 	// modelling the gap between query and document vocabulary.
 	QueryRefiners []string
 }
@@ -137,33 +136,36 @@ type Config struct {
 	NumTopics   int // default 24
 	NumConcepts int // default 1200
 
-	// MultiTermFraction is the fraction of concepts with 2-3 terms.
-	MultiTermFraction float64 // default 0.55
-	// NamedEntityFraction is the fraction of concepts placed in the
-	// editorial dictionaries with a taxonomy type.
-	NamedEntityFraction float64 // default 0.45
-	// LowQualityFraction is the fraction of injected low-quality phrases.
-	LowQualityFraction float64 // default 0.08
 	// AmbiguousFraction is the fraction of concepts with two senses.
 	AmbiguousFraction float64 // default 0.05
-	// ContextTermCount is how many distinctive context terms each concept
-	// has. Default 80: documents about a concept draw on a broad
-	// vocabulary, which is exactly why Prisma's 20-feedback-term cap costs
-	// it coverage (paper Table IV).
-	ContextTermCount int
-	// RefinerOverlap is the fraction of a concept's query refiners drawn
+}
+
+// The world's fixed generation parameters.
+const (
+	// multiTermFraction is the fraction of concepts with 2-3 terms.
+	multiTermFraction float64 = 0.55
+	// namedEntityFraction is the fraction of concepts placed in the
+	// editorial dictionaries with a taxonomy type.
+	namedEntityFraction float64 = 0.45
+	// lowQualityFraction is the fraction of injected low-quality phrases.
+	lowQualityFraction float64 = 0.08
+	// contextTermCount is how many distinctive context terms each concept
+	// has: documents about a concept draw on a broad vocabulary, which is
+	// exactly why Prisma's 20-feedback-term cap costs it coverage (paper
+	// Table IV).
+	contextTermCount = 80
+	// refinerOverlap is the fraction of a concept's query refiners drawn
 	// from its document context terms; the rest are other topical terms.
 	// Query vocabulary only partially overlaps document vocabulary, which
 	// is why suggestion-mined keywords cover contexts worse than snippets.
-	// Default 0.3.
-	RefinerOverlap float64
-	// NicheFraction is the fraction of a concept's context terms that are
+	refinerOverlap float64 = 0.3
+	// nicheFraction is the fraction of a concept's context terms that are
 	// signature vocabulary unique to the concept (think "methicillin" for a
 	// medical entity): words that appear essentially nowhere else, so a
 	// keyword pack that captures them tracks the concept's contextual
-	// presence precisely. Default 0.6.
-	NicheFraction float64
-}
+	// presence precisely.
+	nicheFraction float64 = 0.6
+)
 
 func (c Config) withDefaults() Config {
 	if c.VocabSize == 0 {
@@ -175,26 +177,8 @@ func (c Config) withDefaults() Config {
 	if c.NumConcepts == 0 {
 		c.NumConcepts = 1200
 	}
-	if c.MultiTermFraction == 0 {
-		c.MultiTermFraction = 0.55
-	}
-	if c.NamedEntityFraction == 0 {
-		c.NamedEntityFraction = 0.45
-	}
-	if c.LowQualityFraction == 0 {
-		c.LowQualityFraction = 0.08
-	}
 	if c.AmbiguousFraction == 0 {
 		c.AmbiguousFraction = 0.05
-	}
-	if c.ContextTermCount == 0 {
-		c.ContextTermCount = 80
-	}
-	if c.RefinerOverlap == 0 {
-		c.RefinerOverlap = 0.3
-	}
-	if c.NicheFraction == 0 {
-		c.NicheFraction = 0.6
 	}
 	return c
 }
@@ -391,7 +375,7 @@ func (w *World) generateConcepts(rng *rand.Rand) {
 		usedNiche[v] = true
 	}
 
-	numLowQ := int(float64(n) * w.Config.LowQualityFraction)
+	numLowQ := int(float64(n) * lowQualityFraction)
 	if numLowQ > len(lowQualityPhrases) {
 		numLowQ = len(lowQualityPhrases)
 	}
@@ -417,7 +401,7 @@ func (w *World) generateConcepts(rng *rand.Rand) {
 		topic := rng.Intn(w.Config.NumTopics)
 		t := &w.Topics[topic]
 		numTerms := 1
-		if rng.Float64() < w.Config.MultiTermFraction {
+		if rng.Float64() < multiTermFraction {
 			numTerms = 2
 			if rng.Float64() < 0.3 {
 				numTerms = 3
@@ -468,7 +452,7 @@ func (w *World) generateConcepts(rng *rand.Rand) {
 			Specificity: clamp01(0.25 + 0.5*rng.Float64() + 0.15*float64(numTerms-1) + 0.1*rng.NormFloat64()),
 			Quality:     clamp01(0.5 + 0.4*rng.Float64() + 0.1*rng.NormFloat64()),
 		}
-		if rng.Float64() < w.Config.NamedEntityFraction {
+		if rng.Float64() < namedEntityFraction {
 			typ := EntityType(1 + rng.Intn(int(numEntityTypes)-1))
 			c.Type = typ
 			subs := subtypes[typ]
@@ -494,7 +478,7 @@ func (w *World) generateConcepts(rng *rand.Rand) {
 		// unique to this concept. The niche share is what lets keyword
 		// packs distinguish *this* concept's contextual presence from mere
 		// topical overlap.
-		nicheCount := int(w.Config.NicheFraction * float64(w.Config.ContextTermCount))
+		nicheCount := int(nicheFraction * float64(contextTermCount))
 		ct := make(map[string]bool)
 		for len(ct) < nicheCount {
 			word := makeWord(rng, 3+rng.Intn(2))
@@ -505,7 +489,7 @@ func (w *World) generateConcepts(rng *rand.Rand) {
 			ct[word] = true
 			w.Vocab = append(w.Vocab, word)
 		}
-		for len(ct) < w.Config.ContextTermCount {
+		for len(ct) < contextTermCount {
 			term := w.SampleTerm(t, rng)
 			inName := false
 			for _, nt := range terms {
@@ -525,7 +509,7 @@ func (w *World) generateConcepts(rng *rand.Rand) {
 		sort.Strings(c.ContextTerms)
 		// Query refiners: a slice of the context terms plus query-intent
 		// words ("review", "buy") that edited prose never uses.
-		nOverlap := int(w.Config.RefinerOverlap * float64(len(c.ContextTerms)))
+		nOverlap := int(refinerOverlap * float64(len(c.ContextTerms)))
 		perm := rng.Perm(len(c.ContextTerms))
 		refiners := make(map[string]bool, len(c.ContextTerms))
 		for _, pi := range perm[:nOverlap] {
@@ -563,41 +547,4 @@ func TitleCase(name string) string {
 		}
 	}
 	return strings.Join(fields, " ")
-}
-
-// Validate performs internal consistency checks, returning an error
-// describing the first violation. It is used by tests and by cmd tools in
-// --selfcheck mode.
-func (w *World) Validate() error {
-	if len(w.Vocab) < w.Config.VocabSize {
-		return fmt.Errorf("vocab size %d < config %d", len(w.Vocab), w.Config.VocabSize)
-	}
-	seen := make(map[string]bool, len(w.Vocab))
-	for _, v := range w.Vocab {
-		if seen[v] {
-			return fmt.Errorf("duplicate vocab word %q", v)
-		}
-		seen[v] = true
-	}
-	names := make(map[string]bool, len(w.Concepts))
-	for i := range w.Concepts {
-		c := &w.Concepts[i]
-		if c.ID != i {
-			return fmt.Errorf("concept %q has ID %d at index %d", c.Name, c.ID, i)
-		}
-		if names[c.Name] {
-			return fmt.Errorf("duplicate concept name %q", c.Name)
-		}
-		names[c.Name] = true
-		if c.Interest < 0 || c.Interest > 1 || c.Quality < 0 || c.Quality > 1 || c.Specificity < 0 || c.Specificity > 1 {
-			return fmt.Errorf("concept %q has out-of-range latents", c.Name)
-		}
-		if c.Topic >= w.Config.NumTopics {
-			return fmt.Errorf("concept %q has bad topic %d", c.Name, c.Topic)
-		}
-		if c.Topic >= 0 && len(c.ContextTerms) == 0 {
-			return fmt.Errorf("topical concept %q has no context terms", c.Name)
-		}
-	}
-	return nil
 }

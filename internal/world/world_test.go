@@ -1,6 +1,7 @@
 package world
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -27,10 +28,50 @@ func TestWorldDeterministic(t *testing.T) {
 	}
 }
 
+// TestWorldValidate checks the invariants on the test world and on the
+// world core's system tests build (Seed 1000 derives world seed 1001).
 func TestWorldValidate(t *testing.T) {
-	if err := testWorld(t).Validate(); err != nil {
-		t.Fatal(err)
+	for _, w := range []*World{testWorld(t), New(Config{Seed: 1001, VocabSize: 2000, NumTopics: 10, NumConcepts: 300})} {
+		if err := validate(w); err != nil {
+			t.Fatal(err)
+		}
 	}
+}
+
+// validate is the world's consistency oracle: it returns an error describing
+// the first violated invariant of a generated world.
+func validate(w *World) error {
+	if len(w.Vocab) < w.Config.VocabSize {
+		return fmt.Errorf("vocab size %d < config %d", len(w.Vocab), w.Config.VocabSize)
+	}
+	seen := make(map[string]bool, len(w.Vocab))
+	for _, v := range w.Vocab {
+		if seen[v] {
+			return fmt.Errorf("duplicate vocab word %q", v)
+		}
+		seen[v] = true
+	}
+	names := make(map[string]bool, len(w.Concepts))
+	for i := range w.Concepts {
+		c := &w.Concepts[i]
+		if c.ID != i {
+			return fmt.Errorf("concept %q has ID %d at index %d", c.Name, c.ID, i)
+		}
+		if names[c.Name] {
+			return fmt.Errorf("duplicate concept name %q", c.Name)
+		}
+		names[c.Name] = true
+		if c.Interest < 0 || c.Interest > 1 || c.Quality < 0 || c.Quality > 1 || c.Specificity < 0 || c.Specificity > 1 {
+			return fmt.Errorf("concept %q has out-of-range latents", c.Name)
+		}
+		if c.Topic >= w.Config.NumTopics {
+			return fmt.Errorf("concept %q has bad topic %d", c.Name, c.Topic)
+		}
+		if c.Topic >= 0 && len(c.ContextTerms) == 0 {
+			return fmt.Errorf("topical concept %q has no context terms", c.Name)
+		}
+	}
+	return nil
 }
 
 func TestWorldHasVariety(t *testing.T) {
