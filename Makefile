@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-fix test race bench chaos fuzz island loc verify
+.PHONY: build vet lint test race bench chaos fuzz island loc verify
 
 build:
 	$(GO) build ./...
@@ -8,22 +8,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# kwlint is the project's own go/analysis suite (internal/analysis/...):
-# determinism, orderedfanout, seededrand, floatcompare, errsink, hotpath,
-# poolalias, lockguard, frozen, ctxflow. It re-executes itself through
-# `go vet -vettool`, so results are cached like any vet run. The analyzer
-# roster in this comment is checked against kwlint.Analyzers() by
-# TestSuiteRosterInSync; update both together.
+# kwlint is the project's own go/analysis suite: the analyzers of
+# kwlint.Analyzers() (internal/analysis/...). It re-executes itself through
+# `go vet -vettool`, so results are cached like any vet run.
 lint:
 	$(GO) run ./cmd/kwlint ./...
-
-# lint-fix applies the analyzers' suggested fixes in place — currently
-# the hotpath prealloc rewrite (slice declared without capacity → a
-# capacity make). Fixes carry /* TODO: right-size */ markers where the
-# correct value is a judgment call, so review the diff and re-run
-# `make lint` afterwards.
-lint-fix:
-	$(GO) run ./cmd/kwlint -fix ./...
 
 test:
 	$(GO) test ./...

@@ -1,11 +1,9 @@
-// Command kwlint runs the project's static-analysis suite (see
-// internal/analysis/...): determinism, orderedfanout, seededrand,
-// floatcompare, errsink, hotpath, poolalias, lockguard, frozen, and
-// ctxflow.
+// Command kwlint runs the project's static-analysis suite, the analyzers
+// of kwlint.Analyzers() (internal/analysis/...).
 //
 // Usage:
 //
-//	go run ./cmd/kwlint [-json] [-fix] ./...
+//	go run ./cmd/kwlint ./...
 //
 // The binary is a go/analysis unitchecker wearing a driver coat. When
 // invoked with package patterns it re-executes itself through
@@ -19,37 +17,14 @@
 // no process-global state, and results are cached by the build cache
 // like any other vet run.
 //
-// -json switches the report format to machine output: one JSON object
-// per line on stdout — {"file":..., "line":..., "analyzer":...,
-// "message":...} — sorted by file, line, column, analyzer, message, so
-// the stream is deterministic across runs and package-load order.
-//
-// -fix applies the analyzers' suggested fixes (currently the hotpath
-// prealloc rewrite) to the source files in place, then reports the
-// diagnostics that had no fix. Fixes may carry TODO markers (e.g. a
-// placeholder capacity) that need right-sizing by hand, so re-run the
-// plain lint afterwards.
-//
-// Both modes drive `go vet -json` under the hood: vet emits a JSON tree
-// per package on stderr (interleaved with '#' progress comments) and
-// exits zero even when diagnostics exist, so the driver parses the
-// stream, owns the exit status, and — for -fix — applies the byte-offset
-// edits itself; the vendored unitchecker has no fix support of its own.
-//
-// Exit status is non-zero when any analyzer reports a diagnostic (in
-// -fix mode: any diagnostic that no fix repaired).
+// go vet prints the diagnostics and owns the exit status: non-zero when
+// any analyzer reports one.
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
-	"sort"
-	"strconv"
 	"strings"
 
 	"golang.org/x/tools/go/analysis/unitchecker"
@@ -67,79 +42,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kwlint: cannot locate own executable:", err)
 		os.Exit(1)
 	}
-
-	var jsonOut, applyFix bool
-	rest := make([]string, 0, len(os.Args)-1)
-	for _, a := range os.Args[1:] {
-		switch a {
-		case "-json", "--json":
-			jsonOut = true
-		case "-fix", "--fix":
-			applyFix = true
-		default:
-			rest = append(rest, a)
-		}
-	}
-
-	if !jsonOut && !applyFix {
-		// Plain mode: hand the terminal straight to go vet, which owns
-		// both the human-readable report and the exit status.
-		cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe}, rest...)...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		cmd.Stdin = os.Stdin
-		if err := cmd.Run(); err != nil {
-			if ee, ok := err.(*exec.ExitError); ok {
-				os.Exit(ee.ExitCode())
-			}
-			fmt.Fprintln(os.Stderr, "kwlint: go vet:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// Machine modes: run vet in JSON mode and take over reporting.
-	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe, "-json"}, rest...)...)
-	var vetJSON bytes.Buffer
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe}, os.Args[1:]...)...)
 	cmd.Stdout = os.Stdout
-	cmd.Stderr = &vetJSON
+	cmd.Stderr = os.Stderr
+	cmd.Stdin = os.Stdin
 	if err := cmd.Run(); err != nil {
-		// In -json mode vet exits zero even with diagnostics, so a
-		// failure here is a build/driver error: surface it verbatim.
-		os.Stderr.Write(vetJSON.Bytes())
 		if ee, ok := err.(*exec.ExitError); ok {
 			os.Exit(ee.ExitCode())
 		}
 		fmt.Fprintln(os.Stderr, "kwlint: go vet:", err)
-		os.Exit(1)
-	}
-
-	diags, err := parseVetJSON(&vetJSON)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kwlint: parsing go vet -json output:", err)
-		os.Exit(1)
-	}
-	sortDiagnostics(diags)
-
-	if applyFix {
-		diags, err = applyFixes(diags, os.Stderr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kwlint: applying fixes:", err)
-			os.Exit(1)
-		}
-	}
-
-	if jsonOut {
-		if err := emitJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "kwlint:", err)
-			os.Exit(1)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s: %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
-		}
-	}
-	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }
@@ -154,220 +65,4 @@ func unitcheckerInvocation(args []string) bool {
 		}
 	}
 	return false
-}
-
-// diagnostic is one analyzer finding in the machine-readable report.
-// The JSON field set is the stable -json contract: file, line, col,
-// analyzer, message.
-type diagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-
-	fixes []suggestedFix
-}
-
-type suggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []textEdit `json:"edits"`
-}
-
-type textEdit struct {
-	Filename string `json:"filename"`
-	Start    int    `json:"start"` // byte offset
-	End      int    `json:"end"`   // byte offset
-	New      string `json:"new"`
-}
-
-// vetDiagnostic mirrors the unitchecker JSON diagnostic shape.
-type vetDiagnostic struct {
-	Posn           string         `json:"posn"` // "file:line:col"
-	Message        string         `json:"message"`
-	SuggestedFixes []suggestedFix `json:"suggested_fixes"`
-}
-
-// parseVetJSON decodes the stderr stream of `go vet -json`: lines
-// starting with '#' are progress comments from the go tool; the rest is
-// a sequence of pretty-printed JSON objects, one per package, each a
-// map of package ID → analyzer name → either a diagnostic list or an
-// {"error": ...} object.
-func parseVetJSON(r io.Reader) ([]diagnostic, error) {
-	var filtered bytes.Buffer
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		if strings.HasPrefix(sc.Text(), "#") {
-			continue
-		}
-		filtered.Write(sc.Bytes())
-		filtered.WriteByte('\n')
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-
-	var diags []diagnostic
-	dec := json.NewDecoder(&filtered)
-	for {
-		var tree map[string]map[string]json.RawMessage
-		if err := dec.Decode(&tree); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		for _, byAnalyzer := range tree {
-			for analyzer, raw := range byAnalyzer {
-				var list []vetDiagnostic
-				if err := json.Unmarshal(raw, &list); err != nil {
-					var ae struct {
-						Err string `json:"error"`
-					}
-					if json.Unmarshal(raw, &ae) == nil && ae.Err != "" {
-						return nil, fmt.Errorf("analyzer %s: %s", analyzer, ae.Err)
-					}
-					return nil, fmt.Errorf("analyzer %s: unexpected result shape: %v", analyzer, err)
-				}
-				for _, vd := range list {
-					file, line, col, err := splitPosn(vd.Posn)
-					if err != nil {
-						return nil, err
-					}
-					diags = append(diags, diagnostic{
-						File:     file,
-						Line:     line,
-						Col:      col,
-						Analyzer: analyzer,
-						Message:  vd.Message,
-						fixes:    vd.SuggestedFixes,
-					})
-				}
-			}
-		}
-	}
-	return diags, nil
-}
-
-// splitPosn parses "file:line:col" from the right, so file paths
-// containing colons survive.
-func splitPosn(posn string) (file string, line, col int, err error) {
-	c := strings.LastIndexByte(posn, ':')
-	if c < 0 {
-		return "", 0, 0, fmt.Errorf("malformed position %q", posn)
-	}
-	l := strings.LastIndexByte(posn[:c], ':')
-	if l < 0 {
-		return "", 0, 0, fmt.Errorf("malformed position %q", posn)
-	}
-	line, err = strconv.Atoi(posn[l+1 : c])
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("malformed position %q: %v", posn, err)
-	}
-	col, err = strconv.Atoi(posn[c+1:])
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("malformed position %q: %v", posn, err)
-	}
-	return posn[:l], line, col, nil
-}
-
-// sortDiagnostics orders the report deterministically: vet emits
-// packages in load order and analyzers in map order, neither of which
-// is stable across runs.
-func sortDiagnostics(diags []diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
-}
-
-// emitJSON writes one compact JSON object per diagnostic, one per line.
-func emitJSON(w io.Writer, diags []diagnostic) error {
-	enc := json.NewEncoder(w) // Encode appends the newline
-	for _, d := range diags {
-		if err := enc.Encode(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyFixes applies the first suggested fix of every diagnostic that
-// has one, splicing byte-offset edits into the source files, and
-// returns the diagnostics that remain (those with no fix). Edits are
-// grouped per file and applied back-to-front so earlier offsets stay
-// valid; overlapping edits within a file are rejected rather than
-// silently misapplied.
-func applyFixes(diags []diagnostic, log io.Writer) ([]diagnostic, error) {
-	byFile := map[string][]textEdit{}
-	var remaining []diagnostic
-	fixed := 0
-	for _, d := range diags {
-		if len(d.fixes) == 0 || len(d.fixes[0].Edits) == 0 {
-			remaining = append(remaining, d)
-			continue
-		}
-		for _, e := range d.fixes[0].Edits {
-			byFile[e.Filename] = append(byFile[e.Filename], e)
-		}
-		fixed++
-		fmt.Fprintf(log, "%s:%d:%d: %s: fixed: %s\n", d.File, d.Line, d.Col, d.Analyzer, d.fixes[0].Message)
-	}
-	files := make([]string, 0, len(byFile))
-	for f := range byFile {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			return nil, err
-		}
-		out, err := applyEdits(src, byFile[f])
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", f, err)
-		}
-		if err := os.WriteFile(f, out, 0o644); err != nil {
-			return nil, err
-		}
-	}
-	if fixed > 0 {
-		fmt.Fprintf(log, "kwlint: applied %d fix(es) in %d file(s)\n", fixed, len(files))
-	}
-	return remaining, nil
-}
-
-// applyEdits splices edits into src. Edits are sorted by start offset
-// and applied last-first; out-of-bounds or overlapping edits are an
-// error.
-func applyEdits(src []byte, edits []textEdit) ([]byte, error) {
-	sorted := make([]textEdit, len(edits))
-	copy(sorted, edits)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	for i, e := range sorted {
-		if e.Start < 0 || e.End < e.Start || e.End > len(src) {
-			return nil, fmt.Errorf("edit [%d,%d) out of bounds (len %d)", e.Start, e.End, len(src))
-		}
-		if i > 0 && e.Start < sorted[i-1].End {
-			return nil, fmt.Errorf("overlapping edits at offsets %d and %d", sorted[i-1].Start, e.Start)
-		}
-	}
-	out := append([]byte(nil), src...)
-	for i := len(sorted) - 1; i >= 0; i-- {
-		e := sorted[i]
-		out = append(out[:e.Start], append([]byte(e.New), out[e.End:]...)...)
-	}
-	return out, nil
 }

@@ -14,7 +14,7 @@
 // time.NewTicker without a Stop leaks its channel machinery on every
 // early return.
 //
-// Rules, inside the -packages scope (production files only — tests
+// Rules, inside DefaultPackages (production files only — tests
 // construct context roots by definition):
 //
 //   - context.Background() / context.TODO() are reports; thread the ctx
@@ -50,10 +50,6 @@ var Analyzer = &analysis.Analyzer{
 		"Inside the scope: no context.Background()/context.TODO() (thread the caller's ctx), no time.After (its timer leaks until it fires), and every time.NewTimer/NewTicker needs a Stop call in the same function.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
-}
-
-func init() {
-	Analyzer.Flags.Var(scope, "packages", "comma-separated import-path suffixes to check")
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

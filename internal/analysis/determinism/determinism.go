@@ -13,7 +13,7 @@
 //  3. emitting a returned slice from a map range without sorting, which
 //     leaks Go's randomized map iteration order into the output.
 //
-// Only packages inside the -packages scope are checked. _test.go files
+// Only the DefaultPackages are checked. _test.go files
 // are NOT exempt: a test that reads the wall clock or the global rand
 // source is flaky in exactly the way the pipeline must not be, and the
 // first-class //kwlint:ignore directive exists for the rare test that
@@ -49,10 +49,6 @@ var Analyzer = &analysis.Analyzer{
 		"The mined features and click simulations must be bit-identical across runs; this analyzer flags the constructs that silently break that contract.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
-}
-
-func init() {
-	Analyzer.Flags.Var(scope, "packages", "comma-separated import-path suffixes to check")
 }
 
 // randConstructors are the math/rand functions that are allowed even in

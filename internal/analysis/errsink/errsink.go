@@ -4,7 +4,7 @@
 // A handler that ignores the error from json.Encoder.Encode or
 // ResponseWriter.Write can ship a truncated body and still account the
 // request as a success — the serve layer's throughput counters and the
-// client disagree about what happened. Inside the -packages scope every
+// client disagree about what happened. Inside DefaultPackages every
 // such error must be consumed: checked, or explicitly discarded with an
 // assignment to _ (which at least documents the decision).
 //
@@ -48,10 +48,6 @@ var Analyzer = &analysis.Analyzer{
 		"Handlers must check (or explicitly discard with _ =) the error from json.Encoder.Encode, ResponseWriter.Write, io.WriteString, and fmt.Fprint*.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
-}
-
-func init() {
-	Analyzer.Flags.Var(scope, "packages", "comma-separated import-path suffixes to check")
 }
 
 var fmtSinks = map[string]bool{"Fprint": true, "Fprintf": true, "Fprintln": true}

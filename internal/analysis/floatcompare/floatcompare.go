@@ -8,7 +8,7 @@
 // the comparison feeds a sort.
 //
 // The rule: `==` and `!=` between two non-constant floating-point
-// operands is flagged inside the -packages scope. Comparing against a
+// operands is flagged inside DefaultPackages. Comparing against a
 // constant (`if total == 0`) is a guard, not a tie decision, and stays
 // legal. _test.go files are NOT exempt: a test asserting exact equality
 // on a computed score breaks on any legitimate summation reorder;
@@ -39,10 +39,6 @@ var Analyzer = &analysis.Analyzer{
 		"Score ties must go through the tie-breaking rule (stable key order), not exact float equality.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
-}
-
-func init() {
-	Analyzer.Flags.Var(scope, "packages", "comma-separated import-path suffixes to check")
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

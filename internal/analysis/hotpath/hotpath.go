@@ -73,7 +73,6 @@ func (f *funcFact) String() string {
 type violation struct {
 	pos token.Pos
 	msg string
-	fix []analysis.SuggestedFix
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -200,7 +199,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			continue
 		}
 		for _, v := range directVios[fn] {
-			sup.Report(analysis.Diagnostic{Pos: v.pos, Message: v.msg, SuggestedFixes: v.fix})
+			sup.Reportf(v.pos, "%s", v.msg)
 		}
 		for _, cs := range localCalls[fn] {
 			if cs.reason != "" {
@@ -551,13 +550,11 @@ func makeViolation(info *types.Info, call *ast.CallExpr) (violation, bool) {
 // capacity — var s []T, s := []T{}, s := make([]T, 0) — which make any
 // later append a reallocation cascade. The violation is prepared at the
 // declaration (the right place to preallocate) and reported only if an
-// append on the variable is actually seen. A SuggestedFix rewrites the
-// initializer to a capacity make; the capacity itself is a judgment
-// call, so the fix leaves a TODO marker.
+// append on the variable is actually seen.
 func (c *checker) freshSlices(body *ast.BlockStmt) map[types.Object]*violation {
 	info := c.pass.TypesInfo
 	fresh := map[types.Object]*violation{}
-	record := func(name *ast.Ident, at ast.Node, fixable ast.Expr) {
+	record := func(name *ast.Ident, at ast.Node) {
 		obj := info.ObjectOf(name)
 		if obj == nil {
 			return
@@ -565,21 +562,10 @@ func (c *checker) freshSlices(body *ast.BlockStmt) map[types.Object]*violation {
 		if _, ok := obj.Type().Underlying().(*types.Slice); !ok {
 			return
 		}
-		v := &violation{
+		fresh[obj] = &violation{
 			pos: at.Pos(),
 			msg: fmt.Sprintf("append growth on %s, declared without capacity, reallocates on the hot path; preallocate with make(%s, 0, n)", name.Name, types.TypeString(obj.Type(), types.RelativeTo(c.pass.Pkg))),
 		}
-		if fixable != nil {
-			v.fix = []analysis.SuggestedFix{{
-				Message: "preallocate with an explicit capacity",
-				TextEdits: []analysis.TextEdit{{
-					Pos:     fixable.Pos(),
-					End:     fixable.End(),
-					NewText: []byte(fmt.Sprintf("make(%s, 0, 16 /* TODO: right-size */)", types.TypeString(obj.Type(), types.RelativeTo(c.pass.Pkg)))),
-				}},
-			}}
-		}
-		fresh[obj] = v
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -594,7 +580,7 @@ func (c *checker) freshSlices(body *ast.BlockStmt) map[types.Object]*violation {
 					continue
 				}
 				for _, name := range vs.Names {
-					record(name, vs, nil)
+					record(name, vs)
 				}
 			}
 		case *ast.AssignStmt:
@@ -611,14 +597,14 @@ func (c *checker) freshSlices(body *ast.BlockStmt) map[types.Object]*violation {
 				case *ast.CompositeLit:
 					if len(r.Elts) == 0 {
 						if _, isSlice := info.Types[r].Type.Underlying().(*types.Slice); isSlice {
-							record(name, n, rhs)
+							record(name, n)
 						}
 					}
 				case *ast.CallExpr:
 					if id, ok := ast.Unparen(r.Fun).(*ast.Ident); ok {
 						if b, isB := info.ObjectOf(id).(*types.Builtin); isB && b.Name() == "make" && len(r.Args) == 2 {
 							if tv, ok := info.Types[r.Args[1]]; ok && tv.Value != nil && tv.Value.String() == "0" {
-								record(name, n, rhs)
+								record(name, n)
 							}
 						}
 					}
@@ -720,9 +706,6 @@ var allocMethods = map[string]func(name string) bool{
 	"time.Time":       func(name string) bool { return name == "Format" || name == "String" },
 }
 
-// denylisted returns a reason when the cross-package callee is a known
-// allocator, "" otherwise (unknown stdlib calls are assumed clean — the
-// denylist is the explicit, reviewable model boundary).
 // sameModule reports whether two packages live in the same top-level
 // module tree, compared by first import-path segment. This is the fact
 // trust boundary: within the module, may-alloc summaries propagate;
@@ -738,6 +721,9 @@ func sameModule(a, b *types.Package) bool {
 	return pa == pb
 }
 
+// denylisted returns a reason when the cross-package callee is a known
+// allocator, "" otherwise (unknown stdlib calls are assumed clean — the
+// denylist is the explicit, reviewable model boundary).
 func denylisted(info *types.Info, call *ast.CallExpr, callee *types.Func) string {
 	pkg := callee.Pkg().Path()
 	if names, ok := allocFuncs[pkg]; ok {

@@ -11,7 +11,6 @@ import (
 	"contextrank/internal/analysis/determinism"
 	"contextrank/internal/analysis/errsink"
 	"contextrank/internal/analysis/floatcompare"
-	"contextrank/internal/analysis/frozen"
 	"contextrank/internal/analysis/hotpath"
 	"contextrank/internal/analysis/lockguard"
 	"contextrank/internal/analysis/orderedfanout"
@@ -20,8 +19,8 @@ import (
 )
 
 // Analyzers returns the full kwlint suite in a stable order. The order
-// (and the names) must match kwutil.AnalyzerNames, which the ignore
-// validator and the CI name-sync test treat as the source of truth;
+// (and the names) must match kwutil.AnalyzerNames, the copy the ignore
+// validator reads (kwutil cannot import the analyzers that import it);
 // kwlint_test.go asserts the two stay aligned.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -33,7 +32,6 @@ func Analyzers() []*analysis.Analyzer {
 		hotpath.Analyzer,
 		poolalias.Analyzer,
 		lockguard.Analyzer,
-		frozen.Analyzer,
 		ctxflow.Analyzer,
 	}
 }

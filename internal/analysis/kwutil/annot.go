@@ -27,12 +27,12 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// AnalyzerNames is the full kwlint suite roster in registration order. It
-// is the source of truth the kwlint package, the ignore validator, and the
-// CI-name sync test all check against.
+// AnalyzerNames is the full kwlint suite roster in registration order:
+// the ignore validator's copy of kwlint.Analyzers(), which this package
+// cannot import (TestSuite keeps the two aligned).
 var AnalyzerNames = []string{
 	"determinism", "orderedfanout", "seededrand", "floatcompare", "errsink",
-	"hotpath", "poolalias", "lockguard", "frozen", "ctxflow",
+	"hotpath", "poolalias", "lockguard", "ctxflow",
 }
 
 // KnownAnalyzer reports whether name is in the suite roster.
@@ -71,8 +71,8 @@ var verbOwner = map[string]string{
 	"fresh":        "poolalias",
 	"guardedby":    "lockguard",
 	"holds":        "lockguard",
-	"frozen-after": "frozen",
-	"builder":      "frozen",
+	"frozen-after": "lockguard",
+	"builder":      "lockguard",
 }
 
 // DirectiveStatus classifies one comment.

@@ -27,39 +27,25 @@ type Scope struct {
 // "internal/world,internal/querylog".
 func NewScope(csv string) *Scope {
 	s := &Scope{}
-	s.Set(csv)
-	return s
-}
-
-// Set implements flag.Value so a Scope can be bound to an analyzer flag.
-func (s *Scope) Set(csv string) error {
-	s.suffixes = s.suffixes[:0]
 	for _, part := range strings.Split(csv, ",") {
 		part = strings.Trim(strings.TrimSpace(part), "/")
 		if part != "" {
 			s.suffixes = append(s.suffixes, part)
 		}
 	}
-	return nil
+	return s
 }
 
-// String implements flag.Value.
-func (s *Scope) String() string { return strings.Join(s.suffixes, ",") }
-
-// Matches reports whether the import path is inside the scope: equal to a
-// suffix, or ending in "/"+suffix.
-func (s *Scope) Matches(path string) bool {
+// InScope reports whether the package under analysis is inside the
+// scope: its import path equals a suffix or ends in "/"+suffix.
+func (s *Scope) InScope(pass *analysis.Pass) bool {
+	path := pass.Pkg.Path()
 	for _, suf := range s.suffixes {
 		if path == suf || strings.HasSuffix(path, "/"+suf) {
 			return true
 		}
 	}
 	return false
-}
-
-// InScope reports whether the package under analysis is inside the scope.
-func (s *Scope) InScope(pass *analysis.Pass) bool {
-	return s.Matches(pass.Pkg.Path())
 }
 
 // IsTestFile reports whether pos sits in a _test.go file. The kwlint

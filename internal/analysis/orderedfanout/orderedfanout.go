@@ -49,10 +49,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-func init() {
-	Analyzer.Flags.Var(scope, "packages", "comma-separated import-path suffixes to check")
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
 	sup := kwutil.NewSuppressor(pass, "orderedfanout")
 	defer sup.Finish()

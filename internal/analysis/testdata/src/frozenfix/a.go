@@ -1,4 +1,4 @@
-// Fixture for the frozen analyzer: //kw:frozen-after types reject field
+// Fixture for lockguard's frozen contract: //kw:frozen-after types reject field
 // writes outside their freeze method and //kw:builder methods.
 package frozenfix
 
@@ -69,7 +69,7 @@ func Rebuild(docs []string) *Index {
 
 // Suppressed documents a deliberate post-freeze write.
 func Suppressed(ix *Index) {
-	ix.sealed = true //kwlint:ignore frozen — test-only reseal helper, never on the query path
+	ix.sealed = true //kwlint:ignore lockguard — test-only reseal helper, never on the query path
 }
 
 //kw:frozen-after(Seal) // want `type Loose has no method Seal`

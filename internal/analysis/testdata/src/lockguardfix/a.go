@@ -77,6 +77,15 @@ func WrongRoot(a, b *shard, k string) int {
 	return b.entries[k] // want `access to entries, guarded by mu`
 }
 
+// BareMutex locks a local mutex that merely shares the guard's name: a
+// guard is a sibling field reached through a root, never a bare variable.
+func BareMutex(s *shard, k string) int {
+	var mu sync.Mutex
+	mu.Lock()
+	defer mu.Unlock()
+	return s.entries[k] // want `access to entries, guarded by mu`
+}
+
 // Suppressed documents a deliberate unguarded read.
 func Suppressed(s *shard) int {
 	return len(s.entries) //kwlint:ignore lockguard — approximate size for metrics; torn reads acceptable

@@ -63,11 +63,6 @@ type Report struct {
 // Config parameterizes the click model.
 type Config struct {
 	Seed int64
-	// InterestWeight and RelevanceWeight mix the latent factors.
-	// Defaults 0.45 and 0.55: contextual relevance is the stronger click
-	// driver, which is what makes the relevance score such a useful
-	// feature in the paper.
-	InterestWeight, RelevanceWeight float64
 }
 
 // The click model's fixed parameters. MaxViews and CTRNoiseSigma are
@@ -89,20 +84,18 @@ const (
 	// positionBias controls the mild decay of CTR with byte position:
 	// bias = 1/(1+positionBias·pos/2500).
 	positionBias float64 = 0.35
+	// interestWeight and relevanceWeight mix the latent factors:
+	// contextual relevance is the stronger click driver, which is what
+	// makes the relevance score such a useful feature in the paper.
+	interestWeight  float64 = 0.45
+	relevanceWeight float64 = 0.55
 )
 
 // TrueCTR computes the latent click probability for one mention. degree is
 // the graded contextual relevance in [0,1].
 func (c Config) TrueCTR(concept *world.Concept, degree float64, position int) float64 {
-	iw, rw := c.InterestWeight, c.RelevanceWeight
-	if iw == 0 {
-		iw = 0.45
-	}
-	if rw == 0 {
-		rw = 0.55
-	}
 	rel := irrelevantFactor + (1-irrelevantFactor)*degree
-	appeal := iw*concept.Interest + rw*rel
+	appeal := interestWeight*concept.Interest + relevanceWeight*rel
 	// Quadratic response concentrates clicks on the best few entities
 	// ("Few concepts on a document actually get most of the clicks").
 	ctr := baseCTR + maxCTR*appeal*appeal

@@ -6,7 +6,7 @@
 // zero per-probe allocations.
 //
 // The matcher preserves the greedy-longest semantics of the scanners it
-// replaced (taxonomy.Dictionary.FindInTokens, units.Set.FindInTokens): at
+// replaced (the string scanners of taxonomy and units): at
 // each token position the longest pattern starting there is reported, and
 // positions advance by one token regardless of matches, so nested phrases
 // at later positions are still found. DESIGN.md §10 records the

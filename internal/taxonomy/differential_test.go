@@ -10,11 +10,19 @@ import (
 	"contextrank/internal/world"
 )
 
+// findInTokens is FindInIDs over normalized tokens, the string form the
+// tests state their documents in: greedy-longest at each position.
+func findInTokens(d *Dictionary, tokens []string) []Match {
+	if len(tokens) == 0 {
+		return nil
+	}
+	return d.FindInIDs(d.vocab.AppendIDs(make([]uint32, 0, len(tokens)), tokens), nil)
+}
+
 // referenceFind is the pre-trie scanner semantics, kept as executable
 // specification: at every position try phrases greedy-longest by re-joining
 // token windows against the entries map, and always advance one token.
-// FindInTokens (now a trie walk over interned ids) must stay bit-identical
-// to it.
+// The trie walk over interned ids must stay bit-identical to it.
 func referenceFind(d *Dictionary, tokens []string) []Match {
 	maxLen := 0
 	for phrase := range d.entries {
@@ -48,7 +56,7 @@ func TestDifferentialTrieVsReference(t *testing.T) {
 	matched := 0
 	for _, doc := range docs {
 		tokens := textproc.Words(doc.Text)
-		got := d.FindInTokens(tokens)
+		got := findInTokens(d, tokens)
 		want := referenceFind(d, tokens)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trie and reference scanner disagree on story %d:\n got %+v\nwant %+v", doc.ID, got, want)

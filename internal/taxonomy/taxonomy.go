@@ -171,18 +171,6 @@ type Match struct {
 	Start, End int
 }
 
-// FindInTokens scans normalized tokens for dictionary phrases,
-// greedy-longest at each position. Compatibility wrapper around the id
-// path: it interns the tokens per call, so hot callers should intern once
-// with Vocab().AppendIDs and use FindInIDs instead.
-func (d *Dictionary) FindInTokens(tokens []string) []Match {
-	if len(tokens) == 0 {
-		return nil
-	}
-	ids := d.vocab.AppendIDs(make([]uint32, 0, len(tokens)), tokens)
-	return d.FindInIDs(ids, nil)
-}
-
 // FindInIDs scans interned token ids (from Vocab().AppendIDs) and appends
 // the matches to dst, returning it. With a pre-sized dst the scan performs
 // zero allocations.

@@ -114,7 +114,7 @@ func TestFindInTokens(t *testing.T) {
 	}
 	tokens := append([]string{"intro", "words"}, c.Terms...)
 	tokens = append(tokens, "trailing")
-	ms := d.FindInTokens(tokens)
+	ms := findInTokens(d, tokens)
 	found := false
 	for _, m := range ms {
 		if m.Phrase == c.Name && m.Start == 2 && m.End == 4 {
@@ -131,7 +131,7 @@ func TestFindInTokensGreedyLongest(t *testing.T) {
 	d.add(Entry{Phrase: "new york", Type: world.TypePlace})
 	d.add(Entry{Phrase: "new york city", Type: world.TypePlace})
 	d.buildIndex()
-	ms := d.FindInTokens([]string{"new", "york", "city"})
+	ms := findInTokens(d, []string{"new", "york", "city"})
 	if len(ms) == 0 || ms[0].Phrase != "new york city" {
 		t.Fatalf("expected longest match first: %v", ms)
 	}
@@ -145,7 +145,7 @@ func TestDisambiguateByContext(t *testing.T) {
 	d.add(Entry{Phrase: "sedan", Type: world.TypeProduct, Subtype: "vehicle"})
 	d.buildIndex()
 
-	m := d.FindInTokens([]string{"jaguar"})[0]
+	m := findInTokens(d, []string{"jaguar"})[0]
 	animalCtx := []string{"the", "jaguar", "prowled", "the", "rainforest"}
 	if got := disambiguate(d, m, animalCtx); got.Type != world.TypeAnimal {
 		t.Fatalf("animal context chose %v", got.Type)
@@ -184,7 +184,7 @@ func TestMatchSpans(t *testing.T) {
 			break
 		}
 	}
-	for _, m := range d.FindInTokens(tokens) {
+	for _, m := range findInTokens(d, tokens) {
 		if m.Start < 0 || m.End > len(tokens) || m.End <= m.Start {
 			t.Fatalf("bad span %+v", m)
 		}
