@@ -5,10 +5,10 @@
 // query-log concepts — followed by post-processing: collision detection
 // between overlapping entities, disambiguation and filtering.
 //
-// The detection hot path is allocation-disciplined (DESIGN.md §10): a
-// document's tokens are interned once against each matcher's vocabulary and
-// scanned by the token-trie matchers of internal/match with zero per-probe
-// allocations, the pattern regexes run only on the trigger sites one byte
+// The detection hot path is allocation-disciplined (DESIGN.md §10): each
+// word of a document carries its ids in the matchers' vocabularies
+// (WordIDs), the token-trie matchers of internal/match scan those ids with
+// zero per-probe allocations, the pattern regexes run only on the trigger sites one byte
 // scan finds, and every working buffer is pooled. Only the returned
 // detection slice is freshly allocated — it never aliases pooled state.
 package detect
@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sync"
 
+	"contextrank/internal/match"
 	"contextrank/internal/taxonomy"
 	"contextrank/internal/textproc"
 	"contextrank/internal/units"
@@ -105,15 +106,49 @@ func NewWithFloor(dict *taxonomy.Dictionary, unitSet *units.Set, minUnitScore fl
 	return &Pipeline{dict: dict, units: unitSet, minUnitScore: minUnitScore}
 }
 
-// scratch holds the per-document working set of DetectTokens: the
-// word-token views (norm/tokIdx), one interned id buffer per matcher
-// vocabulary, match buffers, the pattern trigger sites, the detection
-// accumulator and the collision pass's keys — plus the token slice of
-// callers that come in through Detect. Pooled so a steady-state serving
-// process performs no per-document buffer allocations.
+// WordIDs is one word's ids in the pipeline's two matcher vocabularies:
+// match.NoID where the word occurs in no pattern or the detector is off.
+type WordIDs struct{ Dict, Unit uint32 }
+
+// NoWord is the WordIDs of a word in neither vocabulary.
+var NoWord = WordIDs{Dict: match.NoID, Unit: match.NoID}
+
+// IDsOf returns the ids of the normalized word w: the per-word function
+// Detect applies to every word token, and the one a caller that resolves
+// words itself (the annotation runtime's word table) caches.
+func (p *Pipeline) IDsOf(w string) WordIDs {
+	ids := NoWord
+	if p.dict != nil {
+		ids.Dict = p.dict.Vocab().ID(w)
+	}
+	if p.units != nil {
+		ids.Unit = p.units.Vocab().ID(w)
+	}
+	return ids
+}
+
+// Vocabs returns the vocabularies of the enabled detectors: IDsOf is NoWord
+// for every word in none of them.
+func (p *Pipeline) Vocabs() []*match.Vocab {
+	var vs []*match.Vocab
+	if p.dict != nil {
+		vs = append(vs, p.dict.Vocab())
+	}
+	if p.units != nil {
+		vs = append(vs, p.units.Vocab())
+	}
+	return vs
+}
+
+// scratch holds the per-document working set of DetectTokens: the word
+// tokens' positions and their ids per matcher vocabulary, match buffers,
+// the pattern trigger sites, the detection accumulator and the collision
+// pass's keys — plus the tokens and ids of callers that come in through
+// Detect. Pooled so a steady-state serving process performs no
+// per-document buffer allocations.
 type scratch struct {
 	tokens  []textproc.Token
-	norm    []string
+	ids     []WordIDs
 	tokIdx  []int
 	dictIDs []uint32
 	unitIDs []uint32
@@ -128,38 +163,50 @@ type scratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Detect runs the full pipeline over plain text: it tokenizes into pooled
-// scratch and hands the tokens to DetectTokens.
+// scratch, looks each word token up with IDsOf, and hands both to
+// DetectTokens.
 //
 //kw:hotpath
 func (p *Pipeline) Detect(text string) []Detection {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0]) //kwlint:ignore hotpath — token normalization (ToLower of mixed-case tokens) is the documented per-document budget
-	return p.DetectTokens(nil, text, sc.tokens)
+	sc.ids = sc.ids[:0]
+	for i := range sc.tokens {
+		ids := NoWord
+		if t := &sc.tokens[i]; t.Kind != textproc.Punct && t.Norm != "" {
+			ids = p.IDsOf(t.Norm)
+		}
+		sc.ids = append(sc.ids, ids)
+	}
+	return p.DetectTokens(nil, text, sc.tokens, sc.ids)
 }
 
 // DetectTokens is Detect for a caller that has already tokenized text
-// (tokens must be textproc.TokenizeInto's output for exactly this text);
-// the annotation runtime shares one tokenization between the stemmer and
-// the detectors this way. tokens is only read. The detections are appended
+// (tokens must be textproc.TokenizeInto's output for exactly this text) and
+// looked its words up: ids[i] is IDsOf(tokens[i].Norm) for every word token
+// (punctuation entries are not read). The annotation runtime shares one
+// tokenization and one word lookup between the stemmer and the detectors
+// this way. tokens and ids are only read. The detections are appended
 // to dst: nil gets a fresh slice of exactly their number, a caller that
 // copies out what it keeps passes a buffer it reuses. Beyond dst the result
 // aliases nothing the caller does not own — never the pooled scratch.
 //
 //kw:hotpath
 //kw:fresh
-func (p *Pipeline) DetectTokens(dst []Detection, text string, tokens []textproc.Token) []Detection {
+func (p *Pipeline) DetectTokens(dst []Detection, text string, tokens []textproc.Token, ids []WordIDs) []Detection {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 
-	// Word-token view for the phrase scanners, with a mapping back to the
-	// token slice so byte offsets survive.
-	sc.norm, sc.tokIdx = sc.norm[:0], sc.tokIdx[:0]
+	// Word-token view for the phrase scanners — each vocabulary's ids, with
+	// a mapping back to the token slice so byte offsets survive.
+	sc.tokIdx, sc.dictIDs, sc.unitIDs = sc.tokIdx[:0], sc.dictIDs[:0], sc.unitIDs[:0]
 	for i := range tokens {
 		t := &tokens[i]
 		if t.Kind != textproc.Punct && t.Norm != "" {
-			sc.norm = append(sc.norm, t.Norm)
 			sc.tokIdx = append(sc.tokIdx, i)
+			sc.dictIDs = append(sc.dictIDs, ids[i].Dict)
+			sc.unitIDs = append(sc.unitIDs, ids[i].Unit)
 		}
 	}
 
@@ -167,7 +214,6 @@ func (p *Pipeline) DetectTokens(dst []Detection, text string, tokens []textproc.
 	all := appendPatternDetections(sc.all[:0], text, sc.sites) //kwlint:ignore hotpath — regex pattern detection is budgeted in BenchmarkDetect; see DESIGN.md §10
 
 	if p.dict != nil {
-		sc.dictIDs = p.dict.Vocab().AppendIDs(sc.dictIDs[:0], sc.norm)
 		sc.dms = p.dict.FindInIDs(sc.dictIDs, sc.dms[:0])
 		for _, m := range sc.dms {
 			entry := p.dict.DisambiguateIDs(m, idWindow(sc.dictIDs, m.Start, m.End, disambigRadius))
@@ -185,7 +231,6 @@ func (p *Pipeline) DetectTokens(dst []Detection, text string, tokens []textproc.
 	}
 
 	if p.units != nil {
-		sc.unitIDs = p.units.Vocab().AppendIDs(sc.unitIDs[:0], sc.norm)
 		sc.ums = p.units.FindInIDs(sc.unitIDs, sc.ums[:0])
 		for _, m := range sc.ums {
 			if m.Unit.Score < p.minUnitScore {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,13 +32,21 @@ type Annotation struct {
 
 // Runtime is the online system of Figure 4: Stemmer → hash-table lookups
 // (interestingness vectors, Global TID Table, keyword packs) → Ranker. All
-// tables live in memory; per-document work is detection, one stemming pass,
-// and constant-time lookups per detected concept.
+// tables live in memory; per-document work is one word-table probe per
+// token, detection, and constant-time lookups per detected concept.
+//
+// Pipeline and Packs are fixed at construction: the word table NewRuntime
+// derives from them describes those two, so a runtime over other ones is a
+// new NewRuntime.
 type Runtime struct {
 	Pipeline *detect.Pipeline
 	Interest *InterestTable
 	Packs    *KeywordPacks
 	Model    *ranksvm.Model
+
+	// words maps a normalized word to its entry (words.go): the one probe
+	// per token of the stemmer stage.
+	words map[string]wordEntry
 
 	// Timing accumulators for the §VI throughput experiment (atomic: the
 	// runtime serves concurrent requests in production).
@@ -45,101 +54,86 @@ type Runtime struct {
 	bytesProcessed       atomic.Int64
 }
 
-// NewRuntime wires the components.
+// NewRuntime wires the components and builds the word table over the
+// pipeline's vocabularies, the stop list and the Global TID Table.
 func NewRuntime(p *detect.Pipeline, it *InterestTable, kp *KeywordPacks, model *ranksvm.Model) *Runtime {
-	return &Runtime{Pipeline: p, Interest: it, Packs: kp, Model: model}
+	return &Runtime{Pipeline: p, Interest: it, Packs: kp, Model: model, words: newWordTable(p, kp.TIDs)}
 }
 
 // StemDoc runs the stemmer component on its own: the stemmed version of the
-// document "is created first and stored for later usage". The pass runs on
-// a pooled scratch — tokenizer buffer reused, Porter stems memoized across
-// documents — and only the returned set is allocated, since the caller owns
-// it. It records nothing in the throughput accumulators: those belong to
-// completed AnnotateCtx calls.
+// document "is created first and stored for later usage". It returns the
+// document's stems that are in the Global TID Table — the only ones
+// KeywordPacks.DocTIDs, its use, can map — read back from their TIDs. The
+// pass runs on a pooled scratch and only the returned set is allocated,
+// since the caller owns it. It records nothing in the throughput
+// accumulators: those belong to completed AnnotateCtx calls.
 func (rt *Runtime) StemDoc(text string) map[string]bool {
 	sc := annPool.Get().(*annScratch)
 	defer annPool.Put(sc)
 	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0])
-	clear(sc.stems)
-	for i := range sc.tokens {
-		if s, ok := sc.contentStem(&sc.tokens[i]); ok {
-			sc.stems[s] = true
+	rt.lookupWords(sc, true)
+	clear(sc.tids)
+	for _, tid := range sc.tokTID {
+		if tid != match.NoID {
+			sc.tids[tid] = true
 		}
 	}
-	stems := make(map[string]bool, len(sc.stems))
-	for s := range sc.stems {
-		stems[s] = true
+	stems := make(map[string]bool, len(sc.tids))
+	for tid := range sc.tids {
+		stems[rt.Packs.TIDs.Token(tid)] = true
 	}
 	return stems
 }
 
 // annScratch is the pooled per-request working set of AnnotateCtx: the
 // document analysis every stage reads — the token slice and, beside it,
-// each token's stem as a Global TID — the window TID set and top-N dedup
-// set (cleared, not reallocated, between uses), the annotation
-// accumulators, a reusable feature vector, and a memo of word → Porter
-// stem. The memo survives across pooled requests — vocabularies repeat
-// heavily, so most Stem calls become map hits — and is dropped wholesale
-// past stemCacheMax entries to bound its footprint.
+// each token's stem as a Global TID and its detection vocabulary ids — the
+// buffer a word outside the word table is stemmed into, the window TID set
+// and top-N dedup set (cleared, not reallocated, between uses), the
+// annotation accumulators, and a reusable feature vector.
 type annScratch struct {
-	tokens    []textproc.Token
-	tokTID    []uint32 // tokTID[i] is tokens[i]'s stem in the Global TID Table; match.NoID for a non-content word or a stem no pack uses
-	dets      []detect.Detection
-	stems     map[string]bool
-	tids      map[uint32]bool
-	kept      map[string]bool
-	patterns  []Annotation
-	ranked    []Annotation
-	fv        []float64
-	std       []float64
-	stemCache map[string]string
+	tokens   []textproc.Token
+	tokTID   []uint32         // tokTID[i] is tokens[i]'s stem in the Global TID Table; match.NoID for a non-content word or a stem no pack uses
+	tokIDs   []detect.WordIDs // tokIDs[i] is tokens[i]'s ids in the pipeline's vocabularies
+	stemBuf  []byte
+	dets     []detect.Detection
+	tids     map[uint32]bool
+	kept     map[string]bool
+	patterns []Annotation
+	ranked   []Annotation
+	fv       []float64
+	std      []float64
 }
-
-const stemCacheMax = 1 << 14
 
 var annPool = sync.Pool{New: func() any {
 	return &annScratch{
-		stems:     make(map[string]bool),
-		tids:      make(map[uint32]bool),
-		kept:      make(map[string]bool),
-		stemCache: make(map[string]string),
+		tids: make(map[uint32]bool),
+		kept: make(map[string]bool),
 	}
 }}
 
-func (sc *annScratch) stemOf(w string) string {
-	if s, ok := sc.stemCache[w]; ok {
-		return s
-	}
-	s := stem.Stem(w)
-	if len(sc.stemCache) >= stemCacheMax {
-		clear(sc.stemCache)
-	}
-	sc.stemCache[w] = s
-	return s
-}
-
-// contentStem returns the memoized stem of a content token. The filter is
-// ContentWords' exactly: non-punct, non-empty norm, non-stopword.
-func (sc *annScratch) contentStem(t *textproc.Token) (string, bool) {
-	if t.Kind == textproc.Punct || t.Norm == "" || textproc.IsStopword(t.Norm) {
-		return "", false
-	}
-	return sc.stemOf(t.Norm), true
-}
-
-// stemTokens is the stemmer stage of AnnotateCtx, Figure 4's "the stemmed
-// version of the document is created first and stored for later usage":
-// the document's one tokenization, into sc.tokens, and beside it every
-// token's stem looked up in the Global TID Table, into sc.tokTID.
-func (rt *Runtime) stemTokens(sc *annScratch, text string) {
-	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0])
-	sc.tokTID = sc.tokTID[:0]
+// lookupWords is the per-token half of the stemmer stage, Figure 4's "the
+// stemmed version of the document is created first and stored for later
+// usage": beside sc.tokens it writes each token's entry, its TID into
+// sc.tokTID and its vocabulary ids into sc.tokIDs. A word costs one probe
+// of the word table; a word outside it is a content word in neither
+// vocabulary, whose stem is computed into sc.stemBuf and looked up without
+// a copy — or left at match.NoID when stemMisses is false, for the
+// degraded path, which reads only the ids.
+func (rt *Runtime) lookupWords(sc *annScratch, stemMisses bool) {
+	sc.tokTID, sc.tokIDs = sc.tokTID[:0], sc.tokIDs[:0]
 	for i := range sc.tokens {
-		tid := match.NoID
-		if s, ok := sc.contentStem(&sc.tokens[i]); ok {
-			tid = rt.Packs.TIDs.ID(s)
+		e := noEntry
+		if t := &sc.tokens[i]; t.Kind != textproc.Punct && t.Norm != "" {
+			if hit, ok := rt.words[t.Norm]; ok {
+				e = hit
+			} else if stemMisses {
+				sc.stemBuf = stem.AppendStem(sc.stemBuf[:0], t.Norm)
+				e.tid = rt.Packs.TIDs.IDBytes(sc.stemBuf)
+			}
 		}
-		sc.tokTID = append(sc.tokTID, tid)
+		sc.tokTID = append(sc.tokTID, e.tid)
+		sc.tokIDs = append(sc.tokIDs, e.ids)
 	}
 }
 
@@ -183,9 +177,9 @@ const cancelCheckEvery = 64
 // returns ctx.Err() and a nil slice — the caller (internal/serve) decides
 // whether to degrade to the cheap ranking or fail the request.
 //
-// The document is analysed once: stemTokens tokenizes it and stems every
-// token, the detectors read those tokens, and each ranked detection's
-// relevance context is a range of them. The two timed stages of the §VI
+// The document is analysed once: it is tokenized, lookupWords resolves
+// every token's stem TID and vocabulary ids, the detectors read those, and
+// each ranked detection's relevance context is a range of them. The two timed stages of the §VI
 // experiment follow Figure 4: tokenize + stem is the stemmer, everything
 // after it (detection, table lookups, scoring, sorting) the ranker. Both
 // clocks and the byte count are recorded together and only for completed
@@ -199,13 +193,14 @@ func (rt *Runtime) AnnotateCtx(ctx context.Context, text string, topN int) ([]An
 	sc := annPool.Get().(*annScratch)
 	defer annPool.Put(sc)
 	start := time.Now()
-	rt.stemTokens(sc, text) //kwlint:ignore hotpath — stemmer stage: token normalization and memoized Porter stems are the documented per-document budget
+	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0]) //kwlint:ignore hotpath — token normalization (ToLower of mixed-case tokens) is the documented per-document budget
+	rt.lookupWords(sc, true)
 	stemmed := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	sc.dets = rt.Pipeline.DetectTokens(sc.dets[:0], text, sc.tokens)
+	sc.dets = rt.Pipeline.DetectTokens(sc.dets[:0], text, sc.tokens, sc.tokIDs)
 	sc.patterns, sc.ranked = sc.patterns[:0], sc.ranked[:0]
 	for i, d := range sc.dets {
 		if i%cancelCheckEvery == 0 {
@@ -290,29 +285,30 @@ func (rt *Runtime) AnnotateDegraded(text string, topN int) []Annotation {
 	sc := annPool.Get().(*annScratch)
 	defer annPool.Put(sc)
 	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0])
-	sc.dets = rt.Pipeline.DetectTokens(sc.dets[:0], text, sc.tokens)
-	var patterns, ranked []Annotation
+	rt.lookupWords(sc, false)
+	sc.dets = rt.Pipeline.DetectTokens(sc.dets[:0], text, sc.tokens, sc.tokIDs)
+	sc.patterns, sc.ranked = sc.patterns[:0], sc.ranked[:0]
 	for _, d := range sc.dets {
 		if d.Kind == detect.KindPattern {
-			patterns = append(patterns, Annotation{Detection: d})
+			sc.patterns = append(sc.patterns, Annotation{Detection: d})
 			continue
 		}
 		fields, ok := rt.Interest.Fields(d.Norm)
 		if !ok {
 			continue
 		}
-		ranked = append(ranked, Annotation{Detection: d, Score: fields.FreqExact})
+		sc.ranked = append(sc.ranked, Annotation{Detection: d, Score: fields.FreqExact})
 	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].Score != ranked[j].Score {
-			return ranked[i].Score > ranked[j].Score
-		}
-		if ranked[i].Detection.Norm != ranked[j].Detection.Norm {
-			return ranked[i].Detection.Norm < ranked[j].Detection.Norm
-		}
-		return ranked[i].Detection.Start < ranked[j].Detection.Start
+	slices.SortStableFunc(sc.ranked, func(a, b Annotation) int {
+		return cmp.Or(
+			cmp.Compare(b.Score, a.Score),
+			strings.Compare(a.Detection.Norm, b.Detection.Norm),
+			cmp.Compare(a.Detection.Start, b.Detection.Start))
 	})
-	return append(patterns, keepTopConcepts(make(map[string]bool), ranked, topN)...)
+	clear(sc.kept)
+	ranked := keepTopConcepts(sc.kept, sc.ranked, topN)
+	out := make([]Annotation, 0, len(sc.patterns)+len(ranked))
+	return append(append(out, sc.patterns...), ranked...)
 }
 
 // windowTIDs returns the TIDs of the stemmed content words in the context

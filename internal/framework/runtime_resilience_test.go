@@ -20,11 +20,15 @@ import (
 // the degraded ranking have a determinate winner.
 func resilienceRuntime(t testing.TB) *Runtime {
 	t.Helper()
-	store := relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
+	return resilienceRuntimeWith(t, BuildKeywordPacks(relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
 		"alphaword": {{Term: "ctx", Weight: 5}},
 		"betaword":  {{Term: "ctx", Weight: 4}},
-	})
-	packs := BuildKeywordPacks(store)
+	})))
+}
+
+// resilienceRuntimeWith is resilienceRuntime over the given keyword packs.
+func resilienceRuntimeWith(t testing.TB, packs *KeywordPacks) *Runtime {
+	t.Helper()
 	hot := features.Fields{FreqExact: 9, FreqPhraseContained: 10, NumberOfChars: 9, ConceptSize: 1}
 	cold := features.Fields{FreqExact: 1, FreqPhraseContained: 1, NumberOfChars: 8, ConceptSize: 1}
 	table := BuildInterestTable([]string{"alphaword", "betaword"}, func(n string) features.Fields {

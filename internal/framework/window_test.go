@@ -27,15 +27,13 @@ func (rt *Runtime) localTIDs(text string, start, end int) map[uint32]bool {
 // windowRuntime is resilienceRuntime with keyword packs over enough
 // ordinary stems that a window's TID set says something.
 func windowRuntime(t testing.TB) *Runtime {
-	rt := resilienceRuntime(t)
 	var pack corpus.Vector
 	for i, w := range strings.Fields("ctx market report price trade bank rate growth oil share fund storm naïve café 2008 3.5 well-known") {
 		pack = append(pack, corpus.Entry{Term: stem.Stem(w), Weight: float64(1 + i)})
 	}
-	rt.Packs = BuildKeywordPacks(relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
+	return resilienceRuntimeWith(t, BuildKeywordPacks(relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
 		"alphaword": pack, "betaword": pack[:4],
-	}))
-	return rt
+	})))
 }
 
 // checkWindows analyses text as AnnotateCtx does and checks, for the span
@@ -46,7 +44,8 @@ func checkWindows(t *testing.T, rt *Runtime, text string, start, end int) {
 	t.Helper()
 	sc := annPool.Get().(*annScratch)
 	defer annPool.Put(sc)
-	rt.stemTokens(sc, text)
+	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0])
+	rt.lookupWords(sc, true)
 	check := func(start, end int) {
 		t.Helper()
 		lo, hi := relevance.LocalWindow(text, start, end)

@@ -48,6 +48,14 @@ func (v *Vocab) ID(tok string) uint32 {
 	return NoID
 }
 
+// IDBytes is ID for a token held as bytes; the lookup does not copy them.
+func (v *Vocab) IDBytes(tok []byte) uint32 {
+	if id, ok := v.ids[string(tok)]; ok {
+		return id
+	}
+	return NoID
+}
+
 // Len returns the number of interned tokens.
 func (v *Vocab) Len() int { return len(v.toks) }
 

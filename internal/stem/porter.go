@@ -13,16 +13,32 @@ import "strings"
 // lower-case; non-alphabetic input is returned unchanged. Words of length
 // <= 2 are returned unchanged, per the reference implementation.
 func Stem(word string) string {
-	if len(word) <= 2 {
+	var buf [32]byte
+	s := AppendStem(buf[:0], word)
+	if string(s) == word {
 		return word
+	}
+	return string(s)
+}
+
+// AppendStem appends the Porter stem of word to dst and returns the
+// extended slice; Stem is its string form. A stem is never longer than its
+// word and every step rewrites the word in place, so nothing is allocated
+// once dst has room for word, and dst's existing bytes are never touched
+// (FuzzAppendStem checks all three).
+func AppendStem(dst []byte, word string) []byte {
+	n := len(dst)
+	dst = append(dst, word...)
+	if len(word) <= 2 {
+		return dst
 	}
 	for i := 0; i < len(word); i++ {
 		c := word[i]
 		if c < 'a' || c > 'z' {
-			return word
+			return dst
 		}
 	}
-	w := []byte(word)
+	w := dst[n:]
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -31,7 +47,7 @@ func Stem(word string) string {
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
-	return string(w)
+	return dst[:n+len(w)]
 }
 
 // Phrase stems every whitespace-separated word in s, preserving single
@@ -120,22 +136,29 @@ func endsCVC(w []byte) bool {
 }
 
 func hasSuffix(w []byte, s string) bool {
-	return len(w) >= len(s) && string(w[len(w)-len(s):]) == s
+	if len(w) < len(s) {
+		return false
+	}
+	w = w[len(w)-len(s):]
+	for i := range len(s) {
+		if w[i] != s[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // replaceSuffix replaces suffix s with r if the stem before s has measure
-// greater than minM. Returns the (possibly new) word and whether the suffix
-// matched (regardless of whether the replacement fired).
+// greater than minM. Returns the (possibly rewritten) word and whether the
+// suffix matched (regardless of whether the replacement fired). No rule's
+// replacement is longer than its suffix, so r is written over s in place.
 func replaceSuffix(w []byte, s, r string, minM int) ([]byte, bool) {
 	if !hasSuffix(w, s) {
 		return w, false
 	}
 	stem := w[:len(w)-len(s)]
 	if measure(stem) > minM {
-		out := make([]byte, 0, len(stem)+len(r))
-		out = append(out, stem...)
-		out = append(out, r...)
-		return out, true
+		return append(stem, r...), true
 	}
 	return w, true
 }

@@ -168,6 +168,34 @@ func TestStemNeverGrows(t *testing.T) {
 	}
 }
 
+// FuzzAppendStem: AppendStem after any prefix appends exactly Stem(w),
+// never writes into the prefix, and allocates nothing when dst already has
+// room for the word — the contract the runtime's stemming of words outside
+// its word table rests on.
+func FuzzAppendStem(f *testing.F) {
+	for _, w := range []string{"", "a", "hopping", "nationalization", "relational", "sensibiliti", "3.5", "naïve", "HELLO", "agreed", "happy"} {
+		f.Add("prefix ", w)
+	}
+	f.Fuzz(func(t *testing.T, prefix, w string) {
+		want := Stem(w)
+		if len(want) > len(w) {
+			t.Fatalf("Stem(%q) = %q is longer than its word", w, want)
+		}
+		dst := make([]byte, len(prefix), len(prefix)+len(w))
+		copy(dst, prefix)
+		got := AppendStem(dst, w)
+		if string(got[len(prefix):]) != want {
+			t.Fatalf("AppendStem(%q, %q) appended %q, want %q", prefix, w, got[len(prefix):], want)
+		}
+		if string(got[:len(prefix)]) != prefix {
+			t.Fatalf("AppendStem(%q, %q) wrote into the prefix: %q", prefix, w, got[:len(prefix)])
+		}
+		if allocs := testing.AllocsPerRun(1, func() { AppendStem(dst[:len(prefix)], w) }); allocs != 0 {
+			t.Fatalf("AppendStem(%q, %q) with room for the word: %v allocs, want 0", prefix, w, allocs)
+		}
+	})
+}
+
 func BenchmarkStem(b *testing.B) {
 	words := []string{"international", "presidents", "advertisements", "running", "troubled", "electricity"}
 	b.ReportAllocs()

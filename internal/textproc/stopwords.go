@@ -32,6 +32,15 @@ var stopwords = map[string]bool{
 // IsStopword reports whether the normalized word w is a stop-word.
 func IsStopword(w string) bool { return stopwords[w] }
 
+// Stopwords returns the stop-word list, in no fixed order.
+func Stopwords() []string {
+	words := make([]string, 0, len(stopwords))
+	for w := range stopwords {
+		words = append(words, w)
+	}
+	return words
+}
+
 // ContentWords returns the normalized word tokens of text with stop-words
 // removed.
 func ContentWords(text string) []string {
