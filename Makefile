@@ -38,9 +38,10 @@ race:
 # the string-keyed baseline — and Annotate's B/op is capped at 0.50 of its
 # measurement from before the one-pass document analysis (its allocs/op
 # baseline is the value measured after it, under the usual +20%). The
-# parallel sweep benches are floored on parEff-8 (speedup at 8 workers
-# divided by usable cores), the machine-independent form of the
-# ≥2.8×-on-8-cores scaling contract. Ingest's docs-per-sec is floored at the
+# parallel sweep benches set GOMAXPROCS, the width every offline stage fans
+# out to, and are floored on parEff-8 (speedup at GOMAXPROCS 8 over the
+# GOMAXPROCS-1 run less its GC mark CPU, divided by usable cores), the
+# machine-independent form of the ≥2.8×-on-8-cores scaling contract. Ingest's docs-per-sec is floored at the
 # 2,000 docs/sec streaming-ingest bar; its read-p99-ratio (p99 read latency
 # during a major merge over frozen-only p99) lands in BENCH.json, measured,
 # not guarded. The two request-path benchmarks carry the wire codec's
@@ -113,8 +114,11 @@ chaos:
 # values, same failing call, never a panic, from any bit offset) — and
 # stem.AppendStem, which the runtime stems words outside its word table
 # with (after any prefix it appends exactly Stem(w), leaves the prefix
-# alone, and allocates nothing when dst has room). Their seed corpora also
-# run under plain `go test`.
+# alone, and allocates nothing when dst has room) — and the shard's
+# forwarded X-Deadline-Ms (serve.Server.requestCtx: any header, never a
+# deadline past the Timeout, the earlier of the two for a budget that fits
+# a time.Duration, and an unusable value leaves the Timeout policy alone). Their seed corpora also run under plain
+# `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPatternGate$$' -fuzztime $(FUZZTIME) ./internal/detect
@@ -124,6 +128,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRead$$' -fuzztime $(FUZZTIME) ./internal/golomb
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendStem$$' -fuzztime $(FUZZTIME) ./internal/stem
+	$(GO) test -run '^$$' -fuzz '^FuzzForwardedDeadline$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # examples/ may import the product; the product may not import examples/.
 # The click graph, the personalization library and the weekly query-log

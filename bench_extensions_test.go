@@ -69,15 +69,8 @@ func BenchmarkExtensionBundleSaveLoad(b *testing.B) {
 	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		b.Fatal(err)
 	}
-	names := make([]string, len(s.World.Concepts))
-	for i := range s.World.Concepts {
-		names[i] = s.World.Concepts[i].Name
-	}
-	bundle := &framework.Bundle{
-		Interest: framework.BuildInterestTable(names, s.Fields),
-		Packs:    framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets)),
-		Model:    learned.Model(),
-	}
+	rt := s.NewRuntime(learned.Model())
+	bundle := &framework.Bundle{Interest: rt.Interest, Packs: rt.Packs, Model: rt.Model}
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,6 +11,7 @@ package contextrank
 // EXPERIMENTS.md).
 
 import (
+	"runtime"
 	"testing"
 
 	"contextrank/internal/clicksim"
@@ -190,13 +191,7 @@ func buildRuntime(b *testing.B) (*framework.Runtime, []newsgen.Story) {
 	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		b.Fatal(err)
 	}
-	names := make([]string, len(s.World.Concepts))
-	for i := range s.World.Concepts {
-		names[i] = s.World.Concepts[i].Name
-	}
-	table := framework.BuildInterestTable(names, func(n string) features.Fields { return s.Fields(n) })
-	packs := framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets))
-	rt := framework.NewRuntime(s.Pipeline, table, packs, learned.Model())
+	rt := s.NewRuntime(learned.Model())
 	docs := newsgen.Generate(s.World, newsgen.Config{Seed: 4242, NumStories: 50, MinSentences: 12, MaxSentences: 24})
 	return rt, docs
 }
@@ -299,7 +294,7 @@ func BenchmarkAblationWeightedVsPlain(b *testing.B) {
 	groups := s.Dataset(nil)
 	m := &experiments.ConceptVectorMethod{Scorer: experiments.Baseline(s)}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrossValidate(groups, m, 5, 42, 1)
+		res, err := experiments.CrossValidate(groups, m, 5, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -317,11 +312,11 @@ func BenchmarkAblationBubbleUp(b *testing.B) {
 	without := &experiments.ConceptVectorMethod{Scorer: conceptvec.New(
 		s.Engine.IDF, s.Units, conceptvec.Options{DisableBubbleUp: true})}
 	for i := 0; i < b.N; i++ {
-		rw, err := experiments.CrossValidate(groups, with, 5, 42, 1)
+		rw, err := experiments.CrossValidate(groups, with, 5, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ro, err := experiments.CrossValidate(groups, without, 5, 42, 1)
+		ro, err := experiments.CrossValidate(groups, without, 5, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -353,11 +348,11 @@ func BenchmarkAblationWindowing(b *testing.B) {
 	}
 
 	for i := 0; i < b.N; i++ {
-		rw, err := experiments.CrossValidate(windowed, m, 5, 42, 1)
+		rw, err := experiments.CrossValidate(windowed, m, 5, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ro, err := experiments.CrossValidate(wholeGroups, m, 5, 42, 1)
+		ro, err := experiments.CrossValidate(wholeGroups, m, 5, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -422,9 +417,11 @@ func BenchmarkBuildFeatures(b *testing.B) {
 	for i := range s.World.Concepts {
 		names[i] = s.World.Concepts[i].Name
 	}
+	setGOMAXPROCS(b, 1) // serial: allocs/op is guarded per concept, not per fan-out
+	runtime.GC()        // finish the build's GC cycle before the timed loop shares its one P
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Extractor.BatchFields(names, 1)
+		s.Extractor.BatchFields(names)
 	}
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|table2|table3|table4|table5|table6|fig1|fig2|fig3|production|datastats|framework|featureselection|senses|online] [-seed N] [-scale small|paper] [-workers N]
+//	experiments [-run all|table2|table3|table4|table5|table6|fig1|fig2|fig3|production|datastats|framework|featureselection|senses|online] [-seed N] [-scale small|paper]
 package main
 
 import (
@@ -26,7 +26,6 @@ func main() {
 	which := flag.String("run", "all", "which experiment to run")
 	seed := flag.Int64("seed", 42, "master seed")
 	scale := flag.String("scale", "paper", "world scale: small|paper")
-	workers := flag.Int("workers", 0, "worker goroutines per parallel stage (1 = serial, 0 = all cores); results are identical for every value")
 	flag.Parse()
 
 	var cfg core.Config
@@ -39,7 +38,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	cfg.Workers = *workers
 	if err := run(os.Stdout, cfg, *scale, *which); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 
 // TestSmallScaleGolden pins the whole harness at small scale: every line
 // `experiments -scale small -seed 42` prints, less the one wall-clock line,
-// byte-for-byte against the checked-in golden — serially and at all cores,
-// so it is also the N workers ≡ 1 pin for every table at once. A refactor
+// byte-for-byte against the checked-in golden — at GOMAXPROCS 1 and at all
+// cores, so it is also the N workers ≡ 1 pin for every table at once. A refactor
 // must not move it; a deliberate change to a table regenerates the file:
 //
 //	go run ./cmd/experiments -scale small -seed 42 | grep -v '^  throughput:' > cmd/experiments/testdata/small_seed42.golden
@@ -25,11 +26,11 @@ func TestSmallScaleGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(string(golden), "\n")
-	for _, workers := range []int{1, 0} {
-		cfg := contextrank.SmallConfig(42)
-		cfg.Workers = workers
+	for _, procs := range []int{1, runtime.NumCPU()} {
+		prev := runtime.GOMAXPROCS(procs)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 		var out bytes.Buffer
-		if err := run(&out, cfg, "small", "all"); err != nil {
+		if err := run(&out, contextrank.SmallConfig(42), "small", "all"); err != nil {
 			t.Fatal(err)
 		}
 		var got []string
@@ -39,11 +40,11 @@ func TestSmallScaleGolden(t *testing.T) {
 			}
 		}
 		if len(got) != len(want) {
-			t.Errorf("workers=%d: %d lines, golden has %d", workers, len(got), len(want))
+			t.Errorf("GOMAXPROCS=%d: %d lines, golden has %d", procs, len(got), len(want))
 		}
 		for i := 0; i < len(got) && i < len(want); i++ {
 			if got[i] != want[i] {
-				t.Errorf("workers=%d line %d:\n got %q\nwant %q", workers, i+1, got[i], want[i])
+				t.Errorf("GOMAXPROCS=%d line %d:\n got %q\nwant %q", procs, i+1, got[i], want[i])
 			}
 		}
 	}

@@ -43,7 +43,6 @@ func main() {
 	concepts := flag.Int("concepts", 1200, "world concept count")
 	batch := flag.Int("batch", 64, "stories per feed batch (one Commit per batch)")
 	total := flag.Int("total", 20000, "stop after this many ingested docs (0 = endless)")
-	workers := flag.Int("workers", 0, "compaction worker count (0 = all cores)")
 	probes := flag.Int("probes", 2, "concurrent read-probe goroutines (0 = none)")
 	flag.Parse()
 
@@ -53,7 +52,6 @@ func main() {
 		Vocab:    *vocab,
 		Concepts: *concepts,
 		Batch:    *batch,
-		Workers:  *workers,
 		Probes:   *probes,
 	})
 	if err != nil {
@@ -102,7 +100,6 @@ type pipelineConfig struct {
 	Vocab    int // world vocabulary size (0 = small test world)
 	Concepts int
 	Batch    int
-	Workers  int
 	Probes   int
 }
 
@@ -133,7 +130,7 @@ func newPipeline(cfg pipelineConfig) (*pipeline, error) {
 	})
 	// BuildCorpus compresses the base corpus into the frozen base segment;
 	// the engine it returns takes streamed appends like any other.
-	e := searchsim.BuildCorpus(w, searchsim.CorpusConfig{Seed: cfg.Seed + 1, Workers: cfg.Workers})
+	e := searchsim.BuildCorpus(w, searchsim.CorpusConfig{Seed: cfg.Seed + 1})
 	p := &pipeline{
 		engine: e,
 		feed:   newsgen.NewFeed(w, newsgen.Config{Seed: cfg.Seed + 2}, cfg.Batch),
@@ -142,14 +139,14 @@ func newPipeline(cfg pipelineConfig) (*pipeline, error) {
 		start:  time.Now(),
 	}
 
-	// Background compactor: fold eligible segment runs whenever they appear.
-	// Compact itself admits one compactor and never blocks readers; the
-	// sleep just keeps the idle loop off the CPU.
+	// Background compactor: fold eligible segment runs whenever they appear,
+	// fanned out to GOMAXPROCS. Compact itself admits one compactor and never
+	// blocks readers; the sleep just keeps the idle loop off the CPU.
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
 		for !p.stopped.Load() {
-			if !p.engine.Compact(cfg.Workers) {
+			if !p.engine.Compact(0) {
 				time.Sleep(2 * time.Millisecond)
 			}
 		}

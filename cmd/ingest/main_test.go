@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"contextrank/internal/newsgen"
@@ -10,15 +11,19 @@ import (
 	"contextrank/internal/world"
 )
 
-// testConfig is a small world so the smoke tests run in well under a second.
-func testConfig() pipelineConfig {
-	return pipelineConfig{Seed: 7, Vocab: 800, Concepts: 60, Batch: 16, Workers: 2, Probes: 2}
+// testConfig is a small world so the smoke tests run in well under a second,
+// with the background compactor merging at width 2: it sets GOMAXPROCS, the
+// width Compact(0) fans out to, until the test ends.
+func testConfig(t *testing.T) pipelineConfig {
+	prev := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	return pipelineConfig{Seed: 7, Vocab: 800, Concepts: 60, Batch: 16, Probes: 2}
 }
 
 // The pipeline must ingest the requested doc count through the live tier
 // while probes read concurrently, and surface the counters in /statz.
 func TestPipelineIngestsAndReports(t *testing.T) {
-	p, err := newPipeline(testConfig())
+	p, err := newPipeline(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +65,7 @@ func TestPipelineIngestsAndReports(t *testing.T) {
 // searchsim ingest differential, here with the real feed and background
 // compaction racing the appends.
 func TestPipelineMatchesFromScratch(t *testing.T) {
-	cfg := testConfig()
+	cfg := testConfig(t)
 	p, err := newPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +76,12 @@ func TestPipelineMatchesFromScratch(t *testing.T) {
 	p.wait()
 
 	// Rebuild the identical doc stream: same base corpus, same feed prefix,
-	// replayed serially with a single commit and no compaction racing it.
+	// replayed serially (GOMAXPROCS 1) with a single commit and no
+	// compaction racing it.
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	w := world.New(world.Config{Seed: cfg.Seed, VocabSize: cfg.Vocab, NumConcepts: cfg.Concepts})
-	want := searchsim.BuildCorpus(w, searchsim.CorpusConfig{Seed: cfg.Seed + 1, Workers: 1})
+	want := searchsim.BuildCorpus(w, searchsim.CorpusConfig{Seed: cfg.Seed + 1})
 	feed := newsgen.NewFeed(w, newsgen.Config{Seed: cfg.Seed + 2}, cfg.Batch)
 	added := 0
 	for added < total {

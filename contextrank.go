@@ -107,19 +107,7 @@ func (s *System) TrainRanker() (*Ranker, error) {
 	if err := method.Fit(s.sys.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		return nil, fmt.Errorf("contextrank: train: %w", err)
 	}
-
-	// Pack the offline tables around the trained model.
-	names := make([]string, len(s.sys.World.Concepts))
-	for i := range s.sys.World.Concepts {
-		names[i] = s.sys.World.Concepts[i].Name
-	}
-	// Extract every concept's features across workers before the serial
-	// table pack (the cached lookups below then hit the warm cache).
-	s.sys.WarmFields(names)
-	table := framework.BuildInterestTable(names, s.sys.Fields)
-	packs := framework.BuildKeywordPacks(s.sys.RelevanceStore(relevance.Snippets))
-	rt := framework.NewRuntime(s.sys.Pipeline, table, packs, method.Model())
-	return &Ranker{runtime: rt}, nil
+	return &Ranker{runtime: s.sys.NewRuntime(method.Model())}, nil
 }
 
 // LoadBundle restores a complete offline artifact (interestingness table,

@@ -2,7 +2,7 @@ package contextrank
 
 // The detection-hot-path differential: the trie-matcher pipeline and the
 // annotation cache must produce bit-identical serving responses regardless
-// of how many workers built the offline artifacts. Any worker-count
+// of the GOMAXPROCS the offline artifacts were built at. Any width
 // dependence in vocabulary interning, trie compilation, or pack building —
 // and any cache bug that serves stale or re-encoded bytes — shows up as a
 // byte diff here.
@@ -12,12 +12,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"contextrank/internal/annotate"
 	"contextrank/internal/core"
-	"contextrank/internal/features"
-	"contextrank/internal/framework"
 	"contextrank/internal/newsgen"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
@@ -25,25 +24,16 @@ import (
 )
 
 // buildAnnotateStack assembles the full serving stack (runtime + cache +
-// HTTP surface) from a system built with the given worker count.
-func buildAnnotateStack(t *testing.T, workers int) (*serve.Server, []newsgen.Story) {
+// HTTP surface) from a system built at the current GOMAXPROCS.
+func buildAnnotateStack(t *testing.T) (*serve.Server, []newsgen.Story) {
 	t.Helper()
-	cfg := SmallConfig(42)
-	cfg.Workers = workers
-	sys := Build(cfg)
+	sys := Build(SmallConfig(42))
 	s := sys.Internal()
 	learned := &core.LearnedMethod{UseRelevance: true, Resource: relevance.Snippets, Options: ranksvm.Options{Seed: 42}}
 	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(s.World.Concepts))
-	for i := range s.World.Concepts {
-		names[i] = s.World.Concepts[i].Name
-	}
-	table := framework.BuildInterestTable(names, func(n string) features.Fields { return s.Fields(n) })
-	packs := framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets))
-	rt := framework.NewRuntime(s.Pipeline, table, packs, learned.Model())
-	srv := serve.NewServer(rt, annotate.NewRenderer(&annotate.DefaultProvider{}))
+	srv := serve.NewServer(s.NewRuntime(learned.Model()), annotate.NewRenderer(&annotate.DefaultProvider{}))
 	srv.Cache = serve.NewCache(256)
 	docs := newsgen.Generate(s.World, newsgen.Config{Seed: 4242, NumStories: 12, MinSentences: 8, MaxSentences: 16})
 	return srv, docs
@@ -69,30 +59,31 @@ func TestAnnotateResponsesEqualAcrossWorkers(t *testing.T) {
 		t.Skip("builds three systems; skipped in -short")
 	}
 	var ref [][]byte
-	var refWorkers int
-	for _, workers := range []int{1, 4, 0} {
-		srv, docs := buildAnnotateStack(t, workers)
+	var refProcs int
+	for _, procs := range []int{1, 4, runtime.NumCPU()} {
+		setGOMAXPROCS(t, procs)
+		srv, docs := buildAnnotateStack(t)
 		h := srv.Handler()
 		bodies := make([][]byte, len(docs))
 		for i, d := range docs {
 			cold := postAnnotate(t, h, d.Text)
 			hit := postAnnotate(t, h, d.Text)
 			if !bytes.Equal(cold, hit) {
-				t.Fatalf("workers=%d story %d: cache hit differs from cold response:\ncold %s\nhit  %s", workers, d.ID, cold, hit)
+				t.Fatalf("GOMAXPROCS=%d story %d: cache hit differs from cold response:\ncold %s\nhit  %s", procs, d.ID, cold, hit)
 			}
 			bodies[i] = cold
 		}
 		if st := srv.Cache.Stats(); st.Hits != int64(len(docs)) {
-			t.Fatalf("workers=%d: expected %d cache hits, got %+v", workers, len(docs), st)
+			t.Fatalf("GOMAXPROCS=%d: expected %d cache hits, got %+v", procs, len(docs), st)
 		}
 		if ref == nil {
-			ref, refWorkers = bodies, workers
+			ref, refProcs = bodies, procs
 			continue
 		}
 		for i := range bodies {
 			if !bytes.Equal(bodies[i], ref[i]) {
-				t.Fatalf("story %d: workers=%d response differs from workers=%d:\n%s\nvs\n%s",
-					docs[i].ID, workers, refWorkers, bodies[i], ref[i])
+				t.Fatalf("story %d: GOMAXPROCS=%d response differs from GOMAXPROCS=%d:\n%s\nvs\n%s",
+					docs[i].ID, procs, refProcs, bodies[i], ref[i])
 			}
 		}
 	}

@@ -22,12 +22,16 @@ import (
 	"contextrank/internal/units"
 )
 
-// Options are the threshold knobs of §II-B. Zero values select defaults.
+// The fixed thresholds of §II-B: vector weights below punishThreshold are
+// multiplied by punishFactor.
+const (
+	punishThreshold = 0.2
+	punishFactor    = 0.5
+)
+
+// Options are the tunable threshold knobs of §II-B. Zero values select
+// defaults.
 type Options struct {
-	// PunishThreshold: weights below this are multiplied by PunishFactor.
-	PunishThreshold float64 // default 0.2
-	// PunishFactor multiplies punished weights.
-	PunishFactor float64 // default 0.5
 	// RemoveThreshold: weights below this after punishment are dropped.
 	RemoveThreshold float64 // default 0.05
 	// TermOnlyPunish multiplies the weight of terms that appear in the term
@@ -39,12 +43,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.PunishThreshold == 0 {
-		o.PunishThreshold = 0.2
-	}
-	if o.PunishFactor == 0 {
-		o.PunishFactor = 0.5
-	}
 	if o.RemoveThreshold == 0 {
 		o.RemoveThreshold = 0.05
 	}
@@ -80,7 +78,7 @@ func (s *Scorer) ConceptVector(text string) corpus.Vector {
 
 	// Step 1: term vector.
 	termVec := corpus.NormalizeMax(corpus.TFIDF(s.idf, content))
-	termVec = corpus.PunishBelow(termVec, s.opts.PunishThreshold, s.opts.PunishFactor, s.opts.RemoveThreshold)
+	termVec = corpus.PunishBelow(termVec, punishThreshold, punishFactor, s.opts.RemoveThreshold)
 	termW := termVec.Map()
 
 	// Step 2: unit vector over all units found in the document (counting a
@@ -97,7 +95,7 @@ func (s *Scorer) ConceptVector(text string) corpus.Vector {
 			uv = append(uv, corpus.Entry{Term: t, Weight: w})
 		}
 		uv = corpus.NormalizeMax(uv)
-		uv = corpus.PunishBelow(uv, s.opts.PunishThreshold, s.opts.PunishFactor, s.opts.RemoveThreshold)
+		uv = corpus.PunishBelow(uv, punishThreshold, punishFactor, s.opts.RemoveThreshold)
 		unitW = uv.Map()
 	}
 

@@ -11,21 +11,15 @@ import (
 
 // Method is one ranking approach under evaluation. Fit is called with the
 // training fold (static baselines ignore it); Score returns one predicted
-// score per example in the group, higher = ranked earlier.
+// score per example in the group, higher = ranked earlier. CloneMethod
+// hands out an independent copy for a concurrent cross-validation fold: a
+// fresh, unfitted method sharing the receiver's read-only configuration and
+// resources but none of its fitted or stream state, whose Fit/Score
+// sequence produces exactly what the receiver's would.
 type Method interface {
 	Name() string
 	Fit(train []Group) error
 	Score(g *Group) []float64
-}
-
-// Cloneable is implemented by methods that can hand out independent copies
-// of themselves for concurrent cross-validation folds: the clone shares the
-// method's read-only configuration and resources but none of its fitted or
-// stream state. LearnedMethod and every method of internal/experiments
-// implement it; a method that does not is evaluated with serial folds.
-type Cloneable interface {
-	// CloneMethod returns a fresh, unfitted copy whose Fit/Score sequence
-	// produces exactly what the receiver's would.
 	CloneMethod() Method
 }
 
@@ -65,7 +59,7 @@ func (m *LearnedMethod) Name() string {
 	return "Interestingness Model"
 }
 
-// CloneMethod implements Cloneable: the clone shares the read-only
+// CloneMethod implements Method: the clone shares the read-only
 // configuration (the FeatureGroups mask is never mutated) but not the
 // fitted model.
 func (m *LearnedMethod) CloneMethod() Method {

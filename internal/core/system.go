@@ -13,8 +13,10 @@ import (
 	"contextrank/internal/clicksim"
 	"contextrank/internal/detect"
 	"contextrank/internal/features"
+	"contextrank/internal/framework"
 	"contextrank/internal/newsgen"
 	"contextrank/internal/querylog"
+	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
 	"contextrank/internal/searchsim"
 	"contextrank/internal/taxonomy"
@@ -35,14 +37,6 @@ type Config struct {
 	Wiki     wiki.Config
 	News     newsgen.Config
 	Click    clicksim.Config
-
-	// Workers bounds the fan-out of every parallel stage (corpus build,
-	// feature extraction, relevance mining, cross-validation folds,
-	// per-story judging): 1 forces fully serial execution, 0 selects all
-	// cores (runtime.NumCPU). Every stage collects results in input order
-	// from per-index derived seeds, so all values produce bit-identical
-	// output — the knob trades wall-clock for cores, never results.
-	Workers int
 }
 
 func (c Config) withDerivedSeeds() Config {
@@ -54,9 +48,6 @@ func (c Config) withDerivedSeeds() Config {
 	}
 	if c.Corpus.Seed == 0 {
 		c.Corpus.Seed = c.Seed + 3
-	}
-	if c.Corpus.Workers == 0 {
-		c.Corpus.Workers = c.Workers
 	}
 	if c.Wiki.Seed == 0 {
 		c.Wiki.Seed = c.Seed + 4
@@ -150,7 +141,7 @@ func (s *System) Fields(concept string) features.Fields {
 }
 
 // WarmFields batch-extracts the feature records of every listed concept
-// not already cached, fanning the extraction across Config.Workers. The
+// not already cached, fanning the extraction across GOMAXPROCS. The
 // cache ends up in the same state as serial lazy filling — warming is a
 // pure wall-clock optimization.
 func (s *System) WarmFields(concepts []string) {
@@ -169,7 +160,7 @@ func (s *System) WarmFields(concepts []string) {
 	if len(missing) == 0 {
 		return
 	}
-	fields := s.Extractor.BatchFields(missing, s.Config.Workers)
+	fields := s.Extractor.BatchFields(missing)
 	s.cacheMu.Lock()
 	for i, c := range missing {
 		s.fieldsCache[c] = fields[i]
@@ -181,17 +172,34 @@ func (s *System) WarmFields(concepts []string) {
 // resource, mined over every concept that appears in the click data plus
 // every world concept (so unseen test concepts are covered too). Safe for
 // concurrent callers: the first one builds (itself fanning out across
-// Config.Workers) while the rest wait; builds for different resources do
-// not block each other.
+// GOMAXPROCS) while the rest wait; builds for different resources do not
+// block each other.
 func (s *System) RelevanceStore(r relevance.Resource) *relevance.Store {
 	s.relOnce[r].Do(func() {
-		names := make([]string, len(s.World.Concepts))
-		for i := range s.World.Concepts {
-			names[i] = s.World.Concepts[i].Name
-		}
-		s.relStores[r] = relevance.BuildStore(s.Miner, names, r, s.Config.Workers)
+		s.relStores[r] = relevance.BuildStore(s.Miner, s.conceptNames(), r)
 	})
 	return s.relStores[r]
+}
+
+// NewRuntime assembles the §VI production runtime around a fitted model:
+// every world concept's feature record (warmed across GOMAXPROCS before
+// the serial table pack) in the interestingness table, the snippet-mined
+// keyword packs, and the detection pipeline.
+func (s *System) NewRuntime(model *ranksvm.Model) *framework.Runtime {
+	names := s.conceptNames()
+	s.WarmFields(names)
+	table := framework.BuildInterestTable(names, s.Fields)
+	packs := framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets))
+	return framework.NewRuntime(s.Pipeline, table, packs, model)
+}
+
+// conceptNames lists the world's concepts in inventory order.
+func (s *System) conceptNames() []string {
+	names := make([]string, len(s.World.Concepts))
+	for i := range s.World.Concepts {
+		names[i] = s.World.Concepts[i].Name
+	}
+	return names
 }
 
 // DataStats reproduces the §V-A.1 data description: stories, concepts,

@@ -50,13 +50,11 @@ type foldEval struct {
 // once per fold too (a no-op) so the same code path measures everything.
 // The NDCG bucketizer is built from all CTRs in the dataset.
 //
-// The folds fan out across workers (par.Workers semantics: 1 = serial,
-// 0 = all cores). Each fold fits its own clone of the method (see
-// core.Cloneable) and evaluates its test groups in index order; the per-fold
-// partials are merged in fold order, so the result is bit-identical for
-// every worker count. Methods that do not implement Cloneable fall back to
-// serial folds.
-func CrossValidate(groups []core.Group, m core.Method, folds int, seed int64, workers int) (Result, error) {
+// The folds fan out across GOMAXPROCS workers. Each fold fits its own
+// clone of the method (Method.CloneMethod) and evaluates its test groups in
+// index order; the per-fold partials are merged in fold order, so the
+// result is bit-identical at any GOMAXPROCS.
+func CrossValidate(groups []core.Group, m core.Method, folds int, seed int64) (Result, error) {
 	if folds <= 0 {
 		folds = 5
 	}
@@ -64,16 +62,8 @@ func CrossValidate(groups []core.Group, m core.Method, folds int, seed int64, wo
 	judge := bucketizer.Judgement
 	foldIdx := eval.KFold(len(groups), folds, seed)
 
-	cloner, cloneable := m.(core.Cloneable)
-	if !cloneable {
-		workers = 1
-	}
-
 	evalFold := func(f int) (foldEval, error) {
-		method := m
-		if cloneable {
-			method = cloner.CloneMethod()
-		}
+		method := m.CloneMethod()
 		test := foldIdx[f]
 		train := without(groups, test)
 		fe := foldEval{ndcgSum: make(map[int]float64, len(NDCGKs))}
@@ -93,7 +83,7 @@ func CrossValidate(groups []core.Group, m core.Method, folds int, seed int64, wo
 		return fe, nil
 	}
 
-	partials, err := par.MapErr(workers, len(foldIdx), evalFold)
+	partials, err := par.MapErr(0, len(foldIdx), evalFold)
 	if err != nil {
 		return Result{}, err
 	}

@@ -39,15 +39,15 @@ func TestMethodOrdering(t *testing.T) {
 	s := testSystem(t)
 	groups := s.Dataset([]relevance.Resource{relevance.Snippets})
 
-	random, err := CrossValidate(groups, &RandomMethod{Seed: 1}, 5, 2, 1)
+	random, err := CrossValidate(groups, &RandomMethod{Seed: 1}, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := CrossValidate(groups, &ConceptVectorMethod{Scorer: Baseline(s)}, 5, 2, 1)
+	baseline, err := CrossValidate(groups, &ConceptVectorMethod{Scorer: Baseline(s)}, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	interest, err := CrossValidate(groups, &core.LearnedMethod{Options: ranksvm.Options{Seed: 3}}, 5, 2, 1)
+	interest, err := CrossValidate(groups, &core.LearnedMethod{Options: ranksvm.Options{Seed: 3}}, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestMethodOrdering(t *testing.T) {
 		UseRelevance: true,
 		Resource:     relevance.Snippets,
 		Options:      ranksvm.Options{Seed: 3},
-	}, 5, 2, 1)
+	}, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestRelevanceMethodBeatsRandom(t *testing.T) {
 	}
 	s := testSystem(t)
 	groups := s.Dataset([]relevance.Resource{relevance.Snippets})
-	random, _ := CrossValidate(groups, &RandomMethod{Seed: 1}, 5, 2, 1)
-	rel, err := CrossValidate(groups, &RelevanceMethod{Resource: relevance.Snippets}, 5, 2, 1)
+	random, _ := CrossValidate(groups, &RandomMethod{Seed: 1}, 5, 2)
+	rel, err := CrossValidate(groups, &RelevanceMethod{Resource: relevance.Snippets}, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestRelevanceMethodBeatsRandom(t *testing.T) {
 func TestRandomMethodDeterministic(t *testing.T) {
 	s := testSystem(t)
 	groups := s.Dataset(nil)
-	r1, _ := CrossValidate(groups[:20], &RandomMethod{Seed: 9}, 5, 1, 1)
-	r2, _ := CrossValidate(groups[:20], &RandomMethod{Seed: 9}, 5, 1, 1)
+	r1, _ := CrossValidate(groups[:20], &RandomMethod{Seed: 9}, 5, 1)
+	r2, _ := CrossValidate(groups[:20], &RandomMethod{Seed: 9}, 5, 1)
 	if r1.WeightedErrorRate != r2.WeightedErrorRate { //kwlint:ignore floatcompare — determinism test asserts bit-exact replay under a fixed seed
 		t.Fatal("random method not deterministic under fixed seed")
 	}

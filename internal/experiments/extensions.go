@@ -33,14 +33,14 @@ func FeatureSelection(s *core.System, folds int, seed int64) (selected, withElim
 			}
 		}
 	}
-	extended := s.Extractor.BatchExtended(names, s.Config.Workers)
+	extended := s.Extractor.BatchExtended(names)
 	for gi := range groups {
 		for ei := range groups[gi].Examples {
 			ex := &groups[gi].Examples[ei]
 			ex.Extended = extended[index[ex.Concept.Name]]
 		}
 	}
-	c := cv{groups: groups, folds: folds, seed: seed, workers: 1}
+	c := cv{groups: groups, folds: folds, seed: seed}
 	selected = c.run(&core.LearnedMethod{Options: ranksvm.Options{Seed: seed}})
 	withEliminated = c.run(&core.LearnedMethod{
 		Label:         "All Features + Eliminated Candidates",

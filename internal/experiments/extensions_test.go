@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"contextrank/internal/core"
-	"contextrank/internal/features"
-	"contextrank/internal/framework"
 	"contextrank/internal/newsgen"
 	"contextrank/internal/online"
 	"contextrank/internal/ranksvm"
@@ -63,13 +61,7 @@ func TestRunBreakingNews(t *testing.T) {
 	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(s.World.Concepts))
-	for i := range s.World.Concepts {
-		names[i] = s.World.Concepts[i].Name
-	}
-	table := framework.BuildInterestTable(names, func(n string) features.Fields { return s.Fields(n) })
-	packs := framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets))
-	rt := framework.NewRuntime(s.Pipeline, table, packs, learned.Model())
+	rt := s.NewRuntime(learned.Model())
 
 	// Pick a cold, detectable concept and compose a document mentioning it
 	// alongside hot concepts.

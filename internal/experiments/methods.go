@@ -19,7 +19,7 @@ type RandomMethod struct {
 // Name implements Method.
 func (m *RandomMethod) Name() string { return "Random" }
 
-// CloneMethod implements Cloneable: the clone re-derives its stream from
+// CloneMethod implements Method: the clone re-derives its stream from
 // the seed, exactly as Fit resets the receiver's.
 func (m *RandomMethod) CloneMethod() core.Method { return &RandomMethod{Seed: m.Seed} }
 
@@ -50,7 +50,7 @@ type ConceptVectorMethod struct {
 // Name implements Method.
 func (m *ConceptVectorMethod) Name() string { return "Concept Vector Score" }
 
-// CloneMethod implements Cloneable (the scorer is stateless and shared).
+// CloneMethod implements Method (the scorer is stateless and shared).
 func (m *ConceptVectorMethod) CloneMethod() core.Method {
 	return &ConceptVectorMethod{Scorer: m.Scorer}
 }
@@ -80,7 +80,7 @@ type RelevanceMethod struct {
 // Name implements Method.
 func (m *RelevanceMethod) Name() string { return "Relevance (" + m.Resource.String() + ")" }
 
-// CloneMethod implements Cloneable (the method is static configuration).
+// CloneMethod implements Method (the method is static configuration).
 func (m *RelevanceMethod) CloneMethod() core.Method { c := *m; return &c }
 
 // Fit implements Method (static).

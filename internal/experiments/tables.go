@@ -57,14 +57,13 @@ func Table2(s *core.System, k int) (top, bottom []Table2Row) {
 }
 
 // cv cross-validates methods over one dataset with one protocol — the
-// tables' folds and seed, the system's workers — and keeps the first error:
-// once a run has failed the later ones are skipped and return a zero Result.
+// tables' folds and seed — and keeps the first error: once a run has failed
+// the later ones are skipped and return a zero Result.
 type cv struct {
-	groups  []core.Group
-	folds   int
-	seed    int64
-	workers int
-	err     error
+	groups []core.Group
+	folds  int
+	seed   int64
+	err    error
 }
 
 func (c *cv) run(m core.Method) Result {
@@ -72,7 +71,7 @@ func (c *cv) run(m core.Method) Result {
 		return Result{}
 	}
 	var r Result
-	r, c.err = CrossValidate(c.groups, m, c.folds, c.seed, c.workers)
+	r, c.err = CrossValidate(c.groups, m, c.folds, c.seed)
 	return r
 }
 
@@ -88,7 +87,7 @@ type Table3Rows struct {
 // Table3 reproduces Table III (and Figure 1, via the NDCG fields of the
 // results): 5-fold CV of the ranking SVM over interestingness features.
 func Table3(s *core.System, folds int, seed int64) (Table3Rows, error) {
-	c := cv{groups: s.Dataset(nil), folds: folds, seed: seed, workers: s.Config.Workers}
+	c := cv{groups: s.Dataset(nil), folds: folds, seed: seed}
 	out := Table3Rows{
 		Random:        c.run(&RandomMethod{Seed: seed}),
 		ConceptVector: c.run(&ConceptVectorMethod{Scorer: Baseline(s)}),
@@ -116,7 +115,7 @@ type Table4Rows struct {
 // score, one run per mining resource; no model is trained.
 func Table4(s *core.System, folds int, seed int64) (Table4Rows, error) {
 	resources := []relevance.Resource{relevance.Snippets, relevance.Prisma, relevance.Suggestions}
-	c := cv{groups: s.Dataset(resources), folds: folds, seed: seed, workers: s.Config.Workers}
+	c := cv{groups: s.Dataset(resources), folds: folds, seed: seed}
 	out := Table4Rows{
 		Random:        c.run(&RandomMethod{Seed: seed}),
 		ConceptVector: c.run(&ConceptVectorMethod{Scorer: Baseline(s)}),
@@ -141,7 +140,7 @@ type Table5Rows struct {
 // Table5 reproduces Table V: all interestingness features plus the
 // snippet-based relevance score, with relevance tie-breaking.
 func Table5(s *core.System, folds int, seed int64) (Table5Rows, error) {
-	c := cv{groups: s.Dataset([]relevance.Resource{relevance.Snippets}), folds: folds, seed: seed, workers: s.Config.Workers}
+	c := cv{groups: s.Dataset([]relevance.Resource{relevance.Snippets}), folds: folds, seed: seed}
 	out := Table5Rows{
 		Random:        c.run(&RandomMethod{Seed: seed}),
 		ConceptVector: c.run(&ConceptVectorMethod{Scorer: Baseline(s)}),
@@ -234,11 +233,11 @@ func Table6(s *core.System, cfg EditorialConfig) (Table6Rows, error) {
 
 // judgeTopK ranks each story's entities with the method and has a
 // three-judge panel rate the top k (majority-pooled). Stories fan out
-// across Config.Workers; each story's panel draws its seed from
-// (panelSeed, story index), so the tally is bit-identical at any worker
-// count. The method is only read (Score), never fitted, inside the loop.
+// across GOMAXPROCS workers; each story's panel draws its seed from
+// (panelSeed, story index), so the tally is bit-identical at any width.
+// The method is only read (Score), never fitted, inside the loop.
 func judgeTopK(s *core.System, stories []newsgen.Story, m core.Method, k int, panelSeed int64) editorial.Tally {
-	tallies := par.Map(s.Config.Workers, len(stories), func(i int) editorial.Tally {
+	tallies := par.Map(0, len(stories), func(i int) editorial.Tally {
 		panel := editorial.NewPanel(3, par.Seed(panelSeed, i))
 		var t editorial.Tally
 		g := s.GroupFromStory(&stories[i], []relevance.Resource{relevance.Snippets})
@@ -301,9 +300,9 @@ func ProductionExperiment(s *core.System, topN int, numStories int, seed int64) 
 	clickCfg := s.Config.Click
 
 	// Each story simulates its traffic from a stream derived from (seed+2,
-	// story index), so stories fan out across Config.Workers and the counts
-	// below are bit-identical at any worker count.
-	partials := par.Map(s.Config.Workers, len(stories), func(i int) Production {
+	// story index), so stories fan out across GOMAXPROCS workers and the
+	// counts below are bit-identical at any width.
+	partials := par.Map(0, len(stories), func(i int) Production {
 		story := &stories[i]
 		rng := rand.New(rand.NewSource(par.Seed(seed+2, i)))
 		views := 30 + rng.Intn(2000)

@@ -39,33 +39,34 @@ func TestTable2Shape(t *testing.T) {
 	}
 }
 
+// Table III's ✓ in EXPERIMENTS.md: removing the query-log group hurts by
+// far the most. Run as cmd/experiments runs it (five folds, the system's
+// seed), −Query Logs has the highest weighted error of the five ablations
+// and sits at least 3 points above the full model; at small scale that
+// holds at seeds 1000, 42, 7 and 1009 (31.55 / 28.65 / 30.02 / 27.46%
+// against 23.33 / 22.15 / 24.64 / 18.63%).
 func TestTable3AblationsComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
 	s := testSystem(t)
-	t3, err := Table3(s, 3, 7)
+	t3, err := Table3(s, 5, s.Config.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(t3.Ablations) != int(features.NumGroups) {
 		t.Fatalf("ablations = %d, want %d", len(t3.Ablations), features.NumGroups)
 	}
-	// Removing the query-log group must hurt the most (the paper's largest
-	// single-group effect, Table III).
-	base := t3.AllFeatures.WeightedErrorRate
-	worst := features.Group(0)
+	ql := t3.Ablations[features.GroupQueryLogs].WeightedErrorRate
 	for g, r := range t3.Ablations {
-		if r.WeightedErrorRate > t3.Ablations[worst].WeightedErrorRate {
-			worst = g
+		if g != features.GroupQueryLogs && r.WeightedErrorRate >= ql {
+			t.Errorf("removing %v (%.2f%%) hurts as much as removing Query Logs (%.2f%%)",
+				g, 100*r.WeightedErrorRate, 100*ql)
 		}
 	}
-	if worst != features.GroupQueryLogs {
-		t.Logf("warning: worst ablation was %v, paper's was Query Logs", worst)
-	}
-	if t3.Ablations[features.GroupQueryLogs].WeightedErrorRate <= base {
-		t.Errorf("removing query logs should hurt: %.3f vs full %.3f",
-			t3.Ablations[features.GroupQueryLogs].WeightedErrorRate, base)
+	if full := t3.AllFeatures.WeightedErrorRate; ql-full < 0.03 {
+		t.Errorf("removing Query Logs costs %.2f points over the full model (%.2f%%), want >= 3",
+			100*(ql-full), 100*full)
 	}
 }
 

@@ -3,6 +3,7 @@ package features
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -35,8 +36,9 @@ func refFields(e *Extractor, concept string) Fields {
 }
 
 // TestDifferentialFields pins the pooled extraction to the reference for
-// every world concept and for edge-case inputs, serially and at several
-// BatchFields worker counts (pooled scratch must not leak between workers).
+// every world concept and for edge-case inputs, serially and through
+// BatchFields at several GOMAXPROCS widths (pooled scratch must not leak
+// between workers).
 func TestDifferentialFields(t *testing.T) {
 	f := newFixture(t)
 	concepts := make([]string, 0, len(f.w.Concepts)+4)
@@ -53,11 +55,18 @@ func TestDifferentialFields(t *testing.T) {
 			t.Fatalf("Fields(%q) = %+v, want %+v", c, got, want[i])
 		}
 	}
-	for _, workers := range []int{1, 4, 0} {
-		if got := f.ext.BatchFields(concepts, workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("BatchFields(workers=%d) diverged from reference", workers)
+	for _, procs := range []int{1, 4, runtime.NumCPU()} {
+		setGOMAXPROCS(t, procs)
+		if got := f.ext.BatchFields(concepts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("BatchFields at GOMAXPROCS=%d diverged from reference", procs)
 		}
 	}
+}
+
+// setGOMAXPROCS is the root package's helper (parallel_test.go).
+func setGOMAXPROCS(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestAppendFields pins the allocation-free splitter to strings.Fields.

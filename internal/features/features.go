@@ -245,18 +245,18 @@ func (e *Extractor) Fields(concept string) Fields {
 }
 
 // BatchFields extracts the feature records for a concept list, fanning the
-// per-concept extraction across workers (see par.Workers for the knob's
-// semantics). Results are in input order and bit-identical to a serial
-// loop: each concept's record depends only on the read-only resources.
-func (e *Extractor) BatchFields(concepts []string, workers int) []Fields {
-	return par.Map(workers, len(concepts), func(i int) Fields {
+// per-concept extraction across GOMAXPROCS workers. Results are in input
+// order and bit-identical to a serial loop: each concept's record depends
+// only on the read-only resources.
+func (e *Extractor) BatchFields(concepts []string) []Fields {
+	return par.Map(0, len(concepts), func(i int) Fields {
 		return e.Fields(concepts[i])
 	})
 }
 
 // BatchExtended is BatchFields for the eliminated candidate features.
-func (e *Extractor) BatchExtended(concepts []string, workers int) []ExtendedFields {
-	return par.Map(workers, len(concepts), func(i int) ExtendedFields {
+func (e *Extractor) BatchExtended(concepts []string) []ExtendedFields {
+	return par.Map(0, len(concepts), func(i int) ExtendedFields {
 		return e.Extended(concepts[i])
 	})
 }

@@ -1,4 +1,4 @@
-package framework
+package framework_test
 
 import (
 	"math/rand"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"contextrank/internal/core"
+	"contextrank/internal/detect"
+	"contextrank/internal/framework"
 	"contextrank/internal/match"
 	"contextrank/internal/newsgen"
 	"contextrank/internal/relevance"
@@ -31,25 +33,22 @@ func TestWordTableMatchesDefinition(t *testing.T) {
 		World: world.Config{VocabSize: 6000, NumTopics: 24, NumConcepts: 1200},
 		News:  newsgen.Config{NumStories: 1100},
 	})
-	rt := NewRuntime(s.Pipeline, nil, BuildKeywordPacks(s.RelevanceStore(relevance.Snippets)), nil)
+	rt := framework.NewRuntime(s.Pipeline, nil, framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets)), nil)
 	dict, unit, tids := s.Dict.Vocab(), s.Units.Vocab(), rt.Packs.TIDs
 
-	sc := annPool.Get().(*annScratch)
-	defer annPool.Put(sc)
 	hits, total := 0, 0
 	check := func(w string) {
 		t.Helper()
-		want := wordEntry{tid: match.NoID}
+		wantTID := match.NoID
 		if !textproc.IsStopword(w) {
-			want.tid = tids.ID(stem.Stem(w))
+			wantTID = tids.ID(stem.Stem(w))
 		}
-		want.ids.Dict, want.ids.Unit = dict.ID(w), unit.ID(w)
-		sc.tokens = append(sc.tokens[:0], textproc.Token{Text: w, Norm: w})
-		rt.lookupWords(sc, true)
-		if got := (wordEntry{tid: sc.tokTID[0], ids: sc.tokIDs[0]}); got != want {
-			t.Fatalf("word %q resolves to %+v, want %+v", w, got, want)
+		wantIDs := detect.WordIDs{Dict: dict.ID(w), Unit: unit.ID(w)}
+		tid, ids, inTable := rt.ResolveWord(w)
+		if tid != wantTID || ids != wantIDs {
+			t.Fatalf("word %q resolves to tid %d %+v, want tid %d %+v", w, tid, ids, wantTID, wantIDs)
 		}
-		if _, ok := rt.words[w]; ok {
+		if inTable {
 			hits++
 		}
 		total++
@@ -66,7 +65,7 @@ func TestWordTableMatchesDefinition(t *testing.T) {
 			n++
 		}
 	}
-	t.Logf("feed: %d of %d tokens in the table of %d words", hits, total, len(rt.words))
+	t.Logf("feed: %d of %d tokens in the table of %d words", hits, total, rt.WordTableLen())
 
 	for _, w := range textproc.Stopwords() {
 		check(w)

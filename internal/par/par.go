@@ -14,8 +14,8 @@
 //     Seed(seed, i), never from a stream shared across units.
 //
 // Under those rules Map(1, n, f) and Map(k, n, f) return identical bytes,
-// which is what lets the pipeline default to all cores while the
-// determinism tests pin Workers to 1.
+// which is what lets every offline stage run at width 0 — GOMAXPROCS — while
+// the determinism tests set GOMAXPROCS to 1 and compare.
 package par
 
 import (
@@ -24,13 +24,14 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a worker-count knob: n >= 1 is used as-is; any other
-// value (0 is the conventional "auto") selects runtime.NumCPU().
+// Workers resolves a width: n >= 1 is used as-is; any other value (0 is
+// the conventional "auto") selects runtime.GOMAXPROCS(0), the number of Ps
+// the process may run on.
 func Workers(n int) int {
 	if n >= 1 {
 		return n
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // For runs fn(i) for every i in [0, n) across at most workers goroutines

@@ -16,11 +16,17 @@ func TestWorkersResolution(t *testing.T) {
 	if got := Workers(1); got != 1 {
 		t.Fatalf("Workers(1) = %d", got)
 	}
-	if got := Workers(0); got != runtime.NumCPU() {
-		t.Fatalf("Workers(0) = %d, want NumCPU %d", got, runtime.NumCPU())
-	}
-	if got := Workers(-5); got != runtime.NumCPU() {
-		t.Fatalf("Workers(-5) = %d, want NumCPU %d", got, runtime.NumCPU())
+	// The automatic width follows GOMAXPROCS, not the machine's core count,
+	// so setting GOMAXPROCS bounds every stage that passes 0.
+	for _, procs := range []int{1, 3} {
+		prev := runtime.GOMAXPROCS(procs)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+		if got := Workers(0); got != procs {
+			t.Fatalf("Workers(0) = %d at GOMAXPROCS %d", got, procs)
+		}
+		if got := Workers(-5); got != procs {
+			t.Fatalf("Workers(-5) = %d at GOMAXPROCS %d", got, procs)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package relevance
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"contextrank/internal/corpus"
@@ -47,7 +48,7 @@ func TestDifferentialInternedMine(t *testing.T) {
 }
 
 // TestDifferentialInternedMineParallel pins the interned path under
-// BuildStore at several worker counts against a serial string-path
+// BuildStore at several GOMAXPROCS widths against a serial string-path
 // store: pooled scratch must not leak state across workers or concepts.
 func TestDifferentialInternedMineParallel(t *testing.T) {
 	f := newFixture(t)
@@ -60,15 +61,22 @@ func TestDifferentialInternedMineParallel(t *testing.T) {
 		for _, c := range concepts {
 			want[c] = refMine(f.miner, c, r)
 		}
-		for _, workers := range []int{1, 4, 0} {
-			st := BuildStore(f.miner, concepts, r, workers)
+		for _, procs := range []int{1, 4, runtime.NumCPU()} {
+			setGOMAXPROCS(t, procs)
+			st := BuildStore(f.miner, concepts, r)
 			for _, c := range concepts {
 				if !reflect.DeepEqual(st.RelevantTerms(c), want[c]) {
-					t.Fatalf("%s workers=%d %q: parallel interned store diverged", r, workers, c)
+					t.Fatalf("%s GOMAXPROCS=%d %q: parallel interned store diverged", r, procs, c)
 				}
 			}
 		}
 	}
+}
+
+// setGOMAXPROCS is the root package's helper (parallel_test.go).
+func setGOMAXPROCS(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestDifferentialCtxScore pins the id-keyed context scorer to the map path:
@@ -80,7 +88,7 @@ func TestDifferentialCtxScore(t *testing.T) {
 	for i := 0; i < len(f.w.Concepts); i += 13 {
 		concepts = append(concepts, f.w.Concepts[i].Name)
 	}
-	st := BuildStore(f.miner, concepts, Snippets, 0)
+	st := BuildStore(f.miner, concepts, Snippets)
 	ctx := st.NewCtx()
 
 	for _, story := range newsgen.Generate(f.w, newsgen.Config{Seed: 74, NumStories: 12}) {
@@ -112,7 +120,7 @@ func TestDifferentialCtxScore(t *testing.T) {
 func TestCtxFreshMatchesNothing(t *testing.T) {
 	f := newFixture(t)
 	c := pick(f.w, func(c *world.Concept) bool { return c.Specificity > 0.6 })
-	st := BuildStore(f.miner, []string{c.Name}, Snippets, 0)
+	st := BuildStore(f.miner, []string{c.Name}, Snippets)
 	if got := st.ScoreCtx(c.Name, st.NewCtx()); got != 0 {
 		t.Fatalf("fresh Ctx scored %v, want 0", got)
 	}

@@ -119,13 +119,12 @@ type Store struct {
 }
 
 // BuildStore mines all concepts with the given resource, fanning the
-// per-concept mining across workers (par.Workers semantics: 1 = serial,
-// 0 = all cores): it is the slowest offline step (one search + snippet pass
-// per concept) and each concept is independent. Results are collected in
-// concept order, so the store is bit-identical regardless of worker count
-// or scheduling.
-func BuildStore(mn *Miner, concepts []string, r Resource, workers int) *Store {
-	vecs := par.Map(workers, len(concepts), func(i int) corpus.Vector {
+// per-concept mining across GOMAXPROCS workers: it is the slowest offline
+// step (one search + snippet pass per concept) and each concept is
+// independent. Results are collected in concept order, so the store is
+// bit-identical regardless of GOMAXPROCS or scheduling.
+func BuildStore(mn *Miner, concepts []string, r Resource) *Store {
+	vecs := par.Map(0, len(concepts), func(i int) corpus.Vector {
 		return mn.Mine(concepts[i], r)
 	})
 	terms := make(map[string]corpus.Vector, len(concepts))

@@ -132,7 +132,7 @@ func TestMineExcludesOwnTerms(t *testing.T) {
 // keyword-score summations than low-quality general phrases.
 func TestSummationSeparatesQuality(t *testing.T) {
 	f := newFixture(t)
-	store := BuildStore(f.miner, conceptNames(f.w), Snippets, 0)
+	store := BuildStore(f.miner, conceptNames(f.w), Snippets)
 	var specSum, specN, lowSum, lowN float64
 	for i := range f.w.Concepts {
 		c := &f.w.Concepts[i]
@@ -166,7 +166,7 @@ func TestScoreRelevantVsIrrelevantContext(t *testing.T) {
 	if c == nil {
 		t.Skip("no specific concept")
 	}
-	store := BuildStore(f.miner, []string{c.Name}, Snippets, 0)
+	store := BuildStore(f.miner, []string{c.Name}, Snippets)
 	rng := rand.New(rand.NewSource(99))
 
 	relevantDoc, _ := f.w.ComposeDoc(world.ComposeOptions{Topic: c.Topic},
@@ -295,7 +295,7 @@ func BenchmarkMineSnippets(b *testing.B) {
 func BenchmarkRelevanceScore(b *testing.B) {
 	f := newFixture(b)
 	names := conceptNames(f.w)[:50]
-	store := BuildStore(f.miner, names, Snippets, 0)
+	store := BuildStore(f.miner, names, Snippets)
 	rng := rand.New(rand.NewSource(5))
 	doc, _ := f.w.ComposeDoc(world.ComposeOptions{Topic: 0, Sentences: 20}, nil, rng)
 	ctx := store.NewCtx()
@@ -312,8 +312,8 @@ func BenchmarkRelevanceScore(b *testing.B) {
 func TestBuildStoreParallelDeterministic(t *testing.T) {
 	f := newFixture(t)
 	names := conceptNames(f.w)[:40]
-	s1 := BuildStore(f.miner, names, Snippets, 0)
-	s2 := BuildStore(f.miner, names, Snippets, 0)
+	s1 := BuildStore(f.miner, names, Snippets)
+	s2 := BuildStore(f.miner, names, Snippets)
 	for _, n := range names {
 		a, b := s1.RelevantTerms(n), s2.RelevantTerms(n)
 		if len(a) != len(b) {

@@ -91,7 +91,7 @@ func TestSenseScoreBoostsSecondarySense(t *testing.T) {
 		t.Skip("no ambiguous concept")
 	}
 	senseStore := BuildSenseStore(f.miner, []string{amb.Name}, 2)
-	globalStore := BuildStore(f.miner, []string{amb.Name}, Snippets, 0)
+	globalStore := BuildStore(f.miner, []string{amb.Name}, Snippets)
 	globalCtx := globalStore.NewCtx()
 
 	rng := rand.New(rand.NewSource(9))

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"strings"
 	"sync"
 	"time"
 )
@@ -108,8 +109,10 @@ func (q *Quota) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 				return false, time.Second
 			}
 		}
+		// The key is stored as a copy: tenant slices the request's header
+		// value, which the bucket would otherwise keep alive whole.
 		b = &bucket{tokens: float64(q.cfg.Burst), last: now}
-		q.buckets[tenant] = b
+		q.buckets[strings.Clone(tenant)] = b
 	}
 	b.tokens, b.last = q.refilled(b, now), now
 	if b.tokens >= 1 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestQuotaBurstOnly: with rate 0 the bucket is a pure burst budget —
@@ -163,5 +164,26 @@ func TestQuotaKeyTruncated(t *testing.T) {
 	}
 	if q.Tenants() != 1 {
 		t.Fatalf("tenants = %d, want 1", q.Tenants())
+	}
+}
+
+// TestQuotaKeyOwnsItsBytes: a tracked tenant's key is a copy of its first
+// maxTenantKey bytes, not a slice of the header value, so a bucket pins 128
+// bytes rather than the whole name (up to net/http's 1 MiB header limit).
+// Both hops hold this type: serve.Server.Quota and cluster.Config.Quota.
+func TestQuotaKeyOwnsItsBytes(t *testing.T) {
+	q := NewQuota(QuotaConfig{Burst: 1})
+	name := strings.Repeat("t", 64<<10)
+	q.Allow(name)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for key := range q.buckets {
+		if len(key) != maxTenantKey {
+			t.Fatalf("key is %d bytes, want %d", len(key), maxTenantKey)
+		}
+		start := uintptr(unsafe.Pointer(unsafe.StringData(name)))
+		if at := uintptr(unsafe.Pointer(unsafe.StringData(key))); at >= start && at < start+uintptr(len(name)) {
+			t.Fatal("the bucket key shares the tenant argument's memory")
+		}
 	}
 }

@@ -107,7 +107,7 @@ func BenchmarkIngest(b *testing.B) {
 	// baseline sees the same corpus the during-merge probe will — a
 	// baseline taken on the pre-ingest index would make the ratio mostly
 	// measure that queries cost more on a bigger index, not compaction.
-	e.CompactAll(0)
+	e.CompactAll()
 	frozen := make([]time.Duration, 4096)
 	for i := range frozen {
 		scrub()
@@ -129,7 +129,7 @@ func BenchmarkIngest(b *testing.B) {
 	}
 	e.Commit()
 	go func() {
-		e.CompactAll(0)
+		e.CompactAll()
 		compDone.Store(true)
 	}()
 	var during []time.Duration

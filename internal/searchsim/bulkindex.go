@@ -28,7 +28,7 @@ package searchsim
 //
 // Every phase is deterministic in content (worker scheduling only changes
 // who computes what, never the result; freezeList is a pure function of one
-// raw list), so the engine is bit-identical at any worker count, and its
+// raw list), so the engine is bit-identical at any GOMAXPROCS, and its
 // frozen lists equal those of Add + Commit + CompactAll over the same
 // documents. TestBulkIndexMatchesSerial pins both.
 
@@ -47,15 +47,15 @@ type indexChunk struct {
 }
 
 // newBulkEngine builds a live engine whose published view is one frozen
-// segment over the pre-tokenized documents, with the given worker fan-out
-// (internal/par semantics: 1 = serial, 0 = NumCPU).
-func newBulkEngine(docs []rawDoc, workers int) *Engine {
+// segment over the pre-tokenized documents, fanned out across GOMAXPROCS
+// workers.
+func newBulkEngine(docs []rawDoc) *Engine {
 	e := NewEngine()
 	nd := len(docs)
 	if nd == 0 {
 		return e
 	}
-	w := par.Workers(workers)
+	w := par.Workers(0)
 	if w > nd {
 		w = nd
 	}
@@ -124,7 +124,7 @@ func newBulkEngine(docs []rawDoc, workers int) *Engine {
 	// disjoint doc ranges, so appending chunk lists in chunk order keeps doc
 	// ids ascending; starts are rebased onto the merged position stream.
 	raw := make([]postingList, nTerms)
-	par.For(workers, nTerms, func(t int) {
+	par.For(0, nTerms, func(t int) {
 		nDocs, nPos := 0, 0
 		for ci := range chunks {
 			l := &chunks[ci].lists[t]
@@ -160,7 +160,7 @@ func newBulkEngine(docs []rawDoc, workers int) *Engine {
 
 	// Phase 6: compress, account, publish.
 	fr := make([]frozenList, nTerms)
-	par.For(workers, nTerms, func(t int) {
+	par.For(0, nTerms, func(t int) {
 		fr[t] = freezeList(&raw[t])
 	})
 	for t := range raw {

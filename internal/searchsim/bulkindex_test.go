@@ -4,9 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// setGOMAXPROCS is the root package's helper (parallel_test.go).
+func setGOMAXPROCS(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // randomRawDocs builds a deterministic random document set over a small
 // vocabulary, dense enough that many terms repeat across chunks.
@@ -40,7 +47,7 @@ func liveFrozen(docs []rawDoc) *Engine {
 		e.Add(d.text(), d.topic)
 	}
 	e.Commit()
-	e.CompactAll(1)
+	e.CompactAll()
 	return e
 }
 
@@ -76,19 +83,20 @@ func engineEqual(t *testing.T, label string, got, want *Engine) {
 
 // The bulk parallel constructor must reproduce the live path — Add, Commit,
 // CompactAll — bit for bit: vocabulary intern order, documents, frozen
-// postings, stopword table, document frequencies — at every worker count,
+// postings, stopword table, document frequencies — at every GOMAXPROCS,
 // with the same size accounting at each.
 func TestBulkIndexMatchesSerial(t *testing.T) {
 	docs := randomRawDocs(7, 120)
 	live := liveFrozen(docs)
 	var stats IndexStats
-	for i, w := range []int{1, 2, 3, 5, 16, 0} {
-		bulk := newBulkEngine(docs, w)
-		engineEqual(t, fmt.Sprintf("workers=%d", w), bulk, live)
+	for i, procs := range []int{1, 2, 3, 5, 16, runtime.NumCPU()} {
+		setGOMAXPROCS(t, procs)
+		bulk := newBulkEngine(docs)
+		engineEqual(t, fmt.Sprintf("GOMAXPROCS=%d", procs), bulk, live)
 		if i == 0 {
 			stats = bulk.Stats()
 		} else if st := bulk.Stats(); st != stats {
-			t.Fatalf("workers=%d: stats = %+v, want %+v", w, st, stats)
+			t.Fatalf("GOMAXPROCS=%d: stats = %+v, want %+v", procs, st, stats)
 		}
 	}
 	if stats.Postings == 0 || stats.FrozenBytes == 0 || stats.Segments != 1 || stats.Epoch != 1 {
@@ -100,7 +108,7 @@ func TestBulkIndexMatchesSerial(t *testing.T) {
 // then answering as a from-scratch build over the concatenated stream.
 func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 	docs := randomRawDocs(3, 40)
-	e := newBulkEngine(docs[:25], 2)
+	e := newBulkEngine(docs[:25])
 	for _, d := range docs[25:] {
 		e.Add(d.text(), d.topic)
 	}
@@ -120,18 +128,20 @@ func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 }
 
 // The bulk build's compression pass must produce the identical frozen
-// segment and size accounting at every worker count (freezeList is pure per
+// segment and size accounting at every GOMAXPROCS (freezeList is pure per
 // term).
 func TestFreezeWorkersDeterministic(t *testing.T) {
 	docs := randomRawDocs(13, 150)
-	want := newBulkEngine(docs, 1)
-	for _, w := range []int{2, 5, 0} {
-		e := newBulkEngine(docs, w)
+	setGOMAXPROCS(t, 1)
+	want := newBulkEngine(docs)
+	for _, procs := range []int{2, 5, runtime.NumCPU()} {
+		setGOMAXPROCS(t, procs)
+		e := newBulkEngine(docs)
 		if !reflect.DeepEqual(e.segs[0].frozen, want.segs[0].frozen) {
-			t.Fatalf("workers=%d: frozen lists diverged", w)
+			t.Fatalf("GOMAXPROCS=%d: frozen lists diverged", procs)
 		}
 		if e.stats != want.stats {
-			t.Fatalf("workers=%d: stats = %+v, want %+v", w, e.stats, want.stats)
+			t.Fatalf("GOMAXPROCS=%d: stats = %+v, want %+v", procs, e.stats, want.stats)
 		}
 	}
 }

@@ -15,11 +15,6 @@ type CorpusConfig struct {
 	// MaxDocsPerConcept bounds how many documents mention the most general
 	// concept. Default 30.
 	MaxDocsPerConcept int
-	// Workers bounds the fan-out of generation, indexing and compression: 1
-	// forces a serial build, 0 selects all cores. Output is bit-identical
-	// for every value (each shard owns a seed derived from Seed and the
-	// shard index).
-	Workers int
 }
 
 func (c CorpusConfig) withDefaults() CorpusConfig {
@@ -64,17 +59,17 @@ const backgroundShardSize = 64
 //     across random topics, so their mined keywords stay diffuse (the
 //     Table II effect).
 //
-// The whole build fans out across cfg.Workers: generation shard i covers
+// The whole build fans out across GOMAXPROCS: generation shard i covers
 // concept i (the last shards cover background documents), each shard draws
 // from rand.NewSource(par.Seed(cfg.Seed, i)); the generated documents are
 // then indexed and compressed into the engine's base segment by the bulk
 // parallel pipeline (bulkindex.go), so every downstream miner queries
 // compressed posting lists. Every stage is deterministic in content, so the
-// corpus and index are bit-identical regardless of worker count or
+// corpus and index are bit-identical regardless of GOMAXPROCS or
 // scheduling. The engine is live: Add, Commit and Compact keep working on it.
 func BuildCorpus(w *world.World, cfg CorpusConfig) *Engine {
 	cfg = cfg.withDefaults()
-	shards := par.Map(cfg.Workers, numShards(w), func(i int) []rawDoc {
+	shards := par.Map(0, numShards(w), func(i int) []rawDoc {
 		var docs []rawDoc
 		generateShard(w, cfg, i, func(text string, topic int) {
 			docs = append(docs, rawDoc{tokens: textproc.Words(text), topic: topic})
@@ -91,7 +86,7 @@ func BuildCorpus(w *world.World, cfg CorpusConfig) *Engine {
 		docs = append(docs, shard...)
 	}
 
-	return newBulkEngine(docs, cfg.Workers)
+	return newBulkEngine(docs)
 }
 
 // numShards is the number of generation shards: one per concept, then the

@@ -357,9 +357,10 @@ func TestDifferentialDocFreq(t *testing.T) {
 		ref.add(d.text())
 	}
 	for _, workers := range []int{1, 4, 0} {
+		setGOMAXPROCS(t, procsFor(workers))
 		e := ingestScript(docs, workers)
 		checkDocFreq(t, fmt.Sprintf("ingest workers=%d", workers), e, ref)
-		e.CompactAll(workers)
+		e.CompactAll()
 		checkDocFreq(t, fmt.Sprintf("compacted workers=%d", workers), e, ref)
 	}
 }
@@ -398,7 +399,7 @@ func TestFrozenStatsAndCompression(t *testing.T) {
 // Commit, then queryable, with the epoch advancing exactly once per
 // visibility change.
 func TestAddAfterFreezeAppends(t *testing.T) {
-	e := newBulkEngine([]rawDoc{{tokens: []string{"one", "two", "three"}}}, 1)
+	e := newBulkEngine([]rawDoc{{tokens: []string{"one", "two", "three"}}})
 	ep0 := e.Epoch()
 	if ep0 == 0 {
 		t.Fatal("the bulk build must publish a nonzero epoch")

@@ -236,7 +236,7 @@ func (e *Engine) Compact(workers int) bool {
 // Add-grown engine's frozen image against the bulk-built one. Pending memtable
 // docs are not included; Commit first to publish them. Returns whether a
 // merge ran (false when the stack is already a single frozen segment).
-func (e *Engine) CompactAll(workers int) bool {
+func (e *Engine) CompactAll() bool {
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()
 	e.mu.Lock()
@@ -245,7 +245,7 @@ func (e *Engine) CompactAll(workers int) bool {
 	if len(segs) == 0 || (len(segs) == 1 && segs[0].frozen != nil) {
 		return false
 	}
-	merged := mergeSegments(segs, workers)
+	merged := mergeSegments(segs, 0)
 	e.installMerged(segs, 0, len(segs), merged)
 	return true
 }

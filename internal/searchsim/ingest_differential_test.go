@@ -3,15 +3,16 @@ package searchsim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
 // ingestScript grows an engine the way a live deployment does: a bulk build
 // over the first 80 docs, then uneven batches of Add, each followed by a
-// Commit and a size-tiered Compact, and a final Commit that publishes the
-// rest.
+// Commit and a size-tiered Compact at the given width, and a final Commit
+// that publishes the rest.
 func ingestScript(docs []rawDoc, workers int) *Engine {
-	e := newBulkEngine(docs[:80], workers)
+	e := newBulkEngine(docs[:80])
 	next := 80
 	for _, batch := range []int{3, 17, 1, 29, 8, 40, 2, 60, 25, 35} {
 		hi := min(next+batch, len(docs))
@@ -31,7 +32,7 @@ func ingestScript(docs []rawDoc, workers int) *Engine {
 // TestIngestDifferential is the end-to-end equivalence pin for the live
 // two-tier engine (wired into the CI parallel-equivalence matrix): after N
 // appends, K commits, interleaved size-tiered compactions and a final full
-// merge — all at several worker counts — every observable answer and the
+// merge — all at several widths — every observable answer and the
 // frozen image itself must be byte-identical to a from-scratch bulk build
 // over the concatenated doc stream. TestDifferentialDocFreq runs the same
 // script against the oracle's document frequencies.
@@ -41,6 +42,7 @@ func TestIngestDifferential(t *testing.T) {
 
 	for _, workers := range []int{1, 4, 0} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			setGOMAXPROCS(t, procsFor(workers))
 			e := ingestScript(docs, workers)
 			if n := e.NumDocs(); n != len(docs) {
 				t.Fatalf("visible docs = %d, want %d", n, len(docs))
@@ -50,7 +52,7 @@ func TestIngestDifferential(t *testing.T) {
 			checkAnswers(t, "segmented", e, want)
 
 			// Full merge: the compacted image equals the from-scratch build.
-			e.CompactAll(workers)
+			e.CompactAll()
 			st := e.Stats()
 			if st.Segments != 1 {
 				t.Fatalf("CompactAll left %d segments", st.Segments)
@@ -85,4 +87,14 @@ func checkAnswers(t *testing.T, label string, got, want *Engine) {
 			t.Fatalf("%s: SearchAnyTerm(%q) diverged", label, q)
 		}
 	}
+}
+
+// procsFor is the GOMAXPROCS a compaction width runs beside: the width
+// itself, or every core for width 0, so the bulk build and CompactAll fan
+// out as wide as Compact does.
+func procsFor(workers int) int {
+	if workers > 0 {
+		return workers
+	}
+	return runtime.NumCPU()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -15,7 +16,7 @@ import (
 // through Add in commits of batch docs, so the published stack holds many
 // small raw segments and every multi-doc query crosses segment boundaries.
 func buildLiveSegmented(docs []rawDoc, base, batch int) *Engine {
-	e := newBulkEngine(docs[:base], 1)
+	e := newBulkEngine(docs[:base])
 	for i := base; i < len(docs); i++ {
 		e.Add(docs[i].text(), docs[i].topic)
 		if (i-base+1)%batch == 0 {
@@ -28,7 +29,7 @@ func buildLiveSegmented(docs []rawDoc, base, batch int) *Engine {
 
 // fromScratch bulk-builds an engine over the full doc set in one pass — the
 // reference every live-segmented answer must match byte for byte.
-func fromScratch(docs []rawDoc) *Engine { return newBulkEngine(docs, 1) }
+func fromScratch(docs []rawDoc) *Engine { return newBulkEngine(docs) }
 
 // boundaryQueries is the query mix the live/from-scratch comparisons sweep:
 // every single term, plus phrases of increasing length so the leapfrog
@@ -123,31 +124,32 @@ func TestLiveAutoFlush(t *testing.T) {
 	}
 }
 
-// Compaction is deterministic: CompactAll at every worker count produces a
+// Compaction is deterministic: CompactAll at every GOMAXPROCS produces a
 // frozen segment bit-identical to a from-scratch build over the same docs,
 // and answers are unchanged across the merge.
 func TestCompactionWorkerEquivalence(t *testing.T) {
 	docs := randomRawDocs(23, 180)
 	want := fromScratch(docs)
-	for _, w := range []int{1, 4, 0} {
+	for _, procs := range []int{1, 4, runtime.NumCPU()} {
+		setGOMAXPROCS(t, procs)
 		live := buildLiveSegmented(docs, 60, 9)
 		countBefore := live.ResultCount("w05 w06")
 		epBefore := live.Epoch()
-		if !live.CompactAll(w) {
-			t.Fatalf("workers=%d: CompactAll did not merge a multi-segment stack", w)
+		if !live.CompactAll() {
+			t.Fatalf("GOMAXPROCS=%d: CompactAll did not merge a multi-segment stack", procs)
 		}
 		st := live.Stats()
 		if st.Segments != 1 || st.Compactions != 1 {
-			t.Fatalf("workers=%d: post-compaction stats %+v", w, st)
+			t.Fatalf("GOMAXPROCS=%d: post-compaction stats %+v", procs, st)
 		}
 		if live.Epoch() != epBefore {
-			t.Fatalf("workers=%d: compaction moved the epoch (no visibility change)", w)
+			t.Fatalf("GOMAXPROCS=%d: compaction moved the epoch (no visibility change)", procs)
 		}
 		if !reflect.DeepEqual(live.segs[0].frozen, want.segs[0].frozen) {
-			t.Fatalf("workers=%d: merged frozen image differs from the from-scratch build", w)
+			t.Fatalf("GOMAXPROCS=%d: merged frozen image differs from the from-scratch build", procs)
 		}
 		if got := live.ResultCount("w05 w06"); got != countBefore {
-			t.Fatalf("workers=%d: compaction changed an answer: %d -> %d", w, countBefore, got)
+			t.Fatalf("GOMAXPROCS=%d: compaction changed an answer: %d -> %d", procs, countBefore, got)
 		}
 	}
 }
@@ -185,7 +187,7 @@ func TestCompactSizeTiered(t *testing.T) {
 // rolled-back horizon.
 func TestLiveQueryDuringSwapRace(t *testing.T) {
 	docs := randomRawDocs(31, 400)
-	e := newBulkEngine(docs[:50], 1)
+	e := newBulkEngine(docs[:50])
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -285,7 +287,7 @@ func TestNewEngineIsLive(t *testing.T) {
 		NewPrisma(e).VisitFeedback("one two", func(uint32, float64) {
 			t.Fatalf("%s: VisitFeedback produced a term", stage)
 		})
-		if e.Compact(1) || e.CompactAll(1) {
+		if e.Compact(1) || e.CompactAll() {
 			t.Fatalf("%s: compaction ran over an empty stack", stage)
 		}
 		if st := e.Stats(); st.Docs != 0 || st.Segments != 0 || st.Epoch != 0 || e.Epoch() != 0 {
@@ -506,7 +508,7 @@ func TestLiveProperty(t *testing.T) {
 				case opCompact:
 					e.Compact(op.workers)
 				case opCompactAll:
-					e.CompactAll(1)
+					e.CompactAll()
 				}
 				if n := e.NumDocs(); n != op.horizon {
 					t.Fatalf("op %d %+v: NumDocs = %d, want %d", i, op, n, op.horizon)

@@ -107,7 +107,7 @@ func dictEngines() []labelledEngine {
 	for i, text := range smallTexts {
 		docs[i] = rawDoc{tokens: textproc.Words(text)}
 	}
-	return []labelledEngine{{"Add", smallEngine()}, {"bulk", newBulkEngine(docs, 2)}}
+	return []labelledEngine{{"Add", smallEngine()}, {"bulk", newBulkEngine(docs)}}
 }
 
 func TestDictionaryBuilt(t *testing.T) {

@@ -165,7 +165,7 @@ func (s *segment) appendList(id uint32, rebase int32, out *postingList) {
 // mergeSegments compacts a contiguous run of segments into one frozen
 // segment. Per-term work (decode inputs in stack order, re-encode with
 // freezeList) is a pure function of the inputs, so the fan-out over terms is
-// bit-identical at any worker count (internal/par semantics: 0 = NumCPU).
+// bit-identical at any worker count (internal/par semantics: 0 = GOMAXPROCS).
 func mergeSegments(segs []*segment, workers int) *segment {
 	first, last := segs[0], segs[len(segs)-1]
 	base := first.base

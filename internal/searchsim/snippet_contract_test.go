@@ -28,7 +28,7 @@ func snippetEngines(t *testing.T) []*Engine {
 	}
 	raw := build()
 	frozen := build()
-	frozen.CompactAll(1)
+	frozen.CompactAll()
 	return []*Engine{raw, frozen}
 }
 

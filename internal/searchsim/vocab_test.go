@@ -48,5 +48,5 @@ func TestVocabOwnsTokens(t *testing.T) {
 	for i, text := range smallTexts {
 		docs[i] = rawDoc{tokens: textproc.Words(text)}
 	}
-	checkOwnsTokens(t, "bulk build", newBulkEngine(docs, 2), smallTexts)
+	checkOwnsTokens(t, "bulk build", newBulkEngine(docs), smallTexts)
 }

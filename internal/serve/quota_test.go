@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -149,4 +150,56 @@ func TestForwardedDeadlineClamp(t *testing.T) {
 		t.Fatal("no timeout and no header still produced a deadline")
 	}
 	cancel()
+}
+
+// FuzzForwardedDeadline: in shard mode, requestCtx takes any X-Deadline-Ms
+// string beside a Timeout of 0, 1 ms or 2 s without panicking; it never sets
+// a deadline later than a positive Timeout; a positive header value whose
+// milliseconds fit a time.Duration sets the earlier of the two; and a
+// non-numeric, non-positive or overflowing value leaves the Timeout policy
+// as it is — its deadline, or none.
+func FuzzForwardedDeadline(f *testing.F) {
+	for _, v := range []string{"", "50", "1", "2000", "0", "-5", "abc", "+7", " 5", "1e3", "9223372036854", "9223372036855", "9223372036854775807", "99999999999999999999"} {
+		f.Add(v, uint8(0))
+		f.Add(v, uint8(1))
+		f.Add(v, uint8(2))
+	}
+	timeouts := [...]time.Duration{0, time.Millisecond, 2 * time.Second}
+	f.Fuzz(func(t *testing.T, header string, pick uint8) {
+		srv := &Server{Timeout: timeouts[int(pick)%len(timeouts)], TrustForwardedDeadline: true}
+		r := httptest.NewRequest(http.MethodPost, "/v1/annotate", nil)
+		r.Header.Set(DeadlineHeader, header)
+		before := time.Now()
+		ctx, cancel := srv.requestCtx(r)
+		after := time.Now()
+		defer cancel()
+		dl, ok := ctx.Deadline()
+
+		if srv.Timeout > 0 && (!ok || dl.After(after.Add(srv.Timeout))) {
+			t.Fatalf("header %q, Timeout %v: deadline %v (set %v) is later than the Timeout", header, srv.Timeout, dl.Sub(before), ok)
+		}
+		// The header's budget, worked out apart from requestCtx's parse: an
+		// exact decimal integer whose milliseconds, in nanoseconds, fit a
+		// time.Duration. Usable, the deadline is the earlier of it and a
+		// positive Timeout.
+		if v, isInt := new(big.Int).SetString(r.Header.Get(DeadlineHeader), 10); isInt && v.Sign() > 0 {
+			if ns := v.Mul(v, big.NewInt(int64(time.Millisecond))); ns.IsInt64() {
+				want := time.Duration(ns.Int64())
+				if srv.Timeout > 0 && srv.Timeout < want {
+					want = srv.Timeout
+				}
+				if !ok || dl.Before(before.Add(want)) || dl.After(after.Add(want)) {
+					t.Fatalf("header %q, Timeout %v: deadline %v (set %v), want %v", header, srv.Timeout, dl.Sub(before), ok, want)
+				}
+				return
+			}
+		}
+		// Not a usable budget: the Timeout alone decides.
+		if srv.Timeout == 0 && ok {
+			t.Fatalf("header %q with no Timeout set a deadline %v", header, dl.Sub(before))
+		}
+		if srv.Timeout > 0 && dl.Before(before.Add(srv.Timeout)) {
+			t.Fatalf("header %q shortened the %v Timeout to %v", header, srv.Timeout, dl.Sub(before))
+		}
+	})
 }

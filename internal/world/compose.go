@@ -28,8 +28,6 @@ type ComposeOptions struct {
 	Topic int
 	// Sentences is the approximate number of sentences. Default 12.
 	Sentences int
-	// WordsPerSentence is the approximate sentence length. Default 12.
-	WordsPerSentence int
 	// ContextDensity in [0,1] is the probability that a word in a sentence
 	// carrying a relevant mention is drawn from the mentioned concept's
 	// ContextTerms rather than from the topic at large. Specific concepts
@@ -41,14 +39,14 @@ func (o ComposeOptions) withDefaults() ComposeOptions {
 	if o.Sentences == 0 {
 		o.Sentences = 12
 	}
-	if o.WordsPerSentence == 0 {
-		o.WordsPerSentence = 12
-	}
 	if o.ContextDensity == 0 {
 		o.ContextDensity = 0.45
 	}
 	return o
 }
+
+// wordsPerSentence is the approximate length of a composed sentence.
+const wordsPerSentence = 12
 
 // connectives glue generated sentences into prose-like text so boundary
 // detection, stop-word removal and tf·idf see realistic structure.
@@ -176,10 +174,7 @@ func (w *World) ComposeDoc(opts ComposeOptions, mentions []Mention, rng *rand.Ra
 // and the byte offset where the mention name was written (-1 if no
 // mention).
 func (w *World) composeSentence(buf []byte, topic *Topic, m *Mention, opts ComposeOptions, rng *rand.Rand) ([]byte, int) {
-	length := opts.WordsPerSentence/2 + rng.Intn(opts.WordsPerSentence)
-	if length < 4 {
-		length = 4
-	}
+	length := wordsPerSentence/2 + rng.Intn(wordsPerSentence)
 	mentionAt := -1
 	if m != nil {
 		mentionAt = rng.Intn(length)

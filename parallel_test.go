@@ -1,61 +1,76 @@
 package contextrank
 
 // The determinism contract of the parallel pipeline (internal/par): every
-// stage that fans out across workers must produce bit-identical results for
-// every worker count. This test builds the same small world serially and
-// with 8 workers and compares build statistics, mined-store output and a
+// stage that fans out across GOMAXPROCS workers must produce bit-identical
+// results at every width. This test builds the same small world at
+// GOMAXPROCS 1 and 8 and compares build statistics, mined-store output and a
 // full cross-validated experiment with reflect.DeepEqual — any scheduling
 // dependence (map iteration, channel-arrival ordering, FP reassociation)
 // shows up as a diff.
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
+	"contextrank/internal/core"
 	"contextrank/internal/experiments"
 )
+
+// setGOMAXPROCS sets the width every offline stage fans out to for the rest
+// of the test and restores the previous value at cleanup. No test in the
+// module runs in parallel, so the setting reaches no other test.
+func setGOMAXPROCS(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 func TestParallelEqualsSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two systems; skipped in -short")
 	}
 
-	build := func(workers int) *System {
-		cfg := SmallConfig(42)
-		cfg.Workers = workers
-		return Build(cfg)
+	// outputs is everything compared, each computed at one GOMAXPROCS: the
+	// relevance stores behind Table II and the folds of Table III are built
+	// lazily, so they run at the width set here too.
+	type outputs struct {
+		stats       core.DataStats
+		docs        int
+		top, bottom []experiments.Table2Row
+		t3          experiments.Table3Rows
 	}
-	serial := build(1)
-	parallel := build(8)
+	run := func(procs int) outputs {
+		setGOMAXPROCS(t, procs)
+		sys := Build(SmallConfig(42))
+		s := sys.Internal()
+		o := outputs{stats: sys.DataStats(), docs: s.Engine.NumDocs()}
+		o.top, o.bottom = experiments.Table2(s, 3)
+		var err error
+		if o.t3, err = experiments.Table3(s, 5, 42); err != nil {
+			t.Fatalf("Table3 (GOMAXPROCS=%d): %v", procs, err)
+		}
+		return o
+	}
+	serial := run(1)
+	parallel := run(8)
 
 	// Build outputs: click corpus statistics and the search corpus.
-	if got, want := parallel.DataStats(), serial.DataStats(); got != want {
-		t.Errorf("DataStats differ: workers=8 %+v, workers=1 %+v", got, want)
+	if got, want := parallel.stats, serial.stats; got != want {
+		t.Errorf("DataStats differ: GOMAXPROCS=8 %+v, GOMAXPROCS=1 %+v", got, want)
 	}
-	ss, ps := serial.Internal(), parallel.Internal()
-	if got, want := ps.Engine.NumDocs(), ss.Engine.NumDocs(); got != want {
-		t.Errorf("corpus size differs: workers=8 %d docs, workers=1 %d docs", got, want)
+	if got, want := parallel.docs, serial.docs; got != want {
+		t.Errorf("corpus size differs: GOMAXPROCS=8 %d docs, GOMAXPROCS=1 %d docs", got, want)
 	}
 
 	// Mined relevance stores (parallel BuildStore) via Table II.
-	sTop, sBottom := experiments.Table2(ss, 3)
-	pTop, pBottom := experiments.Table2(ps, 3)
-	if !reflect.DeepEqual(pTop, sTop) || !reflect.DeepEqual(pBottom, sBottom) {
-		t.Errorf("Table2 differs:\nworkers=8 top=%v bottom=%v\nworkers=1 top=%v bottom=%v",
-			pTop, pBottom, sTop, sBottom)
+	if !reflect.DeepEqual(parallel.top, serial.top) || !reflect.DeepEqual(parallel.bottom, serial.bottom) {
+		t.Errorf("Table2 differs:\nGOMAXPROCS=8 top=%v bottom=%v\nGOMAXPROCS=1 top=%v bottom=%v",
+			parallel.top, parallel.bottom, serial.top, serial.bottom)
 	}
 
 	// A full experiment: feature extraction, k-fold CV with fold fan-out,
 	// SVM training, error rates and NDCG — every float must match.
-	sT3, err := experiments.Table3(ss, 5, 42)
-	if err != nil {
-		t.Fatalf("Table3 (workers=1): %v", err)
-	}
-	pT3, err := experiments.Table3(ps, 5, 42)
-	if err != nil {
-		t.Fatalf("Table3 (workers=8): %v", err)
-	}
-	if !reflect.DeepEqual(pT3, sT3) {
-		t.Errorf("Table3 differs:\nworkers=8 %+v\nworkers=1 %+v", pT3, sT3)
+	if !reflect.DeepEqual(parallel.t3, serial.t3) {
+		t.Errorf("Table3 differs:\nGOMAXPROCS=8 %+v\nGOMAXPROCS=1 %+v", parallel.t3, serial.t3)
 	}
 }
