@@ -143,9 +143,9 @@ func (p *Pipeline) Vocabs() []*match.Vocab {
 // scratch holds the per-document working set of DetectTokens: the word
 // tokens' positions and their ids per matcher vocabulary, match buffers,
 // the pattern trigger sites, the detection accumulator and the collision
-// pass's keys — plus the tokens and ids of callers that come in through
-// Detect. Pooled so a steady-state serving process performs no
-// per-document buffer allocations.
+// pass's buckets, bitset and runs — plus the tokens and ids of callers
+// that come in through Detect. Pooled so a steady-state serving process
+// performs no per-document buffer allocations.
 type scratch struct {
 	tokens  []textproc.Token
 	ids     []WordIDs
@@ -156,8 +156,14 @@ type scratch struct {
 	ums     []units.Match
 	sites   []patternSite
 	all     []Detection
-	order   []spanKey
-	kept    []spanKey
+
+	// The collision pass (resolveCollisions).
+	pats   []spanKey // the pattern detections, in priority order
+	counts []int32   // per (length, kind) bucket: size, then next free slot
+	order  []int32   // the other detections' indexes, in priority order
+	occ    []uint64  // occupancy bitset over the text's bytes
+	kept   []bool    // per detection: survived
+	runs   []run     // the input's start-ordered runs
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -317,8 +323,7 @@ func allStopwords(phrase string) bool {
 	return any
 }
 
-// spanKey is the part of a Detection the collision pass orders and compares
-// by, precomputed so the sort moves small keys instead of Detections.
+// spanKey is the part of a Detection the collision order compares.
 type spanKey struct {
 	start, end int
 	kind       Kind
@@ -329,7 +334,7 @@ type spanKey struct {
 // (always annotated), then longer spans, then named entities over concepts,
 // then earlier start. Only an email and a URL matched over one span tie on
 // all of those; the input position, where emails precede URLs, decides
-// between them, so the order is total and the unstable sort has no say.
+// between them, so the order is total.
 func comparePriority(a, b spanKey) int {
 	return cmp.Or(
 		cmp.Compare(min(a.kind, KindNamed), min(b.kind, KindNamed)), // KindPattern, the least Kind, or not
@@ -339,44 +344,143 @@ func comparePriority(a, b spanKey) int {
 		cmp.Compare(a.idx, b.idx))
 }
 
+// run is a stretch ds[next:end] of the collision pass's input whose starts
+// never decrease; next advances over its survivors as they are emitted.
+type run struct{ next, end int }
+
 // resolveCollisions appends to dst the detections of ds whose spans overlap
-// no higher-priority detection (comparePriority), sorted by start.
+// no detection before them in comparePriority order, sorted by start.
 //
-// The kept set is maintained sorted by span start; because kept spans never
-// overlap, one binary search decides each candidate — a sorted interval
-// sweep replacing the quadratic kept-list scan. The keys being sorted and
-// kept live in sc. The result is dst extended, grown once to its final
-// size, and holds copies: it never aliases ds or sc.
+// Every span is non-empty, and the detections of each non-pattern kind come
+// in order of start — DetectTokens emits the named entities, then the
+// concepts, each from a left-to-right scan. Only the few patterns are
+// comparison-sorted. The rest take comparePriority's order from one stable
+// counting pass keyed on (length descending, kind): within a bucket the
+// keys left to compare are start, then input position, and input order
+// already is that order. A candidate survives if no byte of its span is in
+// the occupancy bitset, and then claims its bytes. Survivors are disjoint,
+// so no two share a start, and the start-ordered output is a merge of the
+// input's start-ordered runs (five at most for DetectTokens: emails, URLs,
+// phones, named entities, concepts), each walked over its survivors. The
+// working buffers live in sc. The result is dst extended, grown once to
+// its final size, and holds copies: it never aliases ds or sc.
 //
 //kw:fresh
 func resolveCollisions(sc *scratch, dst, ds []Detection) []Detection {
-	order := sc.order[:0]
+	pats, extent, maxLen := sc.pats[:0], 0, 0
 	for i := range ds {
-		order = append(order, spanKey{start: ds[i].Start, end: ds[i].End, kind: ds[i].Kind, idx: i})
+		d := &ds[i]
+		extent = max(extent, d.End)
+		if d.Kind == KindPattern {
+			pats = append(pats, spanKey{start: d.Start, end: d.End, kind: d.Kind, idx: i})
+		} else {
+			maxLen = max(maxLen, d.End-d.Start)
+		}
 	}
-	slices.SortFunc(order, comparePriority)
-	kept := sc.kept[:0]
-	for _, k := range order {
-		// First kept span ending after k starts: the only possible overlap
-		// candidate, since kept spans are disjoint and sorted.
-		lo, hi := 0, len(kept)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if kept[mid].end > k.start {
-				hi = mid
-			} else {
-				lo = mid + 1
+	slices.SortFunc(pats, comparePriority)
+
+	counts := zeroed(sc.counts, 2*maxLen)
+	for i := range ds {
+		if ds[i].Kind != KindPattern {
+			counts[bucket(&ds[i], maxLen)]++
+		}
+	}
+	var next int32
+	for b, n := range counts {
+		counts[b], next = next, next+n
+	}
+	order := zeroed(sc.order, len(ds)-len(pats))
+	for i := range ds {
+		if ds[i].Kind != KindPattern {
+			b := bucket(&ds[i], maxLen)
+			order[counts[b]] = int32(i)
+			counts[b]++
+		}
+	}
+
+	occ, kept, survivors := zeroed(sc.occ, (extent+63)/64), zeroed(sc.kept, len(ds)), 0
+	for _, k := range pats {
+		if claim(occ, k.start, k.end) {
+			kept[k.idx] = true
+			survivors++
+		}
+	}
+	for _, i := range order {
+		if claim(occ, ds[i].Start, ds[i].End) {
+			kept[i] = true
+			survivors++
+		}
+	}
+
+	runs := sc.runs[:0]
+	for i := range ds {
+		if i == 0 || ds[i].Start < ds[i-1].Start {
+			runs = append(runs, run{next: i})
+		}
+		runs[len(runs)-1].end = i + 1
+	}
+	for r := range runs {
+		runs[r].next = nextKept(kept, runs[r].next, runs[r].end)
+	}
+	dst = slices.Grow(dst, survivors)
+	for ; survivors > 0; survivors-- {
+		first := -1
+		for r, rn := range runs {
+			if rn.next < rn.end && (first < 0 || ds[rn.next].Start < ds[runs[first].next].Start) {
+				first = r
 			}
 		}
-		if lo < len(kept) && kept[lo].start < k.end {
-			continue // overlaps a higher-priority detection
-		}
-		kept = slices.Insert(kept, lo, k)
+		rn := &runs[first]
+		dst = append(dst, ds[rn.next])
+		rn.next = nextKept(kept, rn.next+1, rn.end)
 	}
-	sc.order, sc.kept = order, kept
-	dst = slices.Grow(dst, len(kept))
-	for _, k := range kept {
-		dst = append(dst, ds[k.idx])
-	}
+	sc.pats, sc.counts, sc.order, sc.occ, sc.kept, sc.runs = pats, counts, order, occ, kept, runs
 	return dst
+}
+
+// bucket is the counting pass's key of a non-pattern detection, given the
+// longest such span: longer spans first, then named entities before
+// concepts.
+func bucket(d *Detection, maxLen int) int {
+	return 2*(maxLen-(d.End-d.Start)) + int(d.Kind-KindNamed)
+}
+
+// nextKept returns the position of the first survivor in [i,end), or end.
+func nextKept(kept []bool, i, end int) int {
+	for i < end && !kept[i] {
+		i++
+	}
+	return i
+}
+
+// claim reports whether no byte of the non-empty span [start,end) is set in
+// occ, and if so sets them all.
+func claim(occ []uint64, start, end int) bool {
+	lo, hi := start>>6, (end-1)>>6
+	for w := lo; w <= hi; w++ {
+		if occ[w]&spanBits(w, start, end) != 0 {
+			return false
+		}
+	}
+	for w := lo; w <= hi; w++ {
+		occ[w] |= spanBits(w, start, end)
+	}
+	return true
+}
+
+// spanBits is the part of [start,end) in occupancy word w, as a mask.
+func spanBits(w, start, end int) uint64 {
+	from, to := max(start-w<<6, 0), min(end-w<<6, 64)
+	return ^uint64(0) >> (64 - (to - from)) << from
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when it
+// has room.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -1,9 +1,10 @@
 // Package match implements the shared multi-pattern phrase matcher behind
 // the detection hot path: a vocabulary table interning every normalized
 // token that occurs in any pattern to a dense uint32 id, and a token-level
-// trie over those ids. A document is matched in a single pass — tokens are
-// interned once, then each position performs a longest-match trie walk with
-// zero per-probe allocations.
+// trie over those ids, compiled into arrays. A document is matched in a
+// single pass — tokens are interned once, then each position performs a
+// longest-match trie walk: one array read for the first token, one binary
+// search of a node's sorted children for each later one, and no allocation.
 //
 // The matcher preserves the greedy-longest semantics of the scanners it
 // replaced (the string scanners of taxonomy and units): at
@@ -12,6 +13,8 @@
 // at later positions are still found. DESIGN.md §10 records the
 // performance contract.
 package match
+
+import "slices"
 
 // NoID marks a token that is not part of any pattern's vocabulary. No trie
 // edge carries it, so a walk stops at the first unknown token.
@@ -81,6 +84,9 @@ func (v *Vocab) AppendIDs(dst []uint32, tokens []string) []uint32 {
 // noPattern marks a trie node that terminates no pattern.
 const noPattern = int32(-1)
 
+// noChild marks a root token that starts no pattern.
+const noChild = int32(-1)
+
 // Builder accumulates patterns and compiles the trie.
 type Builder struct {
 	vocab    *Vocab
@@ -142,18 +148,62 @@ func (b *Builder) Add(terms []string) int {
 	return int(p)
 }
 
-// Build freezes the trie. The builder must not be reused afterwards.
+// Build compiles the trie into arrays: the root's children into a dense
+// slice indexed by token id, every other node's into a run of the edge
+// slice sorted by token. It sorts the edges once and drops the builder's
+// edge map; the builder must not be reused afterwards.
 func (b *Builder) Build() *Matcher {
-	return &Matcher{vocab: b.vocab, pattern: b.pattern, edges: b.edges, maxLen: b.maxLen}
+	m := &Matcher{
+		vocab:   b.vocab,
+		pattern: b.pattern,
+		root:    make([]int32, b.vocab.Len()),
+		first:   make([]int32, len(b.pattern)+1),
+		edges:   make([]edge, 0, len(b.edges)),
+		maxLen:  b.maxLen,
+	}
+	for i := range m.root {
+		m.root[i] = noChild
+	}
+	keys := make([]uint64, 0, len(b.edges))
+	for k := range b.edges {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys) // by node, then token
+	for _, k := range keys {
+		node, tok, child := int32(k>>32), uint32(k), b.edges[k]
+		if node == 0 {
+			m.root[tok] = child
+			continue
+		}
+		m.edges = append(m.edges, edge{tok: tok, child: child})
+		m.first[node+1]++
+	}
+	for n := 1; n < len(m.first); n++ {
+		m.first[n] += m.first[n-1]
+	}
+	b.edges = nil
+	return m
+}
+
+// edge is one trie edge out of a non-root node.
+type edge struct {
+	tok   uint32
+	child int32
 }
 
 // Matcher is the compiled token-trie. It is immutable and safe for
 // concurrent use.
 type Matcher struct {
 	vocab   *Vocab
-	pattern []int32
-	edges   map[uint64]int32
-	maxLen  int
+	pattern []int32 // node -> pattern id (noPattern if interior)
+	// root is the root's child per token id (noChild: no pattern starts
+	// with the token). Ids interned into a shared vocabulary after Build
+	// lie past its end.
+	root []int32
+	// edges[first[n]:first[n+1]] are node n's children, sorted by token.
+	first  []int32
+	edges  []edge
+	maxLen int
 }
 
 // Vocab returns the matcher's vocabulary.
@@ -164,29 +214,45 @@ func (m *Matcher) MaxLen() int { return m.maxLen }
 
 // LongestAt walks the trie from position i of ids and returns the pattern
 // id and end position (exclusive) of the longest pattern starting at i.
-// ok is false when no pattern starts there. The walk performs one map
-// probe per consumed token and allocates nothing.
+// ok is false when no pattern starts there. The first token costs one
+// array read, each later one a binary search of the node's children; the
+// walk allocates nothing.
 //
 //kw:hotpath
 func (m *Matcher) LongestAt(ids []uint32, i int) (pattern, end int, ok bool) {
-	node := int32(0)
+	if i >= len(ids) || uint64(ids[i]) >= uint64(len(m.root)) { // NoID is past every root
+		return 0, 0, false
+	}
+	node := m.root[ids[i]]
 	best := noPattern
-	for j := i; j < len(ids); j++ {
-		id := ids[j]
-		if id == NoID {
-			break
-		}
-		child, found := m.edges[edgeKey(node, id)]
-		if !found {
-			break
-		}
-		node = child
+	for j := i + 1; node != noChild; j++ {
 		if p := m.pattern[node]; p != noPattern {
-			best, end = p, j+1
+			best, end = p, j
 		}
+		if j == len(ids) {
+			break
+		}
+		node = m.child(node, ids[j])
 	}
 	if best == noPattern {
 		return 0, 0, false
 	}
 	return int(best), end, true
+}
+
+// child returns node's child along tok, or noChild.
+func (m *Matcher) child(node int32, tok uint32) int32 {
+	lo, hi := m.first[node], m.first[node+1]
+	for lo < hi {
+		mid := int32(uint32(lo+hi) >> 1)
+		if m.edges[mid].tok < tok {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < m.first[node+1] && m.edges[lo].tok == tok {
+		return m.edges[lo].child
+	}
+	return noChild
 }

@@ -160,39 +160,138 @@ func TestEmptyAndShortInputs(t *testing.T) {
 	}
 }
 
-// TestDifferentialRandom cross-checks the trie against the reference
-// quadratic scanner on random phrase inventories and documents.
+// mapTrie is the matcher as it was before Build compiled it into arrays:
+// the builder's edge map probed once per walked token. It is the oracle of
+// the compiled walk.
+type mapTrie struct {
+	pattern []int32
+	edges   map[uint64]int32
+}
+
+// buildBoth compiles b, returning the compiled matcher and the map trie
+// over the same edges.
+func buildBoth(b *Builder) (*Matcher, mapTrie) {
+	ref := mapTrie{pattern: b.pattern, edges: b.edges}
+	return b.Build(), ref
+}
+
+func (t mapTrie) LongestAt(ids []uint32, i int) (pattern, end int, ok bool) {
+	node := int32(0)
+	best := noPattern
+	for j := i; j < len(ids); j++ {
+		id := ids[j]
+		if id == NoID {
+			break
+		}
+		child, found := t.edges[edgeKey(node, id)]
+		if !found {
+			break
+		}
+		node = child
+		if p := t.pattern[node]; p != noPattern {
+			best, end = p, j+1
+		}
+	}
+	if best == noPattern {
+		return 0, 0, false
+	}
+	return int(best), end, true
+}
+
+// checkAgainstMapTrie compares LongestAt at every position of ids.
+func checkAgainstMapTrie(t *testing.T, label string, m *Matcher, ref mapTrie, ids []uint32) {
+	t.Helper()
+	for i := range ids {
+		p, end, ok := m.LongestAt(ids, i)
+		rp, rend, rok := ref.LongestAt(ids, i)
+		if p != rp || end != rend || ok != rok {
+			t.Fatalf("%s: LongestAt(%v, %d) = (%d, %d, %v), map trie (%d, %d, %v)", label, ids, i, p, end, ok, rp, rend, rok)
+		}
+	}
+}
+
+// randomPhrases draws n distinct phrases of 1 to maxLen tokens from vocabulary.
+func randomPhrases(rng *rand.Rand, vocabulary []string, n, maxLen int) []string {
+	seen := map[string]bool{}
+	var phrases []string
+	for len(phrases) < n {
+		terms := make([]string, 1+rng.Intn(maxLen))
+		for i := range terms {
+			terms[i] = vocabulary[rng.Intn(len(vocabulary))]
+		}
+		p := strings.Join(terms, " ")
+		if !seen[p] {
+			seen[p] = true
+			phrases = append(phrases, p)
+		}
+	}
+	return phrases
+}
+
+// TestDifferentialRandom cross-checks the compiled trie against the
+// reference quadratic scanner and the map trie on random phrase
+// inventories and documents: narrow vocabularies with short phrases, wide
+// roots (hundreds of one-token phrases over a large vocabulary) and deep
+// chains (long phrases over a few tokens, sharing prefixes). Documents mix
+// in a word of no phrase, which interns to NoID, and words a second
+// builder sharing the vocabulary interns after the first Build: their ids
+// lie past the first matcher's root array, start none of its patterns and
+// end every walk through it, as the map trie, which has no edge for them,
+// says.
 func TestDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	vocabulary := make([]string, 30)
-	for i := range vocabulary {
-		vocabulary[i] = fmt.Sprintf("w%d", i)
+	shapes := []struct {
+		name                        string
+		vocab, phrases, maxLen, doc int
+	}{
+		{"narrow", 30, 12, 4, 60},
+		{"wide", 2000, 400, 2, 300},
+		{"deep", 4, 60, 12, 200},
 	}
-	for trial := 0; trial < 200; trial++ {
-		nPhrases := 1 + rng.Intn(12)
-		seen := map[string]bool{}
-		var phrases []string
-		for len(phrases) < nPhrases {
-			l := 1 + rng.Intn(4)
-			terms := make([]string, l)
-			for i := range terms {
-				terms[i] = vocabulary[rng.Intn(len(vocabulary))]
-			}
-			p := strings.Join(terms, " ")
-			if !seen[p] {
-				seen[p] = true
-				phrases = append(phrases, p)
-			}
+	late := []string{"late0", "late1", "late2"}
+	for _, sh := range shapes {
+		vocabulary := make([]string, sh.vocab)
+		for i := range vocabulary {
+			vocabulary[i] = fmt.Sprintf("w%d", i)
 		}
-		doc := make([]string, rng.Intn(60))
-		for i := range doc {
-			doc[i] = vocabulary[rng.Intn(len(vocabulary))]
-		}
-		m := buildFrom(phrases...)
-		got := findTokens(m, doc)
-		want := reference(phrases, doc)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: phrases=%v doc=%v\ngot  %+v\nwant %+v", trial, phrases, doc, got, want)
+		for trial := 0; trial < 200; trial++ {
+			label := fmt.Sprintf("%s trial %d", sh.name, trial)
+			phrases := randomPhrases(rng, vocabulary, 1+rng.Intn(sh.phrases), sh.maxLen)
+			doc := make([]string, rng.Intn(sh.doc))
+			for i := range doc {
+				switch rng.Intn(10) {
+				case 0:
+					doc[i] = "unknown"
+				case 1:
+					doc[i] = late[rng.Intn(len(late))]
+				default:
+					doc[i] = vocabulary[rng.Intn(len(vocabulary))]
+				}
+			}
+			b := NewBuilder(nil)
+			for _, p := range phrases {
+				b.Add(strings.Fields(p))
+			}
+			m, ref := buildBoth(b)
+			got := findTokens(m, doc)
+			if want := reference(phrases, doc); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: phrases=%v doc=%v\ngot  %+v\nwant %+v", label, phrases, doc, got, want)
+			}
+
+			b2 := NewBuilder(m.Vocab())
+			for _, p := range randomPhrases(rng, append(late, vocabulary...), 1+rng.Intn(sh.phrases), sh.maxLen) {
+				b2.Add(strings.Fields(p))
+			}
+			b2.Add(late)
+			m2, ref2 := buildBoth(b2)
+			ids := m.Vocab().AppendIDs(nil, doc)
+			checkAgainstMapTrie(t, label, m, ref, ids)
+			checkAgainstMapTrie(t, label+", second matcher", m2, ref2, ids)
+			for _, w := range append(late, "unknown") {
+				if _, _, ok := m.LongestAt([]uint32{m.Vocab().ID(w)}, 0); ok {
+					t.Fatalf("%s: %q, interned after Build or never, matched", label, w)
+				}
+			}
 		}
 	}
 }

@@ -20,10 +20,15 @@ func Recover(c *Counters, next http.Handler) http.Handler {
 			// If the handler already wrote a header this is a no-op write
 			// on a committed response; net/http logs and drops it, which
 			// is the best that can be done mid-stream.
-			http.Error(w, "internal server error", http.StatusInternalServerError)
+			InternalError(w)
 		}()
 		next.ServeHTTP(w, r)
 	})
+}
+
+// InternalError writes the 500 that Recover answers a recovered panic with.
+func InternalError(w http.ResponseWriter) {
+	http.Error(w, "internal server error", http.StatusInternalServerError)
 }
 
 // Chaos is the deterministic fault-injection middleware. A nil injector

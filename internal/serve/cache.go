@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,8 +74,12 @@ type flight struct {
 	text string // full key text: collision check before a miss joins
 	done chan struct{}
 	body []byte
-	ok   bool // false: leader produced an uncacheable (degraded) response
+	ok   bool  // false: leader produced an uncacheable (degraded) response
+	err  error // errFillPanicked: fn panicked, and body is nil
 }
+
+// errFillPanicked is what every waiter on a fill whose fn panicked gets.
+var errFillPanicked = errors.New("serve: cache fill panicked")
 
 type cacheShard struct {
 	mu sync.Mutex
@@ -166,19 +171,22 @@ func (c *Cache) put(k cacheKey, text string, body []byte) {
 // with its context error — the fill runs to completion (or its own
 // bounded deadline, which fn surfaces as an uncacheable degraded result,
 // i.e. a clean miss) and every waiter still holding a live context gets
-// the result. An error is returned only to a caller — leader or follower
-// alike — whose ctx expires while waiting.
+// the result. An error is returned to a caller — leader or follower
+// alike — whose ctx expires while waiting, and to every waiter on a fill
+// whose fn panicked: the fill goroutine recovers, stores nothing and
+// retires the flight, so the next miss starts afresh.
 func (c *Cache) Do(ctx context.Context, text string, top int, epoch uint64, fn func(context.Context) ([]byte, bool)) ([]byte, error) {
 	k := cacheKey{hash: wire.Key(text, top), top: top, epoch: epoch}
 	if body, ok := lookup(c, k, text); ok {
 		return body, nil
 	}
-	return c.fill(ctx, k, text, fn)
+	return c.fill(ctx, k, text, nil, fn)
 }
 
 // fill is the miss half of Do, for a caller whose lookup under k has just
-// missed: join the flight for (k, text) or start it.
-func (c *Cache) fill(ctx context.Context, k cacheKey, text string, fn func(context.Context) ([]byte, bool)) ([]byte, error) {
+// missed: join the flight for (k, text) or start it. A panic in fn is
+// added to panics (when non-nil) and answered with errFillPanicked.
+func (c *Cache) fill(ctx context.Context, k cacheKey, text string, panics *atomic.Int64, fn func(context.Context) ([]byte, bool)) ([]byte, error) {
 	c.misses.Add(1)
 
 	sh := c.shard(k)
@@ -189,7 +197,7 @@ func (c *Cache) fill(ctx context.Context, k cacheKey, text string, fn func(conte
 		c.coalesced.Add(1)
 		select {
 		case <-fl.done:
-			return fl.body, nil
+			return fl.body, fl.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -209,22 +217,33 @@ func (c *Cache) fill(ctx context.Context, k cacheKey, text string, fn func(conte
 	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), fillTimeout)
 	go func() {
 		defer cancel()
+		// Retire the flight however fn ends. This goroutine is no request's:
+		// a panic left to unwind it would end the process, so it is
+		// recovered, counted and handed to every waiter as errFillPanicked.
+		defer func() {
+			if rec := recover(); rec != nil {
+				if panics != nil {
+					panics.Add(1)
+				}
+				fl.body, fl.ok, fl.err = nil, false, errFillPanicked
+			}
+			if !taken {
+				sh.mu.Lock()
+				delete(sh.flights, k)
+				sh.mu.Unlock()
+			}
+			close(fl.done)
+		}()
 		fl.body, fl.ok = fn(fctx)
 		// Store before retiring the flight: a request that arrives once the
 		// flight is gone must find the entry, or it would recompute.
 		if fl.ok {
 			c.put(k, text, fl.body)
 		}
-		if !taken {
-			sh.mu.Lock()
-			delete(sh.flights, k)
-			sh.mu.Unlock()
-		}
-		close(fl.done)
 	}()
 	select {
 	case <-fl.done:
-		return fl.body, nil
+		return fl.body, fl.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

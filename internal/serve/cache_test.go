@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"contextrank/internal/framework"
 	"contextrank/internal/resilience"
 	"contextrank/internal/wire"
 )
@@ -363,5 +365,75 @@ func TestCacheFillTimeoutBoundsDetachedFill(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("uncacheable timed-out fill was stored: %+v", st)
+	}
+}
+
+// TestCacheFillPanicIs500ForEveryWaiter: the detector runs on the cache's
+// detached fill goroutine, out of Recover's reach. A panic there must be
+// recovered and counted once, answer the leader and each coalesced
+// follower with Recover's 500, store nothing and retire the flight, so the
+// next miss runs (and panics) afresh.
+func TestCacheFillPanicIs500ForEveryWaiter(t *testing.T) {
+	srv := testServer(t)
+	srv.Cache = NewCache(64)
+	srv.Runtime = &framework.Runtime{} // built by no constructor: no tables, so annotating panics
+	srv.Gate = resilience.NewGate(1, 4, time.Minute)
+	h := srv.Handler()
+	payload, err := json.Marshal(AnnotateRequest{Text: "the alphaword story", Top: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/annotate", bytes.NewReader(payload)))
+		return rec
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// Hold the only slot so the leader's fill queues behind it while a
+	// follower joins the flight.
+	release, err := srv.Gate.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const waiters = 3
+	recs := make(chan *httptest.ResponseRecorder, waiters)
+	go func() { recs <- post() }()
+	waitFor("the leader's fill to queue", func() bool { return srv.Gate.QueueDepth() == 1 })
+	for i := 1; i < waiters; i++ {
+		go func() { recs <- post() }()
+	}
+	waitFor("the followers to join", func() bool { return srv.Cache.Stats().Coalesced == waiters-1 })
+	release()
+
+	for i := 0; i < waiters; i++ {
+		if rec := <-recs; rec.Code != http.StatusInternalServerError || rec.Body.String() != "internal server error\n" {
+			t.Fatalf("waiter answered %d %q, want Recover's 500", rec.Code, rec.Body)
+		}
+	}
+	if got := srv.rz.PanicsRecovered.Load(); got != 1 {
+		t.Fatalf("panics_recovered = %d after one panicking fill, want 1", got)
+	}
+	if rec := post(); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("the miss after the panic answered %d", rec.Code)
+	}
+	if st := srv.Cache.Stats(); st.Entries != 0 || st.Misses != waiters+1 || st.Coalesced != waiters-1 {
+		t.Fatalf("cache after two panicking fills: %+v", st)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
+	var st Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Resilience.PanicsRecovered != 2 {
+		t.Fatalf("/statz panics_recovered = %d, want 2", st.Resilience.PanicsRecovered)
 	}
 }

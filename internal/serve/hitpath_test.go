@@ -68,7 +68,7 @@ func TestCacheFlightRejectsCollidingMiss(t *testing.T) {
 	proceed := make(chan struct{})
 	leader := make(chan []byte, 1)
 	go func() {
-		body, _ := c.fill(context.Background(), k, "doc A", func(context.Context) ([]byte, bool) {
+		body, _ := c.fill(context.Background(), k, "doc A", nil, func(context.Context) ([]byte, bool) {
 			close(started)
 			<-proceed
 			return []byte("annotations of A"), true
@@ -77,7 +77,7 @@ func TestCacheFlightRejectsCollidingMiss(t *testing.T) {
 	}()
 	<-started
 
-	body, err := c.fill(context.Background(), k, "doc B", func(context.Context) ([]byte, bool) {
+	body, err := c.fill(context.Background(), k, "doc B", nil, func(context.Context) ([]byte, bool) {
 		return []byte("annotations of B"), true
 	})
 	if err != nil || string(body) != "annotations of B" {
@@ -87,7 +87,7 @@ func TestCacheFlightRejectsCollidingMiss(t *testing.T) {
 	// A's flight is still the registered one: a second request for A joins it.
 	follower := make(chan []byte, 1)
 	go func() {
-		body, _ := c.fill(context.Background(), k, "doc A", func(context.Context) ([]byte, bool) {
+		body, _ := c.fill(context.Background(), k, "doc A", nil, func(context.Context) ([]byte, bool) {
 			t.Error("follower of A recomputed")
 			return nil, false
 		})

@@ -27,6 +27,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -307,12 +308,18 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	text := string(view)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	body, err := s.Cache.fill(ctx, k, text, func(fctx context.Context) ([]byte, bool) {
+	body, err := s.Cache.fill(ctx, k, text, &s.rz.PanicsRecovered, func(fctx context.Context) ([]byte, bool) {
 		// fctx is the detached fill context: the leader's values without
 		// its cancellation, bounded by the fill deadline — a cancelled
 		// leader cannot poison the coalesced waiters (DESIGN.md §8).
 		return s.annotateBody(fctx, text, top)
 	})
+	if errors.Is(err, errFillPanicked) {
+		// The fill panicked off this goroutine, out of Recover's reach; the
+		// cache counted it. Answer as Recover answers a panic here.
+		resilience.InternalError(w)
+		return
+	}
 	if err != nil {
 		// Waiter (leader or follower) whose own deadline expired before
 		// the fill finished: answer degraded like any other deadline
