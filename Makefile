@@ -125,8 +125,12 @@ chaos:
 # alone, and allocates nothing when dst has room) — and the shard's
 # forwarded X-Deadline-Ms (serve.Server.requestCtx: any header, never a
 # deadline past the Timeout, the earlier of the two for a budget that fits
-# a time.Duration, and an unusable value leaves the Timeout policy alone). Their seed corpora also run under plain
-# `go test`.
+# a time.Duration, and an unusable value leaves the Timeout policy alone) —
+# and the X-Tenant header through resilience.Quota.Admit, the refusal both
+# hops answer (a name is refused exactly when its first 128 bytes have spent
+# their burst or are new to a full table, every refusal is one counted 429
+# with an integer Retry-After, and the table never passes 4,096 tenants).
+# Their seed corpora also run under plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPatternGate$$' -fuzztime $(FUZZTIME) ./internal/detect
@@ -138,6 +142,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRead$$' -fuzztime $(FUZZTIME) ./internal/golomb
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendStem$$' -fuzztime $(FUZZTIME) ./internal/stem
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardedDeadline$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzTenantHeader$$' -fuzztime $(FUZZTIME) ./internal/resilience
 
 # examples/ may import the product; the product may not import examples/.
 # The click graph, the personalization library and the weekly query-log

@@ -2,9 +2,10 @@
 // that happens before a runtime serves a request — as subcommands over one
 // contextrank.Build:
 //
-//	offline train -o bundle.bin [-seed N] [-scale small|paper]
-//	    train the ranker and write its bundle, the file `serve -bundle`
-//	    loads (serve builds the small world: pass it the same -seed)
+//	offline train -o bundle.bin [-seed N]
+//	    train the ranker on the small world and write its bundle, the file
+//	    `serve -bundle` loads (serve builds the same world: pass it the
+//	    same -seed)
 //	offline annotate -demo | < story.txt [-top N] [-html] [-render] [-seed N]
 //	    train, then print a document's ranked contextual shortcuts
 //	offline inspect -list N | -concept NAME [-resource R] [-senses] [-seed N]
@@ -54,19 +55,8 @@ func train(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("offline train", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	seed := fs.Int64("seed", 42, "master seed")
-	scale := fs.String("scale", "small", "world scale: small|paper")
 	out := fs.String("o", "", "write the offline bundle (tables + model) to this file")
 	if fs.Parse(args) != nil {
-		return 2
-	}
-	var cfg contextrank.Config
-	switch *scale {
-	case "small":
-		cfg = contextrank.SmallConfig(*seed)
-	case "paper":
-		cfg = contextrank.PaperConfig(*seed)
-	default:
-		fmt.Fprintf(stderr, "unknown scale %q\n", *scale)
 		return 2
 	}
 	if *out == "" {
@@ -75,7 +65,7 @@ func train(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintln(stderr, "building world and training ranker...")
-	sys := contextrank.Build(cfg)
+	sys := contextrank.Build(contextrank.SmallConfig(*seed))
 	st := sys.DataStats()
 	fmt.Fprintf(stdout, "click data: %d stories, %d concepts, %d clicks, %d windows\n",
 		st.CleanStories, st.Concepts, st.Clicks, st.Windows)

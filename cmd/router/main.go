@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -43,7 +42,6 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	shardsFlag := flag.String("shards", "", "comma-separated name=url shard list (required)")
 	replication := flag.Int("replication", 2, "replicas per key range (failover depth)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the ring (0 = default)")
 	seed := flag.Int64("seed", 42, "seed for breaker cooldowns and hedge jitter")
 
 	requestTimeout := flag.Duration("request-timeout", 5*time.Second, "end-to-end budget per routed request, across all attempts (0 = none)")
@@ -76,7 +74,6 @@ func main() {
 	cfg := cluster.Config{
 		Shards:           shards,
 		Replication:      *replication,
-		Vnodes:           *vnodes,
 		RequestTimeout:   *requestTimeout,
 		PerTryTimeout:    *perTryTimeout,
 		Seed:             *seed,
@@ -102,13 +99,7 @@ func main() {
 		fatal(err)
 	}
 
-	httpServer := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       15 * time.Second,
-		WriteTimeout:      routerWriteTimeout(*requestTimeout),
-		IdleTimeout:       120 * time.Second,
-	}
+	httpServer := resilience.NewHTTPServer(rt.Handler(), routerWriteTimeout(*requestTimeout))
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -120,7 +111,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	fmt.Fprintf(os.Stderr, "routing on %s (%d shards, replication %d)\n", ln.Addr(), len(shards), *replication)
-	if err := serveUntilSignal(httpServer, rt, ln, sig, *drainTimeout, os.Stderr); err != nil {
+	if err := resilience.ServeUntilSignal(httpServer, ln, sig, *drainTimeout, &rt.Readiness, os.Stderr); err != nil {
 		fatal(err)
 	}
 }
@@ -179,34 +170,6 @@ func startProbeLoop(rt *cluster.Router, interval time.Duration) (stop func()) {
 		}
 	}()
 	return func() { close(done) }
-}
-
-// serveUntilSignal mirrors cmd/serve's drain contract for the router:
-// on signal, readiness flips off, the listener stops accepting, in-flight
-// routed requests drain within the deadline, and a drained server exits 0.
-func serveUntilSignal(httpServer *http.Server, rt *cluster.Router, ln net.Listener, sig <-chan os.Signal, drain time.Duration, logw *os.File) error {
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpServer.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case s := <-sig:
-		fmt.Fprintf(logw, "signal %v: draining (deadline %s)\n", s, drain)
-		rt.SetReady(false)
-		ctx, cancel := context.WithTimeout(context.Background(), drain) //kwlint:ignore ctxflow — drain root: the process, not a request, owns this deadline
-		defer cancel()
-		if err := httpServer.Shutdown(ctx); err != nil {
-			return fmt.Errorf("drain incomplete: %w", err)
-		}
-		if err := <-errCh; !errors.Is(err, http.ErrServerClosed) && err != nil {
-			return err
-		}
-		fmt.Fprintln(logw, "drained cleanly")
-		return nil
-	}
 }
 
 func fatal(err error) {

@@ -61,7 +61,7 @@ func TestRouterWriteTimeoutSizing(t *testing.T) {
 
 // TestRouterGracefulDrain proves the router's SIGTERM contract without any
 // shards: an in-flight routed request completes, readiness flips off, and
-// serveUntilSignal returns nil within the drain deadline.
+// the shared drain returns nil within the drain deadline.
 func TestRouterGracefulDrain(t *testing.T) {
 	rt, err := cluster.New(cluster.Config{Shards: []cluster.Shard{{Name: "s0", URL: "http://127.0.0.1:1"}}})
 	if err != nil {
@@ -80,12 +80,9 @@ func TestRouterGracefulDrain(t *testing.T) {
 	}
 	sig := make(chan os.Signal, 1)
 	done := make(chan error, 1)
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	go func() { done <- serveUntilSignal(httpServer, rt, ln, sig, 5*time.Second, null) }()
+	go func() {
+		done <- resilience.ServeUntilSignal(httpServer, ln, sig, 5*time.Second, &rt.Readiness, io.Discard)
+	}()
 
 	reqErr := make(chan error, 1)
 	go func() {
@@ -102,7 +99,7 @@ func TestRouterGracefulDrain(t *testing.T) {
 	sig <- syscall.SIGTERM
 
 	if err := <-done; err != nil {
-		t.Fatalf("serveUntilSignal = %v, want nil", err)
+		t.Fatalf("ServeUntilSignal = %v, want nil", err)
 	}
 	if err := <-reqErr; err != nil {
 		t.Fatalf("in-flight request not drained: %v", err)

@@ -22,7 +22,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -129,16 +128,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chaos injection enabled (seed %d)\n", *chaosSeed)
 	}
 
-	httpServer := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       15 * time.Second,
-		// WriteTimeout must exceed the worst admitted request: queue wait
-		// + request deadline + degraded fallback + response write.
-		WriteTimeout: writeTimeout(*requestTimeout, *queueWait),
-		IdleTimeout:  120 * time.Second,
-	}
-
+	httpServer := resilience.NewHTTPServer(srv.Handler(), writeTimeout(*requestTimeout, *queueWait))
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -147,7 +137,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	fmt.Fprintf(os.Stderr, "serving on %s\n", ln.Addr())
-	if err := serveUntilSignal(httpServer, srv, ln, sig, *drainTimeout, os.Stderr); err != nil {
+	if err := resilience.ServeUntilSignal(httpServer, ln, sig, *drainTimeout, &srv.Readiness, os.Stderr); err != nil {
 		fatal(err)
 	}
 }
@@ -187,45 +177,16 @@ func cacheFillTimeout(requestTimeout time.Duration) time.Duration {
 	return serve.DefaultFillTimeout
 }
 
-// writeTimeout sizes the http.Server write deadline around the request
-// budget so the server-level timeout never fires before the application
-// deadline has had a chance to degrade gracefully.
+// writeTimeout sizes the http.Server write deadline around the worst
+// admitted request — queue wait + request deadline + degraded fallback +
+// response write — so the server-level timeout never fires before the
+// application deadline has had a chance to degrade gracefully.
 func writeTimeout(requestTimeout, queueWait time.Duration) time.Duration {
 	const floor = 30 * time.Second
 	if budget := 2*requestTimeout + queueWait + 5*time.Second; budget > floor {
 		return budget
 	}
 	return floor
-}
-
-// serveUntilSignal serves until the listener fails or a shutdown signal
-// arrives. On signal it flips readiness off (load balancers stop sending
-// traffic), stops accepting, drains in-flight requests within the drain
-// deadline, and returns nil for a clean exit-0. http.ErrServerClosed is
-// the normal end of a drained server, never an error.
-func serveUntilSignal(httpServer *http.Server, srv *serve.Server, ln net.Listener, sig <-chan os.Signal, drain time.Duration, logw io.Writer) error {
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpServer.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case s := <-sig:
-		fmt.Fprintf(logw, "signal %v: draining (deadline %s)\n", s, drain)
-		srv.SetReady(false)
-		ctx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		if err := httpServer.Shutdown(ctx); err != nil {
-			return fmt.Errorf("drain incomplete: %w", err)
-		}
-		if err := <-errCh; !errors.Is(err, http.ErrServerClosed) && err != nil {
-			return err
-		}
-		fmt.Fprintln(logw, "drained cleanly")
-		return nil
-	}
 }
 
 func fatal(err error) {

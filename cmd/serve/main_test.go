@@ -11,15 +11,16 @@ import (
 	"testing"
 	"time"
 
+	"contextrank/internal/resilience"
 	"contextrank/internal/serve"
 )
 
 // TestGracefulDrain proves the SIGTERM contract without building a world:
 // a slow in-flight request must complete, new connections must be
-// refused, readiness must flip, and serveUntilSignal must return nil (the
+// refused, readiness must flip, and the shared drain must return nil (the
 // process exits 0) within the drain deadline.
 func TestGracefulDrain(t *testing.T) {
-	srv := serve.NewServer(nil, nil) // only SetReady/Ready are used here
+	srv := serve.NewServer(nil, nil) // only its readiness is used here
 	inFlight := make(chan struct{})
 	var completed atomic.Int64
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -45,7 +46,9 @@ func TestGracefulDrain(t *testing.T) {
 
 	sig := make(chan os.Signal, 1)
 	done := make(chan error, 1)
-	go func() { done <- serveUntilSignal(httpServer, srv, ln, sig, 5*time.Second, io.Discard) }()
+	go func() {
+		done <- resilience.ServeUntilSignal(httpServer, ln, sig, 5*time.Second, &srv.Readiness, io.Discard)
+	}()
 
 	// Put a slow request in flight, then deliver SIGTERM mid-request.
 	reqErr := make(chan error, 1)
@@ -64,7 +67,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	start := time.Now()
 	if err := <-done; err != nil {
-		t.Fatalf("serveUntilSignal = %v, want nil (exit 0)", err)
+		t.Fatalf("ServeUntilSignal = %v, want nil (exit 0)", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("drain took %v, beyond the deadline", d)
@@ -95,7 +98,7 @@ func TestServeUntilSignalListenerError(t *testing.T) {
 	ln.Close() // Serve on a closed listener fails immediately
 	httpServer := &http.Server{Handler: http.NotFoundHandler()}
 	sig := make(chan os.Signal)
-	if err := serveUntilSignal(httpServer, srv, ln, sig, time.Second, io.Discard); err == nil {
+	if err := resilience.ServeUntilSignal(httpServer, ln, sig, time.Second, &srv.Readiness, io.Discard); err == nil {
 		t.Fatal("expected an error from the dead listener")
 	}
 }

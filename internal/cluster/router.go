@@ -31,10 +31,9 @@ type Config struct {
 	// breaker cooldowns from stream i.
 	Shards []Shard
 	// Replication is how many distinct replicas own each key range
-	// (failover depth). Clamped to [1, len(Shards)].
+	// (failover depth). Clamped to [1, len(Shards)]. Each shard has
+	// DefaultVnodes points on the ring.
 	Replication int
-	// Vnodes per shard on the ring (0 = DefaultVnodes).
-	Vnodes int
 
 	// RequestTimeout bounds one routed request end to end, across all
 	// failover and hedge attempts (0 = none).
@@ -59,8 +58,8 @@ type Config struct {
 	HedgeDelay  time.Duration
 	HedgeJitter time.Duration
 
-	// Quota is the per-tenant token bucket applied before any routing
-	// work (nil = disabled).
+	// Quota meters /v1/annotate before any routing work (nil = disabled);
+	// Quota.Admit states the contract.
 	Quota *resilience.Quota
 	// Injector plans router-side chaos — simulated shard crashes, slow
 	// replicas, flapping health probes (nil = no injection).
@@ -185,10 +184,13 @@ type Router struct {
 	//kw:guardedby(fmu)
 	flights map[uint64]*flight
 
+	// Readiness is the /readyz state; cmd/router flips it off when a drain
+	// begins.
+	resilience.Readiness
+
 	probeRound atomic.Int64
-	ready      atomic.Bool
 	counters   Counters
-	rz         resilience.Counters // panic recovery accounting
+	rz         resilience.Counters // panic recovery and quota accounting
 }
 
 // New builds a router over cfg.Shards. At start every shard is healthy;
@@ -212,7 +214,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:     cfg,
-		ring:    NewRing(names, cfg.Vnodes),
+		ring:    NewRing(names, DefaultVnodes),
 		flights: make(map[uint64]*flight),
 		hs:      resilience.NewHedgeSchedule(cfg.HedgeDelay, cfg.HedgeJitter, cfg.Seed),
 	}
@@ -228,7 +230,6 @@ func New(cfg Config) (*Router, error) {
 		})
 		rt.shards = append(rt.shards, st)
 	}
-	rt.ready.Store(true)
 	return rt, nil
 }
 
@@ -239,12 +240,6 @@ func (rt *Router) client() resilience.Doer {
 	return http.DefaultClient
 }
 
-// SetReady flips the /readyz state (drain signalling, like serve.Server).
-func (rt *Router) SetReady(ready bool) { rt.ready.Store(ready) }
-
-// Ready reports the current readiness state.
-func (rt *Router) Ready() bool { return rt.ready.Load() }
-
 // Counters exposes the router counters (also in /statz).
 func (rt *Router) CountersSnapshot() CountersSnapshot { return rt.counters.Snapshot() }
 
@@ -252,24 +247,10 @@ func (rt *Router) CountersSnapshot() CountersSnapshot { return rt.counters.Snaps
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/annotate", rt.handleAnnotate)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("GET /readyz", rt.handleReady)
+	rt.Readiness.MountProbes(mux, nil) // a failed probe write is the prober's to see
 	mux.HandleFunc("GET /statz", rt.handleStats)
 	mux.HandleFunc("POST /admin/probe", rt.handleProbe)
 	return resilience.Recover(&rt.rz, mux)
-}
-
-func (rt *Router) handleReady(w http.ResponseWriter, _ *http.Request) {
-	if !rt.ready.Load() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, "ready\n")
 }
 
 // StatzShard is the per-shard block of the router's /statz.
@@ -289,7 +270,7 @@ type Statz struct {
 }
 
 func (rt *Router) statz() Statz {
-	st := Statz{Router: rt.counters.Snapshot(), Resilience: rt.rz.Snapshot()}
+	st := Statz{Router: rt.counters.Snapshot(), QuotaTenants: rt.cfg.Quota.Tenants(), Resilience: rt.rz.Snapshot()}
 	for _, s := range rt.shards {
 		st.Shards = append(st.Shards, StatzShard{
 			Name:         s.shard.Name,
@@ -297,9 +278,6 @@ func (rt *Router) statz() Statz {
 			BreakerState: s.breaker.State().String(),
 			BreakerOpens: s.breaker.Opens(),
 		})
-	}
-	if rt.cfg.Quota != nil {
-		st.QuotaTenants = rt.cfg.Quota.Tenants()
 	}
 	return st
 }
@@ -366,14 +344,8 @@ func (rt *Router) handleProbe(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	tenant := r.Header.Get(wire.TenantHeader)
-	if rt.cfg.Quota != nil {
-		ok, retryAfter := rt.cfg.Quota.Allow(tenant)
-		if !ok {
-			rt.rz.QuotaDenied.Add(1)
-			w.Header().Set("Retry-After", wire.RetryAfter(retryAfter))
-			http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
-			return
-		}
+	if !rt.cfg.Quota.Admit(w, tenant, &rt.rz.QuotaDenied) {
+		return
 	}
 	// The body is not pooled: a losing hedge attempt may still be sending it
 	// after this handler returns.
@@ -664,7 +636,7 @@ func errorResponse(status int, msg string) routedResponse {
 	return routedResponse{
 		status:      status,
 		contentType: "text/plain; charset=utf-8",
-		retryAfter:  "1",
+		retryAfter:  resilience.RetryAfterHint,
 		body:        []byte(msg + "\n"),
 	}
 }

@@ -1,9 +1,13 @@
 package resilience
 
 import (
+	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"contextrank/internal/wire"
 )
 
 // QuotaConfig parameterizes per-tenant token buckets.
@@ -124,6 +128,25 @@ func (q *Quota) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 	}
 	deficit := 1 - b.tokens
 	return false, time.Duration(deficit / q.cfg.RatePerSec * float64(time.Second))
+}
+
+// Admit is the quota check of a metered endpoint, made before any other
+// work on the request: it spends one of tenant's tokens, or writes the 429
+// with the Retry-After hint Allow gives, counts it in denied and returns
+// false. A refusal is policy, not pressure, so it is never answered with a
+// degraded result. The metered endpoints are the document endpoints:
+// /v1/annotate and /v1/render on cmd/serve, /v1/annotate on cmd/router;
+// the probes, /statz, /v1/concepts and /admin/probe are not metered. A nil
+// *Quota admits every request.
+func (q *Quota) Admit(w http.ResponseWriter, tenant string, denied *atomic.Int64) bool {
+	ok, retryAfter := q.Allow(tenant)
+	if ok {
+		return true
+	}
+	denied.Add(1)
+	w.Header().Set("Retry-After", wire.RetryAfter(retryAfter))
+	http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
+	return false
 }
 
 // Tenants is the number of buckets currently tracked (a /statz gauge).

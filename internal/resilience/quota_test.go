@@ -1,8 +1,13 @@
 package resilience
 
 import (
+	"bytes"
+	"maps"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -186,4 +191,65 @@ func TestQuotaKeyOwnsItsBytes(t *testing.T) {
 			t.Fatal("the bucket key shares the tenant argument's memory")
 		}
 	}
+}
+
+// FuzzTenantHeader drives Admit with the X-Tenant values a client can send,
+// one per line of the input, against a table pre-filled to two short of its
+// cap: every request is refused exactly when its key (the name's first
+// maxTenantKey bytes) has spent its burst of 2, or is new and the table is
+// full; every refusal is one 429 with an integer Retry-After of at least 1
+// and one count; the table never outgrows maxTenants.
+func FuzzTenantHeader(f *testing.F) {
+	f.Add([]byte("acme\nacme\nacme"))
+	f.Add([]byte("a\nb\nc\nd\na\na\na"))
+	f.Add([]byte("\nprefill-7\nprefill-7\n"))
+	f.Add([]byte(strings.Repeat("x", 200) + "\n" + strings.Repeat("x", 128) + "y\n" + strings.Repeat("x", 127)))
+	prefill := make(map[string]int, maxTenants-2)
+	for i := 0; i < maxTenants-2; i++ {
+		prefill["prefill-"+strconv.Itoa(i)] = 1
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		now := time.Unix(1000, 0)
+		q := NewQuota(QuotaConfig{Burst: 2, Now: func() time.Time { return now }})
+		for name := range prefill {
+			q.Allow(name)
+		}
+		admitted := maps.Clone(prefill) // the oracle: tokens spent per key
+		var denied atomic.Int64
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			tenant := string(line)
+			key := tenant
+			if len(key) > maxTenantKey {
+				key = key[:maxTenantKey]
+			}
+			spent, tracked := admitted[key]
+			wantRefused := spent >= 2 || (!tracked && len(admitted) >= maxTenants)
+
+			rec := httptest.NewRecorder()
+			before := denied.Load()
+			ok := q.Admit(rec, tenant, &denied)
+			if ok == wantRefused {
+				t.Fatalf("tenant %q (spent %d, tracked %v, table %d): admitted = %v", tenant, spent, tracked, len(admitted), ok)
+			}
+			if ok {
+				admitted[key]++
+				if rec.Body.Len() != 0 || len(rec.Header()) != 0 || denied.Load() != before {
+					t.Fatalf("tenant %q admitted but the response was touched", tenant)
+				}
+			} else {
+				if rec.Code != http.StatusTooManyRequests {
+					t.Fatalf("refusal status %d, want 429", rec.Code)
+				}
+				if secs, err := strconv.Atoi(rec.Header().Get("Retry-After")); err != nil || secs < 1 {
+					t.Fatalf("refusal Retry-After %q, want an integer >= 1", rec.Header().Get("Retry-After"))
+				}
+				if got := denied.Load() - before; got != 1 {
+					t.Fatalf("refusal counted %d times, want 1", got)
+				}
+			}
+			if n := q.Tenants(); n > maxTenants || n != len(admitted) {
+				t.Fatalf("tenants = %d, want %d (cap %d)", n, len(admitted), maxTenants)
+			}
+		}
+	})
 }

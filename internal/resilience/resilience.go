@@ -16,6 +16,9 @@
 //     from an independent splitmix64-derived stream (par.Seed), so a fixed
 //     seed reproduces the exact same fault multiset — and therefore the
 //     exact same recovery counters — on every run, at any concurrency.
+//   - The serving edge cmd/serve and cmd/router share: NewHTTPServer's
+//     connection timeouts, Readiness and its /healthz and /readyz probes,
+//     the ServeUntilSignal drain, Quota.Admit's 429 and RetryAfterHint.
 //
 // The package deliberately has no opinion about policy (what to do when a
 // request is shed or a deadline expires); internal/serve decides that —

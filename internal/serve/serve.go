@@ -57,11 +57,6 @@ const (
 // AnnotateRequest is the JSON request body of /v1/annotate and /v1/render.
 type AnnotateRequest = wire.AnnotateRequest
 
-// retryAfterSeconds is the backoff hint sent with every 429/503: shed
-// load should come back after the short wait queue has had a chance to
-// drain, not immediately and not never.
-const retryAfterSeconds = "1"
-
 // defaultTop is the number of concepts returned when a request omits "top".
 const defaultTop = 5
 
@@ -75,10 +70,8 @@ type Server struct {
 	Timeout time.Duration
 	// Gate is the admission controller (nil = unbounded admission).
 	Gate *resilience.Gate
-	// Quota is the per-tenant token-bucket check applied in front of the
-	// gate (nil = no quotas). Exhausted tenants get 429 + Retry-After on
-	// every endpoint — a quota refusal is policy, not pressure, so it is
-	// never answered with the degraded ranking.
+	// Quota meters the document endpoints in front of the gate (nil = no
+	// quotas); Quota.Admit states the contract.
 	Quota *resilience.Quota
 	// TrustForwardedDeadline makes the server honor DeadlineHeader from
 	// the router (shard mode, cmd/serve -shard). Off by default: an
@@ -102,7 +95,10 @@ type Server struct {
 	// index) pins epoch 0: the cache behaves as before.
 	IndexEpoch func() uint64
 
-	ready       atomic.Bool
+	// Readiness is the /readyz state; cmd/serve flips it off when a drain
+	// begins.
+	resilience.Readiness
+
 	requests    atomic.Int64
 	docBytes    atomic.Int64
 	writeErrors atomic.Int64
@@ -110,20 +106,10 @@ type Server struct {
 }
 
 // NewServer builds a server around a runtime. renderer may be nil, which
-// disables /v1/render. The server starts ready; cmd/serve flips readiness
-// off when a drain begins.
+// disables /v1/render. The server starts ready.
 func NewServer(rt *framework.Runtime, renderer *annotate.Renderer) *Server {
-	s := &Server{Runtime: rt, Renderer: renderer}
-	s.ready.Store(true)
-	return s
+	return &Server{Runtime: rt, Renderer: renderer}
 }
-
-// SetReady flips the /readyz state. Liveness (/healthz) is unaffected:
-// a draining process is still alive.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// Ready reports the current readiness state.
-func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Handler returns the routed handler wrapped in the resilience chain:
 // Recover outermost (a panic anywhere — injected or real — becomes a 500
@@ -134,26 +120,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/annotate", s.handleAnnotate)
 	mux.HandleFunc("POST /v1/render", s.handleRender)
 	mux.HandleFunc("GET /v1/concepts", s.handleConcepts)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		s.writeBody(w, "ok\n")
-	})
-	mux.HandleFunc("GET /readyz", s.handleReady)
+	s.Readiness.MountProbes(mux, &s.writeErrors)
 	mux.HandleFunc("GET /statz", s.handleStats)
 
 	var h http.Handler = mux
 	h = resilience.Chaos(s.Injector, &s.rz, h)
 	return resilience.Recover(&s.rz, h)
-}
-
-func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	if !s.ready.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds)
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	s.writeBody(w, "ready\n")
 }
 
 // AnnotationJSON is one annotation in the response.
@@ -244,22 +216,6 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return r.Context(), func() {}
 }
 
-// checkQuota enforces the per-tenant token bucket. It reports whether the
-// request may proceed; on refusal the 429 has already been written.
-func (s *Server) checkQuota(w http.ResponseWriter, r *http.Request) bool {
-	if s.Quota == nil {
-		return true
-	}
-	ok, retryAfter := s.Quota.Allow(r.Header.Get(TenantHeader))
-	if ok {
-		return true
-	}
-	s.rz.QuotaDenied.Add(1)
-	w.Header().Set("Retry-After", wire.RetryAfter(retryAfter))
-	http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
-	return false
-}
-
 // admit asks the gate for a slot. With no gate every request is admitted.
 func (s *Server) admit(ctx context.Context) (func(), error) {
 	if s.Gate == nil {
@@ -275,7 +231,7 @@ func (s *Server) annotate(ctx context.Context, text string, top int) ([]framewor
 }
 
 func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
-	if !s.checkQuota(w, r) {
+	if !s.Quota.Admit(w, r.Header.Get(TenantHeader), &s.rz.QuotaDenied) {
 		return
 	}
 	buf := bodyPool.Get().(*[]byte)
@@ -413,7 +369,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "rendering not configured", http.StatusNotImplemented)
 		return
 	}
-	if !s.checkQuota(w, r) {
+	if !s.Quota.Admit(w, r.Header.Get(TenantHeader), &s.rz.QuotaDenied) {
 		return
 	}
 	buf := bodyPool.Get().(*[]byte)
@@ -442,7 +398,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		// Rendered HTML has no meaningful degraded form: shed with 429
 		// and a backoff hint.
 		s.rz.Shed.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds)
+		w.Header().Set("Retry-After", resilience.RetryAfterHint)
 		http.Error(w, "overloaded, retry later", http.StatusTooManyRequests)
 		return
 	}
@@ -465,7 +421,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 // renderDeadline reports a render request that ran out of its deadline.
 func (s *Server) renderDeadline(w http.ResponseWriter) {
 	s.rz.DeadlineExpired.Add(1)
-	w.Header().Set("Retry-After", retryAfterSeconds)
+	w.Header().Set("Retry-After", resilience.RetryAfterHint)
 	http.Error(w, "deadline exceeded", http.StatusServiceUnavailable)
 }
 
@@ -533,15 +489,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		WriteErrors:   s.writeErrors.Load(),
 		StemMBps:      stem,
 		RankMBps:      rank,
+		QuotaTenants:  s.Quota.Tenants(),
 		Resilience:    s.rz.Snapshot(),
 	}
 	if s.Gate != nil {
 		st.InFlight = s.Gate.InFlight()
 		st.QueueDepth = s.Gate.QueueDepth()
 		st.GateCapacity = s.Gate.Capacity()
-	}
-	if s.Quota != nil {
-		st.QuotaTenants = s.Quota.Tenants()
 	}
 	if s.Cache != nil {
 		cs := s.Cache.Stats()
