@@ -101,11 +101,12 @@ bench:
 # cluster tier: ring/router/breaker/hedge unit suites plus the
 # multi-process differential test (cmd/router + three cmd/serve -shard
 # processes byte-compared against a single-process engine under planned
-# faults).
+# faults) — and resilience.Flights, the single-flight both hops coalesce
+# through, under its seeded stress.
 CHAOS_SEED ?= 42
 chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestChaos|TestOverload|TestShed|TestDeadline|TestQueued|TestGracefulDrain' ./internal/serve/ ./internal/resilience/ ./cmd/serve/
-	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestRing|TestRouter|TestBreaker|TestHedge|TestQuota|TestCluster|TestFlap|TestCache' ./internal/cluster/ ./internal/resilience/ ./internal/serve/ ./cmd/router/
+	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -run 'TestRing|TestRouter|TestBreaker|TestHedge|TestQuota|TestCluster|TestFlap|TestCache|TestFlight' ./internal/cluster/ ./internal/resilience/ ./internal/serve/ ./cmd/router/
 
 # The fuzz targets, for a fixed budget each (go test -fuzz takes one target
 # and one package per run): the differential pair of the one-pass document
@@ -129,7 +130,10 @@ chaos:
 # and the X-Tenant header through resilience.Quota.Admit, the refusal both
 # hops answer (a name is refused exactly when its first 128 bytes have spent
 # their burst or are new to a full table, every refusal is one counted 429
-# with an integer Retry-After, and the table never passes 4,096 tenants).
+# with an integer Retry-After, and the table never passes 4,096 tenants) —
+# and annotate.RenderSource, the /v1/render html:true path (never a panic,
+# the page back byte for byte once the inserted spans are taken out, and
+# every wrapped source slice stripping to its annotation's text).
 # Their seed corpora also run under plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
@@ -143,6 +147,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendStem$$' -fuzztime $(FUZZTIME) ./internal/stem
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardedDeadline$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzTenantHeader$$' -fuzztime $(FUZZTIME) ./internal/resilience
+	$(GO) test -run '^$$' -fuzz '^FuzzRenderSource$$' -fuzztime $(FUZZTIME) ./internal/annotate
 
 # examples/ may import the product; the product may not import examples/.
 # The click graph, the personalization library and the weekly query-log

@@ -23,9 +23,6 @@ import (
 // Keys are repo-root-relative files; entries are "decl directive",
 // with methods and fields qualified by their receiver/struct type.
 var liveAnnotations = map[string][]string{
-	"internal/cluster/router.go": {
-		"Router.flights //kw:guardedby(fmu)",
-	},
 	"internal/core/system.go": {
 		"System.fieldsCache //kw:guardedby(cacheMu)",
 	},
@@ -56,6 +53,9 @@ var liveAnnotations = map[string][]string{
 		"Breaker.opens //kw:guardedby(mu)",
 		"Breaker.open //kw:holds(mu)",
 	},
+	"internal/resilience/flight.go": {
+		"Flights.m //kw:guardedby(mu)",
+	},
 	"internal/resilience/quota.go": {
 		"Quota.buckets //kw:guardedby(mu)",
 		"Quota.swept //kw:guardedby(mu)",
@@ -80,7 +80,6 @@ var liveAnnotations = map[string][]string{
 	},
 	"internal/serve/cache.go": {
 		"cacheShard.entries //kw:guardedby(mu)",
-		"cacheShard.flights //kw:guardedby(mu)",
 		"cacheShard.lru //kw:guardedby(mu)",
 	},
 	"internal/taxonomy/taxonomy.go": {

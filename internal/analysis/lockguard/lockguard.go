@@ -258,8 +258,10 @@ func (c *contracts) collectFrozen(gd *ast.GenDecl, validPos map[token.Pos]bool) 
 	}
 }
 
-// guardOf resolves a field object to its guard, local or imported.
+// guardOf resolves a field object to its guard, local or imported. A
+// field reached through a generic type's instantiation is its origin's.
 func (c *contracts) guardOf(v *types.Var) (string, bool) {
+	v = v.Origin()
 	if mu, ok := c.guarded[v]; ok {
 		return mu, true
 	}

@@ -107,3 +107,25 @@ func badDirective() {}
 var _ = badGuard{}
 var _ = newShard
 var _ = locked
+
+// table is generic: its methods and its instantiations reach the guarded
+// field through instantiated field objects, still bound by the guard.
+type table[K comparable] struct {
+	mu sync.Mutex
+	//kw:guardedby(mu)
+	m map[K]int
+}
+
+func (t *table[K]) Put(k K) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.m[k]++
+}
+
+func (t *table[K]) Racy(k K) int {
+	return t.m[k] // want `access to m, guarded by mu`
+}
+
+func racyInstance(t *table[string]) int {
+	return t.m["x"] // want `access to m, guarded by mu`
+}

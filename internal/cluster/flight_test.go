@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -70,5 +73,54 @@ func TestRouterSameKeyOtherBodyRoutesAlone(t *testing.T) {
 	}
 	if total != 2 {
 		t.Fatalf("shards saw %d requests, want 2 (A once, B once)", total)
+	}
+}
+
+// TestRouterLeaderCancelDoesNotPoisonFollowers: the forward is detached
+// from the request that started it, so a leader whose client goes away
+// mid-forward gets its 504 alone, and the follower it was coalescing gets
+// the shard's response. Only the leader counts as a timeout.
+func TestRouterLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
+	started := make(chan struct{})
+	proceed := make(chan struct{})
+	var once sync.Once
+	shards := newFakeShards(t, 3, func(_ int, w http.ResponseWriter, _ *http.Request) {
+		once.Do(func() { close(started) })
+		<-proceed
+		_, _ = w.Write([]byte(`{"routed":true}`))
+	})
+	rt, err := New(Config{Shards: shardConfigs(shards), Replication: 2, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	body := annotateBody(t, "same doc", 3)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/annotate", bytes.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		leader <- rec
+	}()
+	<-started
+	follower := make(chan *httptest.ResponseRecorder, 1)
+	go func() { follower <- postAnnotate(t, h, body, nil) }()
+	for rt.CountersSnapshot().Coalesced < 1 {
+		time.Sleep(time.Millisecond)
+	}
+
+	cancel()
+	if rec := <-leader; rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("cancelled leader: status %d, want 504", rec.Code)
+	}
+	close(proceed)
+	if rec := <-follower; rec.Code != http.StatusOK || rec.Body.String() != `{"routed":true}` {
+		t.Fatalf("follower: status %d body %q, want the shard's 200", rec.Code, rec.Body)
+	}
+	if snap := rt.CountersSnapshot(); snap.Timeouts != 1 {
+		t.Fatalf("timeouts=%d, want 1 (the leader only)", snap.Timeouts)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,7 +35,9 @@ type Config struct {
 	Replication int
 
 	// RequestTimeout bounds one routed request end to end, across all
-	// failover and hedge attempts (0 = none).
+	// failover and hedge attempts (0 = none). It bounds both the client's
+	// wait and the coalesced forward, which runs detached from the client
+	// that started it; at 0 the forward is bounded only by its attempts.
 	RequestTimeout time.Duration
 	// PerTryTimeout bounds each individual shard attempt (0 = none). A
 	// per-try expiry is a genuine attempt failure: it trips failover and
@@ -155,14 +156,6 @@ type routedResponse struct {
 	body        []byte
 }
 
-// flight is one in-progress routed request; coalesced followers block on
-// done and then replay res.
-type flight struct {
-	body []byte // the leader's raw request: collision check, like the serve cache's text
-	done chan struct{}
-	res  routedResponse
-}
-
 // attemptResult is one shard attempt's outcome.
 type attemptResult struct {
 	res    routedResponse
@@ -180,9 +173,8 @@ type Router struct {
 	shards []*shardState
 	hs     *resilience.HedgeSchedule // nil = hedging disabled
 
-	fmu sync.Mutex
-	//kw:guardedby(fmu)
-	flights map[uint64]*flight
+	// flights coalesces identical requests; its id is the raw body.
+	flights resilience.Flights[uint64, routedResponse]
 
 	// Readiness is the /readyz state; cmd/router flips it off when a drain
 	// begins.
@@ -213,10 +205,9 @@ func New(cfg Config) (*Router, error) {
 		names[i] = s.Name
 	}
 	rt := &Router{
-		cfg:     cfg,
-		ring:    NewRing(names, DefaultVnodes),
-		flights: make(map[uint64]*flight),
-		hs:      resilience.NewHedgeSchedule(cfg.HedgeDelay, cfg.HedgeJitter, cfg.Seed),
+		cfg:  cfg,
+		ring: NewRing(names, DefaultVnodes),
+		hs:   resilience.NewHedgeSchedule(cfg.HedgeDelay, cfg.HedgeJitter, cfg.Seed),
 	}
 	for i, s := range cfg.Shards {
 		st := &shardState{shard: s}
@@ -347,8 +338,8 @@ func (rt *Router) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	if !rt.cfg.Quota.Admit(w, tenant, &rt.rz.QuotaDenied) {
 		return
 	}
-	// The body is not pooled: a losing hedge attempt may still be sending it
-	// after this handler returns.
+	// The body is not pooled: the detached forward, or a losing hedge
+	// attempt, may still be sending it after this handler returns.
 	body, ok := wire.ReadBody(w, r, nil)
 	if !ok {
 		return
@@ -364,55 +355,22 @@ func (rt *Router) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 
 	// Route and coalesce on the key the owning shard's cache will compute.
 	key := wire.RouteKey(body)
-
-	fl, leader := rt.joinFlight(key, body)
-	if !leader {
-		rt.counters.Coalesced.Add(1)
-		select {
-		case <-fl.done:
-			writeRouted(w, fl.res)
-		case <-ctx.Done(): // waiter's own budget expired
-			rt.counters.Timeouts.Add(1)
-			http.Error(w, "router budget exhausted", http.StatusGatewayTimeout)
-		}
+	res, err := rt.flights.Do(ctx, key, string(body), rt.cfg.RequestTimeout, &rt.counters.Coalesced, &rt.rz.PanicsRecovered, func(fctx context.Context) routedResponse {
+		return rt.forward(fctx, key, body, tenant)
+	})
+	if errors.Is(err, resilience.ErrFlightPanicked) {
+		resilience.InternalError(w)
 		return
 	}
-
-	out := rt.forward(ctx, key, body, tenant)
-	if fl != nil {
-		rt.finishFlight(key, fl, out)
+	if err != nil { // this caller's own budget expired, or its client left
+		res = errorResponse(http.StatusGatewayTimeout, "router budget exhausted")
 	}
-	writeRouted(w, out)
-}
-
-// joinFlight returns the in-progress flight for this exact request, to wait
-// on, or makes the caller a leader, which must route and then call
-// finishFlight with the flight it was given. A leader is given none when
-// key is taken by a different body — a hash collision, or another encoding
-// of the same request: it routes on its own and the registered flight keeps
-// the slot (the shard's cache coalesces what is the same document).
-func (rt *Router) joinFlight(key uint64, body []byte) (fl *flight, leader bool) {
-	rt.fmu.Lock()
-	defer rt.fmu.Unlock()
-	if cur, ok := rt.flights[key]; ok {
-		if bytes.Equal(cur.body, body) {
-			return cur, false
-		}
-		return nil, true
+	// The one place a timeout is counted: forward answers 504 only when its
+	// budget ran out (a shard's 504 fails over).
+	if res.status == http.StatusGatewayTimeout {
+		rt.counters.Timeouts.Add(1)
 	}
-	fl = &flight{body: body, done: make(chan struct{})}
-	rt.flights[key] = fl
-	return fl, true
-}
-
-// finishFlight retires the leader's flight and publishes its result to the
-// followers.
-func (rt *Router) finishFlight(key uint64, fl *flight, res routedResponse) {
-	rt.fmu.Lock()
-	delete(rt.flights, key)
-	rt.fmu.Unlock()
-	fl.res = res
-	close(fl.done)
+	writeRouted(w, res)
 }
 
 // candidates returns the replica set for key in failover order, dropping
@@ -525,7 +483,6 @@ func (rt *Router) forward(ctx context.Context, key uint64, body []byte, tenant s
 				rt.counters.Hedges.Add(1)
 			}
 		case <-ctx.Done():
-			rt.counters.Timeouts.Add(1)
 			return errorResponse(http.StatusGatewayTimeout, "router budget exhausted")
 		}
 	}
@@ -548,7 +505,9 @@ func retryableStatus(code int) bool {
 // response, and feed the shard's breaker. Breaker feedback happens here —
 // in the attempt goroutine, not the select loop — so a late result whose
 // request already returned still updates breaker state instead of
-// wedging it.
+// wedging it. A panic in the try (a Doer's, say) is recovered, counted and
+// reported as a failed attempt, so the request fails over: the attempt
+// goroutine is out of reach of the handler's Recover.
 func (rt *Router) attempt(ctx context.Context, s *shardState, plan resilience.ClusterFaultPlan, probe, hedged bool, body []byte, tenant string, results chan<- attemptResult) {
 	fail := func(err error) {
 		// Cancellation is not evidence about the shard: the hedge won or
@@ -563,6 +522,12 @@ func (rt *Router) attempt(ctx context.Context, s *shardState, plan resilience.Cl
 		}
 		results <- attemptResult{err: err, hedged: hedged}
 	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			rt.rz.PanicsRecovered.Add(1)
+			fail(fmt.Errorf("cluster: attempt on %s panicked: %v", s.shard.Name, rec))
+		}
+	}()
 
 	if plan.DownPrimary {
 		// Simulated crashed shard: indistinguishable from a refused

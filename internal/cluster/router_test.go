@@ -171,6 +171,39 @@ func TestRouterFailover(t *testing.T) {
 	}
 }
 
+// panicOnceDoer is a shard client whose first Do panics; later calls go
+// through http.DefaultClient.
+type panicOnceDoer struct{ once sync.Once }
+
+func (d *panicOnceDoer) Do(req *http.Request) (*http.Response, error) {
+	d.once.Do(func() { panic("boom") })
+	return http.DefaultClient.Do(req)
+}
+
+// TestRouterAttemptPanicFailsOver: a panic in a shard attempt runs on the
+// attempt's goroutine, out of the handler's Recover; it must be counted in
+// panics_recovered and fail over like any failed attempt, not end the
+// process.
+func TestRouterAttemptPanicFailsOver(t *testing.T) {
+	names := []string{"shard0", "shard1", "shard2"}
+	text := textWithPrimary(t, names, 0, 0, 3)
+	second := NewRing(names, 0).Replicas(wire.Key(text, 3), 2)[1]
+	shards := newFakeShards(t, 3, func(i int, w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintf(w, `{"from":%d}`, i)
+	})
+	rt, err := New(Config{Shards: shardConfigs(shards), Replication: 2, Seed: 42, Client: &panicOnceDoer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := postAnnotate(t, rt.Handler(), annotateBody(t, text, 3), nil)
+	if rec.Code != http.StatusOK || rec.Body.String() != fmt.Sprintf(`{"from":%d}`, second) {
+		t.Fatalf("status %d body %q, want 200 from replica %d", rec.Code, rec.Body, second)
+	}
+	if st := rt.statz(); st.Router.Failovers != 1 || st.Resilience.PanicsRecovered != 1 {
+		t.Fatalf("failovers=%d panics_recovered=%d, want 1/1", st.Router.Failovers, st.Resilience.PanicsRecovered)
+	}
+}
+
 // TestRouterAllReplicasFail: every replica 500s; the router exhausts the
 // set and answers 503 with Retry-After.
 func TestRouterAllReplicasFail(t *testing.T) {

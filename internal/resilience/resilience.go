@@ -19,6 +19,8 @@
 //   - The serving edge cmd/serve and cmd/router share: NewHTTPServer's
 //     connection timeouts, Readiness and its /healthz and /readyz probes,
 //     the ServeUntilSignal drain, Quota.Admit's 429 and RetryAfterHint.
+//   - Flights: the single-flight both hops coalesce identical requests
+//     through, each flight detached from the request that started it.
 //
 // The package deliberately has no opinion about policy (what to do when a
 // request is shed or a deadline expires); internal/serve decides that —

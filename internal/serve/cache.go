@@ -3,11 +3,11 @@ package serve
 import (
 	"container/list"
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"contextrank/internal/resilience"
 	"contextrank/internal/wire"
 )
 
@@ -26,11 +26,8 @@ import (
 //     stored: they reflect transient pressure, not the document.
 //   - Hits bypass the admission gate — serving memory must stay cheap under
 //     exactly the load spikes that make the gate shed.
-//   - Concurrent misses on one key coalesce: a single leader starts the
-//     pipeline while followers wait for its bytes (or their own deadline).
-//     The fill itself is detached from the leader's cancellation and
-//     bounded by FillTimeout, so a cancelled leader can never poison the
-//     coalesced waiters with its context error.
+//   - Concurrent misses on one key coalesce through resilience.Flights: one
+//     pipeline run, detached from the leader and bounded by FillTimeout.
 //
 // Sharding keeps the lock a per-shard mutex held only for map/list pokes;
 // the pipeline itself always runs outside any cache lock.
@@ -69,26 +66,14 @@ type cacheEntry struct {
 	body []byte
 }
 
-// flight is one in-progress computation; followers block on done.
-type flight struct {
-	text string // full key text: collision check before a miss joins
-	done chan struct{}
-	body []byte
-	ok   bool  // false: leader produced an uncacheable (degraded) response
-	err  error // errFillPanicked: fn panicked, and body is nil
-}
-
-// errFillPanicked is what every waiter on a fill whose fn panicked gets.
-var errFillPanicked = errors.New("serve: cache fill panicked")
-
 type cacheShard struct {
 	mu sync.Mutex
 	//kw:guardedby(mu)
 	entries map[cacheKey]*list.Element // of *cacheEntry
 	//kw:guardedby(mu)
 	lru *list.List // front = most recent
-	//kw:guardedby(mu)
-	flights map[cacheKey]*flight
+	// flights coalesces the shard's misses; its id is the full key text.
+	flights resilience.Flights[cacheKey, []byte]
 }
 
 // NewCache builds a cache holding up to capacity responses (rounded up to a
@@ -103,7 +88,6 @@ func NewCache(capacity int) *Cache {
 	for i := range c.shards {
 		c.shards[i].entries = make(map[cacheKey]*list.Element)
 		c.shards[i].lru = list.New()
-		c.shards[i].flights = make(map[cacheKey]*flight)
 	}
 	return c
 }
@@ -159,22 +143,12 @@ func (c *Cache) put(k cacheKey, text string, body []byte) {
 // must be treated as read-only.
 //
 // epoch is the index visibility epoch (Server.IndexEpoch; 0 when no live
-// index is wired). It is a key component, not a validity check: entries
-// cached under an older epoch are never served once the epoch moves — they
-// age out of the LRU — and responses for different epochs never coalesce,
-// so a reader can't be handed annotations computed against a stale index.
+// index is wired), a key component: once it moves, older entries are never
+// served and misses never coalesce across it (DESIGN.md §11).
 //
-// The fill is *detached* from the leader's cancellation: fn runs on a
-// context that inherits the leader's values (chaos plan, tracing) but not
-// its cancellation, bounded by FillTimeout. A leader whose own request is
-// cancelled mid-fill can therefore never poison the coalesced waiters
-// with its context error — the fill runs to completion (or its own
-// bounded deadline, which fn surfaces as an uncacheable degraded result,
-// i.e. a clean miss) and every waiter still holding a live context gets
-// the result. An error is returned to a caller — leader or follower
-// alike — whose ctx expires while waiting, and to every waiter on a fill
-// whose fn panicked: the fill goroutine recovers, stores nothing and
-// retires the flight, so the next miss starts afresh.
+// A miss is a resilience.Flights call, whose contract covers the rest: fn
+// runs detached from the caller, bounded by FillTimeout, and an error comes
+// back to a caller whose ctx ends first or whose fill panicked.
 func (c *Cache) Do(ctx context.Context, text string, top int, epoch uint64, fn func(context.Context) ([]byte, bool)) ([]byte, error) {
 	k := cacheKey{hash: wire.Key(text, top), top: top, epoch: epoch}
 	if body, ok := lookup(c, k, text); ok {
@@ -184,69 +158,23 @@ func (c *Cache) Do(ctx context.Context, text string, top int, epoch uint64, fn f
 }
 
 // fill is the miss half of Do, for a caller whose lookup under k has just
-// missed: join the flight for (k, text) or start it. A panic in fn is
-// added to panics (when non-nil) and answered with errFillPanicked.
+// missed. A panic in fn is added to panics (when non-nil) and answered with
+// resilience.ErrFlightPanicked.
 func (c *Cache) fill(ctx context.Context, k cacheKey, text string, panics *atomic.Int64, fn func(context.Context) ([]byte, bool)) ([]byte, error) {
 	c.misses.Add(1)
-
-	sh := c.shard(k)
-	sh.mu.Lock()
-	fl, taken := sh.flights[k]
-	if taken && fl.text == text {
-		sh.mu.Unlock()
-		c.coalesced.Add(1)
-		select {
-		case <-fl.done:
-			return fl.body, fl.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	timeout := c.FillTimeout
+	if timeout <= 0 {
+		timeout = DefaultFillTimeout
 	}
-	// k taken by a flight for another text is a hash collision: that flight
-	// keeps the slot and this request computes on its own, unregistered.
-	fl = &flight{text: text, done: make(chan struct{})}
-	if !taken {
-		sh.flights[k] = fl
-	}
-	sh.mu.Unlock()
-
-	fillTimeout := c.FillTimeout
-	if fillTimeout <= 0 {
-		fillTimeout = DefaultFillTimeout
-	}
-	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), fillTimeout)
-	go func() {
-		defer cancel()
-		// Retire the flight however fn ends. This goroutine is no request's:
-		// a panic left to unwind it would end the process, so it is
-		// recovered, counted and handed to every waiter as errFillPanicked.
-		defer func() {
-			if rec := recover(); rec != nil {
-				if panics != nil {
-					panics.Add(1)
-				}
-				fl.body, fl.ok, fl.err = nil, false, errFillPanicked
-			}
-			if !taken {
-				sh.mu.Lock()
-				delete(sh.flights, k)
-				sh.mu.Unlock()
-			}
-			close(fl.done)
-		}()
-		fl.body, fl.ok = fn(fctx)
-		// Store before retiring the flight: a request that arrives once the
+	return c.shard(k).flights.Do(ctx, k, text, timeout, &c.coalesced, panics, func(fctx context.Context) []byte {
+		body, ok := fn(fctx)
+		// Store before the flight retires: a request that arrives once the
 		// flight is gone must find the entry, or it would recompute.
-		if fl.ok {
-			c.put(k, text, fl.body)
+		if ok {
+			c.put(k, text, body)
 		}
-	}()
-	select {
-	case <-fl.done:
-		return fl.body, fl.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+		return body
+	})
 }
 
 // CacheStats is the /statz view of the cache counters.

@@ -224,12 +224,6 @@ func (s *Server) admit(ctx context.Context) (func(), error) {
 	return s.Gate.Acquire(ctx)
 }
 
-// annotate runs the full pipeline for the render path (no ctx support in
-// the renderer flow yet — deadline failures surface as 503 there).
-func (s *Server) annotate(ctx context.Context, text string, top int) ([]framework.Annotation, error) {
-	return s.Runtime.AnnotateCtx(ctx, text, top)
-}
-
 func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	if !s.Quota.Admit(w, r.Header.Get(TenantHeader), &s.rz.QuotaDenied) {
 		return
@@ -270,9 +264,9 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		// leader cannot poison the coalesced waiters (DESIGN.md §8).
 		return s.annotateBody(fctx, text, top)
 	})
-	if errors.Is(err, errFillPanicked) {
-		// The fill panicked off this goroutine, out of Recover's reach; the
-		// cache counted it. Answer as Recover answers a panic here.
+	if errors.Is(err, resilience.ErrFlightPanicked) {
+		// The fill panicked off this goroutine, out of Recover's reach; its
+		// flight counted it. Answer as Recover answers a panic here.
 		resilience.InternalError(w)
 		return
 	}
@@ -301,7 +295,7 @@ func (s *Server) annotateBody(ctx context.Context, text string, top int) (body [
 	defer release()
 	resilience.ChaosDelay(ctx)
 
-	anns, err := s.annotate(ctx, text, top)
+	anns, err := s.Runtime.AnnotateCtx(ctx, text, top)
 	if err != nil {
 		// Deadline exhausted mid-pipeline: fall back to the cheap ranking
 		// (still holding the slot; the fallback is fast and bounded).
@@ -405,7 +399,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	resilience.ChaosDelay(ctx)
 
-	anns, err := s.annotate(ctx, text, top)
+	anns, err := s.Runtime.AnnotateCtx(ctx, text, top)
 	if err != nil {
 		s.renderDeadline(w)
 		return

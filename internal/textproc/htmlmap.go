@@ -6,6 +6,8 @@ package textproc
 type StripResult struct {
 	// Text is the stripped plain text (same content StripHTML produces).
 	Text string
+	// src is the original HTML.
+	src string
 	// srcOffsets[i] is the byte offset in the original HTML of Text[i].
 	// Synthetic bytes (entity expansions, inserted paragraph breaks) map to
 	// the offset of the construct that produced them.
@@ -28,16 +30,21 @@ func (r *StripResult) SourceOffset(textOff int) int {
 	return r.srcOffsets[textOff]
 }
 
-// SourceSpan maps a [start,end) span of the stripped text to a source span
-// covering the same content in the original HTML.
+// SourceSpan maps a [start,end) span of the stripped text to the source
+// span that produced it: a span ending in a decoded entity takes the whole
+// entity, not its '&' alone. A span that splits one construct's expansion
+// (part of an entity's bytes, one of a tag's two breaks) has no such
+// source slice and maps to an empty span at its start.
 func (r *StripResult) SourceSpan(start, end int) (int, int) {
 	lo := r.SourceOffset(start)
-	hi := lo
-	if end > start {
-		hi = r.SourceOffset(end-1) + 1
+	offs := r.srcOffsets
+	if start < 0 || end <= start || end > len(offs) ||
+		start > 0 && offs[start-1] == lo || end < len(offs) && offs[end] == offs[end-1] {
+		return lo, lo
 	}
-	if hi < lo {
-		hi = lo
+	hi := offs[end-1] + 1
+	if r.src[hi-1] == '&' {
+		_, hi = decodeEntity(r.src, hi-1)
 	}
 	return lo, hi
 }
@@ -47,5 +54,5 @@ func (r *StripResult) SourceSpan(start, end int) (int, int) {
 func StripHTMLMapped(html string) *StripResult {
 	offs := make([]int, 0, len(html))
 	text := stripHTML(html, &offs)
-	return &StripResult{Text: text, srcOffsets: offs}
+	return &StripResult{Text: text, src: html, srcOffsets: offs}
 }
