@@ -150,16 +150,17 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRenderSource$$' -fuzztime $(FUZZTIME) ./internal/annotate
 
 # examples/ may import the product; the product may not import examples/.
-# The click graph, the personalization library and the weekly query-log
-# series left internal/ because nothing served reaches them, and this keeps
-# them from coming back as dependencies. A binary's import closure is its
+# The click graph, the personalization library, the weekly query-log
+# series, the online CTR tracker and the sense clustering left the product
+# because nothing served reaches them, and this keeps them from coming back
+# as dependencies. A binary's import closure is its
 # architecture, so of internal/ a binary in this table
 # (cmd/<binary>:<packages>) may reach only the packages of its row: the
 # router speaks the wire contract and links none of the runtime; ingest
 # drives the live index and links no serving, detection or ranking code;
 # serve and offline assemble the system (core) and link none of its
-# evaluation — experiments, eval, editorial, online and conceptvec are
-# reachable from cmd/experiments, tests and examples only.
+# evaluation — experiments, eval, editorial and conceptvec are reachable
+# from cmd/experiments, tests and examples only.
 OFFLINE := par,world,newsgen,textproc,clicksim,match,taxonomy,querylog,units,detect,corpus,golomb,searchsim,wiki,features,ranksvm,stem,relevance,core,framework,annotate
 CLOSURES := \
 	router:cluster,resilience,par,wire \

@@ -1,8 +1,9 @@
 package contextrank
 
-// Benchmarks for the extension subsystems (§IV-A/§IV-C/§VIII discussions
-// and the §VI memory optimizations): these complement the per-table
-// benchmarks in bench_test.go.
+// Benchmarks for the §IV-A feature-selection discussion and the §VI
+// offline artifact: these complement the per-table benchmarks in
+// bench_test.go. The §IV-C and §VIII extensions benchmark in their example
+// packages.
 
 import (
 	"bytes"
@@ -11,7 +12,6 @@ import (
 	"contextrank/internal/core"
 	"contextrank/internal/experiments"
 	"contextrank/internal/framework"
-	"contextrank/internal/online"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
 )
@@ -27,38 +27,6 @@ func BenchmarkExtensionFeatureSelection(b *testing.B) {
 		}
 		b.ReportMetric(100*selected.WeightedErrorRate, "selected%")
 		b.ReportMetric(100*withEliminated.WeightedErrorRate, "withEliminated%")
-	}
-}
-
-// BenchmarkExtensionSenses regenerates the §IV-C sense-clustering coverage
-// boost for ambiguous concepts.
-func BenchmarkExtensionSenses(b *testing.B) {
-	s := benchSystem(b)
-	for i := 0; i < b.N; i++ {
-		global, sense, n := experiments.SenseExperiment(s, 2)
-		if n == 0 {
-			b.Skip("no ambiguous mentions")
-		}
-		b.ReportMetric(1000*global, "globalCov-e3")
-		b.ReportMetric(1000*sense, "senseCov-e3")
-	}
-}
-
-// BenchmarkExtensionOnlineTracker measures the per-tick cost of the §VIII
-// decayed-CTR tracker at production-like concept counts.
-func BenchmarkExtensionOnlineTracker(b *testing.B) {
-	tr := online.NewTracker(online.Config{})
-	events := make([]online.Event, 500)
-	for i := range events {
-		events[i] = online.Event{Concept: "c" + string(rune('a'+i%26)) + string(rune('a'+i/26%26)), Views: 50, Clicks: 2}
-	}
-	for _, e := range events {
-		tr.SetBaseline(e.Concept, 0.03)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Tick(events)
 	}
 }
 

@@ -4,14 +4,21 @@
 //
 // Usage:
 //
-//	experiments [-run all|table2|table3|table4|table5|table6|fig1|fig2|fig3|production|datastats|framework|featureselection|senses|online] [-seed N] [-scale small|paper]
+//	experiments [-run all|table2|table3|table4|table5|table6|fig1|fig2|fig3|production|datastats|framework|featureselection] [-seed N] [-scale small|paper]
+//
+// The §IV-C sense clustering and the §VIII online adaptation are
+// extensions, not paper tables: go run ./examples/senses and
+// go run ./examples/trending.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"contextrank"
 	"contextrank/internal/core"
@@ -22,8 +29,16 @@ import (
 	"contextrank/internal/relevance"
 )
 
+// runNames are the values -run takes, as the usage line lists them.
+var runNames = []string{"all", "table2", "table3", "table4", "table5", "table6", "fig1", "fig2", "fig3",
+	"production", "datastats", "framework", "featureselection"}
+
+// errUnknownRun is run's refusal of a -run value outside runNames, made
+// before anything is built; main exits 2 on it, as on any usage error.
+var errUnknownRun = errors.New("unknown -run value")
+
 func main() {
-	which := flag.String("run", "all", "which experiment to run")
+	which := flag.String("run", "all", "which experiment to run: "+strings.Join(runNames, "|"))
 	seed := flag.Int64("seed", 42, "master seed")
 	scale := flag.String("scale", "paper", "world scale: small|paper")
 	flag.Parse()
@@ -40,6 +55,9 @@ func main() {
 	}
 	if err := run(os.Stdout, cfg, *scale, *which); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
+		if errors.Is(err, errUnknownRun) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -48,6 +66,9 @@ func main() {
 // line but the §VI "throughput:" one is a pure function of cfg
 // (TestSmallScaleGolden).
 func run(w io.Writer, cfg core.Config, scale, which string) error {
+	if !slices.Contains(runNames, which) {
+		return fmt.Errorf("%w %q; valid: %s", errUnknownRun, which, strings.Join(runNames, "|"))
+	}
 	seed := cfg.Seed
 	fmt.Fprintf(w, "Building system (seed=%d, scale=%s)...\n", seed, scale)
 	sys := contextrank.Build(cfg)
@@ -179,14 +200,6 @@ func run(w io.Writer, cfg core.Config, scale, which string) error {
 
 	if want("featureselection") {
 		if err := runFeatureSelection(w, s, seed); err != nil {
-			return err
-		}
-	}
-	if want("senses") {
-		runSenses(w, s)
-	}
-	if want("online") {
-		if err := runOnline(w, sys, seed); err != nil {
 			return err
 		}
 	}

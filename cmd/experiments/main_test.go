@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"runtime"
 	"strings"
@@ -46,6 +47,22 @@ func TestSmallScaleGolden(t *testing.T) {
 			if got[i] != want[i] {
 				t.Errorf("GOMAXPROCS=%d line %d:\n got %q\nwant %q", procs, i+1, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestRunRefusesUnknownName: a -run value outside runNames — a retired
+// extension or a typo — is refused before the system is built, so nothing
+// is printed and main exits 2 rather than building a world to run nothing.
+func TestRunRefusesUnknownName(t *testing.T) {
+	for _, name := range []string{"senses", "online", "tabel3"} {
+		var out bytes.Buffer
+		err := run(&out, contextrank.SmallConfig(42), "small", name)
+		if !errors.Is(err, errUnknownRun) {
+			t.Errorf("run(%q) = %v, want errUnknownRun", name, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%q) printed %q before refusing", name, out.String())
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // inspect shows why the ranker scores a concept the way it does: its
 // interestingness features (Table I), its relevant keywords per resource
-// (§IV-B) with the Table II summation, and its senses (§IV-C). -list N
-// prints the hottest concepts to pick from.
+// (§IV-B) with the Table II summation. -list N prints the hottest concepts
+// to pick from.
 func inspect(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("offline inspect", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -21,7 +21,6 @@ func inspect(args []string, stdout, stderr io.Writer) int {
 	list := fs.Int("list", 0, "list the N most interesting concepts and exit")
 	resource := fs.String("resource", "all", "mining resource: snippets|prisma|suggestions|all")
 	seed := fs.Int64("seed", 42, "world seed")
-	senses := fs.Bool("senses", false, "also cluster the concept's snippets into senses")
 	if fs.Parse(args) != nil {
 		return 2
 	}
@@ -84,21 +83,6 @@ func inspect(args []string, stdout, stderr io.Writer) int {
 				break
 			}
 			fmt.Fprintf(stdout, "    %-24s %8.2f\n", e.Term, e.Weight)
-		}
-	}
-
-	if *senses {
-		ss := inner.Miner.MineSenses(c.Name, 2, 0)
-		fmt.Fprintf(stdout, "  senses: %d\n", len(ss))
-		for i, s := range ss {
-			top := ""
-			for j, e := range s.Keywords {
-				if j == 5 {
-					break
-				}
-				top += e.Term + " "
-			}
-			fmt.Fprintf(stdout, "    sense %d share=%.2f top terms: %s\n", i, s.Share, top)
 		}
 	}
 	return 0

@@ -8,7 +8,7 @@
 //	    same -seed)
 //	offline annotate -demo | < story.txt [-top N] [-html] [-render] [-seed N]
 //	    train, then print a document's ranked contextual shortcuts
-//	offline inspect -list N | -concept NAME [-resource R] [-senses] [-seed N]
+//	offline inspect -list N | -concept NAME [-resource R] [-seed N]
 //	    show what the miners know about one concept
 //
 // Cross-validating the ranking methods is `experiments -run table5`.

@@ -2,14 +2,12 @@ package contextrank
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"contextrank/internal/detect"
-	"contextrank/internal/experiments"
 	"contextrank/internal/features"
 	"contextrank/internal/framework"
 	"contextrank/internal/world"
@@ -182,20 +180,6 @@ func TestLoadBundleRejectsOtherWorld(t *testing.T) {
 		if _, err := s.LoadBundle(&buf); err == nil {
 			t.Fatalf("%s: a bundle built for another world loaded", label)
 		}
-	}
-}
-
-// TestSenseExperimentPinned pins the §IV-C experiment to the values it
-// returned while MineSenses mined its clusters through the string miners and
-// the global pack was scored through the map-based Store.Score: moving both
-// onto the interned path must not move a bit.
-func TestSenseExperimentPinned(t *testing.T) {
-	global, sense, n := experiments.SenseExperiment(Build(SmallConfig(42)).Internal(), 2)
-	const wantGlobal, wantSense, wantN = 0.035324966085768454, 0.04169668573784284, 15
-	if math.Float64bits(global) != math.Float64bits(wantGlobal) ||
-		math.Float64bits(sense) != math.Float64bits(wantSense) || n != wantN {
-		t.Fatalf("SenseExperiment(2) = (%v, %v, %d), want (%v, %v, %d)",
-			global, sense, n, wantGlobal, wantSense, wantN)
 	}
 }
 

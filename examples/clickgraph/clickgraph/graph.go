@@ -12,7 +12,7 @@
 // On top of the frozen graph sit Simrank++-style evidence-weighted
 // affinity propagation (propagate.go — deterministic at any worker count),
 // Related/Rewrite query expansion (query.go), and Query-Chains-style
-// pairwise preference extraction feeding ranksvm and internal/online
+// pairwise preference extraction feeding ranksvm and the online tracker
 // (prefs.go).
 package clickgraph
 

@@ -5,14 +5,14 @@
 // earlier one expressed a preference that survives position bias: the
 // winner overcame a worse slot. Each such pair becomes one ranksvm
 // training group; the aggregated per-concept click totals feed the
-// internal/online tracker.
+// examples/trending/online tracker.
 package clickgraph
 
 import (
 	"sort"
 
+	"contextrank/examples/trending/online"
 	"contextrank/internal/clicksim"
-	"contextrank/internal/online"
 	"contextrank/internal/ranksvm"
 )
 

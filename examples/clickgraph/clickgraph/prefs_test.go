@@ -4,9 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"contextrank/examples/trending/online"
 	"contextrank/internal/clicksim"
 	"contextrank/internal/newsgen"
-	"contextrank/internal/online"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/world"
 )

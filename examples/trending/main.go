@@ -12,9 +12,8 @@ import (
 	"math/rand"
 
 	"contextrank"
+	"contextrank/examples/trending/online"
 	"contextrank/examples/trending/weekly"
-	"contextrank/internal/experiments"
-	"contextrank/internal/online"
 	"contextrank/internal/world"
 )
 
@@ -77,7 +76,7 @@ func main() {
 	tracker.SetBaseline(spiker.Name, 0.005)
 	adj := online.NewAdjuster(ranker.Runtime(), tracker, 3)
 
-	result := experiments.RunBreakingNews(adj, tracker, spiker.Name, doc, 99)
+	result := online.RunBreakingNews(adj, tracker, spiker.Name, doc, 99)
 	fmt.Printf("\nbreaking-news re-ranking for %q (latent interest %.2f):\n", spiker.Name, spiker.Interest)
 	fmt.Printf("  rank before the click spike: %d\n", result.StaticRank)
 	fmt.Printf("  rank during the spike:       %d\n", result.BoostedRank)

@@ -39,7 +39,7 @@ import (
 
 // DefaultPackages is the deterministic-pipeline scope: every package
 // whose outputs must be bit-identical across runs.
-const DefaultPackages = "internal/world,internal/querylog,internal/clicksim,internal/searchsim,internal/corpus,internal/core,internal/experiments,internal/eval,internal/features,internal/relevance"
+const DefaultPackages = "internal/world,internal/querylog,internal/clicksim,internal/searchsim,internal/corpus,internal/core,internal/experiments,internal/eval,internal/features,internal/relevance,examples/senses/senses"
 
 var scope = kwutil.NewScope(DefaultPackages)
 

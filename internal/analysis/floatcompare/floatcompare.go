@@ -29,7 +29,7 @@ import (
 
 // DefaultPackages is the ranking/eval scope where score ties are
 // governed by the paper's tie-breaking rule.
-const DefaultPackages = "internal/core,internal/experiments,internal/eval,internal/relevance,internal/ranksvm,internal/online,internal/features"
+const DefaultPackages = "internal/core,internal/experiments,internal/eval,internal/relevance,internal/ranksvm,internal/features,examples/trending/online,examples/senses/senses"
 
 var scope = kwutil.NewScope(DefaultPackages)
 

@@ -1,9 +1,9 @@
 // Package detect implements the Contextual Shortcuts entity-detection
-// pipeline (paper §II): pre-processing (HTML parsing, tokenization, sentence
-// and paragraph boundary detection), specialized detectors for the three
-// entity classes — pattern-based entities, dictionary named entities and
-// query-log concepts — followed by post-processing: collision detection
-// between overlapping entities, disambiguation and filtering.
+// pipeline (paper §II): pre-processing (HTML parsing, tokenization),
+// specialized detectors for the three entity classes — pattern-based
+// entities, dictionary named entities and query-log concepts — followed by
+// post-processing: collision detection between overlapping entities,
+// disambiguation and filtering.
 //
 // The detection hot path is allocation-disciplined (DESIGN.md §10): each
 // word of a document carries its ids in the matchers' vocabularies
@@ -69,8 +69,6 @@ type Detection struct {
 	Unit *units.Unit
 	// Start and End are byte offsets into the *plain text* input.
 	Start, End int
-	// Sentence is the sentence index of the detection.
-	Sentence int
 }
 
 // MinUnitScore is the default floor on a unit's normalized score for the
@@ -225,13 +223,12 @@ func (p *Pipeline) DetectTokens(dst []Detection, text string, tokens []textproc.
 			entry := p.dict.DisambiguateIDs(m, idWindow(sc.dictIDs, m.Start, m.End, disambigRadius))
 			first, last := &tokens[sc.tokIdx[m.Start]], &tokens[sc.tokIdx[m.End-1]]
 			all = append(all, Detection{
-				Text:     text[first.Start:last.End],
-				Norm:     m.Phrase,
-				Kind:     KindNamed,
-				Entry:    entry,
-				Start:    first.Start,
-				End:      last.End,
-				Sentence: first.Sentence,
+				Text:  text[first.Start:last.End],
+				Norm:  m.Phrase,
+				Kind:  KindNamed,
+				Entry: entry,
+				Start: first.Start,
+				End:   last.End,
 			})
 		}
 	}
@@ -244,13 +241,12 @@ func (p *Pipeline) DetectTokens(dst []Detection, text string, tokens []textproc.
 			}
 			first, last := &tokens[sc.tokIdx[m.Start]], &tokens[sc.tokIdx[m.End-1]]
 			all = append(all, Detection{
-				Text:     text[first.Start:last.End],
-				Norm:     m.Unit.Text,
-				Kind:     KindConcept,
-				Unit:     m.Unit,
-				Start:    first.Start,
-				End:      last.End,
-				Sentence: first.Sentence,
+				Text:  text[first.Start:last.End],
+				Norm:  m.Unit.Text,
+				Kind:  KindConcept,
+				Unit:  m.Unit,
+				Start: first.Start,
+				End:   last.End,
 			})
 		}
 	}

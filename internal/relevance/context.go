@@ -91,8 +91,8 @@ func (c *Ctx) SetText(text string) {
 	}
 }
 
-// SetAround loads the local context of position — the ContextStemsAround
-// window — as SetText does.
+// SetAround loads the local context of position — LocalWindow(text,
+// position, position) — as SetText does.
 func (c *Ctx) SetAround(text string, position int) {
 	lo, hi := LocalWindow(text, position, position)
 	c.SetText(text[lo:hi])

@@ -220,6 +220,49 @@ func (mn *Miner) mineSnippetsIDs(concept string) corpus.Vector {
 	return v
 }
 
+// MineClusters mines the relevant keywords of each cluster 0..k-1 of the
+// concept's result snippets, where assign[i] is the cluster of its i-th
+// snippet (Snippets(concept, SnippetDepth)): Mine's snippet mining,
+// restricted to the cluster's snippets. A cluster no snippet is assigned to
+// gets a nil vector. examples/senses clusters the snippets into senses.
+func (mn *Miner) MineClusters(concept string, assign []int, k int) []corpus.Vector {
+	// Copy every snippet's token-id window out of engine-owned storage once
+	// (window i is win[off[i]:off[i+1]]); each cluster's windows are then
+	// counted into the pooled scratch in turn.
+	var win []uint32
+	off := []int{0}
+	mn.engine.VisitSnippetTokens(concept, SnippetDepth, func(tokens []uint32, lo, hi int) {
+		win = append(win, tokens[lo:hi]...)
+		off = append(off, len(win))
+	})
+
+	tab := mn.table()
+	sc := mn.getScratch(tab)
+	out := make([]corpus.Vector, k)
+	for c := range out {
+		assigned := false
+		touched := sc.touched[:0]
+		for i, a := range assign {
+			if a != c {
+				continue
+			}
+			assigned = true
+			// A commit between the caller's Snippets query and the visit
+			// above can shorten the result list; a missing window counts
+			// nothing.
+			if i+1 < len(off) {
+				touched = countIDs(sc.score, touched, win[off[i]:off[i+1]])
+			}
+		}
+		if assigned {
+			out[c] = mn.finalizeIDs(sc, &tab.eng, concept, sc.score, touched)
+		}
+		sc.touched = touched[:0]
+	}
+	mn.scratch.Put(sc)
+	return out
+}
+
 // minePrismaIDs: "We construct a single document from the concepts returned by
 // Prisma for concept c_i, and compute scores s_ij based on the tf·idf
 // values." Feedback entries arrive as engine vocabulary ids; an entry's

@@ -1,12 +1,14 @@
 package relevance
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"contextrank/internal/corpus"
 	"contextrank/internal/newsgen"
+	"contextrank/internal/searchsim"
 	"contextrank/internal/world"
 )
 
@@ -123,5 +125,55 @@ func TestCtxFreshMatchesNothing(t *testing.T) {
 	st := BuildStore(f.miner, []string{c.Name}, Snippets)
 	if got := st.ScoreCtx(c.Name, st.NewCtx()); got != 0 {
 		t.Fatalf("fresh Ctx scored %v, want 0", got)
+	}
+}
+
+// TestDifferentialMineClusters pins MineClusters' interned per-cluster
+// mining to the string reference, bit for bit, over seeded random cluster
+// assignments of each concept's snippets. Whenever k > 1 one cluster is
+// left without snippets, so its nil vector is checked too.
+func TestDifferentialMineClusters(t *testing.T) {
+	w := world.New(world.Config{Seed: 171, VocabSize: 2000, NumTopics: 8, NumConcepts: 200, AmbiguousFraction: 0.3})
+	eng := searchsim.BuildCorpus(w, searchsim.CorpusConfig{Seed: w.Config.Seed + 1, MaxDocsPerConcept: 25})
+	mn := NewMiner(eng, nil, nil)
+	rng := rand.New(rand.NewSource(17))
+	checked, split, empty := 0, 0, 0
+	for i := 0; i < len(w.Concepts); i += 9 {
+		name := w.Concepts[i].Name
+		snippets := eng.Snippets(name, SnippetDepth)
+		if len(snippets) == 0 {
+			continue
+		}
+		for _, k := range []int{1, 2, 3, 5} {
+			skip := rng.Intn(k)
+			assign := make([]int, len(snippets))
+			for j := range assign {
+				a := rng.Intn(k)
+				if k > 1 && a == skip {
+					a = (a + 1) % k
+				}
+				assign[j] = a
+			}
+			want := mn.mineClustersRef(name, snippets, assign, k)
+			got := mn.MineClusters(name, assign, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("MineClusters(%q, k=%d) diverged from the string reference\n got %v\nwant %v", name, k, got, want)
+			}
+			filled := 0
+			for _, v := range got {
+				if v == nil {
+					empty++
+				} else {
+					filled++
+				}
+			}
+			if filled > 1 {
+				split++
+			}
+		}
+		checked++
+	}
+	if checked == 0 || split == 0 || empty == 0 {
+		t.Fatalf("fixture too thin: %d concepts, %d multi-cluster results, %d empty clusters", checked, split, empty)
 	}
 }

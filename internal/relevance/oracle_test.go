@@ -12,12 +12,12 @@ import (
 
 // This file holds the string-keyed reference implementations the product
 // used to run before mining and context scoring moved onto interned ids:
-// the three miners with their finalize step, the per-cluster mining of
-// MineSenses, and the map-based Store.Score. They rebuild a string-keyed map
-// per concept and re-derive idf, document frequency, stopword status and
+// the three miners with their finalize step, the per-cluster mining, and the
+// map-based Store.Score over ContextStems sets. They rebuild a string-keyed
+// map per concept and re-derive idf, document frequency, stopword status and
 // stem for every term sighting. Nothing in the product calls them; the
-// differential tests (interned_test.go, senses_test.go) pin Miner.Mine,
-// Miner.mineClusters and Store.ScoreCtx to them bit for bit.
+// differential tests (interned_test.go, relevance_test.go) pin Miner.Mine,
+// Miner.MineClusters and Store.ScoreCtx to them bit for bit.
 
 // ownStems returns the stemmed terms of the concept itself.
 func ownStems(concept string) map[string]bool {
@@ -142,29 +142,39 @@ func (mn *Miner) mineSuggestions(concept string) corpus.Vector {
 	return mn.finalize(concept, scores, mn.logRank)
 }
 
-// mineClustersRef is the string reference of mineClusters: the per-cluster
-// mining MineSenses ran over snippet strings.
-func (mn *Miner) mineClustersRef(concept string, snippets []string, assign []int) []Sense {
-	byCluster := make(map[int][]string)
-	for i, c := range assign {
-		byCluster[c] = append(byCluster[c], snippets[i])
+// mineClustersRef is the string reference of MineClusters: the per-cluster
+// snippet mining examples/senses ran over snippet strings.
+func (mn *Miner) mineClustersRef(concept string, snippets []string, assign []int, k int) []corpus.Vector {
+	out := make([]corpus.Vector, k)
+	for c := range out {
+		var group []string
+		for i, a := range assign {
+			if a == c {
+				group = append(group, snippets[i])
+			}
+		}
+		if group != nil {
+			out[c] = mn.finalize(concept, mn.snippetScores(group), mn.engineRank)
+		}
 	}
-	clusterIDs := make([]int, 0, len(byCluster))
-	for c := range byCluster {
-		clusterIDs = append(clusterIDs, c)
-	}
-	sort.Ints(clusterIDs)
+	return out
+}
 
-	senses := make([]Sense, 0, len(byCluster))
-	for _, c := range clusterIDs {
-		group := byCluster[c]
-		senses = append(senses, Sense{
-			Keywords: mn.finalize(concept, mn.snippetScores(group), mn.engineRank),
-			Share:    float64(len(group)) / float64(len(snippets)),
-		})
+// ContextStems is the stemmed content-word set of a context, the form the
+// map-based Score reads.
+func ContextStems(text string) map[string]bool {
+	out := make(map[string]bool)
+	for _, t := range textproc.ContentWords(text) {
+		out[stem.Stem(t)] = true
 	}
-	sort.Slice(senses, func(i, j int) bool { return senses[i].Share > senses[j].Share })
-	return senses
+	return out
+}
+
+// ContextStemsAround is ContextStems of the local context of position
+// (LocalWindow): the set SetAround marks.
+func ContextStemsAround(text string, position int) map[string]bool {
+	lo, hi := LocalWindow(text, position, position)
+	return ContextStems(text[lo:hi])
 }
 
 // Score is the map-based reference of ScoreCtx: the summed confidence of the

@@ -20,8 +20,6 @@ import (
 	"contextrank/internal/match"
 	"contextrank/internal/par"
 	"contextrank/internal/searchsim"
-	"contextrank/internal/stem"
-	"contextrank/internal/textproc"
 )
 
 // Resource selects the mining source.
@@ -137,7 +135,7 @@ func BuildStore(mn *Miner, concepts []string, r Resource) *Store {
 }
 
 // NewStore wraps pre-computed vectors. The product mines its stores with
-// BuildStore; NewStore is how the framework, serve and online tests build a
+// BuildStore; NewStore is how the framework, serve and example tests build a
 // store with known keywords to pack.
 func NewStore(r Resource, terms map[string]corpus.Vector) *Store {
 	s := &Store{resource: r, terms: terms}
@@ -168,29 +166,11 @@ func (s *Store) Summation(concept string) float64 {
 	return s.terms[concept].Sum()
 }
 
-// ContextStems computes the stemmed content-word set of a context, the form
-// SenseStore.Score expects. Documents are stemmed once and scored against
-// many concepts.
-func ContextStems(text string) map[string]bool {
-	out := make(map[string]bool)
-	for _, t := range textproc.ContentWords(text) {
-		out[stem.Stem(t)] = true
-	}
-	return out
-}
-
 // LocalRadius is the byte radius of the local context used to score a
 // specific mention: the paper estimates relevance from "co-occurrences of
 // the pre-mined keywords and the given concept in the context", i.e. the
 // text surrounding the occurrence, not the whole document.
 const LocalRadius = 300
-
-// ContextStemsAround computes the stemmed content-word set of the local
-// context of position (LocalWindow).
-func ContextStemsAround(text string, position int) map[string]bool {
-	lo, hi := LocalWindow(text, position, position)
-	return ContextStems(text[lo:hi])
-}
 
 // LocalWindow is the local context of the span [start,end): LocalRadius
 // bytes on each side, clamped to the text and widened to whitespace so no

@@ -60,7 +60,8 @@ func TestMineAfterIngestSkipsLateTerms(t *testing.T) {
 	if id := f.eng.Vocab().ID("zzqlatealpha"); id < tableLen {
 		t.Fatalf("late word got id %d inside the fact table (%d terms)", id, tableLen)
 	}
-	if top := f.eng.Snippets(c.Name, SnippetDepth); !strings.Contains(strings.Join(top, " "), "zzqlate") {
+	top := f.eng.Snippets(c.Name, SnippetDepth)
+	if !strings.Contains(strings.Join(top, " "), "zzqlate") {
 		t.Fatalf("ingested docs did not reach the mined snippet windows: %q", top)
 	}
 	lateFeedback := false
@@ -78,10 +79,14 @@ func TestMineAfterIngestSkipsLateTerms(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range f.miner.MineSenses(c.Name, 2, 0) {
-		for _, e := range s.Keywords {
+	assign := make([]int, len(top))
+	for i := range assign {
+		assign[i] = i % 2
+	}
+	for _, v := range f.miner.MineClusters(c.Name, assign, 2) {
+		for _, e := range v {
 			if strings.HasPrefix(e.Term, "zzqlate") {
-				t.Fatalf("senses: late word %q scored without facts", e.Term)
+				t.Fatalf("clusters: late word %q scored without facts", e.Term)
 			}
 		}
 	}

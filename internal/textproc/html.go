@@ -4,8 +4,8 @@ import "strings"
 
 // StripHTML removes tags, comments, scripts, styles and decodes the common
 // HTML entities, returning plain text suitable for the tokenizer. Block-level
-// closing tags are replaced with paragraph breaks so downstream boundary
-// detection still sees document structure.
+// closing tags are replaced with paragraph breaks, so the text keeps the
+// document's blocks apart.
 func StripHTML(html string) string { return stripHTML(html, nil) }
 
 // stripHTML is the one tag/comment/script walker behind StripHTML and

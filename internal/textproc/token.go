@@ -1,11 +1,12 @@
 // Package textproc implements the text pre-processing stages of the
-// Contextual Shortcuts platform: HTML stripping, tokenization, sentence and
-// paragraph boundary detection, stop-word filtering, and the fixed-size
-// character windowing used to counter position bias in click data.
+// Contextual Shortcuts platform: HTML stripping, tokenization, stop-word
+// filtering, and the fixed-size character windowing used to counter
+// position bias in click data.
 //
-// The pipeline mirrors the paper's §II "sequence of pre-processing steps
+// The pipeline follows the paper's §II "sequence of pre-processing steps
 // [that] handles HTML parsing, tokenization, sentence, and paragraph
-// boundary detection".
+// boundary detection", less the boundaries: no stage of detection, ranking
+// or the paper's evaluation reads a sentence or paragraph index.
 package textproc
 
 import (
@@ -38,17 +39,11 @@ type Token struct {
 	// Start and End are byte offsets into the original text ([Start,End)).
 	Start int
 	End   int
-	// Sentence is the zero-based index of the sentence containing the token.
-	Sentence int
-	// Paragraph is the zero-based index of the paragraph containing the token.
-	Paragraph int
 }
 
 // Tokenize splits text into tokens with byte offsets. Words are maximal runs
 // of letters, digits, apostrophes and hyphens that begin with a letter or
 // digit; everything else that is not whitespace becomes a punctuation token.
-// Sentence and Paragraph indexes are filled in by AssignBoundaries, which
-// Tokenize calls before returning.
 func Tokenize(text string) []Token {
 	return TokenizeInto(text, nil)
 }
@@ -143,7 +138,6 @@ func TokenizeInto(text string, buf []Token) []Token {
 			}
 		}
 	}
-	AssignBoundaries(text, tokens)
 	return tokens
 }
 

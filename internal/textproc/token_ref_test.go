@@ -56,7 +56,6 @@ func tokenizeRef(text string) []Token {
 			i += size
 		}
 	}
-	AssignBoundaries(text, tokens)
 	return tokens
 }
 
