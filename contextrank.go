@@ -147,10 +147,11 @@ func (r *Ranker) Annotate(text string, n int) []Annotation {
 
 // Keywords returns the top-k ranked concept phrases of a document — the
 // "key concepts" consumed by contextual advertising and summarization.
+// k <= 0 returns every distinct concept, as Annotate's n <= 0 keeps all.
 func (r *Ranker) Keywords(text string, k int) []string {
 	anns := r.Annotate(text, k)
-	out := make([]string, 0, k)
-	seen := make(map[string]bool, k)
+	out := make([]string, 0, max(k, 0))
+	seen := make(map[string]bool, max(k, 0))
 	for _, a := range anns {
 		if a.Detection.Kind == detect.KindPattern || seen[a.Detection.Norm] {
 			continue

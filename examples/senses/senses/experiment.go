@@ -42,7 +42,7 @@ func Experiment(s *core.System, maxSenses int) (globalCoverage, senseCoverage fl
 			}
 			ctx.SetAround(wg.Text, e.Position)
 			globalSum += store.NormalizedScoreCtx(e.Concept.Name, ctx)
-			lo, hi := relevance.LocalWindow(wg.Text, e.Position, e.Position)
+			lo, hi := relevance.LocalWindow(wg.Text, e.Position)
 			stems := contextStems(wg.Text[lo:hi])
 			bestTotal := 0.0
 			for _, sense := range senses.Senses(e.Concept.Name) {

@@ -30,11 +30,10 @@ func miniRuntime(t *testing.T) *framework.Runtime {
 		}
 		return cold
 	})
-	dim := features.Dim(features.AllGroups()) + 1
 	var instances []ranksvm.Instance
 	for g := 0; g < 8; g++ {
-		hv := append(hot.Expand(features.AllGroups()), 0)
-		cv := append(cold.Expand(features.AllGroups()), 0)
+		hv := features.AppendRelevance(hot.Expand(features.AllGroups()), 0, 0)
+		cv := features.AppendRelevance(cold.Expand(features.AllGroups()), 0, 0)
 		instances = append(instances,
 			ranksvm.Instance{Features: hv, Label: 0.1, Group: g},
 			ranksvm.Instance{Features: cv, Label: 0.01, Group: g},
@@ -44,7 +43,6 @@ func miniRuntime(t *testing.T) *framework.Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = dim
 	// A unit set the detector can find the two concepts with: both names
 	// are top queries, so their unit scores clear the detection floor.
 	log := querylog.FromCounts(map[string]int{

@@ -81,7 +81,7 @@ func (m *LearnedMethod) featuresOf(ex *Example) []float64 {
 		v = append(v, ex.Extended.Expand()...)
 	}
 	if m.UseRelevance {
-		v = append(v, math.Log1p(ex.RelScore[m.Resource]), ex.RelNorm[m.Resource])
+		v = features.AppendRelevance(v, ex.RelScore[m.Resource], ex.RelNorm[m.Resource])
 	}
 	return v
 }

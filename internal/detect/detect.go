@@ -91,17 +91,11 @@ type Pipeline struct {
 	minUnitScore float64
 }
 
-// New builds a pipeline with the default unit-score floor. Either resource
-// may be nil, disabling that detector (useful in tests and for pattern-only
-// deployments).
+// New builds a pipeline whose concept detector keeps units scoring at
+// least MinUnitScore. Either resource may be nil, disabling that detector
+// (useful in tests and for pattern-only deployments).
 func New(dict *taxonomy.Dictionary, unitSet *units.Set) *Pipeline {
-	return NewWithFloor(dict, unitSet, MinUnitScore)
-}
-
-// NewWithFloor builds a pipeline with an explicit unit-score floor for the
-// concept detector (0 annotates every unit).
-func NewWithFloor(dict *taxonomy.Dictionary, unitSet *units.Set, minUnitScore float64) *Pipeline {
-	return &Pipeline{dict: dict, units: unitSet, minUnitScore: minUnitScore}
+	return &Pipeline{dict: dict, units: unitSet, minUnitScore: MinUnitScore}
 }
 
 // WordIDs is one word's ids in the pipeline's two matcher vocabularies:

@@ -300,9 +300,9 @@ func BenchmarkDetectPatternRich(b *testing.B) {
 	b.Run("plain", func(b *testing.B) { benchmarkDetect(b, p, plain) })
 }
 
-func TestNewWithFloorZeroAnnotatesEverything(t *testing.T) {
+func TestZeroFloorAnnotatesEverything(t *testing.T) {
 	w, dict, us := testResources(t)
-	all := NewWithFloor(dict, us, 0)
+	all := &Pipeline{dict: dict, units: us, minUnitScore: 0}
 	floored := New(dict, us)
 	// Ordinary topical vocabulary: every query term is formally a unit, so
 	// a zero floor detects far more than the production floor.

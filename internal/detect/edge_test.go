@@ -105,7 +105,7 @@ func TestDetectUnknownTokens(t *testing.T) {
 // phrase must not match that phrase or produce out-of-range spans.
 func TestDetectPhraseLongerThanDoc(t *testing.T) {
 	s := smallUnitSet(t)
-	p := NewWithFloor(nil, s, 0)
+	p := &Pipeline{units: s, minUnitScore: 0}
 	text := "global"
 	for _, d := range p.Detect(text) {
 		if d.Norm == "global warming" {
@@ -128,7 +128,7 @@ func TestUnitFloorBoundary(t *testing.T) {
 	}
 	text := "the global warming debate"
 
-	keep := NewWithFloor(nil, s, u.Score)
+	keep := &Pipeline{units: s, minUnitScore: u.Score}
 	found := false
 	for _, d := range keep.Detect(text) {
 		if d.Norm == "global warming" {
@@ -139,7 +139,7 @@ func TestUnitFloorBoundary(t *testing.T) {
 		t.Fatal("unit with Score == floor must be annotated")
 	}
 
-	drop := NewWithFloor(nil, s, math.Nextafter(u.Score, 2))
+	drop := &Pipeline{units: s, minUnitScore: math.Nextafter(u.Score, 2)}
 	for _, d := range drop.Detect(text) {
 		if d.Norm == "global warming" {
 			t.Fatal("unit below the floor must not be annotated")

@@ -158,6 +158,16 @@ func (f Fields) AppendExpand(dst []float64, include map[Group]bool) []float64 {
 	return out
 }
 
+// NumRelevance is the width AppendRelevance appends.
+const NumRelevance = 2
+
+// AppendRelevance appends the relevance features that follow the
+// interestingness ones in the ranking vector, training's and serving's:
+// log1p of the relevance score rel ≥ 0, then its normalized form relNorm.
+func AppendRelevance(dst []float64, rel, relNorm float64) []float64 {
+	return append(dst, math.Log1p(rel), relNorm)
+}
+
 // Extractor computes Fields from the mined resources. It holds no mutable
 // state — every resource is read-only after its build — so one Extractor is
 // safe for any number of concurrent callers.

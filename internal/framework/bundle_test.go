@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"runtime"
 	"testing"
 
 	"contextrank/internal/corpus"
+	"contextrank/internal/detect"
 	"contextrank/internal/features"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
@@ -193,7 +195,8 @@ func TestLoadBundleRejectsMismatchedTables(t *testing.T) {
 }
 
 // A model fitted to any width but the runtime's layout does not fit it and
-// must not load: narrower ones would index past their weights.
+// must not load: narrower ones would index past their weights. NewRuntime,
+// which a model reaches without a bundle too, panics naming both widths.
 func TestLoadBundleRejectsModelWidth(t *testing.T) {
 	for _, dim := range []int{2, modelDim - 1, modelDim + 1} {
 		b := sampleBundle(t)
@@ -201,6 +204,15 @@ func TestLoadBundleRejectsModelWidth(t *testing.T) {
 		if _, err := LoadBundle(bytes.NewReader(saveBytes(t, b))); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%d-feature model loaded into a %d-feature runtime: %v", dim, modelDim, err)
 		}
+		func() {
+			want := fmt.Sprintf("framework: model has %d features, the runtime's layout %d", dim, modelDim)
+			defer func() {
+				if r := recover(); r != want {
+					t.Fatalf("NewRuntime with a %d-feature model: recovered %v, want panic %q", dim, r, want)
+				}
+			}()
+			NewRuntime(detect.New(nil, nil), b.Interest, b.Packs, b.Model)
+		}()
 	}
 }
 

@@ -17,3 +17,6 @@ func (rt *Runtime) ResolveWord(w string) (tid uint32, ids detect.WordIDs, inTabl
 
 // WordTableLen is the number of words in the runtime's word table.
 func (rt *Runtime) WordTableLen() int { return len(rt.words) }
+
+// ModelDim is the model width NewRuntime accepts.
+var ModelDim = modelDim

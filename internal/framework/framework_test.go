@@ -156,6 +156,13 @@ func TestKeywordPackScore(t *testing.T) {
 	if kp.Score("missing", docTIDs) != 0 {
 		t.Fatal("missing concept should score 0")
 	}
+	// The coverage-normalized form is the store's NormalizedScoreCtx over
+	// the pack, 10 of 15, up to quantization; 0 for a pack without mass.
+	for concept, want := range map[string]float64{"iraq war": 10.0 / 15, "economy": 0, "empty": 0, "missing": 0} {
+		if _, norm := kp.scoreNorm(concept, docTIDs); math.Abs(norm-want) > 0.005 {
+			t.Fatalf("normalized score of %q = %v, want ~%v", concept, norm, want)
+		}
+	}
 }
 
 func TestCompressedPackRoundtrip(t *testing.T) {
@@ -203,8 +210,8 @@ func TestRuntimeAnnotate(t *testing.T) {
 		hot := sampleFields(50).Expand(features.AllGroups())
 		cold := sampleFields(3).Expand(features.AllGroups())
 		instances = append(instances,
-			ranksvm.Instance{Features: append(hot, 1), Label: 0.1, Group: g},
-			ranksvm.Instance{Features: append(cold, 0), Label: 0.01, Group: g},
+			ranksvm.Instance{Features: features.AppendRelevance(hot, 1, 1), Label: 0.1, Group: g},
+			ranksvm.Instance{Features: features.AppendRelevance(cold, 0, 0), Label: 0.01, Group: g},
 		)
 	}
 	model, err := ranksvm.Train(instances, ranksvm.Options{Seed: 1})
@@ -227,8 +234,8 @@ func TestRuntimeTopN(t *testing.T) {
 	kp := BuildKeywordPacks(buildStore())
 	table := BuildInterestTable([]string{"a"}, func(string) features.Fields { return sampleFields(1) })
 	model, err := ranksvm.Train([]ranksvm.Instance{
-		{Features: make([]float64, features.Dim(features.AllGroups())+1), Label: 1, Group: 0},
-		{Features: onesVector(features.Dim(features.AllGroups()) + 1), Label: 0, Group: 0},
+		{Features: features.AppendRelevance(make([]float64, features.Dim(features.AllGroups())), 0, 0), Label: 1, Group: 0},
+		{Features: features.AppendRelevance(onesVector(features.Dim(features.AllGroups())), 1, 1), Label: 0, Group: 0},
 	}, ranksvm.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)

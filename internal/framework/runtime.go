@@ -3,7 +3,7 @@ package framework
 import (
 	"cmp"
 	"context"
-	"math"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -55,8 +55,12 @@ type Runtime struct {
 }
 
 // NewRuntime wires the components and builds the word table over the
-// pipeline's vocabularies, the stop list and the Global TID Table.
+// pipeline's vocabularies, the stop list and the Global TID Table. It
+// panics on a model that is not modelDim wide.
 func NewRuntime(p *detect.Pipeline, it *InterestTable, kp *KeywordPacks, model *ranksvm.Model) *Runtime {
+	if d := len(model.Mean); d != modelDim {
+		panic(fmt.Sprintf("framework: model has %d features, the runtime's layout %d", d, modelDim))
+	}
 	return &Runtime{Pipeline: p, Interest: it, Packs: kp, Model: model, words: newWordTable(p, kp.TIDs)}
 }
 
@@ -157,13 +161,10 @@ func (rt *Runtime) Annotate(text string, topN int) []Annotation {
 // not rebuild the map per detection. Read-only after init.
 var allGroups = features.AllGroups()
 
-// modelDim is the model width LoadBundle accepts: the layout TrainRanker
-// fits (core.LearnedMethod with relevance) — every interestingness feature,
-// then log1p of the relevance score and its coverage-normalized form. The
-// ranking loop scores the first modelDim-1 of them, so a narrower model
-// would index past its weights, and a wider one was fitted to another
-// layout.
-var modelDim = features.Dim(allGroups) + 2
+// modelDim is the model width NewRuntime and LoadBundle accept: the layout
+// TrainRanker fits (core.LearnedMethod with relevance) — every
+// interestingness feature, then features.AppendRelevance's.
+var modelDim = features.Dim(allGroups) + features.NumRelevance
 
 // cancelCheckEvery is how many ranking iterations run between cooperative
 // ctx checks: frequent enough that a deadline interrupts a pathological
@@ -220,9 +221,8 @@ func (rt *Runtime) AnnotateCtx(ctx context.Context, text string, topN int) ([]An
 			// large, but finite set of entities").
 			continue
 		}
-		rel := rt.Packs.Score(d.Norm, sc.windowTIDs(text, d.Start, d.End))
-		sc.fv = fields.AppendExpand(sc.fv[:0], allGroups)
-		sc.fv = append(sc.fv, log1p(rel))
+		rel, relNorm := rt.Packs.scoreNorm(d.Norm, sc.windowTIDs(text, d.Start))
+		sc.fv = features.AppendRelevance(fields.AppendExpand(sc.fv[:0], allGroups), rel, relNorm)
 		if cap(sc.std) < len(sc.fv) {
 			sc.std = make([]float64, 0, cap(sc.fv))
 		}
@@ -312,14 +312,14 @@ func (rt *Runtime) AnnotateDegraded(text string, topN int) []Annotation {
 }
 
 // windowTIDs returns the TIDs of the stemmed content words in the context
-// of [start,end) — relevance.LocalWindow — as a set valid until the next
-// call on sc. The window's words are a range of the document's tokens: the
+// of byte pos — relevance.LocalWindow — as a set valid until the next call
+// on sc. The window's words are a range of the document's tokens: the
 // window ends on ' ', '\n' or an edge of the text, no token holds either
 // byte, so no token straddles an edge and the tokens that start inside the
 // window are exactly the tokens of the window's text (FuzzWindowTIDs checks
 // it).
-func (sc *annScratch) windowTIDs(text string, start, end int) map[uint32]bool {
-	lo, hi := relevance.LocalWindow(text, start, end)
+func (sc *annScratch) windowTIDs(text string, pos int) map[uint32]bool {
+	lo, hi := relevance.LocalWindow(text, pos)
 	first := sort.Search(len(sc.tokens), func(i int) bool { return sc.tokens[i].Start >= lo })
 	clear(sc.tids)
 	for i := first; i < len(sc.tokens) && sc.tokens[i].Start < hi; i++ {
@@ -328,13 +328,6 @@ func (sc *annScratch) windowTIDs(text string, start, end int) map[uint32]bool {
 		}
 	}
 	return sc.tids
-}
-
-func log1p(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Log1p(x)
 }
 
 // Throughput reports the stemmer and ranker processing rates in MB/s since

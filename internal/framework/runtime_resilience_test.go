@@ -40,8 +40,8 @@ func resilienceRuntimeWith(t testing.TB, packs *KeywordPacks) *Runtime {
 	var instances []ranksvm.Instance
 	for g := 0; g < 6; g++ {
 		instances = append(instances,
-			ranksvm.Instance{Features: append(hot.Expand(features.AllGroups()), 1), Label: 0.1, Group: g},
-			ranksvm.Instance{Features: append(cold.Expand(features.AllGroups()), 0), Label: 0.01, Group: g},
+			ranksvm.Instance{Features: features.AppendRelevance(hot.Expand(features.AllGroups()), 1, 1), Label: 0.1, Group: g},
+			ranksvm.Instance{Features: features.AppendRelevance(cold.Expand(features.AllGroups()), 0, 0), Label: 0.01, Group: g},
 		)
 	}
 	model, err := ranksvm.Train(instances, ranksvm.Options{Seed: 1})

@@ -255,14 +255,28 @@ func (k *KeywordPacks) Keywords(concept string) corpus.Vector {
 // the online counterpart of relevance.Store.Score, "achieved quite
 // efficiently" because both sides are integer ids.
 func (k *KeywordPacks) Score(concept string, docTIDs map[uint32]bool) float64 {
-	score := 0.0
+	score, _ := k.scoreNorm(concept, docTIDs)
+	return score
+}
+
+// scoreNorm is Score with its coverage-normalized form beside it: the
+// pack's quantized score mass found in docTIDs over its whole mass —
+// relevance.Store.NormalizedScoreCtx over the pack. The uint32 sums cannot
+// overflow: a pack holds at most TopM entries of at most MaxQScore.
+func (k *KeywordPacks) scoreNorm(concept string, docTIDs map[uint32]bool) (score, norm float64) {
+	var hit, total uint32
 	for _, e := range k.packs[concept] {
 		tid, q := unpackEntry(e)
+		total += q
 		if docTIDs[tid] {
+			hit += q
 			score += float64(q) / MaxQScore * k.maxScore
 		}
 	}
-	return score
+	if total > 0 {
+		norm = float64(hit) / float64(total)
+	}
+	return score, norm
 }
 
 // DocTIDs maps a document's stemmed content terms to the TID set used by

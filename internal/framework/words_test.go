@@ -10,6 +10,7 @@ import (
 	"contextrank/internal/framework"
 	"contextrank/internal/match"
 	"contextrank/internal/newsgen"
+	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
 	"contextrank/internal/stem"
 	"contextrank/internal/textproc"
@@ -33,7 +34,8 @@ func TestWordTableMatchesDefinition(t *testing.T) {
 		World: world.Config{VocabSize: 6000, NumTopics: 24, NumConcepts: 1200},
 		News:  newsgen.Config{NumStories: 1100},
 	})
-	rt := framework.NewRuntime(s.Pipeline, nil, framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets)), nil)
+	unranked := &ranksvm.Model{Mean: make([]float64, framework.ModelDim)}
+	rt := framework.NewRuntime(s.Pipeline, nil, framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets)), unranked)
 	dict, unit, tids := s.Dict.Vocab(), s.Units.Vocab(), rt.Packs.TIDs
 
 	hits, total := 0, 0

@@ -92,9 +92,9 @@ func (c *Ctx) SetText(text string) {
 }
 
 // SetAround loads the local context of position — LocalWindow(text,
-// position, position) — as SetText does.
+// position) — as SetText does.
 func (c *Ctx) SetAround(text string, position int) {
-	lo, hi := LocalWindow(text, position, position)
+	lo, hi := LocalWindow(text, position)
 	c.SetText(text[lo:hi])
 }
 

@@ -173,7 +173,7 @@ func ContextStems(text string) map[string]bool {
 // ContextStemsAround is ContextStems of the local context of position
 // (LocalWindow): the set SetAround marks.
 func ContextStemsAround(text string, position int) map[string]bool {
-	lo, hi := LocalWindow(text, position, position)
+	lo, hi := LocalWindow(text, position)
 	return ContextStems(text[lo:hi])
 }
 

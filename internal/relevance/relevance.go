@@ -172,16 +172,17 @@ func (s *Store) Summation(concept string) float64 {
 // text surrounding the occurrence, not the whole document.
 const LocalRadius = 300
 
-// LocalWindow is the local context of the span [start,end): LocalRadius
+// LocalWindow is the local context of a mention at byte pos: LocalRadius
 // bytes on each side, clamped to the text and widened to whitespace so no
-// word is cut; the window is text[lo:hi]. The offline miners score a
-// mention at (position, position), the runtime a detection at its span.
-func LocalWindow(text string, start, end int) (lo, hi int) {
-	lo = start - LocalRadius
+// word is cut; the window is text[lo:hi]. The dataset join scores a
+// mention at its position and the runtime a detection at its first byte,
+// so both sides rank from the same context.
+func LocalWindow(text string, pos int) (lo, hi int) {
+	lo = pos - LocalRadius
 	if lo < 0 {
 		lo = 0
 	}
-	hi = end + LocalRadius
+	hi = pos + LocalRadius
 	if hi > len(text) {
 		hi = len(text)
 	}
