@@ -5,7 +5,7 @@
 // compaction — while serving concurrent read probes the whole time. This is
 // the operational proof of the two-tier engine: the index is never closed to
 // writes, readers never block, and /statz exposes the ingest and compaction
-// counters live.
+// counters and the index's resident footprint live.
 //
 // Usage:
 //
@@ -58,8 +58,8 @@ func main() {
 		fatal(err)
 	}
 	st := p.engine.Stats()
-	fmt.Fprintf(os.Stderr, "base frozen: %d docs, %d terms, %d frozen bytes\n",
-		st.Docs, st.Terms, st.FrozenBytes)
+	fmt.Fprintf(os.Stderr, "base frozen: %d docs, %d terms, %d frozen bytes, %d resident bytes\n",
+		st.Docs, st.Terms, st.FrozenBytes, st.ResidentBytes)
 
 	var httpServer *http.Server
 	if *addr != "" {

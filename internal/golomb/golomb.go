@@ -25,6 +25,13 @@ type BitWriter struct {
 	nbit uint8 // bits used in the last byte (0..7; 0 means last byte full/absent)
 }
 
+// AppendBitWriter returns a writer that appends to buf, for callers that
+// pack many streams into one buffer: the first bit written starts a new
+// byte after buf's contents, Bytes returns buf extended by the encoded
+// bytes, and BitLen counts buf's bytes too, so the new stream's bit offsets
+// are BitLen() − 8·len(buf).
+func AppendBitWriter(buf []byte) BitWriter { return BitWriter{buf: buf} }
+
 // WriteBit appends one bit (0 or 1).
 func (w *BitWriter) WriteBit(b uint32) {
 	if w.nbit == 0 {

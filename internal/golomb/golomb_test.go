@@ -1,6 +1,7 @@
 package golomb
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -37,6 +38,43 @@ func TestBitLen(t *testing.T) {
 	w.WriteBits(0, 13)
 	if w.BitLen() != 16 {
 		t.Fatalf("BitLen = %d", w.BitLen())
+	}
+}
+
+// TestAppendBitWriter: streams written back to back through AppendBitWriter
+// are the bytes a fresh writer emits for each, each starting on a new byte
+// at bit 8·len(buf), and decode from there.
+func TestAppendBitWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var buf, want []byte
+	var starts []int
+	for s := 0; s < 20; s++ {
+		vals := make([]uint32, rng.Intn(40))
+		for i := range vals {
+			vals[i] = uint32(rng.Intn(300))
+		}
+		c := NewCodec(uint32(1 + rng.Intn(50)))
+		w := AppendBitWriter(buf)
+		if w.BitLen() != 8*len(buf) {
+			t.Fatalf("stream %d: BitLen %d on a %d-byte buffer", s, w.BitLen(), len(buf))
+		}
+		starts = append(starts, w.BitLen())
+		var fresh BitWriter
+		for _, v := range vals {
+			c.Write(&w, v)
+			c.Write(&fresh, v)
+		}
+		buf = w.Bytes()
+		want = append(want, fresh.Bytes()...)
+		r := BitReaderAt(buf, starts[s])
+		for i, v := range vals {
+			if got, err := c.Read(&r); err != nil || got != v {
+				t.Fatalf("stream %d value %d: got %d, %v; want %d", s, i, got, err, v)
+			}
+		}
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("appended streams differ from the concatenation of separately written streams")
 	}
 }
 

@@ -62,9 +62,11 @@ func BenchmarkPhraseEval(b *testing.B) {
 }
 
 // BenchmarkIndexSize publishes the deterministic index-size accounting as
-// custom metrics (frozen-bytes, raw-bytes, compression-ratio). The corpus is
-// seeded, so the sizes are byte-exact across machines — BENCH.baseline.json
-// guards frozen-bytes against growth.
+// custom metrics (frozen-bytes, raw-bytes, compression-ratio, and
+// resident-bytes: the base segment's term headers plus arenas). The corpus
+// is seeded, so the sizes are byte-exact across machines —
+// BENCH.baseline.json guards frozen-bytes and resident-bytes against
+// growth.
 func BenchmarkIndexSize(b *testing.B) {
 	_, e := paperScaleEngine(b)
 	st := e.Stats()
@@ -74,6 +76,7 @@ func BenchmarkIndexSize(b *testing.B) {
 	b.ReportMetric(float64(st.FrozenBytes), "frozen-bytes")
 	b.ReportMetric(float64(st.RawBytes), "raw-bytes")
 	b.ReportMetric(float64(st.FrozenBytes)/float64(st.RawBytes), "compression-ratio")
+	b.ReportMetric(float64(st.ResidentBytes), "resident-bytes")
 	for i := 0; i < b.N; i++ {
 		_ = e.Stats()
 	}

@@ -23,29 +23,28 @@ func randomPostingList(rng *rand.Rand, maxDoc int, density float64) *postingList
 	return pl
 }
 
-// freezeAs freezes pl with a forced doc-id representation: the Golomb gap
-// stream, or the bitmap freezeList picks for dense terms.
-func freezeAs(pl *postingList, bitmap bool) frozenList {
-	fl := golombList(pl)
-	if bitmap {
-		fl.useBitmap(pl.docs)
-	}
-	return fl
+// freezeAs freezes pl as term 0 of a one-term frozen index with a forced
+// doc-id representation: the Golomb gap stream, or the bitmap the encoder
+// picks for dense terms.
+func freezeAs(pl *postingList, bitmap bool) *frozenIndex {
+	fx := &frozenIndex{}
+	fx.appendTerm(pl, bitmap)
+	return fx
 }
 
-// frozenCursor binds a cursor directly to one frozen list (the engine-level
-// init path is exercised by the differential suite; here we compare the two
-// doc-stream representations in isolation).
-func frozenCursor(fl *frozenList) *termCursor {
+// frozenCursor binds a cursor directly to term 0 of a frozen index (the
+// engine-level init path is exercised by the differential suite; here we
+// compare the two doc-stream representations in isolation).
+func frozenCursor(fx *frozenIndex) *termCursor {
 	c := &termCursor{}
-	c.init(listView(nil, []frozenList{*fl}), 0)
+	c.init(listView(nil, fx), 0)
 	return c
 }
 
 // walkAll decodes the complete list: every doc with its freq and positions.
-func walkAll(t *testing.T, fl *frozenList) (docs []int32, freqs []int32, positions [][]int32) {
+func walkAll(t *testing.T, fx *frozenIndex) (docs []int32, freqs []int32, positions [][]int32) {
 	t.Helper()
-	c := frozenCursor(fl)
+	c := frozenCursor(fx)
 	for doc, ok := c.seekGEQ(0); ok; doc, ok = c.seekGEQ(doc + 1) {
 		docs = append(docs, doc)
 		freqs = append(freqs, c.freq())
@@ -68,12 +67,12 @@ func TestBitmapGolombEquivalence(t *testing.T) {
 		}
 		fg := freezeAs(pl, false)
 		fb := freezeAs(pl, true)
-		if fg.docBits != nil || fb.docBits == nil {
+		if fg.terms[0].nWords != 0 || fb.terms[0].nWords == 0 {
 			t.Fatal("forced representations not honored")
 		}
 
-		gd, gf, gp := walkAll(t, &fg)
-		bd, bf, bp := walkAll(t, &fb)
+		gd, gf, gp := walkAll(t, fg)
+		bd, bf, bp := walkAll(t, fb)
 		if !reflect.DeepEqual(gd, pl.docs) {
 			t.Fatalf("trial %d: golomb walk lost docs", trial)
 		}
@@ -82,7 +81,7 @@ func TestBitmapGolombEquivalence(t *testing.T) {
 		}
 
 		// Random forward-only seek patterns, including overshoots.
-		cg, cb := frozenCursor(&fg), frozenCursor(&fb)
+		cg, cb := frozenCursor(fg), frozenCursor(fb)
 		target := int32(0)
 		for {
 			dg, okg := cg.seekGEQ(target)
@@ -111,13 +110,13 @@ func TestBitmapAutoNeverGrows(t *testing.T) {
 		if len(pl.docs) == 0 {
 			continue
 		}
-		auto := freezeList(pl)
+		auto := freezeLists(*pl)
 		gol := freezeAs(pl, false)
 		if auto.frozenBytes() > gol.frozenBytes() {
 			t.Fatalf("trial %d: auto representation larger than golomb: %d > %d",
 				trial, auto.frozenBytes(), gol.frozenBytes())
 		}
-		if auto.docBits != nil {
+		if auto.terms[0].nWords != 0 {
 			sawBitmap = true
 			if auto.frozenBytes() >= gol.frozenBytes() {
 				t.Fatalf("trial %d: bitmap chosen without strict shrink", trial)

@@ -17,20 +17,20 @@ package searchsim
 //     loop would have produced, bit for bit;
 //  3. (parallel) id rewrite: per-doc local ids become engine ids in place;
 //  4. (parallel) posting build: each worker builds chunk-local posting lists
-//     over engine ids, then a second fan-out concatenates every term's
-//     chunk lists in chunk (= ascending doc) order with exact-capacity
-//     allocation, fixing up the per-doc position-offset bases;
+//     over engine ids;
 //  5. (serial) documents and stopword table — a term's document frequency
-//     needs no table of its own: it is the length of its merged posting list;
-//  6. (parallel) per-term compression with the Golomb delta coder (or a doc
-//     bitmap for dense terms), then the serial size accounting, and the
-//     base frozen segment is published.
+//     needs no table of its own: it is the doc count in its term header;
+//  6. (parallel) freezeTerms concatenates every term's chunk lists in chunk
+//     (= ascending doc) order into one reused scratch list per encode chunk
+//     and compresses it with the Golomb delta coder (or a doc bitmap for
+//     dense terms) into the frozen arenas; then the serial size accounting,
+//     and the base frozen segment is published.
 //
 // Every phase is deterministic in content (worker scheduling only changes
-// who computes what, never the result; freezeList is a pure function of one
-// raw list), so the engine is bit-identical at any GOMAXPROCS, and its
-// frozen lists equal those of Add + Commit + CompactAll over the same
-// documents. TestBulkIndexMatchesSerial pins both.
+// who computes what, never the result; a term's frozen bytes are a pure
+// function of its postings), so the engine is bit-identical at any
+// GOMAXPROCS, and its frozen segment equals that of Add + Commit +
+// CompactAll over the same documents. TestBulkIndexMatchesSerial pins both.
 
 import (
 	"contextrank/internal/par"
@@ -120,34 +120,6 @@ func newBulkEngine(docs []rawDoc) *Engine {
 		}
 	})
 
-	// Phase 4b: per-term concatenation in chunk order. Chunks hold ascending
-	// disjoint doc ranges, so appending chunk lists in chunk order keeps doc
-	// ids ascending; starts are rebased onto the merged position stream.
-	raw := make([]postingList, nTerms)
-	par.For(0, nTerms, func(t int) {
-		nDocs, nPos := 0, 0
-		for ci := range chunks {
-			l := &chunks[ci].lists[t]
-			nDocs += len(l.docs)
-			nPos += len(l.positions)
-		}
-		out := postingList{
-			docs:      make([]int32, 0, nDocs),
-			starts:    make([]int32, 0, nDocs),
-			positions: make([]int32, 0, nPos),
-		}
-		for ci := range chunks {
-			l := &chunks[ci].lists[t]
-			off := int32(len(out.positions))
-			out.docs = append(out.docs, l.docs...)
-			for _, s := range l.starts {
-				out.starts = append(out.starts, s+off)
-			}
-			out.positions = append(out.positions, l.positions...)
-		}
-		raw[t] = out
-	})
-
 	// Phase 5: documents, stopword table.
 	e.docs = make([]Doc, nd)
 	for di := range docs {
@@ -158,22 +130,27 @@ func newBulkEngine(docs []rawDoc) *Engine {
 		e.stopID[t] = textproc.IsStopword(e.vocab.Token(uint32(t)))
 	}
 
-	// Phase 6: compress, account, publish.
-	fr := make([]frozenList, nTerms)
-	par.For(0, nTerms, func(t int) {
-		fr[t] = freezeList(&raw[t])
+	// Phase 6: per-term concatenation in chunk order, compression,
+	// accounting. Chunks hold ascending disjoint doc ranges, so appending
+	// chunk lists in chunk order keeps doc ids ascending.
+	fx := freezeTerms(0, nTerms, func(t int, pl *postingList) {
+		for ci := range chunks {
+			pl.appendPostings(&chunks[ci].lists[t], 0)
+		}
 	})
-	for t := range raw {
-		e.stats.Postings += len(raw[t].docs)
-		e.stats.Positions += len(raw[t].positions)
-		e.stats.RawBytes += raw[t].rawBytes()
-		e.stats.FrozenBytes += fr[t].frozenBytes()
-		if fr[t].docBits != nil {
+	for t := range fx.terms {
+		h := &fx.terms[t]
+		e.stats.Postings += int(h.nDocs)
+		e.stats.Positions += int(h.nPos)
+		if h.nWords > 0 {
 			e.stats.BitmapTerms++
 		}
 	}
+	// Each raw posting is a doc id and a start offset; each position one int32.
+	e.stats.RawBytes = 4 * (2*e.stats.Postings + e.stats.Positions)
+	e.stats.FrozenBytes = fx.frozenBytes()
 	e.mu.Lock()
-	e.segs = []*segment{newFrozenSegment(0, int32(nd), fr)}
+	e.segs = []*segment{newFrozenSegment(0, int32(nd), fx)}
 	e.memBase = int32(nd)
 	e.publishLocked()
 	e.mu.Unlock()

@@ -128,8 +128,9 @@ func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 }
 
 // The bulk build's compression pass must produce the identical frozen
-// segment and size accounting at every GOMAXPROCS (freezeList is pure per
-// term).
+// segment — header table and arenas — and size accounting at every
+// GOMAXPROCS (a term's frozen bytes are a pure function of its postings, and
+// encode chunks are concatenated in term order).
 func TestFreezeWorkersDeterministic(t *testing.T) {
 	docs := randomRawDocs(13, 150)
 	setGOMAXPROCS(t, 1)
@@ -138,7 +139,7 @@ func TestFreezeWorkersDeterministic(t *testing.T) {
 		setGOMAXPROCS(t, procs)
 		e := newBulkEngine(docs)
 		if !reflect.DeepEqual(e.segs[0].frozen, want.segs[0].frozen) {
-			t.Fatalf("GOMAXPROCS=%d: frozen lists diverged", procs)
+			t.Fatalf("GOMAXPROCS=%d: frozen header table or arenas diverged", procs)
 		}
 		if e.stats != want.stats {
 			t.Fatalf("GOMAXPROCS=%d: stats = %+v, want %+v", procs, e.stats, want.stats)

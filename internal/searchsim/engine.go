@@ -72,15 +72,17 @@ type Engine struct {
 	// the query path.
 	mu   sync.Mutex
 	segs []*segment // published segment stack (writer's master copy)
-	// mem is the memtable's dense term-id-indexed scratch, reused across
-	// seals: sealing copies out only the touched lists (memTouched) and
-	// zeroes those entries, so per-commit cost is O(touched terms), never
+	// The memtable: memLists[i] holds the postings of term memTerms[i], in
+	// first-touch order, and memSlot maps a term id to 1+i (0 = untouched),
+	// 4 bytes per vocabulary term. Sealing moves out only the touched lists
+	// and clears their slots, so per-commit cost is O(touched terms), never
 	// O(vocabulary).
-	mem        []postingList
-	memTouched []uint32
-	memBase    int32 // global doc id of the memtable's first doc
-	memDocs    int
-	epoch      uint64
+	memSlot  []int32
+	memTerms []uint32
+	memLists []postingList
+	memBase  int32 // global doc id of the memtable's first doc
+	memDocs  int
+	epoch    uint64
 
 	stopID []bool     // term id -> is a stopword; grown as terms are interned
 	stats  IndexStats // size accounting of the bulk-built base segment
@@ -117,14 +119,17 @@ func (e *Engine) Add(text string, topic int) int {
 	for pos, term := range tokens {
 		tid := e.vocab.Intern(term)
 		ids[pos] = tid
-		if int(tid) >= len(e.mem) {
-			e.mem = append(e.mem, make([]postingList, e.vocab.Len()-len(e.mem))...)
+		if int(tid) >= len(e.memSlot) {
+			e.memSlot = append(e.memSlot, make([]int32, e.vocab.Len()-len(e.memSlot))...)
 		}
-		pl := &e.mem[tid]
-		if len(pl.docs) == 0 {
-			e.memTouched = append(e.memTouched, tid)
+		slot := e.memSlot[tid]
+		if slot == 0 {
+			e.memTerms = append(e.memTerms, tid)
+			e.memLists = append(e.memLists, postingList{})
+			slot = int32(len(e.memLists))
+			e.memSlot[tid] = slot
 		}
-		pl.add(local, int32(pos))
+		e.memLists[slot-1].add(local, int32(pos))
 	}
 	for len(e.stopID) < e.vocab.Len() {
 		e.stopID = append(e.stopID, textproc.IsStopword(e.vocab.Token(uint32(len(e.stopID)))))
@@ -141,27 +146,28 @@ func (e *Engine) Add(text string, topic int) int {
 	return id
 }
 
-// sealLocked transfers the memtable's touched posting lists into an
-// immutable sparse raw segment. Caller holds mu. The transferred lists are
-// never appended to again — their dense scratch slots are zeroed so the next
+// sealLocked transfers the memtable's touched posting lists, in term order,
+// into an immutable sparse raw segment. Caller holds mu. The transferred
+// lists are never appended to again — their slots are cleared so the next
 // Add builds fresh lists — which is what lets views share them without
 // synchronization. Cost is O(touched terms), independent of vocabulary size.
 func (e *Engine) sealLocked() {
 	if e.memDocs == 0 {
 		return
 	}
-	slices.Sort(e.memTouched)
-	terms := make([]uint32, len(e.memTouched))
-	lists := make([]postingList, len(e.memTouched))
-	for i, tid := range e.memTouched {
-		terms[i] = tid
-		lists[i] = e.mem[tid]
-		e.mem[tid] = postingList{}
+	terms := slices.Clone(e.memTerms)
+	slices.Sort(terms)
+	lists := make([]postingList, len(terms))
+	for i, tid := range terms {
+		lists[i] = e.memLists[e.memSlot[tid]-1]
+		e.memSlot[tid] = 0
 	}
 	seg := newSparseRawSegment(e.memBase, int32(e.memDocs), terms, lists)
 	e.segs = append(e.segs, seg)
 	e.memBase += int32(e.memDocs)
-	e.memTouched = e.memTouched[:0]
+	e.memTerms = e.memTerms[:0]
+	clear(e.memLists) // drop the moved lists' arrays from the scratch
+	e.memLists = e.memLists[:0]
 	e.memDocs = 0
 	e.memDocsLive.Store(0)
 }
@@ -316,6 +322,12 @@ type IndexStats struct {
 	FrozenBytes int `json:"frozen_bytes"`
 	BitmapTerms int `json:"bitmap_terms"`
 
+	// ResidentBytes is what the published segment stack's postings hold in
+	// memory: each frozen segment's term headers and arenas, each raw
+	// segment's term table and lists by capacity. Each segment records its
+	// share once, when it is built; pending memtable docs are excluded.
+	ResidentBytes int `json:"resident_bytes"`
+
 	// Live two-tier accounting: the published segment stack, pending
 	// (not yet visible) memtable docs, the visibility epoch, and the
 	// cumulative ingest/compaction counters.
@@ -336,6 +348,9 @@ func (e *Engine) Stats() IndexStats {
 	st := e.stats
 	st.Docs = len(v.docs)
 	st.Segments = len(v.segs)
+	for _, s := range v.segs {
+		st.ResidentBytes += s.resident
+	}
 	st.Epoch = v.epoch
 	st.MemDocs = int(e.memDocsLive.Load())
 	st.Ingested = e.ingested.Load()
@@ -465,7 +480,7 @@ func (v *view) rankHits(terms []string, hits []phraseHit, k int) []Result {
 }
 
 // Search runs a phrase query and returns up to k results ranked by the
-// tf·idf-flavoured score.
+// tf·idf-flavoured score; k ≤ 0 returns every result.
 func (e *Engine) Search(phrase string, k int) []Result {
 	terms := textproc.Words(phrase)
 	v := e.cur.Load()
@@ -543,13 +558,13 @@ func (v *view) visitHits(e *Engine, terms []string, k int, visit func(tokens []u
 	}
 }
 
-// Snippets returns the snippets of the top-k results for phrase. The paper
-// uses the snippets of the first hundred results as the best resource for
-// relevant-keyword mining.
+// Snippets returns the snippets of the top-k results for phrase; k ≤ 0
+// returns the snippets of every result. The paper uses the snippets of the
+// first hundred results as the best resource for relevant-keyword mining.
 func (e *Engine) Snippets(phrase string, k int) []string {
 	terms := textproc.Words(phrase)
 	v := e.cur.Load()
-	out := make([]string, 0, k)
+	out := make([]string, 0, max(k, 0))
 	v.visitHits(e, terms, k, func(tokens []uint32, lo, hi int) {
 		var b strings.Builder
 		for i := lo; i < hi; i++ {
@@ -564,10 +579,10 @@ func (e *Engine) Snippets(phrase string, k int) []string {
 }
 
 // VisitSnippetTokens is the string-free twin of Snippets for the interned
-// relevance miner: visit is called once per top-k result in rank order with
-// the document's interned token slice and the snippet window bounds [lo, hi)
-// — the window Snippets renders. The token slice aliases engine-owned
-// storage and must not be modified or retained.
+// relevance miner: visit is called once per top-k result (every result when
+// k ≤ 0) in rank order with the document's interned token slice and the
+// snippet window bounds [lo, hi) — the window Snippets renders. The token
+// slice aliases engine-owned storage and must not be modified or retained.
 func (e *Engine) VisitSnippetTokens(phrase string, k int, visit func(tokens []uint32, lo, hi int)) {
 	e.cur.Load().visitHits(e, textproc.Words(phrase), k, visit)
 }

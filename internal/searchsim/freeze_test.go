@@ -15,7 +15,7 @@ import (
 // view, the shape every cursor now reads through. The segment width is a
 // huge sentinel: these property tests exercise within-segment decoding, and
 // a single segment never hands off to a successor.
-func listView(raw []postingList, frozen []frozenList) *view {
+func listView(raw []postingList, frozen *frozenIndex) *view {
 	const width = 1 << 30
 	if frozen != nil {
 		return &view{segs: []*segment{newFrozenSegment(0, width, frozen)}}
@@ -25,6 +25,12 @@ func listView(raw []postingList, frozen []frozenList) *view {
 		terms[i] = uint32(i)
 	}
 	return &view{segs: []*segment{newSparseRawSegment(0, width, terms, raw)}}
+}
+
+// freezeLists freezes lists as terms 0, 1, ... of one frozen index through
+// the production encoder, which picks each term's doc representation.
+func freezeLists(lists ...postingList) *frozenIndex {
+	return freezeTerms(1, len(lists), func(t int, pl *postingList) { pl.appendPostings(&lists[t], 0) })
 }
 
 // cursorDump decodes an entire frozen list through the termCursor, the only
@@ -51,7 +57,7 @@ func cursorDump(t *testing.T, v *view, id uint32) (docs []int32, poss [][]int32)
 func checkRoundTrip(t *testing.T, pl postingList, label string) {
 	t.Helper()
 	vRaw := listView([]postingList{pl}, nil)
-	vFroz := listView(nil, []frozenList{freezeList(&pl)})
+	vFroz := listView(nil, freezeLists(pl))
 
 	wantDocs, wantPoss := cursorDump(t, vRaw, 0)
 	gotDocs, gotPoss := cursorDump(t, vFroz, 0)

@@ -8,22 +8,25 @@ package searchsim
 //     concatenated ascending token positions. Appending during indexing is
 //     O(1) amortized and the layout is cache-friendly for intersection.
 //
-//   - frozenList: the compressed read-only form freezeList produces, for the
-//     bulk-built base segment and for every compaction's merged segment.
-//     Three Golomb-coded gap streams (doc gaps, frequency-minus-one,
-//     within-doc position gaps) plus skip blocks every skipInterval docs.
-//     Each skip block records the block's first doc id uncompressed and the
-//     bit offsets of the three streams, so a cursor can gallop to an
-//     arbitrary doc by binary-searching the skip table and decoding at most
-//     skipInterval-1 gaps — positions are only ever decoded for blocks the
-//     intersection actually visits.
+//   - the frozen form (frozen.go): the compressed read-only postings of the
+//     bulk-built base segment and of every major merge's output, packed
+//     into three arenas per segment behind a 48-byte header per term. A
+//     term's postings are three Golomb-coded gap streams (doc gaps,
+//     frequency-minus-one, within-doc position gaps) plus skip blocks
+//     every skipInterval docs. Each skip block records the block's first
+//     doc id uncompressed and the bit offsets of the three streams, so a
+//     cursor can gallop to an arbitrary doc by binary-searching the skip
+//     table and decoding at most skipInterval-1 gaps — positions are only
+//     ever decoded for blocks the intersection actually visits. frozenList
+//     is the decoders' view of one term's spans, built when a cursor or a
+//     merge binds the term; segments never store it.
 //
 // High-document-frequency terms additionally get a roaring-style doc-id
 // bitmap instead of the Golomb doc stream (DESIGN.md §10): when a term
 // appears in a large fraction of the corpus its doc gaps are tiny and the
 // unary-heavy Golomb stream approaches one-plus bits per doc, so a plain
 // bitmap is both smaller and decodes with bit tricks instead of a per-gap
-// decoder loop. freezeList picks the representation per term by exact
+// decoder loop. The encoder picks the representation per term by exact
 // byte count; the skip table (block-first docs) is kept either way, so the
 // cursor's galloping seek is unchanged and only block decoding dispatches.
 //
@@ -69,16 +72,25 @@ func (pl *postingList) end(i int) int32 {
 	return int32(len(pl.positions))
 }
 
-// rawBytes is the resident footprint of the raw list (int32 payload only;
-// slice headers excluded on both sides of the raw/frozen comparison).
-func (pl *postingList) rawBytes() int {
-	return 4 * (len(pl.docs) + len(pl.starts) + len(pl.positions))
+// appendPostings appends in's postings to pl with doc ids shifted by rebase
+// and start offsets by pl's position count — a whole list at a time, its
+// positions in one copy: the raw merge kernel.
+func (pl *postingList) appendPostings(in *postingList, rebase int32) {
+	off := int32(len(pl.positions))
+	for _, d := range in.docs {
+		pl.docs = append(pl.docs, d+rebase)
+	}
+	for _, s := range in.starts {
+		pl.starts = append(pl.starts, s+off)
+	}
+	pl.positions = append(pl.positions, in.positions...)
 }
 
-// frozenList is the compressed postings of one term.
+// frozenList is one term's frozen postings as the decoders read them: its
+// counts and Golomb parameters from the term header, and its spans of the
+// segment's arenas (frozenIndex.list).
 type frozenList struct {
 	nDocs int32
-	nPos  int32
 
 	docM, freqM, posM uint32
 	docData           []byte // gap-1 coded doc deltas; block-first docs are elided (stored raw in skipFirstDoc)
@@ -95,92 +107,6 @@ type frozenList struct {
 	skipDocBits  []int32 // bit offset in docData of block k's second doc
 	skipFreqBits []int32 // bit offset in freqData of block k's first freq
 	skipPosBits  []int32 // bit offset in posData of block k's first position
-}
-
-// frozenBytes is the resident footprint of the compressed list.
-func (fl *frozenList) frozenBytes() int {
-	return len(fl.docData) + len(fl.freqData) + len(fl.posData) + 8*len(fl.docBits) +
-		4*(len(fl.skipFirstDoc)+len(fl.skipDocBits)+len(fl.skipFreqBits)+len(fl.skipPosBits))
-}
-
-// freezeList compresses one raw posting list, choosing the smaller doc-id
-// representation (Golomb gap stream vs bitmap) per term by exact byte count.
-func freezeList(pl *postingList) frozenList {
-	fl := golombList(pl)
-	// Dense terms: switch the doc stream to a bitmap when it is strictly
-	// smaller than the Golomb bytes plus the per-block bit offsets it
-	// replaces, so FrozenBytes can only shrink. Freq/pos streams and the
-	// uncompressed block-first docs are unaffected.
-	if n := len(pl.docs); n > 0 && 8*(int(pl.docs[n-1])/64+1) < len(fl.docData)+4*len(fl.skipDocBits) {
-		fl.useBitmap(pl.docs)
-	}
-	return fl
-}
-
-// golombList codes all three streams of pl with Golomb gaps: one BitWriter
-// and one golomb.Codec per stream, and a skip entry every skipInterval docs.
-func golombList(pl *postingList) frozenList {
-	n := len(pl.docs)
-	fl := frozenList{nDocs: int32(n), nPos: int32(len(pl.positions))}
-	if n == 0 {
-		fl.docM, fl.freqM, fl.posM = 1, 1, 1
-		return fl
-	}
-	nblk := (n + skipInterval - 1) / skipInterval
-	fl.skipFirstDoc = make([]int32, nblk)
-	fl.skipDocBits = make([]int32, nblk)
-	fl.skipFreqBits = make([]int32, nblk)
-	fl.skipPosBits = make([]int32, nblk)
-
-	// Per-stream Golomb parameters from the mean coded value (the classic
-	// M ≈ 0.69·mean rule; see golomb.OptimalM).
-	fl.docM = golomb.OptimalM(float64(pl.docs[n-1]+1) / float64(n))
-	fl.freqM = golomb.OptimalM(float64(len(pl.positions)-n) / float64(n))
-	var posSum int64
-	for i := 0; i < n; i++ {
-		lo, hi := pl.starts[i], pl.end(i)
-		prev := int32(-1)
-		for _, p := range pl.positions[lo:hi] {
-			posSum += int64(p - prev - 1)
-			prev = p
-		}
-	}
-	fl.posM = golomb.OptimalM(float64(posSum) / float64(len(pl.positions)))
-
-	docC, freqC, posC := golomb.NewCodec(fl.docM), golomb.NewCodec(fl.freqM), golomb.NewCodec(fl.posM)
-	var docW, freqW, posW golomb.BitWriter
-	for i := 0; i < n; i++ {
-		if i%skipInterval == 0 {
-			k := i / skipInterval
-			fl.skipFirstDoc[k] = pl.docs[i]
-			fl.skipDocBits[k] = int32(docW.BitLen())
-			fl.skipFreqBits[k] = int32(freqW.BitLen())
-			fl.skipPosBits[k] = int32(posW.BitLen())
-		} else {
-			docC.Write(&docW, uint32(pl.docs[i]-pl.docs[i-1]-1))
-		}
-		lo, hi := pl.starts[i], pl.end(i)
-		freqC.Write(&freqW, uint32(hi-lo-1))
-		prev := int32(-1)
-		for _, p := range pl.positions[lo:hi] {
-			posC.Write(&posW, uint32(p-prev-1))
-			prev = p
-		}
-	}
-	fl.docData = docW.Bytes()
-	fl.freqData = freqW.Bytes()
-	fl.posData = posW.Bytes()
-	return fl
-}
-
-// useBitmap replaces the Golomb doc stream with a doc-id bitmap over docs.
-func (fl *frozenList) useBitmap(docs []int32) {
-	fl.docBits = make([]uint64, int(docs[len(docs)-1])/64+1)
-	for _, d := range docs {
-		fl.docBits[d>>6] |= 1 << (uint(d) & 63)
-	}
-	fl.docData = nil
-	fl.skipDocBits = nil
 }
 
 // nblocks returns the number of skip blocks.
@@ -301,8 +227,8 @@ type termCursor struct {
 	pl *postingList
 	ri int
 
-	// frozen mode
-	fl         *frozenList
+	// frozen mode: fl is the bound term's view (nDocs > 0 while bound)
+	fl         frozenList
 	blk        int // current skip block (-1 before first load)
 	blockLen   int
 	bi         int // index of the current doc within the block
@@ -325,7 +251,7 @@ type termCursor struct {
 // from the corpus vocabulary).
 func (c *termCursor) init(v *view, id uint32) bool {
 	c.v, c.id = v, id
-	c.pl, c.fl = nil, nil
+	c.pl, c.fl = nil, frozenList{}
 	c.si = -1
 	c.ppi = 0
 	c.n = 0
@@ -354,13 +280,13 @@ func (c *termCursor) nextSeg() bool {
 		c.freqLoaded, c.posLoaded = false, false
 		c.ppi = 0
 		if s.frozen != nil {
-			c.fl, c.pl = &s.frozen[c.id], nil
+			c.fl, c.pl = s.frozen.list(c.id), nil
 		} else {
-			c.pl, c.fl = s.rawList(c.id), nil
+			c.pl, c.fl = s.rawList(c.id), frozenList{}
 		}
 		return true
 	}
-	c.pl, c.fl = nil, nil
+	c.pl, c.fl = nil, frozenList{}
 	return false
 }
 
@@ -369,7 +295,7 @@ func (c *termCursor) nextSeg() bool {
 // segment the per-representation seeks gallop exactly as in the single-
 // segment engine; segments whose range ends before d are skipped whole.
 func (c *termCursor) seekGEQ(d int32) (doc int32, ok bool) {
-	for c.pl != nil || c.fl != nil {
+	for c.pl != nil || c.fl.nDocs > 0 {
 		if d >= c.segEnd {
 			if !c.nextSeg() {
 				return 0, false
@@ -430,7 +356,7 @@ func (c *termCursor) seekRaw(d int32) (int32, bool) {
 // seekFrozen gallops via the skip table, decoding at most one block of doc
 // gaps per landing block.
 func (c *termCursor) seekFrozen(d int32) (int32, bool) {
-	fl := c.fl
+	fl := &c.fl
 	// Fast path: the target is inside the currently-loaded block.
 	if c.blk >= 0 && c.blockLen > 0 && c.docs[c.blockLen-1] >= d {
 		for j := c.bi; j < c.blockLen; j++ {

@@ -91,6 +91,15 @@ func TestSnippetsCount(t *testing.T) {
 			t.Fatal("empty snippet")
 		}
 	}
+	// k ≤ 0 means every result, for Snippets as for Search.
+	for _, k := range []int{0, -1} {
+		if got := e.Snippets("iraq war", k); len(got) != 3 {
+			t.Fatalf("Snippets(k=%d) = %d snippets, want 3", k, len(got))
+		}
+		if got := e.Search("iraq war", k); len(got) != 3 {
+			t.Fatalf("Search(k=%d) = %d results, want 3", k, len(got))
+		}
+	}
 }
 
 // The term dictionary the paper describes — term-document frequencies over

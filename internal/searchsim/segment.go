@@ -12,7 +12,7 @@ package searchsim
 // Doc ids are segment-local; base maps them into the engine's global doc-id
 // space ([base, base+nDocs)). Merging K segments is per-term pure — decode
 // each input's postings in segment order with the doc ids rebased, then
-// re-encode with the exact freezeList coder — so a merged segment is
+// re-encode with the bulk build's own freezeTerms — so a merged segment is
 // bit-identical at any worker count, and a full merge reproduces the
 // from-scratch frozen image byte for byte (the ingest differential suite
 // pins both).
@@ -21,14 +21,16 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"unsafe"
 
 	"contextrank/internal/par"
 )
 
 // segment is one immutable tier of postings: either raw (sealed memtable) or
 // frozen (Golomb/bitmap compressed). Exactly one of raw/frozen is non-nil.
-// seal finalizes the size accounting at construction; after that the segment
-// never changes — that is what makes lock-free sharing across views sound.
+// seal records the resident footprint at construction; after that the
+// segment never changes — that is what makes lock-free sharing across views
+// sound.
 //
 //kw:frozen-after(seal)
 type segment struct {
@@ -43,25 +45,24 @@ type segment struct {
 	// ingest profile.
 	terms  []uint32
 	raw    []postingList // sealed memtable postings, segment-local doc ids
-	frozen []frozenList  // compressed postings, segment-local doc ids
+	frozen *frozenIndex  // compressed postings, segment-local doc ids
 
-	postings  int // (term, doc) pairs
-	positions int // token occurrences
-	bytes     int // resident payload footprint
+	resident int // bytes the postings hold (IndexStats.ResidentBytes)
 }
 
-// seal captures the segment's size accounting. It is the finisher of the
-// frozen-after contract: no field is written after seal returns.
+// seal records the segment's resident footprint: a frozen segment's header
+// table and arenas, a raw segment's term table and lists by capacity. It is
+// the finisher of the frozen-after contract: no field is written after seal
+// returns.
 func (s *segment) seal() {
-	for i := range s.raw {
-		s.postings += len(s.raw[i].docs)
-		s.positions += len(s.raw[i].positions)
-		s.bytes += s.raw[i].rawBytes()
+	if s.frozen != nil {
+		s.resident = s.frozen.residentBytes()
+		return
 	}
-	for i := range s.frozen {
-		s.postings += int(s.frozen[i].nDocs)
-		s.positions += int(s.frozen[i].nPos)
-		s.bytes += s.frozen[i].frozenBytes()
+	s.resident = 4*cap(s.terms) + int(unsafe.Sizeof(postingList{}))*cap(s.raw)
+	for i := range s.raw {
+		pl := &s.raw[i]
+		s.resident += 4 * (cap(pl.docs) + cap(pl.starts) + cap(pl.positions))
 	}
 }
 
@@ -92,9 +93,10 @@ func (s *segment) rawList(id uint32) *postingList {
 	return nil
 }
 
-// newFrozenSegment wraps compressed lists (from the bulk build or a merge).
-func newFrozenSegment(base, nDocs int32, lists []frozenList) *segment {
-	s := &segment{base: base, nDocs: nDocs, frozen: lists}
+// newFrozenSegment wraps compressed postings (from the bulk build or a
+// merge).
+func newFrozenSegment(base, nDocs int32, fx *frozenIndex) *segment {
+	s := &segment{base: base, nDocs: nDocs, frozen: fx}
 	s.seal()
 	return s
 }
@@ -103,7 +105,7 @@ func newFrozenSegment(base, nDocs int32, lists []frozenList) *segment {
 // postings for (the width a merge output table must cover).
 func (s *segment) numTerms() int {
 	if s.frozen != nil {
-		return len(s.frozen)
+		return len(s.frozen.terms)
 	}
 	if len(s.terms) == 0 {
 		return 0
@@ -114,10 +116,10 @@ func (s *segment) numTerms() int {
 // df returns the term's document frequency within this segment.
 func (s *segment) df(id uint32) int {
 	if s.frozen != nil {
-		if int(id) >= len(s.frozen) {
+		if int(id) >= len(s.frozen.terms) {
 			return 0
 		}
-		return int(s.frozen[id].nDocs)
+		return int(s.frozen.terms[id].nDocs)
 	}
 	if pl := s.rawList(id); pl != nil {
 		return len(pl.docs)
@@ -129,13 +131,13 @@ func (s *segment) df(id uint32) int {
 // rebase. This is the merge kernel: appending every input segment in stack
 // order yields the exact raw list a from-scratch build would have produced.
 // A frozen list is decoded block by block with the cursor's own three
-// decoders, straight into out.
+// decoders, straight into out; a raw list is copied whole.
 func (s *segment) appendList(id uint32, rebase int32, out *postingList) {
 	if s.frozen != nil {
-		if int(id) >= len(s.frozen) {
+		if int(id) >= len(s.frozen.terms) {
 			return
 		}
-		fl := &s.frozen[id]
+		fl := s.frozen.list(id)
 		var freqs [skipInterval]int32
 		for k := 0; k < fl.nblocks(); k++ {
 			n := fl.blockLen(k)
@@ -151,21 +153,19 @@ func (s *segment) appendList(id uint32, rebase int32, out *postingList) {
 		}
 		return
 	}
-	pl := s.rawList(id)
-	if pl == nil {
-		return
-	}
-	for i, d := range pl.docs {
-		out.docs = append(out.docs, d+rebase)
-		out.starts = append(out.starts, int32(len(out.positions)))
-		out.positions = append(out.positions, pl.positions[pl.starts[i]:pl.end(i)]...)
+	if pl := s.rawList(id); pl != nil {
+		out.appendPostings(pl, rebase)
 	}
 }
 
 // mergeSegments compacts a contiguous run of segments into one frozen
-// segment. Per-term work (decode inputs in stack order, re-encode with
-// freezeList) is a pure function of the inputs, so the fan-out over terms is
-// bit-identical at any worker count (internal/par semantics: 0 = GOMAXPROCS).
+// segment. Per-term work (decode inputs in stack order, re-encode) is a pure
+// function of the inputs and freezeTerms concatenates its chunks in term
+// order, so the merged segment is bit-identical at any worker count
+// (internal/par semantics: 0 = GOMAXPROCS). Terms absent from the whole run
+// get an empty header: partial merges of sparse segments touch only a slice
+// of the vocabulary, and a full merge has none (every interned term has
+// postings somewhere).
 func mergeSegments(segs []*segment, workers int) *segment {
 	first, last := segs[0], segs[len(segs)-1]
 	base := first.base
@@ -176,8 +176,7 @@ func mergeSegments(segs []*segment, workers int) *segment {
 			nTerms = n
 		}
 	}
-	fr := make([]frozenList, nTerms)
-	par.For(workers, nTerms, func(t int) {
+	fx := freezeTerms(workers, nTerms, func(t int, pl *postingList) {
 		// Yield the scheduler periodically so a woken query goroutine gets
 		// the CPU within a bounded slice of merge work — without this, a
 		// deployment with fewer cores than goroutines sees read latency
@@ -186,32 +185,20 @@ func mergeSegments(segs []*segment, workers int) *segment {
 		if t%16 == 0 {
 			runtime.Gosched()
 		}
-		// Terms absent from the whole run keep the zero frozenList (df 0,
-		// never bound by a cursor): partial merges of sparse segments touch
-		// only a slice of the vocabulary, and a full merge never hits this
-		// (every interned term has postings somewhere).
-		df := 0
 		for _, s := range segs {
-			df += s.df(uint32(t))
+			s.appendList(uint32(t), s.base-base, pl)
 		}
-		if df == 0 {
-			return
-		}
-		var pl postingList
-		for _, s := range segs {
-			s.appendList(uint32(t), s.base-base, &pl)
-		}
-		fr[t] = freezeList(&pl)
 	})
-	return newFrozenSegment(base, width, fr)
+	return newFrozenSegment(base, width, fx)
 }
 
 // mergeRawSegments concatenates a run of raw segments into one sparse raw
-// segment — the minor compaction. No compression work happens: per term the
-// input lists are appended with doc ids rebased, so the cost is a copy of
-// the postings. Minor merges keep the stack short between the (much more
-// expensive) Golomb-encoding major merges; a doc's postings are re-encoded
-// once per major tier instead of once per size-tier level.
+// segment — the minor compaction. No compression work happens: every
+// output list is sized from its inputs, all of them are carved from one
+// exact-size arena, and each input list is copied in whole. Minor merges
+// keep the stack short between the (much more expensive) Golomb-encoding
+// major merges; a doc's postings are re-encoded once per major tier instead
+// of once per size-tier level.
 func mergeRawSegments(segs []*segment, workers int) *segment {
 	first, last := segs[0], segs[len(segs)-1]
 	base := first.base
@@ -222,14 +209,38 @@ func mergeRawSegments(segs []*segment, workers int) *segment {
 		union = append(union, s.terms...)
 	}
 	slices.Sort(union)
-	union = slices.Compact(union)
+	union = slices.Clone(slices.Compact(union)) // exact size: the segment keeps it
+
+	// Size every output list from its inputs: n[i] holds list i's doc and
+	// position counts, then off[i] where it starts in the arena — its
+	// docs, its starts (as many), then its positions.
+	n := make([][2]int, len(union))
+	par.For(workers, len(union), func(i int) {
+		for _, s := range segs {
+			if pl := s.rawList(union[i]); pl != nil {
+				n[i][0] += len(pl.docs)
+				n[i][1] += len(pl.positions)
+			}
+		}
+	})
+	off := make([]int, len(union)+1)
+	for i := range n {
+		off[i+1] = off[i] + 2*n[i][0] + n[i][1]
+	}
+	arena := make([]int32, off[len(union)])
 	lists := make([]postingList, len(union))
 	par.For(workers, len(union), func(i int) {
 		if i%256 == 0 {
 			runtime.Gosched() // bounded read-latency slice; see mergeSegments
 		}
+		nd, np := n[i][0], n[i][1]
+		a := arena[off[i]:off[i+1]]
+		out := &lists[i]
+		*out = postingList{docs: a[:0:nd], starts: a[nd : nd : 2*nd], positions: a[2*nd : 2*nd : 2*nd+np]}
 		for _, s := range segs {
-			s.appendList(union[i], s.base-base, &lists[i])
+			if pl := s.rawList(union[i]); pl != nil {
+				out.appendPostings(pl, s.base-base)
+			}
 		}
 	})
 	return newSparseRawSegment(base, width, union, lists)
