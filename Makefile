@@ -54,8 +54,9 @@ race:
 # path at paper-scale detection density. BenchmarkNewRuntime (the runtime's
 # word-table build) lands in BENCH.json, measured, not guarded. The seeded
 # paper-scale index is byte-exact, so IndexSize holds both its compressed
-# payload (frozen-bytes) and what the base segment keeps resident — term
-# headers plus exact-size arenas (resident-bytes) — within +5%.
+# payload (frozen-bytes), what the base segment keeps resident — term
+# headers plus exact-size arenas (resident-bytes) — and what its documents'
+# uvarint token arena holds (forward-bytes) within +5%.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./... > bench.out
 	$(GO) test -run=NONE -bench='^BenchmarkAnnotate$$' -benchtime=50x . >> bench.out
@@ -81,6 +82,7 @@ bench:
 		-guard 'BenchmarkSearchTopK:allocs/op:1.20' \
 		-guard 'BenchmarkIndexSize:frozen-bytes:1.05' \
 		-guard 'BenchmarkIndexSize:resident-bytes:1.05' \
+		-guard 'BenchmarkIndexSize:forward-bytes:1.05' \
 		-guard 'BenchmarkFields:B/op:0.40' \
 		-guard 'BenchmarkFields:allocs/op:0.40' \
 		-guard 'BenchmarkMineSnippets:B/op:1.20' \
@@ -141,7 +143,10 @@ chaos:
 # frozen postings (posting lists built from the input, frozen by the
 # production encoder into one segment's exact-size arenas with the doc
 # representation it picks and with each one forced, come back whole from
-# the block decoders and from a seeking termCursor).
+# the block decoders and from a seeking termCursor) — and the forward
+# index's uvarint coding (any id sequence, 127/128, 16383/16384 and
+# MaxUint32 among the seeds, encodes and decodes back whole and by every
+# prefix, and a document added with Add decodes to its interned words).
 # Their seed corpora also run under plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
@@ -157,6 +162,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTenantHeader$$' -fuzztime $(FUZZTIME) ./internal/resilience
 	$(GO) test -run '^$$' -fuzz '^FuzzRenderSource$$' -fuzztime $(FUZZTIME) ./internal/annotate
 	$(GO) test -run '^$$' -fuzz '^FuzzFrozenList$$' -fuzztime $(FUZZTIME) ./internal/searchsim
+	$(GO) test -run '^$$' -fuzz '^FuzzDocTokens$$' -fuzztime $(FUZZTIME) ./internal/searchsim
 
 # examples/ may import the product; the product may not import examples/.
 # The click graph, the personalization library, the weekly query-log

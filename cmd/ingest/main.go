@@ -58,8 +58,8 @@ func main() {
 		fatal(err)
 	}
 	st := p.engine.Stats()
-	fmt.Fprintf(os.Stderr, "base frozen: %d docs, %d terms, %d frozen bytes, %d resident bytes\n",
-		st.Docs, st.Terms, st.FrozenBytes, st.ResidentBytes)
+	fmt.Fprintf(os.Stderr, "base frozen: %d docs, %d terms, %d frozen bytes, %d resident bytes, %d forward bytes\n",
+		st.Docs, st.Terms, st.FrozenBytes, st.ResidentBytes, st.ForwardBytes)
 
 	var httpServer *http.Server
 	if *addr != "" {

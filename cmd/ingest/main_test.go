@@ -40,7 +40,7 @@ func TestPipelineIngestsAndReports(t *testing.T) {
 	if st.Docs != base+total {
 		t.Fatalf("visible docs = %d, want %d", st.Docs, base+total)
 	}
-	if st.Commits == 0 || st.Epoch == 0 || st.ResidentBytes == 0 {
+	if st.Commits == 0 || st.Epoch == 0 || st.ResidentBytes == 0 || st.ForwardBytes == 0 {
 		t.Fatalf("pipeline counters missing: %+v", st)
 	}
 	if p.cfg.Probes > 0 && st.ProbeReads == 0 {
@@ -53,7 +53,7 @@ func TestPipelineIngestsAndReports(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatalf("statz not JSON: %v", err)
 	}
-	for _, key := range []string{"ingested_docs", "compactions", "segments", "mem_docs", "epoch", "ingest_docs_per_sec", "commits", "resident_bytes"} {
+	for _, key := range []string{"ingested_docs", "compactions", "segments", "mem_docs", "epoch", "ingest_docs_per_sec", "commits", "resident_bytes", "forward_bytes"} {
 		if _, ok := got[key]; !ok {
 			t.Fatalf("/statz missing %q: %v", key, got)
 		}

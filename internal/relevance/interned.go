@@ -1,8 +1,10 @@
 package relevance
 
 import (
+	"cmp"
 	"math"
 	"slices"
+	"strings"
 
 	"contextrank/internal/corpus"
 	"contextrank/internal/match"
@@ -92,15 +94,22 @@ func (mn *Miner) table() *termTable {
 // strictly positive (counts, ln(freq+1) with freq >= 1, Prisma weights), so
 // score == 0 is a valid "untouched" test.
 type mineScratch struct {
-	score   []float64 // engine term id -> raw score
-	touched []uint32  // engine ids with score != 0
-	sscore  []float64 // log term id -> raw score
-	stouch  []uint32  // log ids with sscore != 0
-	smark   []uint32  // log term id -> generation of last sighting
-	sgen    uint32    // current per-suggestion dedupe generation
-	agg     []float64 // stem id -> aggregated score
-	aggT    []uint32  // stem ids with agg != 0
-	own     []uint32  // the concept's own stem ids
+	score   []float64   // engine term id -> raw score
+	touched []uint32    // engine ids with score != 0
+	sscore  []float64   // log term id -> raw score
+	stouch  []uint32    // log ids with sscore != 0
+	smark   []uint32    // log term id -> generation of last sighting
+	sgen    uint32      // current per-suggestion dedupe generation
+	agg     []float64   // stem id -> aggregated score
+	aggT    []uint32    // stem ids with agg != 0
+	cand    []stemScore // the aggregated candidates, sorted
+	own     []uint32    // the concept's own stem ids
+}
+
+// stemScore is one candidate keyword: a stem id and its aggregated score.
+type stemScore struct {
+	sid uint32
+	w   float64
 }
 
 // getScratch takes a scratch from the pool and sizes its arrays to the fact
@@ -127,9 +136,11 @@ func (mn *Miner) getScratch(tab *termTable) *mineScratch {
 // finalizeIDs turns raw id-keyed scores into the concept's keyword vector:
 // multiply by idf, drop stopwords, corpus-wide common terms and the concept's
 // own stems, aggregate same-stem scores — walking touched ids in ascending
-// order, never map order, so float sums are reproducible — sort, and
-// truncate to m. Consumed score entries are zeroed; the returned Vector is
-// freshly allocated and shares nothing with the scratch.
+// order, never map order, so float sums are reproducible — sort the
+// candidates in the scratch by corpus.SortVector's order, and copy out the
+// first m. Consumed score entries are zeroed; the returned Vector is
+// freshly allocated at exactly its length and shares nothing with the
+// scratch.
 //
 //kw:fresh
 func (mn *Miner) finalizeIDs(sc *mineScratch, f *termFacts, concept string, score []float64, touched []uint32) corpus.Vector {
@@ -161,16 +172,24 @@ func (mn *Miner) finalizeIDs(sc *mineScratch, f *termFacts, concept string, scor
 		}
 		sc.agg[sid] += s
 	}
-	v := make(corpus.Vector, 0, len(aggT))
+	cand := sc.cand[:0]
 	for _, sid := range aggT {
-		v = append(v, corpus.Entry{Term: mn.tbl.stems.Token(sid), Weight: sc.agg[sid]})
+		cand = append(cand, stemScore{sid: sid, w: sc.agg[sid]})
 		sc.agg[sid] = 0
 	}
 	sc.aggT = aggT[:0]
-	corpus.SortVector(v)
-	if len(v) > mn.m {
-		v = v[:mn.m]
+	stems := mn.tbl.stems
+	slices.SortFunc(cand, func(a, b stemScore) int {
+		if c := cmp.Compare(b.w, a.w); c != 0 {
+			return c
+		}
+		return strings.Compare(stems.Token(a.sid), stems.Token(b.sid))
+	})
+	v := make(corpus.Vector, min(len(cand), mn.m))
+	for i := range v {
+		v[i] = corpus.Entry{Term: stems.Token(cand[i].sid), Weight: cand[i].w}
 	}
+	sc.cand = cand[:0]
 	return v
 }
 
@@ -226,7 +245,7 @@ func (mn *Miner) mineSnippetsIDs(concept string) corpus.Vector {
 // restricted to the cluster's snippets. A cluster no snippet is assigned to
 // gets a nil vector. examples/senses clusters the snippets into senses.
 func (mn *Miner) MineClusters(concept string, assign []int, k int) []corpus.Vector {
-	// Copy every snippet's token-id window out of engine-owned storage once
+	// Copy every snippet's token-id window out of the visit's scratch once
 	// (window i is win[off[i]:off[i+1]]); each cluster's windows are then
 	// counted into the pooled scratch in turn.
 	var win []uint32

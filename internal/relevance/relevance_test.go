@@ -237,6 +237,30 @@ func TestMinePrismaRespectsCap(t *testing.T) {
 	}
 }
 
+// A store keeps every mined vector for the process's lifetime, so a vector
+// must hold no capacity past its TopM entries — not the slack of the
+// hundreds of candidate stems it was cut from.
+func TestMinedVectorsExactSize(t *testing.T) {
+	f := newFixture(t)
+	names := conceptNames(f.w)
+	for _, r := range []Resource{Snippets, Prisma, Suggestions} {
+		s := BuildStore(f.miner, names, r)
+		full := 0
+		for _, c := range s.Concepts() {
+			v := s.RelevantTerms(c)
+			if cap(v) != len(v) {
+				t.Fatalf("%s: %q's vector has %d entries and capacity %d", r, c, len(v), cap(v))
+			}
+			if len(v) == TopM {
+				full++
+			}
+		}
+		if r == Snippets && full == 0 {
+			t.Fatal("no snippet vector reached TopM: the truncation is not exercised")
+		}
+	}
+}
+
 // Snippets must provide keyword coverage at least as large as Prisma's
 // (the paper's explanation for Table IV: "snippets provide much better
 // coverage of keywords compared to Prisma and query suggestions").

@@ -62,11 +62,11 @@ func BenchmarkPhraseEval(b *testing.B) {
 }
 
 // BenchmarkIndexSize publishes the deterministic index-size accounting as
-// custom metrics (frozen-bytes, raw-bytes, compression-ratio, and
-// resident-bytes: the base segment's term headers plus arenas). The corpus
-// is seeded, so the sizes are byte-exact across machines —
-// BENCH.baseline.json guards frozen-bytes and resident-bytes against
-// growth.
+// custom metrics (frozen-bytes, raw-bytes, compression-ratio,
+// resident-bytes: the base segment's term headers plus arenas, and
+// forward-bytes: the documents' uvarint token arena). The corpus is seeded,
+// so the sizes are byte-exact across machines — BENCH.baseline.json guards
+// frozen-bytes, resident-bytes and forward-bytes against growth.
 func BenchmarkIndexSize(b *testing.B) {
 	_, e := paperScaleEngine(b)
 	st := e.Stats()
@@ -77,6 +77,7 @@ func BenchmarkIndexSize(b *testing.B) {
 	b.ReportMetric(float64(st.RawBytes), "raw-bytes")
 	b.ReportMetric(float64(st.FrozenBytes)/float64(st.RawBytes), "compression-ratio")
 	b.ReportMetric(float64(st.ResidentBytes), "resident-bytes")
+	b.ReportMetric(float64(st.ForwardBytes), "forward-bytes")
 	for i := 0; i < b.N; i++ {
 		_ = e.Stats()
 	}

@@ -15,11 +15,14 @@ package searchsim
 //     contiguous document ranges and each chunk's token list is in
 //     first-occurrence order, the assigned ids equal the ids a serial Add
 //     loop would have produced, bit for bit;
-//  3. (parallel) id rewrite: per-doc local ids become engine ids in place;
+//  3. (parallel) id rewrite: per-doc local ids become engine ids in place,
+//     and each chunk sums its documents' uvarint-coded size;
 //  4. (parallel) posting build: each worker builds chunk-local posting lists
 //     over engine ids;
-//  5. (serial) documents and stopword table — a term's document frequency
-//     needs no table of its own: it is the doc count in its term header;
+//  5. (parallel) documents: one exact-size arena for every document's token
+//     ids, each chunk encoding into its share (doc.go); then (serial) the
+//     stopword table — a term's document frequency needs no table of its
+//     own: it is the doc count in its term header;
 //  6. (parallel) freezeTerms concatenates every term's chunk lists in chunk
 //     (= ascending doc) order into one reused scratch list per encode chunk
 //     and compresses it with the Golomb delta coder (or a doc bitmap for
@@ -33,6 +36,8 @@ package searchsim
 // CompactAll over the same documents. TestBulkIndexMatchesSerial pins both.
 
 import (
+	"encoding/binary"
+
 	"contextrank/internal/par"
 	"contextrank/internal/textproc"
 )
@@ -44,6 +49,8 @@ type indexChunk struct {
 	toks   []string      // chunk-distinct tokens in first-occurrence order
 	remap  []uint32      // chunk-local id -> engine vocab id
 	lists  []postingList // engine id -> chunk-local postings
+	off    int           // where the chunk's documents start in the arena
+	size   int           // their uvarint-coded bytes
 }
 
 // newBulkEngine builds a live engine whose published view is one frozen
@@ -98,13 +105,14 @@ func newBulkEngine(docs []rawDoc) *Engine {
 	}
 	nTerms := e.vocab.Len()
 
-	// Phase 3: rewrite local ids to engine ids.
+	// Phase 3: rewrite local ids to engine ids, sizing their encoding.
 	par.For(w, w, func(ci int) {
 		ck := &chunks[ci]
 		for di := ck.lo; di < ck.hi; di++ {
 			ids := tokenIDs[di]
 			for p := range ids {
 				ids[p] = ck.remap[ids[p]]
+				ck.size += uvarintLen(ids[p])
 			}
 		}
 	})
@@ -121,10 +129,22 @@ func newBulkEngine(docs []rawDoc) *Engine {
 	})
 
 	// Phase 5: documents, stopword table.
-	e.docs = make([]Doc, nd)
-	for di := range docs {
-		e.docs[di] = Doc{ID: di, Tokens: tokenIDs[di], Topic: docs[di].topic}
+	for ci := 1; ci < w; ci++ {
+		chunks[ci].off = chunks[ci-1].off + chunks[ci-1].size
 	}
+	arena := make([]byte, chunks[w-1].off+chunks[w-1].size)
+	e.docs = make([]docRec, nd)
+	par.For(w, w, func(ci int) {
+		off := chunks[ci].off
+		for di := chunks[ci].lo; di < chunks[ci].hi; di++ {
+			start := off
+			for _, id := range tokenIDs[di] {
+				off += binary.PutUvarint(arena[off:], uint64(id))
+			}
+			e.docs[di] = docRec{toks: arena[start:off:off], n: int32(len(tokenIDs[di])), topic: int32(docs[di].topic)}
+		}
+	})
+	e.forward = len(arena)
 	e.stopID = make([]bool, nTerms)
 	for t := range e.stopID {
 		e.stopID[t] = textproc.IsStopword(e.vocab.Token(uint32(t)))

@@ -1,10 +1,12 @@
 package searchsim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -61,9 +63,7 @@ func engineEqual(t *testing.T, label string, got, want *Engine) {
 			t.Fatalf("%s: term id %d = %q, want %q (intern order diverged)", label, id, g, w)
 		}
 	}
-	if !reflect.DeepEqual(got.docs, want.docs) {
-		t.Fatalf("%s: documents diverged", label)
-	}
+	docsEqual(t, label, got, want)
 	if len(got.segs) != 1 || len(want.segs) != 1 || !reflect.DeepEqual(got.segs[0].frozen, want.segs[0].frozen) {
 		t.Fatalf("%s: frozen postings diverged", label)
 	}
@@ -81,10 +81,43 @@ func engineEqual(t *testing.T, label string, got, want *Engine) {
 	}
 }
 
+// docsEqual fails unless every visible document of got has want's encoded
+// token bytes, token count, topic and decoded token ids, and both engines'
+// forward arenas are exact: their documents' bytes sum to ForwardBytes and
+// no document's slice reaches past its own bytes.
+func docsEqual(t *testing.T, label string, got, want *Engine) {
+	t.Helper()
+	gv, wv := got.cur.Load(), want.cur.Load()
+	if len(gv.docs) != len(wv.docs) {
+		t.Fatalf("%s: %d visible documents, want %d", label, len(gv.docs), len(wv.docs))
+	}
+	var gBytes, wBytes int
+	for id := range wv.docs {
+		g, w := gv.docs[id], wv.docs[id]
+		if !bytes.Equal(g.toks, w.toks) || g.n != w.n || g.topic != w.topic {
+			t.Fatalf("%s: doc %d = %d tokens %x (topic %d), want %d tokens %x (topic %d)",
+				label, id, g.n, g.toks, g.topic, w.n, w.toks, w.topic)
+		}
+		if cap(g.toks) != len(g.toks) || cap(w.toks) != len(w.toks) {
+			t.Fatalf("%s: doc %d's slice reaches past its bytes", label, id)
+		}
+		gd, _ := got.Doc(id)
+		wd, _ := want.Doc(id)
+		if gt, wt := gd.AppendTokens(nil), wd.AppendTokens(nil); gd.Len() != len(gt) || !slices.Equal(gt, wt) {
+			t.Fatalf("%s: doc %d decodes to %v (Len %d), want %v", label, id, gt, gd.Len(), wt)
+		}
+		gBytes += len(g.toks)
+		wBytes += len(w.toks)
+	}
+	if g, w := got.Stats().ForwardBytes, want.Stats().ForwardBytes; g != gBytes || w != wBytes || g != w {
+		t.Fatalf("%s: ForwardBytes %d and %d, documents hold %d and %d", label, g, w, gBytes, wBytes)
+	}
+}
+
 // The bulk parallel constructor must reproduce the live path — Add, Commit,
 // CompactAll — bit for bit: vocabulary intern order, documents, frozen
-// postings, stopword table, document frequencies — at every GOMAXPROCS,
-// with the same size accounting at each.
+// postings, stopword table, document frequencies, every document's encoded
+// token ids — at every GOMAXPROCS, with the same size accounting at each.
 func TestBulkIndexMatchesSerial(t *testing.T) {
 	docs := randomRawDocs(7, 120)
 	live := liveFrozen(docs)

@@ -18,6 +18,7 @@
 package searchsim
 
 import (
+	"encoding/binary"
 	"slices"
 	"sort"
 	"strings"
@@ -36,17 +37,6 @@ const noTermID = match.NoID
 // Commit seals and publishes earlier on demand.
 const memFlushDocs = 256
 
-// Doc is one indexed document.
-type Doc struct {
-	// ID is the document's id, its index in the engine's document store.
-	ID int
-	// Tokens are the normalized word tokens (punctuation removed), interned
-	// to vocabulary ids. Engine.Vocab().Token recovers the strings.
-	Tokens []uint32
-	// Topic is the generating topic (metadata for tests; -1 if unknown).
-	Topic int
-}
-
 // Engine is the simulated search engine. Queries run lock-free against the
 // published view. Add appends to a writer-private memtable that seals into
 // immutable raw segments (at memFlushDocs, or on Commit), and Compact folds
@@ -57,10 +47,10 @@ type Doc struct {
 // visible index never changes; a new memo is installed exactly when the
 // visibility horizon moves (Epoch tracks that for external caches).
 type Engine struct {
-	// docs is the writer's document store. It is append-only; published
-	// views expose the visible prefix, which readers reach through Doc and
-	// NumDocs.
-	docs []Doc
+	// docs is the writer's document store (doc.go). It is append-only;
+	// published views expose the visible prefix, which readers reach
+	// through Doc and NumDocs.
+	docs []docRec
 
 	vocab *Vocab
 
@@ -83,6 +73,13 @@ type Engine struct {
 	memBase  int32 // global doc id of the memtable's first doc
 	memDocs  int
 	epoch    uint64
+
+	// pending holds the memtable docs' token ids as uvarints, back to back,
+	// and pendEnd[i] is where memtable doc i's bytes end. sealLocked copies
+	// them into one exact-size arena, so the buffer is reused across seals.
+	pending []byte
+	pendEnd []int
+	forward int // arena bytes of the sealed documents (IndexStats.ForwardBytes)
 
 	stopID []bool     // term id -> is a stopword; grown as terms are interned
 	stats  IndexStats // size accounting of the bulk-built base segment
@@ -115,10 +112,9 @@ func (e *Engine) Add(text string, topic int) int {
 	e.mu.Lock()
 	id := len(e.docs)
 	local := int32(id) - e.memBase
-	ids := make([]uint32, len(tokens))
 	for pos, term := range tokens {
 		tid := e.vocab.Intern(term)
-		ids[pos] = tid
+		e.pending = binary.AppendUvarint(e.pending, uint64(tid))
 		if int(tid) >= len(e.memSlot) {
 			e.memSlot = append(e.memSlot, make([]int32, e.vocab.Len()-len(e.memSlot))...)
 		}
@@ -134,7 +130,8 @@ func (e *Engine) Add(text string, topic int) int {
 	for len(e.stopID) < e.vocab.Len() {
 		e.stopID = append(e.stopID, textproc.IsStopword(e.vocab.Token(uint32(len(e.stopID)))))
 	}
-	e.docs = append(e.docs, Doc{ID: id, Tokens: ids, Topic: topic})
+	e.docs = append(e.docs, docRec{n: int32(len(tokens)), topic: int32(topic)})
+	e.pendEnd = append(e.pendEnd, len(e.pending))
 	e.memDocs++
 	e.memDocsLive.Store(int32(e.memDocs))
 	e.ingested.Add(1)
@@ -147,14 +144,25 @@ func (e *Engine) Add(text string, topic int) int {
 }
 
 // sealLocked transfers the memtable's touched posting lists, in term order,
-// into an immutable sparse raw segment. Caller holds mu. The transferred
-// lists are never appended to again — their slots are cleared so the next
-// Add builds fresh lists — which is what lets views share them without
-// synchronization. Cost is O(touched terms), independent of vocabulary size.
+// into an immutable sparse raw segment, and its documents' token ids into
+// one exact-size arena. Caller holds mu. The transferred lists are never
+// appended to again — their slots are cleared so the next Add builds fresh
+// lists — which is what lets views share them without synchronization. Cost
+// is O(touched terms + the documents' tokens), independent of vocabulary
+// size.
 func (e *Engine) sealLocked() {
 	if e.memDocs == 0 {
 		return
 	}
+	arena := make([]byte, len(e.pending))
+	copy(arena, e.pending)
+	start := 0
+	for i, end := range e.pendEnd {
+		e.docs[int(e.memBase)+i].toks = arena[start:end:end]
+		start = end
+	}
+	e.forward += len(arena)
+	e.pending, e.pendEnd = e.pending[:0], e.pendEnd[:0]
 	terms := slices.Clone(e.memTerms)
 	slices.Sort(terms)
 	lists := make([]postingList, len(terms))
@@ -185,12 +193,13 @@ func (e *Engine) publishLocked() {
 		cache = newCountCache(&e.cacheHits, &e.cacheMisses)
 	}
 	e.cur.Store(&view{
-		segs:   append([]*segment(nil), e.segs...),
-		docs:   e.docs[:horizon:horizon],
-		stopID: e.stopID[:len(e.stopID):len(e.stopID)],
-		vocab:  e.vocab,
-		epoch:  e.epoch,
-		cache:  cache,
+		segs:    append([]*segment(nil), e.segs...),
+		docs:    e.docs[:horizon:horizon],
+		stopID:  e.stopID[:len(e.stopID):len(e.stopID)],
+		vocab:   e.vocab,
+		epoch:   e.epoch,
+		cache:   cache,
+		forward: e.forward,
 	})
 }
 
@@ -295,13 +304,15 @@ func (e *Engine) DocFreq(term string) int { return e.cur.Load().docFreq(term) }
 // baseline all weigh terms with it. Lock-free, like every query.
 func (e *Engine) IDF(term string) float64 { return e.cur.Load().idf(term) }
 
-// Doc returns the visible document with the given ID, or nil.
-func (e *Engine) Doc(id int) *Doc {
+// Doc returns a copy of the visible document with the given ID; ok is
+// false when no visible document has it.
+func (e *Engine) Doc(id int) (d Doc, ok bool) {
 	docs := e.cur.Load().docs
 	if id < 0 || id >= len(docs) {
-		return nil
+		return Doc{}, false
 	}
-	return &docs[id]
+	r := docs[id]
+	return Doc{ID: id, Topic: int(r.topic), toks: r.toks, n: int(r.n)}, true
 }
 
 // IndexStats reports index size and cache accounting (surfaced in /statz).
@@ -328,6 +339,10 @@ type IndexStats struct {
 	// share once, when it is built; pending memtable docs are excluded.
 	ResidentBytes int `json:"resident_bytes"`
 
+	// ForwardBytes is what the visible documents' token ids hold: the
+	// exact-size uvarint arenas the bulk build and each seal write.
+	ForwardBytes int `json:"forward_bytes"`
+
 	// Live two-tier accounting: the published segment stack, pending
 	// (not yet visible) memtable docs, the visibility epoch, and the
 	// cumulative ingest/compaction counters.
@@ -348,6 +363,7 @@ func (e *Engine) Stats() IndexStats {
 	st := e.stats
 	st.Docs = len(v.docs)
 	st.Segments = len(v.segs)
+	st.ForwardBytes = v.forward
 	for _, s := range v.segs {
 		st.ResidentBytes += s.resident
 	}
@@ -469,7 +485,7 @@ func (v *view) rankHits(terms []string, hits []phraseHit, k int) []Result {
 	}
 	results := make([]Result, 0, len(hits))
 	for _, h := range hits {
-		docLen := len(v.docs[h.doc].Tokens)
+		docLen := v.docs[h.doc].n
 		if docLen == 0 {
 			continue
 		}
@@ -518,7 +534,7 @@ func (e *Engine) SearchAnyTerm(query string, k int) []Result {
 		// Sequential walk: only doc and frequency streams are decoded —
 		// position data stays untouched on the OR path.
 		for doc, ok := c.seekGEQ(0); ok; doc, ok = c.seekGEQ(doc + 1) {
-			docLen := len(v.docs[doc].Tokens)
+			docLen := v.docs[doc].n
 			if docLen == 0 {
 				continue
 			}
@@ -537,12 +553,13 @@ func (e *Engine) SearchAnyTerm(query string, k int) []Result {
 const SnippetWidth = 20
 
 // visitHits evaluates phrase once against one view, ranks the top-k results,
-// and calls visit for each result in rank order with the document's interned
-// tokens and its snippet window [lo, hi): SnippetWidth tokens either side of
-// the first phrase occurrence, recovered from the phrase hit — the document
-// is never rescanned. Shared kernel of Snippets and VisitSnippetTokens;
-// evaluating and rendering against the same view is what keeps a mid-swap
-// query internally consistent.
+// and calls visit for each result in rank order with its snippet window
+// [lo, hi) — SnippetWidth tokens either side of the first phrase
+// occurrence, recovered from the phrase hit, so the postings are never
+// rescanned — and the document's first hi token ids, decoded into pooled
+// scratch. Shared kernel of Snippets and VisitSnippetTokens; evaluating and
+// rendering against the same view is what keeps a mid-swap query internally
+// consistent.
 func (v *view) visitHits(e *Engine, terms []string, k int, visit func(tokens []uint32, lo, hi int)) {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -553,8 +570,10 @@ func (v *view) visitHits(e *Engine, terms []string, k int, visit func(tokens []u
 		// reuse its first-occurrence position.
 		i := sort.Search(len(hits), func(i int) bool { return hits[i].doc >= r.DocID })
 		at := int(hits[i].first)
-		tokens := v.docs[r.DocID].Tokens
-		visit(tokens, max(at-SnippetWidth, 0), min(at+len(terms)+SnippetWidth, len(tokens)))
+		d := &v.docs[r.DocID]
+		hi := min(at+len(terms)+SnippetWidth, int(d.n))
+		sc.toks = decodeUvarints(sc.toks[:0], d.toks, hi)
+		visit(sc.toks, max(at-SnippetWidth, 0), hi)
 	}
 }
 
@@ -580,9 +599,11 @@ func (e *Engine) Snippets(phrase string, k int) []string {
 
 // VisitSnippetTokens is the string-free twin of Snippets for the interned
 // relevance miner: visit is called once per top-k result (every result when
-// k ≤ 0) in rank order with the document's interned token slice and the
-// snippet window bounds [lo, hi) — the window Snippets renders. The token
-// slice aliases engine-owned storage and must not be modified or retained.
+// k ≤ 0) in rank order with the document's interned token ids, at least up
+// to hi, and the snippet window bounds [lo, hi) — the window Snippets
+// renders. The token slice is scratch, decoded from the document's arena
+// for this call: it is valid only during the visit and must not be
+// retained.
 func (e *Engine) VisitSnippetTokens(phrase string, k int, visit func(tokens []uint32, lo, hi int)) {
 	e.cur.Load().visitHits(e, textproc.Words(phrase), k, visit)
 }

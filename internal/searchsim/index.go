@@ -472,12 +472,13 @@ type phraseHit struct {
 }
 
 // evalScratch is the pooled per-query working set: interned ids, one cursor
-// per phrase term, and the hit accumulator. Frozen evaluation decodes into
+// per phrase term, the hit accumulator and a document's decoded tokens. Frozen evaluation decodes into
 // the cursors' reusable buffers, keeping queries allocation-light.
 type evalScratch struct {
 	ids     []uint32
 	cursors []termCursor
 	hits    []phraseHit
+	toks    []uint32 // a result document's decoded token ids (visitHits)
 }
 
 // The three query evaluators share one leapfrog: bind points a cursor at

@@ -32,8 +32,9 @@ func ingestScript(docs []rawDoc, workers int) *Engine {
 // TestIngestDifferential is the end-to-end equivalence pin for the live
 // two-tier engine (wired into the CI parallel-equivalence matrix): after N
 // appends, K commits, interleaved size-tiered compactions and a final full
-// merge — all at several widths — every observable answer and the
-// frozen image itself must be byte-identical to a from-scratch bulk build
+// merge — all at several widths — every observable answer, every
+// document's encoded token ids and the frozen image itself must be
+// byte-identical to a from-scratch bulk build
 // over the concatenated doc stream. TestDifferentialDocFreq runs the same
 // script against the oracle's document frequencies.
 func TestIngestDifferential(t *testing.T) {
@@ -48,8 +49,9 @@ func TestIngestDifferential(t *testing.T) {
 				t.Fatalf("visible docs = %d, want %d", n, len(docs))
 			}
 
-			// Answers over the still-segmented stack.
+			// Answers and documents over the still-segmented stack.
 			checkAnswers(t, "segmented", e, want)
+			docsEqual(t, "segmented", e, want)
 
 			// Full merge: the compacted image equals the from-scratch build.
 			e.CompactAll()

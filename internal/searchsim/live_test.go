@@ -263,7 +263,7 @@ func TestNewEngineIsLive(t *testing.T) {
 		if n := e.NumDocs(); n != 0 {
 			t.Fatalf("%s: NumDocs = %d", stage, n)
 		}
-		if d := e.Doc(0); d != nil {
+		if d, ok := e.Doc(0); ok {
 			t.Fatalf("%s: Doc(0) = %+v", stage, d)
 		}
 		if n := e.ResultCount("one two"); n != 0 {
@@ -311,8 +311,8 @@ func TestNewEngineIsLive(t *testing.T) {
 	if ep := e.Commit(); ep != 1 || e.Epoch() != 1 {
 		t.Fatalf("first visible document: epoch %d / %d, want 1", ep, e.Epoch())
 	}
-	if n, d := e.NumDocs(), e.Doc(0); n != 1 || d == nil || len(d.Tokens) != 4 {
-		t.Fatalf("committed doc not visible: NumDocs %d, Doc(0) %+v", n, d)
+	if d, ok := e.Doc(0); e.NumDocs() != 1 || !ok || d.Len() != 4 || len(d.AppendTokens(nil)) != 4 {
+		t.Fatalf("committed doc not visible: NumDocs %d, Doc(0) %+v", e.NumDocs(), d)
 	}
 	if n := e.ResultCount("one two"); n != 1 {
 		t.Fatalf("ResultCount after Commit = %d, want 1 (the empty view's memo must not survive)", n)

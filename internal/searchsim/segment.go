@@ -299,12 +299,13 @@ func compactRange(segs []*segment) (int, int) {
 // current view with a single atomic pointer read and never observe a torn
 // segment set.
 type view struct {
-	segs   []*segment
-	docs   []Doc  // visible docs: global ids [0, len(docs))
-	stopID []bool // term id -> stopword, covers every visible term
-	vocab  *Vocab
-	epoch  uint64 // bumped exactly when the visibility horizon moves
-	cache  *countCache
+	segs    []*segment
+	docs    []docRec // visible docs: global ids [0, len(docs))
+	stopID  []bool   // term id -> stopword, covers every visible term
+	vocab   *Vocab
+	epoch   uint64 // bumped exactly when the visibility horizon moves
+	cache   *countCache
+	forward int // arena bytes of the visible docs (IndexStats.ForwardBytes)
 }
 
 // df returns the term's document frequency across the whole view.

@@ -30,10 +30,10 @@ func (p *Prisma) Feedback(query string) []corpus.Entry {
 	results := p.engine.SearchAnyTerm(query, PrismaDocDepth)
 	scores := make(map[string]float64)
 	for rank, r := range results {
-		doc := p.engine.Doc(r.DocID)
+		doc, _ := p.engine.Doc(r.DocID)
 		// Document-rank discount: earlier results contribute more.
 		rankWeight := 1.0 / (1.0 + float64(rank)/10.0)
-		for pos, tid := range doc.Tokens {
+		for pos, tid := range doc.AppendTokens(nil) {
 			term := p.engine.vocab.Token(tid)
 			if queryTerms[term] || textproc.IsStopword(term) {
 				continue
