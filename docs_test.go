@@ -25,6 +25,9 @@ var (
 	inlineCode = regexp.MustCompile("`[^`]+`")
 	// docFlag matches a backticked -flag and captures its name.
 	docFlag = regexp.MustCompile("`-([a-z0-9-]+)`")
+	// spanFlag matches an inline code span that starts with a -flag, alone
+	// or followed by a value, and captures the flag's name.
+	spanFlag = regexp.MustCompile("`-([a-z0-9-]+)(?: [^`]*)?`")
 )
 
 // TestDocsNameRealThings holds the docs to the test suite: every
@@ -112,7 +115,10 @@ func TestDocsNameRealThings(t *testing.T) {
 // flag's default. A cell of several flags ("-a / -b", a comma list) states
 // their defaults in the same order; a "—" or "off" default is not compared.
 func TestReadmeRouterFlagTable(t *testing.T) {
-	kinds, defaults := routerFlags(t)
+	kinds, defaults := binFlags(t, "router")
+	if len(kinds) == 0 {
+		t.Fatal("found no flag definitions in cmd/router; the scan is broken")
+	}
 	src, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
@@ -172,50 +178,131 @@ func TestReadmeRouterFlagTable(t *testing.T) {
 	}
 }
 
-// routerFlags reads cmd/router's flag definitions — the
-// flag.Kind("name", default, usage) calls of its main.go — into each
-// flag's kind and its default as the flag package prints it. A default is
-// a literal or a literal times a time unit.
-func routerFlags(t *testing.T) (kinds, defaults map[string]string) {
-	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", "router", "main.go"), nil, 0)
+// binFlags reads cmd/<bin>'s flag definitions — the
+// x.Kind("name", default, usage) calls of its non-test files, x the flag
+// package or a *flag.FlagSet — into each flag's kind and its default as
+// the flag package prints it. A default is a literal or a literal times a
+// time unit. x.Var(value, "name", usage) is kind "Var", with no default.
+func binFlags(t *testing.T, bin string) (kinds, defaults map[string]string) {
+	dir := filepath.Join("cmd", bin)
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	kinds, defaults = make(map[string]string), make(map[string]string)
-	fs := flag.NewFlagSet("router", flag.ContinueOnError)
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 3 {
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 3 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if _, ok := sel.X.(*ast.Ident); !ok {
+				return true
+			}
+			kind := sel.Sel.Name
+			if kind == "Var" {
+				if name, ok := literal(call.Args[1]); ok {
+					kinds[name] = kind
+				}
+				return true
+			}
+			fs := flag.NewFlagSet(bin, flag.ContinueOnError)
+			name, nameOK := literal(call.Args[0])
+			if !defineFlag(fs, kind, name) {
+				return true // not a flag definition
+			}
+			def, defOK := literal(call.Args[1])
+			if !nameOK || !defOK {
+				t.Fatalf("%s: cannot read the flag definition %s(%s, ...)", dir, kind, name)
+			}
+			if err := fs.Set(name, def); err != nil {
+				t.Fatalf("%s: default of -%s: %v", dir, name, err)
+			}
+			kinds[name], defaults[name] = kind, fs.Lookup(name).Value.String()
 			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
-			return true
-		}
-		name, nameOK := literal(call.Args[0])
-		def, defOK := literal(call.Args[1])
-		if !nameOK || !defOK || !defineFlag(fs, sel.Sel.Name, name) {
-			t.Fatalf("cmd/router: cannot read the flag definition flag.%s(%s, ...)", sel.Sel.Name, name)
-		}
-		if err := fs.Set(name, def); err != nil {
-			t.Fatalf("cmd/router: default of -%s: %v", name, err)
-		}
-		kinds[name], defaults[name] = sel.Sel.Name, fs.Lookup(name).Value.String()
-		return true
-	})
-	if len(kinds) == 0 {
-		t.Fatal("found no flag definitions in cmd/router; the scan is broken")
+		})
 	}
 	return kinds, defaults
 }
 
+// TestReadmeSectionFlags holds README's sections about a binary to its
+// flags: every flag "Serving in production" names — a backticked `-flag`,
+// or a -flag on a command line that runs ./cmd/serve — is one cmd/serve
+// defines, and so for "Live ingestion" and cmd/ingest. Every cmd/<bin>'s
+// definitions must read.
+func TestReadmeSectionFlags(t *testing.T) {
+	bins, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bins {
+		binFlags(t, b.Name())
+	}
+	src, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range []struct{ heading, bin string }{
+		{"## Serving in production", "serve"},
+		{"## Live ingestion", "ingest"},
+	} {
+		kinds, _ := binFlags(t, sec.bin)
+		_, body, ok := strings.Cut(string(src), "\n"+sec.heading)
+		if !ok {
+			t.Fatalf("README.md has no %q section", sec.heading)
+		}
+		if end := strings.Index(body, "\n## "); end >= 0 {
+			body = body[:end]
+		}
+		named, running := 0, false
+		for _, line := range strings.Split(body, "\n") {
+			var names []string
+			for _, m := range spanFlag.FindAllStringSubmatch(line, -1) {
+				names = append(names, m[1])
+			}
+			_, args, runs := strings.Cut(line, "./cmd/"+sec.bin+" ")
+			if running && !runs {
+				args, runs = line, true
+			}
+			if runs {
+				for _, a := range strings.Fields(args) {
+					if name, ok := strings.CutPrefix(a, "-"); ok && name != "" {
+						names = append(names, name)
+					}
+				}
+			}
+			running = runs && strings.HasSuffix(strings.TrimSpace(line), "\\")
+			for _, name := range names {
+				named++
+				if _, ok := kinds[name]; !ok {
+					t.Errorf("README's %q names -%s, which cmd/%s does not define", sec.heading, name, sec.bin)
+				}
+			}
+		}
+		if named == 0 {
+			t.Errorf("README's %q names no flag of cmd/%s; the scan is broken", sec.heading, sec.bin)
+		}
+	}
+}
+
 // literal spells a flag definition's argument as flag.Value.Set takes it:
-// a basic literal, or a literal times time.Millisecond, Second or Minute.
+// a basic literal, true or false, or a literal times time.Millisecond,
+// Second or Minute.
 func literal(e ast.Expr) (string, bool) {
 	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name, e.Name == "true" || e.Name == "false"
 	case *ast.BasicLit:
 		if e.Kind != token.STRING {
 			return e.Value, true

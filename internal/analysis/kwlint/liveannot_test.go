@@ -61,7 +61,7 @@ var liveAnnotations = map[string][]string{
 		"Quota.swept //kw:guardedby(mu)",
 	},
 	"internal/relevance/interned.go": {
-		"Miner.finalizeIDs //kw:fresh",
+		"resolve //kw:fresh",
 	},
 	"internal/searchsim/engine.go": {
 		"view.rankHits //kw:fresh",

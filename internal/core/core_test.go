@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"contextrank/internal/features"
@@ -131,5 +132,30 @@ func TestDataStats(t *testing.T) {
 	}
 	if st.Concepts == 0 || st.Clicks == 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestStoresShareOneDictionary: the miner's stem vocabulary is the one
+// dictionary behind every store the system mines. Each resource's store
+// resolves its keyword ids through the miner's own *match.Vocab, and the
+// keywords it resolves are the ones Mine spells out.
+func TestStoresShareOneDictionary(t *testing.T) {
+	s := testSystem(t)
+	dict := s.Miner.Dict()
+	for _, r := range []relevance.Resource{relevance.Snippets, relevance.Prisma, relevance.Suggestions} {
+		st := s.RelevanceStore(r)
+		if st.Dict() != dict {
+			t.Fatalf("%s store resolves through a dictionary other than the miner's", r)
+		}
+		kept := 0
+		for i, c := range st.Concepts() {
+			kept += len(st.Keywords(c))
+			if i%25 == 0 && !reflect.DeepEqual(st.RelevantTerms(c), s.Miner.Mine(c, r)) {
+				t.Fatalf("%s store's keywords of %q differ from Mine's", r, c)
+			}
+		}
+		if kept == 0 {
+			t.Fatalf("%s store holds no keywords", r)
+		}
 	}
 }

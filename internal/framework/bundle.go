@@ -344,8 +344,9 @@ func loadPacks(r io.Reader) (*KeywordPacks, error) {
 		if _, dup := kp.packs[name]; dup {
 			return nil, fmt.Errorf("%w: duplicate pack name %q", ErrCorrupt, name)
 		}
+		// A pack's TIDs ascend strictly below nTerms: a repeat would score twice.
 		plen, err := readU32(r)
-		if err != nil || plen > 1<<20 {
+		if err != nil || plen > 1<<20 || plen > nTerms {
 			return nil, fmt.Errorf("%w: pack length", ErrCorrupt)
 		}
 		buf, err := readBlock(r, 4*uint64(plen))
@@ -355,8 +356,8 @@ func loadPacks(r io.Reader) (*KeywordPacks, error) {
 		pack := make([]uint32, plen)
 		for j := range pack {
 			pack[j] = binary.LittleEndian.Uint32(buf[4*j:])
-			if pack[j]>>ScoreBits >= nTerms {
-				return nil, fmt.Errorf("%w: pack %q references TID beyond table", ErrCorrupt, name)
+			if tid := pack[j] >> ScoreBits; tid >= nTerms || j > 0 && tid <= pack[j-1]>>ScoreBits {
+				return nil, fmt.Errorf("%w: pack %q has a TID out of order or beyond the table", ErrCorrupt, name)
 			}
 		}
 		kp.packs[name] = pack

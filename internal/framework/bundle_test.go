@@ -177,6 +177,38 @@ func TestLoadBundleRejectsDuplicateNames(t *testing.T) {
 	}
 }
 
+// BuildKeywordPacks writes each pack's TIDs strictly ascending, and
+// scoreNorm adds every entry it finds: a pack whose TIDs repeat or go
+// backwards is corrupt even under a valid checksum, since a repeated
+// keyword would be scored twice.
+func TestLoadBundleRejectsUnsortedPack(t *testing.T) {
+	for label, edit := range map[string]func(entries []byte){
+		"repeated TID": repeatFirstEntry,
+		"backward TID": func(e []byte) {
+			first := bytes.Clone(e[:4])
+			copy(e[:4], e[4:8])
+			copy(e[4:8], first)
+		},
+	} {
+		if _, err := LoadBundle(bytes.NewReader(editedPack(t, edit))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: pack loaded: %v", label, err)
+		}
+	}
+}
+
+// editedPack is sampleBundle's bytes with edit applied to the entries of
+// its "iraq war" pack (three of them), resealed.
+func editedPack(tb testing.TB, edit func(entries []byte)) []byte {
+	data := saveBytes(tb, sampleBundle(tb))
+	at := bytes.LastIndex(data, []byte("iraq war")) + len("iraq war") // packs follow the interest table
+	n := int(binary.LittleEndian.Uint32(data[at:]))
+	edit(data[at+4 : at+4+4*n])
+	return resealed(data)
+}
+
+// repeatFirstEntry writes a pack's first entry over its second.
+func repeatFirstEntry(entries []byte) { copy(entries[4:8], entries[:4]) }
+
 // Both tables are keyed by concept name, so a bundle whose interest table
 // and keyword packs name different concepts must not load: a concept with
 // no pack would be served with relevance 0.

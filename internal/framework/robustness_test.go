@@ -67,8 +67,8 @@ func TestBundleLoadNeverPanicsOnRandomBytes(t *testing.T) {
 
 // FuzzLoadBundle: every input either fails to load or loads a bundle that
 // survives Save → LoadBundle unchanged, and no input panics. The seeds are a
-// real bundle, its truncations and the bare 108-byte header claiming a
-// 256 MiB model.
+// real bundle, its truncations, the bare 108-byte header claiming a
+// 256 MiB model, and a resealed bundle with a repeated TID in one pack.
 func FuzzLoadBundle(f *testing.F) {
 	clean := saveBytes(f, sampleBundle(f))
 	f.Add(clean)
@@ -76,6 +76,7 @@ func FuzzLoadBundle(f *testing.F) {
 		f.Add(clean[:n])
 	}
 	f.Add(headerOnly(1 << 28))
+	f.Add(editedPack(f, repeatFirstEntry))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := LoadBundle(bytes.NewReader(data))
 		if err != nil {

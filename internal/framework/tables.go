@@ -187,9 +187,9 @@ func BuildKeywordPacks(store *relevance.Store) *KeywordPacks {
 	names := store.Concepts()
 	maxScore := 0.0
 	for _, n := range names {
-		for _, e := range store.RelevantTerms(n) {
-			if e.Weight > maxScore {
-				maxScore = e.Weight
+		for _, k := range store.Keywords(n) {
+			if k.Weight > maxScore {
+				maxScore = k.Weight
 			}
 		}
 	}
@@ -198,10 +198,10 @@ func BuildKeywordPacks(store *relevance.Store) *KeywordPacks {
 	}
 	kp := &KeywordPacks{TIDs: match.NewVocab(), packs: make(map[string][]uint32, len(names)), maxScore: maxScore}
 	for _, n := range names {
-		terms := store.RelevantTerms(n)
-		entries := make([]uint32, 0, len(terms))
-		for _, e := range terms {
-			tid := kp.TIDs.Intern(e.Term)
+		kws := store.Keywords(n)
+		entries := make([]uint32, 0, len(kws))
+		for _, e := range kws {
+			tid := kp.TIDs.Intern(store.Dict().Token(e.Stem))
 			if tid > MaxTID {
 				// 1M concepts × shared keywords stay far below it, as the
 				// paper observes.
@@ -262,7 +262,8 @@ func (k *KeywordPacks) Score(concept string, docTIDs map[uint32]bool) float64 {
 // scoreNorm is Score with its coverage-normalized form beside it: the
 // pack's quantized score mass found in docTIDs over its whole mass —
 // relevance.Store.NormalizedScoreCtx over the pack. The uint32 sums cannot
-// overflow: a pack holds at most TopM entries of at most MaxQScore.
+// overflow: a built pack holds at most TopM entries and a loaded one at
+// most 2^20 (loadPacks), each at most MaxQScore, and 2^20·1023 < 2^32.
 func (k *KeywordPacks) scoreNorm(concept string, docTIDs map[uint32]bool) (score, norm float64) {
 	var hit, total uint32
 	for _, e := range k.packs[concept] {

@@ -8,26 +8,9 @@ import (
 
 // This file is the context-scoring path. The dataset join in internal/core
 // scores thousands of example windows, so a context is a generation-marked
-// dense array over the store's stem vocabulary (Ctx), reused across contexts,
+// dense array over the store's stem dictionary (Ctx), reused across contexts,
 // with a token->stem-id memo so each distinct surface form is stemmed once
 // per Ctx lifetime. oracle_test.go pins it to the map-based scorer it replaced.
-
-// buildIndex interns every stored vector's terms into a store-local stem
-// vocabulary and records each concept's term ids, aligned with its vector.
-// Called once at construction (concepts visited in sorted order, so the
-// vocabulary is deterministic); the store is immutable afterwards.
-func (s *Store) buildIndex() {
-	s.stemVoc = match.NewVocab()
-	s.ids = make(map[string][]uint32, len(s.terms))
-	for _, c := range s.Concepts() {
-		v := s.terms[c]
-		ids := make([]uint32, len(v))
-		for i, e := range v {
-			ids[i] = s.stemVoc.Intern(e.Term)
-		}
-		s.ids[c] = ids
-	}
-}
 
 // Ctx is a reusable id-keyed context bound to one store: the stem set of the
 // current context, marked in a dense array indexed by the store's stem ids.
@@ -38,7 +21,7 @@ type Ctx struct {
 	store *Store
 	mark  []uint32          // stem id -> generation of last sighting
 	gen   uint32            // current context's generation
-	memo  map[string]uint32 // surface token -> stem id (match.NoID if unknown to the store)
+	memo  map[string]uint32 // surface token -> stem id (match.NoID if not in the dictionary)
 	toks  []textproc.Token  // pooled tokenizer buffer
 }
 
@@ -46,7 +29,7 @@ type Ctx struct {
 func (s *Store) NewCtx() *Ctx {
 	return &Ctx{
 		store: s,
-		mark:  make([]uint32, s.stemVoc.Len()),
+		mark:  make([]uint32, s.dict.Len()),
 		gen:   1, // mark zeros mean "never seen": an unset Ctx matches nothing
 		memo:  make(map[string]uint32),
 	}
@@ -65,7 +48,7 @@ func (s *Store) AcquireCtx() *Ctx {
 func (s *Store) ReleaseCtx(c *Ctx) { s.ctxPool.Put(c) }
 
 // SetText loads text as the current context: every stemmed content word the
-// store knows is marked (a stem it does not know cannot contribute a score).
+// store's dictionary knows is marked (no other stem can contribute a score).
 func (c *Ctx) SetText(text string) {
 	c.gen++
 	if c.gen == 0 { // generation wrapped: reset the mark table
@@ -81,7 +64,7 @@ func (c *Ctx) SetText(text string) {
 		if !ok {
 			id = match.NoID
 			if st := stem.Stem(t.Norm); st != "" {
-				id = c.store.stemVoc.ID(st)
+				id = c.store.dict.ID(st)
 			}
 			c.memo[t.Norm] = id
 		}
@@ -107,10 +90,9 @@ func (c *Ctx) SetAround(text string, position int) {
 // must have been created by this store.
 func (s *Store) ScoreCtx(concept string, c *Ctx) float64 {
 	score := 0.0
-	v := s.terms[concept]
-	for i, id := range s.ids[concept] {
-		if c.mark[id] == c.gen {
-			score += v[i].Weight
+	for _, k := range s.keywords[concept] {
+		if c.mark[k.Stem] == c.gen {
+			score += k.Weight
 		}
 	}
 	return score
@@ -121,7 +103,7 @@ func (s *Store) ScoreCtx(concept string, c *Ctx) float64 {
 // raw score carries the pack scale (Table II), a quality signal; this one
 // isolates contextual coverage. The combined ranker uses both.
 func (s *Store) NormalizedScoreCtx(concept string, c *Ctx) float64 {
-	sum := s.terms[concept].Sum()
+	sum := s.Summation(concept)
 	if sum <= 0 {
 		return 0
 	}

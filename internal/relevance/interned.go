@@ -33,8 +33,8 @@ type termFacts struct {
 
 // termTable holds the miner's per-id fact tables: one for the engine
 // vocabulary (snippets and Prisma terms) and one for the query-log
-// vocabulary (suggestion terms), plus the shared stem vocabulary both
-// fact tables intern into. Built once per miner, on first Mine.
+// vocabulary (suggestion terms), plus the stem dictionary both fact tables
+// intern into (Miner.Dict). Built once per miner, on first Mine.
 type termTable struct {
 	stems *match.Vocab
 	eng   termFacts
@@ -94,22 +94,16 @@ func (mn *Miner) table() *termTable {
 // strictly positive (counts, ln(freq+1) with freq >= 1, Prisma weights), so
 // score == 0 is a valid "untouched" test.
 type mineScratch struct {
-	score   []float64   // engine term id -> raw score
-	touched []uint32    // engine ids with score != 0
-	sscore  []float64   // log term id -> raw score
-	stouch  []uint32    // log ids with sscore != 0
-	smark   []uint32    // log term id -> generation of last sighting
-	sgen    uint32      // current per-suggestion dedupe generation
-	agg     []float64   // stem id -> aggregated score
-	aggT    []uint32    // stem ids with agg != 0
-	cand    []stemScore // the aggregated candidates, sorted
-	own     []uint32    // the concept's own stem ids
-}
-
-// stemScore is one candidate keyword: a stem id and its aggregated score.
-type stemScore struct {
-	sid uint32
-	w   float64
+	score   []float64 // engine term id -> raw score
+	touched []uint32  // engine ids with score != 0
+	sscore  []float64 // log term id -> raw score
+	stouch  []uint32  // log ids with sscore != 0
+	smark   []uint32  // log term id -> generation of last sighting
+	sgen    uint32    // current per-suggestion dedupe generation
+	agg     []float64 // stem id -> aggregated score
+	aggT    []uint32  // stem ids with agg != 0
+	cand    []Keyword // the aggregated candidates, sorted
+	own     []uint32  // the concept's own stem ids
 }
 
 // getScratch takes a scratch from the pool and sizes its arrays to the fact
@@ -133,17 +127,14 @@ func (mn *Miner) getScratch(tab *termTable) *mineScratch {
 	return sc
 }
 
-// finalizeIDs turns raw id-keyed scores into the concept's keyword vector:
+// finalizeIDs turns raw id-keyed scores into the concept's keywords:
 // multiply by idf, drop stopwords, corpus-wide common terms and the concept's
 // own stems, aggregate same-stem scores — walking touched ids in ascending
 // order, never map order, so float sums are reproducible — sort the
-// candidates in the scratch by corpus.SortVector's order, and copy out the
-// first m. Consumed score entries are zeroed; the returned Vector is
-// freshly allocated at exactly its length and shares nothing with the
-// scratch.
-//
-//kw:fresh
-func (mn *Miner) finalizeIDs(sc *mineScratch, f *termFacts, concept string, score []float64, touched []uint32) corpus.Vector {
+// candidates in the scratch by corpus.SortVector's order, and return the
+// first TopM. Consumed score entries are zeroed; the result aliases the
+// scratch until its next use.
+func (mn *Miner) finalizeIDs(sc *mineScratch, f *termFacts, concept string, score []float64, touched []uint32) []Keyword {
 	own := sc.own[:0]
 	for _, t := range textproc.Words(concept) {
 		if st := stem.Stem(t); st != "" {
@@ -164,7 +155,7 @@ func (mn *Miner) finalizeIDs(sc *mineScratch, f *termFacts, concept string, scor
 			continue
 		}
 		sid := f.stemOf[id]
-		if sid == match.NoID || containsID(own, sid) {
+		if sid == match.NoID || slices.Contains(own, sid) {
 			continue
 		}
 		if sc.agg[sid] == 0 {
@@ -174,33 +165,47 @@ func (mn *Miner) finalizeIDs(sc *mineScratch, f *termFacts, concept string, scor
 	}
 	cand := sc.cand[:0]
 	for _, sid := range aggT {
-		cand = append(cand, stemScore{sid: sid, w: sc.agg[sid]})
+		cand = append(cand, Keyword{Stem: sid, Weight: sc.agg[sid]})
 		sc.agg[sid] = 0
 	}
 	sc.aggT = aggT[:0]
 	stems := mn.tbl.stems
-	slices.SortFunc(cand, func(a, b stemScore) int {
-		if c := cmp.Compare(b.w, a.w); c != 0 {
+	slices.SortFunc(cand, func(a, b Keyword) int {
+		if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
 			return c
 		}
-		return strings.Compare(stems.Token(a.sid), stems.Token(b.sid))
+		return strings.Compare(stems.Token(a.Stem), stems.Token(b.Stem))
 	})
-	v := make(corpus.Vector, min(len(cand), mn.m))
-	for i := range v {
-		v[i] = corpus.Entry{Term: stems.Token(cand[i].sid), Weight: cand[i].w}
+	sc.cand = cand
+	return cand[:min(len(cand), TopM)]
+}
+
+// resolve spells keywords out through the stem dictionary, as a vector of
+// exactly their length.
+//
+//kw:fresh
+func resolve(dict *match.Vocab, ks []Keyword) corpus.Vector {
+	v := make(corpus.Vector, len(ks))
+	for i, k := range ks {
+		v[i] = corpus.Entry{Term: dict.Token(k.Stem), Weight: k.Weight}
 	}
-	sc.cand = cand[:0]
 	return v
 }
 
-// containsID reports whether ids (a concept's handful of own stems) contains x.
-func containsID(ids []uint32, x uint32) bool {
-	for _, v := range ids {
-		if v == x {
-			return true
-		}
+// mine hands the concept's top keywords from the resource, sorted, to use,
+// which must copy what it keeps: they alias the pooled scratch.
+func (mn *Miner) mine(concept string, r Resource, use func(top []Keyword)) {
+	tab := mn.table()
+	sc := mn.getScratch(tab)
+	switch r {
+	case Snippets:
+		use(mn.mineSnippetsIDs(sc, tab, concept))
+	case Prisma:
+		use(mn.minePrismaIDs(sc, tab, concept))
+	default:
+		use(mn.mineSuggestionsIDs(sc, tab, concept))
 	}
-	return false
+	mn.scratch.Put(sc)
 }
 
 // countIDs adds one sighting of every id to the dense score array, extending
@@ -226,17 +231,13 @@ func countIDs(score []float64, touched, ids []uint32) []uint32 {
 // appears in this document, we compute its tf·idf score." Snippet tokens
 // arrive as engine vocabulary ids and are counted straight into the dense
 // score array.
-func (mn *Miner) mineSnippetsIDs(concept string) corpus.Vector {
-	tab := mn.table()
-	sc := mn.getScratch(tab)
+func (mn *Miner) mineSnippetsIDs(sc *mineScratch, tab *termTable, concept string) []Keyword {
 	touched := sc.touched[:0]
 	mn.engine.VisitSnippetTokens(concept, SnippetDepth, func(tokens []uint32, lo, hi int) {
 		touched = countIDs(sc.score, touched, tokens[lo:hi])
 	})
-	v := mn.finalizeIDs(sc, &tab.eng, concept, sc.score, touched)
 	sc.touched = touched[:0]
-	mn.scratch.Put(sc)
-	return v
+	return mn.finalizeIDs(sc, &tab.eng, concept, sc.score, touched)
 }
 
 // MineClusters mines the relevant keywords of each cluster 0..k-1 of the
@@ -274,7 +275,7 @@ func (mn *Miner) MineClusters(concept string, assign []int, k int) []corpus.Vect
 			}
 		}
 		if assigned {
-			out[c] = mn.finalizeIDs(sc, &tab.eng, concept, sc.score, touched)
+			out[c] = resolve(tab.stems, mn.finalizeIDs(sc, &tab.eng, concept, sc.score, touched))
 		}
 		sc.touched = touched[:0]
 	}
@@ -286,9 +287,7 @@ func (mn *Miner) MineClusters(concept string, assign []int, k int) []corpus.Vect
 // Prisma for concept c_i, and compute scores s_ij based on the tf·idf
 // values." Feedback entries arrive as engine vocabulary ids; an entry's
 // weight acts as the term's count mass in the pseudo-document.
-func (mn *Miner) minePrismaIDs(concept string) corpus.Vector {
-	tab := mn.table()
-	sc := mn.getScratch(tab)
+func (mn *Miner) minePrismaIDs(sc *mineScratch, tab *termTable, concept string) []Keyword {
 	score := sc.score
 	touched := sc.touched[:0]
 	mn.prisma.VisitFeedback(concept, func(term uint32, weight float64) {
@@ -300,19 +299,15 @@ func (mn *Miner) minePrismaIDs(concept string) corpus.Vector {
 		}
 		score[term] += weight
 	})
-	v := mn.finalizeIDs(sc, &tab.eng, concept, score, touched)
 	sc.touched = touched[:0]
-	mn.scratch.Put(sc)
-	return v
+	return mn.finalizeIDs(sc, &tab.eng, concept, score, touched)
 }
 
 // mineSuggestionsIDs: each unique term across the suggestions is scored
 // Σ_{i=1..k} ln(query_freq_i) · idf(term), over the k suggestions containing
 // it. Suggestions arrive as query-log indexes, their terms as log vocabulary
 // ids; a generation-marked table counts a term once per suggestion.
-func (mn *Miner) mineSuggestionsIDs(concept string) corpus.Vector {
-	tab := mn.table()
-	sc := mn.getScratch(tab)
+func (mn *Miner) mineSuggestionsIDs(sc *mineScratch, tab *termTable, concept string) []Keyword {
 	log := mn.suggestor.Log()
 	stouch := sc.stouch[:0]
 	mn.suggestor.VisitSuggestions(concept, searchsim.SuggestionLimit, func(qi int32, freq int) {
@@ -333,8 +328,6 @@ func (mn *Miner) mineSuggestionsIDs(concept string) corpus.Vector {
 			sc.sscore[tid] += ln
 		}
 	})
-	v := mn.finalizeIDs(sc, &tab.sug, concept, sc.sscore, stouch)
 	sc.stouch = stouch[:0]
-	mn.scratch.Put(sc)
-	return v
+	return mn.finalizeIDs(sc, &tab.sug, concept, sc.sscore, stouch)
 }

@@ -70,8 +70,8 @@ func (mn *Miner) finalize(concept string, scores map[string]float64, rank func(s
 		v = append(v, corpus.Entry{Term: t, Weight: s})
 	}
 	corpus.SortVector(v)
-	if len(v) > mn.m {
-		v = v[:mn.m]
+	if len(v) > TopM {
+		v = v[:TopM]
 	}
 	return v
 }
@@ -181,7 +181,7 @@ func ContextStemsAround(text string, position int) map[string]bool {
 // concept's pre-mined keywords present in a ContextStems set.
 func (s *Store) Score(concept string, contextStems map[string]bool) float64 {
 	score := 0.0
-	for _, e := range s.terms[concept] {
+	for _, e := range s.RelevantTerms(concept) {
 		if contextStems[e.Term] {
 			score += e.Weight
 		}
@@ -191,7 +191,7 @@ func (s *Store) Score(concept string, contextStems map[string]bool) float64 {
 
 // NormalizedScore is the map-based reference of NormalizedScoreCtx.
 func (s *Store) NormalizedScore(concept string, contextStems map[string]bool) float64 {
-	sum := s.terms[concept].Sum()
+	sum := s.RelevantTerms(concept).Sum()
 	if sum <= 0 {
 		return 0
 	}

@@ -68,8 +68,6 @@ type Miner struct {
 	engine    *searchsim.Engine
 	prisma    *searchsim.Prisma
 	suggestor *searchsim.Suggestor
-	m         int
-
 	tableOnce sync.Once
 	tbl       *termTable
 	scratch   sync.Pool // *mineScratch
@@ -80,22 +78,20 @@ type Miner struct {
 // first Mine, over the vocabulary as it stands then: terms the engine
 // ingests later are skipped by the miners (countIDs), not scored.
 func NewMiner(e *searchsim.Engine, p *searchsim.Prisma, s *searchsim.Suggestor) *Miner {
-	return &Miner{engine: e, prisma: p, suggestor: s, m: TopM}
+	return &Miner{engine: e, prisma: p, suggestor: s}
 }
 
 // Mine returns the concept's relevant keywords from the chosen resource:
 // up to TopM stemmed terms with confidence scores, sorted decreasing.
 // The concept's own terms are excluded (they trivially co-occur).
-func (mn *Miner) Mine(concept string, r Resource) corpus.Vector {
-	switch r {
-	case Snippets:
-		return mn.mineSnippetsIDs(concept)
-	case Prisma:
-		return mn.minePrismaIDs(concept)
-	default:
-		return mn.mineSuggestionsIDs(concept)
-	}
+func (mn *Miner) Mine(concept string, r Resource) (v corpus.Vector) {
+	mn.mine(concept, r, func(top []Keyword) { v = resolve(mn.Dict(), top) })
+	return v
 }
+
+// Dict returns the miner's stem dictionary, which every store it builds
+// shares: the stems of its vocabularies as they stood at the first Mine.
+func (mn *Miner) Dict() *match.Vocab { return mn.table().stems }
 
 // MaxDocFrac drops candidate keywords that occur in more than this fraction
 // of the corpus: such terms co-occur with everything and carry no
@@ -105,54 +101,75 @@ const MaxDocFrac = 0.15
 
 // Store holds pre-mined relevant keywords for a concept inventory — the
 // offline product that the production framework packs into memory (§VI).
-// Alongside the term vectors it keeps a store-local stem vocabulary and the
-// interned stem ids of every vector (built once at construction), so
-// context scoring runs over a pooled id-keyed context (Ctx, context.go).
+// Keywords are (stem id, weight) pairs over one stem dictionary, a mined
+// store's miner's; context scoring marks the same ids (Ctx, context.go).
 type Store struct {
 	resource Resource
-	terms    map[string]corpus.Vector
-	stemVoc  *match.Vocab        // store-local stem string <-> dense id
-	ids      map[string][]uint32 // concept -> stem ids aligned with terms[concept]
-	ctxPool  sync.Pool           // *Ctx (see AcquireCtx)
+	dict     *match.Vocab         // stem string <-> id; read-only while the store lives
+	keywords map[string][]Keyword // concept -> keywords sorted as Mine's, at exactly their length
+	ctxPool  sync.Pool            // *Ctx (see AcquireCtx)
+}
+
+// Keyword is one mined keyword: a stem id and its confidence score.
+type Keyword struct {
+	Stem   uint32
+	Weight float64
 }
 
 // BuildStore mines all concepts with the given resource, fanning the
 // per-concept mining across GOMAXPROCS workers: it is the slowest offline
 // step (one search + snippet pass per concept) and each concept is
 // independent. Results are collected in concept order, so the store is
-// bit-identical regardless of GOMAXPROCS or scheduling.
+// bit-identical regardless of GOMAXPROCS or scheduling. Each concept's
+// keywords are copied out of the miner's scratch at exactly their length.
 func BuildStore(mn *Miner, concepts []string, r Resource) *Store {
-	vecs := par.Map(0, len(concepts), func(i int) corpus.Vector {
-		return mn.Mine(concepts[i], r)
+	kws := par.Map(0, len(concepts), func(i int) (ks []Keyword) {
+		mn.mine(concepts[i], r, func(top []Keyword) { ks = append(make([]Keyword, 0, len(top)), top...) })
+		return ks
 	})
-	terms := make(map[string]corpus.Vector, len(concepts))
+	s := &Store{resource: r, dict: mn.Dict(), keywords: make(map[string][]Keyword, len(concepts))}
 	for i, c := range concepts {
-		terms[c] = vecs[i]
+		s.keywords[c] = kws[i]
 	}
-	s := &Store{resource: r, terms: terms}
-	s.buildIndex()
 	return s
 }
 
-// NewStore wraps pre-computed vectors. The product mines its stores with
-// BuildStore; NewStore is how the framework, serve and example tests build a
-// store with known keywords to pack.
+// NewStore wraps pre-computed vectors, interning their terms into a
+// dictionary of the store's own. The product mines its stores with
+// BuildStore; NewStore is how the framework, serve and example tests build
+// a store with known keywords to pack.
 func NewStore(r Resource, terms map[string]corpus.Vector) *Store {
-	s := &Store{resource: r, terms: terms}
-	s.buildIndex()
+	s := &Store{resource: r, dict: match.NewVocab(), keywords: make(map[string][]Keyword, len(terms))}
+	for c, v := range terms {
+		ks := make([]Keyword, len(v))
+		for i, e := range v {
+			ks[i] = Keyword{Stem: s.dict.Intern(e.Term), Weight: e.Weight}
+		}
+		s.keywords[c] = ks
+	}
 	return s
 }
 
 // Resource returns the resource the store was mined from.
 func (s *Store) Resource() Resource { return s.resource }
 
-// RelevantTerms returns the mined keywords of a concept (nil if unknown).
-func (s *Store) RelevantTerms(concept string) corpus.Vector { return s.terms[concept] }
+// Dict returns the stem dictionary the store's keyword ids index: for a
+// mined store, its miner's (Miner.Dict).
+func (s *Store) Dict() *match.Vocab { return s.dict }
+
+// Keywords returns a concept's keywords, sorted as Mine's; read-only.
+func (s *Store) Keywords(concept string) []Keyword { return s.keywords[concept] }
+
+// RelevantTerms returns the mined keywords of a concept (empty if unknown),
+// resolved through the store's dictionary.
+func (s *Store) RelevantTerms(concept string) corpus.Vector {
+	return resolve(s.dict, s.keywords[concept])
+}
 
 // Concepts returns the stored concept names, sorted.
 func (s *Store) Concepts() []string {
-	out := make([]string, 0, len(s.terms))
-	for c := range s.terms {
+	out := make([]string, 0, len(s.keywords))
+	for c := range s.keywords {
 		out = append(out, c)
 	}
 	sort.Strings(out)
@@ -163,7 +180,11 @@ func (s *Store) Concepts() []string {
 // Table II statistic that separates specific concepts (large summations)
 // from low-quality ones (small summations).
 func (s *Store) Summation(concept string) float64 {
-	return s.terms[concept].Sum()
+	sum := 0.0
+	for _, k := range s.keywords[concept] {
+		sum += k.Weight
+	}
+	return sum
 }
 
 // LocalRadius is the byte radius of the local context used to score a

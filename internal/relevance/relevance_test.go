@@ -2,6 +2,7 @@ package relevance
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -237,9 +238,9 @@ func TestMinePrismaRespectsCap(t *testing.T) {
 	}
 }
 
-// A store keeps every mined vector for the process's lifetime, so a vector
-// must hold no capacity past its TopM entries — not the slack of the
-// hundreds of candidate stems it was cut from.
+// A store keeps every mined vector for the process's lifetime, so a stored
+// keyword vector must hold no capacity past its TopM entries — not the
+// slack of the hundreds of candidate stems it was cut from.
 func TestMinedVectorsExactSize(t *testing.T) {
 	f := newFixture(t)
 	names := conceptNames(f.w)
@@ -247,7 +248,7 @@ func TestMinedVectorsExactSize(t *testing.T) {
 		s := BuildStore(f.miner, names, r)
 		full := 0
 		for _, c := range s.Concepts() {
-			v := s.RelevantTerms(c)
+			v := s.keywords[c]
 			if cap(v) != len(v) {
 				t.Fatalf("%s: %q's vector has %d entries and capacity %d", r, c, len(v), cap(v))
 			}
@@ -319,6 +320,37 @@ func BenchmarkMineSnippets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.miner.Mine(name, Snippets)
 	}
+}
+
+// BenchmarkStoreSize reports store-bytes: what a Snippets store of the
+// fixture's concepts retains beyond its miner's dictionary — the live heap
+// after the store is built less the live heap before, each after two full
+// collections (the second empties sync.Pool's victim cache), with the
+// miner's dictionary and scratch already built. It is every byte the
+// store holds by capacity: its map and its exact-size keyword vectors.
+func BenchmarkStoreSize(b *testing.B) {
+	f := newFixture(b)
+	names := conceptNames(f.w)
+	BuildStore(f.miner, names, Snippets) // build the dictionary and warm the scratch
+	var bytes uint64
+	for i := 0; i < b.N; i++ {
+		before := liveHeap()
+		s := BuildStore(f.miner, names, Snippets)
+		bytes = liveHeap() - before
+		if s.Dict() != f.miner.Dict() {
+			b.Fatal("the store does not share its miner's dictionary")
+		}
+	}
+	b.ReportMetric(float64(bytes), "store-bytes")
+}
+
+// liveHeap is the bytes in live heap objects after two full collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 func BenchmarkRelevanceScore(b *testing.B) {
