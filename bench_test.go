@@ -263,20 +263,13 @@ func BenchmarkNewRuntime(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameworkGolomb compares the keyword-pack footprint raw vs
-// Golomb-compressed (DESIGN.md ablation 6).
+// BenchmarkFrameworkGolomb compares the keyword-pack footprint raw vs the
+// Golomb form the bundle stores (DESIGN.md ablation 6).
 func BenchmarkFrameworkGolomb(b *testing.B) {
 	s := benchSystem(b)
 	packs := framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets))
-	names := make([]string, 0, len(s.World.Concepts))
-	for i := range s.World.Concepts {
-		names = append(names, s.World.Concepts[i].Name)
-	}
 	for i := 0; i < b.N; i++ {
-		compressed := 0
-		for _, n := range names {
-			compressed += packs.Compress(n).Bytes()
-		}
+		compressed := packs.GolombBytes()
 		b.ReportMetric(float64(packs.TotalBytes()), "rawBytes")
 		b.ReportMetric(float64(compressed), "golombBytes")
 		b.ReportMetric(100*float64(compressed)/float64(packs.TotalBytes()), "ratio%")

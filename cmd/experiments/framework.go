@@ -30,10 +30,7 @@ func runFramework(w io.Writer, sys *contextrank.System, seed int64) error {
 	fmt.Fprintf(w, "  keyword packs: %d concepts, %d bytes raw (%.0f B/concept; paper: 400 B -> 400 MB per 1M concepts), %d TIDs interned\n",
 		packs.Len(), packs.TotalBytes(), float64(packs.TotalBytes())/float64(packs.Len()), packs.TIDs.Len())
 
-	compressed := 0
-	for _, c := range sys.Concepts() {
-		compressed += packs.Compress(c.Name).Bytes()
-	}
+	compressed := packs.GolombBytes()
 	fmt.Fprintf(w, "  golomb-compressed packs: %d bytes (%.1f%% of raw; paper suggests Golomb coding as a further reduction)\n",
 		compressed, 100*float64(compressed)/float64(packs.TotalBytes()))
 

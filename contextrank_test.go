@@ -7,9 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"contextrank/internal/corpus"
 	"contextrank/internal/detect"
 	"contextrank/internal/features"
 	"contextrank/internal/framework"
+	"contextrank/internal/relevance"
 	"contextrank/internal/world"
 )
 
@@ -155,8 +157,9 @@ func TestSaveLoadBundle(t *testing.T) {
 
 // A bundle's tables are keyed by concept name, so tables built for another
 // world would load and then annotate that world's inventory. LoadBundle
-// rejects a table with a concept too many, and one whose concepts differ
-// while the count matches.
+// rejects a bundle with a concept too many, and one whose concepts differ
+// while the count matches. Both tables of the foreign bundle name its
+// inventory, so it saves and loads as a file and fails on the world.
 func TestLoadBundleRejectsOtherWorld(t *testing.T) {
 	s, r := testSystem(t)
 	rt := r.Runtime()
@@ -172,13 +175,21 @@ func TestLoadBundleRejectsOtherWorld(t *testing.T) {
 		"extra concept":   append(slices.Clone(names), "qqforeign concept"),
 		"foreign concept": append(slices.Clone(names[1:]), "qqforeign concept"),
 	} {
-		b := &framework.Bundle{Interest: framework.BuildInterestTable(inventory, fields), Packs: rt.Packs, Model: rt.Model}
+		keywords := make(map[string]corpus.Vector, len(inventory))
+		for _, name := range inventory {
+			keywords[name] = rt.Packs.Keywords(name)
+		}
+		packs := framework.BuildKeywordPacks(relevance.NewStore(relevance.Snippets, keywords))
+		b := &framework.Bundle{Interest: framework.BuildInterestTable(inventory, fields), Packs: packs, Model: rt.Model}
 		var buf bytes.Buffer
 		if err := b.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.LoadBundle(&buf); err == nil {
-			t.Fatalf("%s: a bundle built for another world loaded", label)
+		if _, err := framework.LoadBundle(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("%s: the foreign bundle is not a well-formed file: %v", label, err)
+		}
+		if _, err := s.LoadBundle(&buf); err == nil || !strings.Contains(err.Error(), "this world") {
+			t.Fatalf("%s: a bundle built for another world loaded: %v", label, err)
 		}
 	}
 }

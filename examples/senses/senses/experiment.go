@@ -32,8 +32,7 @@ func Experiment(s *core.System, maxSenses int) (globalCoverage, senseCoverage fl
 	}
 	senses := BuildStore(s.Engine, s.Miner, names, maxSenses)
 
-	ctx := store.AcquireCtx()
-	defer store.ReleaseCtx(ctx)
+	ctx := relevance.NewCtx(store.Dict())
 	var globalSum, senseSum float64
 	for _, wg := range s.Groups {
 		for _, e := range wg.Entities {

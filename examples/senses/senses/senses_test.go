@@ -94,7 +94,7 @@ func TestSenseScoreBoostsSecondarySense(t *testing.T) {
 	}
 	senseStore := BuildStore(f.eng, f.miner, []string{amb.Name}, 2)
 	globalStore := relevance.BuildStore(f.miner, []string{amb.Name}, relevance.Snippets)
-	globalCtx := globalStore.NewCtx()
+	globalCtx := relevance.NewCtx(globalStore.Dict())
 
 	rng := rand.New(rand.NewSource(9))
 	// Compose documents in the secondary sense's topic.

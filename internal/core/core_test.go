@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -156,6 +157,28 @@ func TestStoresShareOneDictionary(t *testing.T) {
 		}
 		if kept == 0 {
 			t.Fatalf("%s store holds no keywords", r)
+		}
+	}
+}
+
+// A multi-resource join loads each example's window once and scores every
+// store against it: each resource's scores are bit for bit those of a join
+// over that resource alone.
+func TestDatasetScoresEachResourceAsAlone(t *testing.T) {
+	s := testSystem(t)
+	all := []relevance.Resource{relevance.Snippets, relevance.Prisma, relevance.Suggestions}
+	joined := s.Dataset(all)
+	for _, r := range all {
+		alone := s.Dataset([]relevance.Resource{r})
+		for g := range joined {
+			for i, ex := range joined[g].Examples {
+				want := alone[g].Examples[i]
+				if math.Float64bits(ex.RelScore[r]) != math.Float64bits(want.RelScore[r]) ||
+					math.Float64bits(ex.RelNorm[r]) != math.Float64bits(want.RelNorm[r]) {
+					t.Fatalf("%s: group %d example %d scores %v/%v joined, %v/%v alone",
+						r, g, i, ex.RelScore[r], ex.RelNorm[r], want.RelScore[r], want.RelNorm[r])
+				}
+			}
 		}
 	}
 }

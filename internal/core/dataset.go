@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"contextrank/internal/features"
 	"contextrank/internal/newsgen"
 	"contextrank/internal/relevance"
@@ -59,56 +61,55 @@ func (g *Group) CTRs() []float64 {
 	return out
 }
 
-// boundStore is a relevance store paired with a pooled id-keyed context,
-// the unit the feature joins iterate over (always in the caller's resource
-// order, never map order). Release returns the contexts to their pools.
+// boundStore is a relevance store and its resource, the unit the feature
+// joins iterate over (always in the caller's resource order, never map
+// order).
 type boundStore struct {
-	r   relevance.Resource
-	st  *relevance.Store
-	ctx *relevance.Ctx
+	r  relevance.Resource
+	st *relevance.Store
 }
 
 // bindStores resolves (and lazily mines) the requested stores, deduplicated
-// in first-seen order, each with a pooled context scorer.
-func (s *System) bindStores(resources []relevance.Resource) []boundStore {
-	out := make([]boundStore, 0, len(resources))
+// in first-seen order, with a pooled context over the miner's stem
+// dictionary: every mined store indexes it, so one window load scores them
+// all. No stores need no context (nil); releaseCtx returns one to the pool.
+func (s *System) bindStores(resources []relevance.Resource) ([]boundStore, *relevance.Ctx) {
+	var out []boundStore
 	for _, r := range resources {
-		dup := false
-		for _, b := range out {
-			if b.r == r {
-				dup = true
-				break
-			}
+		if !slices.ContainsFunc(out, func(b boundStore) bool { return b.r == r }) {
+			out = append(out, boundStore{r: r, st: s.RelevanceStore(r)})
 		}
-		if dup {
-			continue
-		}
-		st := s.RelevanceStore(r)
-		out = append(out, boundStore{r: r, st: st, ctx: st.AcquireCtx()})
 	}
-	return out
+	if len(out) == 0 {
+		return nil, nil
+	}
+	ctx, ok := s.ctxPool.Get().(*relevance.Ctx)
+	if !ok {
+		ctx = relevance.NewCtx(s.Miner.Dict())
+	}
+	return out, ctx
 }
 
-func releaseStores(stores []boundStore) {
-	for _, b := range stores {
-		b.st.ReleaseCtx(b.ctx)
+func (s *System) releaseCtx(ctx *relevance.Ctx) {
+	if ctx != nil {
+		s.ctxPool.Put(ctx)
 	}
 }
 
 // scoreRelevance fills the example's relevance scores, one per bound store
 // (none leaves the maps nil). Relevance is scored against the mention's
 // surrounding context ("co-occurrences of the pre-mined keywords and the
-// given concept in the context"), not the whole text.
-func (ex *Example) scoreRelevance(stores []boundStore, text string) {
+// given concept in the context"), not the whole text, loaded into ctx once.
+func (ex *Example) scoreRelevance(stores []boundStore, ctx *relevance.Ctx, text string) {
 	if len(stores) == 0 {
 		return
 	}
 	ex.RelScore = make(map[relevance.Resource]float64, len(stores))
 	ex.RelNorm = make(map[relevance.Resource]float64, len(stores))
+	ctx.SetAround(text, ex.Position)
 	for _, b := range stores {
-		b.ctx.SetAround(text, ex.Position)
-		ex.RelScore[b.r] = b.st.ScoreCtx(ex.Concept.Name, b.ctx)
-		ex.RelNorm[b.r] = b.st.NormalizedScoreCtx(ex.Concept.Name, b.ctx)
+		ex.RelScore[b.r] = b.st.ScoreCtx(ex.Concept.Name, ctx)
+		ex.RelNorm[b.r] = b.st.NormalizedScoreCtx(ex.Concept.Name, ctx)
 	}
 }
 
@@ -117,8 +118,8 @@ func (ex *Example) scoreRelevance(stores []boundStore, text string) {
 // resources (pass nil for interestingness-only experiments). This is the
 // offline feature join the paper performs before training.
 func (s *System) Dataset(resources []relevance.Resource) []Group {
-	stores := s.bindStores(resources)
-	defer releaseStores(stores)
+	stores, ctx := s.bindStores(resources)
+	defer s.releaseCtx(ctx)
 	// Batch-extract the features of every concept in the click data across
 	// workers before the serial join below — extraction dominates the join.
 	var names []string
@@ -148,7 +149,7 @@ func (s *System) Dataset(resources []relevance.Resource) []Group {
 				Degree:   e.Degree,
 				Fields:   s.Fields(e.Concept.Name),
 			}
-			ex.scoreRelevance(stores, wg.Text)
+			ex.scoreRelevance(stores, ctx, wg.Text)
 			g.Examples = append(g.Examples, ex)
 		}
 		groups = append(groups, g)
@@ -160,8 +161,8 @@ func (s *System) Dataset(resources []relevance.Resource) []Group {
 // trained methods can rank entities outside the click corpus.
 func (s *System) GroupFromStory(story *newsgen.Story, resources []relevance.Resource) Group {
 	g := Group{StoryID: story.ID, Text: story.Text}
-	stores := s.bindStores(resources)
-	defer releaseStores(stores)
+	stores, ctx := s.bindStores(resources)
+	defer s.releaseCtx(ctx)
 	for _, m := range story.Mentions {
 		ex := Example{
 			Concept:  m.Concept,
@@ -170,7 +171,7 @@ func (s *System) GroupFromStory(story *newsgen.Story, resources []relevance.Reso
 			Degree:   m.Degree,
 			Fields:   s.Fields(m.Concept.Name),
 		}
-		ex.scoreRelevance(stores, story.Text)
+		ex.scoreRelevance(stores, ctx, story.Text)
 		g.Examples = append(g.Examples, ex)
 	}
 	return g

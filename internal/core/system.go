@@ -95,6 +95,10 @@ type System struct {
 	// in-flight Snippets build.
 	relOnce   [relevance.NumResources]sync.Once
 	relStores [relevance.NumResources]*relevance.Store
+
+	// ctxPool holds *relevance.Ctx over Miner.Dict() for the dataset
+	// joins (bindStores), each keeping its stem memo warm across users.
+	ctxPool sync.Pool
 }
 
 // Build generates the world and every resource, mirroring the paper's

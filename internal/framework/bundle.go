@@ -1,7 +1,6 @@
 package framework
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -9,8 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 
+	"contextrank/internal/golomb"
 	"contextrank/internal/match"
 	"contextrank/internal/ranksvm"
 )
@@ -19,9 +18,22 @@ import (
 // produces "data-packs that are pre-loaded into memory to allow for
 // high-performance entity detection" — the production runtime must start
 // from a serialized artifact, not by re-mining the web. A Bundle is the
-// interestingness table + keyword packs + trained model, written in a
-// length-prefixed little-endian binary format with a magic header, version
-// byte and trailing CRC32 so corrupt or truncated files fail loudly.
+// interestingness table + keyword packs + trained model, written
+// little-endian with a magic header, version byte and trailing CRC32 so
+// corrupt or truncated files fail loudly. The layout, in order:
+//
+//	magic        "CTXRANK" and the version byte
+//	calibration  NumFields float64 field maxima
+//	concepts     uint32 count n, then n names in interest-row order
+//	interest     n·NumFields uint16 quantized fields, row after row
+//	pack scale   float64 (the score dequantization scale)
+//	TID table    uint32 count, then each term in TID order
+//	packs        one per concept, in row order and unnamed (appendPack)
+//	model        uint32 byte length, then the model's JSON
+//	checksum     CRC32 (IEEE) of everything before it
+//
+// A string is a uvarint byte length and its bytes. Each concept is named
+// once, so the two tables cannot disagree about which concepts exist.
 
 // Bundle is the complete offline artifact behind one runtime.
 type Bundle struct {
@@ -30,337 +42,280 @@ type Bundle struct {
 	Model    *ranksvm.Model
 }
 
-var bundleMagic = [8]byte{'C', 'T', 'X', 'R', 'A', 'N', 'K', 1}
+var bundleMagic = [8]byte{'C', 'T', 'X', 'R', 'A', 'N', 'K', 2}
 
 // ErrCorrupt is returned when a bundle fails validation.
 var ErrCorrupt = errors.New("framework: corrupt bundle")
 
-// crcWriter hashes everything written through it.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	return c.w.Write(p)
-}
-
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-func writeU32(w io.Writer, v uint32) error { return binary.Write(w, binary.LittleEndian, v) }
-func writeU64(w io.Writer, v uint64) error { return binary.Write(w, binary.LittleEndian, v) }
-func writeF64(w io.Writer, v float64) error {
-	return writeU64(w, math.Float64bits(v))
-}
-func writeString(w io.Writer, s string) error {
-	if err := writeU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-func readU64(r io.Reader) (uint64, error) {
-	var v uint64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-func readF64(r io.Reader) (float64, error) {
-	v, err := readU64(r)
-	return math.Float64frombits(v), err
-}
-
-// readBlock reads an n-byte payload whose length came from the input.
-// Blocks up to blockChunk are read into an exact buffer; a longer one grows
-// with the bytes actually present, never with what a corrupt length prefix
-// claims, so a short input fails before it costs memory.
-func readBlock(r io.Reader, n uint64) ([]byte, error) {
-	if n <= blockChunk {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(r, buf)
-		return buf, err
-	}
-	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
-	if err == nil && uint64(len(buf)) != n {
-		err = io.ErrUnexpectedEOF
-	}
-	return buf, err
-}
-
-// blockChunk bounds what readBlock allocates ahead of the bytes it reads.
-const blockChunk = 64 << 10
-
-func readString(r io.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	buf, err := readBlock(r, uint64(n))
-	return string(buf), err
-}
-
-// Save writes the bundle.
+// Save writes the bundle. Both tables are keyed by concept name and the
+// file names each concept once, so a bundle whose tables name different
+// concepts is refused: a concept without a pack would be served with
+// relevance 0, one without an interest row never.
 func (b *Bundle) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	if _, err := cw.Write(bundleMagic[:]); err != nil {
-		return err
-	}
-	if err := b.saveInterest(cw); err != nil {
-		return err
-	}
-	if err := b.savePacks(cw); err != nil {
-		return err
-	}
-	// The model is stored as a length-prefixed JSON blob: a streaming JSON
-	// decoder reads past the value it decodes, which would corrupt the
-	// framing of anything following it.
-	var modelBuf bytes.Buffer
-	if err := b.Model.Save(&modelBuf); err != nil {
-		return err
-	}
-	if err := writeU32(cw, uint32(modelBuf.Len())); err != nil {
-		return err
-	}
-	if _, err := cw.Write(modelBuf.Bytes()); err != nil {
-		return err
-	}
-	// Trailing CRC of everything before it (written raw, not hashed).
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func (b *Bundle) saveInterest(w io.Writer) error {
-	t := b.Interest
-	for _, m := range t.calib.Max {
-		if err := writeF64(w, m); err != nil {
-			return err
-		}
-	}
-	if err := writeU32(w, uint32(len(t.index))); err != nil {
-		return err
-	}
-	// Names in offset order for deterministic output.
+	t, kp := b.Interest, b.Packs
 	names := make([]string, len(t.index))
 	for name, off := range t.index {
 		names[off/NumFields] = name
 	}
-	for _, name := range names {
-		if err := writeString(w, name); err != nil {
-			return err
-		}
+	if len(names) != kp.Len() {
+		return fmt.Errorf("framework: %d interest rows but %d keyword packs", len(names), kp.Len())
 	}
-	if err := writeU32(w, uint32(len(t.data))); err != nil {
+	var model bytes.Buffer
+	if err := b.Model.Save(&model); err != nil {
 		return err
 	}
-	buf := make([]byte, 2*len(t.data))
-	for i, v := range t.data {
-		binary.LittleEndian.PutUint16(buf[2*i:], v)
+	le := binary.LittleEndian
+	buf := append([]byte(nil), bundleMagic[:]...)
+	for _, m := range t.calib.Max {
+		buf = le.AppendUint64(buf, math.Float64bits(m))
 	}
+	buf = le.AppendUint32(buf, uint32(len(names)))
+	for _, name := range names {
+		buf = appendString(buf, name)
+	}
+	for _, v := range t.data {
+		buf = le.AppendUint16(buf, v)
+	}
+	buf = le.AppendUint64(buf, math.Float64bits(kp.maxScore))
+	buf = le.AppendUint32(buf, uint32(kp.TIDs.Len()))
+	for i := range kp.TIDs.Len() {
+		buf = appendString(buf, kp.TIDs.Token(uint32(i)))
+	}
+	for _, name := range names {
+		pack, ok := kp.packs[name]
+		if !ok {
+			return fmt.Errorf("framework: concept %q has an interest row but no keyword pack", name)
+		}
+		buf, _ = appendPack(buf, pack)
+	}
+	buf = le.AppendUint32(buf, uint32(model.Len()))
+	buf = append(buf, model.Bytes()...)
+	buf = le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	_, err := w.Write(buf)
 	return err
 }
 
-func (b *Bundle) savePacks(w io.Writer) error {
-	kp := b.Packs
-	if err := writeF64(w, kp.maxScore); err != nil {
-		return err
-	}
-	if err := writeU32(w, uint32(kp.TIDs.Len())); err != nil {
-		return err
-	}
-	for i := 0; i < kp.TIDs.Len(); i++ {
-		if err := writeString(w, kp.TIDs.Token(uint32(i))); err != nil {
-			return err
-		}
-	}
-	names := make([]string, 0, len(kp.packs))
-	for n := range kp.packs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	if err := writeU32(w, uint32(len(names))); err != nil {
-		return err
-	}
-	for _, n := range names {
-		if err := writeString(w, n); err != nil {
-			return err
-		}
-		pack := kp.packs[n]
-		if err := writeU32(w, uint32(len(pack))); err != nil {
-			return err
-		}
-		buf := make([]byte, 4*len(pack))
-		for i, e := range pack {
-			binary.LittleEndian.PutUint32(buf[4*i:], e)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+func appendString(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
-// LoadBundle reads and validates a bundle written by Save.
+// appendPack appends one pack in the Golomb form §VI proposes: its entry
+// count (uvarint) and, for a non-empty pack, its Golomb parameter (uvarint),
+// the delta-Golomb TID stream (golomb.EncodeSorted) and the ScoreBits-wide
+// score stream, each byte-aligned. streams is the two streams' byte length,
+// the pack-entry size §VI measures.
+func appendPack(buf []byte, pack []uint32) (out []byte, streams int) {
+	buf = binary.AppendUvarint(buf, uint64(len(pack)))
+	if len(pack) == 0 {
+		return buf, 0
+	}
+	tids := make([]uint32, len(pack))
+	var scores golomb.BitWriter
+	for i, e := range pack {
+		tid, q := unpackEntry(e)
+		tids[i] = tid
+		scores.WriteBits(uint64(q), ScoreBits)
+	}
+	data, m := golomb.EncodeSorted(tids)
+	buf = binary.AppendUvarint(buf, uint64(m))
+	buf = append(append(buf, data...), scores.Bytes()...)
+	return buf, len(data) + len(scores.Bytes())
+}
+
+// LoadBundle reads and validates a bundle written by Save. Every count and
+// length in it is a claim, checked against the bytes present before
+// anything is allocated for it.
 func LoadBundle(r io.Reader) (*Bundle, error) {
-	br := bufio.NewReader(r)
-	cr := &crcReader{r: br}
-	var magic [8]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if magic != bundleMagic {
+	if len(data) < len(bundleMagic)+4 || !bytes.Equal(data[:len(bundleMagic)], bundleMagic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
+	body := data[:len(data)-4]
+	d := &decoder{buf: body[len(bundleMagic):]}
 	b := &Bundle{}
-	var err error
-	if b.Interest, err = loadInterest(cr); err != nil {
-		return nil, err
+	names := d.interest(b)
+	d.packs(b, names)
+	modelBytes := d.take(uint64(d.u32("model length")), "model data")
+	if d.err == nil && len(d.buf) != 0 {
+		d.fail("bytes after the model")
 	}
-	if b.Packs, err = loadPacks(cr); err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil, d.err
 	}
-	// Both tables are keyed by concept name: a concept with interest but no
-	// pack would be served with relevance 0, one with a pack but no interest
-	// row never.
-	if n, m := b.Interest.Len(), b.Packs.Len(); n != m {
-		return nil, fmt.Errorf("%w: %d interest rows, %d keyword packs", ErrCorrupt, n, m)
-	}
-	for name := range b.Packs.packs {
-		if _, ok := b.Interest.index[name]; !ok {
-			return nil, fmt.Errorf("%w: keyword pack %q has no interest row", ErrCorrupt, name)
-		}
-	}
-	modelLen, err := readU32(cr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: model length", ErrCorrupt)
-	}
-	modelBytes, err := readBlock(cr, uint64(modelLen))
-	if err != nil {
-		return nil, fmt.Errorf("%w: model data: %v", ErrCorrupt, err)
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	if b.Model, err = ranksvm.Load(bytes.NewReader(modelBytes)); err != nil {
 		return nil, fmt.Errorf("%w: model: %v", ErrCorrupt, err)
 	}
 	// A model fitted to another layout would index past its weights on the
 	// first ranked concept, or score with the wrong ones.
-	if d := len(b.Model.Mean); d != modelDim {
-		return nil, fmt.Errorf("%w: model has %d features, the runtime's layout %d", ErrCorrupt, d, modelDim)
-	}
-	want := cr.crc
-	var got uint32
-	if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum", ErrCorrupt)
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if dim := len(b.Model.Mean); dim != modelDim {
+		return nil, fmt.Errorf("%w: model has %d features, the runtime's layout %d", ErrCorrupt, dim, modelDim)
 	}
 	return b, nil
 }
 
-func loadInterest(r io.Reader) (*InterestTable, error) {
-	t := &InterestTable{index: make(map[string]int)}
-	for i := range t.calib.Max {
-		v, err := readF64(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: calibration", ErrCorrupt)
-		}
-		t.calib.Max[i] = v
-	}
-	n, err := readU32(r)
-	if err != nil || n > 1<<26 {
-		return nil, fmt.Errorf("%w: interest count", ErrCorrupt)
-	}
-	for i := uint32(0); i < n; i++ {
-		name, err := readString(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: interest name: %v", ErrCorrupt, err)
-		}
-		if _, dup := t.index[name]; dup {
-			return nil, fmt.Errorf("%w: duplicate interest name %q", ErrCorrupt, name)
-		}
-		t.index[name] = int(i) * NumFields
-	}
-	dlen, err := readU32(r)
-	if err != nil || dlen != n*NumFields {
-		return nil, fmt.Errorf("%w: interest data length", ErrCorrupt)
-	}
-	buf, err := readBlock(r, 2*uint64(dlen))
-	if err != nil {
-		return nil, fmt.Errorf("%w: interest data: %v", ErrCorrupt, err)
-	}
-	t.data = make([]uint16, dlen)
-	for i := range t.data {
-		t.data[i] = binary.LittleEndian.Uint16(buf[2*i:])
-	}
-	return t, nil
+// decoder reads a bundle's body. Its first failure sticks: every later read
+// returns zero values, so a table is checked once, at its end.
+type decoder struct {
+	buf []byte
+	err error
 }
 
-func loadPacks(r io.Reader) (*KeywordPacks, error) {
-	kp := &KeywordPacks{TIDs: match.NewVocab(), packs: make(map[string][]uint32)}
-	var err error
-	if kp.maxScore, err = readF64(r); err != nil {
-		return nil, fmt.Errorf("%w: pack scale", ErrCorrupt)
+func (d *decoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", ErrCorrupt, what)
 	}
-	nTerms, err := readU32(r)
-	if err != nil || nTerms > MaxTID {
-		return nil, fmt.Errorf("%w: TID count", ErrCorrupt)
-	}
-	for i := uint32(0); i < nTerms; i++ {
-		term, err := readString(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: TID term: %v", ErrCorrupt, err)
-		}
-		if got := kp.TIDs.Intern(term); got != i {
-			return nil, fmt.Errorf("%w: duplicate TID term %q", ErrCorrupt, term)
-		}
-	}
-	nPacks, err := readU32(r)
-	if err != nil || nPacks > 1<<26 {
-		return nil, fmt.Errorf("%w: pack count", ErrCorrupt)
-	}
-	for i := uint32(0); i < nPacks; i++ {
-		name, err := readString(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: pack name: %v", ErrCorrupt, err)
-		}
-		if _, dup := kp.packs[name]; dup {
-			return nil, fmt.Errorf("%w: duplicate pack name %q", ErrCorrupt, name)
-		}
-		// A pack's TIDs ascend strictly below nTerms: a repeat would score twice.
-		plen, err := readU32(r)
-		if err != nil || plen > 1<<20 || plen > nTerms {
-			return nil, fmt.Errorf("%w: pack length", ErrCorrupt)
-		}
-		buf, err := readBlock(r, 4*uint64(plen))
-		if err != nil {
-			return nil, fmt.Errorf("%w: pack data: %v", ErrCorrupt, err)
-		}
-		pack := make([]uint32, plen)
-		for j := range pack {
-			pack[j] = binary.LittleEndian.Uint32(buf[4*j:])
-			if tid := pack[j] >> ScoreBits; tid >= nTerms || j > 0 && tid <= pack[j-1]>>ScoreBits {
-				return nil, fmt.Errorf("%w: pack %q has a TID out of order or beyond the table", ErrCorrupt, name)
-			}
-		}
-		kp.packs[name] = pack
-	}
-	return kp, nil
+	d.buf = nil
 }
+
+// take consumes n bytes, failing if fewer are left.
+func (d *decoder) take(n uint64, what string) []byte {
+	if d.err != nil || n > uint64(len(d.buf)) {
+		d.fail(what)
+		return nil
+	}
+	out := d.buf[:n:n]
+	d.buf = d.buf[n:]
+	return out
+}
+
+func (d *decoder) u32(what string) uint32 {
+	if b := d.take(4, what); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (d *decoder) f64(what string) float64 {
+	if b := d.take(8, what); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+func (d *decoder) uvarint(what string) uint64 {
+	v, n := binary.Uvarint(d.buf)
+	if d.err != nil || n <= 0 {
+		d.fail(what)
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *decoder) str(what string) string {
+	return string(d.take(d.uvarint(what), what))
+}
+
+// count reads a uint32 count of strings: each takes at least its length
+// byte, so a count the bytes left cannot hold is corrupt.
+func (d *decoder) count(what string) int {
+	n := d.u32(what)
+	if uint64(n) > uint64(len(d.buf)) {
+		d.fail(what)
+		return 0
+	}
+	return int(n)
+}
+
+// interest reads the calibration, the concept names and the interest rows
+// into b.Interest, and returns the names in row order.
+func (d *decoder) interest(b *Bundle) []string {
+	t := &InterestTable{index: make(map[string]int)}
+	for i := range t.calib.Max {
+		t.calib.Max[i] = d.f64("calibration")
+	}
+	names := make([]string, d.count("concept count"))
+	for i := range names {
+		names[i] = d.str("concept name")
+		if _, dup := t.index[names[i]]; dup && d.err == nil {
+			d.fail(fmt.Sprintf("duplicate concept name %q", names[i]))
+		}
+		t.index[names[i]] = i * NumFields
+	}
+	raw := d.take(2*uint64(len(names))*NumFields, "interest data")
+	if d.err != nil {
+		return nil
+	}
+	t.data = make([]uint16, len(names)*NumFields)
+	for i := range t.data {
+		t.data[i] = binary.LittleEndian.Uint16(raw[2*i:])
+	}
+	b.Interest = t
+	return names
+}
+
+// packs reads the pack scale, the Global TID Table and one pack per name
+// into b.Packs.
+func (d *decoder) packs(b *Bundle, names []string) {
+	kp := &KeywordPacks{TIDs: match.NewVocab(), packs: make(map[string][]uint32)}
+	kp.maxScore = d.f64("pack scale")
+	nTerms := d.count("TID count")
+	if nTerms > MaxTID {
+		d.fail("TID count")
+	}
+	for i := 0; i < nTerms && d.err == nil; i++ {
+		if term := d.str("TID term"); kp.TIDs.Intern(term) != uint32(i) {
+			d.fail(fmt.Sprintf("duplicate TID term %q", term))
+		}
+	}
+	for _, name := range names {
+		kp.packs[name] = d.pack(uint32(nTerms))
+	}
+	b.Packs = kp
+}
+
+// pack reads one pack written by appendPack. Its entry count is a claim:
+// every entry takes at least one TID bit and ScoreBits score bits, so a
+// count the bytes left cannot hold fails before the pack is allocated. The
+// gaps make the TIDs ascend strictly (scoreNorm adds every entry it finds,
+// so a repeat would score twice); the last must fall inside the TID table.
+func (d *decoder) pack(nTerms uint32) []uint32 {
+	n := d.uvarint("pack length")
+	if n == 0 {
+		return nil
+	}
+	if n > maxPackLen || n*(ScoreBits+1) > 8*uint64(len(d.buf)) {
+		d.fail("pack length")
+		return nil
+	}
+	m := d.uvarint("Golomb parameter")
+	if d.err != nil || m == 0 || m > MaxTID {
+		d.fail("Golomb parameter")
+		return nil
+	}
+	c := golomb.NewCodec(uint32(m))
+	r := golomb.BitReaderAt(d.buf, 0)
+	pack := make([]uint32, n)
+	next := uint64(0) // the least TID the entry may take
+	for i := range pack {
+		gap, err := c.Read(&r)
+		tid := next + uint64(gap)
+		if err != nil || tid >= uint64(nTerms) {
+			d.fail("pack TID beyond the stream or the TID table")
+			return nil
+		}
+		pack[i] = uint32(tid) << ScoreBits
+		next = tid + 1
+	}
+	r = golomb.BitReaderAt(d.buf, (r.BitPos()+7)&^7)
+	for i := range pack {
+		q, err := r.ReadBits(ScoreBits)
+		if err != nil {
+			d.fail("pack scores")
+			return nil
+		}
+		pack[i] |= uint32(q)
+	}
+	d.buf = d.buf[(r.BitPos()+7)/8:]
+	return pack
+}
+
+// maxPackLen bounds a loaded pack's entries, so scoreNorm's uint32 sums of
+// 10-bit scores cannot overflow (2^20·1023 < 2^32).
+const maxPackLen = 1 << 20

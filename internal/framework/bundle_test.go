@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"contextrank/internal/corpus"
@@ -61,31 +64,57 @@ func saveBytes(t testing.TB, b *Bundle) []byte {
 	return buf.Bytes()
 }
 
-// resealed returns data with its trailing checksum recomputed, so an edit
-// reaches the structural checks instead of stopping at the CRC.
-func resealed(data []byte) []byte {
-	out := bytes.Clone(data)
-	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
-	return out
+// sealed appends data's checksum, so a hand-built body reaches the
+// structural checks.
+func sealed(data []byte) []byte {
+	return binary.LittleEndian.AppendUint32(bytes.Clone(data), crc32.ChecksumIEEE(data))
 }
 
 // headerOnly is the smallest well-formed prefix of a bundle — magic,
-// calibration, empty interest table, empty packs — followed by a model
-// length and no model bytes: 108 bytes.
+// calibration, no concepts, pack scale, empty TID table — followed by a
+// model length and no model bytes, sealed: 104 bytes.
 func headerOnly(modelLen uint32) []byte {
-	var buf bytes.Buffer
-	buf.Write(bundleMagic[:])
-	for range NumFields {
-		writeF64(&buf, 0)
-	}
-	writeU32(&buf, 0) // interest names
-	writeU32(&buf, 0) // interest data
-	writeF64(&buf, 0) // pack scale
-	writeU32(&buf, 0) // TIDs
-	writeU32(&buf, 0) // packs
-	writeU32(&buf, modelLen)
-	return buf.Bytes()
+	buf := append(bundleMagic[:], make([]byte, 8*NumFields)...)
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // concepts
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // pack scale
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // TIDs
+	buf = binary.LittleEndian.AppendUint32(buf, modelLen)
+	return sealed(buf)
 }
+
+// oneConcept is a sealed bundle of one concept, "qq", with a TID table of
+// nTerms terms, the given bytes where its pack goes, and a model of the
+// runtime's width.
+func oneConcept(tb testing.TB, nTerms int, pack []byte) []byte {
+	le := binary.LittleEndian
+	buf := append(bundleMagic[:], make([]byte, 8*NumFields)...)
+	buf = appendString(le.AppendUint32(buf, 1), "qq")
+	buf = append(buf, make([]byte, 2*NumFields)...)
+	buf = le.AppendUint32(le.AppendUint64(buf, math.Float64bits(1)), uint32(nTerms))
+	for i := range nTerms {
+		buf = appendString(buf, fmt.Sprint("t", i))
+	}
+	buf = append(buf, pack...)
+	var model bytes.Buffer
+	if err := sampleModel(tb, modelDim).Save(&model); err != nil {
+		tb.Fatal(err)
+	}
+	buf = le.AppendUint32(buf, uint32(model.Len()))
+	return sealed(append(buf, model.Bytes()...))
+}
+
+// encodedPack is appendPack's form of a pack of (TID, score) pairs.
+func encodedPack(pairs ...uint32) []byte {
+	var pack []uint32
+	for i := 0; i < len(pairs); i += 2 {
+		pack = append(pack, packEntry(pairs[i], pairs[i+1]))
+	}
+	out, _ := appendPack(nil, pack)
+	return out
+}
+
+// claimsMillion is a pack that claims 2^20 entries over 3 bytes.
+var claimsMillion = append(binary.AppendUvarint(nil, 1<<20), 1, 2, 3)
 
 func TestBundleRoundtrip(t *testing.T) {
 	b := sampleBundle(t)
@@ -135,23 +164,29 @@ func TestBundleRoundtrip(t *testing.T) {
 	}
 }
 
-// A length prefix is a claim, not a size: the header with an empty table,
-// no packs and a 256 MiB model length, and no model bytes behind it, must
-// fail before it allocates for the claim.
+// A length prefix is a claim, not a size: the header with no concepts and
+// a 256 MiB model length, and no model bytes behind it, must fail before
+// it allocates for the claim; so must a pack that claims 2^20 entries
+// (4 MiB unpacked) over 3 bytes.
 func TestLoadBundleAllocatesOnlyPresentBytes(t *testing.T) {
-	data := headerOnly(1 << 28)
-	if len(data) != 108 {
-		t.Fatalf("header is %d bytes, want 108", len(data))
+	header := headerOnly(1 << 28)
+	if len(header) != 104 {
+		t.Fatalf("header is %d bytes, want 104", len(header))
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := LoadBundle(bytes.NewReader(data))
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("header without a model loaded: %v", err)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Fatalf("rejecting 108 bytes allocated %d bytes", alloc)
+	for label, data := range map[string][]byte{
+		"model claim": header,
+		"pack claim":  oneConcept(t, 3, claimsMillion),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadBundle(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: loaded: %v", label, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s: rejecting %d bytes allocated %d bytes", label, len(data), alloc)
+		}
 	}
 }
 
@@ -159,60 +194,48 @@ func TestLoadBundleAllocatesOnlyPresentBytes(t *testing.T) {
 // of step with the data: corrupt, even under a valid checksum.
 func TestLoadBundleRejectsDuplicateNames(t *testing.T) {
 	b := sampleBundle(t)
-	b.Interest = BuildInterestTable([]string{"qqalpha", "qqbravo"}, func(n string) features.Fields {
-		return features.Fields{FreqExact: float64(len(n))}
-	})
-	dup := resealed(bytes.Replace(saveBytes(t, b), []byte("qqbravo"), []byte("qqalpha"), 1))
+	b.Interest = sampleInterest([]string{"qqalpha", "qqbravo"})
+	b.Packs = BuildKeywordPacks(relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
+		"qqalpha": {{Term: "troop", Weight: 2}},
+		"qqbravo": {{Term: "market", Weight: 3}},
+	}))
+	edited := bytes.Replace(saveBytes(t, b), []byte("qqbravo"), []byte("qqalpha"), 1)
+	dup := sealed(edited[:len(edited)-4])
 	if _, err := LoadBundle(bytes.NewReader(dup)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("duplicate interest name loaded: %v", err)
 	}
-
-	b.Packs = BuildKeywordPacks(relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
-		"qqcharl": {{Term: "troop", Weight: 2}},
-		"qqdelta": {{Term: "market", Weight: 3}},
-	}))
-	dup = resealed(bytes.Replace(saveBytes(t, b), []byte("qqdelta"), []byte("qqcharl"), 1))
-	if _, err := LoadBundle(bytes.NewReader(dup)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("duplicate pack name loaded: %v", err)
-	}
 }
 
-// BuildKeywordPacks writes each pack's TIDs strictly ascending, and
-// scoreNorm adds every entry it finds: a pack whose TIDs repeat or go
-// backwards is corrupt even under a valid checksum, since a repeated
-// keyword would be scored twice.
-func TestLoadBundleRejectsUnsortedPack(t *testing.T) {
-	for label, edit := range map[string]func(entries []byte){
-		"repeated TID": repeatFirstEntry,
-		"backward TID": func(e []byte) {
-			first := bytes.Clone(e[:4])
-			copy(e[:4], e[4:8])
-			copy(e[4:8], first)
-		},
+// A pack's TIDs are coded as gaps, so they ascend strictly by
+// construction; what a corrupt pack can still claim is a TID at or past
+// the end of the TID table, or more entries than its streams hold. Either
+// is corrupt even under a valid checksum.
+func TestLoadBundleRejectsBadPack(t *testing.T) {
+	if _, err := LoadBundle(bytes.NewReader(oneConcept(t, 3, encodedPack(0, 7, 2, 9)))); err != nil {
+		t.Fatalf("well-formed pack: %v", err)
+	}
+	for label, pack := range map[string][]byte{
+		"TID at the table's end": encodedPack(0, 7, 3, 9),
+		"TID past the table":     encodedPack(40, 1),
 	} {
-		if _, err := LoadBundle(bytes.NewReader(editedPack(t, edit))); !errors.Is(err, ErrCorrupt) {
+		if _, err := LoadBundle(bytes.NewReader(oneConcept(t, 3, pack))); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: pack loaded: %v", label, err)
 		}
 	}
+	// One entry more than the streams hold, with nothing after the pack:
+	// the TID or score stream runs out.
+	short := encodedPack(0, 7, 2, 9, 5, 1)
+	short[0] = 4
+	d := &decoder{buf: short}
+	if d.pack(1<<TIDBits - 1); !errors.Is(d.err, ErrCorrupt) {
+		t.Fatalf("a pack longer than its streams decoded: %v", d.err)
+	}
 }
 
-// editedPack is sampleBundle's bytes with edit applied to the entries of
-// its "iraq war" pack (three of them), resealed.
-func editedPack(tb testing.TB, edit func(entries []byte)) []byte {
-	data := saveBytes(tb, sampleBundle(tb))
-	at := bytes.LastIndex(data, []byte("iraq war")) + len("iraq war") // packs follow the interest table
-	n := int(binary.LittleEndian.Uint32(data[at:]))
-	edit(data[at+4 : at+4+4*n])
-	return resealed(data)
-}
-
-// repeatFirstEntry writes a pack's first entry over its second.
-func repeatFirstEntry(entries []byte) { copy(entries[4:8], entries[:4]) }
-
-// Both tables are keyed by concept name, so a bundle whose interest table
-// and keyword packs name different concepts must not load: a concept with
+// Both tables are keyed by concept name, so Save refuses a bundle whose
+// interest table and keyword packs name different concepts: a concept with
 // no pack would be served with relevance 0.
-func TestLoadBundleRejectsMismatchedTables(t *testing.T) {
+func TestSaveRejectsMismatchedTables(t *testing.T) {
 	for label, names := range map[string][]string{
 		"extra interest row":   {"economy", "empty", "iraq war", "qqforeign"},
 		"missing interest row": {"economy", "iraq war"},
@@ -220,8 +243,23 @@ func TestLoadBundleRejectsMismatchedTables(t *testing.T) {
 	} {
 		b := sampleBundle(t)
 		b.Interest = sampleInterest(names)
-		if _, err := LoadBundle(bytes.NewReader(saveBytes(t, b))); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: mismatched tables loaded: %v", label, err)
+		if err := b.Save(io.Discard); err == nil {
+			t.Fatalf("%s: mismatched tables saved", label)
+		}
+	}
+}
+
+// The file holds one pack per concept in row order, with no names, so the
+// tables cannot disagree on which concepts exist, only on how many packs
+// follow the TID table: one pack too many or too few is corrupt.
+func TestLoadBundleRejectsMismatchedTables(t *testing.T) {
+	one := encodedPack(0, 7)
+	for label, packs := range map[string][]byte{
+		"extra pack":   append(bytes.Clone(one), one...),
+		"missing pack": nil,
+	} {
+		if _, err := LoadBundle(bytes.NewReader(oneConcept(t, 3, packs))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: loaded: %v", label, err)
 		}
 	}
 }
@@ -280,6 +318,16 @@ func TestBundleDetectsCorruption(t *testing.T) {
 	// Empty input.
 	if _, err := LoadBundle(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty bundle loaded")
+	}
+}
+
+// A file in the layout before the Golomb pack block carries version 1 in
+// its magic and fails at the header, checksum or not.
+func TestLoadBundleRejectsOldVersion(t *testing.T) {
+	old := headerOnly(0)
+	old[len(bundleMagic)-1] = 1
+	if _, err := LoadBundle(bytes.NewReader(sealed(old[:len(old)-4]))); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("a version-1 header: %v", err)
 	}
 }
 

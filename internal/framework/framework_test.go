@@ -2,7 +2,7 @@ package framework
 
 import (
 	"math"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -165,15 +165,18 @@ func TestKeywordPackScore(t *testing.T) {
 	}
 }
 
-func TestCompressedPackRoundtrip(t *testing.T) {
+// Each pack decodes from the bundle's Golomb form to its exact entries,
+// consuming exactly the bytes appendPack wrote.
+func TestPackEncodingRoundtrip(t *testing.T) {
 	kp := BuildKeywordPacks(buildStore())
 	for _, concept := range []string{"iraq war", "economy", "empty"} {
-		cp := kp.Compress(concept)
-		entries, err := decompress(cp)
-		if err != nil {
-			t.Fatalf("%s: %v", concept, err)
+		enc, _ := appendPack(nil, kp.packs[concept])
+		d := &decoder{buf: enc}
+		entries := d.pack(uint32(kp.TIDs.Len()))
+		if d.err != nil || len(d.buf) != 0 {
+			t.Fatalf("%s: %v, %d bytes left", concept, d.err, len(d.buf))
 		}
-		if !reflect.DeepEqual(entries, kp.packs[concept]) && !(len(entries) == 0 && len(kp.packs[concept]) == 0) {
+		if !slices.Equal(entries, kp.packs[concept]) {
 			t.Fatalf("%s: roundtrip mismatch", concept)
 		}
 	}
@@ -186,9 +189,8 @@ func TestCompressionSavesSpace(t *testing.T) {
 	}
 	store := relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{"full": terms})
 	kp := BuildKeywordPacks(store)
-	cp := kp.Compress("full")
-	if cp.Bytes() >= kp.BytesFor("full") {
-		t.Fatalf("compression grew the pack: %d vs %d", cp.Bytes(), kp.BytesFor("full"))
+	if kp.GolombBytes() >= kp.BytesFor("full") {
+		t.Fatalf("compression grew the pack: %d vs %d", kp.GolombBytes(), kp.BytesFor("full"))
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 
 // Property: for any randomly generated keyword store, the packed
 // representation round-trips every term exactly, quantized scores never
-// exceed the original, and the compressed pack decodes to identical
-// entries.
+// exceed the original, and the bundle's Golomb form of each pack decodes
+// to identical entries.
 func TestKeywordPacksRoundtripProperty(t *testing.T) {
 	f := func(seed int64, nConcepts, nTerms uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -52,10 +52,11 @@ func TestKeywordPacksRoundtripProperty(t *testing.T) {
 					return false
 				}
 			}
-			// Compressed form decodes byte-identically.
-			cp := kp.Compress(name)
-			entries, err := decompress(cp)
-			if err != nil {
+			// The bundle's Golomb form decodes to identical entries.
+			enc, _ := appendPack(nil, kp.packs[name])
+			d := &decoder{buf: enc}
+			entries := d.pack(uint32(kp.TIDs.Len()))
+			if d.err != nil || len(d.buf) != 0 {
 				return false
 			}
 			raw := kp.packs[name]

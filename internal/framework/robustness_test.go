@@ -2,11 +2,8 @@ package framework
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
-
-	"contextrank/internal/golomb"
 )
 
 // Robustness (failure-injection) tests: the production loaders must reject
@@ -67,16 +64,18 @@ func TestBundleLoadNeverPanicsOnRandomBytes(t *testing.T) {
 
 // FuzzLoadBundle: every input either fails to load or loads a bundle that
 // survives Save → LoadBundle unchanged, and no input panics. The seeds are a
-// real bundle, its truncations, the bare 108-byte header claiming a
-// 256 MiB model, and a resealed bundle with a repeated TID in one pack.
+// real bundle, its truncations, the bare 104-byte header claiming a
+// 256 MiB model, and one-concept bundles whose pack claims 2^20 entries
+// over 3 bytes or a TID past its table.
 func FuzzLoadBundle(f *testing.F) {
 	clean := saveBytes(f, sampleBundle(f))
 	f.Add(clean)
-	for _, n := range []int{0, 8, 50, 108, len(clean) / 2, len(clean) - 5, len(clean) - 1} {
+	for _, n := range []int{0, 8, 50, 104, len(clean) / 2, len(clean) - 5, len(clean) - 1} {
 		f.Add(clean[:n])
 	}
 	f.Add(headerOnly(1 << 28))
-	f.Add(editedPack(f, repeatFirstEntry))
+	f.Add(oneConcept(f, 3, claimsMillion))
+	f.Add(oneConcept(f, 3, encodedPack(0, 7, 3, 9)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := LoadBundle(bytes.NewReader(data))
 		if err != nil {
@@ -93,63 +92,42 @@ func FuzzLoadBundle(f *testing.F) {
 	})
 }
 
-// decompress reverses KeywordPacks.Compress: the test oracle that pins the
-// compressed form to the raw pack, decoding the TID gaps with golomb.Codec.
-func decompress(p CompressedPack) ([]uint32, error) {
-	c := golomb.NewCodec(p.M)
-	tr := golomb.BitReaderAt(p.TIDData, 0)
-	sr := golomb.BitReaderAt(p.ScoreBit, 0)
-	out := make([]uint32, p.N)
-	tid := ^uint32(0)
-	for i := range out {
-		g, err := c.Read(&tr)
-		if err != nil {
-			return nil, fmt.Errorf("framework: decompress pack: %w", err)
-		}
-		tid += g + 1
-		q, err := sr.ReadBits(ScoreBits)
-		if err != nil {
-			return nil, fmt.Errorf("framework: decompress scores: %w", err)
-		}
-		out[i] = packEntry(tid, uint32(q))
-	}
-	return out, nil
-}
-
+// The pack decoder on arbitrary bytes: it fails or returns a pack, never
+// panics.
 func TestGolombDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 500; trial++ {
 		data := make([]byte, rng.Intn(256))
 		rng.Read(data)
-		p := CompressedPack{N: rng.Intn(50), M: uint32(1 + rng.Intn(64)), TIDData: data, ScoreBit: data}
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("trial %d: golomb decode panicked: %v", trial, r)
 				}
 			}()
-			_, _ = decompress(p)
+			d := &decoder{buf: data}
+			d.pack(uint32(rng.Intn(1 << TIDBits)))
 		}()
 	}
 }
 
-func TestCompressedPackDecompressCorrupt(t *testing.T) {
+// A real pack's bytes with one flipped: decoding fails or returns a pack,
+// never panics.
+func TestPackDecodeCorrupt(t *testing.T) {
 	kp := BuildKeywordPacks(buildStore())
-	cp := kp.Compress("iraq war")
+	clean, _ := appendPack(nil, kp.packs["iraq war"])
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 200; trial++ {
-		bad := cp
-		bad.TIDData = append([]byte(nil), cp.TIDData...)
-		if len(bad.TIDData) > 0 {
-			bad.TIDData[rng.Intn(len(bad.TIDData))] ^= byte(1 + rng.Intn(255))
-		}
+		bad := bytes.Clone(clean)
+		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("trial %d: Decompress panicked: %v", trial, r)
+					t.Fatalf("trial %d: pack decode panicked: %v", trial, r)
 				}
 			}()
-			_, _ = decompress(bad)
+			d := &decoder{buf: bad}
+			d.pack(uint32(kp.TIDs.Len()))
 		}()
 	}
 }

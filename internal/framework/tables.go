@@ -2,9 +2,10 @@
 // offline-mined artifacts packed into memory-efficient tables — 2-byte
 // quantized interestingness fields (18 B per concept), a Global TID Table
 // mapping terms to 22-bit ids, relevant-keyword packs of 32-bit (TID,score)
-// entries (400 B per concept at m=100), an optional Golomb-compressed pack
-// variant — plus the online Stemmer+Ranker pipeline whose throughput the
-// paper reports (7.9 MB/s and 2.4 MB/s on their 2007 hardware).
+// entries (400 B per concept at m=100), which the bundle stores in the
+// Golomb-coded form §VI proposes and loading unpacks — plus the online
+// Stemmer+Ranker pipeline whose throughput the paper reports (7.9 MB/s and
+// 2.4 MB/s on their 2007 hardware).
 package framework
 
 import (
@@ -13,7 +14,6 @@ import (
 
 	"contextrank/internal/corpus"
 	"contextrank/internal/features"
-	"contextrank/internal/golomb"
 	"contextrank/internal/match"
 	"contextrank/internal/relevance"
 	"contextrank/internal/world"
@@ -236,6 +236,20 @@ func (k *KeywordPacks) TotalBytes() int {
 	return n
 }
 
+// GolombBytes returns the size of the packs' entries in the Golomb form
+// the bundle stores them in: each pack's delta-Golomb TID stream and 10-bit
+// score stream as appendPack writes them, without its count and parameter.
+func (k *KeywordPacks) GolombBytes() int {
+	n := 0
+	var buf []byte
+	for _, p := range k.packs {
+		var streams int
+		buf, streams = appendPack(buf[:0], p)
+		n += streams
+	}
+	return n
+}
+
 // Keywords reconstructs the dequantized keyword vector of a concept.
 func (k *KeywordPacks) Keywords(concept string) corpus.Vector {
 	pack := k.packs[concept]
@@ -263,7 +277,7 @@ func (k *KeywordPacks) Score(concept string, docTIDs map[uint32]bool) float64 {
 // pack's quantized score mass found in docTIDs over its whole mass —
 // relevance.Store.NormalizedScoreCtx over the pack. The uint32 sums cannot
 // overflow: a built pack holds at most TopM entries and a loaded one at
-// most 2^20 (loadPacks), each at most MaxQScore, and 2^20·1023 < 2^32.
+// most maxPackLen, each at most MaxQScore.
 func (k *KeywordPacks) scoreNorm(concept string, docTIDs map[uint32]bool) (score, norm float64) {
 	var hit, total uint32
 	for _, e := range k.packs[concept] {
@@ -292,29 +306,3 @@ func (k *KeywordPacks) DocTIDs(stems map[string]bool) map[uint32]bool {
 	}
 	return out
 }
-
-// CompressedPack is the Golomb-coded form of one concept's keywords: TIDs
-// delta-Golomb coded, scores stored raw at 10 bits each.
-type CompressedPack struct {
-	N        int
-	M        uint32
-	TIDData  []byte
-	ScoreBit []byte
-}
-
-// Compress Golomb-codes a pack.
-func (k *KeywordPacks) Compress(concept string) CompressedPack {
-	pack := k.packs[concept]
-	tids := make([]uint32, len(pack))
-	var scores golomb.BitWriter
-	for i, e := range pack {
-		tid, q := unpackEntry(e)
-		tids[i] = tid
-		scores.WriteBits(uint64(q), ScoreBits)
-	}
-	data, m := golomb.EncodeSorted(tids)
-	return CompressedPack{N: len(pack), M: m, TIDData: data, ScoreBit: scores.Bytes()}
-}
-
-// Bytes returns the compressed size.
-func (p CompressedPack) Bytes() int { return len(p.TIDData) + len(p.ScoreBit) }

@@ -8,47 +8,38 @@ import (
 
 // This file is the context-scoring path. The dataset join in internal/core
 // scores thousands of example windows, so a context is a generation-marked
-// dense array over the store's stem dictionary (Ctx), reused across contexts,
-// with a token->stem-id memo so each distinct surface form is stemmed once
-// per Ctx lifetime. oracle_test.go pins it to the map-based scorer it replaced.
+// dense array over a stem dictionary (Ctx), reused across contexts, with a
+// token->stem-id memo so each distinct surface form is stemmed once per Ctx
+// lifetime. oracle_test.go pins it to the map-based scorer it replaced.
 
-// Ctx is a reusable id-keyed context bound to one store: the stem set of the
-// current context, marked in a dense array indexed by the store's stem ids.
-// Generation counters make loading a new context O(context), with no
-// clearing and no per-context allocation. A Ctx is not safe for concurrent
-// use; give each worker its own.
+// Ctx is a reusable id-keyed context over one stem dictionary: the stem set
+// of the current context, marked in a dense array indexed by the
+// dictionary's ids. It scores every store whose keywords index that
+// dictionary — the stores one miner builds share it (Miner.Dict) — so a
+// window loaded once scores them all. Generation counters make loading a
+// new context O(context), with no clearing and no per-context allocation.
+// A Ctx is not safe for concurrent use; give each worker its own.
 type Ctx struct {
-	store *Store
-	mark  []uint32          // stem id -> generation of last sighting
-	gen   uint32            // current context's generation
-	memo  map[string]uint32 // surface token -> stem id (match.NoID if not in the dictionary)
-	toks  []textproc.Token  // pooled tokenizer buffer
+	dict *match.Vocab
+	mark []uint32          // stem id -> generation of last sighting
+	gen  uint32            // current context's generation
+	memo map[string]uint32 // surface token -> stem id (match.NoID if not in the dictionary)
+	toks []textproc.Token  // pooled tokenizer buffer
 }
 
-// NewCtx creates a context scorer for the store.
-func (s *Store) NewCtx() *Ctx {
+// NewCtx creates a context scorer over a stem dictionary, which must not
+// grow while the Ctx lives.
+func NewCtx(dict *match.Vocab) *Ctx {
 	return &Ctx{
-		store: s,
-		mark:  make([]uint32, s.dict.Len()),
-		gen:   1, // mark zeros mean "never seen": an unset Ctx matches nothing
-		memo:  make(map[string]uint32),
+		dict: dict,
+		mark: make([]uint32, dict.Len()),
+		gen:  1, // mark zeros mean "never seen": an unset Ctx matches nothing
+		memo: make(map[string]uint32),
 	}
 }
-
-// AcquireCtx returns a pooled Ctx for this store; pair with ReleaseCtx. The
-// pool keeps each Ctx's stem memo warm across users.
-func (s *Store) AcquireCtx() *Ctx {
-	if c, ok := s.ctxPool.Get().(*Ctx); ok {
-		return c
-	}
-	return s.NewCtx()
-}
-
-// ReleaseCtx returns a Ctx obtained from AcquireCtx to the pool.
-func (s *Store) ReleaseCtx(c *Ctx) { s.ctxPool.Put(c) }
 
 // SetText loads text as the current context: every stemmed content word the
-// store's dictionary knows is marked (no other stem can contribute a score).
+// dictionary knows is marked (no other stem can contribute a score).
 func (c *Ctx) SetText(text string) {
 	c.gen++
 	if c.gen == 0 { // generation wrapped: reset the mark table
@@ -64,7 +55,7 @@ func (c *Ctx) SetText(text string) {
 		if !ok {
 			id = match.NoID
 			if st := stem.Stem(t.Norm); st != "" {
-				id = c.store.dict.ID(st)
+				id = c.dict.ID(st)
 			}
 			c.memo[t.Norm] = id
 		}
@@ -87,8 +78,11 @@ func (c *Ctx) SetAround(text string, position int) {
 // based on the co-occurrences of the pre-mined keywords and the given concept
 // in the context"). Raw scores are used, so low-quality concepts "almost
 // never get a high relevance score in any context" (the safety net). The Ctx
-// must have been created by this store.
+// must be over the store's dictionary.
 func (s *Store) ScoreCtx(concept string, c *Ctx) float64 {
+	if c.dict != s.dict {
+		panic("relevance: context over another stem dictionary")
+	}
 	score := 0.0
 	for _, k := range s.keywords[concept] {
 		if c.mark[k.Stem] == c.gen {

@@ -91,7 +91,7 @@ func TestDifferentialCtxScore(t *testing.T) {
 		concepts = append(concepts, f.w.Concepts[i].Name)
 	}
 	st := BuildStore(f.miner, concepts, Snippets)
-	ctx := st.NewCtx()
+	ctx := NewCtx(st.Dict())
 
 	for _, story := range newsgen.Generate(f.w, newsgen.Config{Seed: 74, NumStories: 12}) {
 		text := story.Text
@@ -123,7 +123,7 @@ func TestCtxFreshMatchesNothing(t *testing.T) {
 	f := newFixture(t)
 	c := pick(f.w, func(c *world.Concept) bool { return c.Specificity > 0.6 })
 	st := BuildStore(f.miner, []string{c.Name}, Snippets)
-	if got := st.ScoreCtx(c.Name, st.NewCtx()); got != 0 {
+	if got := st.ScoreCtx(c.Name, NewCtx(st.Dict())); got != 0 {
 		t.Fatalf("fresh Ctx scored %v, want 0", got)
 	}
 }

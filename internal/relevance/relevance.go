@@ -107,7 +107,6 @@ type Store struct {
 	resource Resource
 	dict     *match.Vocab         // stem string <-> id; read-only while the store lives
 	keywords map[string][]Keyword // concept -> keywords sorted as Mine's, at exactly their length
-	ctxPool  sync.Pool            // *Ctx (see AcquireCtx)
 }
 
 // Keyword is one mined keyword: a stem id and its confidence score.

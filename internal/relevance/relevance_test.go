@@ -181,7 +181,7 @@ func TestScoreRelevantVsIrrelevantContext(t *testing.T) {
 	irrelevantDoc, _ := f.w.ComposeDoc(world.ComposeOptions{Topic: otherTopic},
 		[]world.Mention{{Concept: c, Relevant: false}}, rng)
 
-	ctx := store.NewCtx()
+	ctx := NewCtx(store.Dict())
 	ctx.SetText(relevantDoc)
 	relScore := store.ScoreCtx(c.Name, ctx)
 	ctx.SetText(irrelevantDoc)
@@ -193,7 +193,7 @@ func TestScoreRelevantVsIrrelevantContext(t *testing.T) {
 
 func TestScoreUnknownConcept(t *testing.T) {
 	store := NewStore(Snippets, map[string]corpus.Vector{})
-	ctx := store.NewCtx()
+	ctx := NewCtx(store.Dict())
 	ctx.SetText("x")
 	if got := store.ScoreCtx("unknown", ctx); got != 0 {
 		t.Fatalf("unknown concept score = %v", got)
@@ -207,7 +207,7 @@ func TestScoreHandStore(t *testing.T) {
 	store := NewStore(Snippets, map[string]corpus.Vector{
 		"iraq war": {{Term: "troop", Weight: 5}, {Term: "baghdad", Weight: 3}, {Term: "soldier", Weight: 1}},
 	})
-	ctx := store.NewCtx()
+	ctx := NewCtx(store.Dict())
 	ctx.SetText("Troops, soldiers and a banana.")
 	if got := store.ScoreCtx("iraq war", ctx); got != 6 {
 		t.Fatalf("ScoreCtx = %v, want 6", got)
@@ -216,6 +216,19 @@ func TestScoreHandStore(t *testing.T) {
 	if got := store.ScoreCtx("iraq war", ctx); got != 0 {
 		t.Fatalf("empty context score = %v", got)
 	}
+}
+
+// A Ctx marks ids of one dictionary; another store's ids would read the
+// wrong marks, so scoring against it panics.
+func TestScoreCtxOtherDictionaryPanics(t *testing.T) {
+	terms := map[string]corpus.Vector{"iraq war": {{Term: "troop", Weight: 5}}}
+	a, b := NewStore(Snippets, terms), NewStore(Snippets, terms)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a context over another store's dictionary scored")
+		}
+	}()
+	b.ScoreCtx("iraq war", NewCtx(a.Dict()))
 }
 
 func TestContextStemsStemmedAndFiltered(t *testing.T) {
@@ -359,7 +372,7 @@ func BenchmarkRelevanceScore(b *testing.B) {
 	store := BuildStore(f.miner, names, Snippets)
 	rng := rand.New(rand.NewSource(5))
 	doc, _ := f.w.ComposeDoc(world.ComposeOptions{Topic: 0, Sentences: 20}, nil, rng)
-	ctx := store.NewCtx()
+	ctx := NewCtx(store.Dict())
 	ctx.SetText(doc)
 	b.ReportAllocs()
 	b.ResetTimer()

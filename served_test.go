@@ -134,7 +134,7 @@ func newTolerance(t *testing.T, s *core.System, rt *framework.Runtime) *toleranc
 		ones[c] = v
 	}
 	tol.hits = relevance.NewStore(relevance.Snippets, ones)
-	tol.ctx = tol.hits.NewCtx()
+	tol.ctx = relevance.NewCtx(tol.hits.Dict())
 	return tol
 }
 
