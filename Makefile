@@ -60,7 +60,10 @@ race:
 # the live heap a mined relevance store adds beyond its miner's stem
 # dictionary (store-bytes: its map and exact-size (stem id, weight)
 # vectors) within +5%, so a second copy of the keywords cannot come back
-# unseen. The seeded small-world bundle is byte-exact too, so
+# unseen. VocabSize holds the live heap of the seeded engine vocabulary and
+# the miner's stem dictionary (vocab-bytes: term pages, offset chunks and
+# hash table) within +5%, so a per-term object cannot come back unseen
+# either. The seeded small-world bundle is byte-exact too, so
 # ExtensionBundleSaveLoad holds its bundleBytes at the baseline (1.00): a
 # wider pack or string encoding cannot come back unseen either.
 bench:
@@ -90,6 +93,7 @@ bench:
 		-guard 'BenchmarkIndexSize:resident-bytes:1.05' \
 		-guard 'BenchmarkIndexSize:forward-bytes:1.05' \
 		-guard 'BenchmarkStoreSize:store-bytes:1.05' \
+		-guard 'BenchmarkVocabSize:vocab-bytes:1.05' \
 		-guard 'BenchmarkExtensionBundleSaveLoad:bundleBytes:1.00' \
 		-guard 'BenchmarkFields:B/op:0.40' \
 		-guard 'BenchmarkFields:allocs/op:0.40' \
@@ -154,8 +158,11 @@ chaos:
 # the block decoders and from a seeking termCursor) — and the forward
 # index's uvarint coding (any id sequence, 127/128, 16383/16384 and
 # MaxUint32 among the seeds, encodes and decodes back whole and by every
-# prefix, and a document added with Add decodes to its interned words).
-# Their seed corpora also run under plain `go test`.
+# prefix, and a document added with Add decodes to its interned words) —
+# and match.Vocab, every interned table in the system, against a map and a
+# slice (Intern, InternBytes, ID, IDBytes, Token, Len and AppendIDs over
+# empty, repeated, non-ASCII and longer-than-a-page tokens, through several
+# table growths). Their seed corpora also run under plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPatternGate$$' -fuzztime $(FUZZTIME) ./internal/detect
@@ -171,6 +178,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRenderSource$$' -fuzztime $(FUZZTIME) ./internal/annotate
 	$(GO) test -run '^$$' -fuzz '^FuzzFrozenList$$' -fuzztime $(FUZZTIME) ./internal/searchsim
 	$(GO) test -run '^$$' -fuzz '^FuzzDocTokens$$' -fuzztime $(FUZZTIME) ./internal/searchsim
+	$(GO) test -run '^$$' -fuzz '^FuzzVocab$$' -fuzztime $(FUZZTIME) ./internal/match
 
 # examples/ may import the product; the product may not import examples/.
 # The click graph, the personalization library, the weekly query-log

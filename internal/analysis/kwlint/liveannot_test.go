@@ -38,6 +38,8 @@ var liveAnnotations = map[string][]string{
 	},
 	"internal/match/match.go": {
 		"Matcher.LongestAt //kw:hotpath",
+	},
+	"internal/match/vocab.go": {
 		"Vocab.AppendIDs //kw:hotpath",
 	},
 	"internal/ranksvm/ranksvm.go": {

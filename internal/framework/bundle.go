@@ -208,9 +208,12 @@ func (d *decoder) uvarint(what string) uint64 {
 	return v
 }
 
-func (d *decoder) str(what string) string {
-	return string(d.take(d.uvarint(what), what))
+// bytes reads a string's bytes in place: they alias the file's buffer.
+func (d *decoder) bytes(what string) []byte {
+	return d.take(d.uvarint(what), what)
 }
+
+func (d *decoder) str(what string) string { return string(d.bytes(what)) }
 
 // count reads a uint32 count of strings: each takes at least its length
 // byte, so a count the bytes left cannot hold is corrupt.
@@ -260,7 +263,9 @@ func (d *decoder) packs(b *Bundle, names []string) {
 		d.fail("TID count")
 	}
 	for i := 0; i < nTerms && d.err == nil; i++ {
-		if term := d.str("TID term"); kp.TIDs.Intern(term) != uint32(i) {
+		// The table copies a new term into its pages; a repeated one is
+		// corrupt.
+		if term := d.bytes("TID term"); kp.TIDs.InternBytes(term) != uint32(i) {
 			d.fail(fmt.Sprintf("duplicate TID term %q", term))
 		}
 	}

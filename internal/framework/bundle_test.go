@@ -17,6 +17,8 @@ import (
 	"contextrank/internal/features"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
+	"contextrank/internal/stem"
+	"contextrank/internal/textproc"
 	"contextrank/internal/world"
 )
 
@@ -359,8 +361,8 @@ func TestBundleRuntimeEquivalence(t *testing.T) {
 	doc := "the alpha beta phenomenon with troop reports from baghdad today"
 	// Both runtimes share a nil pipeline-resources detector (pattern only),
 	// so scoring paths are exercised through Packs/Interest directly.
-	dt := kpDocTIDs(b.Packs, doc)
-	lt := kpDocTIDs(loaded.Packs, doc)
+	dt := kpDocTIDs(t, b.Packs, doc)
+	lt := kpDocTIDs(t, loaded.Packs, doc)
 	for name := range b.Packs.packs {
 		if b.Packs.Score(name, dt) != loaded.Packs.Score(name, lt) {
 			t.Fatalf("pack score differs for %q", name)
@@ -368,12 +370,17 @@ func TestBundleRuntimeEquivalence(t *testing.T) {
 	}
 }
 
-func kpDocTIDs(kp *KeywordPacks, doc string) map[uint32]bool {
+// kpDocTIDs is doc's TID set in kp: its content words, stemmed, through
+// DocTIDs. An empty set would make any two tables score alike.
+func kpDocTIDs(t *testing.T, kp *KeywordPacks, doc string) map[uint32]bool {
+	t.Helper()
 	stems := map[string]bool{}
-	for _, w := range []string{"troop", "baghdad", "soldier", "market"} {
-		_ = w
-		stems[w] = true
+	for _, w := range textproc.ContentWords(doc) {
+		stems[stem.Stem(w)] = true
 	}
-	_ = doc
-	return kp.DocTIDs(stems)
+	tids := kp.DocTIDs(stems)
+	if len(tids) == 0 {
+		t.Fatalf("no word of %q has a TID", doc)
+	}
+	return tids
 }

@@ -12,6 +12,30 @@
 // positions advance by one token regardless of matches, so nested phrases
 // at later positions are still found. DESIGN.md §10 records the
 // performance contract.
+//
+// Vocab is every interned table in the system, so it keeps nothing per
+// term but bytes and two uint32s. A term's uvarint length and bytes go in
+// append-only byte pages that are never reallocated; its id indexes
+// fixed-size chunks of uint32 offsets into those pages; and the
+// open-addressing hash table (FNV-1a, linear probing) holds id+1 per slot.
+// Ids are dense and assigned in first-Intern order.
+//
+// Vocab is single-writer, lock-free-reader (RCU): one goroutine at a time
+// may Intern — the search engine's under its writer mutex, every other
+// vocabulary while it is built — while any number of goroutines call ID,
+// IDBytes, Token, Len and AppendIDs.
+//
+//   - The page list, the chunk list and the table are each reached through
+//     an atomic pointer and replaced whole (copied, or rebuilt at twice
+//     the size) when they grow, so a reader holds one consistent
+//     generation of each. Pages and chunks are shared between generations
+//     and only ever written past what has been published.
+//   - A term's bytes and offset are written before its slot is stored,
+//     and the slot before Len moves, so a reader that finds a slot or
+//     observes Len > id resolves Token(id) through lists at least as new.
+//   - A reader racing the writer may miss the newest terms (ID returns
+//     NoID): a search-engine term unknown to a query's snapshot occurs
+//     only in documents beyond that snapshot's visibility horizon.
 package match
 
 import "slices"
@@ -19,67 +43,6 @@ import "slices"
 // NoID marks a token that is not part of any pattern's vocabulary. No trie
 // edge carries it, so a walk stops at the first unknown token.
 const NoID = ^uint32(0)
-
-// Vocab interns normalized tokens to dense ids. Build-time only: Intern
-// assigns ids while patterns load; the serving path uses the read-only ID.
-type Vocab struct {
-	ids  map[string]uint32
-	toks []string
-}
-
-// NewVocab returns an empty vocabulary.
-func NewVocab() *Vocab {
-	return &Vocab{ids: make(map[string]uint32)}
-}
-
-// Intern returns the id of tok, assigning the next dense id if new.
-func (v *Vocab) Intern(tok string) uint32 {
-	if id, ok := v.ids[tok]; ok {
-		return id
-	}
-	id := uint32(len(v.toks))
-	v.ids[tok] = id
-	v.toks = append(v.toks, tok)
-	return id
-}
-
-// ID returns the id of tok, or NoID if the token occurs in no pattern.
-func (v *Vocab) ID(tok string) uint32 {
-	if id, ok := v.ids[tok]; ok {
-		return id
-	}
-	return NoID
-}
-
-// IDBytes is ID for a token held as bytes; the lookup does not copy them.
-func (v *Vocab) IDBytes(tok []byte) uint32 {
-	if id, ok := v.ids[string(tok)]; ok {
-		return id
-	}
-	return NoID
-}
-
-// Len returns the number of interned tokens.
-func (v *Vocab) Len() int { return len(v.toks) }
-
-// Token returns the token interned as id.
-func (v *Vocab) Token(id uint32) string { return v.toks[id] }
-
-// AppendIDs appends the ids of tokens to dst and returns it. Unknown tokens
-// map to NoID. The usual call site passes a pooled dst[:0], making the
-// interning pass allocation-free in steady state.
-//
-//kw:hotpath
-func (v *Vocab) AppendIDs(dst []uint32, tokens []string) []uint32 {
-	for _, t := range tokens {
-		id, ok := v.ids[t]
-		if !ok {
-			id = NoID
-		}
-		dst = append(dst, id)
-	}
-	return dst
-}
 
 // noPattern marks a trie node that terminates no pattern.
 const noPattern = int32(-1)

@@ -41,18 +41,10 @@ type termTable struct {
 	sug   termFacts
 }
 
-// tokenSource is the read side of a vocabulary — satisfied by both
-// match.Vocab (query log) and searchsim.Vocab (the live engine's
-// concurrent-read vocabulary).
-type tokenSource interface {
-	Len() int
-	Token(id uint32) string
-}
-
 // buildFacts derives the fact table for one vocabulary. Idf and document
 // frequency always come from the engine — suggestion terms are scored with
 // engine idf too.
-func buildFacts(voc tokenSource, eng *searchsim.Engine, stems *match.Vocab) termFacts {
+func buildFacts(voc *match.Vocab, eng *searchsim.Engine, stems *match.Vocab) termFacts {
 	n := voc.Len()
 	f := termFacts{
 		stemOf: make([]uint32, n),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"contextrank/internal/corpus"
+	"contextrank/internal/match"
 	"contextrank/internal/querylog"
 	"contextrank/internal/searchsim"
 	"contextrank/internal/world"
@@ -355,6 +356,32 @@ func BenchmarkStoreSize(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(bytes), "store-bytes")
+}
+
+// BenchmarkVocabSize reports vocab-bytes: the live heap of the fixture's
+// engine vocabulary and its miner's stem dictionary, each interned term by
+// term into a fresh vocabulary between two liveHeap readings, as
+// BenchmarkStoreSize measures a store. Interning in id order rebuilds
+// each table as it was built, so this is every byte the two hold — pages,
+// offset chunks and hash table — and a per-term object cannot come back
+// unseen.
+func BenchmarkVocabSize(b *testing.B) {
+	f := newFixture(b)
+	src := []*match.Vocab{f.eng.Vocab(), f.miner.Dict()}
+	var bytes uint64
+	for i := 0; i < b.N; i++ {
+		before := liveHeap()
+		copies := make([]*match.Vocab, len(src))
+		for j, v := range src {
+			copies[j] = match.NewVocab()
+			for id := range v.Len() {
+				copies[j].Intern(v.Token(uint32(id)))
+			}
+		}
+		bytes = liveHeap() - before
+		runtime.KeepAlive(copies)
+	}
+	b.ReportMetric(float64(bytes), "vocab-bytes")
 }
 
 // liveHeap is the bytes in live heap objects after two full collections.

@@ -3,6 +3,8 @@ package searchsim
 import (
 	"sync"
 	"sync/atomic"
+
+	"contextrank/internal/match"
 )
 
 // countCacheShards is the number of independently-locked shards in the
@@ -39,23 +41,9 @@ func newCountCache(hits, misses *atomic.Int64) *countCache {
 	return c
 }
 
-// fnv64a is the 64-bit FNV-1a hash of s.
-func fnv64a(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
-
 // get looks up phrase, recording a hit or miss.
 func (c *countCache) get(phrase string) (int, bool) {
-	s := &c.shards[fnv64a(phrase)%countCacheShards]
+	s := &c.shards[match.Hash(phrase)%countCacheShards]
 	s.mu.RLock()
 	v, ok := s.m[phrase]
 	s.mu.RUnlock()
@@ -69,7 +57,7 @@ func (c *countCache) get(phrase string) (int, bool) {
 
 // put stores phrase→n.
 func (c *countCache) put(phrase string, n int) {
-	s := &c.shards[fnv64a(phrase)%countCacheShards]
+	s := &c.shards[match.Hash(phrase)%countCacheShards]
 	s.mu.Lock()
 	s.m[phrase] = n
 	s.mu.Unlock()

@@ -52,7 +52,7 @@ type Engine struct {
 	// through Doc and NumDocs.
 	docs []docRec
 
-	vocab *Vocab
+	vocab *match.Vocab
 
 	// cur is the published snapshot readers query: never nil, swapped
 	// atomically and never mutated in place.
@@ -99,7 +99,7 @@ type Engine struct {
 // NewEngine creates an empty live engine: every query answers (with nothing)
 // from the start, and documents become visible as Add seals them.
 func NewEngine() *Engine {
-	e := &Engine{vocab: NewVocab()}
+	e := &Engine{vocab: match.NewVocab()}
 	e.cur.Store(&view{vocab: e.vocab, cache: newCountCache(&e.cacheHits, &e.cacheMisses)})
 	return e
 }
@@ -291,7 +291,7 @@ func (e *Engine) NumDocs() int { return len(e.cur.Load().docs) }
 
 // Vocab returns the corpus term vocabulary (term string ↔ dense id). Safe
 // for concurrent lookups while ingest runs.
-func (e *Engine) Vocab() *Vocab { return e.vocab }
+func (e *Engine) Vocab() *match.Vocab { return e.vocab }
 
 // DocFreq returns the number of visible documents containing term: the
 // length of its posting list, the paper's "term-document frequency" over

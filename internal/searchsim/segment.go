@@ -23,6 +23,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"contextrank/internal/match"
 	"contextrank/internal/par"
 )
 
@@ -302,7 +303,7 @@ type view struct {
 	segs    []*segment
 	docs    []docRec // visible docs: global ids [0, len(docs))
 	stopID  []bool   // term id -> stopword, covers every visible term
-	vocab   *Vocab
+	vocab   *match.Vocab
 	epoch   uint64 // bumped exactly when the visibility horizon moves
 	cache   *countCache
 	forward int // arena bytes of the visible docs (IndexStats.ForwardBytes)
