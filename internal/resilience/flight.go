@@ -61,7 +61,9 @@ func (f *Flights[K, V]) Do(ctx context.Context, key K, id string, timeout time.D
 	}
 	f.mu.Unlock()
 
-	fctx, cancel := context.WithoutCancel(ctx), context.CancelFunc(func() {})
+	// noCancel is a package func, not a literal: a literal here would
+	// capture the instantiation's dictionary and cost an allocation a call.
+	fctx, cancel := context.WithoutCancel(ctx), context.CancelFunc(noCancel)
 	if timeout > 0 {
 		fctx, cancel = context.WithTimeout(fctx, timeout)
 	}
@@ -87,6 +89,8 @@ func (f *Flights[K, V]) Do(ctx context.Context, key K, id string, timeout time.D
 	}()
 	return fl.wait(ctx)
 }
+
+func noCancel() {}
 
 func (fl *flight[V]) wait(ctx context.Context) (V, error) {
 	select {

@@ -97,3 +97,16 @@ func BenchmarkSearchTopK(b *testing.B) {
 		e.Search(names[i%len(names)], 100)
 	}
 }
+
+// BenchmarkBuildCorpus builds the paper-scale corpus of paperScaleEngine
+// from its world: composing every document and bulk-indexing it. make
+// bench guards its B/op and allocs/op against the build that composed each
+// document as text and tokenized it again (BENCH.baseline.json).
+func BenchmarkBuildCorpus(b *testing.B) {
+	w := world.New(world.Config{Seed: 71, VocabSize: 6000, NumTopics: 24, NumConcepts: 1200})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildCorpus(w, CorpusConfig{Seed: 72})
+	}
+}

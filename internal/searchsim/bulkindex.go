@@ -7,18 +7,21 @@ package searchsim
 // compressed base segment directly, in a pipeline whose only serial work is
 // O(distinct terms + docs):
 //
-//  1. (parallel) chunk-local interning: each worker interns its contiguous
-//     chunk of documents against a private vocabulary, recording the chunk's
-//     distinct tokens in first-occurrence order;
+//  1. (parallel) chunk-local interning: each worker walks its contiguous
+//     chunk of documents — token ids into the build's token table, as
+//     BuildCorpus's generation shards wrote them — recording the chunk's
+//     distinct tokens in first-occurrence order in a dense table-id-indexed
+//     seen set;
 //  2. (serial) vocabulary merge: every chunk's distinct tokens are interned
 //     into the engine vocabulary in chunk order. Because chunks are
 //     contiguous document ranges and each chunk's token list is in
 //     first-occurrence order, the assigned ids equal the ids a serial Add
 //     loop would have produced, bit for bit;
-//  3. (parallel) id rewrite: per-doc local ids become engine ids in place,
-//     and each chunk sums its documents' uvarint-coded size;
-//  4. (parallel) posting build: each worker builds chunk-local posting lists
-//     over engine ids;
+//  3. (parallel) id rewrite: each chunk writes its documents' engine ids
+//     into one buffer of its own and sums their uvarint-coded size;
+//  4. (parallel) posting build: each worker counts its chunk's postings per
+//     engine id and fills exact-size chunk-local posting lists, carved from
+//     three arenas;
 //  5. (parallel) documents: one exact-size arena for every document's token
 //     ids, each chunk encoding into its share (doc.go); then (serial) the
 //     stopword table — a term's document frequency needs no table of its
@@ -38,6 +41,7 @@ package searchsim
 import (
 	"encoding/binary"
 
+	"contextrank/internal/match"
 	"contextrank/internal/par"
 	"contextrank/internal/textproc"
 )
@@ -46,17 +50,16 @@ import (
 // a bulk index pass, plus its intermediate per-chunk state.
 type indexChunk struct {
 	lo, hi int
-	toks   []string      // chunk-distinct tokens in first-occurrence order
-	remap  []uint32      // chunk-local id -> engine vocab id
+	toks   []uint32      // chunk-distinct table ids in first-occurrence order
 	lists  []postingList // engine id -> chunk-local postings
 	off    int           // where the chunk's documents start in the arena
 	size   int           // their uvarint-coded bytes
 }
 
 // newBulkEngine builds a live engine whose published view is one frozen
-// segment over the pre-tokenized documents, fanned out across GOMAXPROCS
-// workers.
-func newBulkEngine(docs []rawDoc) *Engine {
+// segment over docs, whose ids are into the token table tokens, fanned out
+// across GOMAXPROCS workers.
+func newBulkEngine(tokens *match.Vocab, docs []rawDoc) *Engine {
 	e := NewEngine()
 	nd := len(docs)
 	if nd == 0 {
@@ -74,53 +77,80 @@ func newBulkEngine(docs []rawDoc) *Engine {
 	}
 
 	// Phase 1: chunk-local interning.
+	nTable := tokens.Len()
+	par.For(w, w, func(ci int) {
+		ck := &chunks[ci]
+		seen := make([]bool, nTable)
+		for di := ck.lo; di < ck.hi; di++ {
+			for _, t := range docs[di].ids {
+				if !seen[t] {
+					seen[t] = true
+					ck.toks = append(ck.toks, t)
+				}
+			}
+		}
+	})
+
+	// Phase 2: serial vocabulary merge in chunk order (see the file comment
+	// for why this reproduces the serial id assignment exactly). A token
+	// already merged from an earlier chunk keeps its id, so only a token's
+	// first chunk probes the vocabulary.
+	engineID := make([]uint32, nTable) // table id -> engine id + 1
+	for ci := range chunks {
+		for _, t := range chunks[ci].toks {
+			if engineID[t] == 0 {
+				engineID[t] = e.vocab.Intern(tokens.Token(t)) + 1
+			}
+		}
+	}
+	nTerms := e.vocab.Len()
+
+	// Phase 3: each chunk's documents in engine ids, sizing their encoding.
 	tokenIDs := make([][]uint32, nd)
 	par.For(w, w, func(ci int) {
 		ck := &chunks[ci]
-		local := make(map[string]uint32)
+		n := 0
 		for di := ck.lo; di < ck.hi; di++ {
-			toks := docs[di].tokens
-			ids := make([]uint32, len(toks))
-			for p, t := range toks {
-				id, ok := local[t]
-				if !ok {
-					id = uint32(len(ck.toks))
-					local[t] = id
-					ck.toks = append(ck.toks, t)
-				}
-				ids[p] = id
+			n += len(docs[di].ids)
+		}
+		buf := make([]uint32, n)
+		for di := ck.lo; di < ck.hi; di++ {
+			ids := buf[:len(docs[di].ids):len(docs[di].ids)]
+			buf = buf[len(ids):]
+			for p, t := range docs[di].ids {
+				ids[p] = engineID[t] - 1
+				ck.size += uvarintLen(ids[p])
 			}
 			tokenIDs[di] = ids
 		}
 	})
 
-	// Phase 2: serial vocabulary merge in chunk order (see the file comment
-	// for why this reproduces the serial id assignment exactly).
-	for ci := range chunks {
-		ck := &chunks[ci]
-		ck.remap = make([]uint32, len(ck.toks))
-		for j, t := range ck.toks {
-			ck.remap[j] = e.vocab.Intern(t)
-		}
-	}
-	nTerms := e.vocab.Len()
-
-	// Phase 3: rewrite local ids to engine ids, sizing their encoding.
+	// Phase 4: chunk-local posting lists keyed by engine id, each carved at
+	// its exact size from three chunk arenas, so filling them allocates
+	// nothing.
 	par.For(w, w, func(ci int) {
 		ck := &chunks[ci]
+		nDocs, nPos := make([]int32, nTerms), make([]int32, nTerms)
+		last := make([]int32, nTerms) // last doc counted + 1
+		var sumDocs, sumPos int
 		for di := ck.lo; di < ck.hi; di++ {
-			ids := tokenIDs[di]
-			for p := range ids {
-				ids[p] = ck.remap[ids[p]]
-				ck.size += uvarintLen(ids[p])
+			for _, tid := range tokenIDs[di] {
+				nPos[tid]++
+				if last[tid] != int32(di)+1 {
+					last[tid] = int32(di) + 1
+					nDocs[tid]++
+					sumDocs++
+				}
 			}
+			sumPos += len(tokenIDs[di])
 		}
-	})
-
-	// Phase 4a: chunk-local posting lists keyed by engine id.
-	par.For(w, w, func(ci int) {
-		ck := &chunks[ci]
+		docArena, startArena, posArena := make([]int32, sumDocs), make([]int32, sumDocs), make([]int32, sumPos)
 		ck.lists = make([]postingList, nTerms)
+		for t := range ck.lists {
+			d, p := nDocs[t], nPos[t]
+			ck.lists[t] = postingList{docs: docArena[:0:d], starts: startArena[:0:d], positions: posArena[:0:p]}
+			docArena, startArena, posArena = docArena[d:], startArena[d:], posArena[p:]
+		}
 		for di := ck.lo; di < ck.hi; di++ {
 			for pos, tid := range tokenIDs[di] {
 				ck.lists[tid].add(int32(di), int32(pos))

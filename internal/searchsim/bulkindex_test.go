@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"contextrank/internal/match"
 )
 
 // setGOMAXPROCS is the root package's helper (parallel_test.go).
@@ -19,31 +21,51 @@ func setGOMAXPROCS(t *testing.T, n int) {
 
 // randomRawDocs builds a deterministic random document set over a small
 // vocabulary, dense enough that many terms repeat across chunks.
-func randomRawDocs(seed int64, n int) []rawDoc {
+func randomRawDocs(seed int64, n int) []textDoc {
 	rng := rand.New(rand.NewSource(seed))
 	vocab := make([]string, 60)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("w%02d", i)
 	}
-	docs := make([]rawDoc, n)
+	docs := make([]textDoc, n)
 	for i := range docs {
 		toks := make([]string, 5+rng.Intn(36))
 		for j := range toks {
 			toks[j] = vocab[rng.Intn(len(vocab))]
 		}
-		docs[i] = rawDoc{tokens: toks, topic: rng.Intn(4)}
+		docs[i] = textDoc{tokens: toks, topic: rng.Intn(4)}
 	}
 	return docs
 }
 
+// textDoc is a test document as its tokens.
+type textDoc struct {
+	tokens []string
+	topic  int
+}
+
 // text is the document as Add takes it: its tokens joined by spaces, which
 // textproc.Words splits back into the same tokens.
-func (d rawDoc) text() string { return strings.Join(d.tokens, " ") }
+func (d textDoc) text() string { return strings.Join(d.tokens, " ") }
+
+// bulkEngine is newBulkEngine over documents given as tokens: it interns
+// them into a token table first, as BuildCorpus's token table does.
+func bulkEngine(docs []textDoc) *Engine {
+	tab := match.NewVocab()
+	raw := make([]rawDoc, len(docs))
+	for i, d := range docs {
+		raw[i].topic = d.topic
+		for _, tok := range d.tokens {
+			raw[i].ids = append(raw[i].ids, tab.Intern(tok))
+		}
+	}
+	return newBulkEngine(tab, raw)
+}
 
 // liveFrozen indexes docs the way a document stream arrives — Add one at a
 // time, auto-sealing at memFlushDocs, a final Commit — and folds the raw
 // segment stack into one frozen segment.
-func liveFrozen(docs []rawDoc) *Engine {
+func liveFrozen(docs []textDoc) *Engine {
 	e := NewEngine()
 	for _, d := range docs {
 		e.Add(d.text(), d.topic)
@@ -124,7 +146,7 @@ func TestBulkIndexMatchesSerial(t *testing.T) {
 	var stats IndexStats
 	for i, procs := range []int{1, 2, 3, 5, 16, runtime.NumCPU()} {
 		setGOMAXPROCS(t, procs)
-		bulk := newBulkEngine(docs)
+		bulk := bulkEngine(docs)
 		engineEqual(t, fmt.Sprintf("GOMAXPROCS=%d", procs), bulk, live)
 		if i == 0 {
 			stats = bulk.Stats()
@@ -141,7 +163,7 @@ func TestBulkIndexMatchesSerial(t *testing.T) {
 // then answering as a from-scratch build over the concatenated stream.
 func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 	docs := randomRawDocs(3, 40)
-	e := newBulkEngine(docs[:25])
+	e := bulkEngine(docs[:25])
 	for _, d := range docs[25:] {
 		e.Add(d.text(), d.topic)
 	}
@@ -167,10 +189,10 @@ func TestBulkIndexAfterFreezeAppends(t *testing.T) {
 func TestFreezeWorkersDeterministic(t *testing.T) {
 	docs := randomRawDocs(13, 150)
 	setGOMAXPROCS(t, 1)
-	want := newBulkEngine(docs)
+	want := bulkEngine(docs)
 	for _, procs := range []int{2, 5, runtime.NumCPU()} {
 		setGOMAXPROCS(t, procs)
-		e := newBulkEngine(docs)
+		e := bulkEngine(docs)
 		if !reflect.DeepEqual(e.segs[0].frozen, want.segs[0].frozen) {
 			t.Fatalf("GOMAXPROCS=%d: frozen header table or arenas diverged", procs)
 		}

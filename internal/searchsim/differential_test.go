@@ -399,7 +399,7 @@ func TestFrozenStatsAndCompression(t *testing.T) {
 // Commit, then queryable, with the epoch advancing exactly once per
 // visibility change.
 func TestAddAfterFreezeAppends(t *testing.T) {
-	e := newBulkEngine([]rawDoc{{tokens: []string{"one", "two", "three"}}})
+	e := bulkEngine([]textDoc{{tokens: []string{"one", "two", "three"}}})
 	ep0 := e.Epoch()
 	if ep0 == 0 {
 		t.Fatal("the bulk build must publish a nonzero epoch")

@@ -42,15 +42,15 @@ func checkArenaExact(t *testing.T, label string, fx *frozenIndex) {
 
 // wideVocabDocs is a doc set over a vocabulary of nTerms distinct words, so
 // a merge covers many encode chunks.
-func wideVocabDocs(seed int64, nDocs, nTerms int) []rawDoc {
+func wideVocabDocs(seed int64, nDocs, nTerms int) []textDoc {
 	rng := rand.New(rand.NewSource(seed))
-	docs := make([]rawDoc, nDocs)
+	docs := make([]textDoc, nDocs)
 	for i := range docs {
 		toks := make([]string, 30+rng.Intn(30))
 		for j := range toks {
 			toks[j] = fmt.Sprintf("t%05d", rng.Intn(nTerms))
 		}
-		docs[i] = rawDoc{tokens: toks, topic: 0}
+		docs[i] = textDoc{tokens: toks, topic: 0}
 	}
 	return docs
 }

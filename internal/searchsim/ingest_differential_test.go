@@ -11,8 +11,8 @@ import (
 // over the first 80 docs, then uneven batches of Add, each followed by a
 // Commit and a size-tiered Compact at the given width, and a final Commit
 // that publishes the rest.
-func ingestScript(docs []rawDoc, workers int) *Engine {
-	e := newBulkEngine(docs[:80])
+func ingestScript(docs []textDoc, workers int) *Engine {
+	e := bulkEngine(docs[:80])
 	next := 80
 	for _, batch := range []int{3, 17, 1, 29, 8, 40, 2, 60, 25, 35} {
 		hi := min(next+batch, len(docs))

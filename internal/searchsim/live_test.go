@@ -15,8 +15,8 @@ import (
 // buildLiveSegmented bulk-builds the first base docs and appends the rest
 // through Add in commits of batch docs, so the published stack holds many
 // small raw segments and every multi-doc query crosses segment boundaries.
-func buildLiveSegmented(docs []rawDoc, base, batch int) *Engine {
-	e := newBulkEngine(docs[:base])
+func buildLiveSegmented(docs []textDoc, base, batch int) *Engine {
+	e := bulkEngine(docs[:base])
 	for i := base; i < len(docs); i++ {
 		e.Add(docs[i].text(), docs[i].topic)
 		if (i-base+1)%batch == 0 {
@@ -29,7 +29,7 @@ func buildLiveSegmented(docs []rawDoc, base, batch int) *Engine {
 
 // fromScratch bulk-builds an engine over the full doc set in one pass — the
 // reference every live-segmented answer must match byte for byte.
-func fromScratch(docs []rawDoc) *Engine { return newBulkEngine(docs) }
+func fromScratch(docs []textDoc) *Engine { return bulkEngine(docs) }
 
 // boundaryQueries is the query mix the live/from-scratch comparisons sweep:
 // every single term, plus phrases of increasing length so the leapfrog
@@ -187,7 +187,7 @@ func TestCompactSizeTiered(t *testing.T) {
 // rolled-back horizon.
 func TestLiveQueryDuringSwapRace(t *testing.T) {
 	docs := randomRawDocs(31, 400)
-	e := newBulkEngine(docs[:50])
+	e := bulkEngine(docs[:50])
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -379,7 +379,7 @@ func (q liveQuery) onModel(ref *refEngine) any {
 
 // liveScript draws a seed's documents and op script, and the sorted list of
 // every horizon the engine publishes while running it (0 included).
-func liveScript(seed int64) (docs []rawDoc, ops []liveOp, horizons []int) {
+func liveScript(seed int64) (docs []textDoc, ops []liveOp, horizons []int) {
 	rng := rand.New(rand.NewSource(seed))
 	docs = randomRawDocs(seed, 400)
 	query := func() liveQuery {
@@ -429,7 +429,7 @@ func liveScript(seed int64) (docs []rawDoc, ops []liveOp, horizons []int) {
 // horizonModels holds refEngine over the first h docs, built once per
 // horizon on demand; the script and the concurrent reader share it.
 type horizonModels struct {
-	docs []rawDoc
+	docs []textDoc
 	mu   sync.Mutex
 	at   map[int]*refEngine
 }

@@ -2,6 +2,7 @@ package searchsim
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -112,11 +113,11 @@ type labelledEngine struct {
 // dictEngines returns the small corpus indexed both ways, by Add and by the
 // bulk build, so each counting rule below is checked on both.
 func dictEngines() []labelledEngine {
-	docs := make([]rawDoc, len(smallTexts))
+	docs := make([]textDoc, len(smallTexts))
 	for i, text := range smallTexts {
-		docs[i] = rawDoc{tokens: textproc.Words(text)}
+		docs[i] = textDoc{tokens: textproc.Words(text)}
 	}
-	return []labelledEngine{{"Add", smallEngine()}, {"bulk", newBulkEngine(docs)}}
+	return []labelledEngine{{"Add", smallEngine()}, {"bulk", bulkEngine(docs)}}
 }
 
 func TestDictionaryBuilt(t *testing.T) {
@@ -188,11 +189,14 @@ func testWorldCorpus(t testing.TB) (*world.World, *Engine) {
 }
 
 // corpusTexts regenerates, in document-id order, the texts and topics that
-// BuildCorpus(w, cfg) indexes: the engine keeps no text of its own.
+// BuildCorpus(w, cfg) indexes: the engine keeps no text of its own, and
+// BuildCorpus never writes one. Each document is composed as prose by
+// ComposeDoc from the plan and draws BuildCorpus composes as token ids.
 func corpusTexts(w *world.World, cfg CorpusConfig) (texts []string, topics []int) {
 	cfg = cfg.withDefaults()
 	for i := 0; i < numShards(w); i++ {
-		generateShard(w, cfg, i, func(text string, topic int) {
+		generateShard(w, cfg, i, func(topic int, opts world.ComposeOptions, mentions []world.Mention, rng *rand.Rand) {
+			text, _ := w.ComposeDoc(opts, mentions, rng)
 			texts = append(texts, text)
 			topics = append(topics, topic)
 		})

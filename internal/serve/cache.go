@@ -154,20 +154,37 @@ func (c *Cache) Do(ctx context.Context, text string, top int, epoch uint64, fn f
 	if body, ok := lookup(c, k, text); ok {
 		return body, nil
 	}
-	return c.fill(ctx, k, text, nil, fn)
+	return c.fill(ctx, k, text, top, nil, fillFunc(fn))
+}
+
+// A filler computes a missed response for (text, top): its body and whether
+// it is cacheable. *Server is the handler's filler, so a miss through the
+// handler builds one closure, fill's.
+type filler interface {
+	annotateBody(ctx context.Context, text string, top int) (body []byte, cacheable bool)
+}
+
+// fillFunc is Do's fn as a filler; fn computes the one key it was given for.
+type fillFunc func(context.Context) ([]byte, bool)
+
+func (fn fillFunc) annotateBody(ctx context.Context, _ string, _ int) ([]byte, bool) {
+	return fn(ctx)
 }
 
 // fill is the miss half of Do, for a caller whose lookup under k has just
-// missed. A panic in fn is added to panics (when non-nil) and answered with
+// missed. A panic in f is added to panics (when non-nil) and answered with
 // resilience.ErrFlightPanicked.
-func (c *Cache) fill(ctx context.Context, k cacheKey, text string, panics *atomic.Int64, fn func(context.Context) ([]byte, bool)) ([]byte, error) {
+func (c *Cache) fill(ctx context.Context, k cacheKey, text string, top int, panics *atomic.Int64, f filler) ([]byte, error) {
 	c.misses.Add(1)
 	timeout := c.FillTimeout
 	if timeout <= 0 {
 		timeout = DefaultFillTimeout
 	}
 	return c.shard(k).flights.Do(ctx, k, text, timeout, &c.coalesced, panics, func(fctx context.Context) []byte {
-		body, ok := fn(fctx)
+		// fctx is the detached fill context: the leader's values without
+		// its cancellation, bounded by the fill deadline — a cancelled
+		// leader cannot poison the coalesced waiters (DESIGN.md §8).
+		body, ok := f.annotateBody(fctx, text, top)
 		// Store before the flight retires: a request that arrives once the
 		// flight is gone must find the entry, or it would recompute.
 		if ok {

@@ -68,18 +68,18 @@ func TestCacheFlightRejectsCollidingMiss(t *testing.T) {
 	proceed := make(chan struct{})
 	leader := make(chan []byte, 1)
 	go func() {
-		body, _ := c.fill(context.Background(), k, "doc A", nil, func(context.Context) ([]byte, bool) {
+		body, _ := c.fill(context.Background(), k, "doc A", k.top, nil, fillFunc(func(context.Context) ([]byte, bool) {
 			close(started)
 			<-proceed
 			return []byte("annotations of A"), true
-		})
+		}))
 		leader <- body
 	}()
 	<-started
 
-	body, err := c.fill(context.Background(), k, "doc B", nil, func(context.Context) ([]byte, bool) {
+	body, err := c.fill(context.Background(), k, "doc B", k.top, nil, fillFunc(func(context.Context) ([]byte, bool) {
 		return []byte("annotations of B"), true
-	})
+	}))
 	if err != nil || string(body) != "annotations of B" {
 		t.Fatalf("colliding miss got %q, %v", body, err)
 	}
@@ -87,10 +87,10 @@ func TestCacheFlightRejectsCollidingMiss(t *testing.T) {
 	// A's flight is still the registered one: a second request for A joins it.
 	follower := make(chan []byte, 1)
 	go func() {
-		body, _ := c.fill(context.Background(), k, "doc A", nil, func(context.Context) ([]byte, bool) {
+		body, _ := c.fill(context.Background(), k, "doc A", k.top, nil, fillFunc(func(context.Context) ([]byte, bool) {
 			t.Error("follower of A recomputed")
 			return nil, false
-		})
+		}))
 		follower <- body
 	}()
 	for deadline := time.Now().Add(10 * time.Second); c.Stats().Coalesced == 0; time.Sleep(time.Millisecond) {

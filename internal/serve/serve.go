@@ -249,7 +249,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A hit is served off the view: the document as a string, the deadline
-	// and the fill closure exist only once it is a miss.
+	// and the fill exist only once it is a miss.
 	k := cacheKey{hash: wire.Key(view, top), top: top, epoch: s.epoch()}
 	if body, ok := lookup(s.Cache, k, view); ok {
 		s.writeRawJSON(w, body)
@@ -258,12 +258,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	text := string(view)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	body, err := s.Cache.fill(ctx, k, text, &s.rz.PanicsRecovered, func(fctx context.Context) ([]byte, bool) {
-		// fctx is the detached fill context: the leader's values without
-		// its cancellation, bounded by the fill deadline — a cancelled
-		// leader cannot poison the coalesced waiters (DESIGN.md §8).
-		return s.annotateBody(fctx, text, top)
-	})
+	body, err := s.Cache.fill(ctx, k, text, top, &s.rz.PanicsRecovered, s)
 	if errors.Is(err, resilience.ErrFlightPanicked) {
 		// The fill panicked off this goroutine, out of Recover's reach; its
 		// flight counted it. Answer as Recover answers a panic here.

@@ -3,6 +3,7 @@ package world
 import (
 	"math/rand"
 	"sync"
+	"unicode/utf8"
 )
 
 // Mention describes one concept occurrence to embed in a composed document.
@@ -48,9 +49,10 @@ func (o ComposeOptions) withDefaults() ComposeOptions {
 // wordsPerSentence is the approximate length of a composed sentence.
 const wordsPerSentence = 12
 
-// connectives glue generated sentences into prose-like text so boundary
-// detection, stop-word removal and tf·idf see realistic structure.
-var connectives = []string{"the", "a", "of", "in", "and", "to", "with", "for", "on", "as"}
+// Connectives glue generated sentences into prose-like text so boundary
+// detection, stop-word removal and tf·idf see realistic structure. A Sink's
+// Connective(i) writes Connectives[i]. Read-only.
+var Connectives = []string{"the", "a", "of", "in", "and", "to", "with", "for", "on", "as"}
 
 // Placement records where a mention's name was written in the composed
 // text. Concept names can also occur incidentally elsewhere in the prose
@@ -63,24 +65,44 @@ type Placement struct {
 	Offset int
 }
 
-// mentionSlot is one planned mention occurrence: which mention goes into
-// which sentence.
-type mentionSlot struct {
-	m        *Mention
-	idx      int
-	sentence int
+// A Sink receives a composed document in writing order. ComposeTo makes
+// every random draw and tells the sink only what to write, so two sinks
+// fed the same world, options, mentions and seed see the same document:
+// ComposeDoc's sink writes it as prose, the search corpus's
+// (internal/searchsim) as token ids. first marks a sentence's first word.
+type Sink interface {
+	// BeginSentence starts sentence s, counted from 0.
+	BeginSentence(s int)
+	// Term writes the vocabulary word w.Vocab[id].
+	Term(id int, first bool)
+	// Connective writes Connectives[i].
+	Connective(i int, first bool)
+	// ContextTerm writes c.ContextTerms[i].
+	ContextTerm(c *Concept, i int, first bool)
+	// Mention writes the name of c, the concept of mentions[i].
+	Mention(i int, c *Concept, first bool)
+	// EndSentence ends the sentence.
+	EndSentence()
 }
 
-// composeScratch is the pooled per-call state of ComposeDoc: the byte
-// builder, the sentence-occupancy table, and the slot plan. clicksim
-// composes a document per story, so this state is rented and returned per
-// call rather than reallocated; only the returned text and placements are
+// mentionSlot is one planned mention occurrence: mentions[idx], m. The
+// plan's bySent says which sentence carries it.
+type mentionSlot struct {
+	m   *Mention
+	idx int
+}
+
+// composeScratch is the pooled per-call state of the composer: the
+// sentence-occupancy table, the slot plan and ComposeDoc's text sink.
+// clicksim composes a document per story and the search corpus one per
+// corpus document, so this state is rented and returned per call rather
+// than reallocated; only ComposeDoc's returned text and placements are
 // fresh allocations.
 type composeScratch struct {
-	buf    []byte
 	used   []bool
 	slots  []mentionSlot
 	bySent []int32 // sentence -> slot index, -1 when none
+	text   textSink
 }
 
 var composePool = sync.Pool{New: func() any { return new(composeScratch) }}
@@ -95,9 +117,34 @@ var composePool = sync.Pool{New: func() any { return new(composeScratch) }}
 //
 //kw:fresh
 func (w *World) ComposeDoc(opts ComposeOptions, mentions []Mention, rng *rand.Rand) (string, []Placement) {
+	c := composePool.Get().(*composeScratch)
+	t := &c.text
+	t.vocab, t.buf, t.placed = w.Vocab, t.buf[:0], t.placed[:0]
+	w.compose(c, t, opts, mentions, rng)
+	text := string(t.buf)
+	var placements []Placement
+	if len(t.placed) > 0 {
+		placements = make([]Placement, len(t.placed))
+		copy(placements, t.placed)
+	}
+	t.vocab = nil
+	composePool.Put(c)
+	return text, placements
+}
+
+// ComposeTo composes the document ComposeDoc would, drawing the same
+// values from rng, and writes it into s instead of into text.
+func (w *World) ComposeTo(s Sink, opts ComposeOptions, mentions []Mention, rng *rand.Rand) {
+	c := composePool.Get().(*composeScratch)
+	w.compose(c, s, opts, mentions, rng)
+	composePool.Put(c)
+}
+
+// compose is the composer: it plans which sentences carry which mention,
+// then draws each sentence into s.
+func (w *World) compose(c *composeScratch, s Sink, opts ComposeOptions, mentions []Mention, rng *rand.Rand) {
 	opts = opts.withDefaults()
 	topic := &w.Topics[opts.Topic%len(w.Topics)]
-	c := composePool.Get().(*composeScratch)
 
 	// Plan which sentences carry which mention.
 	total := 0
@@ -135,94 +182,136 @@ func (w *World) ComposeDoc(opts ComposeOptions, mentions []Mention, rng *rand.Ra
 			}
 			used[s] = true
 			bySent[s] = int32(len(slots))
-			slots = append(slots, mentionSlot{m: &mentions[i], idx: i, sentence: s})
+			slots = append(slots, mentionSlot{m: &mentions[i], idx: i})
 		}
 	}
 
-	buf := c.buf[:0]
-	var placements []Placement
-	if len(slots) > 0 {
-		placements = make([]Placement, 0, len(slots))
-	}
-	for s := 0; s < numSentences; s++ {
-		if s > 0 {
-			if s%4 == 0 {
-				buf = append(buf, "\n\n"...)
-			} else {
-				buf = append(buf, ' ')
-			}
-		}
+	for si := 0; si < numSentences; si++ {
 		var m *Mention
 		idx := -1
-		if si := bySent[s]; si >= 0 {
-			m, idx = slots[si].m, slots[si].idx
+		if k := bySent[si]; k >= 0 {
+			m, idx = slots[k].m, slots[k].idx
 		}
-		var offset int
-		buf, offset = w.composeSentence(buf, topic, m, opts, rng)
-		if m != nil && offset >= 0 {
-			placements = append(placements, Placement{MentionIndex: idx, Offset: offset})
-		}
+		s.BeginSentence(si)
+		w.composeSentence(s, topic, m, idx, opts, rng)
+		s.EndSentence()
 	}
-	text := string(buf)
-	c.buf = buf
 	c.slots = slots
-	composePool.Put(c)
-	return text, placements
 }
 
-// composeSentence appends one sentence to buf, returning the grown buffer
-// and the byte offset where the mention name was written (-1 if no
-// mention).
-func (w *World) composeSentence(buf []byte, topic *Topic, m *Mention, opts ComposeOptions, rng *rand.Rand) ([]byte, int) {
+// composeSentence draws one sentence into s; m (mentions[idx]) is the
+// mention the sentence carries, or nil.
+func (w *World) composeSentence(s Sink, topic *Topic, m *Mention, idx int, opts ComposeOptions, rng *rand.Rand) {
 	length := wordsPerSentence/2 + rng.Intn(wordsPerSentence)
 	mentionAt := -1
 	if m != nil {
 		mentionAt = rng.Intn(length)
 	}
-	mentionOffset := -1
-	first := true
 	for i := 0; i < length; i++ {
-		if !first {
-			buf = append(buf, ' ')
-		}
+		first := i == 0
 		switch {
 		case i == mentionAt:
-			name := m.Concept.Name
-			if m.Concept.Type != TypeNone {
-				name = TitleCase(name)
-			}
-			if first {
-				name = TitleCase(name)
-			}
-			mentionOffset = len(buf)
-			buf = append(buf, name...)
+			s.Mention(idx, m.Concept, first)
 		case m != nil && m.Relevant && m.Concept.Topic >= 0 && rng.Float64() < opts.ContextDensity*densityScale(m)*(0.3+0.7*m.Concept.Specificity):
 			// Relevant mentions pull in the concept's own context terms;
 			// how strongly depends on specificity, which is what makes
 			// snippet mining cluster for specific concepts.
-			ct := m.Concept.ContextTerms
-			buf = appendWord(buf, ct[rng.Intn(len(ct))], first)
+			s.ContextTerm(m.Concept, rng.Intn(len(m.Concept.ContextTerms)), first)
 		case rng.Float64() < 0.22:
-			buf = appendWord(buf, connectives[rng.Intn(len(connectives))], first)
+			s.Connective(rng.Intn(len(Connectives)), first)
 		default:
-			buf = appendWord(buf, w.SampleTerm(topic, rng), first)
+			s.Term(w.SampleTermID(topic, rng), first)
 		}
-		first = false
 	}
-	buf = append(buf, '.')
-	return buf, mentionOffset
 }
 
-// appendWord appends word, capitalizing the leading ASCII letter in place
-// when cap is set — the allocation-free equivalent of the old
-// ToUpper(word[:1]) + word[1:] (the generated vocabulary is ASCII).
-func appendWord(buf []byte, word string, cap bool) []byte {
-	at := len(buf)
-	buf = append(buf, word...)
-	if cap && len(word) > 0 && word[0] >= 'a' && word[0] <= 'z' {
-		buf[at] = word[0] - 'a' + 'A'
+// textSink is ComposeDoc's sink: the document as prose in buf — words
+// joined by spaces, sentences ended by a period, a paragraph break before
+// every fourth sentence, a sentence's first word and every named entity
+// capitalized — and the byte offset of each mention's name.
+type textSink struct {
+	vocab  []string
+	buf    []byte
+	placed []Placement
+}
+
+func (t *textSink) BeginSentence(s int) {
+	if s > 0 {
+		if s%4 == 0 {
+			t.buf = append(t.buf, "\n\n"...)
+		} else {
+			t.buf = append(t.buf, ' ')
+		}
+	}
+}
+
+func (t *textSink) Term(id int, first bool)      { t.word(t.vocab[id], first) }
+func (t *textSink) Connective(i int, first bool) { t.word(Connectives[i], first) }
+func (t *textSink) ContextTerm(c *Concept, i int, first bool) {
+	t.word(c.ContextTerms[i], first)
+}
+
+func (t *textSink) Mention(i int, c *Concept, first bool) {
+	if !first {
+		t.buf = append(t.buf, ' ')
+	}
+	t.placed = append(t.placed, Placement{MentionIndex: i, Offset: len(t.buf)})
+	if c.Type != TypeNone || first {
+		t.buf = appendTitle(t.buf, c.Name)
+	} else {
+		t.buf = append(t.buf, c.Name...)
+	}
+}
+
+func (t *textSink) EndSentence() { t.buf = append(t.buf, '.') }
+
+// word appends one word after a space, capitalizing the leading ASCII
+// letter of a sentence's first word in place (the generated vocabulary is
+// ASCII).
+func (t *textSink) word(word string, first bool) {
+	if !first {
+		t.buf = append(t.buf, ' ')
+	}
+	at := len(t.buf)
+	t.buf = append(t.buf, word...)
+	if first && len(word) > 0 && word[0] >= 'a' && word[0] <= 'z' {
+		t.buf[at] = word[0] - 'a' + 'A'
+	}
+}
+
+// appendTitle appends TitleCase(name) to buf, capitalizing in place: an
+// ASCII name's words are copied with their leading letter upper-cased and
+// joined by single spaces. Any other name goes through TitleCase itself.
+func appendTitle(buf []byte, name string) []byte {
+	for i := 0; i < len(name); i++ {
+		if name[i] >= utf8.RuneSelf {
+			return append(buf, TitleCase(name)...)
+		}
+	}
+	n := len(buf)
+	for i := 0; i < len(name); {
+		if asciiSpace(name[i]) {
+			i++
+			continue
+		}
+		if len(buf) > n {
+			buf = append(buf, ' ')
+		}
+		at := len(buf)
+		for i < len(name) && !asciiSpace(name[i]) {
+			buf = append(buf, name[i])
+			i++
+		}
+		if c := buf[at]; c >= 'a' && c <= 'z' {
+			buf[at] = c - 'a' + 'A'
+		}
 	}
 	return buf
+}
+
+// asciiSpace reports whether c is white space to strings.Fields.
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 func densityScale(m *Mention) float64 {

@@ -355,13 +355,18 @@ func (w *World) generateTopics(rng *rand.Rand) {
 
 // SampleTerm draws one term from the topic's distribution.
 func (w *World) SampleTerm(t *Topic, rng *rand.Rand) string {
+	return w.Vocab[w.SampleTermID(t, rng)]
+}
+
+// SampleTermID is SampleTerm's draw as the term's index in w.Vocab.
+func (w *World) SampleTermID(t *Topic, rng *rand.Rand) int {
 	total := t.cum[len(t.cum)-1]
 	x := rng.Float64() * total
 	i := sort.SearchFloat64s(t.cum, x)
 	if i >= len(t.TermIDs) {
 		i = len(t.TermIDs) - 1
 	}
-	return w.Vocab[t.TermIDs[i]]
+	return t.TermIDs[i]
 }
 
 func (w *World) generateConcepts(rng *rand.Rand) {

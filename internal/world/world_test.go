@@ -153,6 +153,26 @@ func TestTitleCase(t *testing.T) {
 	}
 }
 
+// The text sink title-cases a mention's name into its buffer in place; that
+// must be TitleCase for every concept name of two worlds, and for names
+// with runs of spaces, tabs, leading lower-case-free words and non-ASCII.
+func TestAppendTitleMatchesTitleCase(t *testing.T) {
+	names := []string{"", " ", "a", "global  warming", "\tnew york\n", "3d printer", "Obama", "café society", "über alles"}
+	for _, seed := range []int64{42, 7} {
+		w := New(Config{Seed: seed, VocabSize: 1200, NumTopics: 8, NumConcepts: 300})
+		for i := range w.Concepts {
+			names = append(names, w.Concepts[i].Name)
+		}
+	}
+	prefix := []byte("Then ")
+	for _, name := range names {
+		got := appendTitle(append([]byte(nil), prefix...), name)
+		if want := string(prefix) + TitleCase(name); string(got) != want {
+			t.Fatalf("appendTitle(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
 func TestComposeDocEmbedsMentions(t *testing.T) {
 	w := testWorld(t)
 	rng := rand.New(rand.NewSource(3))
