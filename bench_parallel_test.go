@@ -98,10 +98,12 @@ func sweep(b *testing.B, run func()) {
 	b.ReportMetric((serial/ms[2])/math.Min(8, float64(cores)), "parEff-8")
 }
 
-// BenchmarkParallelBuild measures the full system build (corpus sharding,
-// bulk parallel indexing, parallel freeze, click simulation) across the
-// GOMAXPROCS sweep.
+// BenchmarkParallelBuild measures the full system build (the stage graph's
+// branches side by side, corpus sharding, bulk parallel indexing, parallel
+// freeze, click simulation) across the GOMAXPROCS sweep. Its allocs/op and
+// B/op are the three builds of one sweep; make bench guards both.
 func BenchmarkParallelBuild(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sweep(b, func() { Build(SmallConfig(42)) })
 	}

@@ -27,6 +27,7 @@ import (
 	"contextrank/internal/detect"
 	"contextrank/internal/framework"
 	"contextrank/internal/newsgen"
+	"contextrank/internal/par"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
 	"contextrank/internal/searchsim"
@@ -97,17 +98,32 @@ func (s *System) DataStats() core.DataStats { return s.sys.DataStats() }
 
 // TrainRanker mines the offline artifacts (interestingness table, relevant
 // keyword packs), trains the combined interestingness+relevance ranking SVM
-// on the click data, and assembles the production runtime of §VI.
+// on the click data, and assembles the production runtime of §VI. It runs
+// as a stage graph: the snippet store is mined beside the warming of every
+// concept's feature record; then the dataset join and the fit run beside
+// the runtime's tables, which do not read the model; the model joins them
+// last.
 func (s *System) TrainRanker() (*Ranker, error) {
+	sys := s.sys
 	method := &core.LearnedMethod{
 		UseRelevance: true,
 		Resource:     relevance.Snippets,
-		Options:      ranksvm.Options{Seed: s.sys.Config.Seed},
+		Options:      ranksvm.Options{Seed: sys.Config.Seed},
 	}
-	if err := method.Fit(s.sys.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
+	par.Do(
+		func() { sys.RelevanceStore(relevance.Snippets) },
+		func() { sys.WarmFields(sys.ConceptNames()) },
+	)
+	var tables *framework.Tables
+	var err error
+	par.Do(
+		func() { err = method.Fit(sys.Dataset([]relevance.Resource{relevance.Snippets})) },
+		func() { tables = sys.RuntimeTables() },
+	)
+	if err != nil {
 		return nil, fmt.Errorf("contextrank: train: %w", err)
 	}
-	return &Ranker{runtime: s.sys.NewRuntime(method.Model())}, nil
+	return &Ranker{runtime: tables.Runtime(method.Model())}, nil
 }
 
 // LoadBundle restores a complete offline artifact (interestingness table,

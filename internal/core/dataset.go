@@ -5,6 +5,7 @@ import (
 
 	"contextrank/internal/features"
 	"contextrank/internal/newsgen"
+	"contextrank/internal/par"
 	"contextrank/internal/relevance"
 	"contextrank/internal/world"
 )
@@ -70,24 +71,29 @@ type boundStore struct {
 }
 
 // bindStores resolves (and lazily mines) the requested stores, deduplicated
-// in first-seen order, with a pooled context over the miner's stem
-// dictionary: every mined store indexes it, so one window load scores them
-// all. No stores need no context (nil); releaseCtx returns one to the pool.
-func (s *System) bindStores(resources []relevance.Resource) ([]boundStore, *relevance.Ctx) {
+// in first-seen order.
+func (s *System) bindStores(resources []relevance.Resource) []boundStore {
 	var out []boundStore
 	for _, r := range resources {
 		if !slices.ContainsFunc(out, func(b boundStore) bool { return b.r == r }) {
 			out = append(out, boundStore{r: r, st: s.RelevanceStore(r)})
 		}
 	}
-	if len(out) == 0 {
-		return nil, nil
+	return out
+}
+
+// acquireCtx takes a pooled context over the miner's stem dictionary for
+// scoring the bound stores: every mined store indexes that dictionary, so
+// one window load scores them all. No stores need no context (nil);
+// releaseCtx returns one to the pool.
+func (s *System) acquireCtx(stores []boundStore) *relevance.Ctx {
+	if len(stores) == 0 {
+		return nil
 	}
-	ctx, ok := s.ctxPool.Get().(*relevance.Ctx)
-	if !ok {
-		ctx = relevance.NewCtx(s.Miner.Dict())
+	if ctx, ok := s.ctxPool.Get().(*relevance.Ctx); ok {
+		return ctx
 	}
-	return out, ctx
+	return relevance.NewCtx(s.Miner.Dict())
 }
 
 func (s *System) releaseCtx(ctx *relevance.Ctx) {
@@ -116,12 +122,13 @@ func (ex *Example) scoreRelevance(stores []boundStore, ctx *relevance.Ctx, text 
 // Dataset materializes the ranking dataset from the system's window groups,
 // attaching interestingness features and the relevance scores for the given
 // resources (pass nil for interestingness-only experiments). This is the
-// offline feature join the paper performs before training.
+// offline feature join the paper performs before training. The join fans
+// out by window across GOMAXPROCS, each window scored with a pooled
+// context, into the window's slot.
 func (s *System) Dataset(resources []relevance.Resource) []Group {
-	stores, ctx := s.bindStores(resources)
-	defer s.releaseCtx(ctx)
+	stores := s.bindStores(resources)
 	// Batch-extract the features of every concept in the click data across
-	// workers before the serial join below — extraction dominates the join.
+	// workers before the join below — extraction dominates the join.
 	var names []string
 	for _, wg := range s.Groups {
 		for _, e := range wg.Entities {
@@ -129,8 +136,10 @@ func (s *System) Dataset(resources []relevance.Resource) []Group {
 		}
 	}
 	s.WarmFields(names)
-	groups := make([]Group, 0, len(s.Groups))
-	for gi, wg := range s.Groups {
+	return par.Map(0, len(s.Groups), func(gi int) Group {
+		wg := &s.Groups[gi]
+		ctx := s.acquireCtx(stores)
+		defer s.releaseCtx(ctx)
 		g := Group{
 			ID:          gi,
 			StoryID:     wg.StoryID,
@@ -152,16 +161,16 @@ func (s *System) Dataset(resources []relevance.Resource) []Group {
 			ex.scoreRelevance(stores, ctx, wg.Text)
 			g.Examples = append(g.Examples, ex)
 		}
-		groups = append(groups, g)
-	}
-	return groups
+		return g
+	})
 }
 
 // GroupFromStory builds an unlabeled ranking group from any document, so
 // trained methods can rank entities outside the click corpus.
 func (s *System) GroupFromStory(story *newsgen.Story, resources []relevance.Resource) Group {
 	g := Group{StoryID: story.ID, Text: story.Text}
-	stores, ctx := s.bindStores(resources)
+	stores := s.bindStores(resources)
+	ctx := s.acquireCtx(stores)
 	defer s.releaseCtx(ctx)
 	for _, m := range story.Mentions {
 		ex := Example{

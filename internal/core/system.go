@@ -15,6 +15,7 @@ import (
 	"contextrank/internal/features"
 	"contextrank/internal/framework"
 	"contextrank/internal/newsgen"
+	"contextrank/internal/par"
 	"contextrank/internal/querylog"
 	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
@@ -97,31 +98,40 @@ type System struct {
 	relStores [relevance.NumResources]*relevance.Store
 
 	// ctxPool holds *relevance.Ctx over Miner.Dict() for the dataset
-	// joins (bindStores), each keeping its stem memo warm across users.
+	// joins (acquireCtx), each keeping its stem memo warm across users.
 	ctxPool sync.Pool
 }
 
-// Build generates the world and every resource, mirroring the paper's
-// offline pipeline: query log → units → web corpus/index → Wikipedia →
-// dictionaries → news stories → click sampling → cleaning → windowing.
+// Build generates the world and every resource as a stage graph over the
+// paper's offline pipeline. After the world, three branches run side by
+// side (par.Do): query log → units; the web corpus and its index;
+// Wikipedia → dictionaries → news stories → click sampling → cleaning →
+// windowing. The extractor, the miner and the detection pipeline join
+// their outputs. Each stage draws from its own seed and reads only the
+// world and its own branch's finished outputs, so the system is the same
+// at any GOMAXPROCS.
 func Build(cfg Config) *System {
 	cfg = cfg.withDerivedSeeds()
 	s := &System{Config: cfg}
 	s.World = world.New(cfg.World)
-	s.Log = querylog.Generate(s.World, cfg.QueryLog)
-	s.Units = units.Extract(s.Log, cfg.Units)
-	s.Engine = searchsim.BuildCorpus(s.World, cfg.Corpus)
-	s.Wiki = wiki.Build(s.World, cfg.Wiki)
-	s.Dict = taxonomy.Build(s.World, cfg.Seed+7)
+	par.Do(
+		func() {
+			s.Log = querylog.Generate(s.World, cfg.QueryLog)
+			s.Units = units.Extract(s.Log, cfg.Units)
+		},
+		func() { s.Engine = searchsim.BuildCorpus(s.World, cfg.Corpus) },
+		func() {
+			s.Wiki = wiki.Build(s.World, cfg.Wiki)
+			s.Dict = taxonomy.Build(s.World, cfg.Seed+7)
+			s.Stories = newsgen.Generate(s.World, cfg.News)
+			s.Reports = clicksim.Simulate(s.Stories, cfg.Click)
+			s.Cleaned = clicksim.Clean(s.Reports)
+			s.Groups = clicksim.Windows(s.Cleaned, 0, 0) // paper defaults 2500/500
+		},
+	)
 	s.Extractor = features.NewExtractor(s.Log, s.Units, s.Engine, s.Wiki, s.Dict)
 	s.Miner = relevance.NewMiner(s.Engine, searchsim.NewPrisma(s.Engine), searchsim.NewSuggestor(s.Log))
 	s.Pipeline = detect.New(s.Dict, s.Units)
-
-	s.Stories = newsgen.Generate(s.World, cfg.News)
-	s.Reports = clicksim.Simulate(s.Stories, cfg.Click)
-	s.Cleaned = clicksim.Clean(s.Reports)
-	s.Groups = clicksim.Windows(s.Cleaned, 0, 0) // paper defaults 2500/500
-
 	s.fieldsCache = make(map[string]features.Fields)
 	return s
 }
@@ -180,25 +190,38 @@ func (s *System) WarmFields(concepts []string) {
 // block each other.
 func (s *System) RelevanceStore(r relevance.Resource) *relevance.Store {
 	s.relOnce[r].Do(func() {
-		s.relStores[r] = relevance.BuildStore(s.Miner, s.conceptNames(), r)
+		s.relStores[r] = relevance.BuildStore(s.Miner, s.ConceptNames(), r)
 	})
 	return s.relStores[r]
 }
 
 // NewRuntime assembles the §VI production runtime around a fitted model:
-// every world concept's feature record (warmed across GOMAXPROCS before
-// the serial table pack) in the interestingness table, the snippet-mined
-// keyword packs, and the detection pipeline.
+// RuntimeTables joined with the model.
 func (s *System) NewRuntime(model *ranksvm.Model) *framework.Runtime {
-	names := s.conceptNames()
-	s.WarmFields(names)
-	table := framework.BuildInterestTable(names, s.Fields)
-	packs := framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets))
-	return framework.NewRuntime(s.Pipeline, table, packs, model)
+	return s.RuntimeTables().Runtime(model)
 }
 
-// conceptNames lists the world's concepts in inventory order.
-func (s *System) conceptNames() []string {
+// RuntimeTables assembles everything of the §VI runtime that does not read
+// the model, so the offline build runs it beside the fit: every world
+// concept's feature record (warmed across GOMAXPROCS) in the
+// interestingness table, beside the snippet-mined keyword packs; then the
+// word table over the packs and the detection pipeline.
+func (s *System) RuntimeTables() *framework.Tables {
+	var table *framework.InterestTable
+	var packs *framework.KeywordPacks
+	par.Do(
+		func() {
+			names := s.ConceptNames()
+			s.WarmFields(names)
+			table = framework.BuildInterestTable(names, s.Fields)
+		},
+		func() { packs = framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets)) },
+	)
+	return framework.NewTables(s.Pipeline, table, packs)
+}
+
+// ConceptNames lists the world's concepts in inventory order.
+func (s *System) ConceptNames() []string {
 	names := make([]string, len(s.World.Concepts))
 	for i := range s.World.Concepts {
 		names[i] = s.World.Concepts[i].Name

@@ -30,23 +30,37 @@ type Annotation struct {
 	Relevance float64
 }
 
+// Tables is a runtime less its model: the detection pipeline, the
+// interestingness table, the keyword packs and the word table derived from
+// the pipeline and the packs. Nothing in it reads a model, so the offline
+// build assembles it beside the model's fit; Runtime joins the two.
+type Tables struct {
+	Pipeline *detect.Pipeline
+	Interest *InterestTable
+	Packs    *KeywordPacks
+
+	// words maps a normalized word to its entry (words.go): the one probe
+	// per token of the stemmer stage.
+	words map[string]wordEntry
+}
+
+// NewTables wires the components and builds the word table over the
+// pipeline's vocabularies, the stop list and the Global TID Table.
+func NewTables(p *detect.Pipeline, it *InterestTable, kp *KeywordPacks) *Tables {
+	return &Tables{Pipeline: p, Interest: it, Packs: kp, words: newWordTable(p, kp.TIDs)}
+}
+
 // Runtime is the online system of Figure 4: Stemmer → hash-table lookups
 // (interestingness vectors, Global TID Table, keyword packs) → Ranker. All
 // tables live in memory; per-document work is one word-table probe per
 // token, detection, and constant-time lookups per detected concept.
 //
-// Pipeline and Packs are fixed at construction: the word table NewRuntime
-// derives from them describes those two, so a runtime over other ones is a
-// new NewRuntime.
+// Pipeline and Packs are fixed at construction: the word table NewTables
+// derives from them describes those two, so a runtime over other ones is
+// built from new Tables.
 type Runtime struct {
-	Pipeline *detect.Pipeline
-	Interest *InterestTable
-	Packs    *KeywordPacks
-	Model    *ranksvm.Model
-
-	// words maps a normalized word to its entry (words.go): the one probe
-	// per token of the stemmer stage.
-	words map[string]wordEntry
+	Tables
+	Model *ranksvm.Model
 
 	// Timing accumulators for the §VI throughput experiment (atomic: the
 	// runtime serves concurrent requests in production).
@@ -54,14 +68,18 @@ type Runtime struct {
 	bytesProcessed       atomic.Int64
 }
 
-// NewRuntime wires the components and builds the word table over the
-// pipeline's vocabularies, the stop list and the Global TID Table. It
-// panics on a model that is not modelDim wide.
-func NewRuntime(p *detect.Pipeline, it *InterestTable, kp *KeywordPacks, model *ranksvm.Model) *Runtime {
+// Runtime joins the tables with a fitted model: the one constructor of a
+// Runtime. It panics on a model that is not modelDim wide.
+func (t *Tables) Runtime(model *ranksvm.Model) *Runtime {
 	if d := len(model.Mean); d != modelDim {
 		panic(fmt.Sprintf("framework: model has %d features, the runtime's layout %d", d, modelDim))
 	}
-	return &Runtime{Pipeline: p, Interest: it, Packs: kp, Model: model, words: newWordTable(p, kp.TIDs)}
+	return &Runtime{Tables: *t, Model: model}
+}
+
+// NewRuntime is NewTables(p, it, kp).Runtime(model).
+func NewRuntime(p *detect.Pipeline, it *InterestTable, kp *KeywordPacks, model *ranksvm.Model) *Runtime {
+	return NewTables(p, it, kp).Runtime(model)
 }
 
 // StemDoc runs the stemmer component on its own: the stemmed version of the
@@ -161,7 +179,7 @@ func (rt *Runtime) Annotate(text string, topN int) []Annotation {
 // not rebuild the map per detection. Read-only after init.
 var allGroups = features.AllGroups()
 
-// modelDim is the model width NewRuntime and LoadBundle accept: the layout
+// modelDim is the model width Tables.Runtime and LoadBundle accept: the layout
 // TrainRanker fits (core.LearnedMethod with relevance) — every
 // interestingness feature, then features.AppendRelevance's.
 var modelDim = features.Dim(allGroups) + features.NumRelevance

@@ -89,6 +89,15 @@ func For(workers, n int, fn func(i int)) {
 	}
 }
 
+// Do runs the stages as the work units of one For at width 0: side by side
+// up to GOMAXPROCS, one after another in argument order at width 1. Each
+// stage must write only state of its own (or a synchronized cache of pure
+// results) and read only what was finished before Do was called; a panic
+// in any is re-raised on the caller.
+func Do(stages ...func()) {
+	For(0, len(stages), func(i int) { stages[i]() })
+}
+
 // Map applies fn to every index in [0, n) and returns the results in input
 // order. fn must be safe for concurrent invocation on distinct indexes.
 func Map[T any](workers, n int, fn func(i int) T) []T {

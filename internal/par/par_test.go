@@ -116,6 +116,42 @@ func TestForPropagatesPanic(t *testing.T) {
 	})
 }
 
+// Do runs every stage once, in argument order at width 1, and re-raises a
+// stage's panic on the caller at any width.
+func TestDo(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+		var order []int
+		var ran [3]atomic.Int32
+		stage := func(i int) func() {
+			return func() {
+				ran[i].Add(1)
+				if procs == 1 {
+					order = append(order, i)
+				}
+			}
+		}
+		Do(stage(0), stage(1), stage(2))
+		for i := range ran {
+			if got := ran[i].Load(); got != 1 {
+				t.Fatalf("GOMAXPROCS %d: stage %d ran %d times", procs, i, got)
+			}
+		}
+		if procs == 1 && (len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2) {
+			t.Fatalf("GOMAXPROCS 1: stages ran in order %v", order)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("GOMAXPROCS %d: recovered %v, want the stage's panic", procs, r)
+				}
+			}()
+			Do(func() {}, func() { panic("boom") })
+		}()
+	}
+}
+
 func TestSeedSpreadsIndexes(t *testing.T) {
 	seen := make(map[int64]int)
 	for i := 0; i < 10000; i++ {

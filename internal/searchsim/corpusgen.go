@@ -105,9 +105,9 @@ func BuildCorpus(w *world.World, cfg CorpusConfig) *Engine {
 }
 
 // tokenTable holds every distinct word the composer can write, tokenized
-// once by textproc.Words, so a generation shard writes a word's tokens with
-// a slice copy. Its tokens are interned in tokens, which newBulkEngine
-// reads the documents' ids against.
+// once by textproc.WordTokens into one reused buffer, so a generation shard
+// writes a word's tokens with a slice copy. Its tokens are interned in
+// tokens, which newBulkEngine reads the documents' ids against.
 type tokenTable struct {
 	tokens *match.Vocab
 	ids    []uint32 // every word's token ids, end to end
@@ -122,10 +122,12 @@ type tokenTable struct {
 func newTokenTable(w *world.World) *tokenTable {
 	tab := &tokenTable{tokens: match.NewVocab(), off: []int32{0}}
 	seen := make(map[string]int32, len(w.Vocab))
+	var toks []textproc.Token
 	add := func(word string) int32 {
 		k := int32(len(tab.off) - 1)
-		for _, tok := range textproc.Words(word) {
-			tab.ids = append(tab.ids, tab.tokens.Intern(tok))
+		toks = textproc.WordTokens(word, toks[:0])
+		for i := range toks {
+			tab.ids = append(tab.ids, tab.tokens.Intern(toks[i].Norm))
 		}
 		tab.off = append(tab.off, int32(len(tab.ids)))
 		if _, ok := seen[word]; !ok {

@@ -230,12 +230,25 @@ func Normalize(s string) string {
 // empty normalizations. This is the common entry point for bag-of-words
 // consumers (tf·idf, snippets, query processing).
 func Words(text string) []string {
-	tokens := Tokenize(text)
-	words := make([]string, 0, len(tokens))
-	for _, t := range tokens {
-		if t.Kind != Punct && t.Norm != "" {
-			words = append(words, t.Norm)
-		}
+	tokens := WordTokens(text, nil)
+	words := make([]string, len(tokens))
+	for i := range tokens {
+		words[i] = tokens[i].Norm
 	}
 	return words
+}
+
+// WordTokens is TokenizeInto keeping only the tokens whose Norms Words
+// returns: it appends text's word tokens to buf (pass buf[:0] to reuse a
+// scratch buffer across texts).
+func WordTokens(text string, buf []Token) []Token {
+	tokens := TokenizeInto(text, buf)
+	n := len(buf)
+	for _, t := range tokens[len(buf):] {
+		if t.Kind != Punct && t.Norm != "" {
+			tokens[n] = t
+			n++
+		}
+	}
+	return tokens[:n]
 }

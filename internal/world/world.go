@@ -26,6 +26,8 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // EntityType is the high-level taxonomy type of a named entity. Abstract
@@ -125,6 +127,11 @@ type Topic struct {
 	TermIDs []int
 	// cum is the cumulative weight array aligned with TermIDs.
 	cum []float64
+	// guide is the cutpoint table of Chen and Asau's inverse-CDF method:
+	// guide[j] is the first index whose cum reaches j/len(guide) of the
+	// total, so a draw x starts its search at guide[int(x*scale)].
+	guide []int32
+	scale float64 // len(guide) / total weight
 }
 
 // Config parameterizes world generation. Zero values select defaults that
@@ -349,6 +356,7 @@ func (w *World) generateTopics(rng *rand.Rand) {
 			sum += wt
 			topic.cum[i] = sum
 		}
+		topic.buildGuide()
 		w.Topics[t] = topic
 	}
 }
@@ -360,13 +368,43 @@ func (w *World) SampleTerm(t *Topic, rng *rand.Rand) string {
 
 // SampleTermID is SampleTerm's draw as the term's index in w.Vocab.
 func (w *World) SampleTermID(t *Topic, rng *rand.Rand) int {
-	total := t.cum[len(t.cum)-1]
-	x := rng.Float64() * total
-	i := sort.SearchFloat64s(t.cum, x)
-	if i >= len(t.TermIDs) {
-		i = len(t.TermIDs) - 1
+	return t.TermIDs[t.search(rng.Float64()*t.cum[len(t.cum)-1])]
+}
+
+// buildGuide fills the topic's cutpoint table, one entry per term.
+func (t *Topic) buildGuide() {
+	n := len(t.cum)
+	total := t.cum[n-1]
+	t.guide = make([]int32, n)
+	t.scale = float64(n) / total
+	i := 0
+	for j := range t.guide {
+		lo := float64(j) / t.scale
+		for i < n-1 && t.cum[i] < lo {
+			i++
+		}
+		t.guide[j] = int32(i)
 	}
-	return t.TermIDs[i]
+}
+
+// search returns sort.SearchFloat64s(t.cum, x), the first index whose
+// cumulative weight reaches x, clamped to the last term. It starts at x's
+// cutpoint and steps back while the entry before reaches x, then forward
+// while the entry falls short of it: correct from any start, so rounding
+// in x*scale costs a step, never an answer, and expected O(1).
+func (t *Topic) search(x float64) int {
+	j := int(x * t.scale)
+	if j >= len(t.guide) {
+		j = len(t.guide) - 1
+	}
+	i := int(t.guide[j])
+	for i > 0 && t.cum[i-1] >= x {
+		i--
+	}
+	for i < len(t.cum)-1 && t.cum[i] < x {
+		i++
+	}
+	return i
 }
 
 func (w *World) generateConcepts(rng *rand.Rand) {
@@ -543,12 +581,13 @@ func clamp01(x float64) float64 {
 }
 
 // TitleCase renders a concept name with initial capitals, used when
-// embedding named entities in generated prose.
+// embedding named entities in generated prose: each word's first rune is
+// upper-cased (a byte that is no valid rune is left as it is).
 func TitleCase(name string) string {
 	fields := strings.Fields(name)
 	for i, f := range fields {
-		if len(f) > 0 {
-			fields[i] = strings.ToUpper(f[:1]) + f[1:]
+		if r, size := utf8.DecodeRuneInString(f); r != utf8.RuneError {
+			fields[i] = string(unicode.ToUpper(r)) + f[size:]
 		}
 	}
 	return strings.Join(fields, " ")

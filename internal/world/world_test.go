@@ -2,10 +2,14 @@ package world
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 )
 
 func testWorld(t testing.TB) *World {
@@ -150,6 +154,125 @@ func TestTitleCase(t *testing.T) {
 	}
 	if got := TitleCase(""); got != "" {
 		t.Fatalf("TitleCase empty = %q", got)
+	}
+}
+
+// TitleCase upper-cases each word's first rune: valid UTF-8 in gives valid
+// UTF-8 out, an ASCII name gives the bytes of the byte-wise title-casing it
+// always had, and a non-ASCII first rune comes back upper-cased, over
+// random names drawn from ASCII, accented, Greek, Cyrillic and CJK runes
+// and Unicode white space.
+func TestTitleCaseByRune(t *testing.T) {
+	if got := TitleCase("über alles"); got != "Über Alles" {
+		t.Fatalf("TitleCase(über alles) = %q", got)
+	}
+	asciiTitle := func(name string) string {
+		fields := strings.Fields(name)
+		for i, f := range fields {
+			fields[i] = strings.ToUpper(f[:1]) + f[1:]
+		}
+		return strings.Join(fields, " ")
+	}
+	alphabet := []rune("az AZ09-'\t\nçéüßǆσжї日\u2003\u00a0")
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 20000; n++ {
+		name := make([]rune, rng.Intn(12))
+		for i := range name {
+			name[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		in := string(name)
+		out := TitleCase(in)
+		if !utf8.ValidString(out) {
+			t.Fatalf("TitleCase(%q) = %q: invalid UTF-8", in, out)
+		}
+		inFields, outFields := strings.Fields(in), strings.Fields(out)
+		if len(inFields) != len(outFields) {
+			t.Fatalf("TitleCase(%q) = %q: %d words, want %d", in, out, len(outFields), len(inFields))
+		}
+		for i, f := range inFields {
+			r, size := utf8.DecodeRuneInString(f)
+			if want := string(unicode.ToUpper(r)) + f[size:]; outFields[i] != want {
+				t.Fatalf("TitleCase(%q) word %d = %q, want %q", in, i, outFields[i], want)
+			}
+		}
+		if ascii := strings.IndexFunc(in, func(r rune) bool { return r >= utf8.RuneSelf }) < 0; ascii && out != asciiTitle(in) {
+			t.Fatalf("TitleCase(%q) = %q, the byte-wise form is %q", in, out, asciiTitle(in))
+		}
+	}
+}
+
+// oracleSearch is the draw's index by binary search, as SampleTermID found
+// it before the guide table: the first term whose cumulative weight
+// reaches x, clamped to the last.
+func oracleSearch(tp *Topic, x float64) int {
+	return min(sort.SearchFloat64s(tp.cum, x), len(tp.cum)-1)
+}
+
+// The guide table returns exactly the binary search's index: for every
+// topic of a small and a paper-scale world, at every cutpoint, every
+// cumulative weight and the floats either side of each, at 0, the largest
+// float below the total and the total, and over 10^6 draws a world; and
+// on topics built so that a cumulative weight sits one float below a
+// cutpoint whose bucket that float rounds into, where the search must
+// step back from the cutpoint's entry.
+func TestSampleTermIDMatchesBinarySearch(t *testing.T) {
+	stepsBack := 0
+	for total := 1.0; total <= 100; total++ {
+		for n := 2; n <= 9; n++ {
+			scale := float64(n) / total
+			for j := 1; j < n; j++ {
+				lo := float64(j) / scale
+				x := math.Nextafter(lo, 0)
+				if int(x*scale) < j {
+					continue
+				}
+				tp := &Topic{cum: make([]float64, n)}
+				for i := range tp.cum {
+					tp.cum[i] = total * float64(i+1) / float64(n)
+				}
+				tp.cum[j-1], tp.cum[n-1] = x, total
+				tp.buildGuide()
+				for _, x := range []float64{x, lo, math.Nextafter(lo, total)} {
+					if got, want := tp.search(x), oracleSearch(tp, x); got != want {
+						t.Fatalf("total %v, %d terms: search(%v) = %d, binary search %d", total, n, x, got, want)
+					}
+				}
+				stepsBack++
+			}
+		}
+	}
+	if stepsBack == 0 {
+		t.Fatal("no topic puts a weight one float below a cutpoint it rounds into")
+	}
+
+	worlds := []*World{testWorld(t), New(Config{Seed: 71, VocabSize: 6000, NumTopics: 24, NumConcepts: 1200})}
+	for wi, w := range worlds {
+		for ti := range w.Topics {
+			tp := &w.Topics[ti]
+			total := tp.cum[len(tp.cum)-1]
+			xs := []float64{0, math.Nextafter(total, 0), total}
+			edges := append([]float64(nil), tp.cum...)
+			for j := range tp.guide {
+				edges = append(edges, float64(j)/tp.scale)
+			}
+			for _, e := range edges {
+				xs = append(xs, e, math.Nextafter(e, 0), math.Nextafter(e, total))
+			}
+			for _, x := range xs {
+				if got, want := tp.search(x), oracleSearch(tp, x); got != want {
+					t.Fatalf("world %d topic %d: search(%v) = %d, binary search %d", wi, ti, x, got, want)
+				}
+			}
+		}
+		a, b := rand.New(rand.NewSource(int64(wi))), rand.New(rand.NewSource(int64(wi)))
+		for d := 0; d < 1_000_000; d++ {
+			tp := &w.Topics[d%len(w.Topics)]
+			got := w.SampleTermID(tp, a)
+			x := b.Float64() * tp.cum[len(tp.cum)-1]
+			if want := tp.TermIDs[oracleSearch(tp, x)]; got != want {
+				t.Fatalf("world %d draw %d (topic %d, x %v): term %d, binary search %d", wi, d, tp.ID, x, got, want)
+			}
+		}
 	}
 }
 

@@ -1,20 +1,24 @@
 package contextrank
 
 // The determinism contract of the parallel pipeline (internal/par): every
-// stage that fans out across GOMAXPROCS workers must produce bit-identical
+// stage that fans out across GOMAXPROCS workers, and every stage of the
+// set-up's stage graph that runs beside another, must produce bit-identical
 // results at every width. This test builds the same small world at
-// GOMAXPROCS 1 and 8 and compares build statistics, mined-store output and a
-// full cross-validated experiment with reflect.DeepEqual — any scheduling
+// GOMAXPROCS 1 and 8 and compares build statistics, mined-store output, the
+// snippet-relevance dataset, a full cross-validated experiment with
+// reflect.DeepEqual and the trained bundle's bytes — any scheduling
 // dependence (map iteration, channel-arrival ordering, FP reassociation)
 // shows up as a diff.
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"contextrank/internal/core"
 	"contextrank/internal/experiments"
+	"contextrank/internal/relevance"
 )
 
 // setGOMAXPROCS sets the width every offline stage fans out to for the rest
@@ -38,6 +42,8 @@ func TestParallelEqualsSerial(t *testing.T) {
 		docs        int
 		top, bottom []experiments.Table2Row
 		t3          experiments.Table3Rows
+		dataset     []core.Group
+		bundle      []byte
 	}
 	run := func(procs int) outputs {
 		setGOMAXPROCS(t, procs)
@@ -49,6 +55,16 @@ func TestParallelEqualsSerial(t *testing.T) {
 		if o.t3, err = experiments.Table3(s, 5, 42); err != nil {
 			t.Fatalf("Table3 (GOMAXPROCS=%d): %v", procs, err)
 		}
+		ranker, err := sys.TrainRanker()
+		if err != nil {
+			t.Fatalf("TrainRanker (GOMAXPROCS=%d): %v", procs, err)
+		}
+		var bundle bytes.Buffer
+		if err := ranker.SaveBundle(&bundle); err != nil {
+			t.Fatalf("SaveBundle (GOMAXPROCS=%d): %v", procs, err)
+		}
+		o.bundle = bundle.Bytes()
+		o.dataset = s.Dataset([]relevance.Resource{relevance.Snippets})
 		return o
 	}
 	serial := run(1)
@@ -72,5 +88,15 @@ func TestParallelEqualsSerial(t *testing.T) {
 	// SVM training, error rates and NDCG — every float must match.
 	if !reflect.DeepEqual(parallel.t3, serial.t3) {
 		t.Errorf("Table3 differs:\nGOMAXPROCS=8 %+v\nGOMAXPROCS=1 %+v", parallel.t3, serial.t3)
+	}
+
+	// The window join fanned out by window, and the trained artifact: the
+	// interest table, the packs and the model fitted beside them, as the
+	// bundle serializes them.
+	if !reflect.DeepEqual(parallel.dataset, serial.dataset) {
+		t.Errorf("Dataset([Snippets]) differs between GOMAXPROCS=8 and GOMAXPROCS=1")
+	}
+	if !bytes.Equal(parallel.bundle, serial.bundle) {
+		t.Errorf("trained bundle differs: GOMAXPROCS=8 %d bytes, GOMAXPROCS=1 %d bytes", len(parallel.bundle), len(serial.bundle))
 	}
 }
