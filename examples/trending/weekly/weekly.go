@@ -6,6 +6,7 @@ package weekly
 import (
 	"math"
 	"math/rand"
+	"strings"
 
 	"contextrank/internal/querylog"
 	"contextrank/internal/world"
@@ -122,7 +123,7 @@ func scaleLog(base *querylog.Log, w *world.World, mult []float64) *querylog.Log 
 	for _, q := range base.Queries {
 		f := q.Freq
 		// A query is attributed to the concept it contains, if any.
-		if c := conceptOf(w, q.Terms); c != nil {
+		if c := conceptOf(w, strings.Fields(q.Text)); c != nil {
 			f = int(float64(f) * mult[c.ID])
 			if f < 1 {
 				f = 1
@@ -139,7 +140,7 @@ func conceptOf(w *world.World, terms []string) *world.Concept {
 	var best *world.Concept
 	for n := len(terms); n >= 1; n-- {
 		for i := 0; i+n <= len(terms); i++ {
-			name := join(terms[i : i+n])
+			name := strings.Join(terms[i:i+n], " ")
 			if c := w.ConceptByName(name); c != nil {
 				if best == nil || len(c.Terms) > len(best.Terms) {
 					best = c
@@ -151,14 +152,6 @@ func conceptOf(w *world.World, terms []string) *world.Concept {
 		}
 	}
 	return nil
-}
-
-func join(terms []string) string {
-	out := terms[0]
-	for _, t := range terms[1:] {
-		out += " " + t
-	}
-	return out
 }
 
 // Current returns the most recent week's log.

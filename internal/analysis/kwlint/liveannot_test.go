@@ -30,7 +30,6 @@ var liveAnnotations = map[string][]string{
 		"Pipeline.Detect //kw:hotpath",
 		"Pipeline.DetectTokens //kw:hotpath",
 		"Pipeline.DetectTokens //kw:fresh",
-		"allStopwords //kw:coldpath",
 		"resolveCollisions //kw:fresh",
 	},
 	"internal/framework/runtime.go": {

@@ -85,7 +85,8 @@ func (s *Scorer) ConceptVector(text string) corpus.Vector {
 	// phrase once).
 	unitW := make(map[string]float64)
 	if s.units != nil {
-		for _, m := range s.units.FindInTokens(words) {
+		ids := s.units.Vocab().AppendIDs(make([]uint32, 0, len(words)), words)
+		for _, m := range s.units.FindInIDs(ids, nil) {
 			if _, ok := unitW[m.Unit.Text]; !ok {
 				unitW[m.Unit.Text] = m.Unit.Score
 			}

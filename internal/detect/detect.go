@@ -276,41 +276,13 @@ func filter(ds []Detection) []Detection {
 	out := ds[:0]
 	for _, d := range ds {
 		if d.Kind == KindConcept {
-			if len(d.Norm) <= 1 {
-				continue
-			}
-			if stopOnly(d) {
+			if len(d.Norm) <= 1 || d.Unit.StopOnly {
 				continue
 			}
 		}
 		out = append(out, d)
 	}
 	return out
-}
-
-// stopOnly reports whether a concept detection is made of stop-words only,
-// using the unit's precomputed flag when present (the hot path) and
-// re-tokenizing the phrase otherwise (detections built by hand in tests).
-func stopOnly(d Detection) bool {
-	if d.Unit != nil {
-		return d.Unit.StopOnly
-	}
-	return allStopwords(d.Norm)
-}
-
-// allStopwords re-tokenizes a phrase; only the hand-built-detection test
-// path reaches it (units carry a precomputed StopOnly flag).
-//
-//kw:coldpath
-func allStopwords(phrase string) bool {
-	any := false
-	for _, w := range textproc.Words(phrase) {
-		any = true
-		if !textproc.IsStopword(w) {
-			return false
-		}
-	}
-	return any
 }
 
 // spanKey is the part of a Detection the collision order compares.

@@ -190,10 +190,11 @@ func TestNamedBeatsConceptOnTie(t *testing.T) {
 }
 
 func TestFilterDropsStopwordConcepts(t *testing.T) {
+	us := handUnits(t, "the other", "of the", "a")
 	ds := filter([]Detection{
-		{Norm: "the other", Kind: KindConcept, Start: 0, End: 9},
-		{Norm: "of the", Kind: KindConcept, Start: 10, End: 16},
-		{Norm: "a", Kind: KindConcept, Start: 20, End: 21},
+		{Norm: "the other", Kind: KindConcept, Unit: us.Lookup("the other"), Start: 0, End: 9},
+		{Norm: "of the", Kind: KindConcept, Unit: us.Lookup("of the"), Start: 10, End: 16},
+		{Norm: "a", Kind: KindConcept, Unit: us.Lookup("a"), Start: 20, End: 21},
 	})
 	for _, d := range ds {
 		if d.Norm == "of the" || d.Norm == "a" {

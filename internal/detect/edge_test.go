@@ -28,16 +28,36 @@ func smallUnitSet(t *testing.T) *units.Set {
 	})), units.Config{MinMI: 0.5})
 }
 
+// handUnits extracts units from a hand log that queries each phrase often
+// beside filler traffic, so every phrase validates as a unit carrying the
+// StopOnly flag the extractor computes — hand-built concept detections get
+// their Unit from it, as every concept detection Detect makes does.
+func handUnits(t *testing.T, phrases ...string) *units.Set {
+	t.Helper()
+	counts := fillerCounts(map[string]int{})
+	for _, p := range phrases {
+		counts[p] = 500
+	}
+	us := units.Extract(querylog.FromCounts(counts), units.Config{MinMI: 0.5})
+	for _, p := range phrases {
+		if us.Lookup(p) == nil {
+			t.Fatalf("hand log did not validate %q as a unit", p)
+		}
+	}
+	return us
+}
+
 // TestFilterCompactsInPlace pins filter's ownership contract: it compacts
 // through ds[:0], so the returned slice shares the input's backing array and
 // survivors are moved to the front. A caller that does not own the backing
 // array would see its data clobbered — which is exactly why Detect hands
 // filter the pooled accumulator it owns.
 func TestFilterCompactsInPlace(t *testing.T) {
+	us := handUnits(t, "climate change", "of the", "a")
 	in := []Detection{
-		{Norm: "climate change", Kind: KindConcept, Start: 0, End: 14},
-		{Norm: "of the", Kind: KindConcept, Start: 15, End: 21}, // stop-only: dropped
-		{Norm: "a", Kind: KindConcept, Start: 22, End: 23},      // single char: dropped
+		{Norm: "climate change", Kind: KindConcept, Unit: us.Lookup("climate change"), Start: 0, End: 14},
+		{Norm: "of the", Kind: KindConcept, Unit: us.Lookup("of the"), Start: 15, End: 21}, // stop-only: dropped
+		{Norm: "a", Kind: KindConcept, Unit: us.Lookup("a"), Start: 22, End: 23},           // single char: dropped
 		{Norm: "acme corp", Kind: KindNamed, Start: 24, End: 33},
 	}
 	out := filter(in)

@@ -2,6 +2,7 @@ package features
 
 import (
 	"math"
+	"strings"
 
 	"contextrank/internal/textproc"
 )
@@ -70,7 +71,7 @@ func (e *Extractor) Extended(concept string) ExtendedFields {
 				if q.Text == concept {
 					continue
 				}
-				if bagCosine(termSet, q.Terms) >= CosineThreshold {
+				if bagCosine(termSet, strings.Fields(q.Text)) >= CosineThreshold {
 					total += q.Freq
 				}
 			}

@@ -5,6 +5,10 @@
 // shape from the synthetic world: per-concept exact and phrase-containing
 // queries whose frequencies follow the concept's latent interestingness,
 // plus a Zipfian long tail of random queries.
+//
+// The log is the one store of query terms: FromCounts interns them once,
+// and the unit extractor, the unit matcher and the suggestion service read
+// its ids (TermIDs, Vocab, ContainsPhrase) rather than keeping copies.
 package querylog
 
 import (
@@ -19,10 +23,9 @@ import (
 
 // Query is one distinct query string with its weekly frequency.
 type Query struct {
-	// Text is the raw query (lower-case, space-separated terms).
+	// Text is the raw query (lower-case, space-separated terms); its
+	// interned terms are Log.TermIDs.
 	Text string
-	// Terms is Text split into terms.
-	Terms []string
 	// Freq is the number of times the query was submitted.
 	Freq int
 }
@@ -38,7 +41,7 @@ type Log struct {
 	totalFreq int64
 	byText    map[string]int // query text -> index
 	vocab     *match.Vocab   // term string <-> dense id
-	termIDs   [][]uint32     // query index -> interned Terms
+	termIDs   [][]uint32     // query index -> interned terms of Text
 	byTerm    [][]int32      // term id -> indexes of queries containing it
 }
 
@@ -151,13 +154,13 @@ func FromCounts(counts map[string]int) *Log {
 		if f <= 0 {
 			continue
 		}
-		q := Query{Text: text, Terms: strings.Fields(text), Freq: f}
 		idx := len(l.Queries)
-		l.Queries = append(l.Queries, q)
+		l.Queries = append(l.Queries, Query{Text: text, Freq: f})
 		l.byText[text] = idx
 		l.totalFreq += int64(f)
-		ids := make([]uint32, len(q.Terms))
-		for i, term := range q.Terms {
+		terms := strings.Fields(text)
+		ids := make([]uint32, len(terms))
+		for i, term := range terms {
 			id := l.vocab.Intern(term)
 			ids[i] = id
 			if int(id) >= len(l.byTerm) {
@@ -224,6 +227,12 @@ func (l *Log) FreqPhraseContainedTerms(terms []string) int {
 		}
 	}
 	return total
+}
+
+// ContainsPhrase reports whether the i'th query contains the interned
+// phrase ids (from Vocab) as a contiguous run of terms.
+func (l *Log) ContainsPhrase(i int, ids []uint32) bool {
+	return containsPhraseIDs(l.termIDs[i], ids)
 }
 
 // containsPhraseIDs reports whether hay contains needle as a contiguous

@@ -3,6 +3,7 @@ package querylog
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"contextrank/internal/world"
@@ -119,7 +120,7 @@ func TestQueriesContainingSorted(t *testing.T) {
 	// sorted texts).
 	checked := 0
 	for _, q := range l.Queries[:min(50, len(l.Queries))] {
-		for _, term := range q.Terms {
+		for _, term := range strings.Fields(q.Text) {
 			idxs := l.QueriesContaining(term)
 			if !sort.SliceIsSorted(idxs, func(i, j int) bool { return idxs[i] < idxs[j] }) {
 				t.Fatalf("QueriesContaining(%q) not sorted", term)

@@ -39,7 +39,10 @@ func (s *Suggestor) Log() *querylog.Log { return s.log }
 // suggestIndexes is the Suggest kernel: the ranked suggestion list as
 // query-log indexes. Phrase-containing queries come first, then shared-term
 // matches fill the budget, each group sorted by (frequency desc, text asc).
-// Returns nil only for an empty query.
+// The query's terms are interned into the log's vocabulary once, and the
+// phrase filter compares ids (Log.ContainsPhrase); a term outside the log
+// becomes match.NoID, which no query contains. Returns nil only for an
+// empty query.
 func (s *Suggestor) suggestIndexes(query string, max int) []int32 {
 	if max <= 0 || max > SuggestionLimit {
 		max = SuggestionLimit
@@ -49,15 +52,16 @@ func (s *Suggestor) suggestIndexes(query string, max int) []int32 {
 		return nil
 	}
 	qText := strings.Join(qTerms, " ")
+	var buf [8]uint32
+	qIDs := s.log.Vocab().AppendIDs(buf[:0], qTerms)
 
 	seen := make(map[int32]bool)
 	var phraseMatches, termMatches []int32
 	for _, idx := range s.log.QueriesContaining(qTerms[0]) {
-		q := s.log.Query(int(idx))
-		if q.Text == qText {
+		if s.log.Query(int(idx)).Text == qText {
 			continue
 		}
-		if containsPhrase(q.Terms, qTerms) {
+		if s.log.ContainsPhrase(int(idx), qIDs) {
 			phraseMatches = append(phraseMatches, idx)
 			seen[idx] = true
 		}
@@ -132,25 +136,4 @@ func (s *Suggestor) VisitSuggestions(query string, max int, visit func(queryInde
 	for _, idx := range s.suggestIndexes(query, max) {
 		visit(idx, s.log.Query(int(idx)).Freq)
 	}
-}
-
-// containsPhrase reports whether hay contains needle contiguously (shared
-// with the query log's phrase matcher semantics).
-func containsPhrase(hay, needle []string) bool {
-	if len(needle) > len(hay) {
-		return false
-	}
-	for i := 0; i+len(needle) <= len(hay); i++ {
-		match := true
-		for j := range needle {
-			if hay[i+j] != needle[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
 }

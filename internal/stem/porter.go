@@ -7,8 +7,6 @@
 // behaviour on the classic test vocabulary for common English words.
 package stem
 
-import "strings"
-
 // Stem returns the Porter stem of word. The input is expected to be
 // lower-case; non-alphabetic input is returned unchanged. Words of length
 // <= 2 are returned unchanged, per the reference implementation.
@@ -48,17 +46,6 @@ func AppendStem(dst []byte, word string) []byte {
 	w = step5a(w)
 	w = step5b(w)
 	return dst[:n+len(w)]
-}
-
-// Phrase stems every whitespace-separated word in s, preserving single
-// spaces between words. It is a convenience for stemming multi-term
-// concepts and context keywords.
-func Phrase(s string) string {
-	fields := strings.Fields(s)
-	for i, f := range fields {
-		fields[i] = Stem(f)
-	}
-	return strings.Join(fields, " ")
 }
 
 // isConsonant reports whether w[i] is a consonant in Porter's sense:

@@ -121,15 +121,6 @@ func TestStemNonAlpha(t *testing.T) {
 	}
 }
 
-func TestPhrase(t *testing.T) {
-	if got := Phrase("science fiction movies"); got != "scienc fiction movi" {
-		t.Errorf("Phrase = %q", got)
-	}
-	if got := Phrase("  global   warming "); got != "global warm" {
-		t.Errorf("Phrase with spaces = %q", got)
-	}
-}
-
 func TestMeasure(t *testing.T) {
 	cases := map[string]int{
 		"tr": 0, "ee": 0, "tree": 0, "y": 0, "by": 0,

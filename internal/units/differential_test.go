@@ -41,15 +41,16 @@ func referenceExtract(l *querylog.Log, cfg Config) *Set {
 	total := float64(l.TotalFreq())
 	if total == 0 {
 		s := &Set{units: map[string]*Unit{}, maxLen: cfg.MaxLen}
-		s.buildIndex()
+		s.buildIndex(nil)
 		return s
 	}
 	ngramFreq := make(map[string]int64)
 	for _, q := range l.Queries {
+		terms := strings.Fields(q.Text)
 		seen := make(map[string]bool)
 		for n := 1; n <= cfg.MaxLen; n++ {
-			for i := 0; i+n <= len(q.Terms); i++ {
-				g := strings.Join(q.Terms[i:i+n], " ")
+			for i := 0; i+n <= len(terms); i++ {
+				g := strings.Join(terms[i:i+n], " ")
 				if !seen[g] {
 					seen[g] = true
 					ngramFreq[g] += int64(q.Freq)
@@ -123,7 +124,7 @@ func referenceExtract(l *querylog.Log, cfg Config) *Set {
 			u.Score = u.MI / maxMI
 		}
 	}
-	s.buildIndex()
+	s.buildIndex(nil) // a vocabulary of its own, independent of the log's
 	return s
 }
 

@@ -7,6 +7,10 @@
 //	I(x,y) = log( p(x,y) / (p(x) p(y)) )            (paper Eq. 1)
 //
 // where the probabilities are relative frequencies over query submissions.
+//
+// Extraction reads the query log's interned term ids, and the unit matcher
+// is compiled over the log's vocabulary: a unit's terms are log terms, so
+// the package keeps no term table of its own.
 package units
 
 import (
@@ -67,8 +71,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Set is the extracted unit inventory with phrase lookup and in-document
-// scanning support. Scanning runs on a token-trie matcher over an interned
-// vocabulary, built once at extraction time (DESIGN.md §10).
+// scanning support. Scanning runs on a token-trie matcher over the query
+// log's vocabulary, built once at extraction time (DESIGN.md §10).
 type Set struct {
 	units   map[string]*Unit
 	maxLen  int
@@ -79,30 +83,28 @@ type Set struct {
 
 // Extract runs the iterative unit-extraction algorithm over the log.
 //
-// Internally every query term is interned to a dense id and an n-gram is a
-// fixed-width packed key (4 big-endian bytes per id), so the frequency pass
-// allocates once per *distinct* n-gram instead of once per occurrence, and
-// the split validation of iterations 2..MaxLen probes sub-keys by slicing
-// the packed key — no Join/Fields string round-trips. Unit text is only
-// materialized for grams that validate. TestDifferentialExtractVsReference
-// pins the output against the direct string-keyed implementation.
+// An n-gram is a fixed-width packed key of the log's term ids (4 big-endian
+// bytes per id, Log.TermIDs), so the frequency pass allocates once per
+// *distinct* n-gram instead of once per occurrence, and the split
+// validation of iterations 2..MaxLen probes sub-keys by slicing the packed
+// key — no Join/Fields string round-trips. Unit text is only materialized
+// for grams that validate. TestDifferentialExtractVsReference pins the
+// output against the direct string-keyed implementation.
 func Extract(l *querylog.Log, cfg Config) *Set {
 	cfg = cfg.withDefaults()
 	total := float64(l.TotalFreq())
 	if total == 0 {
 		s := &Set{units: map[string]*Unit{}, maxLen: cfg.MaxLen}
-		s.buildIndex()
+		s.buildIndex(l.Vocab())
 		return s
 	}
+	termText := l.Vocab().Token
 
 	// Pass 1: frequency of every contiguous n-gram, n ≤ MaxLen, weighted by
 	// query frequency. A query contributes each distinct n-gram once.
-	termID := make(map[string]uint32)
-	var termText []string
 	gramIdx := make(map[string]int32) // packed key -> index into gramFreq
 	var gramFreq []int64
-	var qids []uint32 // reused per-query interned terms
-	var key []byte    // reused packed-key buffer
+	var key []byte // reused packed-key buffer
 	pack := func(ids []uint32) []byte {
 		key = key[:0]
 		for _, id := range ids {
@@ -110,17 +112,8 @@ func Extract(l *querylog.Log, cfg Config) *Set {
 		}
 		return key
 	}
-	for _, q := range l.Queries {
-		qids = qids[:0]
-		for _, t := range q.Terms {
-			id, ok := termID[t]
-			if !ok {
-				id = uint32(len(termText))
-				termID[t] = id
-				termText = append(termText, t)
-			}
-			qids = append(qids, id)
-		}
+	for qi, q := range l.Queries {
+		qids := l.TermIDs(qi)
 		f := int64(q.Freq)
 		for n := 1; n <= cfg.MaxLen; n++ {
 			for i := 0; i+n <= len(qids); i++ {
@@ -139,8 +132,8 @@ func Extract(l *querylog.Log, cfg Config) *Set {
 	}
 
 	// Group the distinct grams by length. Sorted packed keys follow the
-	// deterministic first-appearance id order, so every run processes
-	// candidates identically.
+	// log's deterministic id order, so every run processes candidates
+	// identically.
 	byLen := make([][]string, cfg.MaxLen+1)
 	for k := range gramIdx {
 		byLen[len(k)/4] = append(byLen[len(k)/4], k)
@@ -211,8 +204,8 @@ func Extract(l *querylog.Log, cfg Config) *Set {
 
 	// Materialize the inventory: one []Unit arena, one shared Terms backing
 	// array, and one byte arena for the multi-term texts (single-term units
-	// reuse the interned term string) — a handful of allocations instead of
-	// three per unit. Capacities are exact, so the appends below never
+	// reuse the log vocabulary's term string) — a handful of allocations
+	// instead of three per unit. Capacities are exact, so the appends below never
 	// reallocate and &units[i] pointers stay valid. Multi-term scores are
 	// the paper's normalization MI/maxMI in [0,1].
 	nTerms := len(byLen[1])
@@ -222,7 +215,7 @@ func Extract(l *querylog.Log, cfg Config) *Set {
 		nTerms += n
 		textBytes += n - 1
 		for i := 0; i < n; i++ {
-			textBytes += len(termText[unpackID(a.key, i)])
+			textBytes += len(termText(unpackID(a.key, i)))
 		}
 	}
 	units := make([]Unit, 0, len(byLen[1])+len(accept))
@@ -237,7 +230,7 @@ func Extract(l *querylog.Log, cfg Config) *Set {
 			if j > 0 {
 				sb.WriteByte(' ')
 			}
-			sb.WriteString(termText[unpackID(a.key, j)])
+			sb.WriteString(termText(unpackID(a.key, j)))
 		}
 		spans[i] = span{off, sb.Len()}
 	}
@@ -245,7 +238,7 @@ func Extract(l *querylog.Log, cfg Config) *Set {
 
 	s := &Set{units: make(map[string]*Unit, cap(units)), maxLen: cfg.MaxLen}
 	for _, k := range byLen[1] {
-		text := termText[unpackID(k, 0)]
+		text := termText(unpackID(k, 0))
 		base := len(termsArena)
 		termsArena = append(termsArena, text)
 		units = append(units, Unit{
@@ -259,7 +252,7 @@ func Extract(l *querylog.Log, cfg Config) *Set {
 	for i, a := range accept {
 		base := len(termsArena)
 		for j := 0; j < len(a.key)/4; j++ {
-			termsArena = append(termsArena, termText[unpackID(a.key, j)])
+			termsArena = append(termsArena, termText(unpackID(a.key, j)))
 		}
 		score := 0.0
 		if maxMI > 0 {
@@ -276,7 +269,7 @@ func Extract(l *querylog.Log, cfg Config) *Set {
 		s.units[text] = &units[len(units)-1]
 	}
 
-	s.buildIndex()
+	s.buildIndex(l.Vocab())
 	return s
 }
 
@@ -298,16 +291,18 @@ func unpackID(k string, i int) uint32 {
 	return uint32(k[b])<<24 | uint32(k[b+1])<<16 | uint32(k[b+2])<<8 | uint32(k[b+3])
 }
 
-// buildIndex compiles the unit inventory into the trie matcher and fills
-// the precomputed per-unit flags. Pattern ids are assigned in sorted text
-// order for determinism across map iteration orders.
-func (s *Set) buildIndex() {
+// buildIndex compiles the unit inventory into the trie matcher over vocab
+// (a fresh one if nil) and fills the precomputed per-unit flags. Every unit
+// term is already in the log's vocabulary, so compiling over it interns
+// nothing. Pattern ids are assigned in sorted text order for determinism
+// across map iteration orders.
+func (s *Set) buildIndex(vocab *match.Vocab) {
 	texts := make([]string, 0, len(s.units))
 	for text := range s.units {
 		texts = append(texts, text)
 	}
 	sort.Strings(texts)
-	b := match.NewBuilder(nil)
+	b := match.NewBuilder(vocab)
 	s.pats = make([]*Unit, 0, len(texts))
 	for _, text := range texts {
 		u := s.units[text]
@@ -330,8 +325,8 @@ func allStop(terms []string) bool {
 	return len(terms) > 0
 }
 
-// Vocab exposes the interned unit vocabulary so the detection pipeline can
-// map a document's tokens to ids once per document.
+// Vocab exposes the matcher's vocabulary, the query log's, so the detection
+// pipeline can map a document's tokens to ids once per document.
 func (s *Set) Vocab() *match.Vocab { return s.vocab }
 
 // Len returns the number of units in the set.
@@ -379,22 +374,10 @@ type Match struct {
 	Start, End int
 }
 
-// FindInTokens scans normalized tokens for unit occurrences, greedy-longest
-// at each position (a longer unit suppresses its prefixes at that position).
-// Compatibility wrapper around the id path: it interns the tokens per call,
-// so hot callers should intern once with Vocab().AppendIDs and use
-// FindInIDs instead.
-func (s *Set) FindInTokens(tokens []string) []Match {
-	if len(tokens) == 0 {
-		return nil
-	}
-	ids := s.vocab.AppendIDs(make([]uint32, 0, len(tokens)), tokens)
-	return s.FindInIDs(ids, nil)
-}
-
-// FindInIDs scans interned token ids (from Vocab().AppendIDs) and appends
-// the matches to dst, returning it. With a pre-sized dst the scan performs
-// zero allocations.
+// FindInIDs scans interned token ids (from Vocab().AppendIDs) for unit
+// occurrences, greedy-longest at each position (a longer unit suppresses
+// its prefixes at that position), and appends the matches to dst,
+// returning it. With a pre-sized dst the scan performs zero allocations.
 //
 //kw:hotpath
 func (s *Set) FindInIDs(ids []uint32, dst []Match) []Match {

@@ -112,6 +112,12 @@ func TestThreeTermUnits(t *testing.T) {
 	}
 }
 
+// findInTokens is the caller's side of FindInIDs: intern the tokens into
+// the set's vocabulary, then scan the ids.
+func findInTokens(s *Set, tokens []string) []Match {
+	return s.FindInIDs(s.Vocab().AppendIDs(nil, tokens), nil)
+}
+
 func TestFindInTokensGreedyLongest(t *testing.T) {
 	counts := addFiller(map[string]int{
 		"new york city": 400, "new york": 600, "york city": 350,
@@ -119,7 +125,7 @@ func TestFindInTokensGreedyLongest(t *testing.T) {
 	})
 	s := Extract(querylog.FromCounts(counts), handConfig)
 	tokens := []string{"visit", "new", "york", "city", "today"}
-	matches := s.FindInTokens(tokens)
+	matches := findInTokens(s, tokens)
 	var texts []string
 	for _, m := range matches {
 		texts = append(texts, m.Unit.Text)
@@ -140,7 +146,7 @@ func TestFindInTokensGreedyLongest(t *testing.T) {
 func TestFindInTokensOffsets(t *testing.T) {
 	s := Extract(handLog(), handConfig)
 	tokens := []string{"the", "global", "warming", "debate"}
-	for _, m := range s.FindInTokens(tokens) {
+	for _, m := range findInTokens(s, tokens) {
 		if m.Start < 0 || m.End > len(tokens) || m.End <= m.Start {
 			t.Fatalf("bad match offsets %+v", m)
 		}
@@ -184,8 +190,24 @@ func TestEmptyLog(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("empty log produced %d units", s.Len())
 	}
-	if got := s.FindInTokens([]string{"a", "b"}); got != nil {
-		t.Fatalf("FindInTokens on empty set = %v", got)
+	if got := findInTokens(s, []string{"a", "b"}); got != nil {
+		t.Fatalf("FindInIDs on empty set = %v", got)
+	}
+}
+
+// TestMatcherSharesLogVocab: the unit matcher is compiled over the query
+// log's vocabulary, and compiling it interns nothing there — every unit
+// term is a log term.
+func TestMatcherSharesLogVocab(t *testing.T) {
+	for _, l := range []*querylog.Log{handLog(), querylog.FromCounts(nil)} {
+		n := l.Vocab().Len()
+		s := Extract(l, handConfig)
+		if s.Vocab() != l.Vocab() {
+			t.Fatal("Set.Vocab() is not the query log's vocabulary")
+		}
+		if got := l.Vocab().Len(); got != n {
+			t.Fatalf("Extract grew the log vocabulary from %d to %d terms", n, got)
+		}
 	}
 }
 
