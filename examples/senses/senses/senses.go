@@ -103,11 +103,13 @@ func cluster(eng *searchsim.Engine, snippets []string, k int, minShare float64) 
 	return assign, k
 }
 
-// normalize scales a sparse vector to unit length.
+// normalize scales a sparse vector to unit length. Its sums add in key
+// order, as dot's do: float addition is not associative, and map order
+// changes from run to run.
 func normalize(v map[string]float64) {
 	n := 0.0
-	for _, x := range v {
-		n += x * x
+	for _, t := range sortedKeys(v) {
+		n += v[t] * v[t]
 	}
 	if n == 0 {
 		return
@@ -123,10 +125,19 @@ func dot(a, b map[string]float64) float64 {
 		a, b = b, a
 	}
 	s := 0.0
-	for t, x := range a {
-		s += x * b[t]
+	for _, t := range sortedKeys(a) {
+		s += a[t] * b[t]
 	}
 	return s
+}
+
+func sortedKeys(v map[string]float64) []string {
+	keys := make([]string, 0, len(v))
+	for t := range v {
+		keys = append(keys, t)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // sphericalKMeans clusters unit vectors by cosine similarity with

@@ -11,7 +11,11 @@
 //  2. the process-global math/rand source (rand.Intn, rand.Float64, …),
 //     whose stream depends on every other caller in the process;
 //  3. emitting a returned slice from a map range without sorting, which
-//     leaks Go's randomized map iteration order into the output.
+//     leaks Go's randomized map iteration order into the output;
+//  4. accumulating a float across a map range (`sum += w` into a variable
+//     declared outside the loop): float addition is not associative, so
+//     the result depends on the iteration order. A map-element target
+//     (`sum[k] += w`) adds per key and stays legal.
 //
 // Only the DefaultPackages are checked. _test.go files
 // are NOT exempt: a test that reads the wall clock or the global rand
@@ -102,9 +106,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// checkMapOrder flags `for … := range m { s = append(s, …) }` when s is
-// returned by the function and never passes through a sort. The append
-// order then depends on map iteration order, which Go randomizes per run.
+// checkMapOrder flags, inside `for … := range m`, `s = append(s, …)` when s
+// is returned by the function and never passes through a sort, and a float
+// `x += …`, `x -= …` or `x *= …` into an identifier declared outside the
+// loop. The appended order, or the rounded sum, then depends on map
+// iteration order, which Go randomizes per run.
 func checkMapOrder(pass *analysis.Pass, sup *kwutil.Suppressor, body *ast.BlockStmt) {
 	returned := map[types.Object]bool{}
 	sorted := map[types.Object]bool{}
@@ -128,10 +134,6 @@ func checkMapOrder(pass *analysis.Pass, sup *kwutil.Suppressor, body *ast.BlockS
 		}
 		return true
 	})
-	if len(returned) == 0 {
-		return
-	}
-
 	ast.Inspect(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -147,6 +149,15 @@ func checkMapOrder(pass *analysis.Pass, sup *kwutil.Suppressor, body *ast.BlockS
 		ast.Inspect(rng.Body, func(m ast.Node) bool {
 			assign, ok := m.(*ast.AssignStmt)
 			if !ok {
+				return true
+			}
+			if assign.Tok == token.ADD_ASSIGN || assign.Tok == token.SUB_ASSIGN || assign.Tok == token.MUL_ASSIGN {
+				if lhs, ok := ast.Unparen(assign.Lhs[0]).(*ast.Ident); ok {
+					obj := pass.TypesInfo.ObjectOf(lhs)
+					if obj != nil && isFloat(obj.Type()) && (obj.Pos() < rng.Pos() || obj.Pos() >= rng.End()) {
+						sup.Reportf(assign.Pos(), "float %s %s across a map range; the rounded result depends on map iteration order, so range over sorted keys", lhs.Name, assign.Tok)
+					}
+				}
 				return true
 			}
 			for i, rhs := range assign.Rhs {
@@ -170,4 +181,9 @@ func checkMapOrder(pass *analysis.Pass, sup *kwutil.Suppressor, body *ast.BlockS
 		})
 		return true
 	})
+}
+
+func isFloat(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }

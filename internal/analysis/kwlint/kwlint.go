@@ -7,6 +7,7 @@ package kwlint
 import (
 	"golang.org/x/tools/go/analysis"
 
+	"contextrank/internal/analysis/benchonly"
 	"contextrank/internal/analysis/ctxflow"
 	"contextrank/internal/analysis/determinism"
 	"contextrank/internal/analysis/errsink"
@@ -33,5 +34,6 @@ func Analyzers() []*analysis.Analyzer {
 		poolalias.Analyzer,
 		lockguard.Analyzer,
 		ctxflow.Analyzer,
+		benchonly.Analyzer,
 	}
 }

@@ -32,7 +32,7 @@ import (
 // cannot import (TestSuite keeps the two aligned).
 var AnalyzerNames = []string{
 	"determinism", "orderedfanout", "seededrand", "floatcompare", "errsink",
-	"hotpath", "poolalias", "lockguard", "ctxflow",
+	"hotpath", "poolalias", "lockguard", "ctxflow", "benchonly",
 }
 
 // KnownAnalyzer reports whether name is in the suite roster.

@@ -114,8 +114,8 @@ func TestParseIgnore(t *testing.T) {
 }
 
 func TestAnalyzerNamesRoster(t *testing.T) {
-	if len(AnalyzerNames) != 9 {
-		t.Fatalf("AnalyzerNames has %d entries, want 9", len(AnalyzerNames))
+	if len(AnalyzerNames) != 10 {
+		t.Fatalf("AnalyzerNames has %d entries, want 10", len(AnalyzerNames))
 	}
 	seen := map[string]bool{}
 	for _, n := range AnalyzerNames {

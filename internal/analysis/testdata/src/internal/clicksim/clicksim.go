@@ -35,6 +35,15 @@ func unsortedEmission(counts map[string]int) []string {
 	return out
 }
 
+func mapOrderSum(weights map[string]float64) float64 {
+	sum, scale := 0.0, 1.0
+	for _, w := range weights {
+		sum += w   // want `float sum \+= across a map range`
+		scale *= w // want `float scale \*= across a map range`
+	}
+	return sum * scale
+}
+
 // --- non-flagging cases ---
 
 // Injected source: constructing from a caller seed is the approved shape.
@@ -75,4 +84,19 @@ func notReturned(counts map[string]int) int {
 		all = append(all, k)
 	}
 	return len(all)
+}
+
+// Per-key and integer accumulation, and a float declared inside the loop,
+// do not depend on the iteration order.
+func orderFreeSums(weights map[string]float64, byKey map[string]float64) (int, float64) {
+	n := 0
+	last := 0.0
+	for k, w := range weights {
+		byKey[k] += w
+		n += len(k)
+		local := 0.0
+		local += w
+		last = local
+	}
+	return n, last
 }

@@ -263,9 +263,9 @@ func idWindow(ids []uint32, start, end, radius int) []uint32 {
 	return ids[lo:hi]
 }
 
-// filter applies the post-processing filters: single-character concepts,
-// pure stop-word concepts and number-only concepts are dropped. Named and
-// pattern entities pass through (editorial dictionaries are pre-vetted).
+// filter drops a concept whose norm is one byte or whose unit is stop words
+// only; a number-only unit such as "2008" passes. Named and pattern
+// entities pass through (editorial dictionaries are pre-vetted).
 //
 // Ownership contract: filter compacts ds in place (writing through ds[:0])
 // and returns the shortened slice. The caller must exclusively own ds's

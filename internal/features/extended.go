@@ -2,7 +2,7 @@ package features
 
 import (
 	"math"
-	"strings"
+	"slices"
 
 	"contextrank/internal/textproc"
 )
@@ -49,19 +49,21 @@ const NumExtended = 3
 // Extended computes the eliminated candidate features for a concept.
 func (e *Extractor) Extended(concept string) ExtendedFields {
 	var x ExtendedFields
-	terms := textproc.Words(concept)
+	var terms []string // distinct, in first-appearance order: sums add in one order
+	for _, t := range textproc.Words(concept) {
+		if !slices.Contains(terms, t) {
+			terms = append(terms, t)
+		}
+	}
 	if len(terms) == 0 {
 		return x
 	}
-	termSet := make(map[string]bool, len(terms))
-	for _, t := range terms {
-		termSet[t] = true
-	}
 
 	if e.log != nil {
+		ids := e.log.Vocab().AppendIDs(nil, terms)
 		total := 0
 		seen := make(map[int32]bool)
-		for t := range termSet {
+		for _, t := range terms {
 			for _, qi := range e.log.QueriesContaining(t) {
 				if seen[qi] {
 					continue
@@ -71,7 +73,7 @@ func (e *Extractor) Extended(concept string) ExtendedFields {
 				if q.Text == concept {
 					continue
 				}
-				if bagCosine(termSet, strings.Fields(q.Text)) >= CosineThreshold {
+				if bagCosine(ids, e.log.TermIDs(int(qi))) >= CosineThreshold {
 					total += q.Freq
 				}
 			}
@@ -81,32 +83,31 @@ func (e *Extractor) Extended(concept string) ExtendedFields {
 	if e.engine != nil {
 		x.SearchEngineAnyOrder = math.Log1p(float64(e.engine.ResultCountAnyOrder(concept)))
 		sum := 0.0
-		for t := range termSet {
+		for _, t := range terms {
 			sum += e.engine.IDF(t)
 		}
-		x.MeanTermIDF = sum / float64(len(termSet))
+		x.MeanTermIDF = sum / float64(len(terms))
 	}
 	return x
 }
 
-// bagCosine computes the binary bag-of-words cosine between a term set and
-// a query's terms.
-func bagCosine(concept map[string]bool, query []string) float64 {
+// bagCosine computes the binary bag-of-words cosine between a concept's
+// distinct term ids and a query's term ids, repeats allowed.
+func bagCosine(concept, query []uint32) float64 {
 	if len(concept) == 0 || len(query) == 0 {
 		return 0
 	}
-	qset := make(map[string]bool, len(query))
-	for _, t := range query {
-		qset[t] = true
-	}
-	inter := 0
-	for t := range qset {
-		if concept[t] {
-			inter++
+	inter, distinct := 0, 0
+	for j, id := range query {
+		if !slices.Contains(query[:j], id) {
+			distinct++
+			if slices.Contains(concept, id) {
+				inter++
+			}
 		}
 	}
 	if inter == 0 {
 		return 0
 	}
-	return float64(inter) / math.Sqrt(float64(len(concept))*float64(len(qset)))
+	return float64(inter) / math.Sqrt(float64(len(concept))*float64(distinct))
 }

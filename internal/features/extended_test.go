@@ -1,8 +1,10 @@
 package features
 
 import (
+	"math"
 	"testing"
 
+	"contextrank/internal/match"
 	"contextrank/internal/querylog"
 	"contextrank/internal/searchsim"
 )
@@ -66,6 +68,24 @@ func TestExtendedMeanTermIDF(t *testing.T) {
 	}
 }
 
+// TestExtendedMeanTermIDFOrder: the mean idf adds the concept's terms in
+// first-appearance order on every call. The fixture's "global climate
+// weekend" sums to a different float when "weekend" comes second, so a
+// sum in map order differs from call to call.
+func TestExtendedMeanTermIDFOrder(t *testing.T) {
+	ext := extendedFixture()
+	a, b, c := ext.engine.IDF("global"), ext.engine.IDF("climate"), ext.engine.IDF("weekend")
+	if math.Float64bits((a+b)+c) == math.Float64bits((a+c)+b) {
+		t.Fatal("the fixture concept's idf sum does not depend on order")
+	}
+	want := math.Float64bits((a + b + c) / 3)
+	for i := 0; i < 64; i++ {
+		if got := ext.Extended("global climate weekend").MeanTermIDF; math.Float64bits(got) != want {
+			t.Fatalf("call %d: MeanTermIDF %v, want %v (first-appearance order)", i, got, math.Float64frombits(want))
+		}
+	}
+}
+
 func TestExtendedNilResources(t *testing.T) {
 	ext := NewExtractor(nil, nil, nil, nil, nil)
 	x := ext.Extended("anything here")
@@ -89,7 +109,15 @@ func TestExtendedExpand(t *testing.T) {
 }
 
 func TestBagCosine(t *testing.T) {
-	concept := map[string]bool{"global": true, "warming": true}
+	vocab := match.NewVocab()
+	ids := func(terms ...string) []uint32 {
+		out := make([]uint32, len(terms))
+		for i, term := range terms {
+			out[i] = vocab.Intern(term)
+		}
+		return out
+	}
+	concept := ids("global", "warming")
 	cases := []struct {
 		query []string
 		min   float64
@@ -98,16 +126,17 @@ func TestBagCosine(t *testing.T) {
 		{[]string{"global", "warming"}, 0.99, 1.01},
 		{[]string{"warming", "global"}, 0.99, 1.01}, // order-free
 		{[]string{"global", "warming", "facts"}, 0.8, 0.83},
+		{[]string{"global", "global", "warming", "facts"}, 0.8, 0.83}, // a repeat counts once
 		{[]string{"nothing", "shared"}, 0, 0},
 		{nil, 0, 0},
 	}
 	for _, c := range cases {
-		got := bagCosine(concept, c.query)
+		got := bagCosine(concept, ids(c.query...))
 		if got < c.min || got > c.max {
 			t.Errorf("bagCosine(%v) = %v, want [%v,%v]", c.query, got, c.min, c.max)
 		}
 	}
-	if got := bagCosine(nil, []string{"x"}); got != 0 {
+	if got := bagCosine(nil, ids("x")); got != 0 {
 		t.Errorf("empty concept cosine = %v", got)
 	}
 }

@@ -47,18 +47,15 @@ var bundleMagic = [8]byte{'C', 'T', 'X', 'R', 'A', 'N', 'K', 2}
 // ErrCorrupt is returned when a bundle fails validation.
 var ErrCorrupt = errors.New("framework: corrupt bundle")
 
-// Save writes the bundle. Both tables are keyed by concept name and the
-// file names each concept once, so a bundle whose tables name different
+// Save writes the bundle, the packs in the interest table's rows. The file
+// names each concept once, so a bundle whose tables name different
 // concepts is refused: a concept without a pack would be served with
 // relevance 0, one without an interest row never.
 func (b *Bundle) Save(w io.Writer) error {
-	t, kp := b.Interest, b.Packs
-	names := make([]string, len(t.index))
-	for name, off := range t.index {
-		names[off/NumFields] = name
-	}
-	if len(names) != kp.Len() {
-		return fmt.Errorf("framework: %d interest rows but %d keyword packs", len(names), kp.Len())
+	t := b.Interest
+	kp, whole := b.Packs.inRows(t)
+	if !whole || b.Packs.Len() != t.Len() {
+		return fmt.Errorf("framework: the %d interest rows and %d keyword packs name different concepts", t.Len(), b.Packs.Len())
 	}
 	var model bytes.Buffer
 	if err := b.Model.Save(&model); err != nil {
@@ -69,9 +66,9 @@ func (b *Bundle) Save(w io.Writer) error {
 	for _, m := range t.calib.Max {
 		buf = le.AppendUint64(buf, math.Float64bits(m))
 	}
-	buf = le.AppendUint32(buf, uint32(len(names)))
-	for _, name := range names {
-		buf = appendString(buf, name)
+	buf = le.AppendUint32(buf, uint32(t.Len()))
+	for r := range t.Len() {
+		buf = appendString(buf, t.names.Token(uint32(r)))
 	}
 	for _, v := range t.data {
 		buf = le.AppendUint16(buf, v)
@@ -81,11 +78,7 @@ func (b *Bundle) Save(w io.Writer) error {
 	for i := range kp.TIDs.Len() {
 		buf = appendString(buf, kp.TIDs.Token(uint32(i)))
 	}
-	for _, name := range names {
-		pack, ok := kp.packs[name]
-		if !ok {
-			return fmt.Errorf("framework: concept %q has an interest row but no keyword pack", name)
-		}
+	for _, pack := range kp.packs {
 		buf, _ = appendPack(buf, pack)
 	}
 	buf = le.AppendUint32(buf, uint32(model.Len()))
@@ -136,8 +129,7 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	body := data[:len(data)-4]
 	d := &decoder{buf: body[len(bundleMagic):]}
 	b := &Bundle{}
-	names := d.interest(b)
-	d.packs(b, names)
+	b.Interest, b.Packs = d.tables()
 	modelBytes := d.take(uint64(d.u32("model length")), "model data")
 	if d.err == nil && len(d.buf) != 0 {
 		d.fail("bytes after the model")
@@ -213,8 +205,6 @@ func (d *decoder) bytes(what string) []byte {
 	return d.take(d.uvarint(what), what)
 }
 
-func (d *decoder) str(what string) string { return string(d.bytes(what)) }
-
 // count reads a uint32 count of strings: each takes at least its length
 // byte, so a count the bytes left cannot hold is corrupt.
 func (d *decoder) count(what string) int {
@@ -226,53 +216,45 @@ func (d *decoder) count(what string) int {
 	return int(n)
 }
 
-// interest reads the calibration, the concept names and the interest rows
-// into b.Interest, and returns the names in row order.
-func (d *decoder) interest(b *Bundle) []string {
-	t := &InterestTable{index: make(map[string]int)}
+// tables reads the calibration, concept names and interest rows, then the
+// pack scale, Global TID Table and a pack per row, over the same names.
+func (d *decoder) tables() (*InterestTable, *KeywordPacks) {
+	t := &InterestTable{}
 	for i := range t.calib.Max {
 		t.calib.Max[i] = d.f64("calibration")
 	}
-	names := make([]string, d.count("concept count"))
-	for i := range names {
-		names[i] = d.str("concept name")
-		if _, dup := t.index[names[i]]; dup && d.err == nil {
-			d.fail(fmt.Sprintf("duplicate concept name %q", names[i]))
-		}
-		t.index[names[i]] = i * NumFields
-	}
-	raw := d.take(2*uint64(len(names))*NumFields, "interest data")
+	n := d.count("concept count")
+	t.names = d.vocab(n, "concept name")
+	raw := d.take(2*uint64(n)*NumFields, "interest data")
 	if d.err != nil {
-		return nil
+		return nil, nil
 	}
-	t.data = make([]uint16, len(names)*NumFields)
+	t.data = make([]uint16, n*NumFields)
 	for i := range t.data {
 		t.data[i] = binary.LittleEndian.Uint16(raw[2*i:])
 	}
-	b.Interest = t
-	return names
-}
-
-// packs reads the pack scale, the Global TID Table and one pack per name
-// into b.Packs.
-func (d *decoder) packs(b *Bundle, names []string) {
-	kp := &KeywordPacks{TIDs: match.NewVocab(), packs: make(map[string][]uint32)}
-	kp.maxScore = d.f64("pack scale")
+	kp := &KeywordPacks{names: t.names, packs: make([][]uint32, n), maxScore: d.f64("pack scale")}
 	nTerms := d.count("TID count")
 	if nTerms > MaxTID {
 		d.fail("TID count")
 	}
-	for i := 0; i < nTerms && d.err == nil; i++ {
-		// The table copies a new term into its pages; a repeated one is
-		// corrupt.
-		if term := d.bytes("TID term"); kp.TIDs.InternBytes(term) != uint32(i) {
-			d.fail(fmt.Sprintf("duplicate TID term %q", term))
+	kp.TIDs = d.vocab(nTerms, "TID term")
+	for r := range kp.packs {
+		kp.packs[r] = d.pack(uint32(nTerms))
+	}
+	return t, kp
+}
+
+// vocab reads n strings into a vocabulary, the i'th as id i. It copies
+// each out of the file; a repeated one is corrupt.
+func (d *decoder) vocab(n int, what string) *match.Vocab {
+	v := match.NewVocab()
+	for i := 0; i < n && d.err == nil; i++ {
+		if s := d.bytes(what); v.InternBytes(s) != uint32(i) {
+			d.fail(fmt.Sprintf("duplicate %s %q", what, s))
 		}
 	}
-	for _, name := range names {
-		kp.packs[name] = d.pack(uint32(nTerms))
-	}
-	b.Packs = kp
+	return v
 }
 
 // pack reads one pack written by appendPack. Its entry count is a claim:

@@ -132,7 +132,8 @@ func TestBundleRoundtrip(t *testing.T) {
 	if got.Interest.Len() != b.Interest.Len() {
 		t.Fatalf("interest len %d != %d", got.Interest.Len(), b.Interest.Len())
 	}
-	for name := range b.Interest.index {
+	for r := range b.Interest.Len() {
+		name := b.Interest.names.Token(uint32(r))
 		want, _ := b.Interest.Fields(name)
 		f, ok := got.Interest.Fields(name)
 		if !ok || f != want {
@@ -143,8 +144,9 @@ func TestBundleRoundtrip(t *testing.T) {
 	if got.Packs.Len() != b.Packs.Len() || got.Packs.TIDs.Len() != b.Packs.TIDs.Len() {
 		t.Fatal("pack shape mismatch")
 	}
-	for name, pack := range b.Packs.packs {
-		g := got.Packs.packs[name]
+	for r, pack := range b.Packs.packs {
+		name := b.Packs.names.Token(uint32(r))
+		g := got.Packs.pack(name)
 		if len(g) != len(pack) {
 			t.Fatalf("pack %q length mismatch", name)
 		}
@@ -363,7 +365,8 @@ func TestBundleRuntimeEquivalence(t *testing.T) {
 	// so scoring paths are exercised through Packs/Interest directly.
 	dt := kpDocTIDs(t, b.Packs, doc)
 	lt := kpDocTIDs(t, loaded.Packs, doc)
-	for name := range b.Packs.packs {
+	for r := range b.Packs.Len() {
+		name := b.Packs.names.Token(uint32(r))
 		if b.Packs.Score(name, dt) != loaded.Packs.Score(name, lt) {
 			t.Fatalf("pack score differs for %q", name)
 		}

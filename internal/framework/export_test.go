@@ -20,3 +20,24 @@ func (rt *Runtime) WordTableLen() int { return len(rt.words) }
 
 // ModelDim is the model width NewRuntime accepts.
 var ModelDim = modelDim
+
+// stamped is docTIDs as the window set scoreNorm reads, sized for kp.
+func stamped(kp *KeywordPacks, docTIDs map[uint32]bool) *tidSet {
+	s := &tidSet{}
+	s.stamp(kp.TIDs.Len(), nil)
+	for tid := range docTIDs {
+		s.mark[tid] = s.gen
+	}
+	return s
+}
+
+// members reads the set back as a map.
+func (s *tidSet) members() map[uint32]bool {
+	out := map[uint32]bool{}
+	for tid, g := range s.mark {
+		if g == s.gen {
+			out[uint32(tid)] = true
+		}
+	}
+	return out
+}

@@ -159,7 +159,7 @@ func TestKeywordPackScore(t *testing.T) {
 	// The coverage-normalized form is the store's NormalizedScoreCtx over
 	// the pack, 10 of 15, up to quantization; 0 for a pack without mass.
 	for concept, want := range map[string]float64{"iraq war": 10.0 / 15, "economy": 0, "empty": 0, "missing": 0} {
-		if _, norm := kp.scoreNorm(concept, docTIDs); math.Abs(norm-want) > 0.005 {
+		if _, norm := kp.scoreNorm(kp.pack(concept), stamped(kp, docTIDs)); math.Abs(norm-want) > 0.005 {
 			t.Fatalf("normalized score of %q = %v, want ~%v", concept, norm, want)
 		}
 	}
@@ -170,13 +170,13 @@ func TestKeywordPackScore(t *testing.T) {
 func TestPackEncodingRoundtrip(t *testing.T) {
 	kp := BuildKeywordPacks(buildStore())
 	for _, concept := range []string{"iraq war", "economy", "empty"} {
-		enc, _ := appendPack(nil, kp.packs[concept])
+		enc, _ := appendPack(nil, kp.pack(concept))
 		d := &decoder{buf: enc}
 		entries := d.pack(uint32(kp.TIDs.Len()))
 		if d.err != nil || len(d.buf) != 0 {
 			t.Fatalf("%s: %v, %d bytes left", concept, d.err, len(d.buf))
 		}
-		if !slices.Equal(entries, kp.packs[concept]) {
+		if !slices.Equal(entries, kp.pack(concept)) {
 			t.Fatalf("%s: roundtrip mismatch", concept)
 		}
 	}

@@ -53,13 +53,13 @@ func TestKeywordPacksRoundtripProperty(t *testing.T) {
 				}
 			}
 			// The bundle's Golomb form decodes to identical entries.
-			enc, _ := appendPack(nil, kp.packs[name])
+			enc, _ := appendPack(nil, kp.pack(name))
 			d := &decoder{buf: enc}
 			entries := d.pack(uint32(kp.TIDs.Len()))
 			if d.err != nil || len(d.buf) != 0 {
 				return false
 			}
-			raw := kp.packs[name]
+			raw := kp.pack(name)
 			if len(entries) != len(raw) {
 				return false
 			}

@@ -115,7 +115,7 @@ func TestGolombDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 // never panics.
 func TestPackDecodeCorrupt(t *testing.T) {
 	kp := BuildKeywordPacks(buildStore())
-	clean, _ := appendPack(nil, kp.packs["iraq war"])
+	clean, _ := appendPack(nil, kp.pack("iraq war"))
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 200; trial++ {
 		bad := bytes.Clone(clean)

@@ -44,9 +44,13 @@ type Tables struct {
 	words map[string]wordEntry
 }
 
-// NewTables wires the components and builds the word table over the
+// NewTables wires the components, lays the packs out in the interest rows
+// (dropping a pack without one) and builds the word table over the
 // pipeline's vocabularies, the stop list and the Global TID Table.
 func NewTables(p *detect.Pipeline, it *InterestTable, kp *KeywordPacks) *Tables {
+	if it != nil {
+		kp, _ = kp.inRows(it)
+	}
 	return &Tables{Pipeline: p, Interest: it, Packs: kp, words: newWordTable(p, kp.TIDs)}
 }
 
@@ -82,36 +86,11 @@ func NewRuntime(p *detect.Pipeline, it *InterestTable, kp *KeywordPacks, model *
 	return NewTables(p, it, kp).Runtime(model)
 }
 
-// StemDoc runs the stemmer component on its own: the stemmed version of the
-// document "is created first and stored for later usage". It returns the
-// document's stems that are in the Global TID Table — the only ones
-// KeywordPacks.DocTIDs, its use, can map — read back from their TIDs. The
-// pass runs on a pooled scratch and only the returned set is allocated,
-// since the caller owns it. It records nothing in the throughput
-// accumulators: those belong to completed AnnotateCtx calls.
-func (rt *Runtime) StemDoc(text string) map[string]bool {
-	sc := annPool.Get().(*annScratch)
-	defer annPool.Put(sc)
-	sc.tokens = textproc.TokenizeInto(text, sc.tokens[:0])
-	rt.lookupWords(sc, true)
-	clear(sc.tids)
-	for _, tid := range sc.tokTID {
-		if tid != match.NoID {
-			sc.tids[tid] = true
-		}
-	}
-	stems := make(map[string]bool, len(sc.tids))
-	for tid := range sc.tids {
-		stems[rt.Packs.TIDs.Token(tid)] = true
-	}
-	return stems
-}
-
 // annScratch is the pooled per-request working set of AnnotateCtx: the
 // document analysis every stage reads — the token slice and, beside it,
 // each token's stem as a Global TID and its detection vocabulary ids — the
 // buffer a word outside the word table is stemmed into, the window TID set
-// and top-N dedup set (cleared, not reallocated, between uses), the
+// (stamped, not cleared, between windows) and top-N dedup set, the
 // annotation accumulators, and a reusable feature vector.
 type annScratch struct {
 	tokens   []textproc.Token
@@ -119,7 +98,7 @@ type annScratch struct {
 	tokIDs   []detect.WordIDs // tokIDs[i] is tokens[i]'s ids in the pipeline's vocabularies
 	stemBuf  []byte
 	dets     []detect.Detection
-	tids     map[uint32]bool
+	window   tidSet
 	kept     map[string]bool
 	patterns []Annotation
 	ranked   []Annotation
@@ -128,10 +107,7 @@ type annScratch struct {
 }
 
 var annPool = sync.Pool{New: func() any {
-	return &annScratch{
-		tids: make(map[uint32]bool),
-		kept: make(map[string]bool),
-	}
+	return &annScratch{kept: make(map[string]bool)}
 }}
 
 // lookupWords is the per-token half of the stemmer stage, Figure 4's "the
@@ -231,16 +207,17 @@ func (rt *Runtime) AnnotateCtx(ctx context.Context, text string, topN int) ([]An
 			sc.patterns = append(sc.patterns, Annotation{Detection: d})
 			continue
 		}
-		fields, ok := rt.Interest.Fields(d.Norm)
-		if !ok {
+		row := rt.Interest.names.ID(d.Norm)
+		if row == match.NoID {
 			// Outside the supported concept inventory: the production
 			// system only annotates entities whose features were
 			// precomputed offline ("we initially focus our efforts on a
 			// large, but finite set of entities").
 			continue
 		}
-		rel, relNorm := rt.Packs.scoreNorm(d.Norm, sc.windowTIDs(text, d.Start))
-		sc.fv = features.AppendRelevance(fields.AppendExpand(sc.fv[:0], allGroups), rel, relNorm)
+		sc.windowTIDs(rt.Packs.TIDs.Len(), text, d.Start)
+		rel, relNorm := rt.Packs.scoreNorm(rt.Packs.packs[row], &sc.window)
+		sc.fv = features.AppendRelevance(rt.Interest.fieldsAt(row).AppendExpand(sc.fv[:0], allGroups), rel, relNorm)
 		if cap(sc.std) < len(sc.fv) {
 			sc.std = make([]float64, 0, cap(sc.fv))
 		}
@@ -311,11 +288,11 @@ func (rt *Runtime) AnnotateDegraded(text string, topN int) []Annotation {
 			sc.patterns = append(sc.patterns, Annotation{Detection: d})
 			continue
 		}
-		fields, ok := rt.Interest.Fields(d.Norm)
-		if !ok {
+		row := rt.Interest.names.ID(d.Norm)
+		if row == match.NoID {
 			continue
 		}
-		sc.ranked = append(sc.ranked, Annotation{Detection: d, Score: fields.FreqExact})
+		sc.ranked = append(sc.ranked, Annotation{Detection: d, Score: rt.Interest.fieldsAt(row).FreqExact})
 	}
 	slices.SortStableFunc(sc.ranked, func(a, b Annotation) int {
 		return cmp.Or(
@@ -329,23 +306,17 @@ func (rt *Runtime) AnnotateDegraded(text string, topN int) []Annotation {
 	return append(append(out, sc.patterns...), ranked...)
 }
 
-// windowTIDs returns the TIDs of the stemmed content words in the context
-// of byte pos — relevance.LocalWindow — as a set valid until the next call
-// on sc. The window's words are a range of the document's tokens: the
-// window ends on ' ', '\n' or an edge of the text, no token holds either
-// byte, so no token straddles an edge and the tokens that start inside the
-// window are exactly the tokens of the window's text (FuzzWindowTIDs checks
-// it).
-func (sc *annScratch) windowTIDs(text string, pos int) map[uint32]bool {
+// windowTIDs fills sc.window, sized for nTIDs, with the TIDs of the
+// stemmed content words in the context of byte pos — relevance.LocalWindow.
+// The window's words are a range of the document's tokens: the window ends
+// on ' ', '\n' or an edge of the text, no token holds either byte, so no
+// token straddles an edge and the tokens that start inside the window are
+// exactly the tokens of the window's text (FuzzWindowTIDs checks it).
+func (sc *annScratch) windowTIDs(nTIDs int, text string, pos int) {
 	lo, hi := relevance.LocalWindow(text, pos)
 	first := sort.Search(len(sc.tokens), func(i int) bool { return sc.tokens[i].Start >= lo })
-	clear(sc.tids)
-	for i := first; i < len(sc.tokens) && sc.tokens[i].Start < hi; i++ {
-		if tid := sc.tokTID[i]; tid != match.NoID {
-			sc.tids[tid] = true
-		}
-	}
-	return sc.tids
+	end := first + sort.Search(len(sc.tokens)-first, func(i int) bool { return sc.tokens[first+i].Start >= hi })
+	sc.window.stamp(nTIDs, sc.tokTID[first:end])
 }
 
 // Throughput reports the stemmer and ranker processing rates in MB/s since

@@ -91,16 +91,16 @@ func dequantize(q uint16, max float64) float64 {
 	return float64(q) / math.MaxUint16 * max
 }
 
-// InterestTable is the packed interestingness store: a hash index plus a
-// flat []uint16 blob at exactly BytesPerConcept per entry, so "the vectors
-// for the detected concepts can be retrieved in constant time".
+// InterestTable is the packed interestingness store: the concept names plus
+// a flat []uint16 blob at exactly BytesPerConcept per entry, so "the
+// vectors for the detected concepts can be retrieved in constant time".
 type InterestTable struct {
 	calib Calibration
-	index map[string]int
+	names *match.Vocab // row r is id r; its fields are data[r*NumFields:]
 	data  []uint16
 }
 
-// BuildInterestTable quantizes the fields of every named concept.
+// BuildInterestTable quantizes the fields of every named concept, each once.
 func BuildInterestTable(names []string, fieldsOf func(string) features.Fields) *InterestTable {
 	all := make([]features.Fields, len(names))
 	for i, n := range names {
@@ -108,11 +108,13 @@ func BuildInterestTable(names []string, fieldsOf func(string) features.Fields) *
 	}
 	t := &InterestTable{
 		calib: Calibrate(all),
-		index: make(map[string]int, len(names)),
+		names: match.NewVocab(),
 		data:  make([]uint16, 0, len(names)*NumFields),
 	}
 	for i, n := range names {
-		t.index[n] = len(t.data)
+		if t.names.Intern(n) != uint32(i) {
+			panic("framework: repeated concept " + n)
+		}
 		raw := fieldsToRaw(all[i])
 		for fi, v := range raw {
 			if fi == 7 {
@@ -127,27 +129,29 @@ func BuildInterestTable(names []string, fieldsOf func(string) features.Fields) *
 }
 
 // Len returns the number of stored concepts.
-func (t *InterestTable) Len() int { return len(t.index) }
+func (t *InterestTable) Len() int { return t.names.Len() }
 
 // MemoryBytes returns the blob size (the paper's 18 MB for 1M concepts).
 func (t *InterestTable) MemoryBytes() int { return len(t.data) * 2 }
 
 // Fields reconstructs the (dequantized) field record for a concept.
 func (t *InterestTable) Fields(name string) (features.Fields, bool) {
-	off, ok := t.index[name]
-	if !ok {
-		return features.Fields{}, false
+	if r := t.names.ID(name); r != match.NoID {
+		return t.fieldsAt(r), true
 	}
+	return features.Fields{}, false
+}
+
+func (t *InterestTable) fieldsAt(r uint32) features.Fields {
 	var raw [NumFields]float64
-	for fi := 0; fi < NumFields; fi++ {
-		q := t.data[off+fi]
+	for fi, q := range t.data[int(r)*NumFields : (int(r)+1)*NumFields] {
 		if fi == 7 {
 			raw[fi] = float64(q)
 			continue
 		}
 		raw[fi] = dequantize(q, t.calib.Max[fi])
 	}
-	return rawToFields(raw), true
+	return rawToFields(raw)
 }
 
 // TID packing constants: "the largest TID value we need to support in the
@@ -163,12 +167,13 @@ const (
 )
 
 // KeywordPacks stores each concept's relevant keywords as packed 32-bit
-// (TID, score) entries sorted by TID.
+// (TID, score) entries sorted by TID, a pack per row of its names.
 type KeywordPacks struct {
 	// TIDs is the Global TID Table: every term used by at least one
 	// concept's keywords, interned to a dense id below 2^TIDBits.
 	TIDs     *match.Vocab
-	packs    map[string][]uint32
+	names    *match.Vocab // packs[r] is the pack of names' id r
+	packs    [][]uint32
 	maxScore float64 // dequantization scale
 }
 
@@ -196,8 +201,9 @@ func BuildKeywordPacks(store *relevance.Store) *KeywordPacks {
 	if maxScore <= 0 {
 		maxScore = 1
 	}
-	kp := &KeywordPacks{TIDs: match.NewVocab(), packs: make(map[string][]uint32, len(names)), maxScore: maxScore}
-	for _, n := range names {
+	kp := &KeywordPacks{TIDs: match.NewVocab(), names: match.NewVocab(), packs: make([][]uint32, len(names)), maxScore: maxScore}
+	for r, n := range names {
+		kp.names.Intern(n)
 		kws := store.Keywords(n)
 		entries := make([]uint32, 0, len(kws))
 		for _, e := range kws {
@@ -215,17 +221,39 @@ func BuildKeywordPacks(store *relevance.Store) *KeywordPacks {
 		}
 		// Sort by TID so the pack is Golomb-compressible and mergeable.
 		sort.Slice(entries, func(i, j int) bool { return entries[i]>>ScoreBits < entries[j]>>ScoreBits })
-		kp.packs[n] = entries
+		kp.packs[r] = entries
 	}
 	return kp
+}
+
+// inRows lays kp's packs out in t's rows, over t's names (kp itself if
+// they are its own). whole reports that every row has a pack.
+func (kp *KeywordPacks) inRows(t *InterestTable) (aligned *KeywordPacks, whole bool) {
+	if kp.names == t.names {
+		return kp, true
+	}
+	aligned, whole = &KeywordPacks{TIDs: kp.TIDs, names: t.names, packs: make([][]uint32, t.Len()), maxScore: kp.maxScore}, true
+	for r := range aligned.packs {
+		name := t.names.Token(uint32(r))
+		aligned.packs[r] = kp.pack(name)
+		whole = whole && kp.names.ID(name) != match.NoID
+	}
+	return aligned, whole
 }
 
 // Len returns the number of packed concepts.
 func (k *KeywordPacks) Len() int { return len(k.packs) }
 
+func (k *KeywordPacks) pack(name string) []uint32 {
+	if r := k.names.ID(name); r != match.NoID {
+		return k.packs[r]
+	}
+	return nil
+}
+
 // BytesFor returns the packed size of one concept's keywords (≤ 400 bytes
 // at the paper's m=100).
-func (k *KeywordPacks) BytesFor(concept string) int { return 4 * len(k.packs[concept]) }
+func (k *KeywordPacks) BytesFor(concept string) int { return 4 * len(k.pack(concept)) }
 
 // TotalBytes returns the aggregate pack size across concepts.
 func (k *KeywordPacks) TotalBytes() int {
@@ -252,7 +280,7 @@ func (k *KeywordPacks) GolombBytes() int {
 
 // Keywords reconstructs the dequantized keyword vector of a concept.
 func (k *KeywordPacks) Keywords(concept string) corpus.Vector {
-	pack := k.packs[concept]
+	pack := k.pack(concept)
 	out := make(corpus.Vector, 0, len(pack))
 	for _, e := range pack {
 		tid, q := unpackEntry(e)
@@ -265,25 +293,19 @@ func (k *KeywordPacks) Keywords(concept string) corpus.Vector {
 	return out
 }
 
-// Score computes the relevance of concept against a document's TID set —
+// scoreNorm computes the relevance of a pack against a context's TID set —
 // the online counterpart of relevance.Store.Score, "achieved quite
-// efficiently" because both sides are integer ids.
-func (k *KeywordPacks) Score(concept string, docTIDs map[uint32]bool) float64 {
-	score, _ := k.scoreNorm(concept, docTIDs)
-	return score
-}
-
-// scoreNorm is Score with its coverage-normalized form beside it: the
-// pack's quantized score mass found in docTIDs over its whole mass —
-// relevance.Store.NormalizedScoreCtx over the pack. The uint32 sums cannot
-// overflow: a built pack holds at most TopM entries and a loaded one at
-// most maxPackLen, each at most MaxQScore.
-func (k *KeywordPacks) scoreNorm(concept string, docTIDs map[uint32]bool) (score, norm float64) {
+// efficiently" because both sides are integer ids — with its
+// coverage-normalized form beside it: the pack's quantized score mass
+// found in the set over its whole mass. The uint32 sums cannot overflow: a
+// built pack holds at most TopM entries and a loaded one at most
+// maxPackLen, each at most MaxQScore.
+func (k *KeywordPacks) scoreNorm(pack []uint32, in *tidSet) (score, norm float64) {
 	var hit, total uint32
-	for _, e := range k.packs[concept] {
+	for _, e := range pack {
 		tid, q := unpackEntry(e)
 		total += q
-		if docTIDs[tid] {
+		if in.mark[tid] == in.gen {
 			hit += q
 			score += float64(q) / MaxQScore * k.maxScore
 		}
@@ -294,15 +316,29 @@ func (k *KeywordPacks) scoreNorm(concept string, docTIDs map[uint32]bool) (score
 	return score, norm
 }
 
-// DocTIDs maps a document's stemmed content terms to the TID set used by
-// Score. Terms outside the Global TID Table are ignored (they cannot match
-// any concept's keywords).
-func (k *KeywordPacks) DocTIDs(stems map[string]bool) map[uint32]bool {
-	out := make(map[uint32]bool, len(stems))
-	for s := range stems {
-		if id := k.TIDs.ID(s); id != match.NoID {
-			out[id] = true
+// tidSet is a set of TIDs stamped with a generation: tid is in it while
+// mark[tid] == gen, so emptying it is one increment.
+type tidSet struct {
+	mark []uint32
+	gen  uint32
+}
+
+// stamp empties the set, sized for TIDs below n (the pooled scratch may
+// come from a runtime with a smaller TID table), adds tids but match.NoID,
+// and returns how many distinct TIDs it holds.
+func (s *tidSet) stamp(n int, tids []uint32) (distinct int) {
+	if len(s.mark) < n {
+		s.mark = make([]uint32, n)
+	}
+	if s.gen++; s.gen == 0 { // wrapped: old stamps would match again
+		clear(s.mark)
+		s.gen = 1
+	}
+	for _, tid := range tids {
+		if tid != match.NoID && s.mark[tid] != s.gen {
+			s.mark[tid] = s.gen
+			distinct++
 		}
 	}
-	return out
+	return distinct
 }

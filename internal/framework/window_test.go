@@ -60,7 +60,8 @@ func checkWindows(t *testing.T, rt *Runtime, text string, pos int) {
 		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("window [%d,%d) of %q: tokens in range\n got %+v\nwant %+v", lo, hi, text, got, want)
 		}
-		gotTIDs, wantTIDs := sc.windowTIDs(text, pos), rt.localTIDs(text, pos)
+		sc.windowTIDs(rt.Packs.TIDs.Len(), text, pos)
+		gotTIDs, wantTIDs := sc.window.members(), rt.localTIDs(text, pos)
 		if len(gotTIDs)+len(wantTIDs) > 0 && !reflect.DeepEqual(gotTIDs, wantTIDs) {
 			t.Fatalf("position %d of %q: TIDs %v, want %v", pos, text, gotTIDs, wantTIDs)
 		}

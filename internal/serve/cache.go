@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"contextrank/internal/resilience"
-	"contextrank/internal/wire"
 )
 
 // Cache is the annotation response cache: a sharded LRU over serialized
@@ -35,7 +34,7 @@ type Cache struct {
 	shards   []cacheShard
 	perShard int
 
-	// FillTimeout bounds a detached cache fill (see Do). Zero uses
+	// FillTimeout bounds a detached cache fill (see fill). Zero uses
 	// DefaultFillTimeout. cmd/serve sizes it from the request deadline.
 	FillTimeout time.Duration
 
@@ -137,26 +136,6 @@ func (c *Cache) put(k cacheKey, text string, body []byte) {
 	}
 }
 
-// Do returns the cached response for (text, top, epoch) or computes it via
-// fn, coalescing concurrent misses on the same key. fn reports whether its
-// result is cacheable (degraded responses are not). The returned bytes
-// must be treated as read-only.
-//
-// epoch is the index visibility epoch (Server.IndexEpoch; 0 when no live
-// index is wired), a key component: once it moves, older entries are never
-// served and misses never coalesce across it (DESIGN.md §11).
-//
-// A miss is a resilience.Flights call, whose contract covers the rest: fn
-// runs detached from the caller, bounded by FillTimeout, and an error comes
-// back to a caller whose ctx ends first or whose fill panicked.
-func (c *Cache) Do(ctx context.Context, text string, top int, epoch uint64, fn func(context.Context) ([]byte, bool)) ([]byte, error) {
-	k := cacheKey{hash: wire.Key(text, top), top: top, epoch: epoch}
-	if body, ok := lookup(c, k, text); ok {
-		return body, nil
-	}
-	return c.fill(ctx, k, text, top, nil, fillFunc(fn))
-}
-
 // A filler computes a missed response for (text, top): its body and whether
 // it is cacheable. *Server is the handler's filler, so a miss through the
 // handler builds one closure, fill's.
@@ -164,16 +143,9 @@ type filler interface {
 	annotateBody(ctx context.Context, text string, top int) (body []byte, cacheable bool)
 }
 
-// fillFunc is Do's fn as a filler; fn computes the one key it was given for.
-type fillFunc func(context.Context) ([]byte, bool)
-
-func (fn fillFunc) annotateBody(ctx context.Context, _ string, _ int) ([]byte, bool) {
-	return fn(ctx)
-}
-
-// fill is the miss half of Do, for a caller whose lookup under k has just
-// missed. A panic in f is added to panics (when non-nil) and answered with
-// resilience.ErrFlightPanicked.
+// fill is the miss half of a cache call, for a caller whose lookup under k
+// has just missed. A panic in f is added to panics (when non-nil) and
+// answered with resilience.ErrFlightPanicked.
 func (c *Cache) fill(ctx context.Context, k cacheKey, text string, top int, panics *atomic.Int64, f filler) ([]byte, error) {
 	c.misses.Add(1)
 	timeout := c.FillTimeout
