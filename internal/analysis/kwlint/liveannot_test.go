@@ -42,6 +42,7 @@ var liveAnnotations = map[string][]string{
 		"Vocab.AppendIDs //kw:hotpath",
 	},
 	"internal/ranksvm/ranksvm.go": {
+		"Model.AddTerms //kw:hotpath",
 		"Model.ScoreBuf //kw:hotpath",
 	},
 	"internal/searchsim/cache.go": {

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"contextrank/internal/golomb"
 	"contextrank/internal/match"
@@ -29,11 +30,12 @@ import (
 //	pack scale   float64 (the score dequantization scale)
 //	TID table    uint32 count, then each term in TID order
 //	packs        one per concept, in row order and unnamed (appendPack)
-//	model        uint32 byte length, then the model's JSON
+//	model        uint32 width w, then w float64 weights, w means, w scales
 //	checksum     CRC32 (IEEE) of everything before it
 //
 // A string is a uvarint byte length and its bytes. Each concept is named
-// once, so the two tables cannot disagree about which concepts exist.
+// once, so the two tables cannot disagree about which concepts exist. The
+// model is the linear ranker the runtime serves, in the layout it scores.
 
 // Bundle is the complete offline artifact behind one runtime.
 type Bundle struct {
@@ -42,7 +44,7 @@ type Bundle struct {
 	Model    *ranksvm.Model
 }
 
-var bundleMagic = [8]byte{'C', 'T', 'X', 'R', 'A', 'N', 'K', 2}
+var bundleMagic = [8]byte{'C', 'T', 'X', 'R', 'A', 'N', 'K', 3}
 
 // ErrCorrupt is returned when a bundle fails validation.
 var ErrCorrupt = errors.New("framework: corrupt bundle")
@@ -50,16 +52,16 @@ var ErrCorrupt = errors.New("framework: corrupt bundle")
 // Save writes the bundle, the packs in the interest table's rows. The file
 // names each concept once, so a bundle whose tables name different
 // concepts is refused: a concept without a pack would be served with
-// relevance 0, one without an interest row never.
+// relevance 0, one without an interest row never. So is a model that is
+// not linear: the file holds the one kind the runtime serves.
 func (b *Bundle) Save(w io.Writer) error {
 	t := b.Interest
 	kp, whole := b.Packs.inRows(t)
 	if !whole || b.Packs.Len() != t.Len() {
 		return fmt.Errorf("framework: the %d interest rows and %d keyword packs name different concepts", t.Len(), b.Packs.Len())
 	}
-	var model bytes.Buffer
-	if err := b.Model.Save(&model); err != nil {
-		return err
+	if b.Model.Kernel != ranksvm.Linear {
+		return fmt.Errorf("framework: a bundle holds a linear model, not kernel %d", b.Model.Kernel)
 	}
 	le := binary.LittleEndian
 	buf := append([]byte(nil), bundleMagic[:]...)
@@ -81,8 +83,7 @@ func (b *Bundle) Save(w io.Writer) error {
 	for _, pack := range kp.packs {
 		buf, _ = appendPack(buf, pack)
 	}
-	buf = le.AppendUint32(buf, uint32(model.Len()))
-	buf = append(buf, model.Bytes()...)
+	buf = appendModel(buf, b.Model)
 	buf = le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	_, err := w.Write(buf)
 	return err
@@ -90,6 +91,16 @@ func (b *Bundle) Save(w io.Writer) error {
 
 func appendString(buf []byte, s string) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+}
+
+// appendModel appends a linear model's block: its width, then its weights,
+// means and scales.
+func appendModel(buf []byte, m *ranksvm.Model) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Weights)))
+	for _, x := range slices.Concat(m.Weights, m.Mean, m.Scale) {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+	}
+	return buf
 }
 
 // appendPack appends one pack in the Golomb form §VI proposes: its entry
@@ -130,7 +141,7 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	d := &decoder{buf: body[len(bundleMagic):]}
 	b := &Bundle{}
 	b.Interest, b.Packs = d.tables()
-	modelBytes := d.take(uint64(d.u32("model length")), "model data")
+	b.Model = d.model()
 	if d.err == nil && len(d.buf) != 0 {
 		d.fail("bytes after the model")
 	}
@@ -139,14 +150,6 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	}
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(body):]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	if b.Model, err = ranksvm.Load(bytes.NewReader(modelBytes)); err != nil {
-		return nil, fmt.Errorf("%w: model: %v", ErrCorrupt, err)
-	}
-	// A model fitted to another layout would index past its weights on the
-	// first ranked concept, or score with the wrong ones.
-	if dim := len(b.Model.Mean); dim != modelDim {
-		return nil, fmt.Errorf("%w: model has %d features, the runtime's layout %d", ErrCorrupt, dim, modelDim)
 	}
 	return b, nil
 }
@@ -243,6 +246,26 @@ func (d *decoder) tables() (*InterestTable, *KeywordPacks) {
 		kp.packs[r] = d.pack(uint32(nTerms))
 	}
 	return t, kp
+}
+
+// model reads the model block. A model fitted to another layout would
+// index past its weights on the first ranked concept, or score with the
+// wrong ones, so the width must be modelDim before any float is read. A
+// weight or mean must be finite and a scale finite and positive: any other
+// scores every ranked concept ±Inf or NaN.
+func (d *decoder) model() *ranksvm.Model {
+	if w := d.u32("model width"); d.err != nil || w != uint32(modelDim) {
+		d.fail(fmt.Sprintf("model has %d features, the runtime's layout %d", w, modelDim))
+		return nil
+	}
+	v := make([]float64, 3*modelDim)
+	for i := range v {
+		v[i] = d.f64("model")
+		if math.IsNaN(v[i]) || math.IsInf(v[i], 0) || i >= 2*modelDim && v[i] <= 0 {
+			d.fail("model weight, mean or scale out of range")
+		}
+	}
+	return &ranksvm.Model{Kernel: ranksvm.Linear, Weights: v[:modelDim:modelDim], Mean: v[modelDim : 2*modelDim : 2*modelDim], Scale: v[2*modelDim:]}
 }
 
 // vocab reads n strings into a vocabulary, the i'th as id i. It copies

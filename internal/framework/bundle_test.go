@@ -74,13 +74,13 @@ func sealed(data []byte) []byte {
 
 // headerOnly is the smallest well-formed prefix of a bundle — magic,
 // calibration, no concepts, pack scale, empty TID table — followed by a
-// model length and no model bytes, sealed: 104 bytes.
-func headerOnly(modelLen uint32) []byte {
+// model width and no model floats, sealed: 104 bytes.
+func headerOnly(width uint32) []byte {
 	buf := append(bundleMagic[:], make([]byte, 8*NumFields)...)
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // concepts
 	buf = binary.LittleEndian.AppendUint64(buf, 0) // pack scale
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // TIDs
-	buf = binary.LittleEndian.AppendUint32(buf, modelLen)
+	buf = binary.LittleEndian.AppendUint32(buf, width)
 	return sealed(buf)
 }
 
@@ -97,12 +97,14 @@ func oneConcept(tb testing.TB, nTerms int, pack []byte) []byte {
 		buf = appendString(buf, fmt.Sprint("t", i))
 	}
 	buf = append(buf, pack...)
-	var model bytes.Buffer
-	if err := sampleModel(tb, modelDim).Save(&model); err != nil {
-		tb.Fatal(err)
-	}
-	buf = le.AppendUint32(buf, uint32(model.Len()))
-	return sealed(append(buf, model.Bytes()...))
+	return sealed(appendModel(buf, sampleModel(tb, modelDim)))
+}
+
+// withModel is the bytes of a sampleBundle whose model edit changed.
+func withModel(tb testing.TB, edit func(m *ranksvm.Model)) []byte {
+	b := sampleBundle(tb)
+	edit(b.Model)
+	return saveBytes(tb, b)
 }
 
 // encodedPack is appendPack's form of a pack of (TID, score) pairs.
@@ -169,9 +171,9 @@ func TestBundleRoundtrip(t *testing.T) {
 }
 
 // A length prefix is a claim, not a size: the header with no concepts and
-// a 256 MiB model length, and no model bytes behind it, must fail before
-// it allocates for the claim; so must a pack that claims 2^20 entries
-// (4 MiB unpacked) over 3 bytes.
+// a model width of 2^28 (6 GiB of floats), and no floats behind it, must
+// fail before it allocates for the claim; so must a pack that claims 2^20
+// entries (4 MiB unpacked) over 3 bytes.
 func TestLoadBundleAllocatesOnlyPresentBytes(t *testing.T) {
 	header := headerOnly(1 << 28)
 	if len(header) != 104 {
@@ -270,7 +272,8 @@ func TestLoadBundleRejectsMismatchedTables(t *testing.T) {
 
 // A model fitted to any width but the runtime's layout does not fit it and
 // must not load: narrower ones would index past their weights. NewRuntime,
-// which a model reaches without a bundle too, panics naming both widths.
+// which a model reaches without a bundle too, panics naming both widths,
+// and on a model that is not linear.
 func TestLoadBundleRejectsModelWidth(t *testing.T) {
 	for _, dim := range []int{2, modelDim - 1, modelDim + 1} {
 		b := sampleBundle(t)
@@ -288,6 +291,14 @@ func TestLoadBundleRejectsModelWidth(t *testing.T) {
 			NewRuntime(detect.New(nil, nil), b.Interest, b.Packs, b.Model)
 		}()
 	}
+	b := sampleBundle(t)
+	b.Model.Kernel = ranksvm.RBF
+	defer func() {
+		if r := recover(); r != "framework: the runtime serves linear models, not kernel 1" {
+			t.Fatalf("NewRuntime with an RBF model: recovered %v", r)
+		}
+	}()
+	NewRuntime(detect.New(nil, nil), b.Interest, b.Packs, b.Model)
 }
 
 func TestBundleDetectsCorruption(t *testing.T) {
@@ -325,13 +336,51 @@ func TestBundleDetectsCorruption(t *testing.T) {
 	}
 }
 
-// A file in the layout before the Golomb pack block carries version 1 in
-// its magic and fails at the header, checksum or not.
+// A file in a layout before this one fails at the header, checksum or
+// not: version 1 has no Golomb pack block, version 2 a JSON model.
 func TestLoadBundleRejectsOldVersion(t *testing.T) {
-	old := headerOnly(0)
-	old[len(bundleMagic)-1] = 1
-	if _, err := LoadBundle(bytes.NewReader(sealed(old[:len(old)-4]))); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("a version-1 header: %v", err)
+	for _, version := range []byte{1, 2} {
+		old := headerOnly(uint32(modelDim))
+		old[len(bundleMagic)-1] = version
+		if _, err := LoadBundle(bytes.NewReader(sealed(old[:len(old)-4]))); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "magic") {
+			t.Fatalf("a version-%d header: %v", version, err)
+		}
+	}
+}
+
+// The model block holds floats the runtime scores with, so a weight or
+// mean that is not finite, or a scale that is not finite and positive,
+// is corrupt even under a valid checksum: it would score every ranked
+// concept ±Inf or NaN.
+func TestLoadBundleRejectsBadModel(t *testing.T) {
+	if _, err := LoadBundle(bytes.NewReader(withModel(t, func(*ranksvm.Model) {}))); err != nil {
+		t.Fatalf("unedited model: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for label, edit := range map[string]func(m *ranksvm.Model){
+		"NaN weight":     func(m *ranksvm.Model) { m.Weights[3] = nan },
+		"+Inf weight":    func(m *ranksvm.Model) { m.Weights[0] = inf },
+		"-Inf weight":    func(m *ranksvm.Model) { m.Weights[modelDim-1] = -inf },
+		"NaN mean":       func(m *ranksvm.Model) { m.Mean[5] = nan },
+		"-Inf mean":      func(m *ranksvm.Model) { m.Mean[0] = -inf },
+		"zero scale":     func(m *ranksvm.Model) { m.Scale[2] = 0 },
+		"negative scale": func(m *ranksvm.Model) { m.Scale[modelDim-1] = -1 },
+		"NaN scale":      func(m *ranksvm.Model) { m.Scale[1] = nan },
+		"+Inf scale":     func(m *ranksvm.Model) { m.Scale[4] = inf },
+	} {
+		if _, err := LoadBundle(bytes.NewReader(withModel(t, edit))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: loaded: %v", label, err)
+		}
+	}
+}
+
+// The bundle holds the linear model the runtime serves: Save refuses any
+// other kernel rather than write a file that cannot load.
+func TestSaveRejectsRBFModel(t *testing.T) {
+	b := sampleBundle(t)
+	b.Model.Kernel, b.Model.Weights = ranksvm.RBF, nil
+	if err := b.Save(io.Discard); err == nil {
+		t.Fatal("RBF model saved")
 	}
 }
 

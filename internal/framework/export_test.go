@@ -2,6 +2,7 @@ package framework
 
 import (
 	"contextrank/internal/detect"
+	"contextrank/internal/features"
 	"contextrank/internal/textproc"
 )
 
@@ -20,6 +21,12 @@ func (rt *Runtime) WordTableLen() int { return len(rt.words) }
 
 // ModelDim is the model width NewRuntime accepts.
 var ModelDim = modelDim
+
+// ServedScore is the score AnnotateCtx gives a detection of row r's concept
+// whose context scored rel, relNorm, beside the row's fields.
+func (rt *Runtime) ServedScore(r int, rel, relNorm float64) (float64, features.Fields) {
+	return rt.score(uint32(r), rel, relNorm), rt.Interest.fieldsAt(uint32(r))
+}
 
 // stamped is docTIDs as the window set scoreNorm reads, sized for kp.
 func stamped(kp *KeywordPacks, docTIDs map[uint32]bool) *tidSet {

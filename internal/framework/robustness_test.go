@@ -2,8 +2,11 @@ package framework
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
+
+	"contextrank/internal/ranksvm"
 )
 
 // Robustness (failure-injection) tests: the production loaders must reject
@@ -64,9 +67,10 @@ func TestBundleLoadNeverPanicsOnRandomBytes(t *testing.T) {
 
 // FuzzLoadBundle: every input either fails to load or loads a bundle that
 // survives Save → LoadBundle unchanged, and no input panics. The seeds are a
-// real bundle, its truncations, the bare 104-byte header claiming a
-// 256 MiB model, and one-concept bundles whose pack claims 2^20 entries
-// over 3 bytes or a TID past its table.
+// real bundle, its truncations, the bare 104-byte header claiming a model
+// 2^28 wide, one-concept bundles whose pack claims 2^20 entries over 3
+// bytes or a TID past its table, and bundles whose model has a NaN weight
+// or a zero scale.
 func FuzzLoadBundle(f *testing.F) {
 	clean := saveBytes(f, sampleBundle(f))
 	f.Add(clean)
@@ -76,6 +80,8 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add(headerOnly(1 << 28))
 	f.Add(oneConcept(f, 3, claimsMillion))
 	f.Add(oneConcept(f, 3, encodedPack(0, 7, 3, 9)))
+	f.Add(withModel(f, func(m *ranksvm.Model) { m.Weights[0] = math.NaN() }))
+	f.Add(withModel(f, func(m *ranksvm.Model) { m.Scale[0] = 0 }))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := LoadBundle(bytes.NewReader(data))
 		if err != nil {

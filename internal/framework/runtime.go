@@ -66,6 +66,10 @@ type Runtime struct {
 	Tables
 	Model *ranksvm.Model
 
+	// interest[r] is the model's sum over row r's interestingness
+	// features: the first interestDim terms of each score of its concept.
+	interest []float64
+
 	// Timing accumulators for the §VI throughput experiment (atomic: the
 	// runtime serves concurrent requests in production).
 	stemNanos, rankNanos atomic.Int64
@@ -73,12 +77,28 @@ type Runtime struct {
 }
 
 // Runtime joins the tables with a fitted model: the one constructor of a
-// Runtime. It panics on a model that is not modelDim wide.
+// Runtime. It panics on a model that is not linear or not modelDim wide.
+// Each interest row's sum is taken here, once: a detection adds only its
+// relevance terms.
 func (t *Tables) Runtime(model *ranksvm.Model) *Runtime {
-	if d := len(model.Mean); d != modelDim {
-		panic(fmt.Sprintf("framework: model has %d features, the runtime's layout %d", d, modelDim))
+	if model.Kernel != ranksvm.Linear {
+		panic(fmt.Sprintf("framework: the runtime serves linear models, not kernel %d", model.Kernel))
 	}
-	return &Runtime{Tables: *t, Model: model}
+	for _, v := range [][]float64{model.Weights, model.Mean, model.Scale} {
+		if len(v) != modelDim {
+			panic(fmt.Sprintf("framework: model has %d features, the runtime's layout %d", len(v), modelDim))
+		}
+	}
+	rt := &Runtime{Tables: *t, Model: model}
+	if t.Interest != nil {
+		rt.interest = make([]float64, t.Interest.Len())
+		fv := make([]float64, 0, interestDim)
+		for r := range rt.interest {
+			fv = t.Interest.fieldsAt(uint32(r)).AppendExpand(fv[:0], allGroups)
+			rt.interest[r] = model.AddTerms(0, 0, fv)
+		}
+	}
+	return rt
 }
 
 // NewRuntime is NewTables(p, it, kp).Runtime(model).
@@ -91,7 +111,7 @@ func NewRuntime(p *detect.Pipeline, it *InterestTable, kp *KeywordPacks, model *
 // each token's stem as a Global TID and its detection vocabulary ids — the
 // buffer a word outside the word table is stemmed into, the window TID set
 // (stamped, not cleared, between windows) and top-N dedup set, the
-// annotation accumulators, and a reusable feature vector.
+// annotation accumulators.
 type annScratch struct {
 	tokens   []textproc.Token
 	tokTID   []uint32         // tokTID[i] is tokens[i]'s stem in the Global TID Table; match.NoID for a non-content word or a stem no pack uses
@@ -102,8 +122,6 @@ type annScratch struct {
 	kept     map[string]bool
 	patterns []Annotation
 	ranked   []Annotation
-	fv       []float64
-	std      []float64
 }
 
 var annPool = sync.Pool{New: func() any {
@@ -151,14 +169,16 @@ func (rt *Runtime) Annotate(text string, topN int) []Annotation {
 	return anns
 }
 
-// allGroups is the full feature-group mask, hoisted so the ranking loop does
-// not rebuild the map per detection. Read-only after init.
+// allGroups is the full feature-group mask. Read-only after init.
 var allGroups = features.AllGroups()
 
 // modelDim is the model width Tables.Runtime and LoadBundle accept: the layout
-// TrainRanker fits (core.LearnedMethod with relevance) — every
-// interestingness feature, then features.AppendRelevance's.
-var modelDim = features.Dim(allGroups) + features.NumRelevance
+// TrainRanker fits (core.LearnedMethod with relevance) — the interestDim
+// interestingness features, then features.AppendRelevance's.
+var (
+	interestDim = features.Dim(allGroups)
+	modelDim    = interestDim + features.NumRelevance
+)
 
 // cancelCheckEvery is how many ranking iterations run between cooperative
 // ctx checks: frequent enough that a deadline interrupts a pathological
@@ -217,15 +237,7 @@ func (rt *Runtime) AnnotateCtx(ctx context.Context, text string, topN int) ([]An
 		}
 		sc.windowTIDs(rt.Packs.TIDs.Len(), text, d.Start)
 		rel, relNorm := rt.Packs.scoreNorm(rt.Packs.packs[row], &sc.window)
-		sc.fv = features.AppendRelevance(rt.Interest.fieldsAt(row).AppendExpand(sc.fv[:0], allGroups), rel, relNorm)
-		if cap(sc.std) < len(sc.fv) {
-			sc.std = make([]float64, 0, cap(sc.fv))
-		}
-		sc.ranked = append(sc.ranked, Annotation{
-			Detection: d,
-			Score:     rt.Model.ScoreBuf(sc.fv, sc.std),
-			Relevance: rel,
-		})
+		sc.ranked = append(sc.ranked, Annotation{Detection: d, Score: rt.score(row, rel, relNorm), Relevance: rel})
 	}
 	slices.SortStableFunc(sc.ranked, func(a, b Annotation) int {
 		// The paper's tie-break: favor the higher relevance score.
@@ -241,6 +253,14 @@ func (rt *Runtime) AnnotateCtx(ctx context.Context, text string, topN int) ([]An
 	rt.rankNanos.Add(time.Since(stemmed).Nanoseconds())
 	rt.bytesProcessed.Add(int64(len(text)))
 	return out, nil
+}
+
+// score is the model's score of a detection of row's concept whose context
+// scored rel, relNorm: the row's interestingness sum, then the relevance
+// terms, summed on in the model's order, so it has Model.Score's bits.
+func (rt *Runtime) score(row uint32, rel, relNorm float64) float64 {
+	var rv [features.NumRelevance]float64
+	return rt.Model.AddTerms(rt.interest[row], interestDim, features.AppendRelevance(rv[:0], rel, relNorm))
 }
 
 // keepTopConcepts keeps the top-N *distinct* concepts of a ranked slice;

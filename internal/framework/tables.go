@@ -307,7 +307,7 @@ func (k *KeywordPacks) scoreNorm(pack []uint32, in *tidSet) (score, norm float64
 		total += q
 		if in.mark[tid] == in.gen {
 			hit += q
-			score += float64(q) / MaxQScore * k.maxScore
+			score += float64(float64(q) / MaxQScore * k.maxScore)
 		}
 	}
 	if total > 0 {

@@ -34,7 +34,10 @@ func TestWordTableMatchesDefinition(t *testing.T) {
 		World: world.Config{VocabSize: 6000, NumTopics: 24, NumConcepts: 1200},
 		News:  newsgen.Config{NumStories: 1100},
 	})
-	unranked := &ranksvm.Model{Mean: make([]float64, framework.ModelDim)}
+	unranked := &ranksvm.Model{Weights: make([]float64, framework.ModelDim), Mean: make([]float64, framework.ModelDim), Scale: make([]float64, framework.ModelDim)}
+	for d := range unranked.Scale {
+		unranked.Scale[d] = 1
+	}
 	rt := framework.NewRuntime(s.Pipeline, nil, framework.BuildKeywordPacks(s.RelevanceStore(relevance.Snippets)), unranked)
 	dict, unit, tids := s.Dict.Vocab(), s.Units.Vocab(), rt.Packs.TIDs
 

@@ -172,7 +172,7 @@ func standardizer(instances []Instance, dim int) (mean, scale []float64) {
 	for _, inst := range instances {
 		for d, v := range inst.Features {
 			diff := v - mean[d]
-			scale[d] += diff * diff
+			scale[d] += float64(diff * diff)
 		}
 	}
 	for d := range scale {
@@ -244,7 +244,7 @@ func trainLinear(std [][]float64, pairs []pair, opts Options, rng *rand.Rand) []
 		q := 0.0
 		for d := range z {
 			z[d] = std[pr.pos][d] - std[pr.neg][d]
-			q += z[d] * z[d]
+			q += float64(z[d] * z[d])
 		}
 		if q < 1e-12 {
 			q = 1e-12
@@ -263,7 +263,7 @@ func trainLinear(std [][]float64, pairs []pair, opts Options, rng *rand.Rand) []
 			z := diffs[p]
 			score := 0.0
 			for d := range z {
-				score += w[d] * z[d]
+				score += float64(w[d] * z[d])
 			}
 			g := score - 1 // gradient of dual objective wrt alpha_p
 			// Projected gradient.
@@ -290,7 +290,7 @@ func trainLinear(std [][]float64, pairs []pair, opts Options, rng *rand.Rand) []
 			delta := na - old
 			if delta != 0 {
 				for d := range z {
-					w[d] += delta * z[d]
+					w[d] += float64(delta * z[d])
 				}
 			}
 		}
@@ -307,29 +307,41 @@ func (m *Model) Score(features []float64) float64 {
 	return m.ScoreBuf(features, nil)
 }
 
-// ScoreBuf is Score using buf as the standardization scratch, so a serving
-// loop can reuse one buffer across calls instead of allocating per vector.
-// features is not modified; buf's contents are overwritten.
+// ScoreBuf is Score using buf as the RBF kernel's standardization scratch,
+// so a scoring loop can reuse one buffer across calls instead of allocating
+// per vector; the linear kernel needs none. features is not modified; buf's
+// contents are overwritten.
 //
 //kw:hotpath
 func (m *Model) ScoreBuf(features, buf []float64) float64 {
-	x := append(buf[:0], features...)
-	for d := range x {
-		x[d] = (x[d] - m.Mean[d]) / m.Scale[d]
-	}
 	switch m.Kernel {
 	case Linear:
-		s := 0.0
-		for d := range x {
-			s += m.Weights[d] * x[d]
-		}
-		return s
+		return m.AddTerms(0, 0, features)
 	case RBF:
+		x := append(buf[:0], features...)
+		for d := range x {
+			x[d] = (x[d] - m.Mean[d]) / m.Scale[d]
+		}
 		s := 0.0
 		for _, sp := range m.SupportPairs {
-			s += sp.Alpha * (rbf(sp.Pos, x, m.Gamma) - rbf(sp.Neg, x, m.Gamma))
+			s += float64(sp.Alpha * (rbf(sp.Pos, x, m.Gamma) - rbf(sp.Neg, x, m.Gamma)))
 		}
 		return s
 	}
 	return 0
+}
+
+// AddTerms adds a linear model's terms w[d]·(x[d] − mean[d])/scale[d] for
+// the raw features x, which sit at indices from, from+1, … of the model's
+// layout, to sum in ascending d. A vector summed in runs, each run's sum
+// fed to the next, gets exactly ScoreBuf's bits: ScoreBuf is
+// AddTerms(0, 0, features).
+//
+//kw:hotpath
+func (m *Model) AddTerms(sum float64, from int, x []float64) float64 {
+	w, mean, scale := m.Weights[from:], m.Mean[from:], m.Scale[from:]
+	for d, v := range x {
+		sum += float64(w[d] * ((v - mean[d]) / scale[d]))
+	}
+	return sum
 }

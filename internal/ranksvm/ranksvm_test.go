@@ -1,7 +1,6 @@
 package ranksvm
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -194,64 +193,6 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundtripLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	train, _ := linearWorld(rng, 20, 6, 0.05)
-	m, _ := Train(train, Options{Seed: 16})
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.3, -0.2, 0.7, 0.1}
-	if math.Abs(m.Score(x)-m2.Score(x)) > 1e-12 {
-		t.Fatal("roundtrip changed scores")
-	}
-}
-
-func TestSaveLoadRoundtripRBF(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	var train []Instance
-	for g := 0; g < 10; g++ {
-		for i := 0; i < 5; i++ {
-			x := rng.NormFloat64()
-			train = append(train, Instance{Features: []float64{x}, Label: math.Abs(x), Group: g})
-		}
-	}
-	m, err := Train(train, Options{Kernel: RBF, C: 5, Seed: 18})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1.5, -0.2, 0.4, 2.2} {
-		if math.Abs(m.Score([]float64{x})-m2.Score([]float64{x})) > 1e-12 {
-			t.Fatal("RBF roundtrip changed scores")
-		}
-	}
-}
-
-func TestLoadCorrupt(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("{")); err == nil {
-		t.Fatal("truncated JSON should fail")
-	}
-	if _, err := Load(bytes.NewBufferString(`{"kernel":0,"weights":[1],"mean":[0,0],"scale":[1,1]}`)); err == nil {
-		t.Fatal("weight/mean mismatch should fail")
-	}
-	if _, err := Load(bytes.NewBufferString(`{"kernel":9,"mean":[0],"scale":[1]}`)); err == nil {
-		t.Fatal("unknown kernel should fail")
-	}
-}
-
 func BenchmarkTrainLinear(b *testing.B) {
 	rng := rand.New(rand.NewSource(19))
 	train, _ := linearWorld(rng, 50, 8, 0.05)
@@ -271,5 +212,26 @@ func BenchmarkScoreLinear(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Score(x)
+	}
+}
+
+// A vector summed in runs through AddTerms, each run's sum fed to the next,
+// has ScoreBuf's bits: the runtime sums a concept's interestingness terms
+// once and its relevance terms per detection.
+func TestAddTermsInRunsIsScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	train, _ := linearWorld(rng, 20, 6, 0.05)
+	m, err := Train(train, Options{Seed: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range train {
+		x := inst.Features
+		for cut := 0; cut <= len(x); cut++ {
+			runs := m.AddTerms(m.AddTerms(0, 0, x[:cut]), cut, x[cut:])
+			if runs != m.Score(x) { //kwlint:ignore floatcompare — the split sum must add the same terms in the same order, so bit-exact equality is the contract
+				t.Fatalf("cut at %d: runs sum to %v, Score %v", cut, runs, m.Score(x))
+			}
+		}
 	}
 }

@@ -10,7 +10,7 @@ func rbf(a, b []float64, gamma float64) float64 {
 	d := 0.0
 	for i := range a {
 		diff := a[i] - b[i]
-		d += diff * diff
+		d += float64(diff * diff)
 	}
 	return expNeg(gamma * d)
 }
@@ -88,7 +88,7 @@ func trainRBF(std [][]float64, pairs []pair, opts Options, rng *rand.Rand) []Sup
 			}
 			alpha[p] = na
 			for q := 0; q < n; q++ {
-				score[q] += delta * pairK(q, p)
+				score[q] += float64(delta * pairK(q, p))
 			}
 		}
 		if maxViolation < eps {
