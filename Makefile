@@ -200,18 +200,18 @@ fuzz:
 # evaluation — experiments, eval, editorial and conceptvec are reachable
 # from cmd/experiments, tests and examples only.
 #
-# The served model holds no fused multiply-add on any 64-bit platform
-# (DESIGN.md §6): the arm64 compiler fuses x*y + z unless the product is
-# wrapped in float64(...), the amd64 one never does. So FUSEFREE, the
-# packages that fit, store and score it, are cross-compiled for arm64 and
-# their assembly may carry no fused instruction.
+# The product holds no fused multiply-add on any 64-bit platform (DESIGN.md
+# §6): the arm64 compiler fuses x*y + z unless the product is wrapped in
+# float64(...), the amd64 one never does. So FUSEFREE, every product
+# package, is cross-compiled for arm64 and its assembly may carry no fused
+# instruction.
 OFFLINE := par,world,newsgen,textproc,clicksim,match,taxonomy,querylog,units,detect,corpus,golomb,searchsim,wiki,features,ranksvm,stem,relevance,core,framework,annotate
 CLOSURES := \
 	router:cluster,resilience,par,wire \
 	ingest:par,world,newsgen,textproc,golomb,match,querylog,searchsim \
 	offline:$(OFFLINE) \
 	serve:$(OFFLINE),resilience,wire,serve
-FUSEFREE := ./internal/ranksvm ./internal/framework
+FUSEFREE := . ./internal/... ./cmd/...
 island:
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FUSEFREE) 2>&1) || { echo "$$asm" | tail -20; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -wE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'); \

@@ -37,7 +37,7 @@ func BenchmarkExtensionBundleSaveLoad(b *testing.B) {
 	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		b.Fatal(err)
 	}
-	rt := s.NewRuntime(learned.Model())
+	rt := s.RuntimeTables().Runtime(learned.Model())
 	bundle := &framework.Bundle{Interest: rt.Interest, Packs: rt.Packs, Model: rt.Model}
 	var buf bytes.Buffer
 	b.ReportAllocs()

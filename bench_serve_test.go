@@ -37,7 +37,7 @@ func BenchmarkServeMiss(b *testing.B) {
 	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		b.Fatal(err)
 	}
-	srv := serve.NewServer(s.NewRuntime(learned.Model()), annotate.NewRenderer(&annotate.DefaultProvider{}))
+	srv := serve.NewServer(s.RuntimeTables().Runtime(learned.Model()), annotate.NewRenderer(&annotate.DefaultProvider{}))
 	srv.Cache = serve.NewCache(serveMissCache)
 	h := srv.Handler()
 

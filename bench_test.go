@@ -191,7 +191,7 @@ func buildRuntime(b *testing.B) (*framework.Runtime, []newsgen.Story) {
 	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		b.Fatal(err)
 	}
-	rt := s.NewRuntime(learned.Model())
+	rt := s.RuntimeTables().Runtime(learned.Model())
 	docs := newsgen.Generate(s.World, newsgen.Config{Seed: 4242, NumStories: 50, MinSentences: 12, MaxSentences: 24})
 	return rt, docs
 }

@@ -196,12 +196,6 @@ func (r *Ranker) SaveBundle(w io.Writer) error {
 // layer and the online adjuster).
 func (r *Ranker) Runtime() *framework.Runtime { return r.runtime }
 
-// Throughput reports the stemmer and ranker processing rates in MB/s
-// accumulated since the ranker was built (the §VI measurement).
-func (r *Ranker) Throughput() (stemMBps, rankMBps float64) {
-	return r.runtime.Throughput()
-}
-
 // MemoryFootprint reports the packed table sizes in bytes: the quantized
 // interestingness store (18 B/concept) and the keyword packs
 // (≤400 B/concept).

@@ -127,7 +127,7 @@ func TestMemoryFootprint(t *testing.T) {
 func TestThroughputMeasured(t *testing.T) {
 	s, r := testSystem(t)
 	r.Annotate(composeTestDoc(s, 8), 0)
-	stem, rank := r.Throughput()
+	stem, rank := r.Runtime().Throughput()
 	if stem <= 0 || rank <= 0 {
 		t.Fatalf("throughput = %v, %v", stem, rank)
 	}
@@ -179,7 +179,7 @@ func TestLoadBundleRejectsOtherWorld(t *testing.T) {
 		for _, name := range inventory {
 			keywords[name] = rt.Packs.Keywords(name)
 		}
-		packs := framework.BuildKeywordPacks(relevance.NewStore(relevance.Snippets, keywords))
+		packs := framework.BuildKeywordPacks(relevance.NewStore(keywords))
 		b := &framework.Bundle{Interest: framework.BuildInterestTable(inventory, fields), Packs: packs, Model: rt.Model}
 		var buf bytes.Buffer
 		if err := b.Save(&buf); err != nil {

@@ -33,7 +33,7 @@ func buildAnnotateStack(t *testing.T) (*serve.Server, []newsgen.Story) {
 	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.NewServer(s.NewRuntime(learned.Model()), annotate.NewRenderer(&annotate.DefaultProvider{}))
+	srv := serve.NewServer(s.RuntimeTables().Runtime(learned.Model()), annotate.NewRenderer(&annotate.DefaultProvider{}))
 	srv.Cache = serve.NewCache(256)
 	docs := newsgen.Generate(s.World, newsgen.Config{Seed: 4242, NumStories: 12, MinSentences: 8, MaxSentences: 16})
 	return srv, docs

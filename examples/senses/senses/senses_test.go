@@ -114,7 +114,7 @@ func TestSenseScoreBoostsSecondarySense(t *testing.T) {
 				senseTotal = t
 			}
 		}
-		globalTotal = globalStore.RelevantTerms(amb.Name).Sum()
+		globalTotal = globalStore.Summation(amb.Name)
 		if senseTotal > 0 && globalTotal > 0 &&
 			senseScore/senseTotal >= globalScore/globalTotal {
 			better++

@@ -17,7 +17,7 @@ import (
 // static model scores favor "alpha" over "beta".
 func miniRuntime(t *testing.T) *framework.Runtime {
 	t.Helper()
-	store := relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
+	store := relevance.NewStore(map[string]corpus.Vector{
 		"alphaword": {{Term: "ctx", Weight: 5}},
 		"betaword":  {{Term: "ctx", Weight: 5}},
 	})

@@ -94,13 +94,13 @@ const (
 // TrueCTR computes the latent click probability for one mention. degree is
 // the graded contextual relevance in [0,1].
 func (c Config) TrueCTR(concept *world.Concept, degree float64, position int) float64 {
-	rel := irrelevantFactor + (1-irrelevantFactor)*degree
-	appeal := interestWeight*concept.Interest + relevanceWeight*rel
+	rel := irrelevantFactor + float64((1-irrelevantFactor)*degree)
+	appeal := float64(interestWeight*concept.Interest) + float64(relevanceWeight*rel)
 	// Quadratic response concentrates clicks on the best few entities
 	// ("Few concepts on a document actually get most of the clicks").
-	ctr := baseCTR + maxCTR*appeal*appeal
+	ctr := baseCTR + float64(maxCTR*appeal*appeal)
 	// Low-quality phrases rarely earn clicks regardless of placement.
-	ctr *= 0.3 + 0.7*concept.Quality
+	ctr *= 0.3 + float64(0.7*concept.Quality)
 	// Mild position bias; the evaluation fights it with windowing.
 	ctr /= 1 + positionBias*float64(position)/2500.0
 	return ctr

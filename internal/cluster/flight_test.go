@@ -49,7 +49,7 @@ func TestRouterSameKeyOtherBodyRoutesAlone(t *testing.T) {
 		defer wg.Done()
 		gotA[1] = postAnnotate(t, h, bodyA, nil).Body.String()
 	}()
-	for rt.CountersSnapshot().Coalesced < 1 {
+	for rt.counters.Snapshot().Coalesced < 1 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -57,7 +57,7 @@ func TestRouterSameKeyOtherBodyRoutesAlone(t *testing.T) {
 	if got := postAnnotate(t, h, bodyB, nil).Body.String(); got != string(bodyB) {
 		t.Fatalf("B was answered %q, want its own echo", got)
 	}
-	if snap := rt.CountersSnapshot(); snap.Coalesced != 1 {
+	if snap := rt.counters.Snapshot(); snap.Coalesced != 1 {
 		t.Fatalf("B coalesced onto A's flight: %+v", snap)
 	}
 	close(proceed)
@@ -108,7 +108,7 @@ func TestRouterLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 	<-started
 	follower := make(chan *httptest.ResponseRecorder, 1)
 	go func() { follower <- postAnnotate(t, h, body, nil) }()
-	for rt.CountersSnapshot().Coalesced < 1 {
+	for rt.counters.Snapshot().Coalesced < 1 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -120,7 +120,7 @@ func TestRouterLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 	if rec := <-follower; rec.Code != http.StatusOK || rec.Body.String() != `{"routed":true}` {
 		t.Fatalf("follower: status %d body %q, want the shard's 200", rec.Code, rec.Body)
 	}
-	if snap := rt.CountersSnapshot(); snap.Timeouts != 1 {
+	if snap := rt.counters.Snapshot(); snap.Timeouts != 1 {
 		t.Fatalf("timeouts=%d, want 1 (the leader only)", snap.Timeouts)
 	}
 }

@@ -87,9 +87,6 @@ func mix64(v uint64) uint64 {
 	return v
 }
 
-// Shards returns the number of distinct shards on the ring.
-func (r *Ring) Shards() int { return r.shards }
-
 // Replicas returns the indexes of up to n distinct shards responsible for
 // key, in failover order: the shard owning the first ring point at or
 // clockwise of key, then the next distinct shard clockwise, and so on.

@@ -231,9 +231,6 @@ func (rt *Router) client() resilience.Doer {
 	return http.DefaultClient
 }
 
-// Counters exposes the router counters (also in /statz).
-func (rt *Router) CountersSnapshot() CountersSnapshot { return rt.counters.Snapshot() }
-
 // Handler returns the routed handler wrapped in panic recovery.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -130,7 +130,7 @@ func TestRouterRoutesToPrimary(t *testing.T) {
 			t.Fatalf("primary %d: body %q", want, got)
 		}
 	}
-	snap := rt.CountersSnapshot()
+	snap := rt.counters.Snapshot()
 	if snap.Requests != 3 || snap.Failovers != 0 || snap.Hedges != 0 {
 		t.Fatalf("healthy routing bumped fault counters: %+v", snap)
 	}
@@ -165,7 +165,7 @@ func TestRouterFailover(t *testing.T) {
 		if got := rec.Body.String(); got != fmt.Sprintf(`{"from":%d}`, second) {
 			t.Fatalf("primary %d: failover body %q, want replica %d", status, got, second)
 		}
-		if snap := rt.CountersSnapshot(); snap.Failovers != 1 {
+		if snap := rt.counters.Snapshot(); snap.Failovers != 1 {
 			t.Fatalf("primary %d: failovers = %d, want 1: %+v", status, snap.Failovers, snap)
 		}
 	}
@@ -221,7 +221,7 @@ func TestRouterAllReplicasFail(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-	snap := rt.CountersSnapshot()
+	snap := rt.counters.Snapshot()
 	if snap.ReplicasExhausted != 1 || snap.Failovers != 2 {
 		t.Fatalf("exhausted=%d failovers=%d, want 1/2: %+v", snap.ReplicasExhausted, snap.Failovers, snap)
 	}
@@ -254,7 +254,7 @@ func TestRouterInjectedDownFailover(t *testing.T) {
 			t.Fatalf("req %d: body %q, want second replica %d", i, got, second)
 		}
 	}
-	snap := rt.CountersSnapshot()
+	snap := rt.counters.Snapshot()
 	if snap.InjectedDowns != n || snap.Failovers != n {
 		t.Fatalf("injected_downs=%d failovers=%d, want %d/%d", snap.InjectedDowns, snap.Failovers, n, n)
 	}
@@ -296,7 +296,7 @@ func TestRouterHedgeWins(t *testing.T) {
 	if got := rec.Body.String(); got != fmt.Sprintf(`{"from":%d}`, second) {
 		t.Fatalf("hedge body %q, want replica %d", got, second)
 	}
-	snap := rt.CountersSnapshot()
+	snap := rt.counters.Snapshot()
 	if snap.Hedges != 1 || snap.HedgeWins != 1 || snap.Failovers != 0 {
 		t.Fatalf("hedges=%d wins=%d failovers=%d, want 1/1/0", snap.Hedges, snap.HedgeWins, snap.Failovers)
 	}
@@ -334,12 +334,12 @@ func TestRouterBreakerSchedule(t *testing.T) {
 	for i := 0; i < cool0; i++ {
 		do()
 	}
-	snap := rt.CountersSnapshot()
+	snap := rt.counters.Snapshot()
 	if snap.BreakerSkips != int64(cool0) {
 		t.Fatalf("breaker_skips=%d, want cooldown(0)=%d", snap.BreakerSkips, cool0)
 	}
 	do() // the probe: fails, re-opens with cooldown(1)
-	snap = rt.CountersSnapshot()
+	snap = rt.counters.Snapshot()
 	if snap.BreakerProbes != 1 {
 		t.Fatalf("breaker_probes=%d, want 1", snap.BreakerProbes)
 	}
@@ -386,7 +386,7 @@ func TestRouterProbeMarksDeadShardUnhealthy(t *testing.T) {
 	if got := rec.Body.String(); got != fmt.Sprintf(`{"from":%d}`, second) {
 		t.Fatalf("body %q, want healthy replica %d", got, second)
 	}
-	snap := rt.CountersSnapshot()
+	snap := rt.counters.Snapshot()
 	if snap.HealthSkips != 1 || snap.Failovers != 0 {
 		t.Fatalf("health_skips=%d failovers=%d, want 1/0", snap.HealthSkips, snap.Failovers)
 	}
@@ -411,7 +411,7 @@ func TestRouterInjectedFlap(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 with all shards flapped", rec.Code)
 	}
-	snap := rt.CountersSnapshot()
+	snap := rt.counters.Snapshot()
 	if snap.InjectedFlaps != 3 || snap.HealthSkips != 2 || snap.ReplicasExhausted != 1 {
 		t.Fatalf("flaps=%d health_skips=%d exhausted=%d, want 3/2/1", snap.InjectedFlaps, snap.HealthSkips, snap.ReplicasExhausted)
 	}
@@ -453,7 +453,7 @@ func TestRouterCoalescesIdenticalRequests(t *testing.T) {
 		}()
 	}
 	// Wait for every follower to park on the leader's flight, then release.
-	for rt.CountersSnapshot().Coalesced < followers {
+	for rt.counters.Snapshot().Coalesced < followers {
 		time.Sleep(time.Millisecond)
 	}
 	close(proceed)
@@ -471,7 +471,7 @@ func TestRouterCoalescesIdenticalRequests(t *testing.T) {
 	if total != 1 {
 		t.Fatalf("coalesced requests hit shards %d times, want 1", total)
 	}
-	if snap := rt.CountersSnapshot(); snap.Coalesced != followers {
+	if snap := rt.counters.Snapshot(); snap.Coalesced != followers {
 		t.Fatalf("coalesced=%d, want %d", snap.Coalesced, followers)
 	}
 }
@@ -563,7 +563,7 @@ func TestRouterPassesThroughShardErrors(t *testing.T) {
 		if rec.Body.String() != "bad request: empty text\n" {
 			t.Fatalf("%d body %q not relayed verbatim", status, rec.Body)
 		}
-		if snap := rt.CountersSnapshot(); snap.Failovers != 0 {
+		if snap := rt.counters.Snapshot(); snap.Failovers != 0 {
 			t.Fatalf("%d triggered failover: %+v", status, snap)
 		}
 		if total := shards[0].Hits() + shards[1].Hits(); total != 1 {

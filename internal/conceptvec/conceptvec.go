@@ -135,10 +135,3 @@ func (s *Scorer) ConceptVector(text string) corpus.Vector {
 	corpus.SortVector(out)
 	return out
 }
-
-// Score returns the concept-vector score of one phrase within the document's
-// merged vector (0 if absent). For multi-phrase workflows compute
-// ConceptVector once and use Vector.Map.
-func (s *Scorer) Score(text, phrase string) float64 {
-	return s.ConceptVector(text).Map()[strings.ToLower(phrase)]
-}

@@ -90,10 +90,11 @@ func TestScoreSinglePhrase(t *testing.T) {
 	idf, us := fixture()
 	s := New(idf, us, Options{})
 	text := "The global warming debate continued."
-	if got := s.Score(text, "Global Warming"); got <= 0 {
+	merged := s.ConceptVector(text).Map()
+	if got := merged["global warming"]; got <= 0 {
 		t.Fatalf("Score = %v", got)
 	}
-	if got := s.Score(text, "unrelated"); got != 0 {
+	if got := merged["unrelated"]; got != 0 {
 		t.Fatalf("unrelated phrase score = %v", got)
 	}
 }

@@ -44,12 +44,12 @@ func TestSystemDeterminism(t *testing.T) {
 	sa := a.RelevanceStore(relevance.Snippets)
 	sb := b.RelevanceStore(relevance.Snippets)
 	for _, name := range sa.Concepts()[:30] {
-		ta, tb := sa.RelevantTerms(name), sb.RelevantTerms(name)
+		ta, tb := sa.Keywords(name), sb.Keywords(name)
 		if len(ta) != len(tb) {
 			t.Fatalf("%q keyword counts differ", name)
 		}
 		for j := range ta {
-			if ta[j] != tb[j] {
+			if ta[j].Weight != tb[j].Weight || sa.Dict().Token(ta[j].Stem) != sb.Dict().Token(tb[j].Stem) { //kwlint:ignore floatcompare — determinism test asserts bit-exact weights for a fixed seed
 				t.Fatalf("%q keyword %d differs", name, j)
 			}
 		}

@@ -120,7 +120,7 @@ func (m *LearnedMethod) Score(g *Group) []float64 {
 		if m.UseRelevance {
 			// Deterministic micro tie-break by relevance: scaled far below
 			// the score resolution that matters.
-			out[i] += 1e-9 * math.Log1p(g.Examples[i].RelScore[m.Resource])
+			out[i] += float64(1e-9 * math.Log1p(g.Examples[i].RelScore[m.Resource]))
 		}
 	}
 	return out

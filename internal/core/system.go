@@ -17,7 +17,6 @@ import (
 	"contextrank/internal/newsgen"
 	"contextrank/internal/par"
 	"contextrank/internal/querylog"
-	"contextrank/internal/ranksvm"
 	"contextrank/internal/relevance"
 	"contextrank/internal/searchsim"
 	"contextrank/internal/taxonomy"
@@ -193,12 +192,6 @@ func (s *System) RelevanceStore(r relevance.Resource) *relevance.Store {
 		s.relStores[r] = relevance.BuildStore(s.Miner, s.ConceptNames(), r)
 	})
 	return s.relStores[r]
-}
-
-// NewRuntime assembles the §VI production runtime around a fitted model:
-// RuntimeTables joined with the model.
-func (s *System) NewRuntime(model *ranksvm.Model) *framework.Runtime {
-	return s.RuntimeTables().Runtime(model)
 }
 
 // RuntimeTables assembles everything of the §VI runtime that does not read

@@ -21,16 +21,6 @@ type Entry struct {
 // broken lexicographically for determinism).
 type Vector []Entry
 
-// Get returns the weight of term in v, or 0.
-func (v Vector) Get(term string) float64 {
-	for _, e := range v {
-		if e.Term == term {
-			return e.Weight
-		}
-	}
-	return 0
-}
-
 // Map converts v to a map for random access.
 func (v Vector) Map() map[string]float64 {
 	m := make(map[string]float64, len(v))
@@ -38,14 +28,6 @@ func (v Vector) Map() map[string]float64 {
 		m[e.Term] = e.Weight
 	}
 	return m
-}
-
-// Top returns the first k entries of v (or all if k exceeds the length).
-func (v Vector) Top(k int) Vector {
-	if k > len(v) {
-		k = len(v)
-	}
-	return v[:k]
 }
 
 // Sum returns the sum of weights in v. The paper uses this quantity (over a

@@ -65,8 +65,6 @@ type Detection struct {
 	// points into the dictionary's immutable entry table; treat it as
 	// read-only.
 	Entry *taxonomy.Entry
-	// Unit is the matched query-log unit for concepts.
-	Unit *units.Unit
 	// Start and End are byte offsets into the *plain text* input.
 	Start, End int
 }
@@ -230,7 +228,10 @@ func (p *Pipeline) DetectTokens(dst []Detection, text string, tokens []textproc.
 	if p.units != nil {
 		sc.ums = p.units.FindInIDs(sc.unitIDs, sc.ums[:0])
 		for _, m := range sc.ums {
-			if m.Unit.Score < p.minUnitScore {
+			// Below the floor, one byte long or stop words only ("2008"
+			// passes): not worth annotating. Named and pattern entities
+			// always pass (editorial dictionaries are pre-vetted).
+			if m.Unit.Score < p.minUnitScore || len(m.Unit.Text) <= 1 || m.Unit.StopOnly {
 				continue
 			}
 			first, last := &tokens[sc.tokIdx[m.Start]], &tokens[sc.tokIdx[m.End-1]]
@@ -238,14 +239,12 @@ func (p *Pipeline) DetectTokens(dst []Detection, text string, tokens []textproc.
 				Text:  text[first.Start:last.End],
 				Norm:  m.Unit.Text,
 				Kind:  KindConcept,
-				Unit:  m.Unit,
 				Start: first.Start,
 				End:   last.End,
 			})
 		}
 	}
 
-	all = filter(all)
 	sc.all = all[:0] // return the (possibly grown) accumulator to the pool
 	return resolveCollisions(sc, dst, all)
 }
@@ -261,28 +260,6 @@ func idWindow(ids []uint32, start, end, radius int) []uint32 {
 		hi = len(ids)
 	}
 	return ids[lo:hi]
-}
-
-// filter drops a concept whose norm is one byte or whose unit is stop words
-// only; a number-only unit such as "2008" passes. Named and pattern
-// entities pass through (editorial dictionaries are pre-vetted).
-//
-// Ownership contract: filter compacts ds in place (writing through ds[:0])
-// and returns the shortened slice. The caller must exclusively own ds's
-// backing array — passing a slice that shares its array with live data
-// would clobber that data. Detect calls it on the pooled accumulator it
-// owns; see TestFilterCompactsInPlace / TestDetectResultsDoNotAliasScratch.
-func filter(ds []Detection) []Detection {
-	out := ds[:0]
-	for _, d := range ds {
-		if d.Kind == KindConcept {
-			if len(d.Norm) <= 1 || d.Unit.StopOnly {
-				continue
-			}
-		}
-		out = append(out, d)
-	}
-	return out
 }
 
 // spanKey is the part of a Detection the collision order compares.

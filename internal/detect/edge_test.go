@@ -3,6 +3,7 @@ package detect
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"contextrank/internal/querylog"
@@ -28,10 +29,21 @@ func smallUnitSet(t *testing.T) *units.Set {
 	})), units.Config{MinMI: 0.5})
 }
 
+// lookup returns the unit of exactly phrase, or nil, through the set's own
+// trie scan.
+func lookup(us *units.Set, phrase string) *units.Unit {
+	terms := strings.Fields(phrase)
+	for _, m := range us.FindInIDs(us.Vocab().AppendIDs(nil, terms), nil) {
+		if m.Start == 0 && m.End == len(terms) {
+			return m.Unit
+		}
+	}
+	return nil
+}
+
 // handUnits extracts units from a hand log that queries each phrase often
 // beside filler traffic, so every phrase validates as a unit carrying the
-// StopOnly flag the extractor computes — hand-built concept detections get
-// their Unit from it, as every concept detection Detect makes does.
+// StopOnly flag the extractor computes.
 func handUnits(t *testing.T, phrases ...string) *units.Set {
 	t.Helper()
 	counts := fillerCounts(map[string]int{})
@@ -40,36 +52,11 @@ func handUnits(t *testing.T, phrases ...string) *units.Set {
 	}
 	us := units.Extract(querylog.FromCounts(counts), units.Config{MinMI: 0.5})
 	for _, p := range phrases {
-		if us.Lookup(p) == nil {
+		if lookup(us, p) == nil {
 			t.Fatalf("hand log did not validate %q as a unit", p)
 		}
 	}
 	return us
-}
-
-// TestFilterCompactsInPlace pins filter's ownership contract: it compacts
-// through ds[:0], so the returned slice shares the input's backing array and
-// survivors are moved to the front. A caller that does not own the backing
-// array would see its data clobbered — which is exactly why Detect hands
-// filter the pooled accumulator it owns.
-func TestFilterCompactsInPlace(t *testing.T) {
-	us := handUnits(t, "climate change", "of the", "a")
-	in := []Detection{
-		{Norm: "climate change", Kind: KindConcept, Unit: us.Lookup("climate change"), Start: 0, End: 14},
-		{Norm: "of the", Kind: KindConcept, Unit: us.Lookup("of the"), Start: 15, End: 21}, // stop-only: dropped
-		{Norm: "a", Kind: KindConcept, Unit: us.Lookup("a"), Start: 22, End: 23},           // single char: dropped
-		{Norm: "acme corp", Kind: KindNamed, Start: 24, End: 33},
-	}
-	out := filter(in)
-	if len(out) != 2 {
-		t.Fatalf("filter kept %d detections, want 2: %+v", len(out), out)
-	}
-	if &out[0] != &in[0] {
-		t.Fatal("filter must reuse the input's backing array (in-place compaction)")
-	}
-	if in[0].Norm != "climate change" || in[1].Norm != "acme corp" {
-		t.Fatalf("survivors not compacted to the front: %q, %q", in[0].Norm, in[1].Norm)
-	}
 }
 
 // TestDetectResultsDoNotAliasScratch pins Detect's ownership contract: the
@@ -142,7 +129,7 @@ func TestDetectPhraseLongerThanDoc(t *testing.T) {
 // above the score drops it.
 func TestUnitFloorBoundary(t *testing.T) {
 	s := smallUnitSet(t)
-	u := s.Lookup("global warming")
+	u := lookup(s, "global warming")
 	if u == nil {
 		t.Fatal("'global warming' should be a unit")
 	}

@@ -75,7 +75,7 @@ func Kappa(a, b []Level) float64 {
 	po := agree / n
 	pe := 0.0
 	for l := 0; l < 4; l++ {
-		pe += (ca[l] / n) * (cb[l] / n)
+		pe += float64((ca[l] / n) * (cb[l] / n))
 	}
 	if pe >= 1 {
 		return 1

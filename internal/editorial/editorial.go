@@ -76,7 +76,7 @@ func (j *Judge) Rate(c *world.Concept, degree float64) Judgement {
 
 	// Interestingness: latent Interest perceived with noise; judged
 	// "independent of their relevance to the meaning of the document".
-	perceived := c.Interest + j.Noise*j.rng.NormFloat64()
+	perceived := c.Interest + float64(j.Noise*j.rng.NormFloat64())
 	switch {
 	case j.rng.Float64() < j.CantTellRate:
 		out.Interest = CantTell
@@ -91,8 +91,8 @@ func (j *Judge) Rate(c *world.Concept, degree float64) Judgement {
 	// Relevance: graded ground truth degraded by quality (low-quality
 	// phrases cannot "summarize" anything). Mid degrees land in the
 	// "Somewhat Relevant" band.
-	relValue := (0.1 + 0.85*degree) * (0.25 + 0.75*c.Quality)
-	relValue += j.Noise * j.rng.NormFloat64()
+	relValue := float64((0.1 + float64(0.85*degree)) * (0.25 + float64(0.75*c.Quality)))
+	relValue += float64(j.Noise * j.rng.NormFloat64())
 	switch {
 	case j.rng.Float64() < j.CantTellRate:
 		out.Relevance = CantTell

@@ -38,7 +38,7 @@ func (a *Accumulator) Add(pred, truth []float64) {
 				a.wMistakes += diff
 			case pred[i] <= pred[j]: // not < and not >: a predicted tie
 				a.mistakes += 0.5
-				a.wMistakes += 0.5 * diff
+				a.wMistakes += float64(0.5 * diff)
 			}
 		}
 	}
@@ -71,20 +71,6 @@ func (a *Accumulator) WeightedErrorRate() float64 {
 		return 0
 	}
 	return a.wMistakes / a.wTotal
-}
-
-// ErrorRate is a convenience for a single document.
-func ErrorRate(pred, truth []float64) float64 {
-	var a Accumulator
-	a.Add(pred, truth)
-	return a.ErrorRate()
-}
-
-// WeightedErrorRate is a convenience for a single document.
-func WeightedErrorRate(pred, truth []float64) float64 {
-	var a Accumulator
-	a.Add(pred, truth)
-	return a.WeightedErrorRate()
 }
 
 // NumBuckets is the CTR bucket resolution of the paper's gain function:

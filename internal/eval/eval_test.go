@@ -20,12 +20,19 @@ func paperExample() (truth []float64, r1, r2 []float64) {
 	return
 }
 
+// doc accumulates the pairs of a single document.
+func doc(pred, truth []float64) *Accumulator {
+	var a Accumulator
+	a.Add(pred, truth)
+	return &a
+}
+
 func TestErrorRatePaperExample(t *testing.T) {
 	truth, r1, r2 := paperExample()
-	if got := ErrorRate(r1, truth); math.Abs(got-1.0/6) > 1e-9 {
+	if got := doc(r1, truth).ErrorRate(); math.Abs(got-1.0/6) > 1e-9 {
 		t.Fatalf("R1 error rate = %v, want 1/6", got)
 	}
-	if got := ErrorRate(r2, truth); math.Abs(got-1.0/6) > 1e-9 {
+	if got := doc(r2, truth).ErrorRate(); math.Abs(got-1.0/6) > 1e-9 {
 		t.Fatalf("R2 error rate = %v, want 1/6", got)
 	}
 }
@@ -34,11 +41,11 @@ func TestWeightedErrorRatePaperExample(t *testing.T) {
 	truth, r1, r2 := paperExample()
 	// Total ΔCTR over the 6 pairs: (A,B).10+(A,C).13+(A,D).14+(B,C).03+(B,D).04+(C,D).01 = 0.45.
 	// R1's only mistake is (C,D): 0.01/0.45 = 2.22%.
-	if got := WeightedErrorRate(r1, truth); math.Abs(got-0.01/0.45) > 1e-9 {
+	if got := doc(r1, truth).WeightedErrorRate(); math.Abs(got-0.01/0.45) > 1e-9 {
 		t.Fatalf("R1 weighted = %v, want %.4f", got, 0.01/0.45)
 	}
 	// R2's only mistake is (A,B): 0.10/0.45 = 22.22%.
-	if got := WeightedErrorRate(r2, truth); math.Abs(got-0.10/0.45) > 1e-9 {
+	if got := doc(r2, truth).WeightedErrorRate(); math.Abs(got-0.10/0.45) > 1e-9 {
 		t.Fatalf("R2 weighted = %v, want %.4f", got, 0.10/0.45)
 	}
 }
@@ -47,10 +54,10 @@ func TestPerfectAndReversedRankings(t *testing.T) {
 	truth := []float64{0.4, 0.3, 0.2, 0.1}
 	perfect := []float64{4, 3, 2, 1}
 	reversed := []float64{1, 2, 3, 4}
-	if got := WeightedErrorRate(perfect, truth); got != 0 {
+	if got := doc(perfect, truth).WeightedErrorRate(); got != 0 {
 		t.Fatalf("perfect ranking error = %v", got)
 	}
-	if got := WeightedErrorRate(reversed, truth); got != 1 {
+	if got := doc(reversed, truth).WeightedErrorRate(); got != 1 {
 		t.Fatalf("reversed ranking error = %v", got)
 	}
 }
@@ -58,10 +65,10 @@ func TestPerfectAndReversedRankings(t *testing.T) {
 func TestTiesCountHalf(t *testing.T) {
 	truth := []float64{0.2, 0.1}
 	tied := []float64{1, 1}
-	if got := ErrorRate(tied, truth); got != 0.5 {
+	if got := doc(tied, truth).ErrorRate(); got != 0.5 {
 		t.Fatalf("tied error = %v, want 0.5", got)
 	}
-	if got := WeightedErrorRate(tied, truth); got != 0.5 {
+	if got := doc(tied, truth).WeightedErrorRate(); got != 0.5 {
 		t.Fatalf("tied weighted = %v, want 0.5", got)
 	}
 }

@@ -15,7 +15,7 @@ func refFields(e *Extractor, concept string) Fields {
 	var f Fields
 	if e.log != nil {
 		f.FreqExact = math.Log1p(float64(e.log.FreqExact(concept)))
-		f.FreqPhraseContained = math.Log1p(float64(e.log.FreqPhraseContained(concept)))
+		f.FreqPhraseContained = math.Log1p(float64(e.log.FreqPhraseContainedTerms(strings.Fields(concept))))
 	}
 	if e.units != nil {
 		f.UnitScore = e.units.Score(concept)

@@ -201,7 +201,7 @@ func TestLoadBundleAllocatesOnlyPresentBytes(t *testing.T) {
 func TestLoadBundleRejectsDuplicateNames(t *testing.T) {
 	b := sampleBundle(t)
 	b.Interest = sampleInterest([]string{"qqalpha", "qqbravo"})
-	b.Packs = BuildKeywordPacks(relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
+	b.Packs = BuildKeywordPacks(relevance.NewStore(map[string]corpus.Vector{
 		"qqalpha": {{Term: "troop", Weight: 2}},
 		"qqbravo": {{Term: "market", Weight: 3}},
 	}))

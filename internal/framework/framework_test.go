@@ -97,7 +97,7 @@ func TestGlobalTIDs(t *testing.T) {
 }
 
 func buildStore() *relevance.Store {
-	return relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
+	return relevance.NewStore(map[string]corpus.Vector{
 		"iraq war": {{Term: "troop", Weight: 8}, {Term: "baghdad", Weight: 5}, {Term: "soldier", Weight: 2}},
 		"economy":  {{Term: "market", Weight: 6}, {Term: "trade", Weight: 3}},
 		"empty":    nil,
@@ -134,7 +134,7 @@ func TestKeywordPacks400ByteBudget(t *testing.T) {
 	for i := range terms {
 		terms[i] = corpus.Entry{Term: "term" + string(rune('a'+i%26)) + string(rune('a'+i/26)), Weight: float64(100 - i)}
 	}
-	store := relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{"full": terms})
+	store := relevance.NewStore(map[string]corpus.Vector{"full": terms})
 	kp := BuildKeywordPacks(store)
 	if got := kp.BytesFor("full"); got != 400 {
 		t.Fatalf("full pack = %d bytes, want 400", got)
@@ -187,7 +187,7 @@ func TestCompressionSavesSpace(t *testing.T) {
 	for i := range terms {
 		terms[i] = corpus.Entry{Term: "kw" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)), Weight: float64(100 - i)}
 	}
-	store := relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{"full": terms})
+	store := relevance.NewStore(map[string]corpus.Vector{"full": terms})
 	kp := BuildKeywordPacks(store)
 	if kp.GolombBytes() >= kp.BytesFor("full") {
 		t.Fatalf("compression grew the pack: %d vs %d", kp.GolombBytes(), kp.BytesFor("full"))

@@ -35,7 +35,7 @@ func TestKeywordPacksRoundtripProperty(t *testing.T) {
 			corpus.SortVector(v)
 			vecs[fmt.Sprintf("concept%d", c)] = v
 		}
-		kp := BuildKeywordPacks(relevance.NewStore(relevance.Snippets, vecs))
+		kp := BuildKeywordPacks(relevance.NewStore(vecs))
 		for name, orig := range vecs {
 			got := kp.Keywords(name)
 			if len(got) != len(orig) {

@@ -159,7 +159,7 @@ func TestRowOrderServesSameOutput(t *testing.T) {
 func TestBenchAdaptersMatchServedPath(t *testing.T) {
 	rt := windowRuntime(t)
 	for _, doc := range windowCases {
-		sc := &annScratch{tokens: textproc.Tokenize(doc)}
+		sc := &annScratch{tokens: textproc.TokenizeInto(doc, nil)}
 		rt.lookupWords(sc, true)
 		var served tidSet
 		served.stamp(rt.Packs.TIDs.Len(), sc.tokTID)

@@ -20,7 +20,7 @@ import (
 // the degraded ranking have a determinate winner.
 func resilienceRuntime(t testing.TB) *Runtime {
 	t.Helper()
-	return resilienceRuntimeWith(t, BuildKeywordPacks(relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
+	return resilienceRuntimeWith(t, BuildKeywordPacks(relevance.NewStore(map[string]corpus.Vector{
 		"alphaword": {{Term: "ctx", Weight: 5}},
 		"betaword":  {{Term: "ctx", Weight: 4}},
 	})))

@@ -28,7 +28,7 @@ func TestServedScoreIsModelScore(t *testing.T) {
 	if err := learned.Fit(s.Dataset([]relevance.Resource{relevance.Snippets})); err != nil {
 		t.Fatal(err)
 	}
-	rt := s.NewRuntime(learned.Model())
+	rt := s.RuntimeTables().Runtime(learned.Model())
 	if rt.Interest.Len() == 0 {
 		t.Fatal("the runtime has no interest rows")
 	}

@@ -31,7 +31,7 @@ func windowRuntime(t testing.TB) *Runtime {
 	for i, w := range strings.Fields("ctx market report price trade bank rate growth oil share fund storm naïve café 2008 3.5 well-known") {
 		pack = append(pack, corpus.Entry{Term: stem.Stem(w), Weight: float64(1 + i)})
 	}
-	return resilienceRuntimeWith(t, BuildKeywordPacks(relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
+	return resilienceRuntimeWith(t, BuildKeywordPacks(relevance.NewStore(map[string]corpus.Vector{
 		"alphaword": pack, "betaword": pack[:4],
 	})))
 }
@@ -56,7 +56,7 @@ func checkWindows(t *testing.T, rt *Runtime, text string, pos int) {
 				got = append(got, tok)
 			}
 		}
-		want := textproc.Tokenize(text[lo:hi])
+		want := textproc.TokenizeInto(text[lo:hi], nil)
 		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("window [%d,%d) of %q: tokens in range\n got %+v\nwant %+v", lo, hi, text, got, want)
 		}

@@ -62,7 +62,7 @@ func TestWordTableMatchesDefinition(t *testing.T) {
 	feed := newsgen.NewFeed(s.World, newsgen.Config{Seed: 5}, 64)
 	for n := 0; n < 512; {
 		for _, story := range feed.NextBatch() {
-			for _, tok := range textproc.Tokenize(story.Text) {
+			for _, tok := range textproc.TokenizeInto(story.Text, nil) {
 				if tok.Kind != textproc.Punct {
 					check(tok.Norm)
 				}

@@ -342,16 +342,6 @@ func (c Codec) Cost(v uint32) int {
 	return q + int(c.b)
 }
 
-// Encode compresses values with parameter m.
-func Encode(values []uint32, m uint32) []byte {
-	c := NewCodec(m)
-	var w BitWriter
-	for _, v := range values {
-		c.Write(&w, v)
-	}
-	return w.Bytes()
-}
-
 // EncodeSorted delta-codes a strictly-increasing sequence then Golomb-codes
 // the gaps (gap−1, since gaps are ≥1) with a parameter derived from the mean
 // gap. The chosen m is returned for decoding.

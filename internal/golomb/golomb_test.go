@@ -88,7 +88,7 @@ func TestReadPastEnd(t *testing.T) {
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	for _, m := range []uint32{1, 2, 3, 4, 5, 7, 8, 10, 64, 100} {
 		values := []uint32{0, 1, 2, 3, 5, 10, 63, 64, 65, 100, 1000, 1 << 20}
-		data := Encode(values, m)
+		data := encode(values, m)
 		got, err := decode(data, len(values), m)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
@@ -109,7 +109,7 @@ func TestEncodeDecodeRandomProperty(t *testing.T) {
 		for i := range values {
 			values[i] = uint32(r.Intn(100000))
 		}
-		data := Encode(values, m)
+		data := encode(values, m)
 		got, err := decode(data, n, m)
 		if err != nil {
 			return false

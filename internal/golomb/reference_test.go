@@ -76,6 +76,16 @@ func refRead(r *BitReader, m uint32) (uint32, error) {
 	return q*m + rem, nil
 }
 
+// encode writes values with parameter m through Codec.Write.
+func encode(values []uint32, m uint32) []byte {
+	c := NewCodec(m)
+	var w BitWriter
+	for _, v := range values {
+		c.Write(&w, v)
+	}
+	return w.Bytes()
+}
+
 // decode reads n values with parameter m through the reference coder.
 func decode(data []byte, n int, m uint32) ([]uint32, error) {
 	r := BitReaderAt(data, 0)

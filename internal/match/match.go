@@ -56,7 +56,6 @@ type Builder struct {
 	pattern  []int32          // node -> pattern id (noPattern if interior)
 	edges    map[uint64]int32 // (node, token id) -> child node
 	patterns int
-	maxLen   int
 }
 
 // NewBuilder returns a builder interning into vocab (a fresh vocabulary if
@@ -105,9 +104,6 @@ func (b *Builder) Add(terms []string) int {
 	p := int32(b.patterns)
 	b.pattern[node] = p
 	b.patterns++
-	if len(terms) > b.maxLen {
-		b.maxLen = len(terms)
-	}
 	return int(p)
 }
 
@@ -122,7 +118,6 @@ func (b *Builder) Build() *Matcher {
 		root:    make([]int32, b.vocab.Len()),
 		first:   make([]int32, len(b.pattern)+1),
 		edges:   make([]edge, 0, len(b.edges)),
-		maxLen:  b.maxLen,
 	}
 	for i := range m.root {
 		m.root[i] = noChild
@@ -164,16 +159,9 @@ type Matcher struct {
 	// lie past its end.
 	root []int32
 	// edges[first[n]:first[n+1]] are node n's children, sorted by token.
-	first  []int32
-	edges  []edge
-	maxLen int
+	first []int32
+	edges []edge
 }
-
-// Vocab returns the matcher's vocabulary.
-func (m *Matcher) Vocab() *Vocab { return m.vocab }
-
-// MaxLen returns the longest pattern length in tokens.
-func (m *Matcher) MaxLen() int { return m.maxLen }
 
 // LongestAt walks the trie from position i of ids and returns the pattern
 // id and end position (exclusive) of the longest pattern starting at i.

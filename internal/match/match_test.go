@@ -117,8 +117,8 @@ func TestDuplicateAddReturnsSameID(t *testing.T) {
 	if b.Add(nil) != -1 {
 		t.Fatal("empty pattern should be rejected")
 	}
-	if b.patterns != 1 || b.Build().MaxLen() != 2 {
-		t.Fatalf("patterns=%d maxLen=%d", b.patterns, b.maxLen)
+	if b.patterns != 1 {
+		t.Fatalf("patterns=%d", b.patterns)
 	}
 }
 
@@ -278,17 +278,17 @@ func TestDifferentialRandom(t *testing.T) {
 				t.Fatalf("%s: phrases=%v doc=%v\ngot  %+v\nwant %+v", label, phrases, doc, got, want)
 			}
 
-			b2 := NewBuilder(m.Vocab())
+			b2 := NewBuilder(m.vocab)
 			for _, p := range randomPhrases(rng, append(late, vocabulary...), 1+rng.Intn(sh.phrases), sh.maxLen) {
 				b2.Add(strings.Fields(p))
 			}
 			b2.Add(late)
 			m2, ref2 := buildBoth(b2)
-			ids := m.Vocab().AppendIDs(nil, doc)
+			ids := m.vocab.AppendIDs(nil, doc)
 			checkAgainstMapTrie(t, label, m, ref, ids)
 			checkAgainstMapTrie(t, label+", second matcher", m2, ref2, ids)
 			for _, w := range append(late, "unknown") {
-				if _, _, ok := m.LongestAt([]uint32{m.Vocab().ID(w)}, 0); ok {
+				if _, _, ok := m.LongestAt([]uint32{m.vocab.ID(w)}, 0); ok {
 					t.Fatalf("%s: %q, interned after Build or never, matched", label, w)
 				}
 			}
@@ -298,7 +298,7 @@ func TestDifferentialRandom(t *testing.T) {
 
 func TestLongestAtZeroAlloc(t *testing.T) {
 	m := buildFrom("alpha beta", "gamma")
-	ids := m.Vocab().AppendIDs(nil, []string{"alpha", "beta", "gamma", "alpha", "beta"})
+	ids := m.vocab.AppendIDs(nil, []string{"alpha", "beta", "gamma", "alpha", "beta"})
 	found := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		found = 0
@@ -314,7 +314,7 @@ func TestLongestAtZeroAlloc(t *testing.T) {
 	idBuf := make([]uint32, 0, 8)
 	toks := []string{"alpha", "beta", "zzz"}
 	allocs = testing.AllocsPerRun(100, func() {
-		idBuf = m.Vocab().AppendIDs(idBuf[:0], toks)
+		idBuf = m.vocab.AppendIDs(idBuf[:0], toks)
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendIDs allocated %.1f objects per run", allocs)

@@ -61,7 +61,7 @@ func TestVocabOwnsTokens(t *testing.T) {
 	}
 	b := framework.Bundle{
 		Interest: framework.BuildInterestTable(names, func(string) features.Fields { return features.Fields{} }),
-		Packs: framework.BuildKeywordPacks(relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
+		Packs: framework.BuildKeywordPacks(relevance.NewStore(map[string]corpus.Vector{
 			"iraq war": {{Term: "troop", Weight: 8}, {Term: "baghdad", Weight: 5}},
 			"economy":  {{Term: "market", Weight: 6}, {Term: "naïv", Weight: 3}},
 		})),

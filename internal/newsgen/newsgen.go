@@ -110,7 +110,7 @@ func Generate(w *world.World, cfg Config) []Story {
 		// vocabulary, others barely gloss them. The factor folds into each
 		// mention's relevance degree, so the degree measures the actual
 		// contextualization a reader (and the click model) sees.
-		storyDensity := 0.55 + 0.45*rng.Float64()
+		storyDensity := 0.55 + float64(0.45*rng.Float64())
 		topic := rng.Intn(len(w.Topics))
 		if len(byTopic[topic]) < cfg.MinConcepts {
 			// Resample a topic with enough concepts.
@@ -151,10 +151,10 @@ func Generate(w *world.World, cfg Config) []Story {
 			// on-topic mentions are lightly glossed; off-topic asides get
 			// almost no contextual support. The repetition also gives the
 			// tf-based concept-vector baseline its production-grade signal.
-			degree := 0.02 + 0.1*rng.Float64()
+			degree := 0.02 + float64(0.1*rng.Float64())
 			repeat := 1
 			if relevant {
-				degree = (0.3 + 0.7*rng.Float64()) * storyDensity
+				degree = (0.3 + float64(0.7*rng.Float64())) * storyDensity
 				repeat = 1 + rng.Intn(1+int(3*degree))
 			}
 			mentions = append(mentions, world.Mention{Concept: c, Relevant: relevant, DensityScale: degree, Repeat: repeat})

@@ -75,7 +75,8 @@ func Generate(w *world.World, cfg Config) *Log {
 		// they sneak into the candidate set via unit scores): give them a
 		// floor driven by generality rather than interest.
 		if c.LowQuality() {
-			exact += int(1500 * (1 - c.Specificity) * (0.5 + rng.Float64()))
+			// rng.Float64 inlines a scaling product the add would fuse.
+			exact += int(float64(1500*(1-c.Specificity)) * (0.5 + float64(rng.Float64())))
 		}
 		if exact > 0 {
 			agg[c.Name] += exact
@@ -96,7 +97,7 @@ func Generate(w *world.World, cfg Config) *Log {
 			// Even tail concepts receive some refinement traffic: the
 			// suggestion service has coverage for almost everything, just
 			// at low frequency.
-			f := 2 + rng.Intn(4) + int(float64(exact)*(0.05+0.2*rng.Float64()))
+			f := 2 + rng.Intn(4) + int(float64(exact)*(0.05+float64(0.2*rng.Float64())))
 			agg[text] += f
 		}
 	}
@@ -194,16 +195,11 @@ func (l *Log) FreqExact(phrase string) int {
 	return 0
 }
 
-// FreqPhraseContained returns the summed frequency of queries that contain
-// phrase as a contiguous sub-phrase (including exact matches) — the paper's
-// feature (2) freq_phrase_contained.
-func (l *Log) FreqPhraseContained(phrase string) int {
-	return l.FreqPhraseContainedTerms(strings.Fields(phrase))
-}
-
-// FreqPhraseContainedTerms is FreqPhraseContained over a pre-split phrase —
-// the batch feature extractor splits each concept once and reuses the terms
-// across every per-term feature.
+// FreqPhraseContainedTerms returns the summed frequency of queries that
+// contain the phrase of terms as a contiguous sub-phrase (including exact
+// matches) — the paper's feature (2) freq_phrase_contained. The batch
+// feature extractor splits each concept once and reuses the terms across
+// every per-term feature.
 func (l *Log) FreqPhraseContainedTerms(terms []string) int {
 	if len(terms) == 0 {
 		return 0

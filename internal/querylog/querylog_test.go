@@ -46,14 +46,14 @@ func TestFreqPhraseContained(t *testing.T) {
 		"global cooling warming":   7,  // not contiguous
 		"warming":                  10, // single term, no phrase
 	})
-	if got := l.FreqPhraseContained("global warming"); got != 160 {
+	if got := l.FreqPhraseContainedTerms(strings.Fields("global warming")); got != 160 {
 		t.Fatalf("FreqPhraseContained = %d, want 160", got)
 	}
-	if got := l.FreqPhraseContained("warming"); got != 182 {
+	if got := l.FreqPhraseContainedTerms(strings.Fields("warming")); got != 182 {
 		// All queries containing the single term "warming".
 		t.Fatalf("FreqPhraseContained(warming) = %d, want 182", got)
 	}
-	if got := l.FreqPhraseContained(""); got != 0 {
+	if got := l.FreqPhraseContainedTerms(strings.Fields("")); got != 0 {
 		t.Fatalf("empty phrase = %d", got)
 	}
 }
@@ -104,7 +104,7 @@ func TestPhraseContainedAtLeastExact(t *testing.T) {
 	w, l := testLog(t)
 	for i := range w.Concepts {
 		c := &w.Concepts[i]
-		if l.FreqPhraseContained(c.Name) < l.FreqExact(c.Name) {
+		if l.FreqPhraseContainedTerms(strings.Fields(c.Name)) < l.FreqExact(c.Name) {
 			t.Fatalf("phrase-contained < exact for %q", c.Name)
 		}
 	}

@@ -141,7 +141,7 @@ func (mn *Miner) finalizeIDs(sc *mineScratch, f *termFacts, concept string, scor
 	slices.Sort(touched)
 	aggT := sc.aggT[:0]
 	for _, id := range touched {
-		s := score[id] * f.idf[id]
+		s := float64(score[id] * f.idf[id])
 		score[id] = 0
 		if f.stop[id] || int(f.df[id]) > maxDF {
 			continue

@@ -67,7 +67,7 @@ func TestDifferentialInternedMineParallel(t *testing.T) {
 			setGOMAXPROCS(t, procs)
 			st := BuildStore(f.miner, concepts, r)
 			for _, c := range concepts {
-				if !reflect.DeepEqual(st.RelevantTerms(c), want[c]) {
+				if !reflect.DeepEqual(resolve(st.dict, st.keywords[c]), want[c]) {
 					t.Fatalf("%s GOMAXPROCS=%d %q: parallel interned store diverged", r, procs, c)
 				}
 			}

@@ -181,7 +181,7 @@ func ContextStemsAround(text string, position int) map[string]bool {
 // concept's pre-mined keywords present in a ContextStems set.
 func (s *Store) Score(concept string, contextStems map[string]bool) float64 {
 	score := 0.0
-	for _, e := range s.RelevantTerms(concept) {
+	for _, e := range resolve(s.dict, s.keywords[concept]) {
 		if contextStems[e.Term] {
 			score += e.Weight
 		}
@@ -191,7 +191,7 @@ func (s *Store) Score(concept string, contextStems map[string]bool) float64 {
 
 // NormalizedScore is the map-based reference of NormalizedScoreCtx.
 func (s *Store) NormalizedScore(concept string, contextStems map[string]bool) float64 {
-	sum := s.RelevantTerms(concept).Sum()
+	sum := resolve(s.dict, s.keywords[concept]).Sum()
 	if sum <= 0 {
 		return 0
 	}

@@ -104,7 +104,6 @@ const MaxDocFrac = 0.15
 // Keywords are (stem id, weight) pairs over one stem dictionary, a mined
 // store's miner's; context scoring marks the same ids (Ctx, context.go).
 type Store struct {
-	resource Resource
 	dict     *match.Vocab         // stem string <-> id; read-only while the store lives
 	keywords map[string][]Keyword // concept -> keywords sorted as Mine's, at exactly their length
 }
@@ -126,7 +125,7 @@ func BuildStore(mn *Miner, concepts []string, r Resource) *Store {
 		mn.mine(concepts[i], r, func(top []Keyword) { ks = append(make([]Keyword, 0, len(top)), top...) })
 		return ks
 	})
-	s := &Store{resource: r, dict: mn.Dict(), keywords: make(map[string][]Keyword, len(concepts))}
+	s := &Store{dict: mn.Dict(), keywords: make(map[string][]Keyword, len(concepts))}
 	for i, c := range concepts {
 		s.keywords[c] = kws[i]
 	}
@@ -137,8 +136,8 @@ func BuildStore(mn *Miner, concepts []string, r Resource) *Store {
 // dictionary of the store's own. The product mines its stores with
 // BuildStore; NewStore is how the framework, serve and example tests build
 // a store with known keywords to pack.
-func NewStore(r Resource, terms map[string]corpus.Vector) *Store {
-	s := &Store{resource: r, dict: match.NewVocab(), keywords: make(map[string][]Keyword, len(terms))}
+func NewStore(terms map[string]corpus.Vector) *Store {
+	s := &Store{dict: match.NewVocab(), keywords: make(map[string][]Keyword, len(terms))}
 	for c, v := range terms {
 		ks := make([]Keyword, len(v))
 		for i, e := range v {
@@ -149,21 +148,12 @@ func NewStore(r Resource, terms map[string]corpus.Vector) *Store {
 	return s
 }
 
-// Resource returns the resource the store was mined from.
-func (s *Store) Resource() Resource { return s.resource }
-
 // Dict returns the stem dictionary the store's keyword ids index: for a
 // mined store, its miner's (Miner.Dict).
 func (s *Store) Dict() *match.Vocab { return s.dict }
 
 // Keywords returns a concept's keywords, sorted as Mine's; read-only.
 func (s *Store) Keywords(concept string) []Keyword { return s.keywords[concept] }
-
-// RelevantTerms returns the mined keywords of a concept (empty if unknown),
-// resolved through the store's dictionary.
-func (s *Store) RelevantTerms(concept string) corpus.Vector {
-	return resolve(s.dict, s.keywords[concept])
-}
 
 // Concepts returns the stored concept names, sorted.
 func (s *Store) Concepts() []string {

@@ -193,7 +193,7 @@ func TestScoreRelevantVsIrrelevantContext(t *testing.T) {
 }
 
 func TestScoreUnknownConcept(t *testing.T) {
-	store := NewStore(Snippets, map[string]corpus.Vector{})
+	store := NewStore(map[string]corpus.Vector{})
 	ctx := NewCtx(store.Dict())
 	ctx.SetText("x")
 	if got := store.ScoreCtx("unknown", ctx); got != 0 {
@@ -205,7 +205,7 @@ func TestScoreUnknownConcept(t *testing.T) {
 }
 
 func TestScoreHandStore(t *testing.T) {
-	store := NewStore(Snippets, map[string]corpus.Vector{
+	store := NewStore(map[string]corpus.Vector{
 		"iraq war": {{Term: "troop", Weight: 5}, {Term: "baghdad", Weight: 3}, {Term: "soldier", Weight: 1}},
 	})
 	ctx := NewCtx(store.Dict())
@@ -223,7 +223,7 @@ func TestScoreHandStore(t *testing.T) {
 // wrong marks, so scoring against it panics.
 func TestScoreCtxOtherDictionaryPanics(t *testing.T) {
 	terms := map[string]corpus.Vector{"iraq war": {{Term: "troop", Weight: 5}}}
-	a, b := NewStore(Snippets, terms), NewStore(Snippets, terms)
+	a, b := NewStore(terms), NewStore(terms)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a context over another store's dictionary scored")
@@ -301,13 +301,10 @@ func TestSnippetCoverageExceedsPrisma(t *testing.T) {
 }
 
 func TestStoreConceptsSorted(t *testing.T) {
-	store := NewStore(Snippets, map[string]corpus.Vector{"b": nil, "a": nil, "c": nil})
+	store := NewStore(map[string]corpus.Vector{"b": nil, "a": nil, "c": nil})
 	got := store.Concepts()
 	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
 		t.Fatalf("Concepts = %v", got)
-	}
-	if store.Resource() != Snippets {
-		t.Fatal("Resource getter broken")
 	}
 }
 
@@ -416,7 +413,7 @@ func TestBuildStoreParallelDeterministic(t *testing.T) {
 	s1 := BuildStore(f.miner, names, Snippets)
 	s2 := BuildStore(f.miner, names, Snippets)
 	for _, n := range names {
-		a, b := s1.RelevantTerms(n), s2.RelevantTerms(n)
+		a, b := resolve(s1.dict, s1.keywords[n]), resolve(s2.dict, s2.keywords[n])
 		if len(a) != len(b) {
 			t.Fatalf("%q: %d terms vs %d", n, len(a), len(b))
 		}

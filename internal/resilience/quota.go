@@ -72,7 +72,7 @@ func (q *Quota) now() time.Time {
 func (q *Quota) refilled(b *bucket, now time.Time) float64 {
 	tokens := b.tokens
 	if elapsed := now.Sub(b.last).Seconds(); q.cfg.RatePerSec > 0 && elapsed > 0 {
-		tokens += elapsed * q.cfg.RatePerSec
+		tokens += float64(elapsed * q.cfg.RatePerSec)
 	}
 	if max := float64(q.cfg.Burst); tokens > max {
 		tokens = max

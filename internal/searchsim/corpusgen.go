@@ -207,10 +207,10 @@ func conceptDocs(w *world.World, c *world.Concept, cfg CorpusConfig, rng *rand.R
 	// concepts to return more results) but with a floor, so specific
 	// concepts still have a deep snippet pool — the Table II contrast
 	// comes from *clustering*, not from result starvation.
-	frac := 0.5 + 0.35*math.Pow(1-c.Specificity, 1.3) + 0.15*c.Interest
+	frac := 0.5 + float64(0.35*math.Pow(1-c.Specificity, 1.3)) + float64(0.15*c.Interest)
 	n := 1 + int(float64(cfg.MaxDocsPerConcept)*frac)
 	// Fraction of mentions that are on-topic, coherent documents.
-	relevantFrac := 0.1 + 0.85*math.Sqrt(c.Quality*c.Specificity)
+	relevantFrac := 0.1 + float64(0.85*math.Sqrt(c.Quality*c.Specificity))
 	mentions := make([]world.Mention, 1)
 	for d := 0; d < n; d++ {
 		relevant := c.Topic >= 0 && rng.Float64() < relevantFrac

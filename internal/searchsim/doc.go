@@ -13,26 +13,6 @@ import (
 // into one more. Arenas are immutable once their documents are visible, so
 // readers decode them without synchronization.
 
-// Doc is one visible document as Engine.Doc returns it: a copy of the
-// engine's record, whose token ids are read through Len and AppendTokens.
-type Doc struct {
-	// ID is the document's id, its index in the engine's document store.
-	ID int
-	// Topic is the generating topic (metadata for tests; -1 if unknown).
-	Topic int
-
-	toks []byte // uvarint token ids, a slice of an immutable arena
-	n    int
-}
-
-// Len returns the document's token count.
-func (d Doc) Len() int { return d.n }
-
-// AppendTokens appends the document's normalized word tokens (punctuation
-// removed), interned to vocabulary ids, to dst and returns the extended
-// slice. Engine.Vocab().Token recovers the strings.
-func (d Doc) AppendTokens(dst []uint32) []uint32 { return decodeUvarints(dst, d.toks, d.n) }
-
 // docRec is the engine's per-document record: the token ids as uvarints in
 // a slice of their arena, their count, and the topic — 32 bytes.
 type docRec struct {

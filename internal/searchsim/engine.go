@@ -246,25 +246,6 @@ func (e *Engine) Compact(workers int) bool {
 	return true
 }
 
-// CompactAll merges the whole published segment stack into one frozen
-// segment — the full-merge used by the differential suite to compare an
-// Add-grown engine's frozen image against the bulk-built one. Pending memtable
-// docs are not included; Commit first to publish them. Returns whether a
-// merge ran (false when the stack is already a single frozen segment).
-func (e *Engine) CompactAll() bool {
-	e.compactMu.Lock()
-	defer e.compactMu.Unlock()
-	e.mu.Lock()
-	segs := append([]*segment(nil), e.segs...)
-	e.mu.Unlock()
-	if len(segs) == 0 || (len(segs) == 1 && segs[0].frozen != nil) {
-		return false
-	}
-	merged := mergeSegments(segs, 0)
-	e.installMerged(segs, 0, len(segs), merged)
-	return true
-}
-
 // installMerged splices merged over snapshot[lo:hi] in the live stack. The
 // writer may have sealed new segments since the snapshot was taken, but
 // seals only append — the spliced region is position-stable, and the
@@ -303,17 +284,6 @@ func (e *Engine) DocFreq(term string) int { return e.cur.Load().docFreq(term) }
 // terms. Search ranking, the relevance miners and the concept-vector
 // baseline all weigh terms with it. Lock-free, like every query.
 func (e *Engine) IDF(term string) float64 { return e.cur.Load().idf(term) }
-
-// Doc returns a copy of the visible document with the given ID; ok is
-// false when no visible document has it.
-func (e *Engine) Doc(id int) (d Doc, ok bool) {
-	docs := e.cur.Load().docs
-	if id < 0 || id >= len(docs) {
-		return Doc{}, false
-	}
-	r := docs[id]
-	return Doc{ID: id, Topic: int(r.topic), toks: r.toks, n: int(r.n)}, true
-}
 
 // IndexStats reports index size and cache accounting (surfaced in /statz).
 type IndexStats struct {

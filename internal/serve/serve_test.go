@@ -25,7 +25,7 @@ import (
 // a pattern detector, and a trained model.
 func testServer(t testing.TB) *Server {
 	t.Helper()
-	store := relevance.NewStore(relevance.Snippets, map[string]corpus.Vector{
+	store := relevance.NewStore(map[string]corpus.Vector{
 		"alphaword": {{Term: "ctx", Weight: 5}},
 		"betaword":  {{Term: "ctx", Weight: 4}},
 	})

@@ -71,8 +71,8 @@ func Build(w *world.World, seed int64) *Dictionary {
 		e := Entry{Phrase: c.Name, Type: c.Type, Subtype: c.Subtype}
 		if c.Type == world.TypePlace {
 			e.Geo = &GeoPoint{
-				Lon: -180 + 360*rng.Float64(),
-				Lat: -90 + 180*rng.Float64(),
+				Lon: -180 + float64(360*rng.Float64()),
+				Lat: -90 + float64(180*rng.Float64()),
 			}
 		}
 		d.add(e)
@@ -145,10 +145,6 @@ func (d *Dictionary) buildIndex() {
 // Vocab exposes the interned phrase vocabulary so the detection pipeline
 // can map a document's tokens to ids once per document.
 func (d *Dictionary) Vocab() *match.Vocab { return d.vocab }
-
-// Lookup returns the entries for the exact phrase (nil if absent). Multiple
-// entries signal an ambiguous phrase.
-func (d *Dictionary) Lookup(phrase string) []Entry { return d.entries[phrase] }
 
 // HighLevelType returns the major type of the phrase's first entry, or
 // TypeNone — this backs the paper's interestingness feature (8)

@@ -19,13 +19,13 @@ func TestBuildCoversTypedConcepts(t *testing.T) {
 	for i := range w.Concepts {
 		c := &w.Concepts[i]
 		if c.Type == world.TypeNone {
-			if d.Lookup(c.Name) != nil && !c.Ambiguous() {
+			if d.entries[c.Name] != nil && !c.Ambiguous() {
 				t.Errorf("abstract concept %q in dictionary", c.Name)
 			}
 			continue
 		}
 		typed++
-		es := d.Lookup(c.Name)
+		es := d.entries[c.Name]
 		if len(es) == 0 {
 			t.Errorf("typed concept %q missing from dictionary", c.Name)
 			continue
@@ -53,7 +53,7 @@ func TestPlacesHaveGeo(t *testing.T) {
 		if c.Type != world.TypePlace {
 			continue
 		}
-		es := d.Lookup(c.Name)
+		es := d.entries[c.Name]
 		if len(es) == 0 {
 			continue
 		}
@@ -77,7 +77,7 @@ func TestAmbiguousEntries(t *testing.T) {
 	for i := range w.Concepts {
 		c := &w.Concepts[i]
 		if c.Type != world.TypeNone && c.Ambiguous() {
-			es := d.Lookup(c.Name)
+			es := d.entries[c.Name]
 			if len(es) < 2 {
 				t.Fatalf("ambiguous %q has %d entries", c.Name, len(es))
 			}

@@ -41,16 +41,12 @@ type Token struct {
 	End   int
 }
 
-// Tokenize splits text into tokens with byte offsets. Words are maximal runs
-// of letters, digits, apostrophes and hyphens that begin with a letter or
-// digit; everything else that is not whitespace becomes a punctuation token.
-func Tokenize(text string) []Token {
-	return TokenizeInto(text, nil)
-}
-
-// TokenizeInto is Tokenize appending into buf (pass buf[:0] to reuse a
-// scratch buffer across documents; the detection hot path pools these).
-// The returned slice aliases buf's backing array when capacity suffices.
+// TokenizeInto splits text into tokens with byte offsets, appending them to
+// buf (pass buf[:0] to reuse a scratch buffer across documents; the
+// detection hot path pools these). Words are maximal runs of letters,
+// digits, apostrophes and hyphens that begin with a letter or digit;
+// everything else that is not whitespace becomes a punctuation token. The
+// returned slice aliases buf's backing array when capacity suffices.
 //
 // ASCII bytes are classified through a 128-entry table; only bytes ≥ 0x80
 // pay for rune decoding and the unicode tables. Normalization allocates

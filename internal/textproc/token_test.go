@@ -8,7 +8,7 @@ import (
 )
 
 func TestTokenizeSimple(t *testing.T) {
-	tokens := Tokenize("Hello, world!")
+	tokens := TokenizeInto("Hello, world!", nil)
 	var words []string
 	for _, tok := range tokens {
 		if tok.Kind == Word {
@@ -22,7 +22,7 @@ func TestTokenizeSimple(t *testing.T) {
 
 func TestTokenizeOffsets(t *testing.T) {
 	text := "President Bush's position was similar."
-	tokens := Tokenize(text)
+	tokens := TokenizeInto(text, nil)
 	for _, tok := range tokens {
 		if got := text[tok.Start:tok.End]; got != tok.Text {
 			t.Errorf("offset mismatch: token %q but text slice %q", tok.Text, got)
@@ -31,7 +31,7 @@ func TestTokenizeOffsets(t *testing.T) {
 }
 
 func TestTokenizeApostropheAndHyphen(t *testing.T) {
-	tokens := Tokenize("Bush's well-known auto-insurance")
+	tokens := TokenizeInto("Bush's well-known auto-insurance", nil)
 	var norms []string
 	for _, tok := range tokens {
 		if tok.Kind == Word {
@@ -45,7 +45,7 @@ func TestTokenizeApostropheAndHyphen(t *testing.T) {
 }
 
 func TestTokenizeNumbers(t *testing.T) {
-	tokens := Tokenize("In 2007, 16549 clicks and 3.5 percent")
+	tokens := TokenizeInto("In 2007, 16549 clicks and 3.5 percent", nil)
 	var nums []string
 	for _, tok := range tokens {
 		if tok.Kind == Number {
@@ -59,16 +59,16 @@ func TestTokenizeNumbers(t *testing.T) {
 }
 
 func TestTokenizeEmpty(t *testing.T) {
-	if got := Tokenize(""); len(got) != 0 {
+	if got := TokenizeInto("", nil); len(got) != 0 {
 		t.Fatalf("expected no tokens, got %v", got)
 	}
-	if got := Tokenize("   \n\t "); len(got) != 0 {
+	if got := TokenizeInto("   \n\t ", nil); len(got) != 0 {
 		t.Fatalf("expected no tokens for whitespace, got %v", got)
 	}
 }
 
 func TestTokenizeUnicode(t *testing.T) {
-	tokens := Tokenize("naïve café — test")
+	tokens := TokenizeInto("naïve café — test", nil)
 	var words []string
 	for _, tok := range tokens {
 		if tok.Kind == Word {
@@ -126,7 +126,7 @@ func TestContentWords(t *testing.T) {
 // non-overlapping and ordered.
 func TestTokenizeOffsetsProperty(t *testing.T) {
 	f := func(s string) bool {
-		tokens := Tokenize(s)
+		tokens := TokenizeInto(s, nil)
 		prevEnd := 0
 		for _, tok := range tokens {
 			if tok.Start < prevEnd || tok.End <= tok.Start || tok.End > len(s) {
@@ -160,7 +160,7 @@ func BenchmarkTokenize(b *testing.B) {
 	b.SetBytes(int64(len(text)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Tokenize(text)
+		TokenizeInto(text, nil)
 	}
 }
 

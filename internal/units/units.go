@@ -329,12 +329,6 @@ func allStop(terms []string) bool {
 // pipeline can map a document's tokens to ids once per document.
 func (s *Set) Vocab() *match.Vocab { return s.vocab }
 
-// Len returns the number of units in the set.
-func (s *Set) Len() int { return len(s.units) }
-
-// Lookup returns the unit for the exact phrase, or nil.
-func (s *Set) Lookup(phrase string) *Unit { return s.units[phrase] }
-
 // Score returns the normalized unit score of phrase, or 0 if the phrase is
 // not a unit.
 func (s *Set) Score(phrase string) float64 {
@@ -342,29 +336,6 @@ func (s *Set) Score(phrase string) float64 {
 		return u.Score
 	}
 	return 0
-}
-
-// MI returns the raw mutual information of phrase, or 0.
-func (s *Set) MI(phrase string) float64 {
-	if u := s.units[phrase]; u != nil {
-		return u.MI
-	}
-	return 0
-}
-
-// All returns all units sorted by decreasing score (ties by text).
-func (s *Set) All() []Unit {
-	out := make([]Unit, 0, len(s.units))
-	for _, u := range s.units {
-		out = append(out, *u)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Text < out[j].Text
-	})
-	return out
 }
 
 // Match is one unit occurrence in a token sequence.

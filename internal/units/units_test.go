@@ -47,7 +47,7 @@ func handLog() *querylog.Log {
 func TestSingleTermsAreUnits(t *testing.T) {
 	s := Extract(handLog(), handConfig)
 	for _, term := range []string{"global", "warming", "economy", "news"} {
-		u := s.Lookup(term)
+		u := s.units[term]
 		if u == nil {
 			t.Fatalf("single term %q should be a unit", term)
 		}
@@ -59,7 +59,7 @@ func TestSingleTermsAreUnits(t *testing.T) {
 
 func TestStrongPairBecomesUnit(t *testing.T) {
 	s := Extract(handLog(), handConfig)
-	u := s.Lookup("global warming")
+	u := s.units["global warming"]
 	if u == nil {
 		t.Fatal("'global warming' should be validated as a unit")
 	}
@@ -73,7 +73,7 @@ func TestStrongPairBecomesUnit(t *testing.T) {
 
 func TestRareCooccurrenceRejected(t *testing.T) {
 	s := Extract(handLog(), Config{MinMI: 0.5, MinFreq: 5})
-	if s.Lookup("random warming") != nil {
+	if s.units["random warming"] != nil {
 		t.Fatal("freq-2 candidate should fail MinFreq")
 	}
 }
@@ -82,9 +82,6 @@ func TestScoreOfNonUnit(t *testing.T) {
 	s := Extract(handLog(), handConfig)
 	if got := s.Score("definitely not present"); got != 0 {
 		t.Fatalf("Score of non-unit = %v", got)
-	}
-	if got := s.MI("nope"); got != 0 {
-		t.Fatalf("MI of non-unit = %v", got)
 	}
 }
 
@@ -100,10 +97,10 @@ func TestThreeTermUnits(t *testing.T) {
 		"weather":          80,
 	})
 	s := Extract(querylog.FromCounts(counts), handConfig)
-	if s.Lookup("new york") == nil {
+	if s.units["new york"] == nil {
 		t.Fatal("'new york' should be a unit")
 	}
-	u := s.Lookup("new york city")
+	u := s.units["new york city"]
 	if u == nil {
 		t.Fatal("'new york city' should be a unit (both splits validated)")
 	}
@@ -172,23 +169,10 @@ func TestSubconceptCount(t *testing.T) {
 	}
 }
 
-func TestAllSorted(t *testing.T) {
-	s := Extract(handLog(), handConfig)
-	all := s.All()
-	if len(all) != s.Len() {
-		t.Fatalf("All length %d != Len %d", len(all), s.Len())
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i-1].Score < all[i].Score {
-			t.Fatal("All not sorted by decreasing score")
-		}
-	}
-}
-
 func TestEmptyLog(t *testing.T) {
 	s := Extract(querylog.FromCounts(nil), Config{})
-	if s.Len() != 0 {
-		t.Fatalf("empty log produced %d units", s.Len())
+	if len(s.units) != 0 {
+		t.Fatalf("empty log produced %d units", len(s.units))
 	}
 	if got := findInTokens(s, []string{"a", "b"}); got != nil {
 		t.Fatalf("FindInIDs on empty set = %v", got)
@@ -225,7 +209,7 @@ func TestExtractRecoversWorldConcepts(t *testing.T) {
 			continue // tail concepts may legitimately be below support
 		}
 		total++
-		if s.Lookup(c.Name) != nil {
+		if s.units[c.Name] != nil {
 			recovered++
 		}
 	}
@@ -241,7 +225,7 @@ func TestDeterministicExtraction(t *testing.T) {
 	l := handLog()
 	s1 := Extract(l, handConfig)
 	s2 := Extract(l, handConfig)
-	if !reflect.DeepEqual(s1.All(), s2.All()) {
+	if !reflect.DeepEqual(s1.units, s2.units) {
 		t.Fatal("extraction not deterministic")
 	}
 }
@@ -262,7 +246,7 @@ func TestFourTermUnits(t *testing.T) {
 		"c d": 360, "a": 80, "b": 70, "c": 60, "d": 50,
 	})
 	s := Extract(querylog.FromCounts(counts), Config{MinMI: 0.5, MaxLen: 4})
-	u := s.Lookup("a b c d")
+	u := s.units["a b c d"]
 	if u == nil {
 		t.Fatal("4-term unit not validated with MaxLen 4")
 	}
@@ -271,7 +255,7 @@ func TestFourTermUnits(t *testing.T) {
 	}
 	// Default MaxLen 3 must not produce it.
 	s3 := Extract(querylog.FromCounts(counts), Config{MinMI: 0.5})
-	if s3.Lookup("a b c d") != nil {
+	if s3.units["a b c d"] != nil {
 		t.Fatal("4-term unit appeared with MaxLen 3")
 	}
 }

@@ -38,7 +38,7 @@ func Build(w *world.World, cfg Config) *Encyclopedia {
 	enc := &Encyclopedia{wordCount: make(map[string]int, len(w.Concepts))}
 	for i := range w.Concepts {
 		c := &w.Concepts[i]
-		pArticle := 0.15 + 0.8*c.Interest
+		pArticle := 0.15 + float64(0.8*c.Interest)
 		if c.LowQuality() {
 			pArticle = 0.02
 		}
@@ -46,7 +46,7 @@ func Build(w *world.World, cfg Config) *Encyclopedia {
 			continue
 		}
 		noise := math.Exp(0.4 * rng.NormFloat64())
-		words := int(float64(maxWords) * (0.1 + 0.9*c.Interest) * noise)
+		words := int(float64(maxWords) * (0.1 + float64(0.9*c.Interest)) * noise)
 		if words < 30 {
 			words = 30
 		}

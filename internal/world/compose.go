@@ -212,7 +212,7 @@ func (w *World) composeSentence(s Sink, topic *Topic, m *Mention, idx int, opts 
 		switch {
 		case i == mentionAt:
 			s.Mention(idx, m.Concept, first)
-		case m != nil && m.Relevant && m.Concept.Topic >= 0 && rng.Float64() < opts.ContextDensity*densityScale(m)*(0.3+0.7*m.Concept.Specificity):
+		case m != nil && m.Relevant && m.Concept.Topic >= 0 && rng.Float64() < opts.ContextDensity*densityScale(m)*(0.3+float64(0.7*m.Concept.Specificity)):
 			// Relevant mentions pull in the concept's own context terms;
 			// how strongly depends on specificity, which is what makes
 			// snippet mining cluster for specific concepts.

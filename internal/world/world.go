@@ -432,9 +432,9 @@ func (w *World) generateConcepts(rng *rand.Rand) {
 			Name:           name,
 			Terms:          strings.Fields(name),
 			Type:           TypeNone,
-			Interest:       0.05 + 0.25*rng.Float64(),
-			Specificity:    0.02 + 0.1*rng.Float64(),
-			Quality:        0.02 + 0.15*rng.Float64(),
+			Interest:       0.05 + float64(0.25*rng.Float64()),
+			Specificity:    0.02 + float64(0.1*rng.Float64()),
+			Quality:        0.02 + float64(0.15*rng.Float64()),
 			Topic:          -1,
 			SecondaryTopic: -1,
 		})
@@ -492,8 +492,8 @@ func (w *World) generateConcepts(rng *rand.Rand) {
 			// Interest: power-law so a few concepts are very hot.
 			Interest: math.Pow(rng.Float64(), 2.2),
 			// Multi-term concepts skew specific; single-term ones vary.
-			Specificity: clamp01(0.25 + 0.5*rng.Float64() + 0.15*float64(numTerms-1) + 0.1*rng.NormFloat64()),
-			Quality:     clamp01(0.5 + 0.4*rng.Float64() + 0.1*rng.NormFloat64()),
+			Specificity: clamp01(0.25 + float64(0.5*rng.Float64()) + float64(0.15*float64(numTerms-1)) + float64(0.1*rng.NormFloat64())),
+			Quality:     clamp01(0.5 + float64(0.4*rng.Float64()) + float64(0.1*rng.NormFloat64())),
 		}
 		if rng.Float64() < namedEntityFraction {
 			typ := EntityType(1 + rng.Intn(int(numEntityTypes)-1))

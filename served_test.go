@@ -36,7 +36,7 @@ func TestServedRanksAsLearned(t *testing.T) {
 			if err := learned.Fit(groups); err != nil {
 				t.Fatal(err)
 			}
-			rt := s.NewRuntime(learned.Model())
+			rt := s.RuntimeTables().Runtime(learned.Model())
 			tol := newTolerance(t, s, rt)
 			gold, matched := 0, 0
 			maxGap, maxBound := 0.0, 0.0
@@ -95,7 +95,7 @@ type tolerance struct {
 	ctx    *relevance.Ctx
 }
 
-// newTolerance reads the quantization of rt's tables as s.NewRuntime sets
+// newTolerance reads the quantization of rt's tables as s.RuntimeTables() sets
 // it: the interest table calibrated over every concept's fields, and the
 // packs' scores scaled against the store's largest keyword score.
 func newTolerance(t *testing.T, s *core.System, rt *framework.Runtime) *tolerance {
@@ -126,14 +126,14 @@ func newTolerance(t *testing.T, s *core.System, rt *framework.Runtime) *toleranc
 	}
 	ones := make(map[string]corpus.Vector)
 	for _, c := range store.Concepts() {
-		v := store.RelevantTerms(c)
-		for i := range v {
-			tol.step = math.Max(tol.step, v[i].Weight/framework.MaxQScore)
-			v[i].Weight = 1
+		var v corpus.Vector
+		for _, k := range store.Keywords(c) {
+			tol.step = math.Max(tol.step, k.Weight/framework.MaxQScore)
+			v = append(v, corpus.Entry{Term: store.Dict().Token(k.Stem), Weight: 1})
 		}
 		ones[c] = v
 	}
-	tol.hits = relevance.NewStore(relevance.Snippets, ones)
+	tol.hits = relevance.NewStore(ones)
 	tol.ctx = relevance.NewCtx(tol.hits.Dict())
 	return tol
 }
