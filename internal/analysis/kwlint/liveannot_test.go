@@ -66,7 +66,7 @@ var liveAnnotations = map[string][]string{
 		"resolve //kw:fresh",
 	},
 	"internal/searchsim/engine.go": {
-		"view.rankHits //kw:fresh",
+		"rankedResults //kw:fresh",
 	},
 	"internal/searchsim/index.go": {
 		"align //kw:hotpath",
@@ -75,7 +75,7 @@ var liveAnnotations = map[string][]string{
 		"view.bind //kw:hotpath",
 		"view.countPhraseDocs //kw:hotpath",
 		"view.intersectCount //kw:hotpath",
-		"view.phraseHits //kw:hotpath",
+		"view.topHits //kw:hotpath",
 	},
 	"internal/searchsim/segment.go": {
 		"segment //kw:frozen-after(seal)",

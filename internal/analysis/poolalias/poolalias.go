@@ -24,9 +24,8 @@
 // inputs or pooled state" (detect.resolveCollisions documents exactly
 // this); their call results are untainted, and the assertion travels as
 // a fact. Parameters are never taint sources: a function handed scratch
-// by its caller is the caller's responsibility (searchsim.phraseHits
-// returns a view into the scratch it was given — legal; its callers hold
-// the taint).
+// by its caller may return a view into it, and its callers hold the
+// taint.
 package poolalias
 
 import (

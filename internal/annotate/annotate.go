@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"html"
 	"sort"
+	"strconv"
 	"strings"
 
 	"contextrank/internal/detect"
@@ -84,8 +85,7 @@ func (r *Renderer) renderShortcut(b *strings.Builder, surface string, a framewor
 	if d.Kind == detect.KindNamed && d.Entry != nil {
 		class += " shortcut-" + d.Entry.Type.String()
 	}
-	fmt.Fprintf(b, `<span class=%q data-concept=%q data-score="%.3f">`,
-		class, html.EscapeString(d.Norm), a.Score)
+	openShortcut(b, class, d.Norm, a.Score)
 	b.WriteString(html.EscapeString(surface))
 	if r.Provider != nil {
 		overlay := r.Provider.Overlay(d)
@@ -93,14 +93,34 @@ func (r *Renderer) renderShortcut(b *strings.Builder, surface string, a framewor
 		if r.MaxOverlayLines > 0 && len(lines) > r.MaxOverlayLines {
 			lines = lines[:r.MaxOverlayLines]
 		}
-		fmt.Fprintf(b, `<span class="overlay overlay-%s"><strong>%s</strong>`,
-			html.EscapeString(overlay.Kind), html.EscapeString(overlay.Title))
+		b.WriteString(`<span class="overlay overlay-`)
+		b.WriteString(html.EscapeString(overlay.Kind))
+		b.WriteString(`"><strong>`)
+		b.WriteString(html.EscapeString(overlay.Title))
+		b.WriteString(`</strong>`)
 		for _, line := range lines {
-			fmt.Fprintf(b, `<em>%s</em>`, html.EscapeString(line))
+			b.WriteString(`<em>`)
+			b.WriteString(html.EscapeString(line))
+			b.WriteString(`</em>`)
 		}
 		b.WriteString(`</span>`)
 	}
 	b.WriteString(`</span>`)
+}
+
+// openShortcut writes a shortcut span's opening tag: the class and the
+// escaped concept quoted as fmt's %q quotes them, the score formatted as
+// %.3f formats it.
+func openShortcut(b *strings.Builder, class, norm string, score float64) {
+	var buf [128]byte
+	tag := append(buf[:0], `<span class=`...)
+	tag = strconv.AppendQuote(tag, class)
+	tag = append(tag, ` data-concept=`...)
+	tag = strconv.AppendQuote(tag, html.EscapeString(norm))
+	tag = append(tag, ` data-score="`...)
+	tag = strconv.AppendFloat(tag, score, 'f', 3, 64)
+	tag = append(tag, `">`...)
+	b.Write(tag)
 }
 
 // DefaultProvider resolves overlays from the platform's substrates, per the

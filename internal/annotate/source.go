@@ -1,8 +1,6 @@
 package annotate
 
 import (
-	"fmt"
-	"html"
 	"sort"
 	"strings"
 
@@ -51,8 +49,9 @@ func (r *Renderer) RenderSource(src string, res *textproc.StripResult, anns []fr
 		b.WriteString(src[pos:s.lo])
 		d := s.a.Detection
 		class := "shortcut shortcut-" + d.Kind.String()
-		fmt.Fprintf(&b, `<span class=%q data-concept=%q data-score="%.3f">%s</span>`,
-			class, html.EscapeString(d.Norm), s.a.Score, src[s.lo:s.hi])
+		openShortcut(&b, class, d.Norm, s.a.Score)
+		b.WriteString(src[s.lo:s.hi])
+		b.WriteString(`</span>`)
 		pos = s.hi
 	}
 	b.WriteString(src[pos:])

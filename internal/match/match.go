@@ -113,7 +113,6 @@ func (b *Builder) Add(terms []string) int {
 // edge map; the builder must not be reused afterwards.
 func (b *Builder) Build() *Matcher {
 	m := &Matcher{
-		vocab:   b.vocab,
 		pattern: b.pattern,
 		root:    make([]int32, b.vocab.Len()),
 		first:   make([]int32, len(b.pattern)+1),
@@ -152,7 +151,6 @@ type edge struct {
 // Matcher is the compiled token-trie. It is immutable and safe for
 // concurrent use.
 type Matcher struct {
-	vocab   *Vocab
 	pattern []int32 // node -> pattern id (noPattern if interior)
 	// root is the root's child per token id (noChild: no pattern starts
 	// with the token). Ids interned into a shared vocabulary after Build

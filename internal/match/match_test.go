@@ -26,19 +26,21 @@ func appendMatches(m *Matcher, dst []Match, ids []uint32) []Match {
 	return dst
 }
 
-// findTokens interns tokens against the matcher's vocabulary and returns
-// all greedy-longest matches.
-func findTokens(m *Matcher, tokens []string) []Match {
-	ids := m.vocab.AppendIDs(make([]uint32, 0, len(tokens)), tokens)
+// findTokens interns tokens against vocab, the vocabulary m's builder
+// interned into, and returns all greedy-longest matches.
+func findTokens(m *Matcher, vocab *Vocab, tokens []string) []Match {
+	ids := vocab.AppendIDs(make([]uint32, 0, len(tokens)), tokens)
 	return appendMatches(m, nil, ids)
 }
 
-func buildFrom(phrases ...string) *Matcher {
+// buildFrom compiles a matcher over phrases and returns it with its
+// builder's vocabulary.
+func buildFrom(phrases ...string) (*Matcher, *Vocab) {
 	b := NewBuilder(nil)
 	for _, p := range phrases {
 		b.Add(strings.Fields(p))
 	}
-	return b.Build()
+	return b.Build(), b.Vocab()
 }
 
 // reference is the pre-trie scanner semantics: phrases grouped by first
@@ -76,8 +78,8 @@ func reference(phrases []string, tokens []string) []Match {
 }
 
 func TestLongestMatchWins(t *testing.T) {
-	m := buildFrom("new york", "new york city", "york")
-	got := findTokens(m, strings.Fields("in new york city today"))
+	m, v := buildFrom("new york", "new york city", "york")
+	got := findTokens(m, v, strings.Fields("in new york city today"))
 	// "new york city" wins at position 1; "york" still matches at position 2
 	// (positions advance one token at a time, matching the legacy scanners —
 	// the downstream collision pass drops the nested span).
@@ -88,8 +90,8 @@ func TestLongestMatchWins(t *testing.T) {
 }
 
 func TestNestedPhraseAtLaterPositionStillFound(t *testing.T) {
-	m := buildFrom("new york city", "york")
-	got := findTokens(m, strings.Fields("new york city"))
+	m, v := buildFrom("new york city", "york")
+	got := findTokens(m, v, strings.Fields("new york city"))
 	// Greedy-longest at position 0, plus "york" at position 1: the scanner
 	// advances one token at a time, exactly like the byFirst loops did.
 	want := []Match{{Pattern: 0, Start: 0, End: 3}, {Pattern: 1, Start: 1, End: 2}}
@@ -99,11 +101,11 @@ func TestNestedPhraseAtLaterPositionStillFound(t *testing.T) {
 }
 
 func TestUnknownTokenBreaksWalk(t *testing.T) {
-	m := buildFrom("alpha beta gamma")
-	if got := findTokens(m, strings.Fields("alpha beta delta")); len(got) != 0 {
+	m, v := buildFrom("alpha beta gamma")
+	if got := findTokens(m, v, strings.Fields("alpha beta delta")); len(got) != 0 {
 		t.Fatalf("unexpected match through unknown token: %+v", got)
 	}
-	if got := findTokens(m, strings.Fields("alpha beta gamma")); len(got) != 1 {
+	if got := findTokens(m, v, strings.Fields("alpha beta gamma")); len(got) != 1 {
 		t.Fatalf("full phrase should match: %+v", got)
 	}
 }
@@ -151,11 +153,11 @@ func TestVocabUnknownIsNoID(t *testing.T) {
 }
 
 func TestEmptyAndShortInputs(t *testing.T) {
-	m := buildFrom("a b c")
-	if got := findTokens(m, nil); len(got) != 0 {
+	m, v := buildFrom("a b c")
+	if got := findTokens(m, v, nil); len(got) != 0 {
 		t.Fatalf("empty input matched: %+v", got)
 	}
-	if got := findTokens(m, []string{"a", "b"}); len(got) != 0 {
+	if got := findTokens(m, v, []string{"a", "b"}); len(got) != 0 {
 		t.Fatalf("phrase longer than input matched: %+v", got)
 	}
 }
@@ -272,23 +274,24 @@ func TestDifferentialRandom(t *testing.T) {
 			for _, p := range phrases {
 				b.Add(strings.Fields(p))
 			}
+			v := b.Vocab()
 			m, ref := buildBoth(b)
-			got := findTokens(m, doc)
+			got := findTokens(m, v, doc)
 			if want := reference(phrases, doc); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: phrases=%v doc=%v\ngot  %+v\nwant %+v", label, phrases, doc, got, want)
 			}
 
-			b2 := NewBuilder(m.vocab)
+			b2 := NewBuilder(v)
 			for _, p := range randomPhrases(rng, append(late, vocabulary...), 1+rng.Intn(sh.phrases), sh.maxLen) {
 				b2.Add(strings.Fields(p))
 			}
 			b2.Add(late)
 			m2, ref2 := buildBoth(b2)
-			ids := m.vocab.AppendIDs(nil, doc)
+			ids := v.AppendIDs(nil, doc)
 			checkAgainstMapTrie(t, label, m, ref, ids)
 			checkAgainstMapTrie(t, label+", second matcher", m2, ref2, ids)
 			for _, w := range append(late, "unknown") {
-				if _, _, ok := m.LongestAt([]uint32{m.vocab.ID(w)}, 0); ok {
+				if _, _, ok := m.LongestAt([]uint32{v.ID(w)}, 0); ok {
 					t.Fatalf("%s: %q, interned after Build or never, matched", label, w)
 				}
 			}
@@ -297,8 +300,8 @@ func TestDifferentialRandom(t *testing.T) {
 }
 
 func TestLongestAtZeroAlloc(t *testing.T) {
-	m := buildFrom("alpha beta", "gamma")
-	ids := m.vocab.AppendIDs(nil, []string{"alpha", "beta", "gamma", "alpha", "beta"})
+	m, v := buildFrom("alpha beta", "gamma")
+	ids := v.AppendIDs(nil, []string{"alpha", "beta", "gamma", "alpha", "beta"})
 	found := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		found = 0
@@ -314,7 +317,7 @@ func TestLongestAtZeroAlloc(t *testing.T) {
 	idBuf := make([]uint32, 0, 8)
 	toks := []string{"alpha", "beta", "zzz"}
 	allocs = testing.AllocsPerRun(100, func() {
-		idBuf = m.vocab.AppendIDs(idBuf[:0], toks)
+		idBuf = v.AppendIDs(idBuf[:0], toks)
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendIDs allocated %.1f objects per run", allocs)

@@ -24,8 +24,9 @@ import (
 //     snapshot swap — every read in the window would stall and the ratio
 //     would explode; the guard pins it near 1.
 //
-// Latency is measured on the memo-bypassing evaluation path (like
-// BenchmarkPhraseEval) so per-view count caching can't mask a regression.
+// Latency is measured on the memo-bypassing evaluation path (the
+// exhaustive form of view.topHits, like BenchmarkPhraseEval) so per-view
+// count caching can't mask a regression.
 func BenchmarkIngest(b *testing.B) {
 	w, _ := paperScaleEngine(b)
 	e := BuildCorpus(w, CorpusConfig{Seed: 72})
@@ -36,7 +37,8 @@ func BenchmarkIngest(b *testing.B) {
 	readOnce := func(name string, sc *evalScratch) time.Duration {
 		t0 := time.Now() //kwlint:ignore determinism — latency benchmark measures real elapsed time on purpose
 		v := e.cur.Load()
-		v.phraseHits(e.internIDs(textproc.Words(name), sc), sc)
+		terms := textproc.Words(name)
+		v.topHits(terms, e.internIDs(terms, sc), 0, sc)
 		return time.Since(t0) //kwlint:ignore determinism — latency benchmark measures real elapsed time on purpose
 	}
 
@@ -150,6 +152,45 @@ func BenchmarkIngest(b *testing.B) {
 	}
 	b.ReportMetric(ratio, "read-p99-ratio")
 	b.ReportMetric(float64(len(during)), "compaction-reads")
+}
+
+// snippetsLiveE caches BenchmarkSnippetsLive's engine across its runs:
+// ingesting its stories costs seconds.
+var snippetsLiveE *Engine
+
+// BenchmarkSnippetsLive measures the overlay query, Snippets(name, 3), on
+// the index a serving process holds after a day of news: the paper-scale
+// corpus plus 12,000 ingested feed stories, committed every 64 and
+// compacted inline until nothing is left to merge, as the request-level
+// benchmark's writer does. The matching sets have grown several-fold over
+// the bulk-built corpus's, which is where a top-k evaluation that ranked
+// every hit paid. make bench guards its allocs/op (BENCH.baseline.json).
+func BenchmarkSnippetsLive(b *testing.B) {
+	w, _ := paperScaleEngine(b)
+	if snippetsLiveE == nil {
+		e := BuildCorpus(w, CorpusConfig{Seed: 72})
+		feed := newsgen.NewFeed(w, newsgen.Config{Seed: 74}, 64)
+		for n := 0; n < 12000; {
+			for _, st := range feed.NextBatch() {
+				e.Add(st.Text, st.Topic)
+				n++
+			}
+			e.Commit()
+			for e.Compact(1) {
+			}
+		}
+		snippetsLiveE = e
+	}
+	e := snippetsLiveE
+	names := make([]string, len(w.Concepts))
+	for i := range w.Concepts {
+		names[i] = w.Concepts[i].Name
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Snippets(names[i%len(names)], 3)
+	}
 }
 
 // p99 returns the 99th-percentile sample; sorts a copy.

@@ -43,8 +43,10 @@ func BenchmarkResultCount(b *testing.B) {
 }
 
 // BenchmarkPhraseEval measures the galloping positional intersection itself
-// — tokenize, intern, leapfrog — bypassing the ResultCount memo cache, so
-// regressions in the cold evaluation path can't hide behind cache hits.
+// — tokenize, intern, leapfrog, every hit's positions checked and scored by
+// the exhaustive (k ≤ 0) form of view.topHits — bypassing the ResultCount
+// memo cache, so regressions in the cold evaluation path can't hide behind
+// cache hits.
 func BenchmarkPhraseEval(b *testing.B) {
 	w, e := paperScaleEngine(b)
 	names := make([]string, len(w.Concepts))
@@ -57,7 +59,8 @@ func BenchmarkPhraseEval(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.phraseHits(e.internIDs(textproc.Words(names[i%len(names)]), sc), sc)
+		terms := textproc.Words(names[i%len(names)])
+		v.topHits(terms, e.internIDs(terms, sc), 0, sc)
 	}
 }
 

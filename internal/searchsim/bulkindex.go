@@ -164,6 +164,7 @@ func newBulkEngine(tokens *match.Vocab, docs []rawDoc) *Engine {
 	}
 	arena := make([]byte, chunks[w-1].off+chunks[w-1].size)
 	e.docs = make([]docRec, nd)
+	e.lens = make([]int32, nd)
 	par.For(w, w, func(ci int) {
 		off := chunks[ci].off
 		for di := chunks[ci].lo; di < chunks[ci].hi; di++ {
@@ -171,7 +172,8 @@ func newBulkEngine(tokens *match.Vocab, docs []rawDoc) *Engine {
 			for _, id := range tokenIDs[di] {
 				off += binary.PutUvarint(arena[off:], uint64(id))
 			}
-			e.docs[di] = docRec{toks: arena[start:off:off], n: int32(len(tokenIDs[di])), topic: int32(docs[di].topic)}
+			e.docs[di] = docRec{toks: arena[start:off:off], topic: int32(docs[di].topic)}
+			e.lens[di] = int32(len(tokenIDs[di]))
 		}
 	})
 	e.forward = len(arena)

@@ -110,15 +110,16 @@ func engineEqual(t *testing.T, label string, got, want *Engine) {
 func docsEqual(t *testing.T, label string, got, want *Engine) {
 	t.Helper()
 	gv, wv := got.cur.Load(), want.cur.Load()
-	if len(gv.docs) != len(wv.docs) {
-		t.Fatalf("%s: %d visible documents, want %d", label, len(gv.docs), len(wv.docs))
+	if len(gv.docs) != len(wv.docs) || len(gv.lens) != len(gv.docs) || len(wv.lens) != len(wv.docs) {
+		t.Fatalf("%s: %d visible documents (%d counts), want %d (%d)", label, len(gv.docs), len(gv.lens), len(wv.docs), len(wv.lens))
 	}
 	var gBytes, wBytes int
 	for id := range wv.docs {
 		g, w := gv.docs[id], wv.docs[id]
-		if !bytes.Equal(g.toks, w.toks) || g.n != w.n || g.topic != w.topic {
+		gn, wn := gv.lens[id], wv.lens[id]
+		if !bytes.Equal(g.toks, w.toks) || gn != wn || g.topic != w.topic {
 			t.Fatalf("%s: doc %d = %d tokens %x (topic %d), want %d tokens %x (topic %d)",
-				label, id, g.n, g.toks, g.topic, w.n, w.toks, w.topic)
+				label, id, gn, g.toks, g.topic, wn, w.toks, w.topic)
 		}
 		if cap(g.toks) != len(g.toks) || cap(w.toks) != len(w.toks) {
 			t.Fatalf("%s: doc %d's slice reaches past its bytes", label, id)

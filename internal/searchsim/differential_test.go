@@ -70,11 +70,19 @@ func (e *refEngine) matchAt(doc int, terms []string, pos int32) bool {
 	return true
 }
 
-func (e *refEngine) phraseSearch(terms []string) []phraseHit {
+// refHit is one document matching a phrase query: its occurrence count and
+// the position of its first occurrence.
+type refHit struct {
+	doc   int
+	count int
+	first int32
+}
+
+func (e *refEngine) phraseSearch(terms []string) []refHit {
 	if len(terms) == 0 {
 		return nil
 	}
-	var hits []phraseHit
+	var hits []refHit
 	for _, p := range e.postings[terms[0]] {
 		count := 0
 		first := int32(-1)
@@ -87,7 +95,7 @@ func (e *refEngine) phraseSearch(terms []string) []phraseHit {
 			}
 		}
 		if count > 0 {
-			hits = append(hits, phraseHit{doc: p.doc, count: count, first: first})
+			hits = append(hits, refHit{doc: p.doc, count: count, first: first})
 		}
 	}
 	return hits
@@ -287,10 +295,15 @@ func TestDifferentialResultCounts(t *testing.T) {
 	}
 }
 
+// differentialKs are the result depths the ranking differentials sweep:
+// top-k buffers of one, two and three slots, the overlays' 3, the snippet
+// miner's 100, and 0 for every result.
+var differentialKs = []int{1, 2, 3, 10, 100, 0}
+
 func TestDifferentialSearchOrdering(t *testing.T) {
 	ref, raw, frozen, names := buildDifferentialEngines(t)
 	for _, phrase := range differentialPhrases(names) {
-		for _, k := range []int{3, 100} {
+		for _, k := range differentialKs {
 			want := ref.search(phrase, k)
 			if got := raw.Search(phrase, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("raw Search(%q, %d) diverged:\n got %v\nwant %v", phrase, k, got, want)
@@ -305,13 +318,93 @@ func TestDifferentialSearchOrdering(t *testing.T) {
 func TestDifferentialSnippets(t *testing.T) {
 	ref, raw, frozen, names := buildDifferentialEngines(t)
 	for _, phrase := range differentialPhrases(names) {
-		for _, k := range []int{3, 100} {
+		for _, k := range differentialKs {
 			want := ref.snippets(phrase, k)
 			if got := raw.Snippets(phrase, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("raw Snippets(%q, %d) diverged", phrase, k)
 			}
 			if got := frozen.Snippets(phrase, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("frozen Snippets(%q, %d) diverged", phrase, k)
+			}
+		}
+	}
+}
+
+// tieCorpus is a hand corpus of duplicate documents, all eight tokens long,
+// so equal phrase counts are equal scores. Runs of count-1 copies fill a
+// top-k buffer with ties before count-2 and count-3 copies arrive that must
+// displace them, and copies whose first term is frequent but which hold
+// the phrase zero times pass the driver's bound and fail on positions. It
+// spans several skip blocks once frozen.
+func tieCorpus() []textDoc {
+	one := strings.Fields("alpha beta gamma delta alpha gamma delta eps")
+	two := strings.Fields("alpha beta gamma alpha beta delta eps zeta")
+	three := strings.Fields("alpha beta alpha beta alpha beta eps zeta")
+	none := strings.Fields("beta alpha gamma delta alpha gamma eps zeta")
+	docs := make([]textDoc, 100)
+	for i := range docs {
+		switch {
+		case i%31 == 20:
+			docs[i].tokens = three
+		case i%7 == 3:
+			docs[i].tokens = two
+		case i%5 == 4:
+			docs[i].tokens = none
+		default:
+			docs[i].tokens = one
+		}
+	}
+	return docs
+}
+
+// TestTopHitsTiesKeepLowerDoc: on tieCorpus, where the k-th score is
+// nearly always shared by later duplicates, every depth's ranking — hits,
+// scores, tie order and snippets — equals the oracle's over a raw stack,
+// a frozen segment, and a stack mixing the two. A document whose score
+// bound equals the k-th score must not displace the lower doc id holding
+// it; one whose score is higher must.
+func TestTopHitsTiesKeepLowerDoc(t *testing.T) {
+	docs := tieCorpus()
+	ref := newRefEngine()
+	raw := NewEngine()
+	for i, d := range docs {
+		ref.add(d.text())
+		raw.Add(d.text(), 0)
+		if i%9 == 8 {
+			raw.Commit()
+		}
+	}
+	raw.Commit()
+	mixed := buildLiveSegmented(docs, 40, 13)
+	frozen := 0
+	for _, s := range mixed.segs {
+		if s.frozen != nil {
+			frozen++
+		}
+	}
+	if frozen == 0 || frozen == len(mixed.segs) {
+		t.Fatalf("mixed stack holds %d frozen of %d segments, want raw and frozen ones", frozen, len(mixed.segs))
+	}
+	engines := map[string]*Engine{"raw": raw, "frozen": bulkEngine(docs), "mixed": mixed}
+	all := ref.search("alpha beta", 0)
+	for _, k := range []int{1, 4} {
+		if len(all) <= k || all[k-1].Score != all[k].Score {
+			t.Fatalf("corpus has no tie across slot %d: %v", k, all[:min(len(all), k+1)])
+		}
+	}
+	if got := raw.Search("alpha beta", 1); len(got) != 1 || got[0].DocID != 20 {
+		t.Fatalf(`Search("alpha beta", 1) = %v, want the first count-3 copy, doc 20`, got)
+	}
+	for _, q := range []string{"alpha beta", "alpha", "beta", "beta alpha", "gamma delta", "alpha beta alpha", "eps zeta", "alpha alpha"} {
+		for _, k := range []int{1, 2, 3, 4, 5, 10, 0} {
+			want, wantSnips := ref.search(q, k), ref.snippets(q, k)
+			for name, e := range engines {
+				if got := e.Search(q, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s Search(%q, %d):\n got %v\nwant %v", name, q, k, got, want)
+				}
+				if got := e.Snippets(q, k); !reflect.DeepEqual(got, wantSnips) {
+					t.Fatalf("%s Snippets(%q, %d) diverged", name, q, k)
+				}
 			}
 		}
 	}

@@ -14,10 +14,13 @@ import (
 // readers decode them without synchronization.
 
 // docRec is the engine's per-document record: the token ids as uvarints in
-// a slice of their arena, their count, and the topic — 32 bytes.
+// a slice of their arena, and the topic. The token counts live apart, one
+// int32 a document in the engine's and view's lens, because top-k ranking
+// reads the length of every candidate its driver proposes, before anything
+// else of it: a dense column keeps that read to 4 bytes of a 16-per-line
+// array instead of a 32-byte record.
 type docRec struct {
 	toks  []byte
-	n     int32
 	topic int32
 }
 

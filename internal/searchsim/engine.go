@@ -47,10 +47,11 @@ const memFlushDocs = 256
 // visible index never changes; a new memo is installed exactly when the
 // visibility horizon moves (Epoch tracks that for external caches).
 type Engine struct {
-	// docs is the writer's document store (doc.go). It is append-only;
-	// published views expose the visible prefix, which readers reach
-	// through Doc and NumDocs.
+	// docs and lens are the writer's document store (doc.go): each
+	// document's record and its token count, by id. Both are append-only;
+	// published views expose the visible prefix.
 	docs []docRec
+	lens []int32
 
 	vocab *match.Vocab
 
@@ -130,7 +131,8 @@ func (e *Engine) Add(text string, topic int) int {
 	for len(e.stopID) < e.vocab.Len() {
 		e.stopID = append(e.stopID, textproc.IsStopword(e.vocab.Token(uint32(len(e.stopID)))))
 	}
-	e.docs = append(e.docs, docRec{n: int32(len(tokens)), topic: int32(topic)})
+	e.docs = append(e.docs, docRec{topic: int32(topic)})
+	e.lens = append(e.lens, int32(len(tokens)))
 	e.pendEnd = append(e.pendEnd, len(e.pending))
 	e.memDocs++
 	e.memDocsLive.Store(int32(e.memDocs))
@@ -195,6 +197,7 @@ func (e *Engine) publishLocked() {
 	e.cur.Store(&view{
 		segs:    append([]*segment(nil), e.segs...),
 		docs:    e.docs[:horizon:horizon],
+		lens:    e.lens[:horizon:horizon],
 		stopID:  e.stopID[:len(e.stopID):len(e.stopID)],
 		vocab:   e.vocab,
 		epoch:   e.epoch,
@@ -438,42 +441,29 @@ func sortTopK(results []Result, k int) []Result {
 	return results
 }
 
-// rankHits scores phrase hits with the tf·idf-flavoured formula (phrase
-// occurrences weighted by the rarity of the phrase's terms, normalized by
-// document length) and returns up to k results sorted by (score desc, doc
-// asc). The idf sum runs over terms in query order so float accumulation is
-// reproducible. The result slice is always freshly allocated.
+// rankedResults copies ranked hits into a fresh []Result, nil when there
+// are none.
 //
 //kw:fresh
-func (v *view) rankHits(terms []string, hits []phraseHit, k int) []Result {
-	if len(hits) == 0 {
+func rankedResults(top []scoredHit) []Result {
+	if len(top) == 0 {
 		return nil
 	}
-	idf := 0.0
-	for _, t := range terms {
-		idf += v.idf(t)
+	out := make([]Result, len(top))
+	for i, h := range top {
+		out[i] = Result{DocID: int(h.doc), Score: h.score}
 	}
-	results := make([]Result, 0, len(hits))
-	for _, h := range hits {
-		docLen := v.docs[h.doc].n
-		if docLen == 0 {
-			continue
-		}
-		score := float64(h.count) * idf / (1 + float64(docLen)/200)
-		results = append(results, Result{DocID: h.doc, Score: score})
-	}
-	return sortTopK(results, k)
+	return out
 }
 
 // Search runs a phrase query and returns up to k results ranked by the
-// tf·idf-flavoured score; k ≤ 0 returns every result.
+// tf·idf-flavoured score (view.topHits); k ≤ 0 returns every result.
 func (e *Engine) Search(phrase string, k int) []Result {
 	terms := textproc.Words(phrase)
 	v := e.cur.Load()
 	sc := getScratch()
 	defer putScratch(sc)
-	hits := v.phraseHits(e.internIDs(terms, sc), sc)
-	return v.rankHits(terms, hits, k)
+	return rankedResults(v.topHits(terms, e.internIDs(terms, sc), k, sc))
 }
 
 // SearchAnyTerm runs a bag-of-words (OR) query: documents containing any of
@@ -504,7 +494,7 @@ func (e *Engine) SearchAnyTerm(query string, k int) []Result {
 		// Sequential walk: only doc and frequency streams are decoded —
 		// position data stays untouched on the OR path.
 		for doc, ok := c.seekGEQ(0); ok; doc, ok = c.seekGEQ(doc + 1) {
-			docLen := v.docs[doc].n
+			docLen := v.lens[doc]
 			if docLen == 0 {
 				continue
 			}
@@ -522,27 +512,21 @@ func (e *Engine) SearchAnyTerm(query string, k int) []Result {
 // phrase occurrence included in a snippet.
 const SnippetWidth = 20
 
-// visitHits evaluates phrase once against one view, ranks the top-k results,
-// and calls visit for each result in rank order with its snippet window
-// [lo, hi) — SnippetWidth tokens either side of the first phrase
-// occurrence, recovered from the phrase hit, so the postings are never
-// rescanned — and the document's first hi token ids, decoded into pooled
-// scratch. Shared kernel of Snippets and VisitSnippetTokens; evaluating and
+// visitHits evaluates phrase once against one view, keeping its top-k hits
+// (view.topHits), and calls visit for each in rank order with its snippet
+// window [lo, hi) — SnippetWidth tokens either side of the first phrase
+// occurrence, which the hit carries, so the postings are never rescanned —
+// and the document's first hi token ids, decoded into pooled scratch.
+// Shared kernel of Snippets and VisitSnippetTokens; evaluating and
 // rendering against the same view is what keeps a mid-swap query internally
 // consistent.
 func (v *view) visitHits(e *Engine, terms []string, k int, visit func(tokens []uint32, lo, hi int)) {
 	sc := getScratch()
 	defer putScratch(sc)
-	hits := v.phraseHits(e.internIDs(terms, sc), sc)
-	results := v.rankHits(terms, hits, k)
-	for _, r := range results {
-		// hits are in ascending doc order; recover this result's hit to
-		// reuse its first-occurrence position.
-		i := sort.Search(len(hits), func(i int) bool { return hits[i].doc >= r.DocID })
-		at := int(hits[i].first)
-		d := &v.docs[r.DocID]
-		hi := min(at+len(terms)+SnippetWidth, int(d.n))
-		sc.toks = decodeUvarints(sc.toks[:0], d.toks, hi)
+	for _, h := range v.topHits(terms, e.internIDs(terms, sc), k, sc) {
+		at := int(h.first)
+		hi := min(at+len(terms)+SnippetWidth, int(v.lens[h.doc]))
+		sc.toks = decodeUvarints(sc.toks[:0], v.docs[h.doc].toks, hi)
 		visit(sc.toks, max(at-SnippetWidth, 0), hi)
 	}
 }

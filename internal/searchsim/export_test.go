@@ -25,12 +25,12 @@ func (d Doc) AppendTokens(dst []uint32) []uint32 { return decodeUvarints(dst, d.
 // Doc returns a copy of the visible document with the given ID; ok is
 // false when no visible document has it.
 func (e *Engine) Doc(id int) (d Doc, ok bool) {
-	docs := e.cur.Load().docs
-	if id < 0 || id >= len(docs) {
+	v := e.cur.Load()
+	if id < 0 || id >= len(v.docs) {
 		return Doc{}, false
 	}
-	r := docs[id]
-	return Doc{ID: id, Topic: int(r.topic), toks: r.toks, n: int(r.n)}, true
+	r := v.docs[id]
+	return Doc{ID: id, Topic: int(r.topic), toks: r.toks, n: int(v.lens[id])}, true
 }
 
 // CompactAll merges the whole published segment stack into one frozen

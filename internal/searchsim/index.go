@@ -35,7 +35,9 @@ package searchsim
 // string-scanning engine bit for bit.
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -464,27 +466,29 @@ func (c *termCursor) probePosition(target int32) bool {
 	return c.ppi < len(ps) && ps[c.ppi] == target
 }
 
-// phraseHit is one document matching a phrase query.
-type phraseHit struct {
-	doc   int
-	count int   // number of phrase occurrences
-	first int32 // position of first occurrence
+// scoredHit is one ranked phrase hit: the document, the position of its
+// first phrase occurrence, and its score.
+type scoredHit struct {
+	doc   int32
+	first int32
+	score float64
 }
 
 // evalScratch is the pooled per-query working set: interned ids, one cursor
-// per phrase term, the hit accumulator and a document's decoded tokens. Frozen evaluation decodes into
-// the cursors' reusable buffers, keeping queries allocation-light.
+// per phrase term, the ranked-hit buffer and a document's decoded tokens.
+// Frozen evaluation decodes into the cursors' reusable buffers, keeping
+// queries allocation-light.
 type evalScratch struct {
 	ids     []uint32
 	cursors []termCursor
-	hits    []phraseHit
-	toks    []uint32 // a result document's decoded token ids (visitHits)
+	top     []scoredHit // topHits' buffer
+	toks    []uint32    // a result document's decoded token ids (visitHits)
 }
 
 // The three query evaluators share one leapfrog: bind points a cursor at
-// each term and picks the rarest as the driver, align gallops every cursor
-// to the next document they all contain, and occurrences probes that
-// document's offset-shifted position lists.
+// each term and picks the rarest as the driver, follow gallops the other
+// cursors to the driver's document, and occurrences probes that document's
+// offset-shifted position lists.
 
 // bind points one pooled cursor at each term of ids and returns them with
 // the driver, the rarest term. ok is false when ids is empty or some term
@@ -511,31 +515,39 @@ func (v *view) bind(ids []uint32, sc *evalScratch) (cs []termCursor, drv int, ok
 	return cs, drv, true
 }
 
+// follow gallops every cursor but the driver to doc, the driver's document,
+// and returns doc when they all land on it, or else the first overshoot:
+// the driver's next target. ok is false when some cursor is exhausted.
+func follow(cs []termCursor, drv int, doc int32) (int32, bool) {
+	for i := range cs {
+		if i == drv {
+			continue
+		}
+		if d2, ok := cs[i].seekGEQ(doc); !ok || d2 > doc {
+			return d2, ok
+		}
+	}
+	return doc, true
+}
+
 // align returns the first document >= d that every cursor contains, with
-// every cursor landed on it: the driver proposes, each other cursor gallops
-// to the proposal, and an overshoot becomes the driver's next target.
+// every cursor landed on it: the driver proposes, the others follow, and an
+// overshoot becomes the driver's next target.
 //
 //kw:hotpath
 func align(cs []termCursor, drv int, d int32) (int32, bool) {
-	doc, ok := cs[drv].seekGEQ(d)
-outer:
-	for ok {
-		for i := range cs {
-			if i == drv {
-				continue
-			}
-			d2, ok2 := cs[i].seekGEQ(doc)
-			if !ok2 {
-				return 0, false
-			}
-			if d2 > doc {
-				doc, ok = cs[drv].seekGEQ(d2)
-				continue outer
-			}
+	for {
+		doc, ok := cs[drv].seekGEQ(d)
+		if !ok {
+			return 0, false
 		}
-		return doc, true
+		if d, ok = follow(cs, drv, doc); !ok {
+			return 0, false
+		}
+		if d == doc {
+			return doc, true
+		}
 	}
-	return 0, false
 }
 
 // occurrences counts the phrase occurrences in the document every cursor is
@@ -567,32 +579,112 @@ func occurrences(cs []termCursor, limit int) (count int, first int32) {
 	return count, first
 }
 
-// phraseHits evaluates an exact-phrase query over interned term ids and
-// returns the matching docs in ascending order with occurrence counts and
-// first-occurrence positions.
+// topHits evaluates the exact-phrase query terms, interned as ids, and
+// returns its k best hits in rank order, (score desc, doc asc); every hit
+// when k <= 0. A hit's score is the tf·idf-flavoured
+// formula: its phrase occurrences weighted by the rarity of the phrase's
+// terms, normalized by document length. The idf sum runs over terms in
+// query order so float accumulation is reproducible.
 //
-// The returned slice aliases sc.hits.
+// Once k hits are held, a document is skipped as soon as a bound shows it
+// cannot displace the k-th: first the driver's frequency, before the other
+// cursors gallop, then the least frequency over all terms, before
+// occurrences probes its positions. Pruning saves those gallops and
+// probes, but not all position decoding: a frozen cursor decodes a block's
+// positions up to the document asked about, pruned ones before it
+// included, so a block is spared only what follows its last probed
+// document.
+//
+// The bound is exact. A document's occurrence count never exceeds any of
+// its terms' frequencies, and the score is that count times a positive
+// weight over a positive norm, so the same arithmetic on a frequency
+// bounds it: floating-point multiply and divide by one positive value are
+// monotone. A document whose bound only equals the k-th score cannot
+// enter either, because hits arrive in ascending doc order and an equal
+// score ranks the lower doc first. So the hits, their scores and their
+// order are the exhaustive ranking's first k.
+//
+// The returned slice aliases sc.top.
 //
 //kw:hotpath
-func (v *view) phraseHits(ids []uint32, sc *evalScratch) []phraseHit {
+func (v *view) topHits(terms []string, ids []uint32, k int, sc *evalScratch) []scoredHit {
 	cs, drv, ok := v.bind(ids, sc)
 	if !ok {
 		return nil
 	}
-	hits := sc.hits[:0]
-	for doc, ok := align(cs, drv, 0); ok; doc, ok = align(cs, drv, doc+1) {
-		if count, first := occurrences(cs, 0); count > 0 {
-			hits = append(hits, phraseHit{doc: int(doc), count: count, first: first})
-		}
+	idf := 0.0
+	for _, t := range terms {
+		idf += v.idf(t)
 	}
-	sc.hits = hits
-	return hits
+	top := sc.top[:0]
+	for d := int32(0); ; {
+		doc, ok := cs[drv].seekGEQ(d)
+		if !ok {
+			break
+		}
+		d = doc + 1
+		norm := 1 + float64(v.lens[doc])/200
+		full := k > 0 && len(top) == k
+		if full && float64(cs[drv].freq())*idf/norm <= top[k-1].score {
+			continue
+		}
+		if next, ok := follow(cs, drv, doc); !ok {
+			break
+		} else if next != doc {
+			d = next
+			continue
+		}
+		if full && float64(minFreq(cs))*idf/norm <= top[k-1].score {
+			continue
+		}
+		count, first := occurrences(cs, 0)
+		if count == 0 {
+			continue
+		}
+		h := scoredHit{doc: doc, first: first, score: float64(count) * idf / norm}
+		if k <= 0 {
+			top = append(top, h)
+			continue
+		}
+		i := len(top)
+		for i > 0 && top[i-1].score < h.score {
+			i--
+		}
+		if i == k {
+			continue
+		}
+		if !full {
+			top = append(top, h)
+		}
+		copy(top[i+1:], top[i:])
+		top[i] = h
+	}
+	if k <= 0 {
+		slices.SortFunc(top, func(a, b scoredHit) int {
+			if c := cmp.Compare(b.score, a.score); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.doc, b.doc)
+		})
+	}
+	sc.top = top
+	return top
+}
+
+// minFreq returns the least occurrence count of the cursors' terms in the
+// document they are all on.
+func minFreq(cs []termCursor) int32 {
+	f := cs[0].freq()
+	for i := 1; i < len(cs); i++ {
+		f = min(f, cs[i].freq())
+	}
+	return f
 }
 
 // countPhraseDocs returns the number of docs containing the phrase at least
-// once — the ResultCount kernel. Unlike phraseHits it never materializes
-// hits: a single term is answered from the document frequency alone (no
-// position decode), and a candidate stops probing at its first occurrence.
+// once — the ResultCount kernel. Unlike topHits it never ranks hits: a
+// single term is answered from the document frequency alone (no position
+// decode), and a candidate stops probing at its first occurrence.
 //
 //kw:hotpath
 func (v *view) countPhraseDocs(ids []uint32, sc *evalScratch) int {

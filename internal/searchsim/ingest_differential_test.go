@@ -79,11 +79,15 @@ func checkAnswers(t *testing.T, label string, got, want *Engine) {
 		if g, w := got.ResultCountAnyOrder(q), want.ResultCountAnyOrder(q); g != w {
 			t.Fatalf("%s: ResultCountAnyOrder(%q) = %d, want %d", label, q, g, w)
 		}
-		if g, w := got.Search(q, 100), want.Search(q, 100); !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: Search(%q) diverged", label, q)
+		for _, k := range []int{3, 100} {
+			if g, w := got.Search(q, k), want.Search(q, k); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: Search(%q, %d) diverged", label, q, k)
+			}
 		}
-		if g, w := got.Snippets(q, 25), want.Snippets(q, 25); !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: Snippets(%q) diverged", label, q)
+		for _, k := range []int{3, 25} {
+			if g, w := got.Snippets(q, k), want.Snippets(q, k); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: Snippets(%q, %d) diverged", label, q, k)
+			}
 		}
 		if g, w := got.SearchAnyTerm(q, 50), want.SearchAnyTerm(q, 50); !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: SearchAnyTerm(%q) diverged", label, q)

@@ -64,11 +64,15 @@ func TestLiveSegmentBoundarySeeks(t *testing.T) {
 		if g, w := live.ResultCountAnyOrder(q), want.ResultCountAnyOrder(q); g != w {
 			t.Fatalf("ResultCountAnyOrder(%q) = %d, want %d", q, g, w)
 		}
-		if g, w := live.Search(q, 50), want.Search(q, 50); !reflect.DeepEqual(g, w) {
-			t.Fatalf("Search(%q) diverged:\n  got  %v\n  want %v", q, g, w)
+		for _, k := range []int{3, 50} {
+			if g, w := live.Search(q, k), want.Search(q, k); !reflect.DeepEqual(g, w) {
+				t.Fatalf("Search(%q, %d) diverged:\n  got  %v\n  want %v", q, k, g, w)
+			}
 		}
-		if g, w := live.Snippets(q, 20), want.Snippets(q, 20); !reflect.DeepEqual(g, w) {
-			t.Fatalf("Snippets(%q) diverged", q)
+		for _, k := range []int{3, 20} {
+			if g, w := live.Snippets(q, k), want.Snippets(q, k); !reflect.DeepEqual(g, w) {
+				t.Fatalf("Snippets(%q, %d) diverged", q, k)
+			}
 		}
 		if g, w := live.SearchAnyTerm(q, 30), want.SearchAnyTerm(q, 30); !reflect.DeepEqual(g, w) {
 			t.Fatalf("SearchAnyTerm(%q) diverged", q)
@@ -341,37 +345,42 @@ type liveOp struct {
 }
 
 // liveQuery is one read: ResultCount, ResultCountAnyOrder, Search,
-// Snippets or DocFreq (kind 0 to 4) of text.
+// Snippets or DocFreq (kind 0 to 4) of text. Search and Snippets read at
+// the depth the caller asks for, one of liveDepths.
 type liveQuery struct {
 	kind int
 	text string
 }
 
-func (q liveQuery) onEngine(e *Engine) any {
+// liveDepths are the result depths Search and Snippets are read at: the
+// script checks every query at both, the reader alternates them.
+var liveDepths = [2]int{20, 3}
+
+func (q liveQuery) onEngine(e *Engine, k int) any {
 	switch q.kind {
 	case 0:
 		return e.ResultCount(q.text)
 	case 1:
 		return e.ResultCountAnyOrder(q.text)
 	case 2:
-		return e.Search(q.text, 20)
+		return e.Search(q.text, k)
 	case 3:
-		return e.Snippets(q.text, 20)
+		return e.Snippets(q.text, k)
 	default:
 		return e.DocFreq(q.text)
 	}
 }
 
-func (q liveQuery) onModel(ref *refEngine) any {
+func (q liveQuery) onModel(ref *refEngine, k int) any {
 	switch q.kind {
 	case 0:
 		return ref.resultCount(q.text)
 	case 1:
 		return ref.resultCountAnyOrder(q.text)
 	case 2:
-		return ref.search(q.text, 20)
+		return ref.search(q.text, k)
 	case 3:
-		return ref.snippets(q.text, 20)
+		return ref.snippets(q.text, k)
 	default:
 		return ref.df[q.text]
 	}
@@ -475,18 +484,19 @@ func TestLiveProperty(t *testing.T) {
 					if op.kind != opQuery {
 						continue
 					}
+					k := liveDepths[calls%2]
 					before := e.NumDocs()
-					got := op.q.onEngine(e)
+					got := op.q.onEngine(e, k)
 					after := e.NumDocs()
 					i := sort.SearchInts(horizons, before)
 					for ; i < len(horizons) && horizons[i] <= after; i++ {
-						if reflect.DeepEqual(got, op.q.onModel(models.model(horizons[i]))) {
+						if reflect.DeepEqual(got, op.q.onModel(models.model(horizons[i]), k)) {
 							break
 						}
 					}
 					if i == len(horizons) || horizons[i] > after {
-						t.Errorf("reader call %d (script at op %d): query %+v = %v matches the model at no horizon in [%d, %d]",
-							calls, opIndex.Load(), op.q, got, before, after)
+						t.Errorf("reader call %d (script at op %d): query %+v at depth %d = %v matches the model at no horizon in [%d, %d]",
+							calls, opIndex.Load(), op.q, k, got, before, after)
 						return
 					}
 				}
@@ -516,8 +526,10 @@ func TestLiveProperty(t *testing.T) {
 				if op.kind != opQuery {
 					continue
 				}
-				if got, want := op.q.onEngine(e), op.q.onModel(models.model(op.horizon)); !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d: query %+v at horizon %d = %v, model %v", i, op.q, op.horizon, got, want)
+				for _, k := range liveDepths {
+					if got, want := op.q.onEngine(e, k), op.q.onModel(models.model(op.horizon), k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("op %d: query %+v at horizon %d, depth %d = %v, model %v", i, op.q, op.horizon, k, got, want)
+					}
 				}
 			}
 		})

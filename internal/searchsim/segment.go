@@ -302,6 +302,7 @@ func compactRange(segs []*segment) (int, int) {
 type view struct {
 	segs    []*segment
 	docs    []docRec // visible docs: global ids [0, len(docs))
+	lens    []int32  // visible docs' token counts, by global id
 	stopID  []bool   // term id -> stopword, covers every visible term
 	vocab   *match.Vocab
 	epoch   uint64 // bumped exactly when the visibility horizon moves

@@ -35,14 +35,17 @@ func referenceFind(s *Set, tokens []string) []Match {
 // referenceExtract is the direct string-keyed extraction kept as executable
 // specification: n-grams keyed by joined text, per-query dedup through a
 // fresh seen map, splits re-joined per probe. Extract's interned packed-key
-// path must produce an identical unit inventory.
-func referenceExtract(l *querylog.Log, cfg Config) *Set {
+// path must produce an identical unit inventory. It also returns each
+// multi-term unit's raw mutual information, the minimum over its splits,
+// whose share of the largest is the unit's score.
+func referenceExtract(l *querylog.Log, cfg Config) (*Set, map[string]float64) {
 	cfg = cfg.withDefaults()
 	total := float64(l.TotalFreq())
+	mis := make(map[string]float64)
 	if total == 0 {
 		s := &Set{units: map[string]*Unit{}, maxLen: cfg.MaxLen}
 		s.buildIndex(nil)
-		return s
+		return s, mis
 	}
 	ngramFreq := make(map[string]int64)
 	for _, q := range l.Queries {
@@ -113,7 +116,8 @@ func referenceExtract(l *querylog.Log, cfg Config) *Set {
 			if !valid || mi < cfg.MinMI {
 				continue
 			}
-			s.units[g] = &Unit{Text: g, Terms: terms, Freq: ngramFreq[g], MI: mi}
+			s.units[g] = &Unit{Text: g, Terms: terms, Freq: ngramFreq[g]}
+			mis[g] = mi
 			if mi > maxMI {
 				maxMI = mi
 			}
@@ -121,11 +125,11 @@ func referenceExtract(l *querylog.Log, cfg Config) *Set {
 	}
 	for _, u := range s.units {
 		if len(u.Terms) > 1 && maxMI > 0 {
-			u.Score = u.MI / maxMI
+			u.Score = mis[u.Text] / maxMI
 		}
 	}
 	s.buildIndex(nil) // a vocabulary of its own, independent of the log's
-	return s
+	return s, mis
 }
 
 // TestDifferentialExtractVsReference mines the same generated query log with
@@ -135,7 +139,8 @@ func TestDifferentialExtractVsReference(t *testing.T) {
 	w := world.New(world.Config{Seed: 91, VocabSize: 1500, NumTopics: 8, NumConcepts: 250})
 	l := querylog.Generate(w, querylog.Config{Seed: 92})
 	for _, cfg := range []Config{{}, {MaxLen: 4, MinMI: 1.0}, {MinFreq: 2}} {
-		got, want := Extract(l, cfg), referenceExtract(l, cfg)
+		got := Extract(l, cfg)
+		want, _ := referenceExtract(l, cfg)
 		if len(got.units) != len(want.units) {
 			t.Fatalf("cfg %+v: %d units, reference has %d", cfg, len(got.units), len(want.units))
 		}

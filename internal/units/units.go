@@ -34,9 +34,6 @@ type Unit struct {
 	// Freq is the frequency-weighted number of query submissions containing
 	// the unit as a contiguous phrase.
 	Freq int64
-	// MI is the raw mutual information of the unit's terms (0 for
-	// single-term units, for which MI is undefined).
-	MI float64
 	// Score is the normalized unit score in [0,1] used by the concept
 	// vector and by the unit_score interestingness feature.
 	Score float64
@@ -263,7 +260,6 @@ func Extract(l *querylog.Log, cfg Config) *Set {
 			Text:  text,
 			Terms: termsArena[base:len(termsArena):len(termsArena)],
 			Freq:  gramFreq[gramIdx[a.key]],
-			MI:    a.mi,
 			Score: score,
 		})
 		s.units[text] = &units[len(units)-1]

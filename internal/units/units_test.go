@@ -63,8 +63,8 @@ func TestStrongPairBecomesUnit(t *testing.T) {
 	if u == nil {
 		t.Fatal("'global warming' should be validated as a unit")
 	}
-	if u.MI <= 0 {
-		t.Fatalf("MI should be positive, got %v", u.MI)
+	if _, mis := referenceExtract(handLog(), handConfig); mis["global warming"] <= 0 {
+		t.Fatalf("MI should be positive, got %v", mis["global warming"])
 	}
 	if u.Score <= 0 || u.Score > 1 {
 		t.Fatalf("normalized score out of range: %v", u.Score)
